@@ -54,7 +54,6 @@ from .operators import (
     OperatorSpec,
     PeriodicRule,
     Shift,
-    ShiftComposed,
     SupportedVector,
     TableRule,
     compose_shift,

@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -51,9 +52,9 @@ from .operators import (
     OperatorSpec,
     PeriodicRule,
     Shift,
-    ShiftComposed,
     SupportedVector,
     TableRule,
+    compose_shift,
 )
 from .reports import (
     rfsm_report_csv,
@@ -66,8 +67,9 @@ from .rfsm import (
     convergence_study,
     reference_tail_bound,
     rfsm_solve,
+    rfsm_solve_with_residual,
 )
-from .sections import rfsm_section
+from .sections import rfsm_section  # noqa: F401  (bench/test_bench.py checks tracing rebinds it)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -102,16 +104,21 @@ _NUMERIC_ERRORS = (
 
 
 def parse_scalar(value) -> complex:
-    """Parse a complex scalar given as a number, "re", "p/q" or "re+imi"."""
-    if isinstance(value, (int, float)):
-        return complex(value)
-    s = str(value).strip().replace(" ", "")
-    if re.fullmatch(r"[+-]?\d+/\d+", s):
-        return complex(Fraction(s))
+    """Parse a finite complex scalar given as a number, "re", "p/q" or "re+imi"."""
     try:
-        return complex(s.replace("i", "j"))
-    except ValueError:
+        if isinstance(value, (int, float)):
+            z = complex(value)
+        else:
+            s = str(value).strip().replace(" ", "")
+            if re.fullmatch(r"[+-]?\d+/\d+", s):
+                z = complex(Fraction(s))
+            else:
+                z = complex(s.replace("i", "j"))
+    except (ValueError, OverflowError):
         raise ValueError(f"cannot parse scalar {value!r}") from None
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"scalar {value!r} is not finite")
+    return z
 
 
 def _parse_point_key(key: str, dimension: int) -> tuple[int, ...]:
@@ -185,12 +192,10 @@ def parse_operator(payload: dict) -> OperatorSpec:
         return AdjacencyGraph.from_edges(dim, payload["edges"])
     if variant == "shift":
         dim = int(payload.get("dimension", 1))
-        return Shift(dim, tuple(int(c) for c in payload["step"]))
+        return Shift.by(tuple(int(c) for c in payload["step"]), dim)
     if variant == "shift_composed":
         inner = parse_operator(payload["inner"])
-        return ShiftComposed(
-            tuple(int(c) for c in payload["step"]), inner
-        )
+        return compose_shift(inner, tuple(int(c) for c in payload["step"]))
     raise ValueError(f"unknown operator variant {variant!r}")
 
 
@@ -213,18 +218,19 @@ def load_rhs(source: str) -> SupportedVector:
 # ---------------------------------------------------------------------------
 
 
+def _auto_bound(case_id: str, n_max: int) -> int:
+    """Generator bound whose edge coverage reaches window n_max of the case's domain."""
+    probe = build_example(case_id, 1).domain
+    return minimal_bound(case_id, probe.enclosing_radius(n_max))
+
+
 def _resolve_case(args) -> tuple[OperatorSpec, StarlikeDomain, ExampleCase | None, str]:
     """Operator + domain from --example or --operator/--omega flags."""
     if getattr(args, "example", None):
         bound = getattr(args, "bound", None)
         if bound is None:
             n_max = getattr(args, "nmax", None) or getattr(args, "n", None) or 40
-            probe = builtin_domain("square") if args.example in (
-                "rarosi",
-                "sierror",
-                "diamond",
-            ) else builtin_domain("interval")
-            bound = minimal_bound(args.example, probe.enclosing_radius(int(n_max)))
+            bound = _auto_bound(args.example, int(n_max))
         case = build_example(args.example, bound)
         domain = load_domain(args.omega) if getattr(args, "omega", None) else case.domain
         return case.operator, domain, case, args.example
@@ -321,10 +327,7 @@ def _cmd_scan(args) -> int:
 def _cmd_example(args) -> int:
     bound = args.bound
     if bound is None:
-        case_probe = build_example(args.case_id, 1)
-        bound = minimal_bound(
-            args.case_id, case_probe.domain.enclosing_radius(args.nmax)
-        )
+        bound = _auto_bound(args.case_id, args.nmax)
     case = build_example(args.case_id, bound)
     report = stability_scan(
         case.operator,
@@ -391,15 +394,7 @@ def _cmd_solve_rfsm(args) -> int:
     else:
         raise ValueError("provide --n and --m, or --epsilon")
 
-    section = rfsm_section(operator, domain, m, n)
-    b = rhs.restrict(section.rows).to_array(section.rows)
-    from .linalg import least_squares
-
-    x = least_squares(section.data, b)
-    import numpy as np
-
-    residual = float(np.linalg.norm(section.data @ x - b))
-    u = SupportedVector.from_array(section.cols, x)
+    u, residual = rfsm_solve_with_residual(operator, rhs, domain, m, n)
     if delta is not None and residual >= delta:
         raise NoFeasibleMError(
             f"least-squares residual {residual:.6g} does not meet delta={delta:.6g}"

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import (
-    GeneratorBoundError,
     InsufficientDataError,
     SingularMatrixError,
     SingularSectionError,
@@ -45,19 +44,6 @@ VERDICT_SINGULAR = "contains-singular"
 VERDICT_NORM_CAP = "norm-exceeds-cap"
 
 
-def _check_adjacency_coverage(
-    graph: AdjacencyGraph, domain: StarlikeDomain, n: int
-) -> None:
-    if graph.coverage_radius is None:
-        return
-    needed = domain.enclosing_radius(n)
-    if needed > graph.coverage_radius:
-        raise GeneratorBoundError(
-            f"window n={n} needs edges complete up to max-norm radius {needed}, "
-            f"but the generator covers only {graph.coverage_radius}"
-        )
-
-
 def _adjacency_extremes(
     graph: AdjacencyGraph, domain: StarlikeDomain, n: int
 ) -> tuple[float, float]:
@@ -67,7 +53,7 @@ def _adjacency_extremes(
     the assembled block over edge-touched points, so its singular values
     are those of the block together with 1.
     """
-    _check_adjacency_coverage(graph, domain, n)
+    graph.check_coverage(domain, n)
     active = [p for p in graph.edge_vertices() if domain.contains(p, n)]
     window_size = lattice_section_size(domain, n)
     if not active:
@@ -167,7 +153,7 @@ def adjacency_section_invertible(
     """Exact arithmetic criterion: no edge may have exactly one endpoint inside."""
     if not isinstance(graph, AdjacencyGraph):
         raise TypeError("criterion applies to adjacency operators only")
-    _check_adjacency_coverage(graph, domain, n)
+    graph.check_coverage(domain, n)
     for i, j in graph.edges:
         if domain.contains(i, n) != domain.contains(j, n):
             return False

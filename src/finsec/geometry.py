@@ -126,14 +126,15 @@ class IndexSet:
         return cls(dimension, tuple(normalized))
 
     @cached_property
-    def _position(self) -> dict[Point, int]:
+    def positions(self) -> dict[Point, int]:
+        """Map from each point to its place in `points`."""
         return {p: k for k, p in enumerate(self.points)}
 
     def index(self, point: Point) -> int:
-        return self._position[point]
+        return self.positions[point]
 
     def __contains__(self, point) -> bool:
-        return tuple(point) in self._position
+        return tuple(point) in self.positions
 
     def __len__(self) -> int:
         return len(self.points)

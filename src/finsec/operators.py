@@ -1,21 +1,23 @@
 """Symbolic band operators on integer lattices with exact, lazy entry access.
 
 An operator is a rule for the matrix entry a_{ij} over pairs of lattice
-points, never a stored matrix.  Variants cover banded diagonal tables,
-1-D block-periodic matrices, extended adjacency matrices of disjoint edge
-sets, lattice shifts and shift compositions.
+points, never a stored matrix.  Every operator is a table of diagonals
+a_{ij} = f_{i-j}(i): finitely many offsets i - j, each with a row rule.
+Block-periodic matrices, lattice shifts and shift compositions are built
+as such tables; adjacency graphs derive theirs from their edges.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import sqrt
+from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
 
-from .errors import UnboundedBandError
-from .geometry import IndexSet, Point
+from .errors import GeneratorBoundError, UnboundedBandError
+from .geometry import IndexSet, Point, StarlikeDomain
 
 __all__ = [
     "OperatorSpec",
@@ -23,8 +25,6 @@ __all__ = [
     "BlockPeriodic",
     "AdjacencyGraph",
     "Shift",
-    "ShiftComposed",
-    "AdjointSpec",
     "ConstantRule",
     "PeriodicRule",
     "TableRule",
@@ -59,10 +59,6 @@ def _sub(p: Point, q: Point) -> Point:
     return tuple(a - b for a, b in zip(p, q))
 
 
-def _neg(p: Point) -> Point:
-    return tuple(-a for a in p)
-
-
 # ---------------------------------------------------------------------------
 # coefficient rules for diagonal tables
 # ---------------------------------------------------------------------------
@@ -78,8 +74,8 @@ class CoefficientRule(abc.ABC):
     def is_trivial(self) -> bool: ...
 
     @abc.abstractmethod
-    def adjoint_shifted(self, offset: Point) -> "CoefficientRule":
-        """Rule i -> conj(self(i + offset)); used to transpose diagonal tables."""
+    def shifted(self, step: Point) -> "CoefficientRule":
+        """Rule i -> self(i - step); re-indexes a diagonal moved by a shift."""
 
 
 @dataclass(frozen=True)
@@ -92,8 +88,8 @@ class ConstantRule(CoefficientRule):
     def is_trivial(self) -> bool:
         return self.value == 0
 
-    def adjoint_shifted(self, offset: Point) -> "ConstantRule":
-        return ConstantRule(complex(self.value).conjugate())
+    def shifted(self, step: Point) -> "ConstantRule":
+        return self
 
 
 @dataclass(frozen=True)
@@ -125,12 +121,10 @@ class PeriodicRule(CoefficientRule):
     def is_trivial(self) -> bool:
         return all(v == 0 for _, v in self.table)
 
-    def adjoint_shifted(self, offset: Point) -> "PeriodicRule":
-        shifted = {
-            tuple((r - d) % q for r, d, q in zip(res, offset, self.period)): v.conjugate()
-            for res, v in self.table
-        }
-        return PeriodicRule.from_mapping(self.period, shifted)
+    def shifted(self, step: Point) -> "PeriodicRule":
+        return PeriodicRule.from_mapping(
+            self.period, {_add(res, step): v for res, v in self.table}
+        )
 
 
 @dataclass(frozen=True)
@@ -157,10 +151,9 @@ class TableRule(CoefficientRule):
     def is_trivial(self) -> bool:
         return self.default == 0 and all(v == 0 for _, v in self.table)
 
-    def adjoint_shifted(self, offset: Point) -> "TableRule":
-        shifted = {_sub(k, offset): v.conjugate() for k, v in self.table}
+    def shifted(self, step: Point) -> "TableRule":
         return TableRule.from_mapping(
-            shifted, complex(self.default).conjugate(), len(offset)
+            {_add(k, step): v for k, v in self.table}, self.default, len(step)
         )
 
 
@@ -259,42 +252,49 @@ class SupportedVector:
 
 
 # ---------------------------------------------------------------------------
-# operator variants
+# operators
 # ---------------------------------------------------------------------------
 
 
-class OperatorSpec(abc.ABC):
-    """Common interface of all symbolic operator descriptions."""
+class OperatorSpec:
+    """Band operator given by its stored diagonals: a_{ij} = f_{i-j}(i).
+
+    `diagonals` holds (offset, rule) pairs with distinct offsets; entries
+    off the stored offsets are zero.  Entry access, the band and the exact
+    product are derived here from the diagonals alone.
+    """
 
     dimension: int
+    diagonals: tuple[tuple[Point, CoefficientRule], ...]
 
-    @abc.abstractmethod
+    @cached_property
+    def _rules(self) -> dict[Point, CoefficientRule]:
+        return dict(self.diagonals)
+
     def entry(self, i, j) -> complex:
         """Matrix entry a_{ij}."""
+        i = as_point(i, self.dimension)
+        j = as_point(j, self.dimension)
+        rule = self._rules.get(_sub(i, j))
+        return rule.value_at(i) if rule is not None else 0j
 
-    @abc.abstractmethod
     def nonzero_diffs(self) -> frozenset[Point]:
         """All i - j values at which entries may be nonzero."""
-
-    @abc.abstractmethod
-    def adjoint(self) -> "OperatorSpec":
-        """Spec whose entries are conj(a_{ji})."""
+        return frozenset(d for d, _ in self.diagonals)
 
     def band_width(self) -> int:
         """Least w with a_{ij} = 0 whenever max-norm of i - j exceeds w."""
-        diffs = self.nonzero_diffs()
-        return max((_max_norm(d) for d in diffs), default=0)
+        return max((_max_norm(d) for d in self.nonzero_diffs()), default=0)
 
     def apply(self, u: SupportedVector) -> SupportedVector:
         """Exact matrix-vector product on a finitely supported vector."""
         if u.dimension != self.dimension:
             raise ValueError("dimension mismatch")
         acc: dict[Point, complex] = {}
-        diffs = self.nonzero_diffs()
         for j, val in u.entries.items():
-            for d in diffs:
+            for d, rule in self.diagonals:
                 i = _add(j, d)
-                a = self.entry(i, j)
+                a = rule.value_at(i)
                 if a != 0:
                     acc[i] = acc.get(i, 0j) + a * val
         return SupportedVector(self.dimension, {p: v for p, v in acc.items() if v != 0})
@@ -317,93 +317,48 @@ class BandDiagonals(OperatorSpec):
                 items.append((as_point(offset, dimension), rule))
         return cls(dimension, tuple(sorted(items, key=lambda kv: kv[0])))
 
-    @cached_property
-    def _lookup(self) -> dict[Point, CoefficientRule]:
-        return dict(self.diagonals)
-
-    def entry(self, i, j) -> complex:
-        i = as_point(i, self.dimension)
-        j = as_point(j, self.dimension)
-        rule = self._lookup.get(_sub(i, j))
-        return rule.value_at(i) if rule is not None else 0j
-
-    def nonzero_diffs(self) -> frozenset[Point]:
-        return frozenset(d for d, _ in self.diagonals)
-
-    def adjoint(self) -> "BandDiagonals":
-        rules = {_neg(d): rule.adjoint_shifted(d) for d, rule in self.diagonals}
-        return BandDiagonals.from_rules(self.dimension, rules)
-
 
 def identity_operator(dimension: int = 1) -> BandDiagonals:
     zero = (0,) * dimension
     return BandDiagonals.from_rules(dimension, {zero: ConstantRule(1.0 + 0j)})
 
 
-@dataclass(frozen=True)
-class BlockPeriodic(OperatorSpec):
+def _block_periodic(block_size: int, blocks: Mapping[int, Sequence]) -> BandDiagonals:
     """1-D operator assembled from q x q blocks repeating along block diagonals.
 
     Block t (a block-column offset) couples block row s to block column
     s + t; block row s occupies the q consecutive indices q*s + r + start
     with start = -((q-1)//2), so block row 0 sits at {-1, 0, 1} for q = 3.
+    Entry (r, c) of block t therefore lies on offset r - c - q*t, at rows
+    of residue (r + start) mod q.
     """
+    q = int(block_size)
+    if q < 1:
+        raise ValueError("block size must be >= 1")
+    start = -((q - 1) // 2)
+    tables: dict[int, dict[int, complex]] = {}
+    for t, mat in blocks.items():
+        rows = [[complex(v) for v in row] for row in mat]
+        if len(rows) != q or any(len(row) != q for row in rows):
+            raise ValueError(f"block {t} is not {q}x{q}")
+        for r, row in enumerate(rows):
+            for c, v in enumerate(row):
+                if v != 0:
+                    tables.setdefault(r - c - q * int(t), {})[r + start] = v
+    rules = {d: PeriodicRule.from_mapping((q,), table) for d, table in tables.items()}
+    return BandDiagonals.from_rules(1, rules)
 
-    block_size: int
-    blocks: tuple[tuple[int, tuple[tuple[complex, ...], ...]], ...]
-    dimension: int = field(default=1, init=False)
 
-    @classmethod
-    def from_blocks(cls, block_size: int, blocks: Mapping[int, Sequence]) -> "BlockPeriodic":
-        q = int(block_size)
-        if q < 1:
-            raise ValueError("block size must be >= 1")
-        items = []
-        for t, mat in blocks.items():
-            rows = tuple(tuple(complex(v) for v in row) for row in mat)
-            if len(rows) != q or any(len(r) != q for r in rows):
-                raise ValueError(f"block {t} is not {q}x{q}")
-            if any(v != 0 for row in rows for v in row):
-                items.append((int(t), rows))
-        return cls(q, tuple(sorted(items)))
+def _shift_by(step, dimension: int = 1) -> BandDiagonals:
+    """Translation by a fixed lattice vector: a_{ij} = 1 iff i - j = step."""
+    return BandDiagonals.from_rules(
+        dimension, {as_point(step, dimension): ConstantRule(1.0 + 0j)}
+    )
 
-    @property
-    def _start(self) -> int:
-        return -((self.block_size - 1) // 2)
 
-    @cached_property
-    def _lookup(self) -> dict[int, tuple[tuple[complex, ...], ...]]:
-        return dict(self.blocks)
-
-    def _split(self, x: int) -> tuple[int, int]:
-        s = (x - self._start) // self.block_size
-        return s, x - self.block_size * s - self._start
-
-    def entry(self, i, j) -> complex:
-        x = as_point(i, 1)[0]
-        y = as_point(j, 1)[0]
-        s_row, r = self._split(x)
-        s_col, c = self._split(y)
-        block = self._lookup.get(s_col - s_row)
-        return block[r][c] if block is not None else 0j
-
-    def nonzero_diffs(self) -> frozenset[Point]:
-        diffs = set()
-        for t, mat in self.blocks:
-            for r, row in enumerate(mat):
-                for c, v in enumerate(row):
-                    if v != 0:
-                        diffs.add((r - c - self.block_size * t,))
-        return frozenset(diffs)
-
-    def adjoint(self) -> "BlockPeriodic":
-        flipped = {}
-        for t, mat in self.blocks:
-            q = self.block_size
-            flipped[-t] = tuple(
-                tuple(mat[c][r].conjugate() for c in range(q)) for r in range(q)
-            )
-        return BlockPeriodic.from_blocks(self.block_size, flipped)
+# Factories under the names configs and callers use for these operator kinds.
+BlockPeriodic = SimpleNamespace(from_blocks=_block_periodic)
+Shift = SimpleNamespace(by=_shift_by)
 
 
 @dataclass(frozen=True)
@@ -451,7 +406,15 @@ class AdjacencyGraph(OperatorSpec):
             out[j] = i
         return out
 
-    def _check_coverage(self, *points: Point) -> None:
+    @cached_property
+    def diagonals(self) -> tuple[tuple[Point, CoefficientRule], ...]:
+        """Offset 0 for the fixed points plus one diagonal per edge offset."""
+        offsets = {(0,) * self.dimension}
+        for i, j in self.edges:
+            offsets.update((_sub(i, j), _sub(j, i)))
+        return tuple((d, _EdgeRule(self, d)) for d in sorted(offsets))
+
+    def _check_points(self, *points: Point) -> None:
         if self.coverage_radius is None:
             return
         for p in points:
@@ -461,103 +424,59 @@ class AdjacencyGraph(OperatorSpec):
                     f"radius {self.coverage_radius} of family {self.family!r}"
                 )
 
+    def check_coverage(self, domain: StarlikeDomain, n: int) -> None:
+        """Refuse window n of the domain when it reaches past the generated edges."""
+        if self.coverage_radius is None:
+            return
+        needed = domain.enclosing_radius(n)
+        if needed > self.coverage_radius:
+            raise GeneratorBoundError(
+                f"window n={n} needs edges complete up to max-norm radius {needed}, "
+                f"but the generator covers only {self.coverage_radius}"
+            )
+
     def entry(self, i, j) -> complex:
         i = as_point(i, self.dimension)
         j = as_point(j, self.dimension)
-        self._check_coverage(i, j)
-        partner = self._partner.get(i)
-        if partner is not None:
-            return 1.0 + 0j if partner == j else 0j
-        return 1.0 + 0j if i == j else 0j
+        self._check_points(i, j)
+        return super().entry(i, j)
 
     def edge_vertices(self) -> list[Point]:
         return sorted(self._partner)
 
-    def nonzero_diffs(self) -> frozenset[Point]:
-        diffs = {(0,) * self.dimension}
-        for i, j in self.edges:
-            diffs.add(_sub(i, j))
-            diffs.add(_sub(j, i))
-        return frozenset(diffs)
-
-    def adjoint(self) -> "AdjacencyGraph":
-        return self  # real symmetric
-
 
 @dataclass(frozen=True)
-class Shift(OperatorSpec):
-    """Translation by a fixed lattice vector: a_{ij} = 1 iff j = i - step."""
+class _EdgeRule(CoefficientRule):
+    """Diagonal `offset` of an adjacency graph, refused beyond its edge coverage."""
 
-    dimension: int
-    step: Point
+    graph: AdjacencyGraph
+    offset: Point
 
-    @classmethod
-    def by(cls, step, dimension: int = 1) -> "Shift":
-        return cls(dimension, as_point(step, dimension))
+    def value_at(self, i: Point) -> complex:
+        j = _sub(i, self.offset)
+        self.graph._check_points(i, j)
+        return 1.0 + 0j if self.graph._partner.get(i, i) == j else 0j
 
-    def entry(self, i, j) -> complex:
-        i = as_point(i, self.dimension)
-        j = as_point(j, self.dimension)
-        return 1.0 + 0j if _sub(i, j) == self.step else 0j
+    def is_trivial(self) -> bool:
+        return False
 
-    def nonzero_diffs(self) -> frozenset[Point]:
-        return frozenset({self.step})
-
-    def adjoint(self) -> "Shift":
-        return Shift(self.dimension, _neg(self.step))
-
-
-@dataclass(frozen=True)
-class ShiftComposed(OperatorSpec):
-    """Shift applied after another operator: entries a_{ij} = inner_{i-step, j}."""
-
-    step: Point
-    inner: OperatorSpec
-
-    @property
-    def dimension(self) -> int:
-        return self.inner.dimension
-
-    def entry(self, i, j) -> complex:
-        i = as_point(i, self.dimension)
-        return self.inner.entry(_sub(i, self.step), j)
-
-    def nonzero_diffs(self) -> frozenset[Point]:
-        return frozenset(_add(d, self.step) for d in self.inner.nonzero_diffs())
-
-    def adjoint(self) -> "OperatorSpec":
-        # (shift . inner)* = inner* . reverse-shift has no ShiftComposed form;
-        # fall back to the lazy transpose wrapper.
-        return AdjointSpec(self)
-
-
-@dataclass(frozen=True)
-class AdjointSpec(OperatorSpec):
-    """Lazy adjoint: entries conj(base_{ji})."""
-
-    base: OperatorSpec
-
-    @property
-    def dimension(self) -> int:
-        return self.base.dimension
-
-    def entry(self, i, j) -> complex:
-        return complex(self.base.entry(j, i)).conjugate()
-
-    def nonzero_diffs(self) -> frozenset[Point]:
-        return frozenset(_neg(d) for d in self.base.nonzero_diffs())
-
-    def adjoint(self) -> OperatorSpec:
-        return self.base
+    def shifted(self, step: Point) -> CoefficientRule:
+        raise ValueError(
+            "an adjacency graph cannot be shift-composed: the result would "
+            "have no edge structure for the invertibility criterion"
+        )
 
 
 def compose_shift(operator: OperatorSpec, step) -> OperatorSpec:
     """Precondition by a shift: the system rows move down by `step`.
 
-    Applied to an equation, the right-hand side must be shifted the same
-    way (apply Shift.by(step) to it).
+    Entries become a_{i-step, j}: every diagonal moves by `step` and its
+    rule is re-indexed.  Applied to an equation, the right-hand side must
+    be shifted the same way (apply Shift.by(step) to it).  A nonzero shift
+    of an adjacency graph raises ValueError.
     """
     step = as_point(step, operator.dimension)
     if all(c == 0 for c in step):
         return operator
-    return ShiftComposed(step, operator)
+    rules = {_add(d, step): rule.shifted(step) for d, rule in operator.diagonals}
+    return BandDiagonals.from_rules(operator.dimension, rules)

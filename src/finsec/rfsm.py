@@ -30,6 +30,7 @@ __all__ = [
     "coupling_row_cutoff",
     "overflow_norm",
     "rfsm_solve",
+    "rfsm_solve_with_residual",
     "solution_bound",
     "choose_parameters",
     "normal_equations_solve",
@@ -80,6 +81,21 @@ def overflow_norm(
     return spectral_norm(block.data)
 
 
+def rfsm_solve_with_residual(
+    operator: OperatorSpec,
+    rhs: SupportedVector,
+    domain: StarlikeDomain,
+    m: int,
+    n: int,
+) -> tuple[SupportedVector, float]:
+    """Least-squares solution of the rectangular window system and its residual norm."""
+    section = rfsm_section(operator, domain, m, n)
+    b = rhs.restrict(section.rows).to_array(section.rows)
+    x = least_squares(section.data, b)
+    residual = float(np.linalg.norm(section.data @ x - b))
+    return SupportedVector.from_array(section.cols, x), residual
+
+
 def rfsm_solve(
     operator: OperatorSpec,
     rhs: SupportedVector,
@@ -88,10 +104,7 @@ def rfsm_solve(
     n: int,
 ) -> SupportedVector:
     """Minimum-norm least-squares solution of the rectangular window system."""
-    section = rfsm_section(operator, domain, m, n)
-    b = rhs.restrict(section.rows).to_array(section.rows)
-    x = least_squares(section.data, b)
-    return SupportedVector.from_array(section.cols, x)
+    return rfsm_solve_with_residual(operator, rhs, domain, m, n)[0]
 
 
 def solution_bound(
@@ -181,10 +194,10 @@ def normal_equations_solve(
     """Solve the window normal equations; equals the least-squares route when Gram is regular."""
     rows = lattice_section(domain, m)
     cols = lattice_section(domain, n)
-    forward = assemble(operator, rows, cols)
-    backward = assemble(operator.adjoint(), cols, rows)
-    gram = backward.data @ forward.data
-    b = backward.data @ rhs.restrict(rows).to_array(rows)
+    forward = assemble(operator, rows, cols).data
+    backward = forward.conj().T
+    gram = backward @ forward
+    b = backward @ rhs.restrict(rows).to_array(rows)
     try:
         x = solve_square(gram, b, tau_rel)
     except SingularMatrixError as exc:
@@ -237,11 +250,7 @@ def convergence_study(
     rhs_norm = rhs_vec.norm()
     for n in ns:
         m = couplings[n]
-        section = rfsm_section(operator, domain, m, n)
-        b = rhs_vec.restrict(section.rows).to_array(section.rows)
-        x = least_squares(section.data, b)
-        u = SupportedVector.from_array(section.cols, x)
-        residual = float(np.linalg.norm(section.data @ x - b))
+        u, residual = rfsm_solve_with_residual(operator, rhs_vec, domain, m, n)
         bound = None
         if inverse_bound is not None:
             overflow = overflow_norm(operator, domain, m, n)

@@ -41,15 +41,15 @@ def assemble(operator: OperatorSpec, rows: IndexSet, cols: IndexSet) -> SectionM
     if rows.dimension != operator.dimension or cols.dimension != operator.dimension:
         raise ValueError("index set dimension mismatch")
     data = np.zeros((len(rows), len(cols)), dtype=complex)
-    diffs = operator.nonzero_diffs()
-    # Fill along the finitely many stored diagonals rather than all pairs.
-    for r, i in enumerate(rows.points):
-        for d in diffs:
-            j = tuple(a - b for a, b in zip(i, d))
-            if j in cols:
-                value = operator.entry(i, j)
+    position = cols.positions
+    # Walk each stored diagonal once: row i meets column i - offset.
+    for offset, rule in operator.diagonals:
+        for r, i in enumerate(rows.points):
+            c = position.get(tuple(a - b for a, b in zip(i, offset)))
+            if c is not None:
+                value = rule.value_at(i)
                 if value != 0:
-                    data[r, cols.index(j)] = value
+                    data[r, c] = value
     return SectionMatrix(rows, cols, data, operator)
 
 

@@ -28,6 +28,23 @@ def test_parse_scalar_forms():
         parse_scalar("wat")
 
 
+@pytest.mark.parametrize("value", ["nan", "1+nani", "inf", float("nan"), 10**400])
+def test_parse_scalar_rejects_non_finite(value):
+    with pytest.raises(ValueError):
+        parse_scalar(value)
+
+
+def test_non_finite_rhs_exits_2(tmp_path, capsys):
+    rhs = tmp_path / "rhs.json"
+    rhs.write_text(json.dumps({"dimension": 1, "entries": {"0": "nan"}}))
+    code, out, err = run_cli(
+        ["solve-fsm", "--example", "blockdiag", "--n", "4", "--rhs", str(rhs)], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "invalid configuration" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # example command
 # ---------------------------------------------------------------------------
@@ -205,6 +222,17 @@ def test_all_operator_variants_parse(tmp_path, capsys):
     )
     flags = [row.split(",")[1] for row in out.splitlines()[1:]]
     assert flags == ["true", "false", "false"] * 3
+
+
+def test_shift_composed_adjacency_exits_2(tmp_path, capsys):
+    adjacency = {"variant": "adjacency", "dimension": 1, "edges": [[[1], [2]]]}
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({"variant": "shift_composed", "step": [1], "inner": adjacency}))
+    code, _, err = run_cli(
+        ["scan", "--operator", str(op), "--omega", "interval", "--nmax", "4"], capsys
+    )
+    assert code == 2
+    assert "adjacency" in err
 
 
 def test_vertex_domain_config(tmp_path, capsys):

@@ -5,11 +5,8 @@ from hypothesis import strategies as st
 
 from finsec import (
     AdjacencyGraph,
-    BandDiagonals,
-    PeriodicRule,
     Shift,
     SupportedVector,
-    TableRule,
     UnboundedBandError,
     build_example,
     compose_shift,
@@ -109,49 +106,6 @@ def test_identity_applies_as_identity():
 
 
 # ---------------------------------------------------------------------------
-# adjoint
-# ---------------------------------------------------------------------------
-
-
-def test_shift_adjoint_is_reverse_shift():
-    assert Shift.by(3).adjoint() == Shift.by(-3)
-
-
-def test_adjacency_adjoint_is_itself():
-    g = build_example("blockdiag", 4).operator
-    assert g.adjoint() is g
-
-
-def test_worked_adjoint_entry(worked_case):
-    a = worked_case.operator
-    adj = a.adjoint()
-    assert adj.entry(1, -1) == a.entry(-1, 1) == 0
-    # full transpose agreement over a window
-    w = window_matrix(a, 6)
-    assert np.array_equal(window_matrix(adj, 6), w.conj().T)
-
-
-def test_band_diagonals_adjoint_with_tables():
-    rule = PeriodicRule.from_mapping((2,), {0: 1 + 2j, 1: -1})
-    tab = TableRule.from_mapping({2: 3j, -1: 1}, default=0, dimension=1)
-    a = BandDiagonals.from_rules(1, {1: rule, -2: tab, 0: 0.5})
-    adj = a.adjoint()
-    w = window_matrix(a, 7)
-    assert np.allclose(window_matrix(adj, 7), w.conj().T)
-    # involution returns entrywise to the original
-    w2 = window_matrix(adj.adjoint(), 7)
-    assert np.allclose(w2, w)
-
-
-def test_shift_composed_adjoint_roundtrip(worked_prime_case):
-    ap = worked_prime_case.operator
-    adj = ap.adjoint()
-    w = window_matrix(ap, 6)
-    assert np.array_equal(window_matrix(adj, 6), w.conj().T)
-    assert adj.adjoint() is ap
-
-
-# ---------------------------------------------------------------------------
 # compose_shift
 # ---------------------------------------------------------------------------
 
@@ -171,6 +125,11 @@ def test_compose_shift_inverts_shift():
     combined = compose_shift(Shift.by(1), -1)
     window = window_matrix(combined, 4)
     assert np.array_equal(window, np.eye(9))
+
+
+def test_compose_shift_rejects_adjacency():
+    with pytest.raises(ValueError, match="adjacency"):
+        compose_shift(build_example("blockdiag", 4).operator, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +185,18 @@ def test_entry_apply_consistency(seed, u):
         assert result.get(i) == pytest.approx(direct, abs=1e-12)
 
 
+@given(st.integers(min_value=0, max_value=19), st.integers(min_value=-4, max_value=4))
+@settings(max_examples=40, deadline=None)
+def test_compose_shift_reindexes_rows(seed, step):
+    # covers the re-indexing of constant, periodic and table rules
+    rng = np.random.default_rng(seed)
+    a = random_band_operator(rng, width=int(rng.integers(1, 4)))
+    composed = compose_shift(a, step)
+    for i in range(-9, 10):
+        for j in range(-9, 10):
+            assert composed.entry(i, j) == a.entry(i - step, j)
+
+
 @given(st.integers(min_value=0, max_value=19))
 @settings(max_examples=20, deadline=None)
 def test_band_locality(seed):
@@ -236,8 +207,3 @@ def test_band_locality(seed):
         for j in range(-6, 7):
             if abs(i - j) > w:
                 assert a.entry((i,), (j,)) == 0
-
-
-def test_block_periodic_adjoint_involution(worked_case):
-    a = worked_case.operator
-    assert a.adjoint().adjoint() == a

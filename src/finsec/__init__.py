@@ -15,6 +15,7 @@ from .errors import (
     HypothesisViolatedError,
     InsufficientDataError,
     NoFeasibleMError,
+    NonFiniteResultError,
     OpenFacetError,
     SingularGramError,
     SingularMatrixError,

@@ -7,6 +7,7 @@ residue classes stay stable, how fast rectangular solves converge).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -28,6 +29,7 @@ from .operators import (
     SupportedVector,
     compose_shift,
 )
+from .reports import StabilityReport
 
 __all__ = [
     "EXAMPLE_IDS",
@@ -98,7 +100,7 @@ class CheckResult:
 class Expectation:
     name: str
     description: str
-    run: Callable[["ExampleCase", int], CheckResult]
+    run: Callable[["ExampleCase", int, "ScanFn"], CheckResult]
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,17 +144,13 @@ def minimal_bound(case_id: str, radius: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _scan(case: ExampleCase, n_max: int, domain: StarlikeDomain | None = None):
-    return stability_scan(
-        case.operator,
-        domain or case.domain,
-        range(1, n_max + 1),
-        operator_id=case.case_id,
-    )
+# A check receives the case, the cut-off and a callable returning the stability
+# scan over n = 1..n_max, run at most once per expected_outcomes call.
+ScanFn = Callable[[], StabilityReport]
 
 
-def _all_singular(case: ExampleCase, n_max: int) -> CheckResult:
-    report = _scan(case, n_max)
+def _all_singular(case: ExampleCase, n_max: int, scan: ScanFn) -> CheckResult:
+    report = scan()
     bad = [rec.n for rec in report.records if rec.invertible]
     return CheckResult(
         "all-sections-singular",
@@ -161,8 +159,8 @@ def _all_singular(case: ExampleCase, n_max: int) -> CheckResult:
     )
 
 
-def _invertible_iff_even(case: ExampleCase, n_max: int) -> CheckResult:
-    report = _scan(case, n_max)
+def _invertible_iff_even(case: ExampleCase, n_max: int, scan: ScanFn) -> CheckResult:
+    report = scan()
     bad = [rec.n for rec in report.records if rec.invertible != (rec.n % 2 == 0)]
     return CheckResult(
         "invertible-iff-even",
@@ -171,8 +169,8 @@ def _invertible_iff_even(case: ExampleCase, n_max: int) -> CheckResult:
     )
 
 
-def _even_norm_one(case: ExampleCase, n_max: int) -> CheckResult:
-    report = _scan(case, n_max)
+def _even_norm_one(case: ExampleCase, n_max: int, scan: ScanFn) -> CheckResult:
+    report = scan()
     deviations = [
         abs(rec.inverse_norm - 1.0)
         for rec in report.records
@@ -186,7 +184,7 @@ def _even_norm_one(case: ExampleCase, n_max: int) -> CheckResult:
     )
 
 
-def _criterion_all_true(case: ExampleCase, n_max: int) -> CheckResult:
+def _criterion_all_true(case: ExampleCase, n_max: int, scan: ScanFn) -> CheckResult:
     bad = [
         n
         for n in range(1, n_max + 1)
@@ -199,8 +197,8 @@ def _criterion_all_true(case: ExampleCase, n_max: int) -> CheckResult:
     )
 
 
-def _inverse_norm_one(case: ExampleCase, n_max: int) -> CheckResult:
-    report = _scan(case, n_max)
+def _inverse_norm_one(case: ExampleCase, n_max: int, scan: ScanFn) -> CheckResult:
+    report = scan()
     if any(not rec.invertible for rec in report.records):
         return CheckResult("inverse-norm-one", False, "a section was singular")
     worst = max(abs(rec.inverse_norm - 1.0) for rec in report.records)
@@ -209,7 +207,7 @@ def _inverse_norm_one(case: ExampleCase, n_max: int) -> CheckResult:
     )
 
 
-def _false_iff_square(case: ExampleCase, n_max: int) -> CheckResult:
+def _false_iff_square(case: ExampleCase, n_max: int, scan: ScanFn) -> CheckResult:
     squares = {k * k for k in range(1, math.isqrt(n_max) + 1)}
     bad = [
         n
@@ -224,8 +222,10 @@ def _false_iff_square(case: ExampleCase, n_max: int) -> CheckResult:
     )
 
 
-def _criterion_matches_numeric(case: ExampleCase, n_max: int) -> CheckResult:
-    report = _scan(case, n_max)
+def _criterion_matches_numeric(
+    case: ExampleCase, n_max: int, scan: ScanFn
+) -> CheckResult:
+    report = scan()
     bad = [
         rec.n
         for rec in report.records
@@ -239,7 +239,7 @@ def _criterion_matches_numeric(case: ExampleCase, n_max: int) -> CheckResult:
     )
 
 
-def _separated_on_box(case: ExampleCase, n_max: int) -> CheckResult:
+def _separated_on_box(case: ExampleCase, n_max: int, scan: ScanFn) -> CheckResult:
     bad = [
         n
         for n in range(1, n_max + 1)
@@ -252,7 +252,7 @@ def _separated_on_box(case: ExampleCase, n_max: int) -> CheckResult:
     )
 
 
-def _stable_on_diamond(case: ExampleCase, n_max: int) -> CheckResult:
+def _stable_on_diamond(case: ExampleCase, n_max: int, scan: ScanFn) -> CheckResult:
     diamond = builtin_domain("diamond")
     bad = [
         n
@@ -266,8 +266,8 @@ def _stable_on_diamond(case: ExampleCase, n_max: int) -> CheckResult:
     )
 
 
-def _no_stable_residue_mod3(case: ExampleCase, n_max: int) -> CheckResult:
-    report = _scan(case, n_max)
+def _no_stable_residue_mod3(case: ExampleCase, n_max: int, scan: ScanFn) -> CheckResult:
+    report = scan()
     verdicts = classify_subsequences(report, 3)
     stable = [r for r, v in verdicts.items() if v == VERDICT_STABLE]
     return CheckResult(
@@ -277,7 +277,7 @@ def _no_stable_residue_mod3(case: ExampleCase, n_max: int) -> CheckResult:
     )
 
 
-def _rfsm_band_error_bound(case: ExampleCase, n_max: int) -> CheckResult:
+def _rfsm_band_error_bound(case: ExampleCase, n_max: int, scan: ScanFn) -> CheckResult:
     from .rfsm import convergence_study  # local import to avoid a cycle
 
     ns = range(2, min(20, n_max) + 1)
@@ -300,8 +300,8 @@ def _rfsm_band_error_bound(case: ExampleCase, n_max: int) -> CheckResult:
     )
 
 
-def _residue_one_stable(case: ExampleCase, n_max: int) -> CheckResult:
-    report = _scan(case, n_max)
+def _residue_one_stable(case: ExampleCase, n_max: int, scan: ScanFn) -> CheckResult:
+    report = scan()
     ones = [rec for rec in report.records if rec.n % 3 == 1]
     if any(not rec.invertible for rec in ones):
         return CheckResult(
@@ -316,8 +316,10 @@ def _residue_one_stable(case: ExampleCase, n_max: int) -> CheckResult:
     )
 
 
-def _residues_zero_two_singular(case: ExampleCase, n_max: int) -> CheckResult:
-    report = _scan(case, n_max)
+def _residues_zero_two_singular(
+    case: ExampleCase, n_max: int, scan: ScanFn
+) -> CheckResult:
+    report = scan()
     bad = [rec.n for rec in report.records if rec.n % 3 != 1 and rec.invertible]
     return CheckResult(
         "residues-zero-two-singular",
@@ -326,7 +328,7 @@ def _residues_zero_two_singular(case: ExampleCase, n_max: int) -> CheckResult:
     )
 
 
-def _matches_shifted_base(case: ExampleCase, n_max: int) -> CheckResult:
+def _matches_shifted_base(case: ExampleCase, n_max: int, scan: ScanFn) -> CheckResult:
     base = _worked_base_operator()
     radius = 10
     worst = 0.0
@@ -543,4 +545,12 @@ def expected_outcomes(case: ExampleCase, n_max: int) -> list[CheckResult]:
         raise ValueError("n_max must be at least 9 to cover residue classes")
     if isinstance(case.operator, AdjacencyGraph):
         case.operator.check_coverage(case.domain, n_max)
-    return [exp.run(case, n_max) for exp in case.expectations]
+    scan = functools.cache(
+        lambda: stability_scan(
+            case.operator,
+            case.domain,
+            range(1, n_max + 1),
+            operator_id=case.case_id,
+        )
+    )
+    return [exp.run(case, n_max, scan) for exp in case.expectations]

@@ -18,6 +18,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from numpy.linalg import LinAlgError
+
 from .catalog import (
     EXAMPLE_IDS,
     BUILTIN_DOMAINS,
@@ -32,6 +34,7 @@ from .errors import (
     HypothesisViolatedError,
     InsufficientDataError,
     NoFeasibleMError,
+    NonFiniteResultError,
     OpenFacetError,
     SingularGramError,
     SingularMatrixError,
@@ -54,6 +57,7 @@ from .operators import (
     Shift,
     SupportedVector,
     TableRule,
+    as_point,
     compose_shift,
 )
 from .reports import (
@@ -88,7 +92,10 @@ _CONFIG_ERRORS = (
     InsufficientDataError,
     GeneratorBoundError,
 )
+# Checked before _CONFIG_ERRORS: LinAlgError subclasses ValueError.
 _NUMERIC_ERRORS = (
+    LinAlgError,
+    NonFiniteResultError,
     SingularSectionError,
     SingularMatrixError,
     SingularGramError,
@@ -171,10 +178,12 @@ def parse_operator(payload: dict) -> OperatorSpec:
     variant = payload["variant"]
     if variant == "band_diagonals":
         dim = int(payload.get("dimension", 1))
-        rules = {
-            tuple(d["offset"]): _parse_rule(d["rule"], dim)
-            for d in payload["diagonals"]
-        }
+        rules = {}
+        for d in payload["diagonals"]:
+            offset = as_point(d["offset"], dim)
+            if offset in rules:
+                raise ValueError(f"band_diagonals repeats offset {list(offset)}")
+            rules[offset] = _parse_rule(d["rule"], dim)
         return BandDiagonals.from_rules(dim, rules)
     if variant == "block_periodic":
         blocks = {
@@ -279,7 +288,7 @@ def _solution_json(u: SupportedVector, meta: dict) -> str:
         },
     }
     payload.update(meta)
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,10 @@ class SingularSectionError(FinsecError):
     """A square finite section failed the invertibility test."""
 
 
+class NonFiniteResultError(FinsecError):
+    """A numeric kernel overflowed to a non-finite value."""
+
+
 class SingularGramError(FinsecError):
     """The normal-equations Gram matrix failed the invertibility test."""
 

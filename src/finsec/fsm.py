@@ -5,27 +5,36 @@ the inverted section extended by the identity off the window.  For
 adjacency operators the section splits exactly into the identity plus a
 small block over edge-touched vertices, so scans stay dense-small even
 when the window holds tens of thousands of lattice points.
+
+Square windows of at least SPARSE_MIN_POINTS points take their sigma
+extremes from a sparse LU and Lanczos, never building the dense block.
+They fall back to the dense SVD whenever the sparse route fails or its
+sigma_min lies within SPARSE_FALLBACK_FACTOR of the invertibility
+threshold, so the verdict never depends on which route ran.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 from .errors import (
     InsufficientDataError,
+    NonFiniteResultError,
     SingularMatrixError,
     SingularSectionError,
 )
-from .geometry import IndexSet, StarlikeDomain, lattice_section_size
+from .geometry import IndexSet, StarlikeDomain, lattice_section, lattice_section_size
 from .linalg import (
     NORM_CAP_DEFAULT,
     TAU_REL_DEFAULT,
     singular_values,
     solve_square,
+    sparse_extremes,
 )
 from .operators import AdjacencyGraph, OperatorSpec, SupportedVector
 from .reports import StabilityRecord, StabilityReport
-from .sections import assemble, fsm_section
+from .sections import assemble, fsm_section, section_triplets
 
 __all__ = [
     "VERDICT_STABLE",
@@ -42,6 +51,12 @@ __all__ = [
 VERDICT_STABLE = "stable-so-far"
 VERDICT_SINGULAR = "contains-singular"
 VERDICT_NORM_CAP = "norm-exceeds-cap"
+
+# Windows this large are routed to the sparse sigma kernel.
+SPARSE_MIN_POINTS = 512
+# The sparse result is kept only when sigma_min exceeds this multiple of the
+# invertibility threshold; Lanczos error (~1e-15 relative) cannot cross it.
+SPARSE_FALLBACK_FACTOR = 1e3
 
 
 def _adjacency_extremes(
@@ -68,14 +83,42 @@ def _adjacency_extremes(
     return smin, smax
 
 
-def section_extremes(
-    operator: OperatorSpec, domain: StarlikeDomain, n: int
+def _window_extremes(
+    operator: OperatorSpec, window: IndexSet, tau_rel: float
 ) -> tuple[float, float]:
-    """(sigma_min, sigma_max) of the square section over window n."""
-    if isinstance(operator, AdjacencyGraph):
-        return _adjacency_extremes(operator, domain, n)
-    sv = singular_values(fsm_section(operator, domain, n).data)
+    """Sparse extremes for large windows when safely invertible, else dense SVD."""
+    if len(window) >= SPARSE_MIN_POINTS:
+        extremes = sparse_extremes(
+            *section_triplets(operator, window, window), len(window)
+        )
+        if extremes is not None and _invertible(
+            *extremes, SPARSE_FALLBACK_FACTOR * tau_rel
+        ):
+            return extremes
+    sv = singular_values(assemble(operator, window, window).data)
     return float(sv[-1]), float(sv[0])
+
+
+def section_extremes(
+    operator: OperatorSpec,
+    domain: StarlikeDomain,
+    n: int,
+    tau_rel: float = TAU_REL_DEFAULT,
+) -> tuple[float, float]:
+    """(sigma_min, sigma_max) of the square section over window n.
+
+    Raises NonFiniteResultError when a singular value overflows.
+    """
+    if isinstance(operator, AdjacencyGraph):
+        smin, smax = _adjacency_extremes(operator, domain, n)
+    else:
+        smin, smax = _window_extremes(operator, lattice_section(domain, n), tau_rel)
+    if not (math.isfinite(smin) and math.isfinite(smax)):
+        raise NonFiniteResultError(
+            f"section at n={n} has non-finite singular values "
+            f"(sigma_min={smin}, sigma_max={smax})"
+        )
+    return smin, smax
 
 
 def _invertible(smin: float, smax: float, tau_rel: float) -> bool:
@@ -106,7 +149,7 @@ def inverse_norm(
     tau_rel: float = TAU_REL_DEFAULT,
 ) -> float:
     """max(1, 1/sigma_min) of the section; raises when the section is singular."""
-    smin, smax = section_extremes(operator, domain, n)
+    smin, smax = section_extremes(operator, domain, n, tau_rel)
     if not _invertible(smin, smax, tau_rel):
         raise SingularSectionError(f"section at n={n} fails the invertibility test")
     return max(1.0, 1.0 / smin)
@@ -128,7 +171,7 @@ def stability_scan(
         raise ValueError("n values must be strictly increasing")
     records = []
     for n in ns:
-        smin, smax = section_extremes(operator, domain, n)
+        smin, smax = section_extremes(operator, domain, n, tau_rel)
         ok = _invertible(smin, smax, tau_rel)
         records.append(
             StabilityRecord(

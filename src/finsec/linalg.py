@@ -1,11 +1,14 @@
-"""Dense numeric kernels: square solve, minimum-norm least squares, singular values.
+"""Numeric kernels: square solve, minimum-norm least squares, singular values.
 
-Matrices are plain 2-D complex numpy arrays.  Invertibility is decided by
+Matrices are plain 2-D complex numpy arrays, except for the sparse
+extremes kernel, which takes COO triplets.  Invertibility is decided by
 the relative spectral test sigma_min > tau_rel * max(sigma_max, 1), the
 standard numeric proxy for exact invertibility.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -19,6 +22,7 @@ __all__ = [
     "NORM_CAP_DEFAULT",
     "as_matrix",
     "singular_values",
+    "sparse_extremes",
     "spectral_norm",
     "min_singular_value",
     "is_invertible",
@@ -40,6 +44,44 @@ def singular_values(matrix) -> np.ndarray:
     if m.size == 0:
         return np.zeros(0)
     return np.linalg.svd(m, compute_uv=False)
+
+
+def sparse_extremes(rows, cols, values, size: int) -> tuple[float, float] | None:
+    """(sigma_min, sigma_max) of the size x size matrix with COO triplets, or None.
+
+    sigma_min is 1/sqrt(lambda_max) of A^-1 A^-H, applied through two solves
+    with a sparse LU of A; sigma_max is sqrt(lambda_max) of A^H A.  Both
+    eigenvalues come from Lanczos (ARPACK) to machine precision from a fixed
+    start vector, so repeated runs give the same doubles.  None means the LU
+    is exactly singular, ARPACK failed, or a result is not finite; the
+    caller then falls back to the dense SVD.
+    """
+    # scipy is imported here so that importing the package does not load it.
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
+
+    a = csc_matrix((values, (rows, cols)), shape=(size, size), dtype=complex)
+    try:
+        lu = splu(a)
+    except RuntimeError:  # exactly singular factor
+        return None
+    ah = a.conj().T
+    inverse_gram = LinearOperator(
+        (size, size), matvec=lambda x: lu.solve(lu.solve(x, trans="H")), dtype=complex
+    )
+    gram = LinearOperator((size, size), matvec=lambda x: ah @ (a @ x), dtype=complex)
+    v0 = np.random.default_rng(0).standard_normal(size).astype(complex)
+    try:
+        lam_inv, lam = (
+            eigsh(op, k=1, which="LA", tol=0, v0=v0, return_eigenvectors=False)[0]
+            for op in (inverse_gram, gram)
+        )
+    except ArpackError:
+        return None
+    lam_inv, lam = float(lam_inv.real), float(lam.real)
+    if not (0.0 < lam_inv < math.inf and 0.0 <= lam < math.inf):
+        return None
+    return 1.0 / math.sqrt(lam_inv), math.sqrt(lam)
 
 
 def spectral_norm(matrix) -> float:

@@ -309,12 +309,17 @@ class BandDiagonals(OperatorSpec):
 
     @classmethod
     def from_rules(cls, dimension: int, rules: Mapping) -> "BandDiagonals":
+        seen: set[Point] = set()
         items = []
         for offset, rule in rules.items():
+            point = as_point(offset, dimension)
+            if point in seen:
+                raise ValueError(f"diagonal offset {point} is given twice")
+            seen.add(point)
             if not isinstance(rule, CoefficientRule):
                 rule = ConstantRule(complex(rule))
             if not rule.is_trivial():
-                items.append((as_point(offset, dimension), rule))
+                items.append((point, rule))
         return cls(dimension, tuple(sorted(items, key=lambda kv: kv[0])))
 
 

@@ -113,7 +113,7 @@ def stability_report_json(report: StabilityReport, extra: dict | None = None) ->
     }
     if extra:
         payload.update(extra)
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def parse_stability_report_json(text: str) -> StabilityReport:
@@ -167,7 +167,7 @@ def rfsm_report_json(report: RfsmReport, extra: dict | None = None) -> str:
     }
     if extra:
         payload.update(extra)
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def parse_rfsm_report_json(text: str) -> RfsmReport:

@@ -15,6 +15,7 @@ from .operators import OperatorSpec
 __all__ = [
     "SectionMatrix",
     "assemble",
+    "section_triplets",
     "fsm_section",
     "rfsm_section",
     "overflow_block",
@@ -36,11 +37,18 @@ class SectionMatrix:
         return self.data.shape
 
 
-def assemble(operator: OperatorSpec, rows: IndexSet, cols: IndexSet) -> SectionMatrix:
-    """Materialize the block of the operator matrix over rows x cols."""
+def section_triplets(
+    operator: OperatorSpec, rows: IndexSet, cols: IndexSet
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero entries of the rows x cols block as COO triplets (r, c, value).
+
+    Offsets are distinct, so each (r, c) appears at most once.
+    """
     if rows.dimension != operator.dimension or cols.dimension != operator.dimension:
         raise ValueError("index set dimension mismatch")
-    data = np.zeros((len(rows), len(cols)), dtype=complex)
+    r_idx: list[int] = []
+    c_idx: list[int] = []
+    values: list[complex] = []
     position = cols.positions
     # Walk each stored diagonal once: row i meets column i - offset.
     for offset, rule in operator.diagonals:
@@ -49,7 +57,21 @@ def assemble(operator: OperatorSpec, rows: IndexSet, cols: IndexSet) -> SectionM
             if c is not None:
                 value = rule.value_at(i)
                 if value != 0:
-                    data[r, c] = value
+                    r_idx.append(r)
+                    c_idx.append(c)
+                    values.append(value)
+    return (
+        np.array(r_idx, dtype=np.intp),
+        np.array(c_idx, dtype=np.intp),
+        np.array(values, dtype=complex),
+    )
+
+
+def assemble(operator: OperatorSpec, rows: IndexSet, cols: IndexSet) -> SectionMatrix:
+    """Materialize the block of the operator matrix over rows x cols."""
+    r_idx, c_idx, values = section_triplets(operator, rows, cols)
+    data = np.zeros((len(rows), len(cols)), dtype=complex)
+    data[r_idx, c_idx] = values
     return SectionMatrix(rows, cols, data, operator)
 
 

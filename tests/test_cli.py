@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import finsec
+from finsec import catalog, cli, fsm
 from finsec.cli import main, parse_scalar
 from finsec.reports import parse_stability_report_json
 
@@ -45,9 +51,75 @@ def test_non_finite_rhs_exits_2(tmp_path, capsys):
     assert "invalid configuration" in err and "Traceback" not in err
 
 
+def test_repeated_band_offset_exits_2(tmp_path, capsys):
+    rule = {"kind": "constant", "value": "1"}
+    op = tmp_path / "op.json"
+    op.write_text(
+        json.dumps(
+            {
+                "variant": "band_diagonals",
+                "diagonals": [{"offset": [1], "rule": rule}, {"offset": [1], "rule": rule}],
+            }
+        )
+    )
+    code, out, err = run_cli(
+        ["scan", "--operator", str(op), "--omega", "interval", "--nmax", "4"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "repeats offset" in err
+
+
+def test_overflowing_operator_exits_3(tmp_path, capsys):
+    # every entry is finite, but sigma_max of the section overflows a double
+    big = {"kind": "constant", "value": "1.7e308"}
+    op = tmp_path / "op.json"
+    op.write_text(
+        json.dumps(
+            {
+                "variant": "band_diagonals",
+                "diagonals": [{"offset": [d], "rule": big} for d in (-1, 0, 1)],
+            }
+        )
+    )
+    code, out, err = run_cli(
+        ["scan", "--operator", str(op), "--omega", "interval", "--nmax", "4",
+         "--format", "json"],
+        capsys,
+    )
+    assert code == 3
+    assert "Infinity" not in out and "NaN" not in out
+    assert "numeric failure" in err and "Traceback" not in err
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is loaded only by the sparse sigma kernel, never at start-up
+    src = str(Path(finsec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run(
+        [sys.executable, "-c", "import sys, finsec.cli; assert 'scipy' not in sys.modules"],
+        env=env,
+        check=True,
+    )
+
+
 # ---------------------------------------------------------------------------
 # example command
 # ---------------------------------------------------------------------------
+
+
+def test_example_expectations_share_one_scan(monkeypatch, capsys):
+    scans = []
+
+    def counting_scan(*args, **kwargs):
+        scans.append(args[2])
+        return fsm.stability_scan(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "stability_scan", counting_scan)
+    monkeypatch.setattr(catalog, "stability_scan", counting_scan)
+    code, _, _ = run_cli(["example", "worked_A", "--format", "json"], capsys)
+    assert code == 0
+    assert len(scans) == 2  # the reported scan, and one for every expectation
 
 
 def test_example_sierror_csv_squares(capsys):

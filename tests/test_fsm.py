@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from finsec import (
+    BandDiagonals,
     GeneratorBoundError,
     InsufficientDataError,
+    PeriodicRule,
     Shift,
     SingularSectionError,
     SupportedVector,
+    TableRule,
     adjacency_section_invertible,
     build_example,
     builtin_domain,
@@ -19,7 +22,10 @@ from finsec import (
     spectral_norm,
     stability_scan,
 )
+from finsec import fsm
 from finsec.fsm import VERDICT_SINGULAR, VERDICT_STABLE, section_extremes
+from finsec.linalg import TAU_REL_DEFAULT, singular_values
+from conftest import random_band_operator
 from oracles import singular_value_extremes
 
 D_INT = [[1, 1, 1], [1, 1, 0], [1, 0, 0]]
@@ -129,6 +135,106 @@ def test_adjacency_fast_path_matches_dense_section():
             dense = fsm_section(case.operator, case.domain, n).data
             assert smin == pytest.approx(min_singular_value(dense), abs=1e-12)
             assert smax == pytest.approx(spectral_norm(dense), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# sparse sigma route, forced onto small windows
+# ---------------------------------------------------------------------------
+
+
+def laplace_operator(diagonal):
+    """5-point operator on Z^2: a period-[2,2] diagonal, -1 on the four neighbours."""
+    table = dict(zip([(0, 0), (0, 1), (1, 0), (1, 1)], diagonal))
+    rules = {(0, 0): PeriodicRule.from_mapping((2, 2), table)}
+    rules.update({d: -1 for d in ((1, 0), (-1, 0), (0, 1), (0, -1))})
+    return BandDiagonals.from_rules(2, rules)
+
+
+def dense_extremes(operator, domain, n):
+    sv = singular_values(fsm_section(operator, domain, n).data)
+    return float(sv[-1]), float(sv[0])
+
+
+@pytest.fixture
+def sparse_everywhere(monkeypatch):
+    """Route every window to the sparse kernel; yields the kernel's results."""
+    results = []
+    kernel = fsm.sparse_extremes
+
+    def recording(*args):
+        results.append(kernel(*args))
+        return results[-1]
+
+    monkeypatch.setattr(fsm, "SPARSE_MIN_POINTS", 0)
+    monkeypatch.setattr(fsm, "sparse_extremes", recording)
+    return results
+
+
+def test_sparse_route_matches_dense(
+    sparse_everywhere, interval, square, worked_case, worked_prime_case
+):
+    rng = np.random.default_rng(11)
+    cases = [
+        (worked_case.operator, interval, range(1, 61)),
+        (worked_prime_case.operator, interval, range(1, 61)),
+        *(
+            (random_band_operator(rng, width=int(rng.integers(1, 4))), interval, range(1, 31))
+            for _ in range(5)
+        ),
+        (laplace_operator([4, 4, 4, 4]), square, range(1, 11)),
+        (laplace_operator([4, 4.25, 4.5, 5]), square, range(1, 11)),
+    ]
+    for operator, domain, ns in cases:
+        for n in ns:
+            smin, smax = section_extremes(operator, domain, n)
+            dmin, dmax = dense_extremes(operator, domain, n)
+            assert smin == pytest.approx(dmin, rel=1e-12)
+            assert smax == pytest.approx(dmax, rel=1e-12)
+            assert fsm._invertible(smin, smax, TAU_REL_DEFAULT) == fsm._invertible(
+                dmin, dmax, TAU_REL_DEFAULT
+            )
+    kept = [r for r in sparse_everywhere if r is not None]
+    assert len(kept) > 100  # most windows really took the sparse route
+
+
+def test_sparse_route_matches_exact_oracle(sparse_everywhere, interval, square):
+    # worked_Aprime n = 4 tiles three corner blocks; the Laplace n = 1 window
+    # is the 3 x 3 grid Laplacian with diagonal 4
+    for operator, domain, n in (
+        (build_example("worked_Aprime").operator, interval, 4),
+        (laplace_operator([4, 4, 4, 4]), square, 1),
+    ):
+        exact = singular_value_extremes(fsm_section(operator, domain, n).data.real)
+        assert section_extremes(operator, domain, n) == pytest.approx(exact, rel=1e-12)
+    assert all(r is not None for r in sparse_everywhere)
+
+
+def test_singular_window_falls_back_to_dense(sparse_everywhere, worked_case, interval):
+    # every worked_A window has a zero row or column: the LU is exactly singular
+    assert section_extremes(worked_case.operator, interval, 5) == dense_extremes(
+        worked_case.operator, interval, 5
+    )
+    assert sparse_everywhere == [None]
+
+
+def test_near_threshold_window_takes_dense_path(sparse_everywhere, monkeypatch, interval):
+    # sigma_min = 5e-10 is invertible at tau = 1e-10 but within the fallback factor
+    dense_calls = []
+
+    def counting(matrix):
+        dense_calls.append(matrix.shape)
+        return singular_values(matrix)
+
+    monkeypatch.setattr(fsm, "singular_values", counting)
+    operator = BandDiagonals.from_rules(
+        1, {0: TableRule.from_mapping({0: 5e-10}, default=1)}
+    )
+    smin, smax = section_extremes(operator, interval, 3)
+    assert sparse_everywhere[0] is not None
+    assert sparse_everywhere[0][0] == pytest.approx(5e-10, rel=1e-9)
+    assert dense_calls == [(7, 7)]
+    assert (smin, smax) == dense_extremes(operator, interval, 3)
+    assert fsm._invertible(smin, smax, TAU_REL_DEFAULT)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from finsec import (
     AdjacencyGraph,
+    BandDiagonals,
+    ConstantRule,
     Shift,
     SupportedVector,
     UnboundedBandError,
@@ -125,6 +127,13 @@ def test_compose_shift_inverts_shift():
     combined = compose_shift(Shift.by(1), -1)
     window = window_matrix(combined, 4)
     assert np.array_equal(window, np.eye(9))
+
+
+def test_from_rules_rejects_duplicate_offsets():
+    # 1 and (1,) name the same diagonal; keeping both would make entry()
+    # and assemble() disagree with apply(), which sums them
+    with pytest.raises(ValueError, match="twice"):
+        BandDiagonals.from_rules(1, {1: ConstantRule(2), (1,): ConstantRule(3)})
 
 
 def test_compose_shift_rejects_adjacency():

@@ -1,8 +1,9 @@
 """Registry of built-in cases: operators, domains, right-hand sides, expectations.
 
-Each case carries machine-checkable expectations so a single call can
-re-verify the documented behavior (which cut-offs are singular, which
-residue classes stay stable, how fast rectangular solves converge).
+Each case carries check functions over one shared stability scan, so a
+single call can re-verify the documented behavior (which cut-offs are
+singular, which residue classes stay stable, how fast rectangular solves
+converge).
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ __all__ = [
     "EXAMPLE_IDS",
     "ExampleCase",
     "CheckResult",
-    "Expectation",
     "BLOCK_B",
     "BLOCK_C",
     "BLOCK_D",
@@ -96,20 +96,13 @@ class CheckResult:
     detail: str
 
 
-@dataclass(frozen=True)
-class Expectation:
-    name: str
-    description: str
-    run: Callable[["ExampleCase", int, "ScanFn"], CheckResult]
-
-
 @dataclass(frozen=True, eq=False)
 class ExampleCase:
     case_id: str
     operator: OperatorSpec
     domain: StarlikeDomain
     rhs: Callable[[IndexSet], SupportedVector] | None = None
-    expectations: tuple[Expectation, ...] = ()
+    expectations: tuple[Check, ...] = ()
     operator_norm: float | None = None
     inverse_bound: float | None = None
     band_error_bound: Callable[[int], float] | None = None
@@ -147,33 +140,67 @@ def minimal_bound(case_id: str, radius: int) -> int:
 # A check receives the case, the cut-off and a callable returning the stability
 # scan over n = 1..n_max, run at most once per expected_outcomes call.
 ScanFn = Callable[[], StabilityReport]
+Check = Callable[[ExampleCase, int, ScanFn], CheckResult]
 
 
-def _all_singular(case: ExampleCase, n_max: int, scan: ScanFn) -> CheckResult:
-    report = scan()
-    bad = [rec.n for rec in report.records if rec.invertible]
-    return CheckResult(
-        "all-sections-singular",
-        not bad,
-        f"invertible at n={bad}" if bad else f"all n <= {n_max} singular",
-    )
+def _verdict(name: str, bad: list[int], bad_text: str, good_text: str) -> CheckResult:
+    return CheckResult(name, not bad, f"{bad_text} at n={bad}" if bad else good_text)
 
 
-def _invertible_iff_even(case: ExampleCase, n_max: int, scan: ScanFn) -> CheckResult:
-    report = scan()
-    bad = [rec.n for rec in report.records if rec.invertible != (rec.n % 2 == 0)]
-    return CheckResult(
-        "invertible-iff-even",
-        not bad,
-        f"parity mismatch at n={bad}" if bad else "invertible exactly at even n",
-    )
+def _scan_verdicts(
+    name: str,
+    expect: Callable[[ExampleCase, int], bool | None],
+    bad_text: str,
+    good_text: str,
+) -> Check:
+    """Check that the scanned verdict at each n equals expect(case, n); None skips n."""
+
+    def check(case: ExampleCase, n_max: int, scan: ScanFn) -> CheckResult:
+        bad = [
+            rec.n
+            for rec in scan().records
+            if expect(case, rec.n) not in (None, rec.invertible)
+        ]
+        return _verdict(name, bad, bad_text, good_text.format(n_max=n_max))
+
+    return check
+
+
+def _criterion_verdicts(
+    name: str,
+    expect: Callable[[int], bool],
+    bad_text: str,
+    good_text: str,
+    domain: StarlikeDomain | None = None,
+) -> Check:
+    """Check the edge criterion on `domain` (default: the case's) against expect(n)."""
+
+    def check(case: ExampleCase, n_max: int, scan: ScanFn) -> CheckResult:
+        window = case.domain if domain is None else domain
+        bad = [
+            n
+            for n in range(1, n_max + 1)
+            if adjacency_section_invertible(case.operator, window, n) != expect(n)
+        ]
+        return _verdict(name, bad, bad_text, good_text.format(n_max=n_max))
+
+    return check
+
+
+# Every square window of a shift loses a row; every square window of the
+# worked operator has a zero row or column.
+_all_singular = _scan_verdicts(
+    "all-sections-singular",
+    lambda case, n: False,
+    "invertible",
+    "all n <= {n_max} singular",
+)
 
 
 def _even_norm_one(case: ExampleCase, n_max: int, scan: ScanFn) -> CheckResult:
-    report = scan()
     deviations = [
         abs(rec.inverse_norm - 1.0)
-        for rec in report.records
+        for rec in scan().records
         if rec.n % 2 == 0 and rec.invertible
     ]
     worst = max(deviations, default=0.0)
@@ -184,125 +211,47 @@ def _even_norm_one(case: ExampleCase, n_max: int, scan: ScanFn) -> CheckResult:
     )
 
 
-def _criterion_all_true(case: ExampleCase, n_max: int, scan: ScanFn) -> CheckResult:
-    bad = [
-        n
-        for n in range(1, n_max + 1)
-        if not adjacency_section_invertible(case.operator, case.domain, n)
-    ]
-    return CheckResult(
-        "criterion-true-everywhere",
-        not bad,
-        f"edge separated at n={bad}" if bad else f"no edge separated for n <= {n_max}",
-    )
-
-
 def _inverse_norm_one(case: ExampleCase, n_max: int, scan: ScanFn) -> CheckResult:
-    report = scan()
-    if any(not rec.invertible for rec in report.records):
+    records = scan().records
+    if any(not rec.invertible for rec in records):
         return CheckResult("inverse-norm-one", False, "a section was singular")
-    worst = max(abs(rec.inverse_norm - 1.0) for rec in report.records)
+    worst = max(abs(rec.inverse_norm - 1.0) for rec in records)
     return CheckResult(
         "inverse-norm-one", worst <= 1e-9, f"max |inverse_norm - 1| = {worst:.3g}"
     )
 
 
-def _false_iff_square(case: ExampleCase, n_max: int, scan: ScanFn) -> CheckResult:
-    squares = {k * k for k in range(1, math.isqrt(n_max) + 1)}
-    bad = [
-        n
-        for n in range(1, n_max + 1)
-        if adjacency_section_invertible(case.operator, case.domain, n)
-            != (n not in squares)
-    ]
-    return CheckResult(
-        "criterion-false-iff-square",
-        not bad,
-        f"mismatch at n={bad}" if bad else "separation happens exactly at squares",
-    )
-
-
-def _criterion_matches_numeric(
-    case: ExampleCase, n_max: int, scan: ScanFn
-) -> CheckResult:
-    report = scan()
-    bad = [
-        rec.n
-        for rec in report.records
-        if rec.invertible
-        != adjacency_section_invertible(case.operator, case.domain, rec.n)
-    ]
-    return CheckResult(
-        "criterion-matches-numeric",
-        not bad,
-        f"disagreement at n={bad}" if bad else "criterion agrees with sigma_min test",
-    )
-
-
-def _separated_on_box(case: ExampleCase, n_max: int, scan: ScanFn) -> CheckResult:
-    bad = [
-        n
-        for n in range(1, n_max + 1)
-        if adjacency_section_invertible(case.operator, case.domain, n)
-    ]
-    return CheckResult(
-        "separated-on-box-domain",
-        not bad,
-        f"no separation at n={bad}" if bad else "every box window separates an edge",
-    )
-
-
-def _stable_on_diamond(case: ExampleCase, n_max: int, scan: ScanFn) -> CheckResult:
-    diamond = builtin_domain("diamond")
-    bad = [
-        n
-        for n in range(1, n_max + 1)
-        if not adjacency_section_invertible(case.operator, diamond, n)
-    ]
-    return CheckResult(
-        "stable-on-diamond-domain",
-        not bad,
-        f"edge separated at n={bad}" if bad else "diamond windows never separate",
-    )
-
-
 def _no_stable_residue_mod3(case: ExampleCase, n_max: int, scan: ScanFn) -> CheckResult:
-    report = scan()
-    verdicts = classify_subsequences(report, 3)
+    verdicts = classify_subsequences(scan(), 3)
     stable = [r for r, v in verdicts.items() if v == VERDICT_STABLE]
-    return CheckResult(
-        "no-stable-residue-mod-3",
-        not stable,
-        f"verdicts {verdicts}",
-    )
+    return CheckResult("no-stable-residue-mod-3", not stable, f"verdicts {verdicts}")
 
 
 def _rfsm_band_error_bound(case: ExampleCase, n_max: int, scan: ScanFn) -> CheckResult:
     from .rfsm import convergence_study  # local import to avoid a cycle
 
-    ns = range(2, min(20, n_max) + 1)
     report = convergence_study(
         case.operator,
         case.rhs,
         case.domain,
         "band",
-        ns,
+        range(2, min(20, n_max) + 1),
         reference_n=64,
         inverse_bound=case.inverse_bound,
         certified_bound=case.band_error_bound,
         operator_id=case.case_id,
     )
     bad = [rec.n for rec in report.records if rec.error > rec.certified_bound]
-    return CheckResult(
+    return _verdict(
         "rfsm-band-error-bound",
-        not bad,
-        f"error exceeds bound at n={bad}" if bad else "errors within certified bound",
+        bad,
+        "error exceeds bound",
+        "errors within certified bound",
     )
 
 
 def _residue_one_stable(case: ExampleCase, n_max: int, scan: ScanFn) -> CheckResult:
-    report = scan()
-    ones = [rec for rec in report.records if rec.n % 3 == 1]
+    ones = [rec for rec in scan().records if rec.n % 3 == 1]
     if any(not rec.invertible for rec in ones):
         return CheckResult(
             "residue-one-stable-constant-norm", False, "singular section in class 1"
@@ -316,27 +265,14 @@ def _residue_one_stable(case: ExampleCase, n_max: int, scan: ScanFn) -> CheckRes
     )
 
 
-def _residues_zero_two_singular(
-    case: ExampleCase, n_max: int, scan: ScanFn
-) -> CheckResult:
-    report = scan()
-    bad = [rec.n for rec in report.records if rec.n % 3 != 1 and rec.invertible]
-    return CheckResult(
-        "residues-zero-two-singular",
-        not bad,
-        f"invertible at n={bad}" if bad else "classes 0 and 2 mod 3 all singular",
-    )
-
-
 def _matches_shifted_base(case: ExampleCase, n_max: int, scan: ScanFn) -> CheckResult:
     base = _worked_base_operator()
     radius = 10
-    worst = 0.0
-    for i in range(-radius, radius + 1):
-        for j in range(-radius, radius + 1):
-            worst = max(
-                worst, abs(case.operator.entry(i, j) - base.entry(i - 1, j))
-            )
+    worst = max(
+        abs(case.operator.entry(i, j) - base.entry(i - 1, j))
+        for i in range(-radius, radius + 1)
+        for j in range(-radius, radius + 1)
+    )
     return CheckResult(
         "matches-shifted-base",
         worst == 0.0,
@@ -382,161 +318,123 @@ def build_example(case_id: str, bound: int = 40) -> ExampleCase:
     """Construct a registry case; `bound` truncates parametric edge families."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    interval = builtin_domain("interval")
     if case_id == "shift":
         return ExampleCase(
-            case_id,
-            Shift.by(1),
-            builtin_domain("interval"),
-            expectations=(
-                Expectation(
-                    "all-sections-singular",
-                    "every square window of a shift loses a row",
-                    _all_singular,
-                ),
-            ),
-        )
-    if case_id == "blockdiag":
-        op = AdjacencyGraph.from_edges(
-            1, _edges_blockdiag(bound), coverage_radius=2 * bound, family=case_id
-        )
-        return ExampleCase(
-            case_id,
-            op,
-            builtin_domain("interval"),
-            expectations=(
-                Expectation(
-                    "invertible-iff-even",
-                    "odd windows cut the outermost pair",
-                    _invertible_iff_even,
-                ),
-                Expectation(
-                    "even-inverse-norm-one",
-                    "complete-pair windows are involutions of norm 1",
-                    _even_norm_one,
-                ),
-            ),
-        )
-    if case_id == "rarosi":
-        op = AdjacencyGraph.from_edges(
-            2,
-            _edges_rarosi(bound),
-            coverage_radius=(bound + 1) ** 2 - 1,
-            family=case_id,
-        )
-        return ExampleCase(
-            case_id,
-            op,
-            builtin_domain("square"),
-            expectations=(
-                Expectation(
-                    "criterion-true-everywhere",
-                    "both endpoints always fall on the same side",
-                    _criterion_all_true,
-                ),
-                Expectation(
-                    "inverse-norm-one",
-                    "sections stay involutions of norm 1",
-                    _inverse_norm_one,
-                ),
-            ),
-        )
-    if case_id == "sierror":
-        op = AdjacencyGraph.from_edges(
-            2,
-            _edges_sierror(bound),
-            coverage_radius=(bound + 1) ** 2 - 1,
-            family=case_id,
-        )
-        return ExampleCase(
-            case_id,
-            op,
-            builtin_domain("square"),
-            expectations=(
-                Expectation(
-                    "criterion-false-iff-square",
-                    "window n separates the k-th edge exactly when n = k^2",
-                    _false_iff_square,
-                ),
-                Expectation(
-                    "criterion-matches-numeric",
-                    "edge criterion equals the sigma_min invertibility test",
-                    _criterion_matches_numeric,
-                ),
-            ),
-        )
-    if case_id == "diamond":
-        op = AdjacencyGraph.from_edges(
-            2, _edges_diamond(bound), coverage_radius=bound, family=case_id
-        )
-        return ExampleCase(
-            case_id,
-            op,
-            builtin_domain("square"),
-            expectations=(
-                Expectation(
-                    "separated-on-box-domain",
-                    "the box window always separates the edge at k = n",
-                    _separated_on_box,
-                ),
-                Expectation(
-                    "stable-on-diamond-domain",
-                    "1-norm windows keep both endpoints together",
-                    _stable_on_diamond,
-                ),
-            ),
+            case_id, Shift.by(1), interval, expectations=(_all_singular,)
         )
     if case_id == "worked_A":
+        checks = (
+            _all_singular,
+            # no residue class mod 3 survives the scan
+            _no_stable_residue_mod3,
+            # band-coupled rectangular solves meet the certified decay
+            _rfsm_band_error_bound,
+        )
         return ExampleCase(
             case_id,
             _worked_base_operator(),
-            builtin_domain("interval"),
+            interval,
             rhs=geometric_rhs,
+            expectations=checks,
             operator_norm=3.0,
             inverse_bound=2.0,
             band_error_bound=_worked_error_bound,
-            expectations=(
-                Expectation(
-                    "all-sections-singular",
-                    "every square window has a zero row or column",
-                    _all_singular,
-                ),
-                Expectation(
-                    "no-stable-residue-mod-3",
-                    "no residue class mod 3 survives the scan",
-                    _no_stable_residue_mod3,
-                ),
-                Expectation(
-                    "rfsm-band-error-bound",
-                    "band-coupled rectangular solves meet the certified decay",
-                    _rfsm_band_error_bound,
-                ),
-            ),
         )
     if case_id == "worked_Aprime":
+        checks = (
+            # entries equal the base operator moved down one row
+            _matches_shifted_base,
+            # windows n = 1 mod 3 tile into complete blocks
+            _residue_one_stable,
+            # other windows cut a block into a singular corner
+            _scan_verdicts(
+                "residues-zero-two-singular",
+                lambda case, n: None if n % 3 == 1 else False,
+                "invertible",
+                "classes 0 and 2 mod 3 all singular",
+            ),
+        )
         return ExampleCase(
             case_id,
             compose_shift(_worked_base_operator(), 1),
-            builtin_domain("interval"),
+            interval,
             rhs=_shifted_geometric_rhs,
-            expectations=(
-                Expectation(
-                    "matches-shifted-base",
-                    "entries equal the base operator moved down one row",
-                    _matches_shifted_base,
+            expectations=checks,
+        )
+    # the adjacency families: edge generator, coverage radius, domain, checks
+    if case_id == "blockdiag":
+        edges, radius, domain = _edges_blockdiag(bound), 2 * bound, interval
+        checks = (
+            # odd windows cut the outermost pair
+            _scan_verdicts(
+                "invertible-iff-even",
+                lambda case, n: n % 2 == 0,
+                "parity mismatch",
+                "invertible exactly at even n",
+            ),
+            # complete-pair windows are involutions of norm 1
+            _even_norm_one,
+        )
+    elif case_id in ("rarosi", "sierror"):
+        edges = (_edges_rarosi if case_id == "rarosi" else _edges_sierror)(bound)
+        radius, domain = (bound + 1) ** 2 - 1, builtin_domain("square")
+        if case_id == "rarosi":
+            checks = (
+                # both endpoints always fall on the same side
+                _criterion_verdicts(
+                    "criterion-true-everywhere",
+                    lambda n: True,
+                    "edge separated",
+                    "no edge separated for n <= {n_max}",
                 ),
-                Expectation(
-                    "residue-one-stable-constant-norm",
-                    "windows n = 1 mod 3 tile into complete blocks",
-                    _residue_one_stable,
+                # sections stay involutions of norm 1
+                _inverse_norm_one,
+            )
+        else:
+            checks = (
+                # window n separates the k-th edge exactly when n = k^2
+                _criterion_verdicts(
+                    "criterion-false-iff-square",
+                    lambda n: math.isqrt(n) ** 2 != n,
+                    "mismatch",
+                    "separation happens exactly at squares",
                 ),
-                Expectation(
-                    "residues-zero-two-singular",
-                    "other windows cut a block into a singular corner",
-                    _residues_zero_two_singular,
+                # the edge criterion equals the sigma_min invertibility test
+                _scan_verdicts(
+                    "criterion-matches-numeric",
+                    lambda case, n: adjacency_section_invertible(
+                        case.operator, case.domain, n
+                    ),
+                    "disagreement",
+                    "criterion agrees with sigma_min test",
                 ),
+            )
+    elif case_id == "diamond":
+        edges, radius, domain = _edges_diamond(bound), bound, builtin_domain("square")
+        checks = (
+            # the box window always separates the edge at k = n
+            _criterion_verdicts(
+                "separated-on-box-domain",
+                lambda n: False,
+                "no separation",
+                "every box window separates an edge",
+            ),
+            # 1-norm windows keep both endpoints together
+            _criterion_verdicts(
+                "stable-on-diamond-domain",
+                lambda n: True,
+                "edge separated",
+                "diamond windows never separate",
+                domain=builtin_domain("diamond"),
             ),
         )
-    raise UnknownExampleError(f"unknown example {case_id!r}; known: {EXAMPLE_IDS}")
+    else:
+        raise UnknownExampleError(f"unknown example {case_id!r}; known: {EXAMPLE_IDS}")
+    op = AdjacencyGraph.from_edges(
+        domain.dimension, edges, coverage_radius=radius, family=case_id
+    )
+    return ExampleCase(case_id, op, domain, expectations=checks)
 
 
 def expected_outcomes(case: ExampleCase, n_max: int) -> list[CheckResult]:
@@ -553,4 +451,4 @@ def expected_outcomes(case: ExampleCase, n_max: int) -> list[CheckResult]:
             operator_id=case.case_id,
         )
     )
-    return [exp.run(case, n_max, scan) for exp in case.expectations]
+    return [check(case, n_max, scan) for check in case.expectations]

@@ -134,7 +134,7 @@ def fsm_solve(
 ) -> SupportedVector:
     """Solve the square truncated system over window n; zero off the window."""
     section = fsm_section(operator, domain, n)
-    b = rhs.restrict(section.rows).to_array(section.rows)
+    b = rhs.to_array(section.rows)
     try:
         x = solve_square(section.data, b, tau_rel)
     except SingularMatrixError as exc:

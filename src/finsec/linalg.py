@@ -119,7 +119,7 @@ def solve_square(matrix, rhs, tau_rel: float = TAU_REL_DEFAULT) -> np.ndarray:
     return np.linalg.solve(m, b)
 
 
-def least_squares(matrix, rhs, rank_tol: float = TAU_REL_DEFAULT) -> np.ndarray:
+def least_squares(matrix, rhs) -> np.ndarray:
     """Minimum-norm minimizer of ||M x - rhs||_2 (pseudo-inverse solution)."""
     m = as_matrix(matrix)
     b = np.asarray(rhs, dtype=complex)
@@ -129,5 +129,5 @@ def least_squares(matrix, rhs, rank_tol: float = TAU_REL_DEFAULT) -> np.ndarray:
         return np.zeros(0, dtype=complex)
     if m.shape[0] == 0:
         return np.zeros(m.shape[1], dtype=complex)
-    x, *_ = np.linalg.lstsq(m, b, rcond=rank_tol)
+    x, *_ = np.linalg.lstsq(m, b, rcond=TAU_REL_DEFAULT)
     return x

@@ -46,12 +46,6 @@ class StabilityReport:
     records: tuple[StabilityRecord, ...]
     classification: dict = field(default_factory=dict)
 
-    def record_for(self, n: int) -> StabilityRecord:
-        for rec in self.records:
-            if rec.n == n:
-                return rec
-        raise KeyError(f"no record for n={n}")
-
 
 @dataclass(frozen=True)
 class RfsmRecord:

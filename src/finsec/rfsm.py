@@ -49,7 +49,6 @@ class RfsmParameters:
     delta: float
     n: int
     m: int
-    coupling: str = "explicit"
 
     def __post_init__(self):
         if self.delta <= 0:
@@ -90,7 +89,7 @@ def rfsm_solve_with_residual(
 ) -> tuple[SupportedVector, float]:
     """Least-squares solution of the rectangular window system and its residual norm."""
     section = rfsm_section(operator, domain, m, n)
-    b = rhs.restrict(section.rows).to_array(section.rows)
+    b = rhs.to_array(section.rows)
     x = least_squares(section.data, b)
     residual = float(np.linalg.norm(section.data @ x - b))
     return SupportedVector.from_array(section.cols, x), residual
@@ -123,17 +122,17 @@ def solution_bound(
 
 
 def reference_tail_bound(
-    u_ref: SupportedVector, domain: StarlikeDomain, slack: float = 2.0
+    u_ref: SupportedVector, domain: StarlikeDomain
 ) -> Callable[[int], float]:
-    """Tail bound surrogate n -> slack * norm of the reference solution off window n.
+    """Tail bound surrogate n -> 2 * norm of the reference solution off window n.
 
     The exact tail of the true solution is not finitely computable; a
-    high-accuracy reference solve plus a slack factor is the transparent
-    stand-in.  Monotone non-increasing by construction.
+    high-accuracy reference solve plus a slack factor of 2 is the
+    transparent stand-in.  Monotone non-increasing by construction.
     """
 
     def bound(n: int) -> float:
-        return slack * u_ref.restrict_outside(lattice_section(domain, n)).norm()
+        return 2.0 * u_ref.restrict_outside(lattice_section(domain, n)).norm()
 
     return bound
 
@@ -197,7 +196,7 @@ def normal_equations_solve(
     forward = assemble(operator, rows, cols).data
     backward = forward.conj().T
     gram = backward @ forward
-    b = backward @ rhs.restrict(rows).to_array(rows)
+    b = backward @ rhs.to_array(rows)
     try:
         x = solve_square(gram, b, tau_rel)
     except SingularMatrixError as exc:

@@ -22,6 +22,10 @@ __all__ = [
     "write_section_csv",
 ]
 
+# Largest dense block, in bytes, that assemble allocates; only the sparse sigma
+# route of a scan reaches past it.
+DENSE_BUDGET_BYTES = 2 * 1024**3
+
 
 @dataclass(frozen=True, eq=False)
 class SectionMatrix:
@@ -69,6 +73,12 @@ def section_triplets(
 
 def assemble(operator: OperatorSpec, rows: IndexSet, cols: IndexSet) -> SectionMatrix:
     """Materialize the block of the operator matrix over rows x cols."""
+    size = 16 * len(rows) * len(cols)  # bytes of complex128 entries
+    if size > DENSE_BUDGET_BYTES:
+        raise ValueError(
+            f"dense window {len(rows)} x {len(cols)} needs {size} bytes, over the "
+            f"{DENSE_BUDGET_BYTES}-byte budget"
+        )
     r_idx, c_idx, values = section_triplets(operator, rows, cols)
     data = np.zeros((len(rows), len(cols)), dtype=complex)
     data[r_idx, c_idx] = values

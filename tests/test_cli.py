@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import finsec
-from finsec import catalog, cli, fsm
+from finsec import catalog, cli, fsm, sections
 from finsec.cli import main, parse_scalar
 from finsec.reports import parse_stability_report_json
 
@@ -49,6 +49,19 @@ def test_non_finite_rhs_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "invalid configuration" in err and "Traceback" not in err
+
+
+def test_oversized_dense_window_exits_2(tmp_path, monkeypatch, capsys):
+    # the 9-point window of n = 4 needs 9 * 9 * 16 = 1296 bytes
+    monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", 1000)
+    rhs = tmp_path / "rhs.json"
+    rhs.write_text(json.dumps({"dimension": 1, "entries": {"1": "1"}}))
+    code, out, err = run_cli(
+        ["solve-fsm", "--example", "blockdiag", "--n", "4", "--rhs", str(rhs)], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "9 x 9 needs 1296 bytes" in err and "Traceback" not in err
 
 
 def test_repeated_band_offset_exits_2(tmp_path, capsys):

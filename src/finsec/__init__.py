@@ -10,12 +10,14 @@ from .catalog import (
     geometric_rhs,
 )
 from .errors import (
+    ConfigError,
     FinsecError,
     GeneratorBoundError,
     HypothesisViolatedError,
     InsufficientDataError,
     NoFeasibleMError,
     NonFiniteResultError,
+    NumericError,
     OpenFacetError,
     SingularGramError,
     SingularMatrixError,
@@ -77,7 +79,6 @@ from .sections import (
     fsm_section,
     overflow_block,
     rfsm_section,
-    write_section_csv,
 )
 
 __version__ = "0.1.0"

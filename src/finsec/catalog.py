@@ -38,7 +38,6 @@ __all__ = [
     "CheckResult",
     "BLOCK_B",
     "BLOCK_C",
-    "BLOCK_D",
     "build_example",
     "expected_outcomes",
     "builtin_domain",
@@ -59,7 +58,6 @@ EXAMPLE_IDS = (
 
 BLOCK_B = ((1, 1, 0), (1, 0, 0), (0, 0, 0))
 BLOCK_C = ((0, 0, 0), (0, 0, 0), (1, 1, 1))
-BLOCK_D = ((1, 1, 1), (1, 1, 0), (1, 0, 0))
 
 
 def builtin_domain(name: str) -> StarlikeDomain:

@@ -9,8 +9,8 @@ failure (singular section, infeasible parameters, ...).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import dataclasses
+import functools
 import json
 import math
 import re
@@ -29,21 +29,7 @@ from .catalog import (
     expected_outcomes,
     minimal_bound,
 )
-from .errors import (
-    GeneratorBoundError,
-    HypothesisViolatedError,
-    InsufficientDataError,
-    NoFeasibleMError,
-    NonFiniteResultError,
-    OpenFacetError,
-    SingularGramError,
-    SingularMatrixError,
-    SingularSectionError,
-    UnboundedBandError,
-    UnboundedDomainError,
-    UnknownExampleError,
-    ZeroNotInteriorError,
-)
+from .errors import ConfigError, InsufficientDataError, NoFeasibleMError, NumericError
 from .fsm import classify_subsequences, fsm_solve, stability_scan
 from .geometry import StarlikeDomain, lattice_section, validate_domain
 from .linalg import NORM_CAP_DEFAULT, TAU_REL_DEFAULT
@@ -63,6 +49,8 @@ from .operators import (
 from .reports import (
     rfsm_report_csv,
     rfsm_report_json,
+    solution_csv,
+    solution_json,
     stability_report_csv,
     stability_report_json,
 )
@@ -78,31 +66,6 @@ from .sections import rfsm_section  # noqa: F401  (bench/test_bench.py checks tr
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-
-_CONFIG_ERRORS = (
-    ValueError,
-    KeyError,
-    OSError,
-    json.JSONDecodeError,
-    ZeroDivisionError,
-    ZeroNotInteriorError,
-    UnboundedDomainError,
-    OpenFacetError,
-    UnknownExampleError,
-    InsufficientDataError,
-    GeneratorBoundError,
-)
-# Checked before _CONFIG_ERRORS: LinAlgError subclasses ValueError.
-_NUMERIC_ERRORS = (
-    LinAlgError,
-    NonFiniteResultError,
-    SingularSectionError,
-    SingularMatrixError,
-    SingularGramError,
-    HypothesisViolatedError,
-    NoFeasibleMError,
-    UnboundedBandError,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -267,30 +230,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _solution_csv(u: SupportedVector) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["point", "real", "imag"])
-    for p in u.support():
-        v = u.entries[p]
-        writer.writerow(
-            [";".join(str(c) for c in p), f"{v.real:.17g}", f"{v.imag:.17g}"]
-        )
-    return buf.getvalue()
-
-
-def _solution_json(u: SupportedVector, meta: dict) -> str:
-    payload = {
-        "kind": "solution",
-        "entries": {
-            ";".join(str(c) for c in p): [u.entries[p].real, u.entries[p].imag]
-            for p in u.support()
-        },
-    }
-    payload.update(meta)
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -319,13 +258,7 @@ def _cmd_scan(args) -> int:
         classification[str(mod)] = {
             str(res): verdict for res, verdict in verdicts.items()
         }
-    report = type(report)(
-        operator_id=report.operator_id,
-        domain_id=report.domain_id,
-        tau_rel=report.tau_rel,
-        records=report.records,
-        classification=classification,
-    )
+    report = dataclasses.replace(report, classification=classification)
     if args.format == "csv":
         _emit(stability_report_csv(report), args.out)
     else:
@@ -365,9 +298,9 @@ def _cmd_solve_fsm(args) -> int:
     rhs = _resolve_rhs(args, case, domain, args.n)
     u = fsm_solve(operator, rhs, domain, args.n, tau_rel=args.tau_rel)
     if args.format == "csv":
-        _emit(_solution_csv(u), args.out)
+        _emit(solution_csv(u), args.out)
     else:
-        _emit(_solution_json(u, {"n": args.n}), args.out)
+        _emit(solution_json(u, {"n": args.n}), args.out)
     return EXIT_OK
 
 
@@ -409,12 +342,12 @@ def _cmd_solve_rfsm(args) -> int:
             f"least-squares residual {residual:.6g} does not meet delta={delta:.6g}"
         )
     if args.format == "csv":
-        _emit(_solution_csv(u), args.out)
+        _emit(solution_csv(u), args.out)
     else:
         meta = {"n": n, "m": m, "residual": residual}
         if delta is not None:
             meta["delta"] = delta
-        _emit(_solution_json(u, meta), args.out)
+        _emit(solution_json(u, meta), args.out)
     return EXIT_OK
 
 
@@ -469,6 +402,22 @@ def _cmd_study(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _float_flag(text: str, positive: bool) -> float:
+    """A finite flag value, > 0 when positive else >= 0; argparse exits 2 otherwise."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if math.isfinite(x) and (x > 0 or (x == 0 and not positive)):
+        return x
+    bound = "> 0" if positive else ">= 0"
+    raise argparse.ArgumentTypeError(f"expected a finite number {bound}, got {text!r}")
+
+
+_POSITIVE = functools.partial(_float_flag, positive=True)
+_NON_NEGATIVE = functools.partial(_float_flag, positive=False)
+
+
 def _add_source_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--operator", help="operator config JSON path")
     p.add_argument("--omega", help="domain: builtin name or config JSON path")
@@ -480,7 +429,7 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", help="output path (stdout when omitted)")
-    p.add_argument("--tau-rel", type=float, default=TAU_REL_DEFAULT)
+    p.add_argument("--tau-rel", type=_NON_NEGATIVE, default=TAU_REL_DEFAULT)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -497,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmin", type=int, default=1)
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--modulus", type=int, action="append", default=None)
-    p.add_argument("--norm-cap", type=float, default=NORM_CAP_DEFAULT)
+    p.add_argument("--norm-cap", type=_POSITIVE, default=NORM_CAP_DEFAULT)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("example", help="scan a built-in case and check its expectations")
@@ -519,10 +468,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
-    p.add_argument("--delta", type=float, help="required residual precision")
-    p.add_argument("--epsilon", type=float, help="target accuracy; picks delta, n, m")
-    p.add_argument("--a-norm", type=float, help="certified operator norm bound")
-    p.add_argument("--a-inv-norm", type=float, help="certified inverse norm bound")
+    p.add_argument("--delta", type=_POSITIVE, help="required residual precision")
+    p.add_argument(
+        "--epsilon", type=_POSITIVE, help="target accuracy; picks delta, n, m"
+    )
+    p.add_argument("--a-norm", type=_POSITIVE, help="certified operator norm bound")
+    p.add_argument("--a-inv-norm", type=_POSITIVE, help="certified inverse norm bound")
     p.add_argument("--reference-n", type=int, default=64)
     p.set_defaults(func=_cmd_solve_rfsm)
 
@@ -537,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="band | sixfifths | explicit:M1,M2,... (one per n)",
     )
     p.add_argument("--reference-n", type=int, default=64)
-    p.add_argument("--a-inv-norm", type=float, default=None)
+    p.add_argument("--a-inv-norm", type=_POSITIVE, default=None)
     p.set_defaults(func=_cmd_study)
 
     return parser
@@ -548,10 +499,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _NUMERIC_ERRORS as exc:
+    except (NumericError, LinAlgError) as exc:  # first: LinAlgError is a ValueError
         print(f"finsec: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except _CONFIG_ERRORS as exc:
+    except (ConfigError, ValueError, KeyError, OSError, ZeroDivisionError) as exc:
         print(f"finsec: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -1,7 +1,8 @@
-"""Scan and convergence-study reports with deterministic CSV/JSON round trips.
+"""Every CSV and JSON output of the package: scan and study reports, solutions.
 
-CSV floats are printed with 17 significant digits so report bytes are
-bit-stable across runs and re-parse to the exact same doubles.
+Floats are printed with 17 significant digits so report bytes are
+bit-stable across runs and re-parse to the exact same doubles.  JSON is
+strict: a NaN or infinity raises instead of being written.
 """
 
 from __future__ import annotations
@@ -9,7 +10,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+
+from .operators import SupportedVector
 
 __all__ = [
     "StabilityRecord",
@@ -18,15 +21,11 @@ __all__ = [
     "RfsmReport",
     "stability_report_csv",
     "stability_report_json",
-    "parse_stability_report_json",
     "rfsm_report_csv",
     "rfsm_report_json",
-    "parse_rfsm_report_json",
+    "solution_csv",
+    "solution_json",
 ]
-
-
-def _fmt(x: float | None) -> str:
-    return "" if x is None else f"{x:.17g}"
 
 
 @dataclass(frozen=True)
@@ -67,121 +66,76 @@ class RfsmReport:
     records: tuple[RfsmRecord, ...]
 
 
-STABILITY_COLUMNS = ["n", "invertible", "inverse_norm", "sigma_min", "sigma_max"]
-RFSM_COLUMNS = [
-    "n",
-    "m",
-    "residual",
-    "solution_norm",
-    "solution_bound",
-    "error",
-    "certified_bound",
-]
+def _cell(x) -> str:
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, float):
+        return f"{x:.17g}"
+    return "" if x is None else str(x)
+
+
+def _csv(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_cell(x) for x in row] for row in rows)
+    return buf.getvalue()
+
+
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _records_csv(record_type, records) -> str:
+    names = [f.name for f in fields(record_type)]
+    return _csv(names, ([getattr(rec, name) for name in names] for rec in records))
+
+
+def _report_json(report, header: dict, extra: dict | None) -> str:
+    payload = dict(header, operator=report.operator_id, domain=report.domain_id)
+    payload["records"] = [asdict(rec) for rec in report.records]
+    return _json({**payload, **(extra or {})})
 
 
 def stability_report_csv(report: StabilityReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(STABILITY_COLUMNS)
-    for rec in report.records:
-        writer.writerow(
-            [
-                rec.n,
-                "true" if rec.invertible else "false",
-                _fmt(rec.inverse_norm),
-                _fmt(rec.sigma_min),
-                _fmt(rec.sigma_max),
-            ]
-        )
-    return buf.getvalue()
+    return _records_csv(StabilityRecord, report.records)
 
 
 def stability_report_json(report: StabilityReport, extra: dict | None = None) -> str:
-    payload = {
+    header = {
         "kind": "stability",
-        "operator": report.operator_id,
-        "domain": report.domain_id,
         "tau_rel": report.tau_rel,
-        "records": [asdict(rec) for rec in report.records],
         "classification": report.classification,
     }
-    if extra:
-        payload.update(extra)
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-def parse_stability_report_json(text: str) -> StabilityReport:
-    payload = json.loads(text)
-    records = tuple(
-        StabilityRecord(
-            n=rec["n"],
-            invertible=rec["invertible"],
-            inverse_norm=rec["inverse_norm"],
-            sigma_min=rec["sigma_min"],
-            sigma_max=rec["sigma_max"],
-        )
-        for rec in payload["records"]
-    )
-    return StabilityReport(
-        operator_id=payload["operator"],
-        domain_id=payload["domain"],
-        tau_rel=payload["tau_rel"],
-        records=records,
-        classification=payload.get("classification", {}),
-    )
+    return _report_json(report, header, extra)
 
 
 def rfsm_report_csv(report: RfsmReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(RFSM_COLUMNS)
-    for rec in report.records:
-        writer.writerow(
-            [
-                rec.n,
-                rec.m,
-                _fmt(rec.residual),
-                _fmt(rec.solution_norm),
-                _fmt(rec.solution_bound),
-                _fmt(rec.error),
-                _fmt(rec.certified_bound),
-            ]
-        )
-    return buf.getvalue()
+    return _records_csv(RfsmRecord, report.records)
 
 
 def rfsm_report_json(report: RfsmReport, extra: dict | None = None) -> str:
-    payload = {
+    header = {
         "kind": "rfsm-study",
-        "operator": report.operator_id,
-        "domain": report.domain_id,
         "coupling": report.coupling,
         "reference_n": report.reference_n,
-        "records": [asdict(rec) for rec in report.records],
     }
-    if extra:
-        payload.update(extra)
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return _report_json(report, header, extra)
 
 
-def parse_rfsm_report_json(text: str) -> RfsmReport:
-    payload = json.loads(text)
-    records = tuple(
-        RfsmRecord(
-            n=rec["n"],
-            m=rec["m"],
-            residual=rec["residual"],
-            solution_norm=rec["solution_norm"],
-            solution_bound=rec["solution_bound"],
-            error=rec["error"],
-            certified_bound=rec["certified_bound"],
-        )
-        for rec in payload["records"]
-    )
-    return RfsmReport(
-        operator_id=payload["operator"],
-        domain_id=payload["domain"],
-        coupling=payload["coupling"],
-        reference_n=payload["reference_n"],
-        records=records,
-    )
+def _point_key(p) -> str:
+    return ";".join(str(c) for c in p)
+
+
+def solution_csv(u: SupportedVector) -> str:
+    """One row per support point: the point as "i;j;...", real and imaginary part."""
+    rows = ((_point_key(p), u.entries[p].real, u.entries[p].imag) for p in u.support())
+    return _csv(["point", "real", "imag"], rows)
+
+
+def solution_json(u: SupportedVector, meta: dict) -> str:
+    """Entries keyed by "i;j;..." as [real, imag] pairs, merged with meta."""
+    entries = {
+        _point_key(p): [u.entries[p].real, u.entries[p].imag] for p in u.support()
+    }
+    return _json({"kind": "solution", "entries": entries, **meta})

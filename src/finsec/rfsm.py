@@ -23,7 +23,7 @@ from .geometry import StarlikeDomain, lattice_section
 from .linalg import TAU_REL_DEFAULT, least_squares, solve_square, spectral_norm
 from .operators import OperatorSpec, SupportedVector
 from .reports import RfsmRecord, RfsmReport
-from .sections import assemble, overflow_block, rfsm_section
+from .sections import overflow_block, rfsm_section
 
 __all__ = [
     "RfsmParameters",
@@ -191,17 +191,16 @@ def normal_equations_solve(
     tau_rel: float = TAU_REL_DEFAULT,
 ) -> SupportedVector:
     """Solve the window normal equations; equals the least-squares route when Gram is regular."""
-    rows = lattice_section(domain, m)
-    cols = lattice_section(domain, n)
-    forward = assemble(operator, rows, cols).data
+    section = rfsm_section(operator, domain, m, n)
+    forward = section.data
     backward = forward.conj().T
     gram = backward @ forward
-    b = backward @ rhs.to_array(rows)
+    b = backward @ rhs.to_array(section.rows)
     try:
         x = solve_square(gram, b, tau_rel)
     except SingularMatrixError as exc:
         raise SingularGramError(f"normal equations at (m={m}, n={n}): {exc}") from exc
-    return SupportedVector.from_array(cols, x)
+    return SupportedVector.from_array(section.cols, x)
 
 
 def _materialize_rhs(rhs: RhsLike, domain: StarlikeDomain, m: int) -> SupportedVector:

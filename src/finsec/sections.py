@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
-from typing import IO
 
 import numpy as np
 
-from .geometry import IndexSet, StarlikeDomain, lattice_section
+from .geometry import IndexSet, StarlikeDomain, lattice_section, lattice_section_size
 from .operators import OperatorSpec
 
 __all__ = [
@@ -19,10 +17,10 @@ __all__ = [
     "fsm_section",
     "rfsm_section",
     "overflow_block",
-    "write_section_csv",
 ]
 
-# Largest dense block, in bytes, that assemble allocates; only the sparse sigma
+# Largest dense block, in bytes, that assemble allocates (fsm_section and
+# rfsm_section check it before building their windows); only the sparse sigma
 # route of a scan reaches past it.
 DENSE_BUDGET_BYTES = 2 * 1024**3
 
@@ -71,14 +69,18 @@ def section_triplets(
     )
 
 
-def assemble(operator: OperatorSpec, rows: IndexSet, cols: IndexSet) -> SectionMatrix:
-    """Materialize the block of the operator matrix over rows x cols."""
-    size = 16 * len(rows) * len(cols)  # bytes of complex128 entries
+def _check_dense_budget(n_rows: int, n_cols: int) -> None:
+    size = 16 * n_rows * n_cols  # bytes of complex128 entries
     if size > DENSE_BUDGET_BYTES:
         raise ValueError(
-            f"dense window {len(rows)} x {len(cols)} needs {size} bytes, over the "
+            f"dense window {n_rows} x {n_cols} needs {size} bytes, over the "
             f"{DENSE_BUDGET_BYTES}-byte budget"
         )
+
+
+def assemble(operator: OperatorSpec, rows: IndexSet, cols: IndexSet) -> SectionMatrix:
+    """Materialize the block of the operator matrix over rows x cols."""
+    _check_dense_budget(len(rows), len(cols))
     r_idx, c_idx, values = section_triplets(operator, rows, cols)
     data = np.zeros((len(rows), len(cols)), dtype=complex)
     data[r_idx, c_idx] = values
@@ -87,6 +89,8 @@ def assemble(operator: OperatorSpec, rows: IndexSet, cols: IndexSet) -> SectionM
 
 def fsm_section(operator: OperatorSpec, domain: StarlikeDomain, n: int) -> SectionMatrix:
     """Square section over the n-th lattice window."""
+    size = lattice_section_size(domain, n)
+    _check_dense_budget(size, size)
     window = lattice_section(domain, n)
     return assemble(operator, window, window)
 
@@ -97,6 +101,9 @@ def rfsm_section(
     """Rectangular section: rows over window m, columns over window n."""
     if m < 1 or n < 1:
         raise ValueError("cut-offs must be >= 1")
+    _check_dense_budget(
+        lattice_section_size(domain, m), lattice_section_size(domain, n)
+    )
     return assemble(operator, lattice_section(domain, m), lattice_section(domain, n))
 
 
@@ -121,23 +128,3 @@ def overflow_block(
     escaped = [p for p in expanded if not domain.contains(p, m)]
     rows = IndexSet.from_points(operator.dimension, escaped)
     return assemble(operator, rows, cols)
-
-
-def write_section_csv(section: SectionMatrix, stream: IO[str]) -> None:
-    """Dump a section as CSV rows (row index, col index, real, imag).
-
-    Multi-coordinate indices are joined with ';'.
-    """
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["row", "col", "real", "imag"])
-    for r, i in enumerate(section.rows.points):
-        for c, j in enumerate(section.cols.points):
-            v = section.data[r, c]
-            writer.writerow(
-                [
-                    ";".join(str(x) for x in i),
-                    ";".join(str(x) for x in j),
-                    f"{v.real:.17g}",
-                    f"{v.imag:.17g}",
-                ]
-            )

@@ -7,9 +7,8 @@ from pathlib import Path
 import pytest
 
 import finsec
-from finsec import catalog, cli, fsm, sections
+from finsec import catalog, cli, errors, fsm, sections
 from finsec.cli import main, parse_scalar
-from finsec.reports import parse_stability_report_json
 
 
 def run_cli(args, capsys):
@@ -62,6 +61,73 @@ def test_oversized_dense_window_exits_2(tmp_path, monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert "9 x 9 needs 1296 bytes" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command", [["solve-fsm", "--n"], ["solve-rfsm", "--m", "200001", "--n"]]
+)
+def test_over_budget_window_refused_before_it_is_built(
+    command, tmp_path, monkeypatch, capsys
+):
+    def never(*args):
+        raise AssertionError("lattice_section called for an over-budget window")
+
+    monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", 1000)
+    monkeypatch.setattr(sections, "lattice_section", never)
+    op = tmp_path / "op.json"
+    op.write_text(
+        json.dumps(
+            {
+                "variant": "band_diagonals",
+                "diagonals": [{"offset": [0], "rule": {"kind": "constant", "value": "2"}}],
+            }
+        )
+    )
+    rhs = tmp_path / "rhs.json"
+    rhs.write_text(json.dumps({"dimension": 1, "entries": {"0": "1"}}))
+    source = ["--operator", str(op), "--omega", "interval", "--rhs", str(rhs)]
+    code, out, err = run_cli([*command, "200000", *source], capsys)
+    assert code == 2
+    assert out == ""
+    assert "over the 1000-byte budget" in err and "Traceback" not in err
+
+
+BAD_FLOATS = [
+    ("scan --example blockdiag --nmax 6", "--tau-rel", "nan"),
+    ("scan --example blockdiag --nmax 6", "--tau-rel", "-1"),
+    ("example blockdiag", "--tau-rel", "x"),
+    ("scan --example worked_Aprime --nmax 12 --modulus 3", "--norm-cap", "nan"),
+    ("scan --example worked_Aprime --nmax 12 --modulus 3", "--norm-cap", "0"),
+    ("solve-rfsm --example worked_A --n 3 --m 6", "--delta", "nan"),
+    ("solve-rfsm --example worked_A --n 3 --m 6", "--delta", "-1e-3"),
+    ("solve-rfsm --example worked_A", "--epsilon", "inf"),
+    ("solve-rfsm --example worked_A --epsilon 1e-3", "--a-norm", "-inf"),
+    ("solve-rfsm --example worked_A --epsilon 1e-3", "--a-inv-norm", "0"),
+    ("study --example worked_A --nmax 8", "--a-inv-norm", "1e400"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", BAD_FLOATS)
+def test_bad_float_flag_exits_2(command, flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command.split(), f"{flag}={value}"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected a finite number" in err
+    assert "Traceback" not in err
+
+
+def test_every_error_class_has_one_exit_status():
+    bases = {errors.FinsecError, errors.ConfigError, errors.NumericError}
+    leaves = [
+        cls
+        for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.FinsecError)
+        and cls not in bases
+    ]
+    assert errors.NoFeasibleMError in leaves
+    for cls in leaves:
+        assert issubclass(cls, errors.ConfigError) != issubclass(cls, errors.NumericError)
 
 
 def test_repeated_band_offset_exits_2(tmp_path, capsys):
@@ -219,10 +285,75 @@ def test_scan_classification_and_roundtrip(capsys):
         capsys,
     )
     assert code == 0
-    report = parse_stability_report_json(out)
-    assert report.classification["3"]["1"] == "stable-so-far"
-    assert report.classification["3"]["0"] == "contains-singular"
-    assert report.classification["3"]["2"] == "contains-singular"
+    classification = json.loads(out)["classification"]
+    assert classification["3"]["1"] == "stable-so-far"
+    assert classification["3"]["0"] == "contains-singular"
+    assert classification["3"]["2"] == "contains-singular"
+
+
+BLOCKDIAG_SCAN_CSV = """\
+n,invertible,inverse_norm,sigma_min,sigma_max
+1,false,,0,1
+2,true,1,1,1
+3,false,,0,1
+4,true,1,1,1
+"""
+
+
+BLOCKDIAG_SCAN_JSON = """\
+{
+  "classification": {
+    "1": {
+      "0": "contains-singular"
+    }
+  },
+  "domain": "interval",
+  "kind": "stability",
+  "operator": "blockdiag",
+  "records": [
+    {
+      "inverse_norm": null,
+      "invertible": false,
+      "n": 1,
+      "sigma_max": 1.0,
+      "sigma_min": 0.0
+    },
+    {
+      "inverse_norm": 1.0,
+      "invertible": true,
+      "n": 2,
+      "sigma_max": 1.0,
+      "sigma_min": 1.0
+    },
+    {
+      "inverse_norm": null,
+      "invertible": false,
+      "n": 3,
+      "sigma_max": 1.0,
+      "sigma_min": 0.0
+    },
+    {
+      "inverse_norm": 1.0,
+      "invertible": true,
+      "n": 4,
+      "sigma_max": 1.0,
+      "sigma_min": 1.0
+    }
+  ],
+  "tau_rel": 1e-10
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "fmt, expected", [("csv", BLOCKDIAG_SCAN_CSV), ("json", BLOCKDIAG_SCAN_JSON)]
+)
+def test_scan_blockdiag_bytes(fmt, expected, capsys):
+    # blockdiag sections are permutations or have a zero row: every value is exact
+    argv = ["scan", "--example", "blockdiag", "--nmax", "4", "--format", fmt]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out == expected
 
 
 def test_scan_determinism(tmp_path, capsys):
@@ -387,6 +518,50 @@ def test_solve_fsm_blockdiag(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["entries"] == {"2": [1.0, 0.0]}
+
+
+SOLVE_BLOCKDIAG_CSV = """\
+point,real,imag
+-1,0.25,1
+0,1,0
+2,0.5,0
+"""
+
+SOLVE_BLOCKDIAG_JSON = """\
+{
+  "entries": {
+    "-1": [
+      0.25,
+      1.0
+    ],
+    "0": [
+      1.0,
+      0.0
+    ],
+    "2": [
+      0.5,
+      0.0
+    ]
+  },
+  "kind": "solution",
+  "n": 4
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "fmt, expected", [("csv", SOLVE_BLOCKDIAG_CSV), ("json", SOLVE_BLOCKDIAG_JSON)]
+)
+def test_solve_fsm_blockdiag_bytes(fmt, expected, tmp_path, capsys):
+    # the n = 4 section of blockdiag is an involutive permutation: exact values
+    rhs = tmp_path / "rhs.json"
+    rhs.write_text(
+        json.dumps({"dimension": 1, "entries": {"0": "1", "1": "1/2", "-2": "0.25+1i"}})
+    )
+    argv = ["solve-fsm", "--example", "blockdiag", "--n", "4", "--rhs", str(rhs)]
+    code, out, _ = run_cli([*argv, "--format", fmt], capsys)
+    assert code == 0
+    assert out == expected
 
 
 def test_solve_rfsm_explicit_window(capsys):

@@ -1,7 +1,8 @@
+import json
+from dataclasses import asdict
+
 from finsec import build_example, convergence_study, stability_scan
 from finsec.reports import (
-    parse_rfsm_report_json,
-    parse_stability_report_json,
     rfsm_report_csv,
     rfsm_report_json,
     stability_report_csv,
@@ -43,14 +44,21 @@ def test_stability_csv_shape():
 
 def test_stability_json_roundtrip():
     report = scan_report()
-    again = parse_stability_report_json(stability_report_json(report))
-    assert again == report
+    payload = json.loads(stability_report_json(report))
+    assert payload["records"] == [asdict(rec) for rec in report.records]
+    assert payload["kind"] == "stability"
+    assert (payload["operator"], payload["domain"]) == ("blockdiag", "interval")
+    assert payload["tau_rel"] == report.tau_rel
+    assert payload["classification"] == report.classification
 
 
 def test_rfsm_json_roundtrip(worked_case):
     report = study_report(worked_case)
-    again = parse_rfsm_report_json(rfsm_report_json(report))
-    assert again == report
+    payload = json.loads(rfsm_report_json(report))
+    assert payload["records"] == [asdict(rec) for rec in report.records]
+    assert payload["kind"] == "rfsm-study"
+    assert (payload["operator"], payload["domain"]) == ("worked_A", "interval")
+    assert (payload["coupling"], payload["reference_n"]) == ("band", 32)
 
 
 def test_rfsm_csv_floats_reparse_exactly(worked_case):

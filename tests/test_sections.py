@@ -1,20 +1,20 @@
-import io
-
 import numpy as np
 import pytest
 
 from finsec import (
     IndexSet,
     Shift,
+    SupportedVector,
     assemble,
     build_example,
     fsm_section,
     identity_operator,
+    normal_equations_solve,
     overflow_block,
     rfsm_section,
     spectral_norm,
-    write_section_csv,
 )
+from finsec import sections
 from conftest import random_band_operator
 
 BLOCK_B = np.array([[1, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=float)
@@ -186,11 +186,18 @@ def test_overflow_carries_all_escaping_action(interval):
         assert set(image.support()) <= set(stacked_rows)
 
 
-def test_section_csv_dump(interval):
-    sec = fsm_section(Shift.by(1), interval, 1)
-    buf = io.StringIO()
-    write_section_csv(sec, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "row,col,real,imag"
-    assert len(lines) == 1 + 9
-    assert "0,-1,1,0" in lines  # the subdiagonal unit entry
+
+def test_dense_budget_checked_before_windows_are_built(interval, monkeypatch):
+    def never(*args):
+        raise AssertionError("lattice_section called for an over-budget window")
+
+    monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", 1000)
+    monkeypatch.setattr(sections, "lattice_section", never)
+    a, b = identity_operator(), SupportedVector.unit(0)
+    for build in (
+        lambda: fsm_section(a, interval, 4),
+        lambda: rfsm_section(a, interval, 5, 4),
+        lambda: normal_equations_solve(a, b, interval, 5, 4),
+    ):
+        with pytest.raises(ValueError, match="over the 1000-byte budget"):
+            build()

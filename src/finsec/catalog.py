@@ -21,6 +21,7 @@ from .fsm import (
     stability_scan,
 )
 from .geometry import IndexSet, StarlikeDomain, validate_domain
+from .linalg import TAU_REL_DEFAULT
 from .operators import (
     AdjacencyGraph,
     BandDiagonals,
@@ -435,14 +436,27 @@ def build_example(case_id: str, bound: int = 40) -> ExampleCase:
     return ExampleCase(case_id, op, domain, expectations=checks)
 
 
-def expected_outcomes(case: ExampleCase, n_max: int) -> list[CheckResult]:
-    """Evaluate every expectation of a case up to the given cut-off."""
+def expected_outcomes(
+    case: ExampleCase, n_max: int, report: StabilityReport | None = None
+) -> list[CheckResult]:
+    """Evaluate every expectation of a case up to the given cut-off.
+
+    A `report` of the case that covers n = 1..n_max at the default
+    tolerance is reused instead of scanning again.
+    """
     if n_max < 9:
         raise ValueError("n_max must be at least 9 to cover residue classes")
     if isinstance(case.operator, AdjacencyGraph):
         case.operator.check_coverage(case.domain, n_max)
+    if report is not None and (
+        report.tau_rel != TAU_REL_DEFAULT
+        or [rec.n for rec in report.records] != list(range(1, n_max + 1))
+    ):
+        report = None  # other cut-offs or another tolerance: scan afresh
     scan = functools.cache(
-        lambda: stability_scan(
+        lambda: report
+        if report is not None
+        else stability_scan(
             case.operator,
             case.domain,
             range(1, n_max + 1),

@@ -31,7 +31,7 @@ from .catalog import (
 )
 from .errors import ConfigError, InsufficientDataError, NoFeasibleMError, NumericError
 from .fsm import classify_subsequences, fsm_solve, stability_scan
-from .geometry import StarlikeDomain, lattice_section, validate_domain
+from .geometry import StarlikeDomain, lattice_section, lattice_section_size, validate_domain
 from .linalg import NORM_CAP_DEFAULT, TAU_REL_DEFAULT
 from .operators import (
     AdjacencyGraph,
@@ -61,6 +61,7 @@ from .rfsm import (
     rfsm_solve,
     rfsm_solve_with_residual,
 )
+from .sections import _check_dense_budget
 from .sections import rfsm_section  # noqa: F401  (bench/test_bench.py checks tracing rebinds it)
 
 EXIT_OK = 0
@@ -215,11 +216,14 @@ def _resolve_case(args) -> tuple[OperatorSpec, StarlikeDomain, ExampleCase | Non
     return operator, load_domain(omega), None, Path(args.operator).stem
 
 
-def _resolve_rhs(args, case: ExampleCase | None, domain, radius: int) -> SupportedVector:
+def _resolve_rhs(args, case: ExampleCase | None, domain, m: int, n: int) -> SupportedVector:
+    """--rhs, or the case's right-hand side over window m for an m x n solve."""
     if getattr(args, "rhs", None):
         return load_rhs(args.rhs)
     if case is not None and case.rhs is not None:
-        return case.rhs(lattice_section(domain, radius))
+        # Refuse an over-budget solve before building its right-hand-side window.
+        _check_dense_budget(lattice_section_size(domain, m), lattice_section_size(domain, n))
+        return case.rhs(lattice_section(domain, m))
     raise ValueError("provide --rhs (the selected source has no built-in right-hand side)")
 
 
@@ -282,7 +286,7 @@ def _cmd_example(args) -> int:
     if args.format == "csv":
         _emit(stability_report_csv(report), args.out)
         return EXIT_OK
-    checks = expected_outcomes(case, args.nmax)
+    checks = expected_outcomes(case, args.nmax, report)
     extra = {
         "bound": bound,
         "expectations": [
@@ -295,7 +299,7 @@ def _cmd_example(args) -> int:
 
 def _cmd_solve_fsm(args) -> int:
     operator, domain, case, _ = _resolve_case(args)
-    rhs = _resolve_rhs(args, case, domain, args.n)
+    rhs = _resolve_rhs(args, case, domain, args.n, args.n)
     u = fsm_solve(operator, rhs, domain, args.n, tau_rel=args.tau_rel)
     if args.format == "csv":
         _emit(solution_csv(u), args.out)
@@ -309,7 +313,7 @@ def _cmd_solve_rfsm(args) -> int:
     if args.n is not None and args.m is not None:
         n, m = args.n, args.m
         delta = args.delta
-        rhs = _resolve_rhs(args, case, domain, m)
+        rhs = _resolve_rhs(args, case, domain, m, n)
     elif args.epsilon is not None:
         a_norm = args.a_norm or (case.operator_norm if case else None)
         a_inv = args.a_inv_norm or (case.inverse_bound if case else None)
@@ -319,7 +323,9 @@ def _cmd_solve_rfsm(args) -> int:
                 "(built in only for worked_A)"
             )
         reference_n = args.reference_n
-        rhs = _resolve_rhs(args, case, domain, reference_n + operator.band_width())
+        rhs = _resolve_rhs(
+            args, case, domain, reference_n + operator.band_width(), reference_n
+        )
         u_ref = rfsm_solve(
             operator, rhs, domain, reference_n + operator.band_width(), reference_n
         )
@@ -361,6 +367,9 @@ def _parse_coupling(text: str, nmin: int, nmax: int):
             raise ValueError(
                 f"explicit coupling needs {len(ns)} row cut-offs, got {len(values)}"
             )
+        for n, m in zip(ns, values):
+            if m < n:
+                raise ValueError(f"explicit coupling gives m={m} below n={n}")
         return "explicit", dict(zip(ns, values))
     raise ValueError(f"unknown coupling {text!r}")
 
@@ -368,11 +377,11 @@ def _parse_coupling(text: str, nmin: int, nmax: int):
 def _cmd_study(args) -> int:
     operator, domain, case, op_id = _resolve_case(args)
     coupling, explicit = _parse_coupling(args.coupling, args.nmin, args.nmax)
-    width = operator.band_width()
-    max_m = args.reference_n + width
+    # The right-hand side spans the tallest solve: the reference or an explicit row.
+    solves = [(args.reference_n + operator.band_width(), args.reference_n)]
     if explicit:
-        max_m = max(max_m, *explicit.values())
-    rhs = _resolve_rhs(args, case, domain, max_m)
+        solves.extend((m, n) for n, m in explicit.items())
+    rhs = _resolve_rhs(args, case, domain, *max(solves))
     certified = None
     if case is not None and coupling == "band":
         certified = case.band_error_bound

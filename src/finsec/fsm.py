@@ -24,7 +24,7 @@ from .errors import (
     SingularMatrixError,
     SingularSectionError,
 )
-from .geometry import IndexSet, StarlikeDomain, lattice_section, lattice_section_size
+from .geometry import IndexSet, StarlikeDomain, _section_exceeds, lattice_section
 from .linalg import (
     NORM_CAP_DEFAULT,
     TAU_REL_DEFAULT,
@@ -70,14 +70,14 @@ def _adjacency_extremes(
     """
     graph.check_coverage(domain, n)
     active = [p for p in graph.edge_vertices() if domain.contains(p, n)]
-    window_size = lattice_section_size(domain, n)
+    has_identity_part = _section_exceeds(domain, n, len(active))
     if not active:
         return 1.0, 1.0
     block_set = IndexSet.from_points(graph.dimension, active)
     sv = singular_values(assemble(graph, block_set, block_set).data)
     smin = float(sv[-1])
     smax = float(sv[0])
-    if window_size > len(active):  # identity part is present
+    if has_identity_part:
         smin = min(smin, 1.0)
         smax = max(smax, 1.0)
     return smin, smax

@@ -3,7 +3,9 @@
 Domains are convex polytopes with rational facet data and the origin in
 their interior.  All membership decisions are made in exact rational
 (integer, after clearing denominators) arithmetic, never in floating
-point, so section index sets are reproducible bit-for-bit.
+point, so section index sets are reproducible bit-for-bit.  Index sets
+also carry an int64 array view, and array lookups refuse point sets
+whose integer keys would leave int64.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import OpenFacetError, UnboundedDomainError, ZeroNotInteriorError
 
@@ -39,6 +43,30 @@ def _frac(value) -> Fraction:
 
 def _dot(a: Sequence[Fraction], x: Sequence) -> Fraction:
     return sum((ai * xi for ai, xi in zip(a, x)), start=Fraction(0))
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _point_array(points, dimension: int) -> np.ndarray:
+    """(k, dimension) int64 array of lattice points; ValueError past int64."""
+    try:
+        arr = np.asarray(points, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("lattice coordinates exceed the int64 range") from None
+    return arr.reshape(-1, dimension)
+
+
+def _mixed_radix(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Weights w with key(p) = (p - lo) . w exact, ordered like p lexicographically.
+
+    Raises ValueError when the box lo..hi holds more than int64 keys.
+    """
+    spans = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
+    if prod(spans) > _INT64_MAX:
+        raise ValueError(f"index box of spans {spans} overflows int64 keys")
+    weights = [prod(spans[j + 1 :]) for j in range(len(spans))]
+    return np.array(weights, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -94,6 +122,19 @@ class StarlikeDomain:
                 return False
         return True
 
+    def contains_array(self, points: np.ndarray, n: int) -> np.ndarray:
+        """Boolean mask of the rows of a (k, N) int64 array inside the n-fold dilation."""
+        inside = np.ones(len(points), dtype=bool)
+        if not len(points):
+            return inside
+        reach = int(np.abs(points).max())
+        for a, b, closed in self._integer_facets:
+            # exact Python integers where a facet product could leave int64
+            dtype = np.int64 if reach * sum(abs(c) for c in a) <= _INT64_MAX else object
+            s = points.astype(dtype) @ np.array(a, dtype=dtype)
+            inside &= s <= n * b if closed else s < n * b
+        return inside
+
     def bounding_box(self, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Integer box (lo, hi) containing every lattice point of the n-fold dilation."""
         lo = []
@@ -125,10 +166,46 @@ class IndexSet:
                 raise ValueError(f"point {p} does not have dimension {dimension}")
         return cls(dimension, tuple(normalized))
 
+    @classmethod
+    def from_array(cls, dimension: int, points: np.ndarray) -> "IndexSet":
+        """Index set of the distinct rows of a (k, N) int64 array, deduplicated on integer keys."""
+        points = _point_array(points, dimension)
+        if len(points):
+            lo = points.min(axis=0)
+            keys = (points - lo) @ _mixed_radix(lo, points.max(axis=0))
+            points = points[np.unique(keys, return_index=True)[1]]
+        index_set = cls(dimension, tuple(map(tuple, points.tolist())))
+        index_set.__dict__["array"] = points  # seeds the cached view
+        return index_set
+
     @cached_property
     def positions(self) -> dict[Point, int]:
         """Map from each point to its place in `points`."""
         return {p: k for k, p in enumerate(self.points)}
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The points as a (k, N) int64 array, rows in the order of `points`."""
+        return _point_array(self.points, self.dimension)
+
+    @cached_property
+    def _key_frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(lo, hi, weights, sorted keys) of the mixed-radix keys over the bounding box."""
+        arr = self.array
+        lo, hi = arr.min(axis=0), arr.max(axis=0)
+        weights = _mixed_radix(lo, hi)
+        return lo, hi, weights, (arr - lo) @ weights
+
+    def locate(self, points: np.ndarray) -> np.ndarray:
+        """Position of each row of a (k, N) int64 array in `points`, -1 where absent."""
+        points = _point_array(points, self.dimension)
+        if not len(self) or not len(points):
+            return np.full(len(points), -1, dtype=np.intp)
+        lo, hi, weights, keys = self._key_frame
+        inside = np.all((points >= lo) & (points <= hi), axis=1)
+        query = (np.clip(points, lo, hi) - lo) @ weights
+        found = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+        return np.where(inside & (keys[found] == query), found, -1)
 
     def index(self, point: Point) -> int:
         return self.positions[point]
@@ -265,22 +342,6 @@ def _ceil_frac(q: Fraction) -> int:
     return -((-q.numerator) // q.denominator)
 
 
-def _int_upper(q: Fraction, strict: bool) -> int:
-    """Largest integer x with x <= q (or x < q when strict)."""
-    f = _floor_frac(q)
-    if strict and q.denominator == 1:
-        return f - 1
-    return f
-
-
-def _int_lower(q: Fraction, strict: bool) -> int:
-    """Smallest integer x with x >= q (or x > q when strict)."""
-    c = _ceil_frac(q)
-    if strict and q.denominator == 1:
-        return c + 1
-    return c
-
-
 # ---------------------------------------------------------------------------
 # domain construction
 # ---------------------------------------------------------------------------
@@ -415,11 +476,13 @@ def _last_coordinate_range(
         if a_last == 0:
             if s > n * b or (not closed and s == n * b):
                 return None
-        elif a_last > 0:
-            cand = _int_upper(Fraction(bound, a_last), strict=not closed)
+        elif a_last > 0:  # x <= bound / a_last, strictly below it when open
+            q, r = divmod(bound, a_last)
+            cand = q - 1 if not closed and r == 0 else q
             hi = cand if hi is None else min(hi, cand)
-        else:
-            cand = _int_lower(Fraction(bound, a_last), strict=not closed)
+        else:  # x >= bound / a_last, strictly above it when open
+            q, r = divmod(bound, -a_last)
+            cand = 1 - q if not closed and r == 0 else -q
             lo = cand if lo is None else max(lo, cand)
     assert lo is not None and hi is not None  # boundedness guarantees both sides
     if lo > hi:
@@ -446,8 +509,8 @@ def lattice_section(domain: StarlikeDomain, n: int) -> IndexSet:
     return IndexSet(domain.dimension, tuple(points))
 
 
-def lattice_section_size(domain: StarlikeDomain, n: int) -> int:
-    """Exact cardinality of lattice_section(domain, n) without materializing it."""
+def _count_section(domain: StarlikeDomain, n: int, limit: int | None) -> int:
+    """Points of window n, counted row by row until the count passes `limit`."""
     if n < 1:
         raise ValueError("n must be >= 1")
     total = 0
@@ -455,7 +518,19 @@ def lattice_section_size(domain: StarlikeDomain, n: int) -> int:
         rng = _last_coordinate_range(domain, n, prefix)
         if rng is not None:
             total += rng[1] - rng[0] + 1
+            if limit is not None and total > limit:
+                break
     return total
+
+
+def lattice_section_size(domain: StarlikeDomain, n: int) -> int:
+    """Exact cardinality of lattice_section(domain, n) without materializing it."""
+    return _count_section(domain, n, None)
+
+
+def _section_exceeds(domain: StarlikeDomain, n: int, limit: int) -> bool:
+    """Whether window n holds more than `limit` points; stops counting once it does."""
+    return _count_section(domain, n, limit) > limit
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from functools import cached_property
-from math import sqrt
+from math import prod, sqrt
 from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import GeneratorBoundError, UnboundedBandError
 from .geometry import IndexSet, Point, StarlikeDomain
@@ -63,12 +65,19 @@ def _sub(p: Point, q: Point) -> Point:
 # coefficient rules for diagonal tables
 # ---------------------------------------------------------------------------
 
+# Periodic rules with at most this many residues are evaluated from a dense table.
+_DENSE_RESIDUES_MAX = 1 << 16
+
 
 class CoefficientRule(abc.ABC):
     """Value of one stored diagonal as a function of the row index."""
 
     @abc.abstractmethod
     def value_at(self, i: Point) -> complex: ...
+
+    def values_at(self, points: np.ndarray) -> np.ndarray:
+        """value_at of each row of a (k, N) int64 array, in row order."""
+        return np.array([self.value_at(tuple(p)) for p in points.tolist()], dtype=complex)
 
     @abc.abstractmethod
     def is_trivial(self) -> bool: ...
@@ -84,6 +93,9 @@ class ConstantRule(CoefficientRule):
 
     def value_at(self, i: Point) -> complex:
         return self.value
+
+    def values_at(self, points: np.ndarray) -> np.ndarray:
+        return np.full(len(points), self.value, dtype=complex)
 
     def is_trivial(self) -> bool:
         return self.value == 0
@@ -117,6 +129,22 @@ class PeriodicRule(CoefficientRule):
     def value_at(self, i: Point) -> complex:
         residue = tuple(k % q for k, q in zip(i, self.period))
         return self._lookup.get(residue, 0j)
+
+    @cached_property
+    def _residue_table(self) -> np.ndarray | None:
+        """Dense array of the values over all residues; None when the period is too large."""
+        if prod(self.period) > _DENSE_RESIDUES_MAX:
+            return None
+        out = np.zeros(self.period, dtype=complex)
+        for residue, v in self.table:
+            out[residue] = v
+        return out
+
+    def values_at(self, points: np.ndarray) -> np.ndarray:
+        table = self._residue_table
+        if table is None:
+            return super().values_at(points)
+        return table[tuple((points % np.array(self.period)).T)]
 
     def is_trivial(self) -> bool:
         return all(v == 0 for _, v in self.table)
@@ -203,13 +231,23 @@ class SupportedVector:
         kept = {p: v for p, v in self.entries.items() if p not in index_set}
         return SupportedVector(self.dimension, kept)
 
-    def to_array(self, index_set: IndexSet):
-        import numpy as np
+    @cached_property
+    def _support(self) -> tuple[IndexSet, np.ndarray]:
+        """Sorted support that a window can hold (int64 coordinates) and its entries."""
+        limits = np.iinfo(np.int64)
+        support = IndexSet.from_points(
+            self.dimension,
+            (p for p in self.entries if all(limits.min <= c <= limits.max for c in p)),
+        )
+        values = np.array([self.entries[p] for p in support.points], dtype=complex)
+        return support, values
 
+    def to_array(self, index_set: IndexSet) -> np.ndarray:
+        support, values = self._support
         out = np.zeros(len(index_set), dtype=complex)
-        for p, v in self.entries.items():
-            if p in index_set:
-                out[index_set.index(p)] = v
+        positions = index_set.locate(support.array)
+        found = positions >= 0
+        out[positions[found]] = values[found]
         return out
 
     @classmethod

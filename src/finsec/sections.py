@@ -44,29 +44,30 @@ def section_triplets(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nonzero entries of the rows x cols block as COO triplets (r, c, value).
 
-    Offsets are distinct, so each (r, c) appears at most once.
+    Offsets are distinct, so each (r, c) appears at most once.  Triplets
+    come diagonal by diagonal, rows ascending within each diagonal, and a
+    rule is evaluated only at rows whose column lies in the block.
     """
     if rows.dimension != operator.dimension or cols.dimension != operator.dimension:
         raise ValueError("index set dimension mismatch")
-    r_idx: list[int] = []
-    c_idx: list[int] = []
-    values: list[complex] = []
-    position = cols.positions
+    r_parts = [np.zeros(0, dtype=np.intp)]
+    c_parts = [np.zeros(0, dtype=np.intp)]
+    v_parts = [np.zeros(0, dtype=complex)]
+    points = rows.array
     # Walk each stored diagonal once: row i meets column i - offset.
     for offset, rule in operator.diagonals:
-        for r, i in enumerate(rows.points):
-            c = position.get(tuple(a - b for a, b in zip(i, offset)))
-            if c is not None:
-                value = rule.value_at(i)
-                if value != 0:
-                    r_idx.append(r)
-                    c_idx.append(c)
-                    values.append(value)
-    return (
-        np.array(r_idx, dtype=np.intp),
-        np.array(c_idx, dtype=np.intp),
-        np.array(values, dtype=complex),
-    )
+        try:
+            shift = np.array(offset, dtype=np.int64)
+        except OverflowError:
+            continue  # farther apart than any two points of a window
+        c = cols.locate(points - shift)
+        r = np.flatnonzero(c >= 0)
+        values = rule.values_at(points[r])
+        nonzero = values != 0
+        r_parts.append(r[nonzero])
+        c_parts.append(c[r[nonzero]])
+        v_parts.append(values[nonzero])
+    return np.concatenate(r_parts), np.concatenate(c_parts), np.concatenate(v_parts)
 
 
 def _check_dense_budget(n_rows: int, n_cols: int) -> None:
@@ -101,6 +102,8 @@ def rfsm_section(
     """Rectangular section: rows over window m, columns over window n."""
     if m < 1 or n < 1:
         raise ValueError("cut-offs must be >= 1")
+    if m < n:
+        raise ValueError(f"row cut-off m={m} is below the column cut-off n={n}")
     _check_dense_budget(
         lattice_section_size(domain, m), lattice_section_size(domain, n)
     )
@@ -119,12 +122,11 @@ def overflow_block(
     """
     width = operator.band_width()
     cols = lattice_section(domain, n)
-    ball = list(
-        itertools.product(range(-width, width + 1), repeat=operator.dimension)
+    ball = np.array(
+        list(itertools.product(range(-width, width + 1), repeat=operator.dimension)),
+        dtype=np.int64,
     )
-    expanded = {
-        tuple(a + b for a, b in zip(p, d)) for p in cols.points for d in ball
-    }
-    escaped = [p for p in expanded if not domain.contains(p, m)]
-    rows = IndexSet.from_points(operator.dimension, escaped)
+    expanded = (cols.array[:, None, :] + ball[None, :, :]).reshape(-1, operator.dimension)
+    escaped = expanded[~domain.contains_array(expanded, m)]
+    rows = IndexSet.from_array(operator.dimension, escaped)
     return assemble(operator, rows, cols)

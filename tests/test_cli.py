@@ -198,7 +198,45 @@ def test_example_expectations_share_one_scan(monkeypatch, capsys):
     monkeypatch.setattr(catalog, "stability_scan", counting_scan)
     code, _, _ = run_cli(["example", "worked_A", "--format", "json"], capsys)
     assert code == 0
-    assert len(scans) == 2  # the reported scan, and one for every expectation
+    assert len(scans) == 1  # the reported scan serves every expectation
+    # a report that does not start at n = 1 cannot stand in for the expectations
+    code, _, _ = run_cli(
+        ["example", "worked_A", "--nmin", "2", "--format", "json"], capsys
+    )
+    assert code == 0
+    assert len(scans) == 3
+
+
+def test_builtin_rhs_refused_before_its_window_is_built(monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("lattice_section called for an over-budget window")
+
+    monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", 1000)
+    monkeypatch.setattr(sections, "lattice_section", never)
+    monkeypatch.setattr(cli, "lattice_section", never)
+    code, out, err = run_cli(
+        ["solve-rfsm", "--example", "worked_A", "--n", "200000", "--m", "200001"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "over the 1000-byte budget" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve-rfsm", "--example", "worked_A", "--n", "3", "--m", "1"], "m=1 is below"),
+        (
+            ["study", "--example", "worked_A", "--nmax", "6", "--coupling", "explicit:1,2,3,4,5"],
+            "m=1 below n=2",
+        ),
+    ],
+)
+def test_fewer_rows_than_columns_exit_2(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert message in err and "Traceback" not in err
 
 
 def test_example_sierror_csv_squares(capsys):

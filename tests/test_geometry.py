@@ -1,8 +1,14 @@
+import itertools
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finsec import (
+    IndexSet,
     OpenFacetError,
     UnboundedDomainError,
     ZeroNotInteriorError,
@@ -12,6 +18,7 @@ from finsec import (
     lattice_section_size,
     validate_domain,
 )
+from finsec import geometry
 from oracles import brute_force_section
 
 
@@ -222,3 +229,130 @@ def test_triangle_boundary_matches_slow_oracle():
     assert expected <= got
     # with 400 subdivisions on segments of this size the sample is complete
     assert expected == got
+
+
+# ---------------------------------------------------------------------------
+# array view: locate, from_array, contains_array, integer row ranges
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def point_sets(draw):
+    """(dimension, points of an index set, query points) with negative coordinates."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    coord = st.integers(min_value=-6, max_value=6)
+    point = st.tuples(*[coord] * dim)
+    members = draw(st.lists(point, max_size=30))
+    queries = draw(st.lists(point, max_size=30)) + members
+    return dim, members, queries
+
+
+@given(point_sets())
+@settings(max_examples=80, deadline=None)
+def test_locate_matches_positions(case):
+    dim, members, queries = case
+    index_set = IndexSet.from_points(dim, members)
+    located = index_set.locate(np.array(queries, dtype=np.int64).reshape(-1, dim))
+    assert located.tolist() == [index_set.positions.get(q, -1) for q in queries]
+
+
+@given(point_sets())
+@settings(max_examples=80, deadline=None)
+def test_from_array_matches_from_points(case):
+    dim, members, queries = case
+    points = np.array(members + queries, dtype=np.int64).reshape(-1, dim)
+    from_array = IndexSet.from_array(dim, points)
+    expected = IndexSet.from_points(dim, members + queries)
+    assert from_array == expected
+    assert from_array.array.tolist() == [list(p) for p in expected.points]
+    assert all(type(c) is int for p in from_array.points for c in p)
+
+
+def test_locate_refuses_keys_past_int64():
+    huge = IndexSet.from_points(2, [(-(2**40), 0), (2**40, 2**40)])
+    with pytest.raises(ValueError, match="overflows int64"):
+        huge.locate(np.zeros((1, 2), dtype=np.int64))
+    with pytest.raises(ValueError, match="int64 range"):
+        IndexSet.from_points(1, [(0,)]).locate([(2**70,)])
+
+
+@pytest.mark.parametrize(
+    "name", ["interval", "interval-halfopen", "square", "diamond", "triangle"]
+)
+def test_contains_array_matches_contains(name):
+    dom = builtin_domain(name)
+    for n in (1, 2, 5):
+        radius = dom.enclosing_radius(n) + 2
+        box = np.array(
+            list(itertools.product(range(-radius, radius + 1), repeat=dom.dimension)),
+            dtype=np.int64,
+        )
+        mask = dom.contains_array(box, n)
+        assert mask.tolist() == [dom.contains(tuple(p), n) for p in box.tolist()]
+
+
+def fraction_row_range(domain, n, prefix):
+    """The row range of window n at `prefix` in Fraction arithmetic."""
+    lo = hi = None
+    for a, b, closed in domain._integer_facets:
+        s = sum(ai * xi for ai, xi in zip(a, prefix))
+        bound = Fraction(n * b - s)
+        if a[-1] == 0:
+            if s > n * b or (not closed and s == n * b):
+                return None
+            continue
+        q = bound / a[-1]
+        if a[-1] > 0:
+            cand = math.floor(q) - (not closed and q.denominator == 1)
+            hi = cand if hi is None else min(hi, cand)
+        else:
+            cand = math.ceil(q) + (not closed and q.denominator == 1)
+            lo = cand if lo is None else max(lo, cand)
+    return None if lo > hi else (lo, hi)
+
+
+OPEN_FACET_DOMAINS = [
+    [((1,), 1, False), ((-1,), 1, True)],
+    [((1,), 1, True), ((-1,), 1, False)],
+    [((3,), 2, False), ((-2,), "5/3", False)],
+    [(("7/2",), "1/3", True), ((-1,), "4/5", False)],
+]
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [builtin_domain(name) for name in ("interval", "interval-halfopen", "square", "diamond", "triangle")]
+    + [validate_domain(facets=facets) for facets in OPEN_FACET_DOMAINS],
+)
+def test_integer_row_ranges_match_fractions(domain):
+    for n in (1, 2, 3, 7, 50):
+        lo, hi = domain.bounding_box(n)
+        prefixes = itertools.product(
+            *[range(lo[j] - 1, hi[j] + 2) for j in range(domain.dimension - 1)]
+        )
+        for prefix in prefixes:
+            assert geometry._last_coordinate_range(domain, n, prefix) == (
+                fraction_row_range(domain, n, prefix)
+            )
+
+
+@pytest.mark.parametrize("name", ["interval", "interval-halfopen", "square", "triangle"])
+def test_section_exceeds_matches_size(name):
+    dom = builtin_domain(name)
+    for n in (1, 2, 6):
+        size = lattice_section_size(dom, n)
+        for limit in (0, 1, size - 1, size, size + 1):
+            assert geometry._section_exceeds(dom, n, limit) == (size > limit)
+
+
+def test_contains_array_stays_exact_past_int64_products():
+    # 4 * 10**18 * 10 leaves int64, so the facet sums are taken in Python integers
+    dom = validate_domain(
+        facets=[((4 * 10**18, 1), 4 * 10**18 + 1), ((-1, 0), 1), ((0, -1), 1), ((0, 1), 5)]
+    )
+    points = np.array(
+        [[x, y] for x in range(-10, 11) for y in range(-10, 11)], dtype=np.int64
+    )
+    for n in (1, 2):
+        mask = dom.contains_array(points, n)
+        assert mask.tolist() == [dom.contains(tuple(p), n) for p in points.tolist()]

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,11 @@ from finsec import (
     AdjacencyGraph,
     BandDiagonals,
     ConstantRule,
+    IndexSet,
+    PeriodicRule,
     Shift,
     SupportedVector,
+    TableRule,
     UnboundedBandError,
     build_example,
     compose_shift,
@@ -216,3 +221,85 @@ def test_band_locality(seed):
         for j in range(-6, 7):
             if abs(i - j) > w:
                 assert a.entry((i,), (j,)) == 0
+
+
+# ---------------------------------------------------------------------------
+# values_at and to_array on point arrays
+# ---------------------------------------------------------------------------
+
+
+def bits(values):
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+def rule_cases():
+    periodic_2d = PeriodicRule.from_mapping(
+        (2, 3), {(0, 0): 4, (1, 2): -0.0 + 1j, (1, 1): 0.5 - 2j}
+    )
+    table_2d = TableRule.from_mapping(
+        {(0, 0): -2, (1, -1): 0.5 + 1j}, default=-1, dimension=2
+    )
+    rules = {
+        "constant": (1, ConstantRule(2.5 - 1j)),
+        "constant-negzero": (1, ConstantRule(-0.0)),
+        "periodic": (1, PeriodicRule.from_mapping((3,), {0: 1, 2: -0.0 - 0j})),
+        "table": (1, TableRule.from_mapping({-2: 3, 0: 1j, 5: -0.0}, default=0.25)),
+        "periodic-2d": (2, periodic_2d),
+        "table-2d": (2, table_2d),
+        "constant-2d": (2, ConstantRule(1)),
+    }
+    for name, (dim, rule) in list(rules.items()):
+        rules[f"shifted-{name}"] = (dim, rule.shifted((3,) * dim))
+    rules["shifted-periodic-2d-mixed"] = (2, periodic_2d.shifted((-1, 2)))
+    rules["shifted-table-2d-mixed"] = (2, table_2d.shifted((1, -1)))
+    return [pytest.param(dim, rule, id=name) for name, (dim, rule) in rules.items()]
+
+
+@pytest.mark.parametrize("dim, rule", rule_cases())
+def test_values_at_is_bitwise_value_at(dim, rule):
+    grid = itertools.product(range(-7, 8), repeat=dim)
+    points = np.array(list(grid), dtype=np.int64)
+    expected = [rule.value_at(tuple(p)) for p in points.tolist()]
+    assert bits(rule.values_at(points)) == bits(expected)
+    assert rule.values_at(points[:0]).shape == (0,)
+
+
+def test_values_at_of_random_band_rules():
+    points = np.arange(-20, 21, dtype=np.int64).reshape(-1, 1)
+    for seed in range(10):
+        a = random_band_operator(np.random.default_rng(seed), width=3)
+        for _, rule in a.diagonals:
+            expected = [rule.value_at(tuple(p)) for p in points.tolist()]
+            assert bits(rule.values_at(points)) == bits(expected)
+
+
+def test_large_period_falls_back_to_value_at():
+    rule = PeriodicRule.from_mapping((1000, 1000), {(3, 999): 2j})
+    points = np.array([[3, -1], [1003, 999], [0, 0]], dtype=np.int64)
+    assert bits(rule.values_at(points)) == bits([2j, 2j, 0j])
+
+
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.dictionaries(
+        st.tuples(*[st.integers(min_value=-6, max_value=6)] * 3),
+        st.complex_numbers(max_magnitude=8, allow_nan=False, allow_infinity=False),
+        max_size=12,
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_to_array_matches_entrywise_fill(dim, raw):
+    entries = {tuple(k[:dim]): v for k, v in raw.items()}
+    u = SupportedVector.from_entries(dim, entries)
+    window = IndexSet.from_points(dim, itertools.product(range(-3, 4), repeat=dim))
+    expected = np.zeros(len(window), dtype=complex)
+    for p, v in u.entries.items():
+        if p in window:
+            expected[window.index(p)] = v
+    assert bits(u.to_array(window)) == bits(expected)
+
+
+def test_to_array_ignores_entries_past_int64():
+    u = SupportedVector.from_entries(1, {0: 1, 10**23: 2, -(10**30): 3})
+    window = IndexSet.from_points(1, [(k,) for k in range(-2, 3)])
+    assert u.to_array(window).tolist() == [0, 0, 1, 0, 0]

@@ -1,20 +1,30 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from finsec import (
+    AdjacencyGraph,
+    BandDiagonals,
     IndexSet,
+    PeriodicRule,
     Shift,
     SupportedVector,
+    TableRule,
+    UnboundedBandError,
     assemble,
     build_example,
+    builtin_domain,
     fsm_section,
     identity_operator,
+    lattice_section,
     normal_equations_solve,
     overflow_block,
     rfsm_section,
     spectral_norm,
 )
 from finsec import sections
+from finsec.sections import section_triplets
 from conftest import random_band_operator
 
 BLOCK_B = np.array([[1, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=float)
@@ -201,3 +211,115 @@ def test_dense_budget_checked_before_windows_are_built(interval, monkeypatch):
     ):
         with pytest.raises(ValueError, match="over the 1000-byte budget"):
             build()
+
+
+# ---------------------------------------------------------------------------
+# the vectorised diagonal walk against the per-cell definition
+# ---------------------------------------------------------------------------
+
+
+def per_cell_triplets(operator, rows, cols):
+    """Reference walk: diagonal by diagonal, rows ascending, one cell at a time."""
+    r_idx, c_idx, values = [], [], []
+    for offset, rule in operator.diagonals:
+        for r, i in enumerate(rows.points):
+            c = cols.positions.get(tuple(a - b for a, b in zip(i, offset)))
+            if c is not None:
+                value = rule.value_at(i)
+                if value != 0:
+                    r_idx.append(r)
+                    c_idx.append(c)
+                    values.append(value)
+    return (
+        np.array(r_idx, dtype=np.intp),
+        np.array(c_idx, dtype=np.intp),
+        np.array(values, dtype=complex),
+    )
+
+
+def assert_same_triplets(got, expected):
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+def laplace_operator_2d():
+    table = {(0, 0): 4, (0, 1): 4.5, (1, 0): 5, (1, 1): 4.25}
+    rules = {(0, 0): PeriodicRule.from_mapping((2, 2), table)}
+    rules.update({d: -1 for d in ((1, 0), (-1, 0), (0, 1))})
+    rules[(0, -1)] = TableRule.from_mapping(
+        {(0, 0): -2, (1, -1): 0.5 + 1j}, default=-1, dimension=2
+    )
+    return BandDiagonals.from_rules(2, rules)
+
+
+def test_triplets_match_per_cell_walk(interval, square, diamond_domain):
+    cases = []
+    for seed in range(8):
+        a = random_band_operator(np.random.default_rng(seed), width=1 + seed % 3)
+        cases += [(a, interval, m, n) for n in (1, 4, 9) for m in (n, n + 2)]
+    lap = laplace_operator_2d()
+    cases += [(lap, dom, m, n) for dom in (square, diamond_domain) for n, m in ((1, 1), (3, 4), (6, 6))]
+    for operator, dom, m, n in cases:
+        rows, cols = lattice_section(dom, m), lattice_section(dom, n)
+        assert_same_triplets(
+            section_triplets(operator, rows, cols),
+            per_cell_triplets(operator, rows, cols),
+        )
+
+
+def test_offsets_past_int64_meet_no_window(interval):
+    far = 10**20
+    band = BandDiagonals.from_rules(1, {0: 2, far: 1, -far: 3})
+    graph = AdjacencyGraph.from_edges(1, [((0,), (far,)), ((1,), (2,))])
+    for operator in (band, graph):
+        for n in (1, 3):
+            window = lattice_section(interval, n)
+            assert_same_triplets(
+                section_triplets(operator, window, window),
+                per_cell_triplets(operator, window, window),
+            )
+
+
+def test_adjacency_walk_raises_at_the_same_point():
+    case = build_example("sierror", 1)  # edges complete up to max-norm radius 3
+    graph = case.operator
+    for n in range(1, 7):
+        window = lattice_section(case.domain, n)
+        try:
+            expected = per_cell_triplets(graph, window, window)
+        except UnboundedBandError as exc:
+            with pytest.raises(UnboundedBandError) as got:
+                section_triplets(graph, window, window)
+            assert str(got.value) == str(exc)
+        else:
+            assert_same_triplets(section_triplets(graph, window, window), expected)
+    window = lattice_section(case.domain, 6)
+    with pytest.raises(UnboundedBandError, match="beyond the generated edge coverage"):
+        section_triplets(graph, window, window)
+
+
+def test_overflow_rows_are_the_ball_expansion_outside_window_m(interval, square):
+    lap = laplace_operator_2d()
+    cases = [
+        (random_band_operator(np.random.default_rng(seed), width=1 + seed % 3), interval)
+        for seed in range(5)
+    ] + [(lap, square), (lap, builtin_domain("triangle"))]
+    for operator, dom in cases:
+        width, dim = operator.band_width(), operator.dimension
+        ball = list(itertools.product(range(-width, width + 1), repeat=dim))
+        for n, m in ((1, 1), (2, 3), (5, 5), (5, 6)):
+            cols = lattice_section(dom, n)
+            expanded = {
+                tuple(a + b for a, b in zip(p, d)) for p in cols.points for d in ball
+            }
+            expected = sorted(p for p in expanded if not dom.contains(p, m))
+            block = overflow_block(operator, dom, m, n)
+            assert block.rows.points == tuple(expected)
+            rows = IndexSet.from_points(dim, expected)
+            assert block.data.tobytes() == assemble(operator, rows, cols).data.tobytes()
+
+
+def test_rfsm_section_refuses_fewer_rows_than_columns(interval):
+    with pytest.raises(ValueError, match="m=2 is below the column cut-off n=3"):
+        rfsm_section(identity_operator(), interval, 2, 3)

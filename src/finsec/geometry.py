@@ -127,11 +127,11 @@ class StarlikeDomain:
         inside = np.ones(len(points), dtype=bool)
         if not len(points):
             return inside
-        reach = int(np.abs(points).max())
+        reach = max(abs(int(points.min())), abs(int(points.max())))
         for a, b, closed in self._integer_facets:
             # exact Python integers where a facet product could leave int64
             dtype = np.int64 if reach * sum(abs(c) for c in a) <= _INT64_MAX else object
-            s = points.astype(dtype) @ np.array(a, dtype=dtype)
+            s = points.astype(dtype, copy=False) @ np.array(a, dtype=dtype)
             inside &= s <= n * b if closed else s < n * b
         return inside
 
@@ -170,13 +170,9 @@ class IndexSet:
     def from_array(cls, dimension: int, points: np.ndarray) -> "IndexSet":
         """Index set of the distinct rows of a (k, N) int64 array, deduplicated on integer keys."""
         points = _point_array(points, dimension)
-        if len(points):
-            lo = points.min(axis=0)
-            keys = (points - lo) @ _mixed_radix(lo, points.max(axis=0))
-            points = points[np.unique(keys, return_index=True)[1]]
-        index_set = cls(dimension, tuple(map(tuple, points.tolist())))
-        index_set.__dict__["array"] = points  # seeds the cached view
-        return index_set
+        if not len(points):
+            return cls(dimension, ())
+        return _union_in_box(dimension, points.min(axis=0), points.max(axis=0), [points])
 
     @cached_property
     def positions(self) -> dict[Point, int]:
@@ -190,11 +186,19 @@ class IndexSet:
 
     @cached_property
     def _key_frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(lo, hi, weights, sorted keys) of the mixed-radix keys over the bounding box."""
+        """(lo, hi, weights, sorted keys) of the mixed-radix keys over the bounding box.
+
+        Raises ValueError when `points` is not strictly increasing
+        lexicographically, since a binary search over its keys would then
+        miss points.
+        """
         arr = self.array
         lo, hi = arr.min(axis=0), arr.max(axis=0)
         weights = _mixed_radix(lo, hi)
-        return lo, hi, weights, (arr - lo) @ weights
+        keys = (arr - lo) @ weights
+        if np.any(keys[1:] <= keys[:-1]):
+            raise ValueError("index set points are not sorted and duplicate-free")
+        return lo, hi, weights, keys
 
     def locate(self, points: np.ndarray) -> np.ndarray:
         """Position of each row of a (k, N) int64 array in `points`, -1 where absent."""
@@ -231,6 +235,37 @@ class IndexSet:
 
     def __hash__(self) -> int:
         return hash((self.dimension, self.points))
+
+
+def _union_in_box(
+    dimension: int, lo: Sequence[int], hi: Sequence[int], chunks: Iterable[np.ndarray]
+) -> IndexSet:
+    """Index set of the union of (k, N) int64 chunks whose points lie in the box lo..hi.
+
+    Chunk keys are merged into the sorted distinct mixed-radix keys once
+    they outnumber them, so memory stays within a small multiple of the
+    union and of one chunk, and each merge sorts no more than twice what
+    was gathered since the last one.
+    """
+    weights = _mixed_radix(lo, hi)
+    origin = _point_array(lo, dimension)[0]
+    keys = np.zeros(0, dtype=np.int64)
+    pending: list[np.ndarray] = []
+    held = 0
+    for chunk in chunks:
+        pending.append((chunk - origin) @ weights)
+        held += len(chunk)
+        if held > len(keys):
+            keys = np.unique(np.concatenate([keys, *pending]))
+            pending, held = [], 0
+    keys = np.unique(np.concatenate([keys, *pending]))
+    points = np.empty((len(keys), dimension), dtype=np.int64)
+    for j, w in enumerate(weights):
+        points[:, j], keys = np.divmod(keys, w)
+    points += origin
+    index_set = IndexSet(dimension, tuple(map(tuple, points.tolist())))
+    index_set.__dict__["array"] = points  # seeds the cached view
+    return index_set
 
 
 # ---------------------------------------------------------------------------

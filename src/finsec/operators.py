@@ -12,7 +12,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from functools import cached_property
-from math import prod, sqrt
+from math import sqrt
 from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
 
@@ -65,9 +65,6 @@ def _sub(p: Point, q: Point) -> Point:
 # coefficient rules for diagonal tables
 # ---------------------------------------------------------------------------
 
-# Periodic rules with at most this many residues are evaluated from a dense table.
-_DENSE_RESIDUES_MAX = 1 << 16
-
 
 class CoefficientRule(abc.ABC):
     """Value of one stored diagonal as a function of the row index."""
@@ -116,6 +113,8 @@ class PeriodicRule(CoefficientRule):
         per = tuple(int(q) for q in period)
         if any(q < 1 for q in per):
             raise ValueError("period entries must be >= 1")
+        if any(q > np.iinfo(np.int64).max for q in per):
+            raise ValueError("period entries must fit int64, as lattice coordinates do")
         items = sorted(
             (tuple(k % q for k, q in zip(as_point(key, len(per)), per)), complex(val))
             for key, val in table.items()
@@ -130,21 +129,13 @@ class PeriodicRule(CoefficientRule):
         residue = tuple(k % q for k, q in zip(i, self.period))
         return self._lookup.get(residue, 0j)
 
-    @cached_property
-    def _residue_table(self) -> np.ndarray | None:
-        """Dense array of the values over all residues; None when the period is too large."""
-        if prod(self.period) > _DENSE_RESIDUES_MAX:
-            return None
-        out = np.zeros(self.period, dtype=complex)
-        for residue, v in self.table:
-            out[residue] = v
-        return out
-
     def values_at(self, points: np.ndarray) -> np.ndarray:
-        table = self._residue_table
-        if table is None:
-            return super().values_at(points)
-        return table[tuple((points % np.array(self.period)).T)]
+        # one pass per stored residue, so memory is bounded by the points for any period
+        residues = points % np.array(self.period, dtype=np.int64)
+        out = np.zeros(len(points), dtype=complex)
+        for residue, value in self._lookup.items():
+            out[np.all(residues == residue, axis=1)] = value
+        return out
 
     def is_trivial(self) -> bool:
         return all(v == 0 for _, v in self.table)

@@ -7,7 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import IndexSet, StarlikeDomain, lattice_section, lattice_section_size
+from .geometry import (
+    IndexSet,
+    StarlikeDomain,
+    _union_in_box,
+    lattice_section,
+    lattice_section_size,
+)
 from .operators import OperatorSpec
 
 __all__ = [
@@ -122,11 +128,14 @@ def overflow_block(
     """
     width = operator.band_width()
     cols = lattice_section(domain, n)
-    ball = np.array(
-        list(itertools.product(range(-width, width + 1), repeat=operator.dimension)),
-        dtype=np.int64,
+    # One ball offset at a time: the rows are merged as they come, so memory
+    # stays at the size of the rows rather than of the whole expansion.
+    steps = itertools.product(range(-width, width + 1), repeat=operator.dimension)
+    shifted = (cols.array + np.array(step, dtype=np.int64) for step in steps)
+    rows = _union_in_box(
+        operator.dimension,
+        [int(c) - width for c in cols.array.min(axis=0)],
+        [int(c) + width for c in cols.array.max(axis=0)],
+        (points[~domain.contains_array(points, m)] for points in shifted),
     )
-    expanded = (cols.array[:, None, :] + ball[None, :, :]).reshape(-1, operator.dimension)
-    escaped = expanded[~domain.contains_array(expanded, m)]
-    rows = IndexSet.from_array(operator.dimension, escaped)
     return assemble(operator, rows, cols)

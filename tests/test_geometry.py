@@ -277,6 +277,15 @@ def test_locate_refuses_keys_past_int64():
 
 
 @pytest.mark.parametrize(
+    "points", [((1, 0), (0, 5)), ((0, 0), (2, -1), (2, -1)), ((3,), (-3,))]
+)
+def test_locate_refuses_unsorted_or_repeated_points(points):
+    index_set = IndexSet(len(points[0]), points)
+    with pytest.raises(ValueError, match="not sorted"):
+        index_set.locate(np.zeros((1, len(points[0])), dtype=np.int64))
+
+
+@pytest.mark.parametrize(
     "name", ["interval", "interval-halfopen", "square", "diamond", "triangle"]
 )
 def test_contains_array_matches_contains(name):

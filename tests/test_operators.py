@@ -273,10 +273,12 @@ def test_values_at_of_random_band_rules():
             assert bits(rule.values_at(points)) == bits(expected)
 
 
-def test_large_period_falls_back_to_value_at():
-    rule = PeriodicRule.from_mapping((1000, 1000), {(3, 999): 2j})
-    points = np.array([[3, -1], [1003, 999], [0, 0]], dtype=np.int64)
+def test_values_at_of_periods_past_any_dense_table():
+    rule = PeriodicRule.from_mapping((2**40, 2**40), {(3, 2**40 - 1): 2j})
+    points = np.array([[3, -1], [2**40 + 3, 2**41 - 1], [0, 0]], dtype=np.int64)
     assert bits(rule.values_at(points)) == bits([2j, 2j, 0j])
+    with pytest.raises(ValueError, match="fit int64"):
+        PeriodicRule.from_mapping((2**63,), {0: 1})
 
 
 @given(

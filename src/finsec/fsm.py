@@ -24,7 +24,13 @@ from .errors import (
     SingularMatrixError,
     SingularSectionError,
 )
-from .geometry import IndexSet, StarlikeDomain, _section_exceeds, lattice_section
+from .geometry import (
+    IndexSet,
+    StarlikeDomain,
+    _section_exceeds,
+    lattice_section,
+    lattice_section_size,
+)
 from .linalg import (
     NORM_CAP_DEFAULT,
     TAU_REL_DEFAULT,
@@ -34,7 +40,7 @@ from .linalg import (
 )
 from .operators import AdjacencyGraph, OperatorSpec, SupportedVector
 from .reports import StabilityRecord, StabilityReport
-from .sections import assemble, fsm_section, section_triplets
+from .sections import _check_window_budget, assemble, fsm_section, section_triplets
 
 __all__ = [
     "VERDICT_STABLE",
@@ -107,11 +113,14 @@ def section_extremes(
 ) -> tuple[float, float]:
     """(sigma_min, sigma_max) of the square section over window n.
 
-    Raises NonFiniteResultError when a singular value overflows.
+    Raises ValueError, before the window is built, when its points and
+    triplets would pass the memory budget, and NonFiniteResultError when a
+    singular value overflows.
     """
     if isinstance(operator, AdjacencyGraph):
         smin, smax = _adjacency_extremes(operator, domain, n)
     else:
+        _check_window_budget(operator, lattice_section_size(domain, n))
         smin, smax = _window_extremes(operator, lattice_section(domain, n), tau_rel)
     if not (math.isfinite(smin) and math.isfinite(smax)):
         raise NonFiniteResultError(

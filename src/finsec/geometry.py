@@ -273,48 +273,16 @@ def _union_in_box(
 # ---------------------------------------------------------------------------
 
 
-def _solve_exact(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    """Solve a square rational system; None if singular."""
-    n = len(rows)
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return tuple(aug[r][n] for r in range(n))
+def _row_reduce(rows: Sequence[Sequence[Fraction]], ncols: int):
+    """Reduced row echelon form of a rational matrix over its first ncols columns.
 
-
-def _rank(vectors: Sequence[Sequence[Fraction]], dim: int) -> int:
-    rows = [list(v) for v in vectors]
-    rank = 0
-    for col in range(dim):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [v / pv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
-def _null_direction(vectors: Sequence[Sequence[Fraction]], dim: int):
-    """A nonzero direction orthogonal to all `vectors`, expected rank dim-1; None otherwise."""
-    rows = [list(v) for v in vectors]
+    Returns the reduced rows (copies, with any columns past ncols carried
+    along) and the pivot columns in increasing order.
+    """
+    rows = [list(r) for r in rows]
     pivots: list[int] = []
-    rank = 0
-    for col in range(dim):
+    for col in range(ncols):
+        rank = len(pivots)
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
         if pivot is None:
             continue
@@ -326,8 +294,26 @@ def _null_direction(vectors: Sequence[Sequence[Fraction]], dim: int):
                 factor = rows[r][col]
                 rows[r] = [v - factor * w for v, w in zip(rows[r], rows[rank])]
         pivots.append(col)
-        rank += 1
-    if rank != dim - 1:
+    return rows, pivots
+
+
+def _solve_exact(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
+    """Solve a square rational system; None if singular."""
+    n = len(rows)
+    reduced, pivots = _row_reduce([list(r) + [b] for r, b in zip(rows, rhs)], n)
+    if len(pivots) < n:
+        return None
+    return tuple(reduced[r][n] for r in range(n))
+
+
+def _rank(vectors: Sequence[Sequence[Fraction]], dim: int) -> int:
+    return len(_row_reduce(vectors, dim)[1])
+
+
+def _null_direction(vectors: Sequence[Sequence[Fraction]], dim: int):
+    """A nonzero direction orthogonal to all `vectors`, expected rank dim-1; None otherwise."""
+    rows, pivots = _row_reduce(vectors, dim)
+    if len(pivots) != dim - 1:
         return None
     free = next(c for c in range(dim) if c not in pivots)
     direction = [Fraction(0)] * dim

@@ -10,6 +10,7 @@ as such tables; adjacency graphs derive theirs from their edges.
 from __future__ import annotations
 
 import abc
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import sqrt
@@ -18,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import GeneratorBoundError, UnboundedBandError
+from .errors import GeneratorBoundError, NonFiniteResultError, UnboundedBandError
 from .geometry import IndexSet, Point, StarlikeDomain
 
 __all__ = [
@@ -101,6 +102,16 @@ class ConstantRule(CoefficientRule):
         return self
 
 
+def _distinct(items: Iterable[tuple[Point, complex]]) -> tuple[tuple[Point, complex], ...]:
+    """(point, value) pairs sorted by point; ValueError when a point repeats."""
+    table: dict[Point, complex] = {}
+    for point, value in items:
+        if point in table:
+            raise ValueError(f"coefficient table gives {list(point)} twice")
+        table[point] = complex(value)
+    return tuple(sorted(table.items()))
+
+
 @dataclass(frozen=True)
 class PeriodicRule(CoefficientRule):
     """Row-periodic coefficients: value depends on i mod period (componentwise)."""
@@ -115,11 +126,11 @@ class PeriodicRule(CoefficientRule):
             raise ValueError("period entries must be >= 1")
         if any(q > np.iinfo(np.int64).max for q in per):
             raise ValueError("period entries must fit int64, as lattice coordinates do")
-        items = sorted(
-            (tuple(k % q for k, q in zip(as_point(key, len(per)), per)), complex(val))
+        items = _distinct(
+            (tuple(k % q for k, q in zip(as_point(key, len(per)), per)), val)
             for key, val in table.items()
         )
-        return cls(per, tuple(items))
+        return cls(per, items)
 
     @cached_property
     def _lookup(self) -> dict[Point, complex]:
@@ -157,8 +168,8 @@ class TableRule(CoefficientRule):
     def from_mapping(
         cls, table: Mapping, default: complex = 0j, dimension: int = 1
     ) -> "TableRule":
-        items = sorted((as_point(k, dimension), complex(v)) for k, v in table.items())
-        return cls(tuple(items), complex(default))
+        items = _distinct((as_point(k, dimension), v) for k, v in table.items())
+        return cls(items, complex(default))
 
     @cached_property
     def _lookup(self) -> dict[Point, complex]:
@@ -212,7 +223,10 @@ class SupportedVector:
         return sorted(self.entries)
 
     def norm(self) -> float:
-        return sqrt(sum(abs(v) ** 2 for v in self.entries.values()))
+        try:
+            return sqrt(sum(abs(v) ** 2 for v in self.entries.values()))
+        except OverflowError:
+            raise NonFiniteResultError("the norm of a vector overflows a double") from None
 
     def restrict(self, index_set: IndexSet) -> "SupportedVector":
         kept = {p: v for p, v in self.entries.items() if p in index_set}
@@ -234,6 +248,10 @@ class SupportedVector:
         return support, values
 
     def to_array(self, index_set: IndexSet) -> np.ndarray:
+        if index_set.dimension != self.dimension:
+            raise ValueError(
+                f"a {self.dimension}-D vector cannot fill a {index_set.dimension}-D window"
+            )
         support, values = self._support
         out = np.zeros(len(index_set), dtype=complex)
         positions = index_set.locate(support.array)
@@ -243,10 +261,10 @@ class SupportedVector:
 
     @classmethod
     def from_array(cls, index_set: IndexSet, values) -> "SupportedVector":
-        entries = {
-            p: complex(v) for p, v in zip(index_set.points, values) if complex(v) != 0
-        }
-        return cls(index_set.dimension, entries)
+        values = np.asarray(values, dtype=complex)
+        nonzero = values != 0
+        kept = itertools.compress(index_set.points, nonzero.tolist())
+        return cls(index_set.dimension, dict(zip(kept, values[nonzero].tolist())))
 
     def __add__(self, other: "SupportedVector") -> "SupportedVector":
         if self.dimension != other.dimension:

@@ -8,6 +8,7 @@ resulting overdetermined window in the minimum-norm least-squares sense.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -19,7 +20,8 @@ from .errors import (
     SingularGramError,
     SingularMatrixError,
 )
-from .geometry import StarlikeDomain, lattice_section
+from . import sections
+from .geometry import StarlikeDomain, lattice_section, lattice_section_size
 from .linalg import TAU_REL_DEFAULT, least_squares, solve_square, spectral_norm
 from .operators import OperatorSpec, SupportedVector
 from .reports import RfsmRecord, RfsmReport
@@ -229,6 +231,15 @@ def convergence_study(
     dominate every requested n.  When inverse_bound is given the a-priori
     norm bound is recorded wherever its hypothesis holds;
     certified_bound(n), when given, fills the certified error column.
+
+    The reference window is solved first and alone.  The windows of the
+    requested n are independent of each other and run concurrently: as
+    many at once as the usable cores divided by the threads of one BLAS
+    call (so one at a time under a BLAS that uses every core), and no more
+    than the dense budget (sections.DENSE_BUDGET_BYTES) holds blocks of the
+    tallest one.  Each window runs the same LAPACK calls as it would alone,
+    so the report does not depend on the worker count; the first failing n
+    raises its own error and the windows not yet started are cancelled.
     """
     ns = sorted(set(int(n) for n in n_values))
     if not ns:
@@ -242,11 +253,12 @@ def convergence_study(
     }
     m_ref = reference_n + width
     rhs_vec = _materialize_rhs(rhs, domain, max([m_ref, *couplings.values()]))
+    # The reference solve also fills the cached state the workers read
+    # (diagonal tables, the right-hand side's support, facet data).
     u_ref = rfsm_solve(operator, rhs_vec, domain, m_ref, reference_n)
-
-    records = []
     rhs_norm = rhs_vec.norm()
-    for n in ns:
+
+    def record(n: int) -> RfsmRecord:
         m = couplings[n]
         u, residual = rfsm_solve_with_residual(operator, rhs_vec, domain, m, n)
         bound = None
@@ -254,17 +266,30 @@ def convergence_study(
             overflow = overflow_norm(operator, domain, m, n)
             if overflow < 1.0 / inverse_bound:
                 bound = solution_bound(inverse_bound, rhs_norm, residual, overflow)
-        records.append(
-            RfsmRecord(
-                n=n,
-                m=m,
-                residual=residual,
-                solution_norm=u.norm(),
-                solution_bound=bound,
-                error=(u - u_ref).norm(),
-                certified_bound=certified_bound(n) if certified_bound else None,
-            )
+        return RfsmRecord(
+            n=n,
+            m=m,
+            residual=residual,
+            solution_norm=u.norm(),
+            solution_bound=bound,
+            error=(u - u_ref).norm(),
+            certified_bound=certified_bound(n) if certified_bound else None,
         )
+
+    # Imported here so that importing the package does not load it.
+    from concurrent.futures import ThreadPoolExecutor
+
+    # No per-n block is larger than the tallest rows times the widest columns
+    # (a cut-off below 1 raises in its own window).
+    rows, cols = (max(1, *cuts) for cuts in (couplings.values(), ns))
+    tallest = 16 * lattice_section_size(domain, rows) * lattice_section_size(domain, cols)
+    workers = min(
+        _free_cores(), len(ns), max(1, sections.DENSE_BUDGET_BYTES // tallest)
+    )
+    # map cancels the windows not yet started once a result raises, so leaving
+    # the block waits only for those already running.
+    with ThreadPoolExecutor(workers) as pool:
+        records = list(pool.map(record, ns))
     return RfsmReport(
         operator_id=operator_id or type(operator).__name__,
         domain_id=domain_id or domain.name or "domain",
@@ -272,3 +297,25 @@ def convergence_study(
         reference_n=reference_n,
         records=tuple(records),
     )
+
+
+# OpenBLAS reads the first of these when it loads and MKL the second; both
+# fall back to the third and otherwise use every core.  The first one set is
+# taken as the thread count of one BLAS call.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _free_cores() -> int:
+    """Usable cores divided by the threads each BLAS call runs on, at least 1.
+
+    Windows solved side by side only gain when each LAPACK call leaves
+    cores idle; with a multi-threaded BLAS they contend for the same cores
+    and run slower than one after another.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    settings = (os.environ.get(name, "").strip() for name in _BLAS_THREAD_VARIABLES)
+    blas = next((int(v) for v in settings if v.isdigit() and int(v) > 0), cores)
+    return max(1, cores // blas)

@@ -25,9 +25,11 @@ __all__ = [
     "overflow_block",
 ]
 
-# Largest dense block, in bytes, that assemble allocates (fsm_section and
-# rfsm_section check it before building their windows); only the sparse sigma
-# route of a scan reaches past it.
+# Memory budget, in bytes, of one window: the dense block that assemble
+# allocates (fsm_section and rfsm_section check it before building their
+# windows), or the points and triplets of a scanned window
+# (_check_window_budget).  A convergence study runs no more per-n windows at
+# once than it holds dense blocks of the tallest one.
 DENSE_BUDGET_BYTES = 2 * 1024**3
 
 
@@ -76,13 +78,30 @@ def section_triplets(
     return np.concatenate(r_parts), np.concatenate(c_parts), np.concatenate(v_parts)
 
 
-def _check_dense_budget(n_rows: int, n_cols: int) -> None:
-    size = 16 * n_rows * n_cols  # bytes of complex128 entries
+def _check_budget(size: int, what: str) -> None:
     if size > DENSE_BUDGET_BYTES:
         raise ValueError(
-            f"dense window {n_rows} x {n_cols} needs {size} bytes, over the "
-            f"{DENSE_BUDGET_BYTES}-byte budget"
+            f"{what} needs {size} bytes, over the {DENSE_BUDGET_BYTES}-byte budget"
         )
+
+
+def _check_dense_budget(n_rows: int, n_cols: int) -> None:
+    # bytes of complex128 entries
+    _check_budget(16 * n_rows * n_cols, f"dense window {n_rows} x {n_cols}")
+
+
+def _check_window_budget(operator: OperatorSpec, n_points: int) -> None:
+    """Refuse a square window of n_points whose points and triplets pass the budget.
+
+    Per point the window holds a tuple of Python ints and an int64 row
+    (about 64 + 40 bytes per coordinate), and section_triplets up to one
+    (row, column, value) triplet of 32 bytes per stored diagonal.
+    """
+    per_point = 64 + 40 * operator.dimension + 32 * len(operator.diagonals)
+    _check_budget(
+        n_points * per_point,
+        f"window of {n_points} points and {len(operator.diagonals)} stored diagonals",
+    )
 
 
 def assemble(operator: OperatorSpec, rows: IndexSet, cols: IndexSet) -> SectionMatrix:

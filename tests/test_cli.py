@@ -107,6 +107,17 @@ BAD_FLOATS = [
 ]
 
 
+# A constant 5-point operator on the 2-D lattice, diagonal 5.
+FIVE_POINT = {
+    "variant": "band_diagonals",
+    "dimension": 2,
+    "diagonals": [
+        {"offset": list(d), "rule": {"kind": "constant", "value": v}}
+        for d, v in [((0, 0), "5"), ((1, 0), "-1"), ((-1, 0), "-1"), ((0, 1), "-1"), ((0, -1), "-1")]
+    ],
+}
+
+
 @pytest.mark.parametrize("command, flag, value", BAD_FLOATS)
 def test_bad_float_flag_exits_2(command, flag, value, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -180,6 +191,79 @@ def test_cli_import_does_not_load_scipy():
         env=env,
         check=True,
     )
+
+
+def test_cli_import_does_not_load_the_thread_pool():
+    # concurrent.futures (and logging under it) loads when a study runs, not at start-up
+    src = str(Path(finsec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, finsec.cli; assert 'concurrent.futures' not in sys.modules",
+        ],
+        env=env,
+        check=True,
+    )
+
+
+def test_scanned_window_refused_before_it_is_built(tmp_path, monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("lattice_section called for an over-budget window")
+
+    monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", 10**6)
+    monkeypatch.setattr(fsm, "lattice_section", never)
+    op = tmp_path / "lap.json"
+    op.write_text(json.dumps(FIVE_POINT))
+    code, out, err = run_cli(
+        ["scan", "--operator", str(op), "--omega", "square", "--nmin", "5000", "--nmax", "5000"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "window of 100020001 points and 5 stored diagonals" in err
+    assert "over the 1000000-byte budget" in err and "Traceback" not in err
+
+
+PERIODIC_REPEAT = {
+    "variant": "band_diagonals",
+    "diagonals": [
+        {"offset": [0], "rule": {"kind": "periodic", "period": [2], "table": {"0": "1", "2": "3"}}}
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, operator, rhs, code, message",
+    [
+        (  # a right-hand side of another dimension than the window
+            ["solve-fsm", "--example", "shift", "--n", "1"], None,
+            {"dimension": 2, "entries": {"0;0": "1"}},
+            2, "a 2-D vector cannot fill a 1-D window",
+        ),
+        (  # residues 0 and 2 agree mod 2
+            ["scan", "--omega", "interval", "--nmax", "3"], PERIODIC_REPEAT, None,
+            2, "coefficient table gives [0] twice",
+        ),
+        (  # |1e300|^2 leaves the double range
+            ["study", "--example", "worked_A", "--nmax", "3", "--reference-n", "4"], None,
+            {"dimension": 1, "entries": {"0": "1e300"}},
+            3, "the norm of a vector overflows a double",
+        ),
+    ],
+)
+def test_inputs_found_by_the_fuzz_exit_cleanly(argv, operator, rhs, code, message, tmp_path, capsys):
+    if operator is not None:
+        (tmp_path / "op.json").write_text(json.dumps(operator))
+        argv = [*argv, "--operator", str(tmp_path / "op.json")]
+    if rhs is not None:
+        (tmp_path / "rhs.json").write_text(json.dumps(rhs))
+        argv = [*argv, "--rhs", str(tmp_path / "rhs.json")]
+    got, out, err = run_cli(argv, capsys)
+    assert got == code
+    assert out == ""
+    assert message in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from finsec import (
@@ -365,3 +365,133 @@ def test_contains_array_stays_exact_past_int64_products():
     for n in (1, 2):
         mask = dom.contains_array(points, n)
         assert mask.tolist() == [dom.contains(tuple(p), n) for p in points.tolist()]
+
+
+# ---------------------------------------------------------------------------
+# exact row reduction
+# ---------------------------------------------------------------------------
+
+# The three Gauss-Jordan loops that geometry._row_reduce replaced, kept as
+# the reference.
+
+
+def old_solve_exact(rows, rhs):
+    n = len(rows)
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [v / pv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
+    return tuple(aug[r][n] for r in range(n))
+
+
+def old_reduce(vectors, dim):
+    rows = [list(v) for v in vectors]
+    pivots = []
+    rank = 0
+    for col in range(dim):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pv = rows[rank][col]
+        rows[rank] = [v / pv for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[rank])]
+        pivots.append(col)
+        rank += 1
+    return rows, pivots
+
+
+def old_rank(vectors, dim):
+    return len(old_reduce(vectors, dim)[1])
+
+
+def old_null_direction(vectors, dim):
+    rows, pivots = old_reduce(vectors, dim)
+    if len(pivots) != dim - 1:
+        return None
+    free = next(c for c in range(dim) if c not in pivots)
+    direction = [Fraction(0)] * dim
+    direction[free] = Fraction(1)
+    for r, col in enumerate(pivots):
+        direction[col] = -rows[r][free]
+    return tuple(direction)
+
+
+_RATIONALS = st.builds(
+    Fraction, st.integers(min_value=-4, max_value=4), st.integers(min_value=1, max_value=3)
+)
+
+
+@st.composite
+def rational_systems(draw):
+    """(rows, rhs, dim, kind): a k x dim matrix of rank at most r and a right-hand side.
+
+    kind is "full" (rank dim), "deficient" (r < dim, rhs in the column
+    space) or "inconsistent" (r < dim, rhs outside the column space).
+    """
+    dim = draw(st.integers(min_value=1, max_value=4))
+    kind = draw(st.sampled_from(["full", "deficient", "inconsistent"]))
+    r = dim if kind == "full" else draw(st.integers(min_value=0, max_value=dim - 1))
+    k = draw(st.integers(min_value=max(r, 1), max_value=dim + 2))
+    base = [draw(st.lists(_RATIONALS, min_size=dim, max_size=dim)) for _ in range(r)]
+    mix = [draw(st.lists(_RATIONALS, min_size=r, max_size=r)) for _ in range(k)]
+    rows = [
+        [sum((c * b[j] for c, b in zip(coeffs, base)), Fraction(0)) for j in range(dim)]
+        for coeffs in mix
+    ]
+    if kind == "inconsistent":
+        rhs = draw(st.lists(_RATIONALS, min_size=k, max_size=k))
+        augmented = [row + [b] for row, b in zip(rows, rhs)]
+        assume(old_rank(augmented, dim + 1) > old_rank(rows, dim))
+    else:
+        x = draw(st.lists(_RATIONALS, min_size=dim, max_size=dim))
+        rhs = [sum((a * xi for a, xi in zip(row, x)), Fraction(0)) for row in rows]
+    assume(kind != "full" or old_rank(rows, dim) == dim)
+    return rows, rhs, dim, kind
+
+
+@given(rational_systems())
+@settings(max_examples=200, deadline=None)
+def test_row_reduce_matches_the_three_old_loops(system):
+    rows, rhs, dim, kind = system
+    assert geometry._rank(rows, dim) == old_rank(rows, dim)
+    assert geometry._null_direction(rows, dim) == old_null_direction(rows, dim)
+    square = rows[:dim] if len(rows) >= dim else None
+    if square is not None:
+        got = geometry._solve_exact(square, rhs[:dim])
+        assert got == old_solve_exact(square, rhs[:dim])
+        if old_rank(square, dim) == dim:
+            assert got is not None
+            assert all(
+                sum((a * x for a, x in zip(row, got)), Fraction(0)) == b
+                for row, b in zip(square, rhs)
+            )
+        else:
+            assert got is None  # singular, whether consistent or not
+    if kind == "full":
+        assert geometry._rank(rows, dim) == dim
+
+
+def test_row_reduce_fixed_systems():
+    F = Fraction
+    full = [[F(2), F(1)], [F(1), F(3)]]
+    assert geometry._solve_exact(full, [F(3), F(4)]) == (F(1), F(1))
+    assert geometry._rank(full, 2) == 2
+    assert geometry._null_direction(full, 2) is None
+    deficient = [[F(1), F(2)], [F(2), F(4)]]
+    assert geometry._rank(deficient, 2) == 1
+    assert geometry._null_direction(deficient, 2) == (F(-2), F(1))
+    assert geometry._solve_exact(deficient, [F(1), F(2)]) is None  # consistent
+    assert geometry._solve_exact(deficient, [F(1), F(3)]) is None  # inconsistent
+    assert geometry._rank([[F(0), F(0)]], 2) == 0

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -305,3 +306,38 @@ def test_to_array_ignores_entries_past_int64():
     u = SupportedVector.from_entries(1, {0: 1, 10**23: 2, -(10**30): 3})
     window = IndexSet.from_points(1, [(k,) for k in range(-2, 3)])
     assert u.to_array(window).tolist() == [0, 0, 1, 0, 0]
+
+
+def from_array_by_loop(index_set, values):
+    """The per-entry loop that SupportedVector.from_array replaced, kept as the reference."""
+    entries = {
+        p: complex(v) for p, v in zip(index_set.points, values) if complex(v) != 0
+    }
+    return SupportedVector(index_set.dimension, entries)
+
+
+_PARTS = st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300, 5e-324, math.inf, math.nan])
+
+
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.lists(
+        st.one_of(
+            st.tuples(_PARTS, _PARTS),
+            st.tuples(st.floats(width=64), st.floats(width=64)),
+        ),
+        max_size=30,
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_from_array_matches_entry_loop(dim, parts):
+    window = IndexSet.from_points(
+        dim, itertools.islice(itertools.product(range(-2, 3), repeat=dim), len(parts))
+    )
+    values = np.array([complex(re, im) for re, im in parts[: len(window)]], dtype=complex)
+    got = SupportedVector.from_array(window, values).entries
+    want = from_array_by_loop(window, values).entries
+    # same keys in the same order, and the same bits for every value
+    assert list(got) == list(want)
+    assert all(type(v) is complex for v in got.values())
+    assert bits(list(got.values())) == bits(list(want.values()))

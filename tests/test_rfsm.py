@@ -1,19 +1,28 @@
+import concurrent.futures
+import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError
 
 from finsec import (
+    BandDiagonals,
     HypothesisViolatedError,
     NoFeasibleMError,
+    RfsmRecord,
     Shift,
     SingularGramError,
     SupportedVector,
     build_example,
+    builtin_domain,
     choose_parameters,
     convergence_study,
     identity_operator,
     lattice_section,
+    lattice_section_size,
     normal_equations_solve,
     overflow_norm,
     reference_tail_bound,
@@ -21,6 +30,8 @@ from finsec import (
     rfsm_solve,
     solution_bound,
 )
+from finsec import cli, rfsm, sections
+from finsec.rfsm import coupling_row_cutoff, rfsm_solve_with_residual
 from conftest import random_band_operator
 
 
@@ -312,3 +323,202 @@ def test_study_rejects_small_reference(worked_case):
             range(2, 11),
             reference_n=10,
         )
+
+
+# ---------------------------------------------------------------------------
+# convergence_study: concurrent per-n windows
+# ---------------------------------------------------------------------------
+
+
+def serial_study_records(
+    operator, rhs, domain, coupling, ns, reference_n, explicit=None,
+    inverse_bound=None, certified_bound=None,
+):
+    """The study's per-n loop run serially, kept as the reference for the pool."""
+    width = operator.band_width()
+    u_ref = rfsm_solve(operator, rhs, domain, reference_n + width, reference_n)
+    records = []
+    for n in ns:
+        m = coupling_row_cutoff(coupling, n, width, explicit)
+        u, residual = rfsm_solve_with_residual(operator, rhs, domain, m, n)
+        bound = None
+        if inverse_bound is not None:
+            overflow = overflow_norm(operator, domain, m, n)
+            if overflow < 1.0 / inverse_bound:
+                bound = solution_bound(inverse_bound, rhs.norm(), residual, overflow)
+        records.append(
+            RfsmRecord(
+                n=n,
+                m=m,
+                residual=residual,
+                solution_norm=u.norm(),
+                solution_bound=bound,
+                error=(u - u_ref).norm(),
+                certified_bound=certified_bound(n) if certified_bound else None,
+            )
+        )
+    return records
+
+
+FIVE_POINT = BandDiagonals.from_rules(
+    2, {(0, 0): 5, (1, 0): -1, (-1, 0): -1, (0, 1): -1, (0, -1): -1}
+)
+
+
+def study_cases():
+    worked = build_example("worked_A")
+    interval = builtin_domain("interval")
+    square = builtin_domain("square")
+    # (operator, rhs, domain, coupling, ns, reference_n, explicit, inverse_bound, certified)
+    yield pytest.param(
+        worked.operator, worked.rhs(lattice_section(interval, 67)), interval, "band",
+        range(2, 31), 64, None, worked.inverse_bound, worked.band_error_bound,
+        id="worked_A-band",
+    )
+    explicit = {n: 2 * n + (n % 3) for n in range(2, 12)}
+    yield pytest.param(
+        worked.operator, worked.rhs(lattice_section(interval, 27)), interval, "explicit",
+        range(2, 12), 24, explicit, 2.0, None,
+        id="worked_A-explicit",
+    )
+    rhs = SupportedVector.from_entries(2, {(0, 0): 1, (1, 0): 0.5, (0, -1): 0.25 + 1j})
+    yield pytest.param(
+        FIVE_POINT, rhs, square, "band", range(1, 7), 9, None, 1.0, None,
+        id="five-point-square",
+    )
+
+
+@pytest.mark.parametrize("cores", [1, 2, 5])
+@pytest.mark.parametrize(
+    "operator, rhs, domain, coupling, ns, reference_n, explicit, inverse_bound, certified",
+    list(study_cases()),
+)
+def test_study_records_equal_the_serial_loop(
+    operator, rhs, domain, coupling, ns, reference_n, explicit, inverse_bound,
+    certified, cores, monkeypatch,
+):
+    monkeypatch.setattr(rfsm, "_free_cores", lambda: cores)
+    report = convergence_study(
+        operator, rhs, domain, coupling, ns, reference_n,
+        explicit_rows=explicit, inverse_bound=inverse_bound, certified_bound=certified,
+    )
+    want = serial_study_records(
+        operator, rhs, domain, coupling, ns, reference_n, explicit, inverse_bound, certified
+    )
+    assert [rec.n for rec in report.records] == list(ns)
+    for got, rec in zip(report.records, want, strict=True):
+        for field in dataclasses.fields(RfsmRecord):
+            assert getattr(got, field.name) == getattr(rec, field.name), (got.n, field.name)
+    assert any(rec.solution_bound is not None for rec in report.records)
+
+
+def test_study_threads_under_a_short_switch_interval(monkeypatch):
+    # Fresh operator and right-hand side, so the workers start from caches that
+    # only the reference solve has filled; eight workers on fewer cores.
+    operator = BandDiagonals.from_rules(
+        2, {(0, 0): 5, (1, 0): -1, (-1, 0): -1, (0, 1): -1, (0, -1): 0.5j}
+    )
+    rhs = SupportedVector.from_entries(2, {(0, 0): 1, (2, -1): 0.5 - 1j, (-3, 3): 2})
+    square = builtin_domain("square")
+    monkeypatch.setattr(rfsm, "_free_cores", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report = convergence_study(
+            operator, rhs, square, "sixfifths", range(1, 9), 10, inverse_bound=1.0
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    want = serial_study_records(operator, rhs, square, "sixfifths", range(1, 9), 10, None, 1.0)
+    assert list(report.records) == want
+
+
+def test_study_first_failing_n_raises_and_cancels_the_rest(monkeypatch, capsys):
+    # window n of worked_A on the interval has 2n + 1 columns
+    real = rfsm.least_squares
+    started = []
+    release = threading.Event()
+    raised = LinAlgError("SVD did not converge at n=5")
+
+    def failing_at_5(matrix, rhs):
+        n = (matrix.shape[1] - 1) // 2
+        started.append(n)
+        if n == 5:
+            # hold the windows already running past n = 5 until the rest are cancelled
+            threading.Timer(0.3, release.set).start()
+            raise raised
+        if 5 < n < 40:
+            release.wait(5)
+        return real(matrix, rhs)
+
+    monkeypatch.setattr(rfsm, "least_squares", failing_at_5)
+    monkeypatch.setattr(rfsm, "_free_cores", lambda: 2)
+    case = build_example("worked_A")
+    with pytest.raises(LinAlgError) as excinfo:
+        convergence_study(
+            case.operator, case.rhs, case.domain, "band", range(2, 31), reference_n=40
+        )
+    assert excinfo.value is raised
+    later = [n for n in started if 5 < n < 40]
+    # at most one later window per worker started before the others were cancelled
+    assert len(later) <= 2 and max(later, default=5) <= 7
+
+    release.clear()
+    started.clear()
+    code = cli.main(["study", "--example", "worked_A", "--nmax", "30", "--reference-n", "40"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "finsec: numeric failure: SVD did not converge at n=5\n"
+    assert len([n for n in started if 5 < n < 40]) <= 2
+
+
+@pytest.mark.parametrize(
+    "env, cores, want",
+    [
+        ({}, 2, 1),  # a BLAS on every core leaves none free
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+        ({"OMP_NUM_THREADS": "2"}, 8, 4),
+        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 8, 2),
+        ({"MKL_NUM_THREADS": "16"}, 4, 1),
+        ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 3, 3),
+    ],
+)
+def test_free_cores_divides_usable_cores_by_blas_threads(env, cores, want, monkeypatch):
+    for name in rfsm._BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(rfsm.os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    assert rfsm._free_cores() == want
+
+
+def test_study_workers_bounded_by_the_dense_budget(monkeypatch):
+    created = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            created.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(rfsm, "_free_cores", lambda: 4)
+    case = build_example("worked_A")
+    domain = case.domain
+
+    def study(ns, reference_n):
+        return convergence_study(
+            case.operator, case.rhs, domain, "band", ns, reference_n=reference_n
+        )
+
+    study(range(2, 11), 11)
+    study(range(2, 4), 11)
+    # the reference block (14 x 11 window points) holds one block of the tallest
+    # per-n window (13 x 10), not two
+    reference = 16 * lattice_section_size(domain, 14) * lattice_section_size(domain, 11)
+    tallest = 16 * lattice_section_size(domain, 13) * lattice_section_size(domain, 10)
+    assert tallest <= reference < 2 * tallest
+    monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", reference)
+    report = study(range(2, 11), 11)
+    assert created == [4, 2, 1]
+    monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", 2**31)
+    assert study(range(2, 11), 11).records == report.records

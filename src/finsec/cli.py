@@ -99,89 +99,159 @@ def _parse_point_key(key: str, dimension: int) -> tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
+_JSON_TYPES = {
+    dict: "an object",
+    list: "an array",
+    str: "a string",
+    int: "an integer",
+    float: "a number",
+    bool: "a boolean",
+    type(None): "null",
+}
+
+
+@dataclasses.dataclass(frozen=True)
+class _Field:
+    """A value of a JSON config with the file and path that name it in errors."""
+
+    value: object
+    source: str
+    path: str = ""
+
+    def expect(self, *kinds: type):
+        """The value, refused with a ConfigError unless its JSON type is in kinds."""
+        if type(self.value) not in kinds:  # exact: a boolean is not an integer here
+            wanted = " or ".join(_JSON_TYPES[k] for k in kinds)
+            where = f"field {self.path!r}" if self.path else "the top level"
+            raise ConfigError(
+                f"{self.source}: {where} must be {wanted}, got {_JSON_TYPES[type(self.value)]}"
+            )
+        return self.value
+
+    def _child(self, key, value) -> "_Field":
+        if isinstance(key, int):
+            return _Field(value, self.source, f"{self.path}[{key}]")
+        return _Field(value, self.source, f"{self.path}.{key}" if self.path else key)
+
+    def __contains__(self, key: str) -> bool:
+        return key in self.expect(dict)
+
+    def __getitem__(self, key: str) -> "_Field":
+        if key not in self:
+            raise ConfigError(f"{self.source}: missing field {self._child(key, None).path!r}")
+        return self._child(key, self.value[key])
+
+    def get(self, key: str, default) -> "_Field":
+        return self[key] if key in self else self._child(key, default)
+
+    def items(self) -> list[tuple[str, "_Field"]]:
+        return [(k, self._child(k, v)) for k, v in self.expect(dict).items()]
+
+    def elements(self) -> list["_Field"]:
+        return [self._child(i, v) for i, v in enumerate(self.expect(list))]
+
+
+def _read_config(source: str) -> _Field:
+    return _Field(json.loads(Path(source).read_text()), source)
+
+
+def _scalar(field: _Field) -> complex:
+    return parse_scalar(field.expect(int, float, str))
+
+
+def _point(field: _Field, dimension: int) -> tuple[int, ...]:
+    if isinstance(field.value, list):
+        return as_point([c.expect(int, str) for c in field.elements()], dimension)
+    return as_point(field.expect(int), dimension)
+
+
 def load_domain(source: str) -> StarlikeDomain:
     """A builtin domain name or a path to a domain JSON config."""
     if source in BUILTIN_DOMAINS:
         return builtin_domain(source)
-    payload = json.loads(Path(source).read_text())
-    name = payload.get("name", Path(source).stem)
-    if "vertices" in payload:
-        return validate_domain(
-            vertices=payload["vertices"],
-            dimension=payload.get("dimension"),
-            name=name,
-        )
+    config = _read_config(source)
+    name = config.get("name", Path(source).stem).expect(str)
+    dimension = config.get("dimension", None).expect(int, type(None))
+    rational = (int, float, str)  # exactness is checked by validate_domain
+    if "vertices" in config:
+        vertices = [
+            [c.expect(*rational) for c in v.elements()] for v in config["vertices"].elements()
+        ]
+        return validate_domain(vertices=vertices, dimension=dimension, name=name)
     facets = [
-        (f["normal"], f["offset"], f.get("closed", True)) for f in payload["facets"]
+        (
+            [c.expect(*rational) for c in f["normal"].elements()],
+            f["offset"].expect(*rational),
+            f.get("closed", True).expect(bool),
+        )
+        for f in config["facets"].elements()
     ]
-    return validate_domain(facets=facets, dimension=payload.get("dimension"), name=name)
+    return validate_domain(facets=facets, dimension=dimension, name=name)
 
 
-def _parse_rule(payload: dict, dimension: int):
-    kind = payload["kind"]
+def _parse_rule(rule: _Field, dimension: int):
+    kind = rule["kind"].expect(str)
     if kind == "constant":
-        return ConstantRule(parse_scalar(payload["value"]))
+        return ConstantRule(_scalar(rule["value"]))
     if kind == "periodic":
         table = {
-            _parse_point_key(k, dimension): parse_scalar(v)
-            for k, v in payload["table"].items()
+            _parse_point_key(k, dimension): _scalar(v) for k, v in rule["table"].items()
         }
-        return PeriodicRule.from_mapping(payload["period"], table)
+        period = [q.expect(int) for q in rule["period"].elements()]
+        return PeriodicRule.from_mapping(period, table)
     if kind == "table":
         entries = {
-            _parse_point_key(k, dimension): parse_scalar(v)
-            for k, v in payload["entries"].items()
+            _parse_point_key(k, dimension): _scalar(v) for k, v in rule["entries"].items()
         }
-        return TableRule.from_mapping(
-            entries, parse_scalar(payload.get("default", 0)), dimension
-        )
+        return TableRule.from_mapping(entries, _scalar(rule.get("default", 0)), dimension)
     raise ValueError(f"unknown coefficient rule kind {kind!r}")
 
 
-def parse_operator(payload: dict) -> OperatorSpec:
-    variant = payload["variant"]
+def parse_operator(config: _Field) -> OperatorSpec:
+    variant = config["variant"].expect(str)
     if variant == "band_diagonals":
-        dim = int(payload.get("dimension", 1))
+        dim = config.get("dimension", 1).expect(int)
         rules = {}
-        for d in payload["diagonals"]:
-            offset = as_point(d["offset"], dim)
+        for d in config["diagonals"].elements():
+            offset = _point(d["offset"], dim)
             if offset in rules:
                 raise ValueError(f"band_diagonals repeats offset {list(offset)}")
             rules[offset] = _parse_rule(d["rule"], dim)
         return BandDiagonals.from_rules(dim, rules)
     if variant == "block_periodic":
         blocks = {
-            int(t): [[parse_scalar(v) for v in row] for row in mat]
-            for t, mat in payload["blocks"].items()
+            int(t): [[_scalar(v) for v in row.elements()] for row in mat.elements()]
+            for t, mat in config["blocks"].items()
         }
-        return BlockPeriodic.from_blocks(int(payload["block_size"]), blocks)
+        return BlockPeriodic.from_blocks(config["block_size"].expect(int), blocks)
     if variant == "adjacency":
-        dim = int(payload.get("dimension", 1))
-        if "generator" in payload:
-            case = build_example(payload["generator"], int(payload.get("bound", 40)))
+        dim = config.get("dimension", 1).expect(int)
+        if "generator" in config:
+            generator = config["generator"].expect(str)
+            case = build_example(generator, config.get("bound", 40).expect(int))
             if not isinstance(case.operator, AdjacencyGraph):
-                raise ValueError(f"example {payload['generator']!r} is not adjacency")
+                raise ValueError(f"example {generator!r} is not adjacency")
             return case.operator
-        return AdjacencyGraph.from_edges(dim, payload["edges"])
+        edges = [[_point(v, dim) for v in e.elements()] for e in config["edges"].elements()]
+        return AdjacencyGraph.from_edges(dim, edges)
     if variant == "shift":
-        dim = int(payload.get("dimension", 1))
-        return Shift.by(tuple(int(c) for c in payload["step"]), dim)
+        dim = config.get("dimension", 1).expect(int)
+        return Shift.by(_point(config["step"], dim), dim)
     if variant == "shift_composed":
-        inner = parse_operator(payload["inner"])
-        return compose_shift(inner, tuple(int(c) for c in payload["step"]))
+        inner = parse_operator(config["inner"])
+        return compose_shift(inner, _point(config["step"], inner.dimension))
     raise ValueError(f"unknown operator variant {variant!r}")
 
 
 def load_operator(source: str) -> OperatorSpec:
-    return parse_operator(json.loads(Path(source).read_text()))
+    return parse_operator(_read_config(source))
 
 
 def load_rhs(source: str) -> SupportedVector:
-    payload = json.loads(Path(source).read_text())
-    dim = int(payload.get("dimension", 1))
+    config = _read_config(source)
+    dim = config.get("dimension", 1).expect(int)
     entries = {
-        _parse_point_key(k, dim): parse_scalar(v)
-        for k, v in payload["entries"].items()
+        _parse_point_key(k, dim): _scalar(v) for k, v in config["entries"].items()
     }
     return SupportedVector.from_entries(dim, entries)
 

@@ -135,6 +135,17 @@ class StarlikeDomain:
             inside &= s <= n * b if closed else s < n * b
         return inside
 
+    def holds_expansion(self, n: int, width: int, m: int) -> bool:
+        """Sufficient test that every point within max-norm `width` of window n is in window m.
+
+        Per integer facet A.x <= n*B: A.(p + s) <= n*B + width*|A|_1 <= m*B
+        when (m - n)*B >= width*|A|_1, strictly so for an open facet.
+        """
+        return all(
+            (m - n) * b >= width * sum(abs(c) for c in a)
+            for a, b, _ in self._integer_facets
+        )
+
     def bounding_box(self, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Integer box (lo, hi) containing every lattice point of the n-fold dilation."""
         lo = []

@@ -1,7 +1,8 @@
 """Numeric kernels: square solve, minimum-norm least squares, singular values.
 
 Matrices are plain 2-D complex numpy arrays, except for the sparse
-extremes kernel, which takes COO triplets.  Invertibility is decided by
+extremes kernel, which takes COO triplets and runs a real LU and real
+symmetric Lanczos when every value is real.  Invertibility is decided by
 the relative spectral test sigma_min > tau_rel * max(sigma_max, 1), the
 standard numeric proxy for exact invertibility.
 """
@@ -52,25 +53,34 @@ def sparse_extremes(rows, cols, values, size: int) -> tuple[float, float] | None
     sigma_min is 1/sqrt(lambda_max) of A^-1 A^-H, applied through two solves
     with a sparse LU of A; sigma_max is sqrt(lambda_max) of A^H A.  Both
     eigenvalues come from Lanczos (ARPACK) to machine precision from a fixed
-    start vector, so repeated runs give the same doubles.  None means the LU
-    is exactly singular, ARPACK failed, or a result is not finite; the
-    caller then falls back to the dense SVD.
+    start vector, so repeated runs give the same doubles.  A matrix whose
+    values all have zero imaginary part is factored and iterated in float64
+    (a real LU, the symmetric real Lanczos driver); any other in complex128.
+    None means the LU is exactly singular, ARPACK failed, or a result is not
+    finite; the caller then falls back to the dense SVD.
     """
     # scipy is imported here so that importing the package does not load it.
     from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
-    a = csc_matrix((values, (rows, cols)), shape=(size, size), dtype=complex)
+    values = np.asarray(values)
+    dtype = complex if values.imag.any() else float
+    a = csc_matrix(
+        (values if dtype is complex else values.real, (rows, cols)),
+        shape=(size, size),
+        dtype=dtype,
+    )
     try:
         lu = splu(a)
     except RuntimeError:  # exactly singular factor
         return None
-    ah = a.conj().T
+    ah = a.conj(copy=False).T
+    trans = "H" if dtype is complex else "T"
     inverse_gram = LinearOperator(
-        (size, size), matvec=lambda x: lu.solve(lu.solve(x, trans="H")), dtype=complex
+        (size, size), matvec=lambda x: lu.solve(lu.solve(x, trans=trans)), dtype=dtype
     )
-    gram = LinearOperator((size, size), matvec=lambda x: ah @ (a @ x), dtype=complex)
-    v0 = np.random.default_rng(0).standard_normal(size).astype(complex)
+    gram = LinearOperator((size, size), matvec=lambda x: ah @ (a @ x), dtype=dtype)
+    v0 = np.random.default_rng(0).standard_normal(size).astype(dtype)
     try:
         lam_inv, lam = (
             eigsh(op, k=1, which="LA", tol=0, v0=v0, return_eigenvectors=False)[0]

@@ -77,7 +77,13 @@ def coupling_row_cutoff(
 def overflow_norm(
     operator: OperatorSpec, domain: StarlikeDomain, m: int, n: int
 ) -> float:
-    """Exact spectral norm of the action on window-n columns escaping window m."""
+    """Exact spectral norm of the action on window-n columns escaping window m.
+
+    0 without building the block when window m holds the band-width
+    expansion of window n, since then no row escapes.
+    """
+    if domain.holds_expansion(n, operator.band_width(), m):
+        return 0.0
     block = overflow_block(operator, domain, m, n)
     return spectral_norm(block.data)
 

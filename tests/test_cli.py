@@ -266,6 +266,37 @@ def test_inputs_found_by_the_fuzz_exit_cleanly(argv, operator, rhs, code, messag
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "flag, payload, field",
+    [
+        ("--operator", {"variant": "band_diagonals", "diagonals": 5}, "field 'diagonals'"),
+        ("--operator", [{"variant": "shift", "step": [1]}], "the top level"),
+        (
+            "--operator",
+            {"variant": "band_diagonals", "diagonals": [{"offset": [0], "rule": {
+                "kind": "periodic", "period": [2, None], "table": {}}}]},
+            "field 'diagonals[0].rule.period[1]'",
+        ),
+        ("--rhs", {"dimension": 1, "entries": ["0"]}, "field 'entries'"),
+        ("--omega", {"facets": 3}, "field 'facets'"),
+        ("--omega", {"facets": [{"normal": [1], "offset": 1, "closed": 0}]},
+         "field 'facets[0].closed'"),
+    ],
+)
+def test_ill_typed_config_names_file_and_field(flag, payload, field, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    argv = {
+        "--operator": ["scan", "--omega", "interval", "--nmax", "3"],
+        "--rhs": ["solve-fsm", "--example", "blockdiag", "--n", "3"],
+        "--omega": ["scan", "--example", "shift", "--nmax", "3"],
+    }[flag]
+    code, out, err = run_cli([*argv, flag, str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"{path}: {field} must be" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # example command
 # ---------------------------------------------------------------------------
@@ -289,6 +320,23 @@ def test_example_expectations_share_one_scan(monkeypatch, capsys):
     )
     assert code == 0
     assert len(scans) == 3
+
+
+def test_no_example_reaches_the_sparse_route_at_its_default_nmax(monkeypatch, capsys):
+    # README: built-in cases at their default --nmax stay on the dense sigma path
+    window_sizes = []
+    window_extremes = fsm._window_extremes
+
+    def recording(operator, window, tau_rel):
+        window_sizes.append(len(window))
+        return window_extremes(operator, window, tau_rel)
+
+    monkeypatch.setattr(fsm, "_window_extremes", recording)
+    for case_id in catalog.EXAMPLE_IDS:
+        code, _, err = run_cli(["example", case_id, "--format", "json"], capsys)
+        assert code == 0, err
+    assert window_sizes  # the non-adjacency cases scanned their windows here
+    assert max(window_sizes) < fsm.SPARSE_MIN_POINTS
 
 
 def test_builtin_rhs_refused_before_its_window_is_built(monkeypatch, capsys):

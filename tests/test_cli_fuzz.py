@@ -6,7 +6,8 @@ checks the exit-code contract: no traceback on stderr, strict JSON on
 stdout under `--format json` and no NaN or infinity in a CSV cell.  Each
 choice is well formed except, about one draw in ten, a malformed or
 mismatched value, so most examples reach the solvers and most refusals
-carry a single fault.  Window cut-offs stay small, so no case reaches a
+carry a single fault; likewise about one written config in ten has one
+field, or its top level, replaced by a value of another JSON type.  Window cut-offs stay small, so no case reaches a
 memory budget and a study starts only its few threads.
 """
 
@@ -129,6 +130,34 @@ def right_hand_sides(draw, dimension):
     return {"dimension": dimension, "entries": entries}
 
 
+JSON_VALUES = [None, True, 0, 1.5, "x", [], [1], {}, {"a": 1}]
+
+
+def json_paths(value, path=()):
+    """Paths to every value nested in a JSON value, the top level first."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for k, v in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from json_paths(v, (*path, k))
+
+
+def retyped(draw, payload):
+    """`payload`, or about one draw in ten a copy with one value of another JSON type."""
+    if draw(st.integers(min_value=0, max_value=9)) != 0:
+        return payload
+    path = draw(st.sampled_from(list(json_paths(payload))))
+    copy = json.loads(json.dumps(payload))
+    parent = copy
+    for k in path[:-1]:
+        parent = parent[k]
+    old = parent[path[-1]] if path else copy
+    new = draw(st.sampled_from([v for v in JSON_VALUES if type(v) is not type(old)]))
+    if not path:
+        return new
+    parent[path[-1]] = new
+    return copy
+
+
 def write(workdir, name, payload):
     path = workdir / name
     path.write_text(json.dumps(payload))
@@ -162,11 +191,12 @@ def invocations(draw, workdir):
         dimension = draw(st.integers(min_value=1, max_value=2))
         domain = draw(domains(dimension))
         if isinstance(domain, dict):
-            domain = write(workdir, "domain.json", domain)
-        operator = write(workdir, "operator.json", draw(operators(dimension)))
+            domain = write(workdir, "domain.json", retyped(draw, domain))
+        operator = write(workdir, "operator.json", retyped(draw, draw(operators(dimension))))
         source = ["--operator", operator, "--omega", domain]
     if draw(st.booleans()) or command in ("solve-fsm", "solve-rfsm", "study"):
-        source += ["--rhs", write(workdir, "rhs.json", draw(right_hand_sides(dimension)))]
+        rhs = retyped(draw, draw(right_hand_sides(dimension)))
+        source += ["--rhs", write(workdir, "rhs.json", rhs)]
 
     if command == "scan":
         flags += ["--nmin", str(nmin), "--nmax", str(nmax)]

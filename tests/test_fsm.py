@@ -150,6 +150,16 @@ def laplace_operator(diagonal):
     return BandDiagonals.from_rules(2, rules)
 
 
+def complex_band_operator(rng, width):
+    """1-D band operator: random complex constants off the diagonal, a dominant period-2 diagonal."""
+    rules = {
+        k: complex(*rng.normal(size=2)) for k in range(-width, width + 1) if k != 0
+    }
+    diagonal = {(r,): 2 * width + 1 + complex(*rng.normal(size=2)) for r in range(2)}
+    rules[0] = PeriodicRule.from_mapping((2,), diagonal)
+    return BandDiagonals.from_rules(1, rules)
+
+
 def dense_extremes(operator, domain, n):
     sv = singular_values(fsm_section(operator, domain, n).data)
     return float(sv[-1]), float(sv[0])
@@ -170,21 +180,52 @@ def sparse_everywhere(monkeypatch):
     return results
 
 
+@pytest.fixture
+def factor_dtypes(monkeypatch):
+    """dtypes of the matrices the sparse kernel hands to SuperLU, in call order."""
+    import scipy.sparse.linalg
+
+    dtypes = []
+    splu = scipy.sparse.linalg.splu
+
+    def recording(matrix, *args, **kwargs):
+        dtypes.append(matrix.dtype)
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording)
+    return dtypes
+
+
 def test_sparse_route_matches_dense(
-    sparse_everywhere, interval, square, worked_case, worked_prime_case
+    sparse_everywhere, factor_dtypes, interval, square, worked_case, worked_prime_case
 ):
+    # real windows factor in float64, any with a complex value in complex128
     rng = np.random.default_rng(11)
     cases = [
-        (worked_case.operator, interval, range(1, 61)),
-        (worked_prime_case.operator, interval, range(1, 61)),
+        (worked_case.operator, interval, range(1, 61), np.float64),
+        (worked_prime_case.operator, interval, range(1, 61), np.float64),
         *(
-            (random_band_operator(rng, width=int(rng.integers(1, 4))), interval, range(1, 31))
+            (random_band_operator(rng, width=int(rng.integers(1, 4))), interval,
+             range(1, 31), np.float64)
             for _ in range(5)
         ),
-        (laplace_operator([4, 4, 4, 4]), square, range(1, 11)),
-        (laplace_operator([4, 4.25, 4.5, 5]), square, range(1, 11)),
+        (laplace_operator([4, 4, 4, 4]), square, range(1, 11), np.float64),
+        (laplace_operator([4, 4.25, 4.5, 5]), square, range(1, 11), np.float64),
+        *(
+            (complex_band_operator(rng, width), interval, range(1, 31), np.complex128)
+            for width in (1, 2, 3)
+        ),
+        (
+            BandDiagonals.from_rules(
+                2, {(0, 0): 5, (1, 0): -1, (-1, 0): -1, (0, 1): -1, (0, -1): 0.5j}
+            ),
+            square,
+            range(1, 11),
+            np.complex128,
+        ),
     ]
-    for operator, domain, ns in cases:
+    for operator, domain, ns, dtype in cases:
+        del factor_dtypes[:]
         for n in ns:
             smin, smax = section_extremes(operator, domain, n)
             dmin, dmax = dense_extremes(operator, domain, n)
@@ -193,8 +234,9 @@ def test_sparse_route_matches_dense(
             assert fsm._invertible(smin, smax, TAU_REL_DEFAULT) == fsm._invertible(
                 dmin, dmax, TAU_REL_DEFAULT
             )
+        assert factor_dtypes and set(factor_dtypes) == {np.dtype(dtype)}
     kept = [r for r in sparse_everywhere if r is not None]
-    assert len(kept) > 100  # most windows really took the sparse route
+    assert len(kept) > 150  # most windows really took the sparse route
 
 
 def test_sparse_route_matches_exact_oracle(sparse_everywhere, interval, square):
@@ -217,8 +259,11 @@ def test_singular_window_falls_back_to_dense(sparse_everywhere, worked_case, int
     assert sparse_everywhere == [None]
 
 
-def test_near_threshold_window_takes_dense_path(sparse_everywhere, monkeypatch, interval):
-    # sigma_min = 5e-10 is invertible at tau = 1e-10 but within the fallback factor
+def test_near_threshold_window_takes_dense_path(
+    sparse_everywhere, factor_dtypes, monkeypatch, interval
+):
+    # sigma_min = 5e-10 is invertible at tau = 1e-10 but within the fallback
+    # factor; the real window's float64 result is discarded like a complex one
     dense_calls = []
 
     def counting(matrix):
@@ -230,6 +275,7 @@ def test_near_threshold_window_takes_dense_path(sparse_everywhere, monkeypatch, 
         1, {0: TableRule.from_mapping({0: 5e-10}, default=1)}
     )
     smin, smax = section_extremes(operator, interval, 3)
+    assert factor_dtypes == [np.float64]
     assert sparse_everywhere[0] is not None
     assert sparse_everywhere[0][0] == pytest.approx(5e-10, rel=1e-9)
     assert dense_calls == [(7, 7)]

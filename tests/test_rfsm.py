@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import itertools
 import math
 import sys
 import threading
@@ -9,6 +10,7 @@ import pytest
 from numpy.linalg import LinAlgError
 
 from finsec import (
+    BUILTIN_DOMAINS,
     BandDiagonals,
     HypothesisViolatedError,
     NoFeasibleMError,
@@ -24,11 +26,13 @@ from finsec import (
     lattice_section,
     lattice_section_size,
     normal_equations_solve,
+    overflow_block,
     overflow_norm,
     reference_tail_bound,
     rfsm_section,
     rfsm_solve,
     solution_bound,
+    spectral_norm,
 )
 from finsec import cli, rfsm, sections
 from finsec.rfsm import coupling_row_cutoff, rfsm_solve_with_residual
@@ -65,6 +69,44 @@ def test_overflow_worked_smallest_window(worked_case):
     # only the coupling row of ones escapes; its norm is sqrt(3)
     got = overflow_norm(worked_case.operator, worked_case.domain, 1, 1)
     assert got == pytest.approx(math.sqrt(3.0), abs=1e-12)
+
+
+def test_overflow_shortcut_fires_only_on_empty_blocks(monkeypatch):
+    # holds_expansion lets overflow_norm skip the block; wherever it fires the
+    # built block must have no rows, and elsewhere the norm is the block's
+    built = []
+
+    def recording(*args):
+        built.append(overflow_block(*args))
+        return built[-1]
+
+    monkeypatch.setattr(rfsm, "overflow_block", recording)
+    fired = escaped = 0
+    for name in BUILTIN_DOMAINS:
+        domain = builtin_domain(name)
+        for width in range(3):
+            ball = itertools.product(range(-width, width + 1), repeat=domain.dimension)
+            operator = BandDiagonals.from_rules(domain.dimension, {d: 1 for d in ball})
+            for n in range(1, 5):
+                ms = {
+                    coupling_row_cutoff("band", n, width),
+                    coupling_row_cutoff("sixfifths", n, width),
+                    *(
+                        coupling_row_cutoff("explicit", n, width, {n: m})
+                        for m in range(n, n + 2 * width + 2)
+                    ),
+                }
+                for m in sorted(ms):
+                    del built[:]
+                    norm = overflow_norm(operator, domain, m, n)
+                    if domain.holds_expansion(n, width, m):
+                        fired += 1
+                        assert built == [] and norm == 0.0
+                        assert overflow_block(operator, domain, m, n).data.shape[0] == 0
+                    else:
+                        escaped += built[0].data.shape[0] > 0
+                        assert norm == spectral_norm(built[0].data)
+    assert fired > 50 and escaped > 50
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ stdout under `--format json` and no NaN or infinity in a CSV cell.  Each
 choice is well formed except, about one draw in ten, a malformed or
 mismatched value, so most examples reach the solvers and most refusals
 carry a single fault; likewise about one written config in ten has one
-field, or its top level, replaced by a value of another JSON type.  Window cut-offs stay small, so no case reaches a
-memory budget and a study starts only its few threads.
+field, or its top level, replaced by a value of another JSON type.
+Window cut-offs stay small, so no case reaches a memory budget and a
+study starts only its few threads.
 """
 
 import contextlib

@@ -13,7 +13,7 @@ import abc
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import sqrt
+from math import isfinite, sqrt
 from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
 
@@ -34,6 +34,7 @@ __all__ = [
     "SupportedVector",
     "as_point",
     "compose_shift",
+    "euclidean_norm",
     "identity_operator",
 ]
 
@@ -48,6 +49,21 @@ def as_point(value, dimension: int) -> Point:
     if len(point) != dimension:
         raise ValueError(f"point {point} does not have dimension {dimension}")
     return point
+
+
+def euclidean_norm(values: Iterable[complex]) -> float:
+    """sqrt of the left-to-right Python sum of abs(v) ** 2 over `values`.
+
+    Raises NonFiniteResultError when a square or the sum is not finite, so
+    an overflow never reads as an infinite norm.
+    """
+    try:
+        total = sum(map(pow, map(abs, values), itertools.repeat(2)))
+    except OverflowError:
+        total = float("inf")
+    if not isfinite(total):
+        raise NonFiniteResultError("the norm of a vector overflows a double")
+    return sqrt(total)
 
 
 def _max_norm(p: Point) -> int:
@@ -223,10 +239,7 @@ class SupportedVector:
         return sorted(self.entries)
 
     def norm(self) -> float:
-        try:
-            return sqrt(sum(abs(v) ** 2 for v in self.entries.values()))
-        except OverflowError:
-            raise NonFiniteResultError("the norm of a vector overflows a double") from None
+        return euclidean_norm(self.entries.values())
 
     def restrict(self, index_set: IndexSet) -> "SupportedVector":
         kept = {p: v for p, v in self.entries.items() if p in index_set}

@@ -1,8 +1,8 @@
 """Every CSV and JSON output of the package: scan and study reports, solutions.
 
 Floats are printed with 17 significant digits so report bytes are
-bit-stable across runs and re-parse to the exact same doubles.  JSON is
-strict: a NaN or infinity raises instead of being written.
+bit-stable across runs and re-parse to the exact same doubles.  A NaN or
+infinity is never written: it raises NonFiniteResultError in either format.
 """
 
 from __future__ import annotations
@@ -10,8 +10,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
+from .errors import NonFiniteResultError
 from .operators import SupportedVector
 
 __all__ = [
@@ -66,10 +68,15 @@ class RfsmReport:
     records: tuple[RfsmRecord, ...]
 
 
+_NON_FINITE = "a report value is not a finite double"
+
+
 def _cell(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise NonFiniteResultError(_NON_FINITE)
         return f"{x:.17g}"
     return "" if x is None else str(x)
 
@@ -83,7 +90,10 @@ def _csv(header, rows) -> str:
 
 
 def _json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:  # allow_nan=False refuses a NaN or infinity this way
+        raise NonFiniteResultError(_NON_FINITE) from None
 
 
 def _records_csv(record_type, records) -> str:

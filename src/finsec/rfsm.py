@@ -7,8 +7,11 @@ resulting overdetermined window in the minimum-norm least-squares sense.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+import threading
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -21,9 +24,9 @@ from .errors import (
     SingularMatrixError,
 )
 from . import sections
-from .geometry import StarlikeDomain, lattice_section, lattice_section_size
+from .geometry import IndexSet, StarlikeDomain, lattice_section, lattice_section_size
 from .linalg import TAU_REL_DEFAULT, least_squares, solve_square, spectral_norm
-from .operators import OperatorSpec, SupportedVector
+from .operators import OperatorSpec, SupportedVector, euclidean_norm
 from .reports import RfsmRecord, RfsmReport
 from .sections import overflow_block, rfsm_section
 
@@ -88,6 +91,21 @@ def overflow_norm(
     return spectral_norm(block.data)
 
 
+def _solve_window(
+    operator: OperatorSpec,
+    rhs: SupportedVector,
+    domain: StarlikeDomain,
+    m: int,
+    n: int,
+) -> tuple[IndexSet, np.ndarray, float]:
+    """Columns, least-squares solution and residual norm of the m x n window system."""
+    section = rfsm_section(operator, domain, m, n)
+    b = rhs.to_array(section.rows)
+    x = least_squares(section.data, b)
+    residual = float(np.linalg.norm(section.data @ x - b))
+    return section.cols, x, residual
+
+
 def rfsm_solve_with_residual(
     operator: OperatorSpec,
     rhs: SupportedVector,
@@ -96,11 +114,8 @@ def rfsm_solve_with_residual(
     n: int,
 ) -> tuple[SupportedVector, float]:
     """Least-squares solution of the rectangular window system and its residual norm."""
-    section = rfsm_section(operator, domain, m, n)
-    b = rhs.to_array(section.rows)
-    x = least_squares(section.data, b)
-    residual = float(np.linalg.norm(section.data @ x - b))
-    return SupportedVector.from_array(section.cols, x), residual
+    cols, x, residual = _solve_window(operator, rhs, domain, m, n)
+    return SupportedVector.from_array(cols, x), residual
 
 
 def rfsm_solve(
@@ -217,6 +232,40 @@ def _materialize_rhs(rhs: RhsLike, domain: StarlikeDomain, m: int) -> SupportedV
     return rhs(lattice_section(domain, m))
 
 
+def _fill_shared_caches(
+    operator: OperatorSpec, rhs: SupportedVector, domain: StarlikeDomain
+) -> None:
+    """Build the cached state that every window reads, before threads share it.
+
+    One entry of each diagonal fills the diagonal tables; filling window 1
+    from the right-hand side sorts its support and reads the facet data.
+    """
+    origin = (0,) * operator.dimension
+    for offset, _ in operator.diagonals:
+        operator.entry(offset, origin)
+    rhs.to_array(lattice_section(domain, 1))
+
+
+def _difference_norm(x: np.ndarray, positions: np.ndarray, x_ref: np.ndarray) -> float:
+    """(u - u_ref).norm() for u = x over a window and u_ref = x_ref over the reference.
+
+    positions[k] is the place of the window's k-th point in the reference
+    window, -1 where it has none.  The terms are summed in the order of that
+    SupportedVector difference: u's nonzero entries in window order (an
+    entry that cancels adds 0), then u_ref's other nonzero entries in
+    reference order.
+    """
+    nonzero = x != 0
+    shared = positions >= 0
+    ref_at = np.zeros_like(x)
+    ref_at[shared] = x_ref[positions[shared]]
+    covered = np.zeros(len(x_ref), dtype=bool)
+    covered[positions[nonzero & shared]] = True
+    own = (x - ref_at)[nonzero]
+    rest = x_ref[(x_ref != 0) & ~covered]
+    return euclidean_norm(itertools.chain(own.tolist(), rest.tolist()))
+
+
 def convergence_study(
     operator: OperatorSpec,
     rhs: RhsLike,
@@ -238,14 +287,19 @@ def convergence_study(
     norm bound is recorded wherever its hypothesis holds;
     certified_bound(n), when given, fills the certified error column.
 
-    The reference window is solved first and alone.  The windows of the
-    requested n are independent of each other and run concurrently: as
-    many at once as the usable cores divided by the threads of one BLAS
-    call (so one at a time under a BLAS that uses every core), and no more
-    than the dense budget (sections.DENSE_BUDGET_BYTES) holds blocks of the
-    tallest one.  Each window runs the same LAPACK calls as it would alone,
-    so the report does not depend on the worker count; the first failing n
-    raises its own error and the windows not yet started are cancelled.
+    The reference window and the windows of the requested n run in one
+    thread pool, the reference first and then the windows in ascending n.
+    The pool has as many workers as the usable cores divided by the threads
+    of one BLAS call (so one under a BLAS that uses every core), no more
+    than there are windows, and no more than the dense budget
+    (sections.DENSE_BUDGET_BYTES) holds: the reference block beside blocks
+    of the tallest window, or blocks of the tallest window alone.  A window
+    returns its solution array, residual and overflow norm; its error is
+    summed once the reference is in, in the order of (u - u_ref).norm().
+    Each window runs the same LAPACK calls as it would alone, so the report
+    does not depend on the worker count.  A failing reference raises its own
+    error, then the right-hand side's norm may, then the first failing n;
+    the windows not yet started are cancelled.
     """
     ns = sorted(set(int(n) for n in n_values))
     if not ns:
@@ -259,43 +313,68 @@ def convergence_study(
     }
     m_ref = reference_n + width
     rhs_vec = _materialize_rhs(rhs, domain, max([m_ref, *couplings.values()]))
-    # The reference solve also fills the cached state the workers read
-    # (diagonal tables, the right-hand side's support, facet data).
-    u_ref = rfsm_solve(operator, rhs_vec, domain, m_ref, reference_n)
-    rhs_norm = rhs_vec.norm()
+    _fill_shared_caches(operator, rhs_vec, domain)
 
-    def record(n: int) -> RfsmRecord:
+    reference_failed = threading.Event()
+
+    def on_reference_done(done) -> None:
+        # Runs in the reference's worker before it takes another window (or
+        # in this thread, if the reference is done before this is attached),
+        # so no window starts its work once the reference has failed.
+        if done.exception() is not None:
+            reference_failed.set()
+
+    def solve(n: int) -> tuple[np.ndarray, np.ndarray, float, float | None] | None:
+        if reference_failed.is_set():
+            return None  # never read: the study raises the reference's error
         m = couplings[n]
-        u, residual = rfsm_solve_with_residual(operator, rhs_vec, domain, m, n)
+        cols, x, residual = _solve_window(operator, rhs_vec, domain, m, n)
+        overflow = None if inverse_bound is None else overflow_norm(operator, domain, m, n)
+        return cols.array, x, residual, overflow
+
+    def record(n, points, x, residual, overflow) -> RfsmRecord:
         bound = None
-        if inverse_bound is not None:
-            overflow = overflow_norm(operator, domain, m, n)
-            if overflow < 1.0 / inverse_bound:
-                bound = solution_bound(inverse_bound, rhs_norm, residual, overflow)
+        if overflow is not None and overflow < 1.0 / inverse_bound:
+            bound = solution_bound(inverse_bound, rhs_norm, residual, overflow)
         return RfsmRecord(
             n=n,
-            m=m,
+            m=couplings[n],
             residual=residual,
-            solution_norm=u.norm(),
+            solution_norm=euclidean_norm(x.tolist()),
             solution_bound=bound,
-            error=(u - u_ref).norm(),
+            error=_difference_norm(x, ref_cols.locate(points), x_ref),
             certified_bound=certified_bound(n) if certified_bound else None,
         )
 
+    def block_bytes(m: int, n: int) -> int:
+        # cut-offs below 1 are refused by their own windows
+        rows, cols = (lattice_section_size(domain, max(1, k)) for k in (m, n))
+        return 16 * rows * cols
+
+    # No per-n block is larger than the tallest rows times the widest columns.
+    tallest = block_bytes(max(couplings.values()), max(ns))
+    reference = block_bytes(m_ref, reference_n)
+    # While the reference runs, the other workers hold per-n blocks beside it.
+    fits = 1 + (sections.DENSE_BUDGET_BYTES - max(reference, tallest)) // tallest
+    workers = min(_free_cores(), len(ns), max(1, fits))
     # Imported here so that importing the package does not load it.
     from concurrent.futures import ThreadPoolExecutor
 
-    # No per-n block is larger than the tallest rows times the widest columns
-    # (a cut-off below 1 raises in its own window).
-    rows, cols = (max(1, *cuts) for cuts in (couplings.values(), ns))
-    tallest = 16 * lattice_section_size(domain, rows) * lattice_section_size(domain, cols)
-    workers = min(
-        _free_cores(), len(ns), max(1, sections.DENSE_BUDGET_BYTES // tallest)
-    )
-    # map cancels the windows not yet started once a result raises, so leaving
-    # the block waits only for those already running.
     with ThreadPoolExecutor(workers) as pool:
-        records = list(pool.map(record, ns))
+        ref_future = pool.submit(_solve_window, operator, rhs_vec, domain, m_ref, reference_n)
+        ref_future.add_done_callback(on_reference_done)
+        windows = deque(pool.submit(solve, n) for n in ns)
+        try:
+            ref_cols, x_ref, _ = ref_future.result()
+            rhs_norm = rhs_vec.norm()
+            records = []
+            for n in ns:
+                # popped, so a window's arrays are freed once its record is made
+                records.append(record(n, *windows.popleft().result()))
+        finally:
+            # leaving the block then waits only for the windows already running
+            for window in windows:
+                window.cancel()
     return RfsmReport(
         operator_id=operator_id or type(operator).__name__,
         domain_id=domain_id or domain.name or "domain",

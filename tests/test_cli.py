@@ -194,14 +194,16 @@ def test_cli_import_does_not_load_scipy():
 
 
 def test_cli_import_does_not_load_the_thread_pool():
-    # concurrent.futures (and logging under it) loads when a study runs, not at start-up
+    # concurrent.futures (and logging under it) loads when a study runs, and
+    # mmap when a block past the huge-page cut is built, not at start-up
     src = str(Path(finsec.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     subprocess.run(
         [
             sys.executable,
             "-c",
-            "import sys, finsec.cli; assert 'concurrent.futures' not in sys.modules",
+            "import sys, finsec.cli; "
+            "assert not {'concurrent.futures', 'mmap'} & set(sys.modules)",
         ],
         env=env,
         check=True,
@@ -264,6 +266,21 @@ def test_inputs_found_by_the_fuzz_exit_cleanly(argv, operator, rhs, code, messag
     assert got == code
     assert out == ""
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_study_whose_rhs_norm_overflows_exits_3(fmt, tmp_path, capsys):
+    # each square is finite (1.69e308); their sum is not
+    rhs = tmp_path / "rhs.json"
+    rhs.write_text(json.dumps({"dimension": 1, "entries": {"0": "1.3e154", "1": "1.3e154"}}))
+    code, out, err = run_cli(
+        ["study", "--example", "worked_A", "--nmax", "4", "--reference-n", "8",
+         "--rhs", str(rhs), "--format", fmt],
+        capsys,
+    )
+    assert code == 3
+    assert out == "" and "inf" not in out
+    assert err == "finsec: numeric failure: the norm of a vector overflows a double\n"
 
 
 @pytest.mark.parametrize(

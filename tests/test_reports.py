@@ -1,10 +1,17 @@
+import dataclasses
 import json
+import math
 from dataclasses import asdict
 
-from finsec import build_example, convergence_study, stability_scan
+import pytest
+
+from finsec import SupportedVector, build_example, convergence_study, stability_scan
+from finsec.errors import NonFiniteResultError
 from finsec.reports import (
     rfsm_report_csv,
     rfsm_report_json,
+    solution_csv,
+    solution_json,
     stability_report_csv,
     stability_report_json,
 )
@@ -80,3 +87,25 @@ def test_reports_are_deterministic(worked_case):
     c = rfsm_report_csv(study_report(worked_case))
     d = rfsm_report_csv(study_report(worked_case))
     assert c == d
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_cells_raise_a_numeric_error(value, worked_case):
+    study = study_report(worked_case)
+    last = dataclasses.replace(study.records[-1], error=value)
+    study = dataclasses.replace(study, records=(*study.records[:-1], last))
+    scan = scan_report()
+    first = dataclasses.replace(scan.records[0], sigma_max=value)
+    scan = dataclasses.replace(scan, records=(first, *scan.records[1:]))
+    u = SupportedVector(1, {(0,): complex(1.0, value)})
+    writers = [
+        lambda: rfsm_report_csv(study),
+        lambda: rfsm_report_json(study),
+        lambda: stability_report_csv(scan),
+        lambda: stability_report_json(scan),
+        lambda: solution_csv(u),
+        lambda: solution_json(u, {}),
+    ]
+    for write in writers:
+        with pytest.raises(NonFiniteResultError, match="not a finite double"):
+            write()

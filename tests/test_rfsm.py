@@ -7,6 +7,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.linalg import LinAlgError
 
 from finsec import (
@@ -35,6 +37,9 @@ from finsec import (
     spectral_norm,
 )
 from finsec import cli, rfsm, sections
+from finsec.errors import NonFiniteResultError
+from finsec.geometry import IndexSet
+from finsec.operators import euclidean_norm
 from finsec.rfsm import coupling_row_cutoff, rfsm_solve_with_residual
 from conftest import random_band_operator
 
@@ -402,6 +407,19 @@ def serial_study_records(
     return records
 
 
+def recorded_solves(monkeypatch):
+    """Record (columns, ran in the main thread) of every least-squares solve of rfsm."""
+    real = rfsm.least_squares
+    calls = []
+
+    def recording(matrix, rhs):
+        calls.append((matrix.shape[1], threading.current_thread() is threading.main_thread()))
+        return real(matrix, rhs)
+
+    monkeypatch.setattr(rfsm, "least_squares", recording)
+    return calls
+
+
 FIVE_POINT = BandDiagonals.from_rules(
     2, {(0, 0): 5, (1, 0): -1, (-1, 0): -1, (0, 1): -1, (0, -1): -1}
 )
@@ -440,10 +458,19 @@ def test_study_records_equal_the_serial_loop(
     certified, cores, monkeypatch,
 ):
     monkeypatch.setattr(rfsm, "_free_cores", lambda: cores)
+    calls = recorded_solves(monkeypatch)
     report = convergence_study(
         operator, rhs, domain, coupling, ns, reference_n,
         explicit_rows=explicit, inverse_bound=inverse_bound, certified_bound=certified,
     )
+    # the reference is solved in the pool, first of all windows
+    reference_cols = lattice_section_size(domain, reference_n)
+    assert [cols for cols, _ in calls].count(reference_cols) == 1
+    assert not any(in_main for _, in_main in calls)
+    if min(cores, len(ns)) == 1:
+        assert [cols for cols, _ in calls] == [
+            reference_cols, *(lattice_section_size(domain, n) for n in ns)
+        ]
     want = serial_study_records(
         operator, rhs, domain, coupling, ns, reference_n, explicit, inverse_bound, certified
     )
@@ -456,7 +483,8 @@ def test_study_records_equal_the_serial_loop(
 
 def test_study_threads_under_a_short_switch_interval(monkeypatch):
     # Fresh operator and right-hand side, so the workers start from caches that
-    # only the reference solve has filled; eight workers on fewer cores.
+    # only the study has filled before its pool; eight workers on fewer cores,
+    # the reference among them.
     operator = BandDiagonals.from_rules(
         2, {(0, 0): 5, (1, 0): -1, (-1, 0): -1, (0, 1): -1, (0, -1): 0.5j}
     )
@@ -564,3 +592,106 @@ def test_study_workers_bounded_by_the_dense_budget(monkeypatch):
     assert created == [4, 2, 1]
     monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", 2**31)
     assert study(range(2, 11), 11).records == report.records
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_study_reference_failure_wins_over_a_failing_window(cores, monkeypatch):
+    case = build_example("worked_A")
+    reference_cols = lattice_section_size(case.domain, 40)
+    window_cols = lattice_section_size(case.domain, 3)
+    window_failed = threading.Event()
+    reference_error = LinAlgError("SVD did not converge in the reference")
+    window_error = LinAlgError("SVD did not converge at n=3")
+    real = rfsm.least_squares
+    solved = []
+
+    def failing(matrix, rhs):
+        solved.append(matrix.shape[1])
+        if matrix.shape[1] == reference_cols:
+            # beside other workers, fail only once window n = 3 has failed
+            window_failed.wait(5 if cores > 1 else 0)
+            raise reference_error
+        if matrix.shape[1] == window_cols:
+            window_failed.set()
+            raise window_error
+        return real(matrix, rhs)
+
+    monkeypatch.setattr(rfsm, "least_squares", failing)
+    monkeypatch.setattr(rfsm, "_free_cores", lambda: cores)
+    with pytest.raises(LinAlgError) as excinfo:
+        convergence_study(
+            case.operator, case.rhs, case.domain, "band", range(2, 31), reference_n=40
+        )
+    assert excinfo.value is reference_error
+    # one worker runs the reference first, and no window after its failure
+    assert window_failed.is_set() == (cores > 1)
+    if cores == 1:
+        assert solved == [reference_cols]
+
+
+def test_study_budget_holding_only_the_reference_runs_one_window_at_a_time(monkeypatch):
+    created = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            created.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(rfsm, "_free_cores", lambda: 4)
+    calls = recorded_solves(monkeypatch)
+    case = build_example("worked_A")
+    domain = case.domain
+    ns = range(2, 11)
+    reference = 16 * lattice_section_size(domain, 14) * lattice_section_size(domain, 11)
+    tallest = 16 * lattice_section_size(domain, 13) * lattice_section_size(domain, 10)
+
+    def study():
+        return convergence_study(case.operator, case.rhs, domain, "band", ns, reference_n=11)
+
+    # one byte short of a per-n block beside the reference block
+    monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", reference + tallest - 1)
+    report = study()
+    assert created == [1]
+    assert [cols for cols, _ in calls] == [
+        lattice_section_size(domain, 11), *(lattice_section_size(domain, n) for n in ns)
+    ]
+    monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", reference + tallest)
+    assert study().records == report.records
+    assert created == [1, 2]
+
+
+_VALUES = st.one_of(
+    st.sampled_from([0j, 1 + 0j, -2.5j, 3 - 4j, 1e-300 + 2j, 1e154 + 0j]),
+    st.complex_numbers(max_magnitude=1e10, allow_nan=False, allow_infinity=False),
+)
+
+
+def window_vector(dim, raw):
+    entries = {k[:dim]: v for k, v in raw.items()}
+    points = IndexSet.from_points(dim, entries)
+    return points, np.array([entries[p] for p in points.points], dtype=complex)
+
+
+def outcome(norm):
+    try:
+        return norm()
+    except NonFiniteResultError:
+        return "non-finite"
+
+
+@given(
+    st.integers(min_value=1, max_value=2),
+    st.dictionaries(st.tuples(*[st.integers(-4, 4)] * 2), _VALUES, max_size=14),
+    st.dictionaries(st.tuples(*[st.integers(-4, 4)] * 2), _VALUES, max_size=24),
+)
+@settings(max_examples=200, deadline=None)
+def test_array_error_norm_equals_the_vector_difference(dim, raw, raw_ref):
+    # equal values at shared points (from the sampled ones) cancel exactly
+    cols, x = window_vector(dim, raw)
+    ref_cols, x_ref = window_vector(dim, raw_ref)
+    u = SupportedVector.from_array(cols, x)
+    u_ref = SupportedVector.from_array(ref_cols, x_ref)
+    got = outcome(lambda: rfsm._difference_norm(x, ref_cols.locate(cols.array), x_ref))
+    assert got == outcome(lambda: (u - u_ref).norm())
+    assert outcome(lambda: euclidean_norm(x.tolist())) == outcome(u.norm)

@@ -1,4 +1,5 @@
 import itertools
+import mmap
 
 import numpy as np
 import pytest
@@ -323,3 +324,66 @@ def test_overflow_rows_are_the_ball_expansion_outside_window_m(interval, square)
 def test_rfsm_section_refuses_fewer_rows_than_columns(interval):
     with pytest.raises(ValueError, match="m=2 is below the column cut-off n=3"):
         rfsm_section(identity_operator(), interval, 2, 3)
+
+
+def zeros_fill(operator, rows, cols):
+    """The np.zeros block that assemble filled before its blocks were mapped, as reference."""
+    r, c, values = section_triplets(operator, rows, cols)
+    data = np.zeros((len(rows), len(cols)), dtype=complex)
+    data[r, c] = values
+    return data
+
+
+def in_a_mapping(data):
+    # np.frombuffer keeps a memoryview of the mapping as the base of its array
+    view = getattr(data.base, "base", None)
+    return isinstance(getattr(view, "obj", None), mmap.mmap)
+
+
+def assert_block_is_the_zeros_fill(section, operator):
+    data = section.data
+    assert data.dtype == np.complex128
+    assert data.flags.c_contiguous and data.flags.writeable
+    expected = zeros_fill(operator, section.rows, section.cols)
+    assert data.shape == expected.shape
+    assert data.tobytes() == expected.tobytes()
+
+
+def test_assembled_blocks_equal_the_zeros_fill(interval, square):
+    cases = []
+    for seed in range(6):
+        a = random_band_operator(np.random.default_rng(seed), width=seed % 4)
+        cases += [(a, interval, m, n) for n in (1, 5, 40) for m in (n, n + 3)]
+    cases += [(laplace_operator_2d(), square, m, n) for n in (1, 4) for m in (n, n + 2)]
+    # 16 x 601 x 561 bytes: past the huge-page cut, so in a mapping
+    large = random_band_operator(np.random.default_rng(9), width=3)
+    cases.append((large, interval, 300, 280))
+    for operator, domain, m, n in cases:
+        assert_block_is_the_zeros_fill(rfsm_section(operator, domain, m, n), operator)
+        assert_block_is_the_zeros_fill(overflow_block(operator, domain, m, n), operator)
+    assert 16 * 601 * 561 >= sections._HUGE_PAGE_ARRAY_BYTES
+    assert in_a_mapping(rfsm_section(large, interval, 300, 280).data)
+    assert not in_a_mapping(rfsm_section(large, interval, 200, 150).data)
+
+
+def test_empty_blocks_equal_the_zeros_fill(interval):
+    operator = random_band_operator(np.random.default_rng(3), width=2)
+    # no row escapes window n + 2 of a width-2 operator
+    escaping = overflow_block(operator, interval, 7, 5)
+    assert escaping.shape == (0, 11)
+    assert_block_is_the_zeros_fill(escaping, operator)
+    for rows, cols in [
+        (symmetric_window(3), IndexSet(1, ())),
+        (IndexSet(1, ()), IndexSet(1, ())),
+    ]:
+        assert_block_is_the_zeros_fill(assemble(operator, rows, cols), operator)
+
+
+def test_assembled_blocks_do_not_share_memory(interval):
+    operator = random_band_operator(np.random.default_rng(4), width=1)
+    # 16 x 601 x 561 bytes: past the huge-page cut
+    first, second = (rfsm_section(operator, interval, 300, 280).data for _ in range(2))
+    first[:] = 7
+    assert second.tobytes() == zeros_fill(
+        operator, lattice_section(interval, 300), lattice_section(interval, 280)
+    ).tobytes()

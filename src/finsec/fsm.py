@@ -10,7 +10,8 @@ Square windows of at least SPARSE_MIN_POINTS points take their sigma
 extremes from a sparse LU and Lanczos, never building the dense block.
 They fall back to the dense SVD whenever the sparse route fails or its
 sigma_min lies within SPARSE_FALLBACK_FACTOR of the invertibility
-threshold, so the verdict never depends on which route ran.
+threshold, so the verdict never depends on which route ran.  Scans,
+inverse norms and solves (fsm_solve) all take it from section_extremes.
 """
 
 from __future__ import annotations
@@ -18,12 +19,9 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .errors import (
-    InsufficientDataError,
-    NonFiniteResultError,
-    SingularMatrixError,
-    SingularSectionError,
-)
+import numpy as np
+
+from .errors import InsufficientDataError, NonFiniteResultError, SingularSectionError
 from .geometry import (
     IndexSet,
     StarlikeDomain,
@@ -34,13 +32,13 @@ from .geometry import (
 from .linalg import (
     NORM_CAP_DEFAULT,
     TAU_REL_DEFAULT,
+    invertible,
     singular_values,
-    solve_square,
     sparse_extremes,
 )
 from .operators import AdjacencyGraph, OperatorSpec, SupportedVector
 from .reports import StabilityRecord, StabilityReport
-from .sections import _check_window_budget, assemble, fsm_section, section_triplets
+from .sections import _check_dense_budget, _check_window_budget, assemble, section_triplets
 
 __all__ = [
     "VERDICT_STABLE",
@@ -94,12 +92,8 @@ def _window_extremes(
 ) -> tuple[float, float]:
     """Sparse extremes for large windows when safely invertible, else dense SVD."""
     if len(window) >= SPARSE_MIN_POINTS:
-        extremes = sparse_extremes(
-            *section_triplets(operator, window, window), len(window)
-        )
-        if extremes is not None and _invertible(
-            *extremes, SPARSE_FALLBACK_FACTOR * tau_rel
-        ):
+        extremes = sparse_extremes(*section_triplets(operator, window, window), len(window))
+        if extremes is not None and invertible(*extremes, SPARSE_FALLBACK_FACTOR * tau_rel):
             return extremes
     sv = singular_values(assemble(operator, window, window).data)
     return float(sv[-1]), float(sv[0])
@@ -130,10 +124,6 @@ def section_extremes(
     return smin, smax
 
 
-def _invertible(smin: float, smax: float, tau_rel: float) -> bool:
-    return smin > tau_rel * max(smax, 1.0)
-
-
 def fsm_solve(
     operator: OperatorSpec,
     rhs: SupportedVector,
@@ -141,14 +131,17 @@ def fsm_solve(
     n: int,
     tau_rel: float = TAU_REL_DEFAULT,
 ) -> SupportedVector:
-    """Solve the square truncated system over window n; zero off the window."""
-    section = fsm_section(operator, domain, n)
-    b = rhs.to_array(section.rows)
-    try:
-        x = solve_square(section.data, b, tau_rel)
-    except SingularMatrixError as exc:
-        raise SingularSectionError(f"section at n={n} is singular: {exc}") from exc
-    return SupportedVector.from_array(section.cols, x)
+    """Solve the square truncated system over window n; zero off the window.
+
+    Checks the dense budget and the rhs dimension, then takes inverse_norm's verdict.
+    """
+    size = lattice_section_size(domain, n)
+    _check_dense_budget(size, size)
+    window = lattice_section(domain, n)
+    b = rhs.to_array(window)
+    inverse_norm(operator, domain, n, tau_rel)
+    x = np.linalg.solve(assemble(operator, window, window).data, b)
+    return SupportedVector.from_array(window, x)
 
 
 def inverse_norm(
@@ -159,8 +152,11 @@ def inverse_norm(
 ) -> float:
     """max(1, 1/sigma_min) of the section; raises when the section is singular."""
     smin, smax = section_extremes(operator, domain, n, tau_rel)
-    if not _invertible(smin, smax, tau_rel):
-        raise SingularSectionError(f"section at n={n} fails the invertibility test")
+    if not invertible(smin, smax, tau_rel):
+        raise SingularSectionError(
+            f"section at n={n} is singular: sigma_min={smin:.6g} is not above "
+            f"tau_rel * max(sigma_max, 1) = {tau_rel * max(smax, 1.0):.6g}"
+        )
     return max(1.0, 1.0 / smin)
 
 
@@ -181,7 +177,7 @@ def stability_scan(
     records = []
     for n in ns:
         smin, smax = section_extremes(operator, domain, n, tau_rel)
-        ok = _invertible(smin, smax, tau_rel)
+        ok = invertible(smin, smax, tau_rel)
         records.append(
             StabilityRecord(
                 n=n,

@@ -3,8 +3,9 @@
 Matrices are plain 2-D complex numpy arrays, except for the sparse
 extremes kernel, which takes COO triplets and runs a real LU and real
 symmetric Lanczos when every value is real.  Invertibility is decided by
-the relative spectral test sigma_min > tau_rel * max(sigma_max, 1), the
-standard numeric proxy for exact invertibility.
+the relative spectral test `invertible`, the standard numeric proxy for
+exact invertibility.  Square windows get their sigma extremes from
+fsm.section_extremes; the SVD of solve_square serves only the Gram matrix.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ __all__ = [
     "sparse_extremes",
     "spectral_norm",
     "min_singular_value",
-    "is_invertible",
+    "invertible",
     "solve_square",
     "least_squares",
 ]
@@ -109,9 +110,9 @@ def min_singular_value(matrix) -> float:
     return float(singular_values(m)[-1])
 
 
-def is_invertible(matrix, tau_rel: float = TAU_REL_DEFAULT) -> bool:
-    sv = singular_values(matrix)
-    return bool(sv.size) and float(sv[-1]) > tau_rel * max(float(sv[0]), 1.0)
+def invertible(smin: float, smax: float, tau_rel: float) -> bool:
+    """The relative invertibility test sigma_min > tau_rel * max(sigma_max, 1)."""
+    return smin > tau_rel * max(smax, 1.0)
 
 
 def solve_square(matrix, rhs, tau_rel: float = TAU_REL_DEFAULT) -> np.ndarray:
@@ -122,7 +123,8 @@ def solve_square(matrix, rhs, tau_rel: float = TAU_REL_DEFAULT) -> np.ndarray:
         raise ValueError("matrix is not square")
     if b.shape[0] != m.shape[0]:
         raise ValueError("right-hand side length mismatch")
-    if not is_invertible(m, tau_rel):
+    sv = singular_values(m)
+    if not (sv.size and invertible(float(sv[-1]), float(sv[0]), tau_rel)):
         raise SingularMatrixError(
             f"matrix of shape {m.shape} fails the invertibility test (tau={tau_rel:g})"
         )

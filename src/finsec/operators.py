@@ -228,10 +228,6 @@ class SupportedVector:
     def unit(cls, point, dimension: int = 1) -> "SupportedVector":
         return cls(dimension, {as_point(point, dimension): 1.0 + 0j})
 
-    @classmethod
-    def zero(cls, dimension: int = 1) -> "SupportedVector":
-        return cls(dimension, {})
-
     def get(self, point) -> complex:
         return self.entries.get(as_point(point, self.dimension), 0j)
 
@@ -338,13 +334,9 @@ class OperatorSpec:
         rule = self._rules.get(_sub(i, j))
         return rule.value_at(i) if rule is not None else 0j
 
-    def nonzero_diffs(self) -> frozenset[Point]:
-        """All i - j values at which entries may be nonzero."""
-        return frozenset(d for d, _ in self.diagonals)
-
     def band_width(self) -> int:
         """Least w with a_{ij} = 0 whenever max-norm of i - j exceeds w."""
-        return max((_max_norm(d) for d in self.nonzero_diffs()), default=0)
+        return max((_max_norm(d) for d, _ in self.diagonals), default=0)
 
     def apply(self, u: SupportedVector) -> SupportedVector:
         """Exact matrix-vector product on a finitely supported vector."""

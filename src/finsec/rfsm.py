@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     HypothesisViolatedError,
     NoFeasibleMError,
+    NonFiniteResultError,
     SingularGramError,
     SingularMatrixError,
 )
@@ -44,6 +45,10 @@ __all__ = [
 ]
 
 RhsLike = SupportedVector | Callable
+
+# choose_parameters searches column cut-offs 1..N_LIMIT and row cut-offs n..M_LIMIT.
+N_LIMIT = 256
+M_LIMIT = 1024
 
 
 @dataclass(frozen=True)
@@ -102,7 +107,10 @@ def _solve_window(
     section = rfsm_section(operator, domain, m, n)
     b = rhs.to_array(section.rows)
     x = least_squares(section.data, b)
-    residual = float(np.linalg.norm(section.data @ x - b))
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.linalg.norm(section.data @ x - b))
+    if not math.isfinite(residual):
+        raise NonFiniteResultError("the norm of a vector overflows a double")
     return section.cols, x, residual
 
 
@@ -168,8 +176,6 @@ def choose_parameters(
     operator_norm: float,
     inverse_bound: float,
     tail_bound: Callable[[int], float],
-    n_limit: int = 256,
-    m_limit: int = 1024,
 ) -> RfsmParameters:
     """Pick (delta, n, m) guaranteeing the solve lands within epsilon of the truth.
 
@@ -183,12 +189,12 @@ def choose_parameters(
     delta = epsilon / (3.0 * inverse_bound) / 2.0
 
     n = next(
-        (k for k in range(1, n_limit + 1) if tail_bound(k) <= delta / operator_norm),
+        (k for k in range(1, N_LIMIT + 1) if tail_bound(k) <= delta / operator_norm),
         None,
     )
     if n is None:
         raise NoFeasibleMError(
-            f"no column cut-off below {n_limit} clears the solution tail bound"
+            f"no column cut-off below {N_LIMIT} clears the solution tail bound"
         )
 
     rhs_norm = rhs.norm()
@@ -196,12 +202,12 @@ def choose_parameters(
     overflow_cap = (1.0 / inverse_bound) * (
         1.0 - 1.0 / (1.0 + epsilon / (3.0 * (rhs_norm + delta) * inverse_bound))
     )
-    for m in range(n, m_limit + 1):
+    for m in range(n, M_LIMIT + 1):
         tail = rhs.restrict_outside(lattice_section(domain, m)).norm()
         if tail < rhs_tail_cap and overflow_norm(operator, domain, m, n) < overflow_cap:
             return RfsmParameters(epsilon=epsilon, delta=delta, n=n, m=m)
     raise NoFeasibleMError(
-        f"no row cut-off below {m_limit} satisfies the tail and overflow bounds"
+        f"no row cut-off below {M_LIMIT} satisfies the tail and overflow bounds"
     )
 
 
@@ -349,7 +355,7 @@ def convergence_study(
     def block_bytes(m: int, n: int) -> int:
         # cut-offs below 1 are refused by their own windows
         rows, cols = (lattice_section_size(domain, max(1, k)) for k in (m, n))
-        return 16 * rows * cols
+        return sections._dense_bytes(rows, cols)
 
     # No per-n block is larger than the tallest rows times the widest columns.
     tallest = block_bytes(max(couplings.values()), max(ns))

@@ -85,9 +85,12 @@ def _check_budget(size: int, what: str) -> None:
         )
 
 
+def _dense_bytes(n_rows: int, n_cols: int) -> int:
+    return 16 * n_rows * n_cols  # complex128 entries
+
+
 def _check_dense_budget(n_rows: int, n_cols: int) -> None:
-    # bytes of complex128 entries
-    _check_budget(16 * n_rows * n_cols, f"dense window {n_rows} x {n_cols}")
+    _check_budget(_dense_bytes(n_rows, n_cols), f"dense window {n_rows} x {n_cols}")
 
 
 def _check_window_budget(operator: OperatorSpec, n_points: int) -> None:
@@ -118,7 +121,7 @@ def _zero_block(n_rows: int, n_cols: int) -> np.ndarray:
     the written 4 KiB pages and reads the rest from the shared zero page (a
     shared mapping would back those too).
     """
-    size = 16 * n_rows * n_cols
+    size = _dense_bytes(n_rows, n_cols)
     if size < _HUGE_PAGE_ARRAY_BYTES:
         return np.zeros((n_rows, n_cols), dtype=complex)
     # Imported here: loading it adds about 0.06 MB to runs that never map a block.

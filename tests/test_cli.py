@@ -253,8 +253,14 @@ PERIODIC_REPEAT = {
             {"dimension": 1, "entries": {"0": "1e300"}},
             3, "the norm of a vector overflows a double",
         ),
+        (  # so does the residual's norm, which numpy took with a RuntimeWarning
+            ["solve-rfsm", "--example", "worked_A", "--n", "3", "--m", "4"], None,
+            {"dimension": 1, "entries": {"0": "1e300"}},
+            3, "the norm of a vector overflows a double",
+        ),
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_inputs_found_by_the_fuzz_exit_cleanly(argv, operator, rhs, code, message, tmp_path, capsys):
     if operator is not None:
         (tmp_path / "op.json").write_text(json.dumps(operator))
@@ -683,6 +689,16 @@ def test_solve_fsm_singular_exits_3(capsys):
     code, _, err = run_cli(rhs_args, capsys)
     assert code == 3
     assert "singular" in err.lower()
+
+
+def test_solve_fsm_past_the_generator_coverage_exits_2_as_scan_does(tmp_path, capsys):
+    rhs = tmp_path / "rhs.json"
+    rhs.write_text(json.dumps({"dimension": 2, "entries": {"0;0": "1"}}))
+    for argv in (["solve-fsm", "--n", "30", "--rhs", str(rhs)], ["scan", "--nmax", "30"]):
+        code, out, err = run_cli([*argv, "--example", "sierror", "--bound", "2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "but the generator covers only 8" in err and "Traceback" not in err
 
 
 def test_solve_fsm_blockdiag(tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from finsec import (
+    EXAMPLE_IDS,
     BandDiagonals,
     GeneratorBoundError,
     InsufficientDataError,
@@ -22,7 +23,7 @@ from finsec import (
     spectral_norm,
     stability_scan,
 )
-from finsec import fsm
+from finsec import fsm, linalg
 from finsec.fsm import VERDICT_SINGULAR, VERDICT_STABLE, section_extremes
 from finsec.linalg import TAU_REL_DEFAULT, singular_values
 from conftest import random_band_operator
@@ -231,7 +232,7 @@ def test_sparse_route_matches_dense(
             dmin, dmax = dense_extremes(operator, domain, n)
             assert smin == pytest.approx(dmin, rel=1e-12)
             assert smax == pytest.approx(dmax, rel=1e-12)
-            assert fsm._invertible(smin, smax, TAU_REL_DEFAULT) == fsm._invertible(
+            assert linalg.invertible(smin, smax, TAU_REL_DEFAULT) == linalg.invertible(
                 dmin, dmax, TAU_REL_DEFAULT
             )
         assert factor_dtypes and set(factor_dtypes) == {np.dtype(dtype)}
@@ -280,7 +281,40 @@ def test_near_threshold_window_takes_dense_path(
     assert sparse_everywhere[0][0] == pytest.approx(5e-10, rel=1e-9)
     assert dense_calls == [(7, 7)]
     assert (smin, smax) == dense_extremes(operator, interval, 3)
-    assert fsm._invertible(smin, smax, TAU_REL_DEFAULT)
+    assert linalg.invertible(smin, smax, TAU_REL_DEFAULT)
+
+
+def solved_windows(operator, domain, ns):
+    """Per n, whether fsm_solve solves window n; asserts the scan records the same."""
+    origin = (0,) * operator.dimension
+    b = SupportedVector.unit(origin, operator.dimension)
+    solved = []
+    for n in ns:
+        try:
+            fsm_solve(operator, b, domain, n)
+        except SingularSectionError:
+            solved.append(False)
+        else:
+            solved.append(True)
+    report = stability_scan(operator, domain, ns)
+    assert solved == [rec.invertible for rec in report.records]
+    return solved
+
+
+@pytest.mark.parametrize("case_id", EXAMPLE_IDS)
+def test_solve_refuses_exactly_the_windows_the_scan_records_singular(case_id):
+    case = build_example(case_id)
+    solved_windows(case.operator, case.domain, range(1, 13))
+
+
+def test_sparse_solve_refuses_exactly_the_windows_the_sparse_scan_does(
+    sparse_everywhere, square
+):
+    # diagonal 2 puts the eigenvalue 2 - 4 cos(pi/3) = 0 in every window n = 2 (mod 3)
+    solved = solved_windows(laplace_operator([2, 2, 2, 2]), square, range(1, 13))
+    assert solved == [n % 3 != 2 for n in range(1, 13)]
+    assert len(sparse_everywhere) == 2 * 12  # the solves took the scan's route
+    assert any(r is not None for r in sparse_everywhere)
 
 
 # ---------------------------------------------------------------------------

@@ -209,9 +209,10 @@ def test_choose_parameters_identity_delta():
     assert params.delta == pytest.approx(0.5 / 3.0 / 2.0, abs=1e-15)
 
 
-def test_choose_parameters_respects_m_ceiling(worked_case):
+def test_choose_parameters_respects_m_ceiling(worked_case, monkeypatch):
+    monkeypatch.setattr(rfsm, "M_LIMIT", 2)
     b = geometric_vector(10)
-    with pytest.raises(NoFeasibleMError):
+    with pytest.raises(NoFeasibleMError, match="no row cut-off below 2"):
         choose_parameters(
             worked_case.operator,
             b,
@@ -220,7 +221,6 @@ def test_choose_parameters_respects_m_ceiling(worked_case):
             3.0,
             2.0,
             lambda n: 0.0,
-            m_limit=2,
         )
 
 

@@ -73,11 +73,11 @@ def _adjacency_extremes(
     are those of the block together with 1.
     """
     graph.check_coverage(domain, n)
-    active = [p for p in graph.edge_vertices() if domain.contains(p, n)]
+    active = graph.edge_array[domain.contains_array(graph.edge_array, n)]
     has_identity_part = _section_exceeds(domain, n, len(active))
-    if not active:
+    if not len(active):
         return 1.0, 1.0
-    block_set = IndexSet.from_points(graph.dimension, active)
+    block_set = IndexSet.from_array(graph.dimension, active)
     sv = singular_values(assemble(graph, block_set, block_set).data)
     smin = float(sv[-1])
     smax = float(sv[0])
@@ -202,10 +202,8 @@ def adjacency_section_invertible(
     if not isinstance(graph, AdjacencyGraph):
         raise TypeError("criterion applies to adjacency operators only")
     graph.check_coverage(domain, n)
-    for i, j in graph.edges:
-        if domain.contains(i, n) != domain.contains(j, n):
-            return False
-    return True
+    inside = domain.contains_array(graph.edge_array, n).reshape(-1, 2)
+    return bool(np.all(inside[:, 0] == inside[:, 1]))
 
 
 def classify_subsequences(

@@ -3,9 +3,9 @@
 Domains are convex polytopes with rational facet data and the origin in
 their interior.  All membership decisions are made in exact rational
 (integer, after clearing denominators) arithmetic, never in floating
-point, so section index sets are reproducible bit-for-bit.  Index sets
-also carry an int64 array view, and array lookups refuse point sets
-whose integer keys would leave int64.
+point, so section index sets are reproducible bit-for-bit.  An index set
+stores its points once, as the rows of a sorted (k, N) int64 array, and
+array lookups refuse point sets whose integer keys would leave int64.
 """
 
 from __future__ import annotations
@@ -114,14 +114,6 @@ class StarlikeDomain:
     def all_closed(self) -> bool:
         return all(f.closed for f in self.facets)
 
-    def contains(self, point: Sequence[int], n: int) -> bool:
-        """Exact test whether `point` lies in the n-fold dilation."""
-        for a, b, closed in self._integer_facets:
-            s = sum(ai * xi for ai, xi in zip(a, point))
-            if s > n * b or (not closed and s == n * b):
-                return False
-        return True
-
     def contains_array(self, points: np.ndarray, n: int) -> np.ndarray:
         """Boolean mask of the rows of a (k, N) int64 array inside the n-fold dilation."""
         inside = np.ones(len(points), dtype=bool)
@@ -164,42 +156,33 @@ class StarlikeDomain:
 
 @dataclass(frozen=True, eq=False)
 class IndexSet:
-    """Lexicographically sorted, duplicate-free finite subset of the lattice."""
+    """Lexicographically sorted, duplicate-free finite subset of the lattice.
+
+    The points are stored once, as the rows of the (k, N) int64 `array`;
+    `points` builds Python tuples from it on demand.
+    """
 
     dimension: int
-    points: tuple[Point, ...]
-
-    @classmethod
-    def from_points(cls, dimension: int, points: Iterable[Sequence[int]]) -> "IndexSet":
-        normalized = sorted({tuple(int(c) for c in p) for p in points})
-        for p in normalized:
-            if len(p) != dimension:
-                raise ValueError(f"point {p} does not have dimension {dimension}")
-        return cls(dimension, tuple(normalized))
+    array: np.ndarray
 
     @classmethod
     def from_array(cls, dimension: int, points: np.ndarray) -> "IndexSet":
         """Index set of the distinct rows of a (k, N) int64 array, deduplicated on integer keys."""
         points = _point_array(points, dimension)
         if not len(points):
-            return cls(dimension, ())
+            return cls(dimension, points)
         return _union_in_box(dimension, points.min(axis=0), points.max(axis=0), [points])
 
     @cached_property
-    def positions(self) -> dict[Point, int]:
-        """Map from each point to its place in `points`."""
-        return {p: k for k, p in enumerate(self.points)}
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        """The points as a (k, N) int64 array, rows in the order of `points`."""
-        return _point_array(self.points, self.dimension)
+    def points(self) -> tuple[Point, ...]:
+        """The rows of `array` as tuples of Python ints."""
+        return tuple(map(tuple, self.array.tolist()))
 
     @cached_property
     def _key_frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(lo, hi, weights, sorted keys) of the mixed-radix keys over the bounding box.
 
-        Raises ValueError when `points` is not strictly increasing
+        Raises ValueError when `array` is not strictly increasing
         lexicographically, since a binary search over its keys would then
         miss points.
         """
@@ -212,7 +195,7 @@ class IndexSet:
         return lo, hi, weights, keys
 
     def locate(self, points: np.ndarray) -> np.ndarray:
-        """Position of each row of a (k, N) int64 array in `points`, -1 where absent."""
+        """Position of each row of a (k, N) int64 array in `array`, -1 where absent."""
         points = _point_array(points, self.dimension)
         if not len(self) or not len(points):
             return np.full(len(points), -1, dtype=np.intp)
@@ -222,30 +205,27 @@ class IndexSet:
         found = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
         return np.where(inside & (keys[found] == query), found, -1)
 
-    def index(self, point: Point) -> int:
-        return self.positions[point]
-
     def __contains__(self, point) -> bool:
-        return tuple(point) in self.positions
+        point = list(point)
+        try:
+            query = _point_array(point, self.dimension)
+        except (TypeError, ValueError):
+            return False  # past int64, or no lattice point of this dimension
+        # the cast truncates a fractional coordinate, so check it kept the point
+        return query.tolist() == [point] and bool(self.locate(query)[0] >= 0)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.array)
 
     def __iter__(self) -> Iterator[Point]:
         return iter(self.points)
-
-    def __getitem__(self, k: int) -> Point:
-        return self.points[k]
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, IndexSet)
             and self.dimension == other.dimension
-            and self.points == other.points
+            and np.array_equal(self.array, other.array)
         )
-
-    def __hash__(self) -> int:
-        return hash((self.dimension, self.points))
 
 
 def _union_in_box(
@@ -274,9 +254,7 @@ def _union_in_box(
     for j, w in enumerate(weights):
         points[:, j], keys = np.divmod(keys, w)
     points += origin
-    index_set = IndexSet(dimension, tuple(map(tuple, points.tolist())))
-    index_set.__dict__["array"] = points  # seeds the cached view
-    return index_set
+    return IndexSet(dimension, points)
 
 
 # ---------------------------------------------------------------------------
@@ -522,36 +500,39 @@ def _last_coordinate_range(
     return lo, hi
 
 
-def _prefix_iter(domain: StarlikeDomain, n: int) -> Iterator[tuple[int, ...]]:
+def _rows(domain: StarlikeDomain, n: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Each nonempty row of window n, in lexicographic order, as (prefix, lo, hi).
+
+    The row holds the points prefix + (x,) with lo <= x <= hi.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     lo, hi = domain.bounding_box(n)
     ranges = [range(lo[j], hi[j] + 1) for j in range(domain.dimension - 1)]
-    return itertools.product(*ranges)
+    for prefix in itertools.product(*ranges):
+        rng = _last_coordinate_range(domain, n, prefix)
+        if rng is not None:
+            yield prefix, *rng
 
 
 def lattice_section(domain: StarlikeDomain, n: int) -> IndexSet:
     """All lattice points of the n-fold dilation, in lexicographic order."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    points: list[Point] = []
-    for prefix in _prefix_iter(domain, n):
-        rng = _last_coordinate_range(domain, n, prefix)
-        if rng is None:
-            continue
-        points.extend(prefix + (x,) for x in range(rng[0], rng[1] + 1))
-    return IndexSet(domain.dimension, tuple(points))
+    rows = list(_rows(domain, n))  # never empty: the origin is interior
+    counts = [hi - lo + 1 for _, lo, hi in rows]
+    points = np.empty((sum(counts), domain.dimension), dtype=np.int64)
+    prefixes = np.array([prefix for prefix, _, _ in rows], dtype=np.int64)
+    points[:, :-1] = np.repeat(prefixes.reshape(len(rows), -1), counts, axis=0)
+    points[:, -1] = np.concatenate([np.arange(lo, hi + 1) for _, lo, hi in rows])
+    return IndexSet(domain.dimension, points)
 
 
 def _count_section(domain: StarlikeDomain, n: int, limit: int | None) -> int:
     """Points of window n, counted row by row until the count passes `limit`."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     total = 0
-    for prefix in _prefix_iter(domain, n):
-        rng = _last_coordinate_range(domain, n, prefix)
-        if rng is not None:
-            total += rng[1] - rng[0] + 1
-            if limit is not None and total > limit:
-                break
+    for _, lo, hi in _rows(domain, n):
+        total += hi - lo + 1
+        if limit is not None and total > limit:
+            break
     return total
 
 
@@ -639,4 +620,4 @@ def boundary_layer(domain: StarlikeDomain, n: int) -> IndexSet:
     points = [
         z for z in itertools.product(*ranges) if _box_touches_boundary(domain, n, z)
     ]
-    return IndexSet(domain.dimension, tuple(points))
+    return IndexSet(domain.dimension, _point_array(points, domain.dimension))

@@ -66,6 +66,11 @@ def euclidean_norm(values: Iterable[complex]) -> float:
     return sqrt(total)
 
 
+def _fits_int64(p: Sequence[int]) -> bool:
+    """Whether every coordinate fits int64, as every coordinate of a window does."""
+    return all(-(2**63) <= c < 2**63 for c in p)
+
+
 def _max_norm(p: Point) -> int:
     return max(abs(c) for c in p)
 
@@ -140,7 +145,7 @@ class PeriodicRule(CoefficientRule):
         per = tuple(int(q) for q in period)
         if any(q < 1 for q in per):
             raise ValueError("period entries must be >= 1")
-        if any(q > np.iinfo(np.int64).max for q in per):
+        if not _fits_int64(per):
             raise ValueError("period entries must fit int64, as lattice coordinates do")
         items = _distinct(
             (tuple(k % q for k, q in zip(as_point(key, len(per)), per)), val)
@@ -224,10 +229,6 @@ class SupportedVector:
                 canonical[as_point(key, dimension)] = v
         return cls(dimension, canonical)
 
-    @classmethod
-    def unit(cls, point, dimension: int = 1) -> "SupportedVector":
-        return cls(dimension, {as_point(point, dimension): 1.0 + 0j})
-
     def get(self, point) -> complex:
         return self.entries.get(as_point(point, self.dimension), 0j)
 
@@ -237,42 +238,51 @@ class SupportedVector:
     def norm(self) -> float:
         return euclidean_norm(self.entries.values())
 
-    def restrict(self, index_set: IndexSet) -> "SupportedVector":
-        kept = {p: v for p, v in self.entries.items() if p in index_set}
-        return SupportedVector(self.dimension, kept)
-
-    def restrict_outside(self, index_set: IndexSet) -> "SupportedVector":
-        kept = {p: v for p, v in self.entries.items() if p not in index_set}
-        return SupportedVector(self.dimension, kept)
-
     @cached_property
-    def _support(self) -> tuple[IndexSet, np.ndarray]:
-        """Sorted support that a window can hold (int64 coordinates) and its entries."""
-        limits = np.iinfo(np.int64)
-        support = IndexSet.from_points(
-            self.dimension,
-            (p for p in self.entries if all(limits.min <= c <= limits.max for c in p)),
-        )
-        values = np.array([self.entries[p] for p in support.points], dtype=complex)
-        return support, values
+    def _support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(held, points, values) in entry order.
 
-    def to_array(self, index_set: IndexSet) -> np.ndarray:
+        `held` marks the entries a window can hold (int64 coordinates),
+        `points` are their coordinates and `values` every entry's value.
+        """
+        held = np.array([_fits_int64(p) for p in self.entries], dtype=bool)
+        points = np.array(list(itertools.compress(self.entries, held)), dtype=np.int64)
+        values = np.array(list(self.entries.values()), dtype=complex)
+        return held, points.reshape(-1, self.dimension), values
+
+    def _positions(self, index_set: IndexSet) -> np.ndarray:
+        """Place of each entry in `index_set`, in entry order; -1 where it is absent."""
         if index_set.dimension != self.dimension:
             raise ValueError(
                 f"a {self.dimension}-D vector cannot fill a {index_set.dimension}-D window"
             )
-        support, values = self._support
-        out = np.zeros(len(index_set), dtype=complex)
-        positions = index_set.locate(support.array)
+        held, points, _ = self._support
+        positions = np.full(len(held), -1, dtype=np.intp)
+        positions[held] = index_set.locate(points)
+        return positions
+
+    def restrict(self, index_set: IndexSet) -> "SupportedVector":
+        inside = (self._positions(index_set) >= 0).tolist()
+        kept = itertools.compress(self.entries.items(), inside)
+        return SupportedVector(self.dimension, dict(kept))
+
+    def restrict_outside(self, index_set: IndexSet) -> "SupportedVector":
+        outside = (self._positions(index_set) < 0).tolist()
+        kept = itertools.compress(self.entries.items(), outside)
+        return SupportedVector(self.dimension, dict(kept))
+
+    def to_array(self, index_set: IndexSet) -> np.ndarray:
+        positions = self._positions(index_set)
         found = positions >= 0
-        out[positions[found]] = values[found]
+        out = np.zeros(len(index_set), dtype=complex)
+        out[positions[found]] = self._support[2][found]
         return out
 
     @classmethod
     def from_array(cls, index_set: IndexSet, values) -> "SupportedVector":
         values = np.asarray(values, dtype=complex)
         nonzero = values != 0
-        kept = itertools.compress(index_set.points, nonzero.tolist())
+        kept = map(tuple, index_set.array[nonzero].tolist())
         return cls(index_set.dimension, dict(zip(kept, values[nonzero].tolist())))
 
     def __add__(self, other: "SupportedVector") -> "SupportedVector":
@@ -446,6 +456,10 @@ class AdjacencyGraph(OperatorSpec):
             i, j = (as_point(v, dimension) for v in e)
             if i == j:
                 raise ValueError(f"edge {e} is not a doubleton")
+            if not _fits_int64(i + j):
+                raise ValueError(
+                    f"edge {e} has a coordinate past int64, where no window reaches"
+                )
             normalized.append((min(i, j), max(i, j)))
         normalized.sort()
         seen: set[Point] = set()
@@ -462,6 +476,11 @@ class AdjacencyGraph(OperatorSpec):
             out[i] = j
             out[j] = i
         return out
+
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """Edge ends as a (2k, N) int64 array: rows 2e and 2e + 1 are the ends of edge e."""
+        return np.array(self.edges, dtype=np.int64).reshape(-1, self.dimension)
 
     @cached_property
     def diagonals(self) -> tuple[tuple[Point, CoefficientRule], ...]:
@@ -497,9 +516,6 @@ class AdjacencyGraph(OperatorSpec):
         j = as_point(j, self.dimension)
         self._check_points(i, j)
         return super().entry(i, j)
-
-    def edge_vertices(self) -> list[Point]:
-        return sorted(self._partner)
 
 
 @dataclass(frozen=True)

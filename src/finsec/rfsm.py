@@ -244,7 +244,7 @@ def _fill_shared_caches(
     """Build the cached state that every window reads, before threads share it.
 
     One entry of each diagonal fills the diagonal tables; filling window 1
-    from the right-hand side sorts its support and reads the facet data.
+    from the right-hand side builds its support arrays and reads the facet data.
     """
     origin = (0,) * operator.dimension
     for offset, _ in operator.diagonals:

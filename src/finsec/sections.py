@@ -96,11 +96,13 @@ def _check_dense_budget(n_rows: int, n_cols: int) -> None:
 def _check_window_budget(operator: OperatorSpec, n_points: int) -> None:
     """Refuse a square window of n_points whose points and triplets pass the budget.
 
-    Per point the window holds a tuple of Python ints and an int64 row
-    (about 64 + 40 bytes per coordinate), and section_triplets up to one
-    (row, column, value) triplet of 32 bytes per stored diagonal.
+    Per point, as measured with tracemalloc: the window's int64 row (8 bytes
+    per coordinate), its sorted key and one diagonal's working arrays in
+    section_triplets (48 bytes together), and per stored diagonal one
+    (row, column, value) triplet of 32 bytes, held twice while the
+    diagonals are joined.
     """
-    per_point = 64 + 40 * operator.dimension + 32 * len(operator.diagonals)
+    per_point = 48 + 8 * operator.dimension + 64 * len(operator.diagonals)
     _check_budget(
         n_points * per_point,
         f"window of {n_points} points and {len(operator.diagonals)} stored diagonals",

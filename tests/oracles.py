@@ -18,25 +18,24 @@ from fractions import Fraction
 # ---------------------------------------------------------------------------
 
 
-def brute_force_section(facets, n, radius):
-    """All integer points of the n-fold dilation inside a max-norm box.
+def in_dilation(facets, point, n):
+    """Whether `point` lies in the n-fold dilation, straight from the half-space definition.
 
-    `facets` are (normal, offset, closed) triples; membership is tested
-    point by point straight from the half-space definition.
+    `facets` are (normal, offset, closed) triples.
     """
+    for normal, offset, closed in facets:
+        s = sum(Fraction(a) * x for a, x in zip(normal, point))
+        bound = n * Fraction(offset)
+        if s > bound or (not closed and s == bound):
+            return False
+    return True
+
+
+def brute_force_section(facets, n, radius):
+    """All integer points of the n-fold dilation inside a max-norm box, tested point by point."""
     dim = len(facets[0][0])
-    points = []
-    for p in itertools.product(range(-radius, radius + 1), repeat=dim):
-        ok = True
-        for normal, offset, closed in facets:
-            s = sum(Fraction(a) * x for a, x in zip(normal, p))
-            bound = n * Fraction(offset)
-            if s > bound or (not closed and s == bound):
-                ok = False
-                break
-        if ok:
-            points.append(p)
-    return sorted(points)
+    box = itertools.product(range(-radius, radius + 1), repeat=dim)
+    return sorted(p for p in box if in_dilation(facets, p, n))
 
 
 # ---------------------------------------------------------------------------

@@ -644,6 +644,20 @@ def test_shift_composed_adjacency_exits_2(tmp_path, capsys):
     assert "adjacency" in err
 
 
+def test_adjacency_edge_past_int64_exits_2(tmp_path, capsys):
+    far = 10**20
+    adjacency = {"variant": "adjacency", "dimension": 1, "edges": [[[0], [far]], [[1], [2]]]}
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps(adjacency))
+    code, out, err = run_cli(
+        ["scan", "--operator", str(op), "--omega", "interval", "--nmax", "4"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert f"edge [(0,), ({far},)] has a coordinate past int64" in err
+    assert "Traceback" not in err
+
+
 def test_vertex_domain_config(tmp_path, capsys):
     omega = tmp_path / "triangle.json"
     omega.write_text(json.dumps({"vertices": [["0", "2"], ["2", "-2"], ["-2", "-2"]]}))

@@ -44,7 +44,7 @@ def test_identity_solve_restricts_rhs(interval):
 
 
 def test_shift_sections_never_solve(interval):
-    b = SupportedVector.unit(0)
+    b = SupportedVector.from_entries(1, {0: 1})
     for n in (1, 4, 9):
         with pytest.raises(SingularSectionError):
             fsm_solve(Shift.by(1), b, interval, n)
@@ -52,8 +52,8 @@ def test_shift_sections_never_solve(interval):
 
 def test_blockdiag_even_solve_swaps(interval):
     case = build_example("blockdiag", 6)
-    u = fsm_solve(case.operator, SupportedVector.unit(1), interval, 4)
-    assert u == SupportedVector.unit(2)
+    u = fsm_solve(case.operator, SupportedVector.from_entries(1, {1: 1}), interval, 4)
+    assert u == SupportedVector.from_entries(1, {2: 1})
 
 
 def test_solve_residual_consistency(worked_prime_case, interval):
@@ -287,7 +287,7 @@ def test_near_threshold_window_takes_dense_path(
 def solved_windows(operator, domain, ns):
     """Per n, whether fsm_solve solves window n; asserts the scan records the same."""
     origin = (0,) * operator.dimension
-    b = SupportedVector.unit(origin, operator.dimension)
+    b = SupportedVector.from_entries(operator.dimension, {origin: 1})
     solved = []
     for n in ns:
         try:

@@ -19,11 +19,15 @@ from finsec import (
     validate_domain,
 )
 from finsec import geometry
-from oracles import brute_force_section
+from oracles import brute_force_section, in_dilation
 
 
 def facet_triples(domain):
     return [(f.normal, f.offset, f.closed) for f in domain.facets]
+
+
+def contains(domain, point, n):
+    return bool(domain.contains_array(np.array([point], dtype=np.int64), n)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -34,8 +38,8 @@ def facet_triples(domain):
 def test_interval_is_valid():
     dom = validate_domain(vertices=[(-1,), (1,)])
     assert dom.dimension == 1
-    assert dom.contains((0,), 1)
-    assert dom.contains((1,), 1) and not dom.contains((2,), 1)
+    assert contains(dom, (0,), 1)
+    assert contains(dom, (1,), 1) and not contains(dom, (2,), 1)
 
 
 def test_zero_on_boundary_rejected():
@@ -60,9 +64,9 @@ def test_unbounded_rejected():
 def test_triangle_from_vertices_is_valid():
     tri = validate_domain(vertices=[(0, 2), (2, -2), (-2, -2)])
     assert tri.dimension == 2
-    assert tri.contains((0, 0), 1)
-    assert tri.contains((0, 2), 1)
-    assert not tri.contains((0, 3), 1)
+    assert contains(tri, (0, 0), 1)
+    assert contains(tri, (0, 2), 1)
+    assert not contains(tri, (0, 3), 1)
     # all three corners are recovered as vertices of the hull
     corners = {tuple(map(Fraction, v)) for v in [(0, 2), (2, -2), (-2, -2)]}
     assert corners == set(tri.vertices)
@@ -71,7 +75,7 @@ def test_triangle_from_vertices_is_valid():
 def test_rational_facets_accepted_as_strings():
     dom = validate_domain(facets=[(("1/2",), "3/2"), (("-1",), "1")])
     # x <= 3, x >= -1 scaled exactly
-    assert dom.contains((3,), 1) and not dom.contains((4,), 1)
+    assert contains(dom, (3,), 1) and not contains(dom, (4,), 1)
 
 
 def test_open_facets_only_in_dimension_one():
@@ -251,9 +255,10 @@ def point_sets(draw):
 @settings(max_examples=80, deadline=None)
 def test_locate_matches_positions(case):
     dim, members, queries = case
-    index_set = IndexSet.from_points(dim, members)
+    index_set = IndexSet.from_array(dim, members)
+    positions = {p: k for k, p in enumerate(sorted(set(members)))}
     located = index_set.locate(np.array(queries, dtype=np.int64).reshape(-1, dim))
-    assert located.tolist() == [index_set.positions.get(q, -1) for q in queries]
+    assert located.tolist() == [positions.get(q, -1) for q in queries]
 
 
 @given(point_sets())
@@ -262,25 +267,26 @@ def test_from_array_matches_from_points(case):
     dim, members, queries = case
     points = np.array(members + queries, dtype=np.int64).reshape(-1, dim)
     from_array = IndexSet.from_array(dim, points)
-    expected = IndexSet.from_points(dim, members + queries)
-    assert from_array == expected
-    assert from_array.array.tolist() == [list(p) for p in expected.points]
+    expected = sorted(set(members + queries))
+    assert from_array == IndexSet(dim, np.array(expected, dtype=np.int64).reshape(-1, dim))
+    assert from_array.points == tuple(expected)
+    assert from_array.array.tolist() == [list(p) for p in expected]
     assert all(type(c) is int for p in from_array.points for c in p)
 
 
 def test_locate_refuses_keys_past_int64():
-    huge = IndexSet.from_points(2, [(-(2**40), 0), (2**40, 2**40)])
+    huge = IndexSet(2, np.array([(-(2**40), 0), (2**40, 2**40)], dtype=np.int64))
     with pytest.raises(ValueError, match="overflows int64"):
         huge.locate(np.zeros((1, 2), dtype=np.int64))
     with pytest.raises(ValueError, match="int64 range"):
-        IndexSet.from_points(1, [(0,)]).locate([(2**70,)])
+        IndexSet.from_array(1, [(0,)]).locate([(2**70,)])
 
 
 @pytest.mark.parametrize(
     "points", [((1, 0), (0, 5)), ((0, 0), (2, -1), (2, -1)), ((3,), (-3,))]
 )
 def test_locate_refuses_unsorted_or_repeated_points(points):
-    index_set = IndexSet(len(points[0]), points)
+    index_set = IndexSet(len(points[0]), np.array(points, dtype=np.int64))
     with pytest.raises(ValueError, match="not sorted"):
         index_set.locate(np.zeros((1, len(points[0])), dtype=np.int64))
 
@@ -297,7 +303,8 @@ def test_contains_array_matches_contains(name):
             dtype=np.int64,
         )
         mask = dom.contains_array(box, n)
-        assert mask.tolist() == [dom.contains(tuple(p), n) for p in box.tolist()]
+        facets = facet_triples(dom)
+        assert mask.tolist() == [in_dilation(facets, p, n) for p in box.tolist()]
 
 
 def fraction_row_range(domain, n, prefix):
@@ -364,7 +371,8 @@ def test_contains_array_stays_exact_past_int64_products():
     )
     for n in (1, 2):
         mask = dom.contains_array(points, n)
-        assert mask.tolist() == [dom.contains(tuple(p), n) for p in points.tolist()]
+        facets = facet_triples(dom)
+        assert mask.tolist() == [in_dilation(facets, p, n) for p in points.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -495,3 +503,62 @@ def test_row_reduce_fixed_systems():
     assert geometry._solve_exact(deficient, [F(1), F(2)]) is None  # consistent
     assert geometry._solve_exact(deficient, [F(1), F(3)]) is None  # inconsistent
     assert geometry._rank([[F(0), F(0)]], 2) == 0
+
+
+# ---------------------------------------------------------------------------
+# one array storage: windows and layers against the old tuple construction
+# ---------------------------------------------------------------------------
+
+
+def section_by_points(domain, n):
+    """The point-by-point construction lattice_section replaced, kept as the reference."""
+    lo, hi = domain.bounding_box(n)
+    ranges = [range(lo[j], hi[j] + 1) for j in range(domain.dimension - 1)]
+    points = []
+    for prefix in itertools.product(*ranges):
+        rng = geometry._last_coordinate_range(domain, n, prefix)
+        if rng is not None:
+            points.extend(prefix + (x,) for x in range(rng[0], rng[1] + 1))
+    return points
+
+
+BUILTIN_NAMES = ["interval", "interval-halfopen", "square", "diamond", "triangle"]
+
+
+@given(st.sampled_from(BUILTIN_NAMES), st.integers(min_value=1, max_value=40))
+@settings(max_examples=200, deadline=None)
+def test_section_array_matches_point_construction(name, n):
+    dom = builtin_domain(name)
+    expected = section_by_points(dom, n)
+    window = lattice_section(dom, n)
+    assert window.array.dtype == np.int64
+    assert window.array.shape == (len(expected), dom.dimension)
+    assert window.array.tolist() == [list(p) for p in expected]
+    assert window.points == tuple(expected)
+    assert len(window) == lattice_section_size(dom, n)
+
+
+@pytest.mark.parametrize("name", ["interval", "square", "diamond", "triangle"])
+def test_boundary_layer_matches_point_construction(name):
+    dom = builtin_domain(name)
+    for n in range(1, 7):
+        lo, hi = dom.bounding_box(n)
+        ranges = [range(lo[j] - 1, hi[j] + 2) for j in range(dom.dimension)]
+        expected = [
+            z for z in itertools.product(*ranges) if geometry._box_touches_boundary(dom, n, z)
+        ]
+        layer = boundary_layer(dom, n)
+        assert layer.array.dtype == np.int64
+        assert layer.points == tuple(expected)
+
+
+def test_membership_reads_the_array(square):
+    window = lattice_section(square, 2)
+    assert (2, -2) in window and [0, 0] in window
+    assert (3, 0) not in window
+    # a point past int64 lies in no window; a point of another dimension neither
+    assert (2**70, 0) not in window and (0,) not in window and (0, 0, 0, 0) not in window
+    assert (1.5, 0) not in window and (1.0, 0) in window
+    assert window == IndexSet.from_array(2, window.array[::-1])
+    assert window != lattice_section(square, 1)
+    assert window != lattice_section(builtin_domain("interval"), 2)

@@ -98,14 +98,15 @@ def test_adjacency_entry_beyond_coverage_raises():
 
 
 def test_shift_moves_delta():
-    u = SupportedVector.unit(0)
-    assert Shift.by(1).apply(u) == SupportedVector.unit(1)
+    u = SupportedVector.from_entries(1, {0: 1})
+    assert Shift.by(1).apply(u) == SupportedVector.from_entries(1, {1: 1})
 
 
 def test_adjacency_swaps_endpoints():
     g = AdjacencyGraph.from_edges(1, [((1,), (2,))])
-    assert g.apply(SupportedVector.unit(1)) == SupportedVector.unit(2)
-    assert g.apply(SupportedVector.unit(0)) == SupportedVector.unit(0)
+    e0, e1, e2 = (SupportedVector.from_entries(1, {k: 1}) for k in range(3))
+    assert g.apply(e1) == e2
+    assert g.apply(e0) == e0
 
 
 def test_identity_applies_as_identity():
@@ -294,18 +295,50 @@ def test_values_at_of_periods_past_any_dense_table():
 def test_to_array_matches_entrywise_fill(dim, raw):
     entries = {tuple(k[:dim]): v for k, v in raw.items()}
     u = SupportedVector.from_entries(dim, entries)
-    window = IndexSet.from_points(dim, itertools.product(range(-3, 4), repeat=dim))
+    window = IndexSet.from_array(dim, list(itertools.product(range(-3, 4), repeat=dim)))
+    positions = {p: k for k, p in enumerate(window.points)}
     expected = np.zeros(len(window), dtype=complex)
     for p, v in u.entries.items():
-        if p in window:
-            expected[window.index(p)] = v
+        if p in positions:
+            expected[positions[p]] = v
     assert bits(u.to_array(window)) == bits(expected)
 
 
 def test_to_array_ignores_entries_past_int64():
     u = SupportedVector.from_entries(1, {0: 1, 10**23: 2, -(10**30): 3})
-    window = IndexSet.from_points(1, [(k,) for k in range(-2, 3)])
+    window = IndexSet.from_array(1, [(k,) for k in range(-2, 3)])
     assert u.to_array(window).tolist() == [0, 0, 1, 0, 0]
+
+
+def restrict_by_dict(u, index_set, inside):
+    """The per-entry dict lookup that restrict and restrict_outside replaced, kept as the reference."""
+    positions = {p: k for k, p in enumerate(index_set.points)}
+    kept = {p: v for p, v in u.entries.items() if (p in positions) == inside}
+    return SupportedVector(u.dimension, kept)
+
+
+@given(
+    st.integers(min_value=1, max_value=2),
+    st.dictionaries(
+        st.tuples(*[st.integers(-4, 4)] * 2),
+        st.complex_numbers(max_magnitude=1e150, allow_nan=False, allow_infinity=False),
+        max_size=16,
+    ),
+    st.lists(st.tuples(*[st.integers(-3, 3)] * 2), max_size=20),
+    st.integers(min_value=0, max_value=16),
+)
+@settings(max_examples=150, deadline=None)
+def test_restrict_matches_dict_lookup(dim, raw, members, far_at):
+    items = [(k[:dim], v) for k, v in raw.items()]
+    # a point at 2**70 lies in no window, wherever it sits in entry order
+    items.insert(min(far_at, len(items)), ((2**70,) + (0,) * (dim - 1), 1.5 - 2j))
+    u = SupportedVector.from_entries(dim, dict(items))
+    window = IndexSet.from_array(dim, [m[:dim] for m in members])
+    for inside, got in ((True, u.restrict(window)), (False, u.restrict_outside(window))):
+        want = restrict_by_dict(u, window, inside)
+        # the same entries in the same order, so every norm keeps its bits
+        assert list(got.entries.items()) == list(want.entries.items())
+        assert got.norm().hex() == want.norm().hex()
 
 
 def from_array_by_loop(index_set, values):
@@ -331,8 +364,8 @@ _PARTS = st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300, 5e-324, math.inf, math.n
 )
 @settings(max_examples=100, deadline=None)
 def test_from_array_matches_entry_loop(dim, parts):
-    window = IndexSet.from_points(
-        dim, itertools.islice(itertools.product(range(-2, 3), repeat=dim), len(parts))
+    window = IndexSet.from_array(
+        dim, list(itertools.islice(itertools.product(range(-2, 3), repeat=dim), len(parts)))
     )
     values = np.array([complex(re, im) for re, im in parts[: len(window)]], dtype=complex)
     got = SupportedVector.from_array(window, values).entries

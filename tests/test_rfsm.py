@@ -135,10 +135,10 @@ def test_identity_rfsm_keeps_window(interval):
 
 
 def test_shift_rfsm_recovers_exact_solution(interval):
-    b = SupportedVector.unit(1)
+    b = SupportedVector.from_entries(1, {1: 1})
     for n in (1, 2, 5):
         u = rfsm_solve(Shift.by(1), b, interval, n + 1, n)
-        assert u == SupportedVector.unit(0)
+        assert u == SupportedVector.from_entries(1, {0: 1})
 
 
 def test_rfsm_residual_never_beats_zero_vector(interval):
@@ -201,7 +201,7 @@ def test_bound_matches_worked_constant():
 
 def test_choose_parameters_identity_delta():
     interval = build_example("shift").domain
-    b = SupportedVector.unit(0)
+    b = SupportedVector.from_entries(1, {0: 1})
     params = choose_parameters(
         identity_operator(), b, interval, 0.5, 1.0, 1.0, lambda n: 0.0
     )
@@ -304,7 +304,9 @@ def test_normal_equations_match_least_squares(interval):
 
 def test_normal_equations_rank_deficient_raises(interval):
     with pytest.raises(SingularGramError):
-        normal_equations_solve(Shift.by(1), SupportedVector.unit(0), interval, 3, 3)
+        normal_equations_solve(
+            Shift.by(1), SupportedVector.from_entries(1, {0: 1}), interval, 3, 3
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +671,7 @@ _VALUES = st.one_of(
 
 def window_vector(dim, raw):
     entries = {k[:dim]: v for k, v in raw.items()}
-    points = IndexSet.from_points(dim, entries)
+    points = IndexSet.from_array(dim, list(entries))
     return points, np.array([entries[p] for p in points.points], dtype=complex)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import mmap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,15 +25,23 @@ from finsec import (
     rfsm_section,
     spectral_norm,
 )
-from finsec import sections
+from finsec import fsm, sections
 from finsec.sections import section_triplets
 from conftest import random_band_operator
+from oracles import in_dilation
 
 BLOCK_B = np.array([[1, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=float)
 
 
 def symmetric_window(radius):
-    return IndexSet.from_points(1, [(k,) for k in range(-radius, radius + 1)])
+    return IndexSet.from_array(1, [(k,) for k in range(-radius, radius + 1)])
+
+
+def place(index_set, point):
+    """Position of `point` in `index_set`; fails when it is absent."""
+    (k,) = index_set.locate([point]).tolist()
+    assert k >= 0, point
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +78,7 @@ def test_assemble_provenance_invariant(worked_case, worked_prime_case):
         *(random_band_operator(rng, width=int(rng.integers(1, 4))) for _ in range(5)),
     ]
     rows = symmetric_window(2)
-    cols = IndexSet.from_points(1, [(k,) for k in range(-1, 4)])
+    cols = IndexSet.from_array(1, [(k,) for k in range(-1, 4)])
     for operator in operators:
         sec = assemble(operator, rows, cols)
         for r, i in enumerate(rows.points):
@@ -107,7 +116,7 @@ def test_identity_section_any_n(square):
 def test_sections_nest(worked_case):
     outer = fsm_section(worked_case.operator, worked_case.domain, 5)
     inner = fsm_section(worked_case.operator, worked_case.domain, 4)
-    keep = [outer.rows.index(p) for p in inner.rows.points]
+    keep = [place(outer.rows, p) for p in inner.rows.points]
     assert np.array_equal(outer.data[np.ix_(keep, keep)], inner.data)
 
 
@@ -123,7 +132,7 @@ def test_rfsm_shift_contains_unit_columns(interval):
     for c, j in enumerate(sec.cols.points):
         col = sec.data[:, c]
         assert np.count_nonzero(col) == 1
-        assert col[sec.rows.index((j[0] + 1,))] == 1
+        assert col[place(sec.rows, (j[0] + 1,))] == 1
 
 
 def test_rfsm_equals_fsm_for_square_cut(worked_case):
@@ -136,10 +145,10 @@ def test_rfsm_equals_fsm_for_square_cut(worked_case):
 def test_rfsm_worked_tall_window(worked_case):
     sec = rfsm_section(worked_case.operator, worked_case.domain, 4, 1)
     assert sec.shape == (9, 3)
-    top = [sec.rows.index((k,)) for k in (-1, 0, 1)]
+    top = [place(sec.rows, (k,)) for k in (-1, 0, 1)]
     assert np.array_equal(sec.data.real[top, :], BLOCK_B)
     # the coupling row of ones appears at row -2 (hand-derived block layout)
-    assert np.array_equal(sec.data.real[sec.rows.index((-2,)), :], [1, 1, 1])
+    assert np.array_equal(sec.data.real[place(sec.rows, (-2,)), :], [1, 1, 1])
     nonzero_rows = {i[0] for r, i in enumerate(sec.rows.points) if sec.data[r].any()}
     assert nonzero_rows == {-2, -1, 0}  # row 1 is the zero row of the corner block
 
@@ -161,8 +170,8 @@ def test_overflow_shift_square_cut(interval):
     assert set(block.rows.points) == {(-4,), (4,)}
     assert spectral_norm(block.data) == pytest.approx(1.0, abs=1e-12)
     # only the top escape row carries the unit entry
-    assert block.data[block.rows.index((4,)), block.cols.index((3,))] == 1
-    assert not block.data[block.rows.index((-4,))].any()
+    assert block.data[place(block.rows, (4,)), place(block.cols, (3,))] == 1
+    assert not block.data[place(block.rows, (-4,))].any()
 
 
 def test_overflow_blockdiag_odd_cut(interval):
@@ -171,7 +180,7 @@ def test_overflow_blockdiag_odd_cut(interval):
     block = overflow_block(case.operator, interval, n, n)
     assert set(block.rows.points) == {(-6,), (6,)}
     for z, j in (((-6,), (-5,)), ((6,), (5,))):
-        assert block.data[block.rows.index(z), block.cols.index(j)] == 1
+        assert block.data[place(block.rows, z), place(block.cols, j)] == 1
     assert spectral_norm(block.data) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -204,7 +213,7 @@ def test_dense_budget_checked_before_windows_are_built(interval, monkeypatch):
 
     monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", 1000)
     monkeypatch.setattr(sections, "lattice_section", never)
-    a, b = identity_operator(), SupportedVector.unit(0)
+    a, b = identity_operator(), SupportedVector.from_entries(1, {0: 1})
     for build in (
         lambda: fsm_section(a, interval, 4),
         lambda: rfsm_section(a, interval, 5, 4),
@@ -222,9 +231,10 @@ def test_dense_budget_checked_before_windows_are_built(interval, monkeypatch):
 def per_cell_triplets(operator, rows, cols):
     """Reference walk: diagonal by diagonal, rows ascending, one cell at a time."""
     r_idx, c_idx, values = [], [], []
+    positions = {p: k for k, p in enumerate(cols.points)}
     for offset, rule in operator.diagonals:
         for r, i in enumerate(rows.points):
-            c = cols.positions.get(tuple(a - b for a, b in zip(i, offset)))
+            c = positions.get(tuple(a - b for a, b in zip(i, offset)))
             if c is not None:
                 value = rule.value_at(i)
                 if value != 0:
@@ -272,14 +282,15 @@ def test_triplets_match_per_cell_walk(interval, square, diamond_domain):
 def test_offsets_past_int64_meet_no_window(interval):
     far = 10**20
     band = BandDiagonals.from_rules(1, {0: 2, far: 1, -far: 3})
-    graph = AdjacencyGraph.from_edges(1, [((0,), (far,)), ((1,), (2,))])
-    for operator in (band, graph):
-        for n in (1, 3):
-            window = lattice_section(interval, n)
-            assert_same_triplets(
-                section_triplets(operator, window, window),
-                per_cell_triplets(operator, window, window),
-            )
+    for n in (1, 3):
+        window = lattice_section(interval, n)
+        assert_same_triplets(
+            section_triplets(band, window, window),
+            per_cell_triplets(band, window, window),
+        )
+    # an adjacency edge that far is refused when the graph is built
+    with pytest.raises(ValueError, match=r"edge \(\(0,\), \(10+,\)\) has a coordinate past"):
+        AdjacencyGraph.from_edges(1, [((0,), (far,)), ((1,), (2,))])
 
 
 def test_adjacency_walk_raises_at_the_same_point():
@@ -314,10 +325,11 @@ def test_overflow_rows_are_the_ball_expansion_outside_window_m(interval, square)
             expanded = {
                 tuple(a + b for a, b in zip(p, d)) for p in cols.points for d in ball
             }
-            expected = sorted(p for p in expanded if not dom.contains(p, m))
+            facets = [(f.normal, f.offset, f.closed) for f in dom.facets]
+            expected = sorted(p for p in expanded if not in_dilation(facets, p, m))
             block = overflow_block(operator, dom, m, n)
             assert block.rows.points == tuple(expected)
-            rows = IndexSet.from_points(dim, expected)
+            rows = IndexSet.from_array(dim, expected)
             assert block.data.tobytes() == assemble(operator, rows, cols).data.tobytes()
 
 
@@ -373,8 +385,8 @@ def test_empty_blocks_equal_the_zeros_fill(interval):
     assert escaping.shape == (0, 11)
     assert_block_is_the_zeros_fill(escaping, operator)
     for rows, cols in [
-        (symmetric_window(3), IndexSet(1, ())),
-        (IndexSet(1, ()), IndexSet(1, ())),
+        (symmetric_window(3), IndexSet.from_array(1, [])),
+        (IndexSet.from_array(1, []), IndexSet.from_array(1, [])),
     ]:
         assert_block_is_the_zeros_fill(assemble(operator, rows, cols), operator)
 
@@ -387,3 +399,53 @@ def test_assembled_blocks_do_not_share_memory(interval):
     assert second.tobytes() == zeros_fill(
         operator, lattice_section(interval, 300), lattice_section(interval, 280)
     ).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the scan window budget, charged per point of the array storage
+# ---------------------------------------------------------------------------
+
+FIVE_POINT = BandDiagonals.from_rules(
+    2, {(0, 0): 4, (1, 0): -1, (-1, 0): -1, (0, 1): -1, (0, -1): -1}
+)
+
+
+def window_charge(operator, n_points):
+    return n_points * (48 + 8 * operator.dimension + 64 * len(operator.diagonals))
+
+
+def test_window_budget_refuses_just_over_and_accepts_just_under(square, monkeypatch):
+    built = []
+
+    def counted(domain, n):
+        built.append(n)
+        return lattice_section(domain, n)
+
+    monkeypatch.setattr(fsm, "lattice_section", counted)
+    expected = fsm.section_extremes(FIVE_POINT, square, 1)
+    # 9 points: the charge passes the dense block's 16 * 9 * 9 bytes
+    charge = window_charge(FIVE_POINT, 9)
+    monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", charge - 1)
+    with pytest.raises(ValueError, match=f"window of 9 points .* needs {charge} bytes"):
+        fsm.section_extremes(FIVE_POINT, square, 1)
+    assert built == [1]  # refused before it was built
+    monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", charge)
+    assert fsm.section_extremes(FIVE_POINT, square, 1) == expected
+    assert built == [1, 1]
+
+
+@pytest.mark.parametrize("name, n", [("interval", 20000), ("square", 70)])
+def test_window_budget_covers_the_measured_peak(name, n):
+    dom = builtin_domain(name)
+    width = 1 if dom.dimension == 2 else 2
+    offsets = itertools.product(range(-width, width + 1), repeat=dom.dimension)
+    operator = BandDiagonals.from_rules(dom.dimension, {d: 1 + k for k, d in enumerate(offsets)})
+    tracemalloc.start()
+    try:
+        window = lattice_section(dom, n)
+        section_triplets(operator, window, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    charge = window_charge(operator, len(window))
+    assert 0.9 * charge < peak <= charge

@@ -333,10 +333,8 @@ def _cmd_scan(args) -> int:
             str(res): verdict for res, verdict in verdicts.items()
         }
     report = dataclasses.replace(report, classification=classification)
-    if args.format == "csv":
-        _emit(stability_report_csv(report), args.out)
-    else:
-        _emit(stability_report_json(report), args.out)
+    write = stability_report_csv if args.format == "csv" else stability_report_json
+    _emit(write(report), args.out)
     return EXIT_OK
 
 
@@ -469,10 +467,8 @@ def _cmd_study(args) -> int:
         operator_id=op_id,
         domain_id=domain.name,
     )
-    if args.format == "csv":
-        _emit(rfsm_report_csv(report), args.out)
-    else:
-        _emit(rfsm_report_json(report), args.out)
+    write = rfsm_report_csv if args.format == "csv" else rfsm_report_json
+    _emit(write(report), args.out)
     return EXIT_OK
 
 

@@ -49,11 +49,20 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _point_array(points, dimension: int) -> np.ndarray:
-    """(k, dimension) int64 array of lattice points; ValueError past int64."""
+    """(k, dimension) int64 array of lattice points; an int64 array is not copied.
+
+    ValueError for a coordinate that the int64 cast changes: a fractional,
+    non-finite or past-int64 one.
+    """
+    raw = np.asarray(points)
     try:
-        arr = np.asarray(points, dtype=np.int64)
+        with np.errstate(invalid="ignore"):
+            arr = raw.astype(np.int64, copy=False)
+        exact = arr is raw or np.array_equal(arr, raw)
     except OverflowError:
-        raise ValueError("lattice coordinates exceed the int64 range") from None
+        exact = False
+    if not exact:
+        raise ValueError("lattice coordinates must be integers in the int64 range")
     return arr.reshape(-1, dimension)
 
 
@@ -210,8 +219,8 @@ class IndexSet:
         try:
             query = _point_array(point, self.dimension)
         except (TypeError, ValueError):
-            return False  # past int64, or no lattice point of this dimension
-        # the cast truncates a fractional coordinate, so check it kept the point
+            return False  # past int64, fractional, or no lattice point of this dimension
+        # a point of another length reshapes into other rows
         return query.tolist() == [point] and bool(self.locate(query)[0] >= 0)
 
     def __len__(self) -> int:

@@ -11,7 +11,7 @@ import itertools
 import math
 import os
 import threading
-from collections import deque
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -43,8 +43,6 @@ __all__ = [
     "convergence_study",
     "reference_tail_bound",
 ]
-
-RhsLike = SupportedVector | Callable
 
 # choose_parameters searches column cut-offs 1..N_LIMIT and row cut-offs n..M_LIMIT.
 N_LIMIT = 256
@@ -232,12 +230,6 @@ def normal_equations_solve(
     return SupportedVector.from_array(section.cols, x)
 
 
-def _materialize_rhs(rhs: RhsLike, domain: StarlikeDomain, m: int) -> SupportedVector:
-    if isinstance(rhs, SupportedVector):
-        return rhs
-    return rhs(lattice_section(domain, m))
-
-
 def _fill_shared_caches(
     operator: OperatorSpec, rhs: SupportedVector, domain: StarlikeDomain
 ) -> None:
@@ -274,7 +266,7 @@ def _difference_norm(x: np.ndarray, positions: np.ndarray, x_ref: np.ndarray) ->
 
 def convergence_study(
     operator: OperatorSpec,
-    rhs: RhsLike,
+    rhs: SupportedVector | Callable,
     domain: StarlikeDomain,
     coupling: str,
     n_values: Iterable[int],
@@ -293,19 +285,19 @@ def convergence_study(
     norm bound is recorded wherever its hypothesis holds;
     certified_bound(n), when given, fills the certified error column.
 
-    The reference window and the windows of the requested n run in one
-    thread pool, the reference first and then the windows in ascending n.
-    The pool has as many workers as the usable cores divided by the threads
-    of one BLAS call (so one under a BLAS that uses every core), no more
-    than there are windows, and no more than the dense budget
-    (sections.DENSE_BUDGET_BYTES) holds: the reference block beside blocks
-    of the tallest window, or blocks of the tallest window alone.  A window
-    returns its solution array, residual and overflow norm; its error is
-    summed once the reference is in, in the order of (u - u_ref).norm().
-    Each window runs the same LAPACK calls as it would alone, so the report
-    does not depend on the worker count.  A failing reference raises its own
-    error, then the right-hand side's norm may, then the first failing n;
-    the windows not yet started are cancelled.
+    One thread pool maps the window solve over the reference and then the
+    requested n in ascending order.  It has as many workers as the usable
+    cores divided by the threads of one BLAS call (so one under a BLAS that
+    uses every core), no more than there are windows, and no more than the
+    dense budget (sections.DENSE_BUDGET_BYTES) holds: the reference block
+    beside blocks of the tallest window, or blocks of the tallest window
+    alone.  A window returns its solution array, residual and overflow
+    norm; its error is summed once the reference is in, in the order of
+    (u - u_ref).norm().  Each window runs the same LAPACK calls as it would
+    alone, so the report does not depend on the worker count.  A failing
+    reference raises its own error, and its worker starts no window after
+    it; then the right-hand side's norm may raise, then the first failing
+    window or record.  The windows not yet started are then cancelled.
     """
     ns = sorted(set(int(n) for n in n_values))
     if not ns:
@@ -318,23 +310,24 @@ def convergence_study(
         n: coupling_row_cutoff(coupling, n, width, explicit_rows) for n in ns
     }
     m_ref = reference_n + width
-    rhs_vec = _materialize_rhs(rhs, domain, max([m_ref, *couplings.values()]))
-    _fill_shared_caches(operator, rhs_vec, domain)
+    if not isinstance(rhs, SupportedVector):
+        rhs = rhs(lattice_section(domain, max([m_ref, *couplings.values()])))
+    _fill_shared_caches(operator, rhs, domain)
 
     reference_failed = threading.Event()
 
-    def on_reference_done(done) -> None:
-        # Runs in the reference's worker before it takes another window (or
-        # in this thread, if the reference is done before this is attached),
-        # so no window starts its work once the reference has failed.
-        if done.exception() is not None:
-            reference_failed.set()
-
-    def solve(n: int) -> tuple[np.ndarray, np.ndarray, float, float | None] | None:
+    def solve(n: int) -> tuple | None:
+        if n == reference_n:
+            try:
+                return _solve_window(operator, rhs, domain, m_ref, n)
+            except BaseException:
+                # set before this worker takes a window, so none starts after it
+                reference_failed.set()
+                raise
         if reference_failed.is_set():
             return None  # never read: the study raises the reference's error
         m = couplings[n]
-        cols, x, residual = _solve_window(operator, rhs_vec, domain, m, n)
+        cols, x, residual = _solve_window(operator, rhs, domain, m, n)
         overflow = None if inverse_bound is None else overflow_norm(operator, domain, m, n)
         return cols.array, x, residual, overflow
 
@@ -366,21 +359,15 @@ def convergence_study(
     # Imported here so that importing the package does not load it.
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(workers) as pool:
-        ref_future = pool.submit(_solve_window, operator, rhs_vec, domain, m_ref, reference_n)
-        ref_future.add_done_callback(on_reference_done)
-        windows = deque(pool.submit(solve, n) for n in ns)
-        try:
-            ref_cols, x_ref, _ = ref_future.result()
-            rhs_norm = rhs_vec.norm()
-            records = []
-            for n in ns:
-                # popped, so a window's arrays are freed once its record is made
-                records.append(record(n, *windows.popleft().result()))
-        finally:
-            # leaving the block then waits only for the windows already running
-            for window in windows:
-                window.cancel()
+    # map yields in submission order; closing it cancels the windows not yet
+    # started, so leaving the pool waits only for those already running.
+    with ThreadPoolExecutor(workers) as pool, closing(
+        pool.map(solve, [reference_n, *ns])
+    ) as windows:
+        ref_cols, x_ref, _ = next(windows)
+        rhs_norm = rhs.norm()
+        # unpacked into record, so a window's arrays are freed once its record is made
+        records = [record(n, *next(windows)) for n in ns]
     return RfsmReport(
         operator_id=operator_id or type(operator).__name__,
         domain_id=domain_id or domain.name or "domain",

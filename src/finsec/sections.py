@@ -75,7 +75,11 @@ def section_triplets(
         r_parts.append(r[nonzero])
         c_parts.append(c[r[nonzero]])
         v_parts.append(values[nonzero])
-    return np.concatenate(r_parts), np.concatenate(c_parts), np.concatenate(v_parts)
+    # Joined one component at a time, and rebound so that each list of parts
+    # is freed once joined: the parts sit beside one joined component at most.
+    r_parts = np.concatenate(r_parts)
+    c_parts = np.concatenate(c_parts)
+    return r_parts, c_parts, np.concatenate(v_parts)
 
 
 def _check_budget(size: int, what: str) -> None:
@@ -99,10 +103,10 @@ def _check_window_budget(operator: OperatorSpec, n_points: int) -> None:
     Per point, as measured with tracemalloc: the window's int64 row (8 bytes
     per coordinate), its sorted key and one diagonal's working arrays in
     section_triplets (48 bytes together), and per stored diagonal one
-    (row, column, value) triplet of 32 bytes, held twice while the
-    diagonals are joined.
+    (row, column, value) triplet of 32 bytes, whose 16-byte value part is
+    held twice while the values are joined.
     """
-    per_point = 48 + 8 * operator.dimension + 64 * len(operator.diagonals)
+    per_point = 48 + 8 * operator.dimension + 48 * len(operator.diagonals)
     _check_budget(
         n_points * per_point,
         f"window of {n_points} points and {len(operator.diagonals)} stored diagonals",

@@ -282,6 +282,24 @@ def test_locate_refuses_keys_past_int64():
         IndexSet.from_array(1, [(0,)]).locate([(2**70,)])
 
 
+@pytest.mark.parametrize("bad", [0.7, 2.9, -0.9, 0.5, math.nan, math.inf, -math.inf, 2.0**63])
+def test_coordinates_the_int64_cast_changes_are_refused(bad, square):
+    # the cast used to truncate: (0.7,), (2.9,) gave the points 0 and 2
+    with pytest.raises(ValueError, match="integers in the int64 range"):
+        IndexSet.from_array(1, [(0.7,), (bad,)])
+    # and (0.5, -0.9) was found at (0, 0), position 4 of window 1
+    with pytest.raises(ValueError, match="integers in the int64 range"):
+        lattice_section(square, 1).locate([(0.5, bad)])
+
+
+def test_integral_coordinates_are_taken_and_int64_arrays_not_copied(square):
+    assert IndexSet.from_array(1, [(1.0,), (-3.0,)]).points == ((-3,), (1,))
+    window = lattice_section(square, 1)
+    assert window.locate([(1.0, -1.0)]).tolist() == [window.points.index((1, -1))]
+    points = np.array([(0, 0), (1, 1)], dtype=np.int64)
+    assert np.shares_memory(geometry._point_array(points, 2), points)
+
+
 @pytest.mark.parametrize(
     "points", [((1, 0), (0, 5)), ((0, 0), (2, -1), (2, -1)), ((3,), (-3,))]
 )

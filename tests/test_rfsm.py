@@ -544,6 +544,41 @@ def test_study_first_failing_n_raises_and_cancels_the_rest(monkeypatch, capsys):
     assert len([n for n in started if 5 < n < 40]) <= 2
 
 
+def test_study_failing_record_raises_and_cancels_the_rest(monkeypatch):
+    # the record of n = 5 fails in this thread while later windows hold their workers
+    real = rfsm.least_squares
+    started = []
+    release = threading.Event()
+    raised = NonFiniteResultError("the certified bound overflows a double at n=5")
+
+    def held(matrix, rhs):
+        n = (matrix.shape[1] - 1) // 2
+        started.append(n)
+        if 5 < n < 40:
+            release.wait(5)
+        return real(matrix, rhs)
+
+    def failing_at_5(n):
+        if n == 5:
+            # release the held windows once the rest could be cancelled
+            threading.Timer(0.3, release.set).start()
+            raise raised
+        return 1.0
+
+    monkeypatch.setattr(rfsm, "least_squares", held)
+    monkeypatch.setattr(rfsm, "_free_cores", lambda: 2)
+    case = build_example("worked_A")
+    with pytest.raises(NonFiniteResultError) as excinfo:
+        convergence_study(
+            case.operator, case.rhs, case.domain, "band", range(2, 31), reference_n=40,
+            certified_bound=failing_at_5,
+        )
+    assert excinfo.value is raised
+    later = [n for n in started if 5 < n < 40]
+    # at most one later window per worker started before the others were cancelled
+    assert len(later) <= 2 and max(later, default=5) <= 7
+
+
 @pytest.mark.parametrize(
     "env, cores, want",
     [

@@ -411,7 +411,7 @@ FIVE_POINT = BandDiagonals.from_rules(
 
 
 def window_charge(operator, n_points):
-    return n_points * (48 + 8 * operator.dimension + 64 * len(operator.diagonals))
+    return n_points * (48 + 8 * operator.dimension + 48 * len(operator.diagonals))
 
 
 def test_window_budget_refuses_just_over_and_accepts_just_under(square, monkeypatch):

@@ -136,14 +136,15 @@ class StarlikeDomain:
             inside &= s <= n * b if closed else s < n * b
         return inside
 
-    def holds_expansion(self, n: int, width: int, m: int) -> bool:
-        """Sufficient test that every point within max-norm `width` of window n is in window m.
+    def holds_shifts(self, n: int, offsets: Sequence[Sequence[int]], m: int) -> bool:
+        """Sufficient test that window m holds every shift of window n by an offset.
 
-        Per integer facet A.x <= n*B: A.(p + s) <= n*B + width*|A|_1 <= m*B
-        when (m - n)*B >= width*|A|_1, strictly so for an open facet.
+        Per integer facet A.x <= n*B: A.(p + d) <= n*B + A.d <= m*B for
+        every offset d when (m - n)*B >= max_d A.d, strictly so for an open
+        facet.
         """
         return all(
-            (m - n) * b >= width * sum(abs(c) for c in a)
+            (m - n) * b >= max((_dot(a, d) for d in offsets), default=0)
             for a, b, _ in self._integer_facets
         )
 
@@ -176,11 +177,12 @@ class IndexSet:
 
     @classmethod
     def from_array(cls, dimension: int, points: np.ndarray) -> "IndexSet":
-        """Index set of the distinct rows of a (k, N) int64 array, deduplicated on integer keys."""
+        """Index set of the distinct rows of a (k, N) int64 array."""
         points = _point_array(points, dimension)
-        if not len(points):
-            return cls(dimension, points)
-        return _union_in_box(dimension, points.min(axis=0), points.max(axis=0), [points])
+        points = points[np.lexsort(points.T[::-1])]
+        distinct = np.ones(len(points), dtype=bool)
+        distinct[1:] = np.any(points[1:] != points[:-1], axis=1)
+        return cls(dimension, points[distinct])
 
     @cached_property
     def points(self) -> tuple[Point, ...]:
@@ -235,35 +237,6 @@ class IndexSet:
             and self.dimension == other.dimension
             and np.array_equal(self.array, other.array)
         )
-
-
-def _union_in_box(
-    dimension: int, lo: Sequence[int], hi: Sequence[int], chunks: Iterable[np.ndarray]
-) -> IndexSet:
-    """Index set of the union of (k, N) int64 chunks whose points lie in the box lo..hi.
-
-    Chunk keys are merged into the sorted distinct mixed-radix keys once
-    they outnumber them, so memory stays within a small multiple of the
-    union and of one chunk, and each merge sorts no more than twice what
-    was gathered since the last one.
-    """
-    weights = _mixed_radix(lo, hi)
-    origin = _point_array(lo, dimension)[0]
-    keys = np.zeros(0, dtype=np.int64)
-    pending: list[np.ndarray] = []
-    held = 0
-    for chunk in chunks:
-        pending.append((chunk - origin) @ weights)
-        held += len(chunk)
-        if held > len(keys):
-            keys = np.unique(np.concatenate([keys, *pending]))
-            pending, held = [], 0
-    keys = np.unique(np.concatenate([keys, *pending]))
-    points = np.empty((len(keys), dimension), dtype=np.int64)
-    for j, w in enumerate(weights):
-        points[:, j], keys = np.divmod(keys, w)
-    points += origin
-    return IndexSet(dimension, points)
 
 
 # ---------------------------------------------------------------------------

@@ -85,10 +85,10 @@ def overflow_norm(
 ) -> float:
     """Exact spectral norm of the action on window-n columns escaping window m.
 
-    0 without building the block when window m holds the band-width
-    expansion of window n, since then no row escapes.
+    0 without building the block when window m holds every shift of
+    window n by a stored offset, since then no row escapes.
     """
-    if domain.holds_expansion(n, operator.band_width(), m):
+    if domain.holds_shifts(n, [offset for offset, _ in operator.diagonals], m):
         return 0.0
     block = overflow_block(operator, domain, m, n)
     return spectral_norm(block.data)

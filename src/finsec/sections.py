@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,7 +9,7 @@ import numpy as np
 from .geometry import (
     IndexSet,
     StarlikeDomain,
-    _union_in_box,
+    _INT64_MAX,
     lattice_section,
     lattice_section_size,
 )
@@ -173,21 +172,23 @@ def overflow_block(
 ) -> SectionMatrix:
     """Rows of the operator's action on window-n columns that escape window m.
 
-    For a band operator every nonzero entry outside the m-window lands in
-    the max-norm expansion of the n-window by the band width, so this
-    finite block carries the full escaping action and its spectral norm
-    is exactly the norm of the complementary truncation.
+    Column j meets row j + d on the stored diagonal d, so the rows are the
+    shifts of window n by the stored offsets that fall outside window m.
+    They carry every nonzero entry of the escaping action, and any other
+    row would be a zero row, so the block's spectral norm is exactly the
+    norm of the complementary truncation.  ValueError when a shift of
+    window n leaves int64.
     """
-    width = operator.band_width()
     cols = lattice_section(domain, n)
-    # One ball offset at a time: the rows are merged as they come, so memory
-    # stays at the size of the rows rather than of the whole expansion.
-    steps = itertools.product(range(-width, width + 1), repeat=operator.dimension)
-    shifted = (cols.array + np.array(step, dtype=np.int64) for step in steps)
-    rows = _union_in_box(
-        operator.dimension,
-        [int(c) - width for c in cols.array.min(axis=0)],
-        [int(c) + width for c in cols.array.max(axis=0)],
-        (points[~domain.contains_array(points, m)] for points in shifted),
-    )
+    lo, hi = cols.array.min(axis=0).tolist(), cols.array.max(axis=0).tolist()
+    escaping = [np.zeros((0, operator.dimension), dtype=np.int64)]
+    for offset, _ in operator.diagonals:
+        if not all(
+            -_INT64_MAX - 1 <= low + d and high + d <= _INT64_MAX
+            for low, high, d in zip(lo, hi, offset)
+        ):
+            raise ValueError(f"diagonal offset {list(offset)} shifts window {n} past int64")
+        points = cols.array + np.array(offset, dtype=np.int64)
+        escaping.append(points[~domain.contains_array(points, m)])
+    rows = IndexSet.from_array(operator.dimension, np.concatenate(escaping))
     return assemble(operator, rows, cols)

@@ -4,6 +4,7 @@ import itertools
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -76,8 +77,18 @@ def test_overflow_worked_smallest_window(worked_case):
     assert got == pytest.approx(math.sqrt(3.0), abs=1e-12)
 
 
+FIVE_POINT_OFFSETS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+def width_test(domain, n, width, m):
+    """The shortcut's former test: window m holds the max-norm ball expansion of window n."""
+    return all(
+        (m - n) * b >= width * sum(abs(c) for c in a) for a, b, _ in domain._integer_facets
+    )
+
+
 def test_overflow_shortcut_fires_only_on_empty_blocks(monkeypatch):
-    # holds_expansion lets overflow_norm skip the block; wherever it fires the
+    # holds_shifts lets overflow_norm skip the block; wherever it fires the
     # built block must have no rows, and elsewhere the norm is the block's
     built = []
 
@@ -86,12 +97,30 @@ def test_overflow_shortcut_fires_only_on_empty_blocks(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(rfsm, "overflow_block", recording)
-    fired = escaped = 0
+    # operators whose stored offsets leave gaps in their max-norm ball
+    gapped = {
+        1: [
+            build_example("worked_A").operator,
+            BandDiagonals.from_rules(1, {0: 2, 3: 1, -2: 1}),
+        ],
+        2: [
+            BandDiagonals.from_rules(2, {d: 1 for d in FIVE_POINT_OFFSETS}),
+            BandDiagonals.from_rules(2, {(0, 0): 3, (2, 0): 1, (0, -3): 1, (-1, 2): 1}),
+        ],
+    }
+    fired = escaped = only_offsets = 0
     for name in BUILTIN_DOMAINS:
         domain = builtin_domain(name)
-        for width in range(3):
-            ball = itertools.product(range(-width, width + 1), repeat=domain.dimension)
-            operator = BandDiagonals.from_rules(domain.dimension, {d: 1 for d in ball})
+        balls = [
+            BandDiagonals.from_rules(
+                domain.dimension,
+                {d: 1 for d in itertools.product(range(-w, w + 1), repeat=domain.dimension)},
+            )
+            for w in range(3)
+        ]
+        for operator in balls + gapped[domain.dimension]:
+            width = operator.band_width()
+            offsets = [d for d, _ in operator.diagonals]
             for n in range(1, 5):
                 ms = {
                     coupling_row_cutoff("band", n, width),
@@ -104,14 +133,53 @@ def test_overflow_shortcut_fires_only_on_empty_blocks(monkeypatch):
                 for m in sorted(ms):
                     del built[:]
                     norm = overflow_norm(operator, domain, m, n)
-                    if domain.holds_expansion(n, width, m):
+                    if domain.holds_shifts(n, offsets, m):
                         fired += 1
+                        only_offsets += not width_test(domain, n, width, m)
                         assert built == [] and norm == 0.0
                         assert overflow_block(operator, domain, m, n).data.shape[0] == 0
                     else:
+                        # the offset test fires wherever the width test did
+                        assert not width_test(domain, n, width, m)
                         escaped += built[0].data.shape[0] > 0
                         assert norm == spectral_norm(built[0].data)
-    assert fired > 50 and escaped > 50
+    assert fired > 50 and escaped > 50 and only_offsets > 20
+
+
+def test_offset_shortcut_fires_where_the_width_test_did_not(diamond_domain):
+    five_point = BandDiagonals.from_rules(2, {d: 1 for d in FIVE_POINT_OFFSETS})
+    for n in range(1, 6):
+        # |x| + |y| <= n: a 5-point step moves |x| + |y| by at most 1, the
+        # width-1 ball by up to 2
+        assert diamond_domain.holds_shifts(n, FIVE_POINT_OFFSETS, n + 1)
+        assert not width_test(diamond_domain, n, 1, n + 1)
+        assert overflow_norm(five_point, diamond_domain, n + 1, n) == 0.0
+        assert overflow_block(five_point, diamond_domain, n + 1, n).shape[0] == 0
+        assert not diamond_domain.holds_shifts(n, FIVE_POINT_OFFSETS, n)
+        assert overflow_norm(five_point, diamond_domain, n, n) > 0
+
+
+def test_overflow_of_a_far_diagonal_is_quick(square):
+    operator = BandDiagonals.from_rules(2, {(0, 0): 4, (200, 0): -1})
+    start = time.perf_counter()
+    norm = overflow_norm(operator, square, 3, 3)
+    # the width-200 ball of window 3 holds 161,201 offsets
+    assert time.perf_counter() - start < 1.0
+    assert norm == pytest.approx(1.0, abs=1e-12)
+
+
+def test_overflow_shifts_past_int64_are_refused(interval, square):
+    far = BandDiagonals.from_rules(1, {0: 4, 2**70: 1})
+    with pytest.raises(ValueError, match=rf"diagonal offset \[{2**70}\] shifts window 3 past int64"):
+        overflow_norm(far, interval, 3, 3)
+    # window 3 is -3..3: the last offsets whose shifts stay inside int64 are kept
+    for inside, outside in ((2**63 - 4, 2**63 - 3), (-(2**63) + 3, -(2**63) + 2)):
+        kept = BandDiagonals.from_rules(1, {0: 4, inside: 1})
+        assert overflow_norm(kept, interval, 3, 3) == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError, match="past int64"):
+            overflow_norm(BandDiagonals.from_rules(1, {0: 4, outside: 1}), interval, 3, 3)
+    operator = BandDiagonals.from_rules(2, {(0, 0): 4, (2**62, 0): 1})
+    assert overflow_norm(operator, square, 3, 3) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -167,11 +167,10 @@ def test_overflow_empty_beyond_band(interval, worked_case):
 
 def test_overflow_shift_square_cut(interval):
     block = overflow_block(Shift.by(1), interval, 3, 3)
-    assert set(block.rows.points) == {(-4,), (4,)}
+    # the one stored diagonal reaches only the top escape row
+    assert set(block.rows.points) == {(4,)}
     assert spectral_norm(block.data) == pytest.approx(1.0, abs=1e-12)
-    # only the top escape row carries the unit entry
     assert block.data[place(block.rows, (4,)), place(block.cols, (3,))] == 1
-    assert not block.data[place(block.rows, (-4,))].any()
 
 
 def test_overflow_blockdiag_odd_cut(interval):
@@ -184,18 +183,31 @@ def test_overflow_blockdiag_odd_cut(interval):
     assert spectral_norm(block.data) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_overflow_carries_all_escaping_action(interval):
+def gapped_operator_2d():
+    """A 2-D operator whose stored offsets leave gaps in its band."""
+    alternating = PeriodicRule.from_mapping((2, 1), {(0, 0): 1, (1, 0): 2})
+    return BandDiagonals.from_rules(
+        2, {(0, 0): 3, (2, 0): -1, (0, -3): alternating, (-1, 2): 1j}
+    )
+
+
+def test_overflow_carries_all_escaping_action(interval, square, diamond_domain, worked_case):
     # stacking the rectangular section on the overflow block reproduces the
     # whole action of the operator on window-n columns
     rng = np.random.default_rng(9)
-    from finsec import SupportedVector
-
-    for _ in range(5):
-        a = random_band_operator(rng, width=int(rng.integers(1, 4)))
-        n, m = 3, 4
-        sec = rfsm_section(a, interval, m, n)
-        over = overflow_block(a, interval, m, n)
-        x = rng.standard_normal(len(sec.cols))
+    triangle = builtin_domain("triangle")
+    cases = [
+        (random_band_operator(rng, width=int(rng.integers(1, 4))), interval, 4, 3)
+        for _ in range(5)
+    ]
+    cases += [(worked_case.operator, interval, m, n) for n in (1, 3, 6) for m in (n, n + 1, n + 2)]
+    for operator in (laplace_operator_2d(), gapped_operator_2d()):
+        for domain in (square, diamond_domain, triangle):
+            cases += [(operator, domain, m, n) for n in (1, 2, 4) for m in (n, n + 1, n + 3)]
+    for a, domain, m, n in cases:
+        sec = rfsm_section(a, domain, m, n)
+        over = overflow_block(a, domain, m, n)
+        x = rng.standard_normal(len(sec.cols)) + 1j * rng.standard_normal(len(sec.cols))
         u = SupportedVector.from_array(sec.cols, x)
         image = a.apply(u)
         stacked_rows = list(sec.rows.points) + list(over.rows.points)
@@ -204,7 +216,6 @@ def test_overflow_carries_all_escaping_action(interval):
             assert image.get(p) == pytest.approx(value, abs=1e-12)
         # nothing escapes the stacked row set
         assert set(image.support()) <= set(stacked_rows)
-
 
 
 def test_dense_budget_checked_before_windows_are_built(interval, monkeypatch):
@@ -311,26 +322,51 @@ def test_adjacency_walk_raises_at_the_same_point():
         section_triplets(graph, window, window)
 
 
-def test_overflow_rows_are_the_ball_expansion_outside_window_m(interval, square):
+def test_overflow_rows_are_the_stored_shifts_outside_window_m(interval, square, worked_case):
     lap = laplace_operator_2d()
     cases = [
         (random_band_operator(np.random.default_rng(seed), width=1 + seed % 3), interval)
         for seed in range(5)
-    ] + [(lap, square), (lap, builtin_domain("triangle"))]
+    ] + [(worked_case.operator, interval)]
+    cases += [
+        (op, dom)
+        for op in (lap, gapped_operator_2d())
+        for dom in (square, builtin_domain("diamond"), builtin_domain("triangle"))
+    ]
+    dropped = 0
     for operator, dom in cases:
         width, dim = operator.band_width(), operator.dimension
+        offsets = [d for d, _ in operator.diagonals]
         ball = list(itertools.product(range(-width, width + 1), repeat=dim))
+        facets = [(f.normal, f.offset, f.closed) for f in dom.facets]
         for n, m in ((1, 1), (2, 3), (5, 5), (5, 6)):
             cols = lattice_section(dom, n)
-            expanded = {
-                tuple(a + b for a, b in zip(p, d)) for p in cols.points for d in ball
-            }
-            facets = [(f.normal, f.offset, f.closed) for f in dom.facets]
-            expected = sorted(p for p in expanded if not in_dilation(facets, p, m))
+
+            def escaping(steps):
+                shifted = {tuple(a + b for a, b in zip(p, d)) for p in cols.points for d in steps}
+                return sorted(p for p in shifted if not in_dilation(facets, p, m))
+
+            expected = escaping(offsets)
             block = overflow_block(operator, dom, m, n)
             assert block.rows.points == tuple(expected)
             rows = IndexSet.from_array(dim, expected)
             assert block.data.tobytes() == assemble(operator, rows, cols).data.tobytes()
+            # the rows of the max-norm ball expansion left out are zero rows
+            ball_block = assemble(operator, IndexSet.from_array(dim, escaping(ball)), cols)
+            kept = set(expected)
+            for p, row in zip(ball_block.rows.points, ball_block.data):
+                if p not in kept:
+                    dropped += 1
+                    assert not row.any(), p
+    assert dropped > 100
+
+
+def test_overflow_rows_of_a_far_diagonal_are_its_shift(square):
+    operator = BandDiagonals.from_rules(2, {(0, 0): 4, (40, 0): -1})
+    block = overflow_block(operator, square, 10, 10)
+    # 21 x 21 shifted columns, against 9,760 rows of the width-40 ball
+    assert block.shape == (441, 441)
+    assert block.rows == IndexSet(2, lattice_section(square, 10).array + [40, 0])
 
 
 def test_rfsm_section_refuses_fewer_rows_than_columns(interval):

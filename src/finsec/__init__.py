@@ -20,7 +20,6 @@ from .errors import (
     NumericError,
     OpenFacetError,
     SingularGramError,
-    SingularMatrixError,
     SingularSectionError,
     UnboundedBandError,
     UnboundedDomainError,
@@ -46,7 +45,6 @@ from .geometry import (
 from .linalg import (
     least_squares,
     min_singular_value,
-    solve_square,
     spectral_norm,
 )
 from .operators import (

@@ -33,10 +33,6 @@ class GeneratorBoundError(ConfigError):
     """The generator bound K is too small for the requested window."""
 
 
-class SingularMatrixError(NumericError):
-    """A square matrix failed the relative invertibility test."""
-
-
 class SingularSectionError(NumericError):
     """A square finite section failed the invertibility test."""
 

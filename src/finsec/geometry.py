@@ -216,15 +216,6 @@ class IndexSet:
         found = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
         return np.where(inside & (keys[found] == query), found, -1)
 
-    def __contains__(self, point) -> bool:
-        point = list(point)
-        try:
-            query = _point_array(point, self.dimension)
-        except (TypeError, ValueError):
-            return False  # past int64, fractional, or no lattice point of this dimension
-        # a point of another length reshapes into other rows
-        return query.tolist() == [point] and bool(self.locate(query)[0] >= 0)
-
     def __len__(self) -> int:
         return len(self.array)
 

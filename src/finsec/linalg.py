@@ -1,11 +1,12 @@
-"""Numeric kernels: square solve, minimum-norm least squares, singular values.
+"""Numeric kernels: minimum-norm least squares, singular values, the invertibility test.
 
 Matrices are plain 2-D complex numpy arrays, except for the sparse
 extremes kernel, which takes COO triplets and runs a real LU and real
 symmetric Lanczos when every value is real.  Invertibility is decided by
 the relative spectral test `invertible`, the standard numeric proxy for
 exact invertibility.  Square windows get their sigma extremes from
-fsm.section_extremes; the SVD of solve_square serves only the Gram matrix.
+fsm.section_extremes, and rfsm.normal_equations_solve tests its Gram
+matrix on `singular_values` before it solves it with numpy.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .errors import SingularMatrixError
 
 TAU_REL_DEFAULT = 1e-10
 NORM_CAP_DEFAULT = 1e6
@@ -28,7 +27,6 @@ __all__ = [
     "spectral_norm",
     "min_singular_value",
     "invertible",
-    "solve_square",
     "least_squares",
 ]
 
@@ -113,22 +111,6 @@ def min_singular_value(matrix) -> float:
 def invertible(smin: float, smax: float, tau_rel: float) -> bool:
     """The relative invertibility test sigma_min > tau_rel * max(sigma_max, 1)."""
     return smin > tau_rel * max(smax, 1.0)
-
-
-def solve_square(matrix, rhs, tau_rel: float = TAU_REL_DEFAULT) -> np.ndarray:
-    """Backward-stable solve of a square system after the invertibility test."""
-    m = as_matrix(matrix)
-    b = np.asarray(rhs, dtype=complex)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("matrix is not square")
-    if b.shape[0] != m.shape[0]:
-        raise ValueError("right-hand side length mismatch")
-    sv = singular_values(m)
-    if not (sv.size and invertible(float(sv[-1]), float(sv[0]), tau_rel)):
-        raise SingularMatrixError(
-            f"matrix of shape {m.shape} fails the invertibility test (tau={tau_rel:g})"
-        )
-    return np.linalg.solve(m, b)
 
 
 def least_squares(matrix, rhs) -> np.ndarray:

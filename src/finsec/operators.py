@@ -266,10 +266,15 @@ class SupportedVector:
         kept = itertools.compress(self.entries.items(), inside)
         return SupportedVector(self.dimension, dict(kept))
 
-    def restrict_outside(self, index_set: IndexSet) -> "SupportedVector":
-        outside = (self._positions(index_set) < 0).tolist()
-        kept = itertools.compress(self.entries.items(), outside)
-        return SupportedVector(self.dimension, dict(kept))
+    def norm_outside(self, domain: StarlikeDomain, n: int) -> float:
+        """Norm of the entries outside window n, summed in entry order.
+
+        An entry past int64 lies in no window, so it counts as outside.
+        """
+        held, points, values = self._support
+        outside = ~held
+        outside[held] = ~domain.contains_array(points, n)
+        return euclidean_norm(values[outside].tolist())
 
     def to_array(self, index_set: IndexSet) -> np.ndarray:
         positions = self._positions(index_set)

@@ -22,11 +22,10 @@ from .errors import (
     NoFeasibleMError,
     NonFiniteResultError,
     SingularGramError,
-    SingularMatrixError,
 )
 from . import sections
 from .geometry import IndexSet, StarlikeDomain, lattice_section, lattice_section_size
-from .linalg import TAU_REL_DEFAULT, least_squares, solve_square, spectral_norm
+from .linalg import TAU_REL_DEFAULT, invertible, least_squares, singular_values, spectral_norm
 from .operators import OperatorSpec, SupportedVector, euclidean_norm
 from .reports import RfsmRecord, RfsmReport
 from .sections import overflow_block, rfsm_section
@@ -161,7 +160,7 @@ def reference_tail_bound(
     """
 
     def bound(n: int) -> float:
-        return 2.0 * u_ref.restrict_outside(lattice_section(domain, n)).norm()
+        return 2.0 * u_ref.norm_outside(domain, n)
 
     return bound
 
@@ -201,7 +200,7 @@ def choose_parameters(
         1.0 - 1.0 / (1.0 + epsilon / (3.0 * (rhs_norm + delta) * inverse_bound))
     )
     for m in range(n, M_LIMIT + 1):
-        tail = rhs.restrict_outside(lattice_section(domain, m)).norm()
+        tail = rhs.norm_outside(domain, m)
         if tail < rhs_tail_cap and overflow_norm(operator, domain, m, n) < overflow_cap:
             return RfsmParameters(epsilon=epsilon, delta=delta, n=n, m=m)
     raise NoFeasibleMError(
@@ -223,11 +222,12 @@ def normal_equations_solve(
     backward = forward.conj().T
     gram = backward @ forward
     b = backward @ rhs.to_array(section.rows)
-    try:
-        x = solve_square(gram, b, tau_rel)
-    except SingularMatrixError as exc:
-        raise SingularGramError(f"normal equations at (m={m}, n={n}): {exc}") from exc
-    return SupportedVector.from_array(section.cols, x)
+    sv = singular_values(gram)
+    if not invertible(float(sv[-1]), float(sv[0]), tau_rel):
+        raise SingularGramError(
+            f"the Gram matrix at (m={m}, n={n}) fails the invertibility test (tau={tau_rel:g})"
+        )
+    return SupportedVector.from_array(section.cols, np.linalg.solve(gram, b))
 
 
 def _fill_shared_caches(

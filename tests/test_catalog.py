@@ -56,7 +56,7 @@ def test_blockdiag_fixes_origin():
 def test_geometric_rhs_tail_decays(worked_case):
     b = worked_case.rhs(lattice_section(worked_case.domain, 40))
     for n in range(1, 20):
-        tail = b.restrict_outside(lattice_section(worked_case.domain, n)).norm()
+        tail = b.norm_outside(worked_case.domain, n)
         assert tail <= 2.0**-n
         # two-sided: the exact tail is 2^-n * sqrt(2/3) up to the cut radius
         assert tail >= 2.0**-n * math.sqrt(2.0 / 3.0) * 0.99

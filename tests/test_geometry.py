@@ -142,8 +142,8 @@ def test_section_exhausts_lattice(diamond_domain):
     # every point is eventually swallowed; 1-norm ball of radius n is exact
     for point in [(3, 4), (-7, 0), (5, -5)]:
         need = abs(point[0]) + abs(point[1])
-        assert point in lattice_section(diamond_domain, need)
-        assert point not in lattice_section(diamond_domain, need - 1)
+        assert lattice_section(diamond_domain, need).locate([point])[0] >= 0
+        assert lattice_section(diamond_domain, need - 1).locate([point])[0] == -1
 
 
 def test_section_requires_positive_n(interval):
@@ -570,13 +570,8 @@ def test_boundary_layer_matches_point_construction(name):
         assert layer.points == tuple(expected)
 
 
-def test_membership_reads_the_array(square):
+def test_equality_reads_the_array(square):
     window = lattice_section(square, 2)
-    assert (2, -2) in window and [0, 0] in window
-    assert (3, 0) not in window
-    # a point past int64 lies in no window; a point of another dimension neither
-    assert (2**70, 0) not in window and (0,) not in window and (0, 0, 0, 0) not in window
-    assert (1.5, 0) not in window and (1.0, 0) in window
     assert window == IndexSet.from_array(2, window.array[::-1])
     assert window != lattice_section(square, 1)
     assert window != lattice_section(builtin_domain("interval"), 2)

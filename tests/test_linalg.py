@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from finsec import (
-    SingularMatrixError,
     least_squares,
     min_singular_value,
-    solve_square,
     spectral_norm,
 )
 from oracles import singular_value_extremes
@@ -22,38 +20,6 @@ def test_hand_inverse_of_corner_block():
 
 
 # ---------------------------------------------------------------------------
-# solve_square
-# ---------------------------------------------------------------------------
-
-
-def test_solve_identity():
-    rhs = np.array([2.0, -1.0, 3.5])
-    assert np.allclose(solve_square(np.eye(3), rhs), rhs)
-
-
-def test_solve_small_system():
-    x = solve_square(np.array([[2.0, 1.0], [1.0, 1.0]]), np.array([3.0, 2.0]))
-    assert np.allclose(x, [1.0, 1.0])
-
-
-def test_solve_rejects_nilpotent():
-    with pytest.raises(SingularMatrixError):
-        solve_square(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([1.0, 1.0]))
-
-
-def test_solve_roundtrip_on_well_conditioned():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        n = int(rng.integers(2, 10))
-        m = rng.standard_normal((n, n)) + np.eye(n) * 3
-        sv = np.linalg.svd(m, compute_uv=False)
-        assert sv[0] / sv[-1] < 1e6
-        x = rng.standard_normal(n)
-        got = solve_square(m, m @ x)
-        assert np.linalg.norm(got - x) <= 1e-9 * max(1.0, np.linalg.norm(x))
-
-
-# ---------------------------------------------------------------------------
 # least_squares
 # ---------------------------------------------------------------------------
 
@@ -62,7 +28,7 @@ def test_least_squares_matches_solve_when_square():
     rng = np.random.default_rng(11)
     m = rng.standard_normal((5, 5)) + 2 * np.eye(5)
     rhs = rng.standard_normal(5)
-    assert np.allclose(least_squares(m, rhs), solve_square(m, rhs), atol=1e-10)
+    assert np.allclose(least_squares(m, rhs), np.linalg.solve(m, rhs), atol=1e-10)
 
 
 def test_least_squares_overdetermined():

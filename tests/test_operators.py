@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finsec import (
+    BUILTIN_DOMAINS,
     AdjacencyGraph,
     BandDiagonals,
     ConstantRule,
@@ -17,9 +18,12 @@ from finsec import (
     TableRule,
     UnboundedBandError,
     build_example,
+    builtin_domain,
     compose_shift,
     identity_operator,
+    lattice_section,
 )
+from finsec.operators import euclidean_norm
 from conftest import random_band_operator
 
 BLOCK_B = ((1, 1, 0), (1, 0, 0), (0, 0, 0))
@@ -310,10 +314,10 @@ def test_to_array_ignores_entries_past_int64():
     assert u.to_array(window).tolist() == [0, 0, 1, 0, 0]
 
 
-def restrict_by_dict(u, index_set, inside):
-    """The per-entry dict lookup that restrict and restrict_outside replaced, kept as the reference."""
+def restrict_by_dict(u, index_set):
+    """The per-entry dict lookup that restrict replaced, kept as the reference."""
     positions = {p: k for k, p in enumerate(index_set.points)}
-    kept = {p: v for p, v in u.entries.items() if (p in positions) == inside}
+    kept = {p: v for p, v in u.entries.items() if p in positions}
     return SupportedVector(u.dimension, kept)
 
 
@@ -334,11 +338,41 @@ def test_restrict_matches_dict_lookup(dim, raw, members, far_at):
     items.insert(min(far_at, len(items)), ((2**70,) + (0,) * (dim - 1), 1.5 - 2j))
     u = SupportedVector.from_entries(dim, dict(items))
     window = IndexSet.from_array(dim, [m[:dim] for m in members])
-    for inside, got in ((True, u.restrict(window)), (False, u.restrict_outside(window))):
-        want = restrict_by_dict(u, window, inside)
-        # the same entries in the same order, so every norm keeps its bits
-        assert list(got.entries.items()) == list(want.entries.items())
-        assert got.norm().hex() == want.norm().hex()
+    got, want = u.restrict(window), restrict_by_dict(u, window)
+    # the same entries in the same order, so every norm keeps its bits
+    assert list(got.entries.items()) == list(want.entries.items())
+    assert got.norm().hex() == want.norm().hex()
+
+
+def norm_outside_by_window(u, domain, n):
+    """The route norm_outside replaced: the norm of the entries off the built window n."""
+    window = set(lattice_section(domain, n))
+    return euclidean_norm(v for p, v in u.entries.items() if p not in window)
+
+
+@given(
+    st.sampled_from(sorted(BUILTIN_DOMAINS)),
+    st.integers(min_value=1, max_value=6),
+    st.dictionaries(
+        st.tuples(*[st.integers(-9, 9)] * 2),
+        st.complex_numbers(max_magnitude=1e150, allow_nan=False, allow_infinity=False),
+        max_size=16,
+    ),
+    st.integers(min_value=0, max_value=16),
+)
+@settings(max_examples=200, deadline=None)
+def test_norm_outside_matches_the_window_route(name, n, raw, far_at):
+    domain = builtin_domain(name)
+    dim = domain.dimension
+    pad = (0,) * (dim - 1)
+    items = [(k[:dim], v) for k, v in raw.items()]
+    # the points on the axis at +-n: the first sits on the open facet of interval-halfopen
+    items += [((n, *pad), 0.5j), ((-n, *pad), 0.25)]
+    # points past int64 lie in no window, wherever they sit in entry order
+    items.insert(min(far_at, len(items)), ((2**70, *pad), 1.5 - 2j))
+    items.insert(min(far_at // 2, len(items)), ((-(2**63) - 1, *pad), -3.0))
+    u = SupportedVector.from_entries(dim, dict(items))
+    assert u.norm_outside(domain, n) == norm_outside_by_window(u, domain, n)
 
 
 def from_array_by_loop(index_set, values):

@@ -196,9 +196,7 @@ def test_identity_rfsm_keeps_window(interval):
     resid = np.linalg.norm(
         section.data @ x - b.restrict(section.rows).to_array(section.rows)
     )
-    inner = lattice_section(interval, 3)
-    outer = lattice_section(interval, 6)
-    expected = b.restrict(outer).restrict_outside(inner).norm()
+    expected = b.restrict(lattice_section(interval, 6)).norm_outside(interval, 3)
     assert resid == pytest.approx(expected, abs=1e-12)
 
 
@@ -304,6 +302,37 @@ def test_choose_parameters_worked_end_to_end(worked_case):
         assert params.delta < eps / (3 * 2.0)
 
 
+def test_parameter_choice_builds_no_window(worked_case, monkeypatch):
+    a, dom = worked_case.operator, worked_case.domain
+    b = worked_case.rhs(lattice_section(dom, 80))
+    u_ref = rfsm_solve(a, b, dom, 67, 64)
+
+    def choices():
+        tail = reference_tail_bound(u_ref, dom)
+        return [choose_parameters(a, b, dom, eps, 3.0, 2.0, tail) for eps in (1e-2, 1e-3)]
+
+    want = choices()
+
+    def never(domain, n):
+        raise AssertionError(f"parameter selection built window {n}")
+
+    monkeypatch.setattr(rfsm, "lattice_section", never)
+    assert choices() == want
+
+
+def test_parameter_choice_for_a_far_rhs_point_is_quick(square):
+    laplace = BandDiagonals.from_rules(
+        2, {d: 5 if d == (0, 0) else -1 for d in FIVE_POINT_OFFSETS}
+    )
+    b = SupportedVector.from_entries(2, {(0, 0): 1, (400, 0): 1e-3})
+    tail = reference_tail_bound(rfsm_solve(laplace, b, square, 5, 4), square)
+    start = time.perf_counter()
+    params = choose_parameters(laplace, b, square, 1e-3, 9.0, 1.0, tail)
+    # window 400 of the square holds 641,601 points
+    assert time.perf_counter() - start < 1.0
+    assert (params.n, params.m) == (4, 400)
+
+
 def test_reference_tail_bound_monotone(worked_case):
     a, dom = worked_case.operator, worked_case.domain
     b = worked_case.rhs(lattice_section(dom, 40))
@@ -329,7 +358,7 @@ def test_truncated_reference_solves_inequality(worked_case):
     n0 = next(
         n
         for n in range(1, 60)
-        if a_norm * u_ref.restrict_outside(lattice_section(dom, n)).norm() <= delta
+        if a_norm * u_ref.norm_outside(dom, n) <= delta
     )
     for n in range(n0, n0 + 6):
         m = n + 3
@@ -388,11 +417,7 @@ def test_study_identity_error_is_tail(interval):
         identity_operator(), b, interval, "band", range(2, 11), reference_n=32
     )
     for rec in report.records:
-        tail = (
-            b.restrict(lattice_section(interval, 32))
-            .restrict_outside(lattice_section(interval, rec.n))
-            .norm()
-        )
+        tail = b.restrict(lattice_section(interval, 32)).norm_outside(interval, rec.n)
         assert rec.error == pytest.approx(tail, abs=1e-12)
         assert rec.m == rec.n  # identity has band width 0
 

@@ -3,10 +3,13 @@
 Usage: python tools/pinned_outputs.py OUT_DIR
 
 Each invocation runs in a fresh interpreter on the ``src`` tree beside this
-script, with BLAS pinned to one thread, and its file in OUT_DIR holds the
-exit code, stdout and stderr.  finsec's outputs are byte-deterministic, so
-running this on two checkouts and comparing with ``diff -r`` shows every
-output byte a change moves.
+script, with BLAS pinned to one thread and this script's directory as its
+working directory, so the input files kept here (``lap5.json``, the
+constant 5-point operator with diagonal 5, and ``far.json``) are named by
+relative paths.  Its file in OUT_DIR holds the exit code, stdout and
+stderr.  finsec's outputs are byte-deterministic, so running this on two
+checkouts and comparing with ``diff -r`` shows every output byte a change
+moves; copy the ``.json`` inputs along when the parent lacks them.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TOOLS = Path(__file__).resolve().parent
+SRC = TOOLS.parent / "src"
 
 EXAMPLES = ("shift", "blockdiag", "rarosi", "sierror", "diamond", "worked_A", "worked_Aprime")
 
@@ -31,6 +35,11 @@ INVOCATIONS = (
     ],
     ["solve-rfsm", "--example", "worked_A", "--epsilon", "1e-3", "--format", "json"],
     *(["solve-rfsm", "--example", "worked_A", "--epsilon", eps] for eps in ("1e-6", "1e-10", "1e-13")),
+    [
+        "solve-rfsm", "--operator", "lap5.json", "--omega", "square", "--rhs", "far.json",
+        "--epsilon", "1e-3", "--a-norm", "9", "--a-inv-norm", "1", "--reference-n", "4",
+        "--format", "json",
+    ],
 )
 
 RUN_CLI = "import sys; from finsec.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -51,7 +60,11 @@ def main(args: list[str]) -> int:
         env[name] = "1"
     for argv in INVOCATIONS:
         done = subprocess.run(
-            [sys.executable, "-c", RUN_CLI, *argv], env=env, capture_output=True, text=True
+            [sys.executable, "-c", RUN_CLI, *argv],
+            cwd=TOOLS,
+            env=env,
+            capture_output=True,
+            text=True,
         )
         (out_dir / file_name(argv)).write_text(
             f"finsec {' '.join(argv)}\nexit {done.returncode}\n"

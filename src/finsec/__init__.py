@@ -21,7 +21,6 @@ from .errors import (
     OpenFacetError,
     SingularGramError,
     SingularSectionError,
-    UnboundedBandError,
     UnboundedDomainError,
     UnknownExampleError,
     ZeroNotInteriorError,

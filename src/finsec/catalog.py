@@ -430,9 +430,7 @@ def build_example(case_id: str, bound: int = 40) -> ExampleCase:
         )
     else:
         raise UnknownExampleError(f"unknown example {case_id!r}; known: {EXAMPLE_IDS}")
-    op = AdjacencyGraph.from_edges(
-        domain.dimension, edges, coverage_radius=radius, family=case_id
-    )
+    op = AdjacencyGraph.from_edges(domain.dimension, edges, coverage_radius=radius)
     return ExampleCase(case_id, op, domain, expectations=checks)
 
 

@@ -267,28 +267,29 @@ def _auto_bound(case_id: str, n_max: int) -> int:
     return minimal_bound(case_id, probe.enclosing_radius(n_max))
 
 
-def _resolve_case(args) -> tuple[OperatorSpec, StarlikeDomain, ExampleCase | None, str]:
-    """Operator + domain from --example or --operator/--omega flags."""
-    if getattr(args, "example", None):
-        bound = getattr(args, "bound", None)
-        if bound is None:
-            n_max = getattr(args, "nmax", None) or getattr(args, "n", None) or 40
-            bound = _auto_bound(args.example, int(n_max))
+def _resolve_case(
+    args, n_max: int
+) -> tuple[OperatorSpec, StarlikeDomain, ExampleCase | None, str]:
+    """Operator + domain from --example or --operator/--omega flags.
+
+    An omitted --bound covers n_max, the widest column cut-off solved at.
+    """
+    if args.example:
+        bound = args.bound if args.bound is not None else _auto_bound(args.example, n_max)
         case = build_example(args.example, bound)
-        domain = load_domain(args.omega) if getattr(args, "omega", None) else case.domain
+        domain = load_domain(args.omega) if args.omega else case.domain
         return case.operator, domain, case, args.example
-    if not getattr(args, "operator", None):
+    if not args.operator:
         raise ValueError("provide --example or --operator")
     operator = load_operator(args.operator)
-    omega = getattr(args, "omega", None)
-    if not omega:
+    if not args.omega:
         raise ValueError("--omega is required with --operator")
-    return operator, load_domain(omega), None, Path(args.operator).stem
+    return operator, load_domain(args.omega), None, Path(args.operator).stem
 
 
 def _resolve_rhs(args, case: ExampleCase | None, domain, m: int, n: int) -> SupportedVector:
     """--rhs, or the case's right-hand side over window m for an m x n solve."""
-    if getattr(args, "rhs", None):
+    if args.rhs:
         return load_rhs(args.rhs)
     if case is not None and case.rhs is not None:
         # Refuse an over-budget solve before building its right-hand-side window.
@@ -310,7 +311,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_scan(args) -> int:
-    operator, domain, case, op_id = _resolve_case(args)
+    operator, domain, case, op_id = _resolve_case(args, args.nmax)
     report = stability_scan(
         operator,
         domain,
@@ -339,9 +340,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_example(args) -> int:
-    bound = args.bound
-    if bound is None:
-        bound = _auto_bound(args.case_id, args.nmax)
+    bound = args.bound if args.bound is not None else _auto_bound(args.case_id, args.nmax)
     case = build_example(args.case_id, bound)
     report = stability_scan(
         case.operator,
@@ -366,7 +365,7 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_solve_fsm(args) -> int:
-    operator, domain, case, _ = _resolve_case(args)
+    operator, domain, case, _ = _resolve_case(args, args.n)
     rhs = _resolve_rhs(args, case, domain, args.n, args.n)
     u = fsm_solve(operator, rhs, domain, args.n, tau_rel=args.tau_rel)
     if args.format == "csv":
@@ -377,8 +376,9 @@ def _cmd_solve_fsm(args) -> int:
 
 
 def _cmd_solve_rfsm(args) -> int:
-    operator, domain, case, _ = _resolve_case(args)
-    if args.n is not None and args.m is not None:
+    given = args.n is not None and args.m is not None
+    operator, domain, case, _ = _resolve_case(args, args.n if given else args.reference_n)
+    if given:
         n, m = args.n, args.m
         delta = args.delta
         rhs = _resolve_rhs(args, case, domain, m, n)
@@ -443,7 +443,7 @@ def _parse_coupling(text: str, nmin: int, nmax: int):
 
 
 def _cmd_study(args) -> int:
-    operator, domain, case, op_id = _resolve_case(args)
+    operator, domain, case, op_id = _resolve_case(args, max(args.nmax, args.reference_n))
     coupling, explicit = _parse_coupling(args.coupling, args.nmin, args.nmax)
     # The right-hand side spans the tallest solve: the reference or an explicit row.
     solves = [(args.reference_n + operator.band_width(), args.reference_n)]

@@ -25,12 +25,8 @@ class OpenFacetError(ConfigError):
     """An operation requiring closed facets met an open one."""
 
 
-class UnboundedBandError(NumericError):
-    """Entry access outside the region covered by a truncated edge generator."""
-
-
 class GeneratorBoundError(ConfigError):
-    """The generator bound K is too small for the requested window."""
+    """The generator bound K is too small for the requested window or column."""
 
 
 class SingularSectionError(NumericError):

@@ -3,8 +3,8 @@
 An operator is a rule for the matrix entry a_{ij} over pairs of lattice
 points, never a stored matrix.  Every operator is a table of diagonals
 a_{ij} = f_{i-j}(i): finitely many offsets i - j, each with a row rule.
-Block-periodic matrices, lattice shifts and shift compositions are built
-as such tables; adjacency graphs derive theirs from their edges.
+Block-periodic matrices, lattice shifts, shift compositions and adjacency
+graphs are all built as such tables, of constant, periodic or table rules.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import GeneratorBoundError, NonFiniteResultError, UnboundedBandError
+from .errors import GeneratorBoundError, NonFiniteResultError
 from .geometry import IndexSet, Point, StarlikeDomain
 
 __all__ = [
@@ -94,9 +94,9 @@ class CoefficientRule(abc.ABC):
     @abc.abstractmethod
     def value_at(self, i: Point) -> complex: ...
 
+    @abc.abstractmethod
     def values_at(self, points: np.ndarray) -> np.ndarray:
         """value_at of each row of a (k, N) int64 array, in row order."""
-        return np.array([self.value_at(tuple(p)) for p in points.tolist()], dtype=complex)
 
     @abc.abstractmethod
     def is_trivial(self) -> bool: ...
@@ -198,6 +198,34 @@ class TableRule(CoefficientRule):
 
     def value_at(self, i: Point) -> complex:
         return self._lookup.get(i, self.default)
+
+    @cached_property
+    def _ranked(self) -> tuple[list[np.ndarray], IndexSet, np.ndarray] | None:
+        """(axes, keys, values) for values_at; None when no key fits int64.
+
+        axes[c] holds the distinct c-th key coordinates and `keys` their places
+        in the axes, a box len(table) wide at most, so the int64 locate keys
+        never overflow.  `values` ends with the default.  A key past int64
+        meets no int64 point, so it is dropped.
+        """
+        kept = [(key, value) for key, value in self.table if _fits_int64(key)]
+        if not kept:
+            return None
+        points = np.array([key for key, _ in kept], dtype=np.int64)
+        axes = [np.unique(column) for column in points.T]
+        ranks = np.stack([np.searchsorted(a, c) for a, c in zip(axes, points.T)], axis=1)
+        values = np.array([value for _, value in kept] + [self.default], dtype=complex)
+        return axes, IndexSet(len(axes), ranks), values
+
+    def values_at(self, points: np.ndarray) -> np.ndarray:
+        if self._ranked is None:
+            return np.full(len(points), self.default, dtype=complex)
+        axes, keys, values = self._ranked
+        ranks = np.empty_like(points)
+        for c, axis in enumerate(axes):
+            at = np.minimum(np.searchsorted(axis, points[:, c]), len(axis) - 1)
+            ranks[:, c] = np.where(axis[at] == points[:, c], at, -1)  # -1: no key has it
+        return values[keys.locate(ranks)]  # position -1, absent, reads the default
 
     def is_trivial(self) -> bool:
         return self.default == 0 and all(v == 0 for _, v in self.table)
@@ -342,10 +370,14 @@ class OperatorSpec:
     def _rules(self) -> dict[Point, CoefficientRule]:
         return dict(self.diagonals)
 
+    def check_columns(self, points) -> None:
+        """Refuse the columns (an array or list of points) the diagonals may not give."""
+
     def entry(self, i, j) -> complex:
         """Matrix entry a_{ij}."""
         i = as_point(i, self.dimension)
         j = as_point(j, self.dimension)
+        self.check_columns([j])
         rule = self._rules.get(_sub(i, j))
         return rule.value_at(i) if rule is not None else 0j
 
@@ -357,6 +389,7 @@ class OperatorSpec:
         """Exact matrix-vector product on a finitely supported vector."""
         if u.dimension != self.dimension:
             raise ValueError("dimension mismatch")
+        self.check_columns(list(u.entries))
         acc: dict[Point, complex] = {}
         for j, val in u.entries.items():
             for d, rule in self.diagonals:
@@ -439,22 +472,18 @@ class AdjacencyGraph(OperatorSpec):
 
     Entry a_{ij} is 1 when {i, j} is an edge or when i = j lies on no
     edge, else 0; the operator swaps edge endpoints and fixes the rest.
-    `coverage_radius` marks how far a truncated edge generator is known
-    to be complete; entry access beyond it raises UnboundedBandError.
+    Its diagonals are tables built from the edges.  `coverage_radius`
+    marks how far a truncated edge generator is known to be complete; a
+    column beyond it is refused with GeneratorBoundError.
     """
 
     dimension: int
     edges: tuple[tuple[Point, Point], ...]
     coverage_radius: int | None = None
-    family: str = ""
 
     @classmethod
     def from_edges(
-        cls,
-        dimension: int,
-        edges: Iterable,
-        coverage_radius: int | None = None,
-        family: str = "",
+        cls, dimension: int, edges: Iterable, coverage_radius: int | None = None
     ) -> "AdjacencyGraph":
         normalized = []
         for e in edges:
@@ -472,15 +501,7 @@ class AdjacencyGraph(OperatorSpec):
             if i in seen or j in seen:
                 raise ValueError("edges must be pairwise disjoint doubletons")
             seen.update((i, j))
-        return cls(dimension, tuple(normalized), coverage_radius, family)
-
-    @cached_property
-    def _partner(self) -> dict[Point, Point]:
-        out: dict[Point, Point] = {}
-        for i, j in self.edges:
-            out[i] = j
-            out[j] = i
-        return out
+        return cls(dimension, tuple(normalized), coverage_radius)
 
     @cached_property
     def edge_array(self) -> np.ndarray:
@@ -489,60 +510,39 @@ class AdjacencyGraph(OperatorSpec):
 
     @cached_property
     def diagonals(self) -> tuple[tuple[Point, CoefficientRule], ...]:
-        """Offset 0 for the fixed points plus one diagonal per edge offset."""
-        offsets = {(0,) * self.dimension}
+        """Offset 0: 0 at edge ends, else 1; offset d: 1 at row i of each edge {i, i - d}."""
+        zero = (0,) * self.dimension
+        rows: dict[Point, list[tuple[Point, complex]]] = {zero: []}
         for i, j in self.edges:
-            offsets.update((_sub(i, j), _sub(j, i)))
-        return tuple((d, _EdgeRule(self, d)) for d in sorted(offsets))
+            rows[zero] += [(i, 0j), (j, 0j)]
+            rows.setdefault(_sub(i, j), []).append((i, 1.0 + 0j))
+            rows.setdefault(_sub(j, i), []).append((j, 1.0 + 0j))
+        return tuple(
+            (d, TableRule(tuple(sorted(table)), 1.0 + 0j if d == zero else 0j))
+            for d, table in sorted(rows.items())
+        )
 
-    def _check_points(self, *points: Point) -> None:
-        if self.coverage_radius is None:
-            return
-        for p in points:
-            if _max_norm(p) > self.coverage_radius:
-                raise UnboundedBandError(
-                    f"point {p} lies beyond the generated edge coverage "
-                    f"radius {self.coverage_radius} of family {self.family!r}"
-                )
-
-    def check_coverage(self, domain: StarlikeDomain, n: int) -> None:
-        """Refuse window n of the domain when it reaches past the generated edges."""
-        if self.coverage_radius is None:
-            return
-        needed = domain.enclosing_radius(n)
-        if needed > self.coverage_radius:
+    def _refuse_past_coverage(self, what: str, needed: int) -> None:
+        if self.coverage_radius is not None and needed > self.coverage_radius:
             raise GeneratorBoundError(
-                f"window n={n} needs edges complete up to max-norm radius {needed}, "
+                f"{what} needs edges complete up to max-norm radius {needed}, "
                 f"but the generator covers only {self.coverage_radius}"
             )
 
-    def entry(self, i, j) -> complex:
-        i = as_point(i, self.dimension)
-        j = as_point(j, self.dimension)
-        self._check_points(i, j)
-        return super().entry(i, j)
+    def check_coverage(self, domain: StarlikeDomain, n: int) -> None:
+        """Refuse window n of the domain when it reaches past the generated edges."""
+        self._refuse_past_coverage(f"window n={n}", domain.enclosing_radius(n))
 
-
-@dataclass(frozen=True)
-class _EdgeRule(CoefficientRule):
-    """Diagonal `offset` of an adjacency graph, refused beyond its edge coverage."""
-
-    graph: AdjacencyGraph
-    offset: Point
-
-    def value_at(self, i: Point) -> complex:
-        j = _sub(i, self.offset)
-        self.graph._check_points(i, j)
-        return 1.0 + 0j if self.graph._partner.get(i, i) == j else 0j
-
-    def is_trivial(self) -> bool:
-        return False
-
-    def shifted(self, step: Point) -> CoefficientRule:
-        raise ValueError(
-            "an adjacency graph cannot be shift-composed: the result would "
-            "have no edge structure for the invertibility criterion"
-        )
+    def check_columns(self, points) -> None:
+        """Refuse columns past the coverage radius: by symmetry edges give the others."""
+        if self.coverage_radius is None:
+            return
+        radius = self.coverage_radius
+        points = np.asarray(points).reshape(-1, self.dimension)
+        far = np.flatnonzero(np.any((points < -radius) | (points > radius), axis=1))
+        if len(far):
+            column = tuple(points[far[0]].tolist())
+            self._refuse_past_coverage(f"column {column}", _max_norm(column))
 
 
 def compose_shift(operator: OperatorSpec, step) -> OperatorSpec:
@@ -556,5 +556,10 @@ def compose_shift(operator: OperatorSpec, step) -> OperatorSpec:
     step = as_point(step, operator.dimension)
     if all(c == 0 for c in step):
         return operator
+    if isinstance(operator, AdjacencyGraph):
+        raise ValueError(
+            "an adjacency graph cannot be shift-composed: the result would "
+            "have no edge structure for the invertibility criterion"
+        )
     rules = {_add(d, step): rule.shifted(step) for d, rule in operator.diagonals}
     return BandDiagonals.from_rules(operator.dimension, rules)

@@ -235,12 +235,12 @@ def _fill_shared_caches(
 ) -> None:
     """Build the cached state that every window reads, before threads share it.
 
-    One entry of each diagonal fills the diagonal tables; filling window 1
+    One value of each diagonal fills the diagonal tables; filling window 1
     from the right-hand side builds its support arrays and reads the facet data.
     """
-    origin = (0,) * operator.dimension
-    for offset, _ in operator.diagonals:
-        operator.entry(offset, origin)
+    origin = np.zeros((1, operator.dimension), dtype=np.int64)
+    for _, rule in operator.diagonals:
+        rule.values_at(origin)
     rhs.to_array(lattice_section(domain, 1))
 
 

@@ -57,6 +57,7 @@ def section_triplets(
     """
     if rows.dimension != operator.dimension or cols.dimension != operator.dimension:
         raise ValueError("index set dimension mismatch")
+    operator.check_columns(cols.array)
     r_parts = [np.zeros(0, dtype=np.intp)]
     c_parts = [np.zeros(0, dtype=np.intp)]
     v_parts = [np.zeros(0, dtype=complex)]

@@ -708,11 +708,42 @@ def test_solve_fsm_singular_exits_3(capsys):
 def test_solve_fsm_past_the_generator_coverage_exits_2_as_scan_does(tmp_path, capsys):
     rhs = tmp_path / "rhs.json"
     rhs.write_text(json.dumps({"dimension": 2, "entries": {"0;0": "1"}}))
-    for argv in (["solve-fsm", "--n", "30", "--rhs", str(rhs)], ["scan", "--nmax", "30"]):
+    for argv in (
+        ["solve-fsm", "--n", "30", "--rhs", str(rhs)],
+        ["scan", "--nmax", "30"],
+        # rectangular windows are refused on their columns, with the same error
+        ["solve-rfsm", "--n", "30", "--m", "31", "--rhs", str(rhs)],
+        ["study", "--nmax", "4", "--reference-n", "30", "--rhs", str(rhs)],
+    ):
         code, out, err = run_cli([*argv, "--example", "sierror", "--bound", "2"], capsys)
         assert code == 2
         assert out == ""
         assert "but the generator covers only 8" in err and "Traceback" not in err
+
+
+def test_rectangular_adjacency_solves_read_rows_past_the_coverage(tmp_path, capsys):
+    rhs = tmp_path / "rhs.json"
+    rhs.write_text(json.dumps({"dimension": 1, "entries": {"0": "1"}}))
+    blockdiag = ["--example", "blockdiag", "--rhs", str(rhs)]
+    # columns inside the coverage radius 4 of bound 2, rows past it
+    code, out, _ = run_cli(
+        ["solve-rfsm", *blockdiag, "--n", "4", "--m", "5", "--bound", "2"], capsys
+    )
+    assert code == 0 and out == "point,real,imag\n0,1,0\n"
+    # the automatic bound covers the columns of the reference solve
+    code, out, err = run_cli(["study", *blockdiag, "--nmax", "4", "--reference-n", "10"], capsys)
+    assert code == 0, err
+    assert out.splitlines()[1:] == ["2,3,0,1,,0,", "3,4,0,1,,0,", "4,5,0,1,,0,"]
+    epsilon = ["--epsilon", "1e-2", "--a-norm", "1", "--a-inv-norm", "1"]
+    code, out, err = run_cli(["solve-rfsm", *blockdiag, *epsilon], capsys)
+    assert code == 0, err
+    assert out == "point,real,imag\n0,1,0\n"
+    # an explicit bound below the reference columns is refused on them
+    code, out, err = run_cli(
+        ["study", *blockdiag, "--nmax", "4", "--reference-n", "10", "--bound", "2"], capsys
+    )
+    assert code == 2 and out == ""
+    assert "column (-10,) needs edges complete up to max-norm radius 10" in err
 
 
 def test_solve_fsm_blockdiag(tmp_path, capsys):

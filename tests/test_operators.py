@@ -11,12 +11,12 @@ from finsec import (
     AdjacencyGraph,
     BandDiagonals,
     ConstantRule,
+    GeneratorBoundError,
     IndexSet,
     PeriodicRule,
     Shift,
     SupportedVector,
     TableRule,
-    UnboundedBandError,
     build_example,
     builtin_domain,
     compose_shift,
@@ -91,9 +91,18 @@ def test_band_widths(worked_case):
 
 
 def test_adjacency_entry_beyond_coverage_raises():
-    case = build_example("diamond", 5)  # coverage radius 5
-    with pytest.raises(UnboundedBandError):
-        case.operator.entry((7, 1), (7, 1))
+    graph = build_example("diamond", 5).operator  # coverage radius 5
+    with pytest.raises(GeneratorBoundError, match=r"column \(7, 1\) needs .* radius 7"):
+        graph.entry((7, 1), (7, 1))
+    with pytest.raises(GeneratorBoundError, match=r"column \(2, -6\)"):
+        graph.apply(SupportedVector.from_entries(2, {(0, 0): 1, (2, -6): 1}))
+    # a row past the radius is exact when its column is covered: the edge
+    # {(5, 1), (6, 0)} is the last one generated, and the matrix is symmetric
+    assert graph.entry((6, 0), (5, 1)) == 1
+    assert graph.entry((6, 1), (5, 1)) == 0
+    assert graph.apply(SupportedVector.from_entries(2, {(5, 1): 2})) == (
+        SupportedVector.from_entries(2, {(6, 0): 2})
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +262,16 @@ def rule_cases():
         "periodic-2d": (2, periodic_2d),
         "table-2d": (2, table_2d),
         "constant-2d": (2, ConstantRule(1)),
+        # a key past int64 meets no point of an int64 array
+        "table-past-int64": (1, TableRule.from_mapping({2**63: 5, 2**63 - 2: 2, -2: 1.5}, -0.5)),
+        "table-empty": (1, TableRule.from_mapping({}, default=2 - 1j)),
+        # keys too far apart for one int64 key box over their coordinates
+        "table-2d-far": (
+            2,
+            TableRule.from_mapping(
+                {(-(2**62), 2**62): 1, (0, 1): -1j, (2**62, -(2**62)): 3}, dimension=2
+            ),
+        ),
     }
     for name, (dim, rule) in list(rules.items()):
         rules[f"shifted-{name}"] = (dim, rule.shifted((3,) * dim))

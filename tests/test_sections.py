@@ -8,12 +8,12 @@ import pytest
 from finsec import (
     AdjacencyGraph,
     BandDiagonals,
+    GeneratorBoundError,
     IndexSet,
     PeriodicRule,
     Shift,
     SupportedVector,
     TableRule,
-    UnboundedBandError,
     assemble,
     build_example,
     builtin_domain,
@@ -282,6 +282,10 @@ def test_triplets_match_per_cell_walk(interval, square, diamond_domain):
         cases += [(a, interval, m, n) for n in (1, 4, 9) for m in (n, n + 2)]
     lap = laplace_operator_2d()
     cases += [(lap, dom, m, n) for dom in (square, diamond_domain) for n, m in ((1, 1), (3, 4), (6, 6))]
+    # edge ends 2**40 apart in both coordinates: more than int64 keys can
+    # number over their bounding box
+    far = AdjacencyGraph.from_edges(2, [((0, 0), (0, 1)), ((2**40, 2**40), (2**40, 2**40 + 1))])
+    cases += [(far, square, 2, 2), (far, square, 3, 1)]
     for operator, dom, m, n in cases:
         rows, cols = lattice_section(dom, m), lattice_section(dom, n)
         assert_same_triplets(
@@ -309,17 +313,43 @@ def test_adjacency_walk_raises_at_the_same_point():
     graph = case.operator
     for n in range(1, 7):
         window = lattice_section(case.domain, n)
-        try:
-            expected = per_cell_triplets(graph, window, window)
-        except UnboundedBandError as exc:
-            with pytest.raises(UnboundedBandError) as got:
-                section_triplets(graph, window, window)
-            assert str(got.value) == str(exc)
-        else:
-            assert_same_triplets(section_triplets(graph, window, window), expected)
-    window = lattice_section(case.domain, 6)
-    with pytest.raises(UnboundedBandError, match="beyond the generated edge coverage"):
-        section_triplets(graph, window, window)
+        if n <= 3:
+            assert_same_triplets(
+                section_triplets(graph, window, window),
+                per_cell_triplets(graph, window, window),
+            )
+            continue
+        # the first window column past the radius, which entry() refuses too
+        column = window.points[0]
+        with pytest.raises(GeneratorBoundError) as walked:
+            graph.entry(window.points[-1], column)
+        with pytest.raises(GeneratorBoundError) as got:
+            section_triplets(graph, window, window)
+        assert str(got.value) == str(walked.value)
+        assert f"column {column} needs edges complete up to max-norm radius {n}" in str(
+            got.value
+        )
+
+
+@pytest.mark.parametrize("family", ["blockdiag", "rarosi", "sierror", "diamond"])
+def test_adjacency_rows_past_the_coverage_are_exact(family):
+    """Blocks whose columns are covered and whose rows are not equal those of a
+    graph generated far enough to cover every row."""
+    case = build_example(family, 2)
+    graph, radius = case.operator, case.operator.coverage_radius
+    wide = build_example(family, 40).operator
+    domains = [case.domain] + ([builtin_domain("diamond")] if graph.dimension == 2 else [])
+    for domain in domains:
+        n = max(k for k in range(1, 40) if domain.enclosing_radius(k) <= radius)
+        blocks = [
+            (rfsm_section(graph, domain, m, n), rfsm_section(wide, domain, m, n))
+            for m in (n + 1, n + 3)
+        ]
+        blocks.append((overflow_block(graph, domain, n, n), overflow_block(wide, domain, n, n)))
+        for got, expected in blocks:
+            assert np.abs(got.rows.array).max() > radius >= np.abs(got.cols.array).max()
+            assert got.rows == expected.rows and got.cols == expected.cols
+            assert got.data.tobytes() == expected.data.tobytes()
 
 
 def test_overflow_rows_are_the_stored_shifts_outside_window_m(interval, square, worked_case):

@@ -5,9 +5,9 @@ Usage: python tools/pinned_outputs.py OUT_DIR
 Each invocation runs in a fresh interpreter on the ``src`` tree beside this
 script, with BLAS pinned to one thread and this script's directory as its
 working directory, so the input files kept here (``lap5.json``, the
-constant 5-point operator with diagonal 5, and ``far.json``) are named by
-relative paths.  Its file in OUT_DIR holds the exit code, stdout and
-stderr.  finsec's outputs are byte-deterministic, so running this on two
+constant 5-point operator with diagonal 5, ``far.json`` and ``adj.json``)
+are named by relative paths.  Its file in OUT_DIR holds the exit code,
+stdout and stderr.  finsec's outputs are byte-deterministic, so running this on two
 checkouts and comparing with ``diff -r`` shows every output byte a change
 moves; copy the ``.json`` inputs along when the parent lacks them.
 """
@@ -39,6 +39,10 @@ INVOCATIONS = (
         "solve-rfsm", "--operator", "lap5.json", "--omega", "square", "--rhs", "far.json",
         "--epsilon", "1e-3", "--a-norm", "9", "--a-inv-norm", "1", "--reference-n", "4",
         "--format", "json",
+    ],
+    [
+        "study", "--example", "sierror", "--nmax", "6", "--reference-n", "12", "--bound", "4",
+        "--rhs", "adj.json", "--format", "json",
     ],
 )
 

@@ -57,7 +57,6 @@ from .operators import (
     SupportedVector,
     TableRule,
     compose_shift,
-    identity_operator,
 )
 from .reports import RfsmRecord, RfsmReport, StabilityRecord, StabilityReport
 from .rfsm import (

@@ -399,7 +399,7 @@ def build_example(case_id: str, bound: int = 40) -> ExampleCase:
                     "mismatch",
                     "separation happens exactly at squares",
                 ),
-                # the edge criterion equals the sigma_min invertibility test
+                # the scanned verdict equals the criterion; tests check both against dense SVD
                 _scan_verdicts(
                     "criterion-matches-numeric",
                     lambda case, n: adjacency_section_invertible(

@@ -268,17 +268,22 @@ def _auto_bound(case_id: str, n_max: int) -> int:
 
 
 def _resolve_case(
-    args, n_max: int
+    args, n_max: int, dense: bool = False
 ) -> tuple[OperatorSpec, StarlikeDomain, ExampleCase | None, str]:
     """Operator + domain from --example or --operator/--omega flags.
 
     An omitted --bound covers n_max, the widest column cut-off solved at.
+    With `dense`, a block of n_max's columns and as many rows, no larger than
+    the command's widest dense block, is charged before a generator is built.
     """
     if args.example:
+        omega = load_domain(args.omega) if args.omega else None
+        if dense:
+            size = lattice_section_size(omega or build_example(args.example, 1).domain, n_max)
+            _check_dense_budget(size, size)
         bound = args.bound if args.bound is not None else _auto_bound(args.example, n_max)
         case = build_example(args.example, bound)
-        domain = load_domain(args.omega) if args.omega else case.domain
-        return case.operator, domain, case, args.example
+        return case.operator, omega or case.domain, case, args.example
     if not args.operator:
         raise ValueError("provide --example or --operator")
     operator = load_operator(args.operator)
@@ -377,7 +382,8 @@ def _cmd_solve_fsm(args) -> int:
 
 def _cmd_solve_rfsm(args) -> int:
     given = args.n is not None and args.m is not None
-    operator, domain, case, _ = _resolve_case(args, args.n if given else args.reference_n)
+    widest = args.n if given else args.reference_n
+    operator, domain, case, _ = _resolve_case(args, widest, dense=True)
     if given:
         n, m = args.n, args.m
         delta = args.delta
@@ -443,7 +449,8 @@ def _parse_coupling(text: str, nmin: int, nmax: int):
 
 
 def _cmd_study(args) -> int:
-    operator, domain, case, op_id = _resolve_case(args, max(args.nmax, args.reference_n))
+    widest = max(args.nmax, args.reference_n)
+    operator, domain, case, op_id = _resolve_case(args, widest, dense=True)
     coupling, explicit = _parse_coupling(args.coupling, args.nmin, args.nmax)
     # The right-hand side spans the tallest solve: the reference or an explicit row.
     solves = [(args.reference_n + operator.band_width(), args.reference_n)]

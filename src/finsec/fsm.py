@@ -1,12 +1,12 @@
 """Square finite sections: solves, inverse-norm scans, subsequence verdicts.
 
 The inverse norm of a section is max(1, 1/sigma_min), the operator norm of
-the inverted section extended by the identity off the window.  For
-adjacency operators the section splits exactly into the identity plus a
-small block over edge-touched vertices, so scans stay dense-small even
-when the window holds tens of thousands of lattice points.
+the inverted section extended by the identity off the window.  A square
+adjacency section swaps the ends of each edge inside the window, fixes the
+points on no edge and is zero in the row and column of each end of a cut
+edge, so its verdict, sigma extremes and solve need no block.
 
-Square windows of at least SPARSE_MIN_POINTS points take their sigma
+Other square windows of at least SPARSE_MIN_POINTS points take their sigma
 extremes from a sparse LU and Lanczos, never building the dense block.
 They fall back to the dense SVD whenever the sparse route fails or its
 sigma_min lies within SPARSE_FALLBACK_FACTOR of the invertibility
@@ -63,30 +63,6 @@ SPARSE_MIN_POINTS = 512
 SPARSE_FALLBACK_FACTOR = 1e3
 
 
-def _adjacency_extremes(
-    graph: AdjacencyGraph, domain: StarlikeDomain, n: int
-) -> tuple[float, float]:
-    """Exact (sigma_min, sigma_max) of the square section of an adjacency operator.
-
-    The section is the identity on window points that touch no edge, plus
-    the assembled block over edge-touched points, so its singular values
-    are those of the block together with 1.
-    """
-    graph.check_coverage(domain, n)
-    active = graph.edge_array[domain.contains_array(graph.edge_array, n)]
-    has_identity_part = _section_exceeds(domain, n, len(active))
-    if not len(active):
-        return 1.0, 1.0
-    block_set = IndexSet.from_array(graph.dimension, active)
-    sv = singular_values(assemble(graph, block_set, block_set).data)
-    smin = float(sv[-1])
-    smax = float(sv[0])
-    if has_identity_part:
-        smin = min(smin, 1.0)
-        smax = max(smax, 1.0)
-    return smin, smax
-
-
 def _window_extremes(
     operator: OperatorSpec, window: IndexSet, tau_rel: float
 ) -> tuple[float, float]:
@@ -112,7 +88,13 @@ def section_extremes(
     singular value overflows.
     """
     if isinstance(operator, AdjacencyGraph):
-        smin, smax = _adjacency_extremes(operator, domain, n)
+        operator.check_coverage(domain, n)
+        inside = domain.contains_array(operator.edge_array, n).reshape(-1, 2)
+        cut_ends = int(np.count_nonzero(inside[:, 0] != inside[:, 1]))
+        smin = 0.0 if cut_ends else 1.0
+        # sigma_max is 0 only when every window point is the end of a cut edge
+        all_cut = 0 < cut_ends == np.count_nonzero(inside)
+        smax = 0.0 if all_cut and not _section_exceeds(domain, n, cut_ends) else 1.0
     else:
         _check_window_budget(operator, lattice_section_size(domain, n))
         smin, smax = _window_extremes(operator, lattice_section(domain, n), tau_rel)
@@ -133,14 +115,27 @@ def fsm_solve(
 ) -> SupportedVector:
     """Solve the square truncated system over window n; zero off the window.
 
-    Checks the dense budget and the rhs dimension, then takes inverse_norm's verdict.
+    Checks the memory budget and the rhs dimension, then takes inverse_norm's
+    verdict.  An adjacency section is charged as a window, not a dense block:
+    its solve swaps the entries of b along the edges inside the window.
     """
     size = lattice_section_size(domain, n)
-    _check_dense_budget(size, size)
+    if isinstance(operator, AdjacencyGraph):
+        _check_window_budget(operator, size)
+    else:
+        _check_dense_budget(size, size)
     window = lattice_section(domain, n)
     b = rhs.to_array(window)
     inverse_norm(operator, domain, n, tau_rel)
-    x = np.linalg.solve(assemble(operator, window, window).data, b)
+    if isinstance(operator, AdjacencyGraph):
+        # No edge is cut, so S is an involution: x = S b.  + 0.0 clears -0.0 parts
+        # as the dense solve does, bar zero real parts that BLAS signs by position.
+        ends = window.locate(operator.edge_array).reshape(-1, 2)
+        ends = ends[ends[:, 0] >= 0]
+        x = b + 0.0
+        x[ends] = x[ends[:, ::-1]]
+    else:
+        x = np.linalg.solve(assemble(operator, window, window).data, b)
     return SupportedVector.from_array(window, x)
 
 
@@ -201,9 +196,7 @@ def adjacency_section_invertible(
     """Exact arithmetic criterion: no edge may have exactly one endpoint inside."""
     if not isinstance(graph, AdjacencyGraph):
         raise TypeError("criterion applies to adjacency operators only")
-    graph.check_coverage(domain, n)
-    inside = domain.contains_array(graph.edge_array, n).reshape(-1, 2)
-    return bool(np.all(inside[:, 0] == inside[:, 1]))
+    return section_extremes(graph, domain, n)[0] > 0
 
 
 def classify_subsequences(

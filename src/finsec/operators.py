@@ -35,7 +35,6 @@ __all__ = [
     "as_point",
     "compose_shift",
     "euclidean_norm",
-    "identity_operator",
 ]
 
 
@@ -421,11 +420,6 @@ class BandDiagonals(OperatorSpec):
             if not rule.is_trivial():
                 items.append((point, rule))
         return cls(dimension, tuple(sorted(items, key=lambda kv: kv[0])))
-
-
-def identity_operator(dimension: int = 1) -> BandDiagonals:
-    zero = (0,) * dimension
-    return BandDiagonals.from_rules(dimension, {zero: ConstantRule(1.0 + 0j)})
 
 
 def _block_periodic(block_size: int, blocks: Mapping[int, Sequence]) -> BandDiagonals:

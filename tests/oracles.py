@@ -4,13 +4,27 @@ Nothing in here touches LAPACK or the package's numeric kernels: the
 singular-value oracle runs entirely in exact integer/rational arithmetic
 (characteristic polynomial + Sturm-chain bisection on the Gram matrix),
 and the geometry oracle enumerates bounding boxes directly against the
-facet inequalities.
+facet inequalities.  The identity operator, whose sections are known
+exactly, is built here from one constant diagonal.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+from finsec import BandDiagonals, ConstantRule
+
+
+# ---------------------------------------------------------------------------
+# operators
+# ---------------------------------------------------------------------------
+
+
+def identity_operator(dimension: int = 1) -> BandDiagonals:
+    """The identity on Z^dimension: the constant diagonal 1 at offset zero."""
+    zero = (0,) * dimension
+    return BandDiagonals.from_rules(dimension, {zero: ConstantRule(1.0 + 0j)})
 
 
 # ---------------------------------------------------------------------------

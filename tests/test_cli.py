@@ -56,11 +56,68 @@ def test_oversized_dense_window_exits_2(tmp_path, monkeypatch, capsys):
     rhs = tmp_path / "rhs.json"
     rhs.write_text(json.dumps({"dimension": 1, "entries": {"1": "1"}}))
     code, out, err = run_cli(
-        ["solve-fsm", "--example", "blockdiag", "--n", "4", "--rhs", str(rhs)], capsys
+        ["solve-fsm", "--example", "worked_A", "--n", "4", "--rhs", str(rhs)], capsys
     )
     assert code == 2
     assert out == ""
     assert "9 x 9 needs 1296 bytes" in err and "Traceback" not in err
+
+
+def test_adjacency_solve_is_charged_as_a_window_not_a_block(tmp_path, monkeypatch, capsys):
+    # window n = 40 of blockdiag: 81 points, a 104,976-byte dense block, and
+    # 81 * (48 + 8 + 48 * 3) = 16,200 bytes as a window of 3 stored diagonals
+    monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", 20000)
+    rhs = tmp_path / "rhs.json"
+    rhs.write_text(json.dumps({"dimension": 1, "entries": {"1": "1", "-40": "2"}}))
+    argv = ["solve-fsm", "--example", "blockdiag", "--rhs", str(rhs), "--n"]
+    code, out, err = run_cli([*argv, "40"], capsys)
+    assert code == 0, err
+    assert out == "point,real,imag\n-39,2,0\n2,1,0\n"
+    code, out, err = run_cli([*argv, "100"], capsys)  # 201 points: 40,200 bytes
+    assert code == 2 and out == ""
+    assert "window of 201 points and 3 stored diagonals needs 40200 bytes" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["study", "--nmax", "4", "--reference-n", "1000"],
+        ["study", "--nmax", "4", "--reference-n", "1000", "--omega", "interval"],
+        ["solve-rfsm", "--n", "1000", "--m", "1001"],
+        ["solve-rfsm", "--epsilon", "1e-2", "--a-norm", "1", "--a-inv-norm", "1",
+         "--reference-n", "1000"],
+    ],
+)
+def test_dense_commands_refuse_before_the_generator_is_built(
+    command, tmp_path, monkeypatch, capsys
+):
+    generate = catalog._edges_blockdiag
+
+    def probe_only(k_max):
+        # the probe case of bound 1 gives the domain; no larger bound is generated
+        assert k_max == 1, "generator built for an over-budget block"
+        return generate(k_max)
+
+    monkeypatch.setattr(catalog, "_edges_blockdiag", probe_only)
+    monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", 10**6)
+    rhs = tmp_path / "rhs.json"
+    rhs.write_text(json.dumps({"dimension": 1, "entries": {"0": "1"}}))
+    code, out, err = run_cli([*command, "--example", "blockdiag", "--rhs", str(rhs)], capsys)
+    assert code == 2 and out == ""
+    assert "dense window 2001 x 2001 needs" in err and "Traceback" not in err
+
+
+def test_the_early_dense_charge_refuses_no_block_that_fits(tmp_path, monkeypatch, capsys):
+    # the reference block of blockdiag at reference n = 10 is 23 x 21; the
+    # early charge of 21 x 21 stays below it
+    monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", 16 * 23 * 21)
+    rhs = tmp_path / "rhs.json"
+    rhs.write_text(json.dumps({"dimension": 1, "entries": {"0": "1"}}))
+    blockdiag = ["--example", "blockdiag", "--rhs", str(rhs)]
+    code, _, err = run_cli(["study", *blockdiag, "--nmax", "4", "--reference-n", "10"], capsys)
+    assert code == 0, err
+    code, _, err = run_cli(["solve-rfsm", *blockdiag, "--n", "10", "--m", "11"], capsys)
+    assert code == 0, err
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finsec import (
     EXAMPLE_IDS,
+    AdjacencyGraph,
     BandDiagonals,
     GeneratorBoundError,
     InsufficientDataError,
@@ -17,17 +22,14 @@ from finsec import (
     classify_subsequences,
     fsm_section,
     fsm_solve,
-    identity_operator,
     inverse_norm,
-    min_singular_value,
-    spectral_norm,
     stability_scan,
 )
 from finsec import fsm, linalg
 from finsec.fsm import VERDICT_SINGULAR, VERDICT_STABLE, section_extremes
 from finsec.linalg import TAU_REL_DEFAULT, singular_values
 from conftest import random_band_operator
-from oracles import singular_value_extremes
+from oracles import identity_operator, singular_value_extremes
 
 D_INT = [[1, 1, 1], [1, 1, 0], [1, 0, 0]]
 
@@ -126,16 +128,85 @@ def test_scan_requires_increasing_n(interval):
         stability_scan(identity_operator(), interval, [3, 2, 5])
 
 
-def test_adjacency_fast_path_matches_dense_section():
-    # the identity + block decomposition must reproduce the full dense
-    # sigma extremes on windows small enough to materialize
-    for case_id, n_values in (("sierror", (1, 2, 4, 5)), ("diamond", (1, 3, 6))):
-        case = build_example(case_id, 10)
+def test_adjacency_fast_path_matches_dense_section(interval):
+    # the closed form from the edge ends inside the window reproduces the
+    # dense sigma extremes exactly on windows small enough to materialize
+    cut_ends = AdjacencyGraph.from_edges(1, [(-2, -1), (0, 5), (1, 2)])
+    cases = [
+        (build_example(case_id, 10), n_values)
+        for case_id, n_values in (
+            ("blockdiag", (1, 2, 3, 4, 7)),
+            ("rarosi", (1, 2, 3, 4)),
+            ("sierror", (1, 2, 4, 5)),
+            ("diamond", (1, 3, 6)),
+        )
+    ]
+    for case, n_values in cases:
         for n in n_values:
-            smin, smax = section_extremes(case.operator, case.domain, n)
-            dense = fsm_section(case.operator, case.domain, n).data
-            assert smin == pytest.approx(min_singular_value(dense), abs=1e-12)
-            assert smax == pytest.approx(spectral_norm(dense), abs=1e-12)
+            dense = singular_values(fsm_section(case.operator, case.domain, n).data)
+            extremes = (float(dense[-1]), float(dense[0]))
+            assert section_extremes(case.operator, case.domain, n) == extremes
+    # every point of window 1 ends a cut edge: the section is zero
+    assert section_extremes(cut_ends, interval, 1) == (0.0, 0.0)
+    assert not fsm_section(cut_ends, interval, 1).data.any()
+    assert section_extremes(cut_ends, interval, 2) == (0.0, 1.0)
+
+
+ADJACENCY_WINDOWS = {"blockdiag": 12, "rarosi": 4, "sierror": 4, "diamond": 4}
+RHS_PARTS = [0.0, -0.0, 1.5, -1.5, 0.1, -7.0, 5e-324, -1e300]
+
+
+def _parts_equal(u, v):
+    """Bitwise equality of two solutions, except the sign of a zero real part
+    beside a negative imaginary part of v: the dense solve's BLAS kernels set
+    it by the entry's place (the 3 x 3 identity turns 0 - 1.5i into -0 - 1.5i
+    at two of its three places), and the closed form gives +0 there."""
+    if u.keys() != v.keys():
+        return False
+    for p, z in u.items():
+        w = v[p]
+        if z != w or math.copysign(1, z.imag) != math.copysign(1, w.imag):
+            return False
+        if math.copysign(1, z.real) != math.copysign(1, w.real) and not (
+            w.real == 0 and w.imag < 0 and math.copysign(1, z.real) == 1
+        ):
+            return False
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(ADJACENCY_WINDOWS)), st.data())
+def test_adjacency_sections_take_no_block_and_match_the_dense_route(case_id, data):
+    case = build_example(case_id, 10)
+    n = data.draw(st.integers(1, ADJACENCY_WINDOWS[case_id]), label="n")
+    window = fsm_section(case.operator, case.domain, n)
+    parts = st.sampled_from(RHS_PARTS)
+    values = data.draw(
+        st.lists(st.tuples(parts, parts), min_size=len(window.rows), max_size=len(window.rows))
+    )
+    rhs = SupportedVector.from_entries(
+        case.domain.dimension, {p: complex(*v) for p, v in zip(window.rows, values)}
+    )
+    sv = singular_values(window.data)
+    invertible = linalg.invertible(float(sv[-1]), float(sv[0]), TAU_REL_DEFAULT)
+    if invertible:
+        x = np.linalg.solve(window.data, rhs.to_array(window.rows))
+        expected = SupportedVector.from_array(window.rows, x)
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("the adjacency route reached a dense kernel")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fsm, "assemble", unreached)
+        mp.setattr(fsm, "singular_values", unreached)
+        mp.setattr(np.linalg, "solve", unreached)
+        assert section_extremes(case.operator, case.domain, n) == (float(sv[-1]), float(sv[0]))
+        if not invertible:
+            with pytest.raises(SingularSectionError):
+                fsm_solve(case.operator, rhs, case.domain, n)
+            return
+        u = fsm_solve(case.operator, rhs, case.domain, n)
+    assert _parts_equal(u.entries, expected.entries)
 
 
 # ---------------------------------------------------------------------------

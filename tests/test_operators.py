@@ -20,11 +20,11 @@ from finsec import (
     build_example,
     builtin_domain,
     compose_shift,
-    identity_operator,
     lattice_section,
 )
 from finsec.operators import euclidean_norm
 from conftest import random_band_operator
+from oracles import identity_operator
 
 BLOCK_B = ((1, 1, 0), (1, 0, 0), (0, 0, 0))
 BLOCK_C = ((0, 0, 0), (0, 0, 0), (1, 1, 1))

@@ -25,7 +25,6 @@ from finsec import (
     builtin_domain,
     choose_parameters,
     convergence_study,
-    identity_operator,
     lattice_section,
     lattice_section_size,
     normal_equations_solve,
@@ -43,6 +42,7 @@ from finsec.geometry import IndexSet
 from finsec.operators import euclidean_norm
 from finsec.rfsm import coupling_row_cutoff, rfsm_solve_with_residual
 from conftest import random_band_operator
+from oracles import identity_operator
 
 
 def geometric_vector(radius, decay=2.0):
@@ -746,6 +746,33 @@ def test_study_reference_failure_wins_over_a_failing_window(cores, monkeypatch):
             raise window_error
         return real(matrix, rhs)
 
+    next_started = threading.Event()
+
+    class NextWindowFirst(concurrent.futures.ThreadPoolExecutor):
+        """Hands the study the reference's outcome only once the next window
+        has started, so a worker that goes on after a failing reference is
+        always seen, never cancelled first."""
+
+        reference = None
+
+        def submit(self, fn, /, *args):
+            if self.reference is None:
+                self.reference = future = super().submit(fn, *args)
+
+                def outcome(timeout=None, result=future.result):
+                    next_started.wait(5)
+                    return result(timeout)
+
+                future.result = outcome
+                return future
+
+            def start(*args):
+                next_started.set()
+                return fn(*args)
+
+            return super().submit(start, *args)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", NextWindowFirst)
     monkeypatch.setattr(rfsm, "least_squares", failing)
     monkeypatch.setattr(rfsm, "_free_cores", lambda: cores)
     with pytest.raises(LinAlgError) as excinfo:
@@ -753,6 +780,7 @@ def test_study_reference_failure_wins_over_a_failing_window(cores, monkeypatch):
             case.operator, case.rhs, case.domain, "band", range(2, 31), reference_n=40
         )
     assert excinfo.value is reference_error
+    assert next_started.is_set()
     # one worker runs the reference first, and no window after its failure
     assert window_failed.is_set() == (cores > 1)
     if cores == 1:

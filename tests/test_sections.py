@@ -18,7 +18,6 @@ from finsec import (
     build_example,
     builtin_domain,
     fsm_section,
-    identity_operator,
     lattice_section,
     normal_equations_solve,
     overflow_block,
@@ -28,7 +27,7 @@ from finsec import (
 from finsec import fsm, sections
 from finsec.sections import section_triplets
 from conftest import random_band_operator
-from oracles import in_dilation
+from oracles import identity_operator, in_dilation
 
 BLOCK_B = np.array([[1, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=float)
 

@@ -5,8 +5,8 @@ Usage: python tools/pinned_outputs.py OUT_DIR
 Each invocation runs in a fresh interpreter on the ``src`` tree beside this
 script, with BLAS pinned to one thread and this script's directory as its
 working directory, so the input files kept here (``lap5.json``, the
-constant 5-point operator with diagonal 5, ``far.json`` and ``adj.json``)
-are named by relative paths.  Its file in OUT_DIR holds the exit code,
+constant 5-point operator with diagonal 5, ``far.json``, ``adj.json`` and
+``sz.json``, whose entries carry signed zeros) are named by relative paths.  Its file in OUT_DIR holds the exit code,
 stdout and stderr.  finsec's outputs are byte-deterministic, so running this on two
 checkouts and comparing with ``diff -r`` shows every output byte a change
 moves; copy the ``.json`` inputs along when the parent lacks them.
@@ -44,6 +44,8 @@ INVOCATIONS = (
         "study", "--example", "sierror", "--nmax", "6", "--reference-n", "12", "--bound", "4",
         "--rhs", "adj.json", "--format", "json",
     ],
+    ["solve-fsm", "--example", "blockdiag", "--n", "40", "--rhs", "sz.json", "--format", "csv"],
+    ["solve-fsm", "--example", "sierror", "--n", "20", "--rhs", "adj.json", "--format", "json"],
 )
 
 RUN_CLI = "import sys; from finsec.cli import main; sys.exit(main(sys.argv[1:]))"

@@ -121,7 +121,13 @@ def _shifted_geometric_rhs(index_set: IndexSet) -> SupportedVector:
 
 
 def minimal_bound(case_id: str, radius: int) -> int:
-    """Smallest generator bound K whose edge coverage reaches the given radius."""
+    """A generator bound K whose edge coverage reaches the given max-norm radius.
+
+    The smallest such K for blockdiag (coverage 2K) and diamond (K).  For rarosi
+    and sierror, of coverage (K + 1)^2 - 1, it is isqrt(radius) + 1, one above
+    the smallest, max(1, isqrt(radius)), once radius >= 1; `example --format json`
+    reports K, and its pinned bytes keep this value.  Other cases take 1.
+    """
     if case_id == "blockdiag":
         return max(1, math.ceil(radius / 2))
     if case_id in ("rarosi", "sierror"):

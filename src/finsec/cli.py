@@ -30,7 +30,7 @@ from .catalog import (
     minimal_bound,
 )
 from .errors import ConfigError, InsufficientDataError, NoFeasibleMError, NumericError
-from .fsm import classify_subsequences, fsm_solve, stability_scan
+from .fsm import _check_solve_budget, classify_subsequences, fsm_solve, stability_scan
 from .geometry import StarlikeDomain, lattice_section, lattice_section_size, validate_domain
 from .linalg import NORM_CAP_DEFAULT, TAU_REL_DEFAULT
 from .operators import (
@@ -261,28 +261,36 @@ def load_rhs(source: str) -> SupportedVector:
 # ---------------------------------------------------------------------------
 
 
-def _auto_bound(case_id: str, n_max: int) -> int:
-    """Generator bound whose edge coverage reaches window n_max of the case's domain."""
-    probe = build_example(case_id, 1).domain
-    return minimal_bound(case_id, probe.enclosing_radius(n_max))
+def _example_case(case_id: str, omega, n_max: int, charge=None) -> tuple[ExampleCase, int]:
+    """A built-in case, edges out to window n_max of `omega` or its own domain, and its bound.
+
+    `charge(operator, domain, n_max)` runs first on the case of bound 1, whose
+    diagonal offsets are any bound's, to refuse a solve before the generator is built.
+    """
+    probe = build_example(case_id, 1)
+    domain = omega or probe.domain
+    if charge is not None:
+        charge(probe.operator, domain, n_max)
+    bound = minimal_bound(case_id, domain.enclosing_radius(n_max))
+    return (probe if bound == 1 else build_example(case_id, bound)), bound
+
+
+def _check_square_block(operator: OperatorSpec, domain: StarlikeDomain, n: int) -> None:
+    """Charge a square dense block over window n, no larger than any block with its columns."""
+    size = lattice_section_size(domain, n)
+    _check_dense_budget(size, size)
 
 
 def _resolve_case(
-    args, n_max: int, dense: bool = False
+    args, n_max: int, charge=None
 ) -> tuple[OperatorSpec, StarlikeDomain, ExampleCase | None, str]:
     """Operator + domain from --example or --operator/--omega flags.
 
-    An omitted --bound covers n_max, the widest column cut-off solved at.
-    With `dense`, a block of n_max's columns and as many rows, no larger than
-    the command's widest dense block, is charged before a generator is built.
+    n_max is the widest column cut-off solved at; see _example_case for `charge`.
     """
     if args.example:
         omega = load_domain(args.omega) if args.omega else None
-        if dense:
-            size = lattice_section_size(omega or build_example(args.example, 1).domain, n_max)
-            _check_dense_budget(size, size)
-        bound = args.bound if args.bound is not None else _auto_bound(args.example, n_max)
-        case = build_example(args.example, bound)
+        case, _ = _example_case(args.example, omega, n_max, charge)
         return case.operator, omega or case.domain, case, args.example
     if not args.operator:
         raise ValueError("provide --example or --operator")
@@ -345,8 +353,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_example(args) -> int:
-    bound = args.bound if args.bound is not None else _auto_bound(args.case_id, args.nmax)
-    case = build_example(args.case_id, bound)
+    case, bound = _example_case(args.case_id, None, args.nmax)
     report = stability_scan(
         case.operator,
         case.domain,
@@ -370,7 +377,7 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_solve_fsm(args) -> int:
-    operator, domain, case, _ = _resolve_case(args, args.n)
+    operator, domain, case, _ = _resolve_case(args, args.n, _check_solve_budget)
     rhs = _resolve_rhs(args, case, domain, args.n, args.n)
     u = fsm_solve(operator, rhs, domain, args.n, tau_rel=args.tau_rel)
     if args.format == "csv":
@@ -380,15 +387,27 @@ def _cmd_solve_fsm(args) -> int:
     return EXIT_OK
 
 
+def _explicit_window(args) -> bool:
+    """True for a solve on --n and --m, False for one on --epsilon; refuses unread flags."""
+    window = args.n is not None or args.m is not None
+    unread = ("--epsilon", "--a-norm", "--a-inv-norm") if window else ("--delta",)
+    for flag in unread:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise ValueError(f"{flag} is read only {'without' if window else 'with'} --n and --m")
+    if None in ((args.n, args.m) if window else (args.epsilon,)):
+        raise ValueError("provide --n and --m, or --epsilon")
+    return window
+
+
 def _cmd_solve_rfsm(args) -> int:
-    given = args.n is not None and args.m is not None
+    given = _explicit_window(args)
     widest = args.n if given else args.reference_n
-    operator, domain, case, _ = _resolve_case(args, widest, dense=True)
+    operator, domain, case, _ = _resolve_case(args, widest, _check_square_block)
     if given:
         n, m = args.n, args.m
         delta = args.delta
         rhs = _resolve_rhs(args, case, domain, m, n)
-    elif args.epsilon is not None:
+    else:
         a_norm = args.a_norm or (case.operator_norm if case else None)
         a_inv = args.a_inv_norm or (case.inverse_bound if case else None)
         if a_norm is None or a_inv is None:
@@ -413,8 +432,6 @@ def _cmd_solve_rfsm(args) -> int:
             reference_tail_bound(u_ref, domain),
         )
         n, m, delta = params.n, params.m, params.delta
-    else:
-        raise ValueError("provide --n and --m, or --epsilon")
 
     u, residual = rfsm_solve_with_residual(operator, rhs, domain, m, n)
     if delta is not None and residual >= delta:
@@ -450,7 +467,7 @@ def _parse_coupling(text: str, nmin: int, nmax: int):
 
 def _cmd_study(args) -> int:
     widest = max(args.nmax, args.reference_n)
-    operator, domain, case, op_id = _resolve_case(args, widest, dense=True)
+    operator, domain, case, op_id = _resolve_case(args, widest, _check_square_block)
     coupling, explicit = _parse_coupling(args.coupling, args.nmin, args.nmax)
     # The right-hand side spans the tallest solve: the reference or an explicit row.
     solves = [(args.reference_n + operator.band_width(), args.reference_n)]
@@ -500,20 +517,6 @@ _POSITIVE = functools.partial(_float_flag, positive=True)
 _NON_NEGATIVE = functools.partial(_float_flag, positive=False)
 
 
-def _add_source_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--operator", help="operator config JSON path")
-    p.add_argument("--omega", help="domain: builtin name or config JSON path")
-    p.add_argument("--example", choices=EXAMPLE_IDS, help="built-in case id")
-    p.add_argument("--bound", type=int, help="edge generator bound K")
-    p.add_argument("--rhs", help="right-hand side config JSON path")
-
-
-def _add_output_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", help="output path (stdout when omitted)")
-    p.add_argument("--tau-rel", type=_NON_NEGATIVE, default=TAU_REL_DEFAULT)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="finsec",
@@ -522,32 +525,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("scan", help="invertibility / inverse-norm scan over windows")
-    _add_source_flags(p)
-    _add_output_flags(p)
+    # flag groups, each given to the commands that read it
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--operator", help="operator config JSON path")
+    source.add_argument("--omega", help="domain: builtin name or config JSON path")
+    source.add_argument("--example", choices=EXAMPLE_IDS, help="built-in case id")
+    rhs = argparse.ArgumentParser(add_help=False)
+    rhs.add_argument("--rhs", help="right-hand side config JSON path")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("csv", "json"), default="csv")
+    output.add_argument("--out", help="output path (stdout when omitted)")
+    tau = argparse.ArgumentParser(add_help=False)
+    tau.add_argument("--tau-rel", type=_NON_NEGATIVE, default=TAU_REL_DEFAULT)
+
+    p = sub.add_parser("scan", help="invertibility / inverse-norm scan over windows",
+                       parents=[source, output, tau])
     p.add_argument("--nmin", type=int, default=1)
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--modulus", type=int, action="append", default=None)
     p.add_argument("--norm-cap", type=_POSITIVE, default=NORM_CAP_DEFAULT)
     p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("example", help="scan a built-in case and check its expectations")
+    p = sub.add_parser("example", help="scan a built-in case and check its expectations",
+                       parents=[output, tau])
     p.add_argument("case_id", choices=EXAMPLE_IDS)
-    _add_output_flags(p)
-    p.add_argument("--bound", type=int, default=None)
     p.add_argument("--nmin", type=int, default=1)
     p.add_argument("--nmax", type=int, default=40)
     p.set_defaults(func=_cmd_example)
 
-    p = sub.add_parser("solve-fsm", help="solve one square truncated system")
-    _add_source_flags(p)
-    _add_output_flags(p)
+    p = sub.add_parser("solve-fsm", help="solve one square truncated system",
+                       parents=[source, rhs, output, tau])
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=_cmd_solve_fsm)
 
-    p = sub.add_parser("solve-rfsm", help="solve one rectangular system by least squares")
-    _add_source_flags(p)
-    _add_output_flags(p)
+    p = sub.add_parser("solve-rfsm", help="solve one rectangular system by least squares",
+                       parents=[source, rhs, output])
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--delta", type=_POSITIVE, help="required residual precision")
@@ -559,9 +571,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference-n", type=int, default=64)
     p.set_defaults(func=_cmd_solve_rfsm)
 
-    p = sub.add_parser("study", help="convergence study against a reference solve")
-    _add_source_flags(p)
-    _add_output_flags(p)
+    p = sub.add_parser("study", help="convergence study against a reference solve",
+                       parents=[source, rhs, output])
     p.add_argument("--nmin", type=int, default=2)
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument(

@@ -106,6 +106,15 @@ def section_extremes(
     return smin, smax
 
 
+def _check_solve_budget(operator: OperatorSpec, domain: StarlikeDomain, n: int) -> None:
+    """Charge fsm_solve's window n: as a window for an adjacency graph, else as a dense block."""
+    size = lattice_section_size(domain, n)
+    if isinstance(operator, AdjacencyGraph):
+        _check_window_budget(operator, size)
+    else:
+        _check_dense_budget(size, size)
+
+
 def fsm_solve(
     operator: OperatorSpec,
     rhs: SupportedVector,
@@ -115,15 +124,11 @@ def fsm_solve(
 ) -> SupportedVector:
     """Solve the square truncated system over window n; zero off the window.
 
-    Checks the memory budget and the rhs dimension, then takes inverse_norm's
-    verdict.  An adjacency section is charged as a window, not a dense block:
-    its solve swaps the entries of b along the edges inside the window.
+    Checks the memory budget (_check_solve_budget) and the rhs dimension,
+    then takes inverse_norm's verdict.  An adjacency section's solve swaps
+    the entries of b along the edges inside the window.
     """
-    size = lattice_section_size(domain, n)
-    if isinstance(operator, AdjacencyGraph):
-        _check_window_budget(operator, size)
-    else:
-        _check_dense_budget(size, size)
+    _check_solve_budget(operator, domain, n)
     window = lattice_section(domain, n)
     b = rhs.to_array(window)
     inverse_norm(operator, domain, n, tau_rel)

@@ -15,6 +15,7 @@ from finsec import (
     expected_outcomes,
     lattice_section,
 )
+from finsec.catalog import minimal_bound
 from finsec.reports import StabilityRecord, StabilityReport
 
 BLOCK_B = np.array([[1, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=float)
@@ -111,6 +112,20 @@ def test_coverage_guard():
     case = build_example("sierror", 3)  # coverage radius 15
     with pytest.raises(GeneratorBoundError):
         expected_outcomes(case, 16)
+
+
+@pytest.mark.parametrize("case_id", ["blockdiag", "rarosi", "sierror", "diamond"])
+def test_minimal_bound_covers_the_radius(case_id):
+    def coverage(bound):
+        return build_example(case_id, bound).operator.coverage_radius
+
+    for radius in (0, 1, 2, 3, 4, 8, 9, 15, 16, 35, 36, 40, 63, 64, 100):
+        bound = minimal_bound(case_id, radius)
+        assert coverage(bound) >= radius
+        # the smallest covering bound, or one above it for the square families
+        smallest = bound - 1 if case_id in ("rarosi", "sierror") and radius >= 1 else bound
+        assert coverage(smallest) >= radius
+        assert smallest == 1 or coverage(smallest - 1) < radius
 
 
 def test_diamond_stability_depends_on_domain():

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -79,23 +81,28 @@ def test_adjacency_solve_is_charged_as_a_window_not_a_block(tmp_path, monkeypatc
 
 
 @pytest.mark.parametrize(
-    "command",
+    "command, refusal",
     [
-        ["study", "--nmax", "4", "--reference-n", "1000"],
-        ["study", "--nmax", "4", "--reference-n", "1000", "--omega", "interval"],
-        ["solve-rfsm", "--n", "1000", "--m", "1001"],
-        ["solve-rfsm", "--epsilon", "1e-2", "--a-norm", "1", "--a-inv-norm", "1",
-         "--reference-n", "1000"],
+        (["study", "--nmax", "4", "--reference-n", "1000"], "dense window 2001 x 2001 needs"),
+        (["study", "--nmax", "4", "--reference-n", "1000", "--omega", "interval"],
+         "dense window 2001 x 2001 needs"),
+        (["solve-rfsm", "--n", "1000", "--m", "1001"], "dense window 2001 x 2001 needs"),
+        (["solve-rfsm", "--epsilon", "1e-2", "--a-norm", "1", "--a-inv-norm", "1",
+          "--reference-n", "1000"], "dense window 2001 x 2001 needs"),
+        # fsm_solve's own charge: 10,001 points of 200 bytes as an adjacency window
+        (["solve-fsm", "--n", "5000"],
+         "window of 10001 points and 3 stored diagonals needs 2000200 bytes"),
     ],
+    ids=[f"command{i}" for i in range(5)],
 )
 def test_dense_commands_refuse_before_the_generator_is_built(
-    command, tmp_path, monkeypatch, capsys
+    command, refusal, tmp_path, monkeypatch, capsys
 ):
     generate = catalog._edges_blockdiag
 
     def probe_only(k_max):
         # the probe case of bound 1 gives the domain; no larger bound is generated
-        assert k_max == 1, "generator built for an over-budget block"
+        assert k_max == 1, "generator built for an over-budget solve"
         return generate(k_max)
 
     monkeypatch.setattr(catalog, "_edges_blockdiag", probe_only)
@@ -104,7 +111,7 @@ def test_dense_commands_refuse_before_the_generator_is_built(
     rhs.write_text(json.dumps({"dimension": 1, "entries": {"0": "1"}}))
     code, out, err = run_cli([*command, "--example", "blockdiag", "--rhs", str(rhs)], capsys)
     assert code == 2 and out == ""
-    assert "dense window 2001 x 2001 needs" in err and "Traceback" not in err
+    assert refusal in err and "Traceback" not in err
 
 
 def test_the_early_dense_charge_refuses_no_block_that_fits(tmp_path, monkeypatch, capsys):
@@ -765,6 +772,8 @@ def test_solve_fsm_singular_exits_3(capsys):
 def test_solve_fsm_past_the_generator_coverage_exits_2_as_scan_does(tmp_path, capsys):
     rhs = tmp_path / "rhs.json"
     rhs.write_text(json.dumps({"dimension": 2, "entries": {"0;0": "1"}}))
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({"variant": "adjacency", "generator": "sierror", "bound": 2}))
     for argv in (
         ["solve-fsm", "--n", "30", "--rhs", str(rhs)],
         ["scan", "--nmax", "30"],
@@ -772,7 +781,7 @@ def test_solve_fsm_past_the_generator_coverage_exits_2_as_scan_does(tmp_path, ca
         ["solve-rfsm", "--n", "30", "--m", "31", "--rhs", str(rhs)],
         ["study", "--nmax", "4", "--reference-n", "30", "--rhs", str(rhs)],
     ):
-        code, out, err = run_cli([*argv, "--example", "sierror", "--bound", "2"], capsys)
+        code, out, err = run_cli([*argv, "--operator", str(op), "--omega", "square"], capsys)
         assert code == 2
         assert out == ""
         assert "but the generator covers only 8" in err and "Traceback" not in err
@@ -782,12 +791,13 @@ def test_rectangular_adjacency_solves_read_rows_past_the_coverage(tmp_path, caps
     rhs = tmp_path / "rhs.json"
     rhs.write_text(json.dumps({"dimension": 1, "entries": {"0": "1"}}))
     blockdiag = ["--example", "blockdiag", "--rhs", str(rhs)]
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({"variant": "adjacency", "generator": "blockdiag", "bound": 2}))
+    bound_2 = ["--operator", str(op), "--omega", "interval", "--rhs", str(rhs)]
     # columns inside the coverage radius 4 of bound 2, rows past it
-    code, out, _ = run_cli(
-        ["solve-rfsm", *blockdiag, "--n", "4", "--m", "5", "--bound", "2"], capsys
-    )
+    code, out, _ = run_cli(["solve-rfsm", *bound_2, "--n", "4", "--m", "5"], capsys)
     assert code == 0 and out == "point,real,imag\n0,1,0\n"
-    # the automatic bound covers the columns of the reference solve
+    # the bound derived from the reference solve covers its columns
     code, out, err = run_cli(["study", *blockdiag, "--nmax", "4", "--reference-n", "10"], capsys)
     assert code == 0, err
     assert out.splitlines()[1:] == ["2,3,0,1,,0,", "3,4,0,1,,0,", "4,5,0,1,,0,"]
@@ -795,9 +805,9 @@ def test_rectangular_adjacency_solves_read_rows_past_the_coverage(tmp_path, caps
     code, out, err = run_cli(["solve-rfsm", *blockdiag, *epsilon], capsys)
     assert code == 0, err
     assert out == "point,real,imag\n0,1,0\n"
-    # an explicit bound below the reference columns is refused on them
+    # a generator bound below the reference columns is refused on them
     code, out, err = run_cli(
-        ["study", *blockdiag, "--nmax", "4", "--reference-n", "10", "--bound", "2"], capsys
+        ["study", *bound_2, "--nmax", "4", "--reference-n", "10"], capsys
     )
     assert code == 2 and out == ""
     assert "column (-10,) needs edges complete up to max-norm radius 10" in err
@@ -925,6 +935,94 @@ def test_solve_rfsm_unmeetable_delta_exits_3(capsys):
     )
     assert code == 3
     assert "residual" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--epsilon", "1e-3", "--n", "4"], "--epsilon is read only without --n and --m"),
+        (["--epsilon", "1e-3", "--m", "6"], "--epsilon is read only without --n and --m"),
+        (["--a-norm", "3", "--n", "4", "--m", "6"], "--a-norm is read only without"),
+        (["--a-norm", "3", "--m", "6"], "--a-norm is read only without"),
+        (["--a-inv-norm", "2", "--n", "4", "--m", "6"], "--a-inv-norm is read only without"),
+        (["--a-inv-norm", "2", "--m", "6"], "--a-inv-norm is read only without"),
+        (["--delta", "100", "--epsilon", "1e-3"], "--delta is read only with --n and --m"),
+        (["--n", "4"], "provide --n and --m, or --epsilon"),
+        ([], "provide --n and --m, or --epsilon"),
+    ],
+    ids=["epsilon-n", "epsilon-m", "a-norm-n", "a-norm-m", "a-inv-norm-n", "a-inv-norm-m",
+         "delta-epsilon", "n-alone", "no-window"],
+)
+def test_solve_rfsm_refuses_flags_its_mode_does_not_read(argv, message, monkeypatch, capsys):
+    def unbuilt(case_id, bound=40):
+        raise AssertionError("case built before the flags were checked")
+
+    monkeypatch.setattr(cli, "build_example", unbuilt)
+    code, out, err = run_cli(["solve-rfsm", "--example", "blockdiag", *argv], capsys)
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# flags
+# ---------------------------------------------------------------------------
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_pinned_and_benchmark_invocations_parse(tmp_path):
+    # parsed only, never run: a removed flag must not break either harness
+    invocations = list(runpy.run_path(ROOT / "tools" / "pinned_outputs.py")["INVOCATIONS"])
+    workloads = runpy.run_path(ROOT / "bench" / "workloads.py", run_name="workloads")["WORKLOADS"]
+    invocations += [w.prepare(0, False, tmp_path)[0] for w in workloads.values()]
+    assert len(invocations) == 18 + 4
+    parser = cli.build_parser()
+    for argv in invocations:
+        parser.parse_args(argv)
+
+
+FLAGS_READ = {
+    "scan": {"--operator", "--omega", "--example", "--format", "--out", "--tau-rel",
+             "--nmin", "--nmax", "--modulus", "--norm-cap"},
+    "example": {"--format", "--out", "--tau-rel", "--nmin", "--nmax"},
+    "solve-fsm": {"--operator", "--omega", "--example", "--rhs", "--format", "--out",
+                  "--tau-rel", "--n"},
+    "solve-rfsm": {"--operator", "--omega", "--example", "--rhs", "--format", "--out",
+                   "--n", "--m", "--delta", "--epsilon", "--a-norm", "--a-inv-norm",
+                   "--reference-n"},
+    "study": {"--operator", "--omega", "--example", "--rhs", "--format", "--out",
+              "--nmin", "--nmax", "--coupling", "--reference-n", "--a-inv-norm"},
+}
+
+
+def test_each_command_takes_only_the_flags_it_reads(capsys):
+    for command, flags in FLAGS_READ.items():
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed == flags | {"--help"}, command
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--example", "blockdiag", "--nmax", "4", "--bound", "9"],
+        ["example", "blockdiag", "--bound", "9"],
+        ["solve-fsm", "--example", "blockdiag", "--n", "4", "--bound", "9"],
+        ["solve-rfsm", "--example", "worked_A", "--n", "3", "--m", "4", "--bound", "9"],
+        ["study", "--example", "worked_A", "--nmax", "4", "--bound", "9"],
+        ["study", "--example", "worked_A", "--nmax", "4", "--tau-rel", "0"],
+        ["solve-rfsm", "--example", "worked_A", "--n", "3", "--m", "4", "--tau-rel", "0"],
+        ["scan", "--example", "blockdiag", "--nmax", "4", "--rhs", "rhs.json"],
+    ],
+)
+def test_removed_flags_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as refused:
+        main(argv)
+    err = capsys.readouterr().err
+    assert refused.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

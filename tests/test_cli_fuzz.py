@@ -174,7 +174,7 @@ def invocations(draw, workdir):
     nmin = pick(draw, [1, 2, 3], [-1, 0])
     nmax = nmin + pick(draw, range(5), [-2, -1])
     flags = ["--format", fmt]
-    if draw(st.booleans()):
+    if command in ("scan", "example", "solve-fsm") and draw(st.booleans()):
         flags += ["--tau-rel", pick(draw, ["0", "1e-10", "1e-3"], ["-1", "nan"])]
     if command == "example":
         case = pick(draw, EXAMPLE_IDS, ["nonsense"])
@@ -186,9 +186,6 @@ def invocations(draw, workdir):
         source = ["--example", case]
         if draw(st.booleans()):
             source += ["--omega", pick(draw, DOMAINS[dimension], DOMAINS[3 - dimension])]
-        bound = pick(draw, [None], [-1, 0, 3, 12])
-        if bound is not None:
-            source += ["--bound", str(bound)]
     else:
         dimension = draw(st.integers(min_value=1, max_value=2))
         domain = draw(domains(dimension))
@@ -196,7 +193,7 @@ def invocations(draw, workdir):
             domain = write(workdir, "domain.json", retyped(draw, domain))
         operator = write(workdir, "operator.json", retyped(draw, draw(operators(dimension))))
         source = ["--operator", operator, "--omega", domain]
-    if draw(st.booleans()) or command in ("solve-fsm", "solve-rfsm", "study"):
+    if command != "scan":
         rhs = retyped(draw, draw(right_hand_sides(dimension)))
         source += ["--rhs", write(workdir, "rhs.json", rhs)]
 
@@ -208,11 +205,14 @@ def invocations(draw, workdir):
         flags += ["--n", str(nmax)]
     elif command == "solve-rfsm":
         flags += ["--reference-n", str(nmax + pick(draw, range(1, 5), [-1, 0]))]
-        if draw(st.booleans()):
+        window = draw(st.booleans())
+        if window:
             flags += ["--n", str(nmax), "--m", str(nmax + pick(draw, range(4), [-2, -1]))]
         else:
             flags += ["--epsilon", pick(draw, ["1e-1", "1e-3", "1e-8"], ["0", "nan"])]
-        for flag in ("--delta", "--a-norm", "--a-inv-norm"):
+        # the flags the mode reads, or about one draw in ten those of both modes
+        read = ["--delta"] if window else ["--a-norm", "--a-inv-norm"]
+        for flag in pick(draw, [read], [["--delta", "--a-norm", "--a-inv-norm"]]):
             if draw(st.booleans()):
                 flags += [flag, pick(draw, ["1e-3", "1", "3"], ["0", "-1"])]
     else:  # study

@@ -41,7 +41,7 @@ INVOCATIONS = (
         "--format", "json",
     ],
     [
-        "study", "--example", "sierror", "--nmax", "6", "--reference-n", "12", "--bound", "4",
+        "study", "--example", "sierror", "--nmax", "6", "--reference-n", "12",
         "--rhs", "adj.json", "--format", "json",
     ],
     ["solve-fsm", "--example", "blockdiag", "--n", "40", "--rhs", "sz.json", "--format", "csv"],

@@ -33,7 +33,6 @@ from .fsm import (
     stability_scan,
 )
 from .geometry import (
-    Facet,
     IndexSet,
     StarlikeDomain,
     boundary_layer,

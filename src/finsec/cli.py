@@ -390,7 +390,9 @@ def _cmd_solve_fsm(args) -> int:
 def _explicit_window(args) -> bool:
     """True for a solve on --n and --m, False for one on --epsilon; refuses unread flags."""
     window = args.n is not None or args.m is not None
-    unread = ("--epsilon", "--a-norm", "--a-inv-norm") if window else ("--delta",)
+    unread = (
+        ("--epsilon", "--a-norm", "--a-inv-norm", "--reference-n") if window else ("--delta",)
+    )
     for flag in unread:
         if getattr(args, flag[2:].replace("-", "_")) is not None:
             raise ValueError(f"{flag} is read only {'without' if window else 'with'} --n and --m")
@@ -401,8 +403,10 @@ def _explicit_window(args) -> bool:
 
 def _cmd_solve_rfsm(args) -> int:
     given = _explicit_window(args)
-    widest = args.n if given else args.reference_n
-    operator, domain, case, _ = _resolve_case(args, widest, _check_square_block)
+    reference_n = 64 if args.reference_n is None else args.reference_n  # read by --epsilon
+    operator, domain, case, _ = _resolve_case(
+        args, args.n if given else reference_n, _check_square_block
+    )
     if given:
         n, m = args.n, args.m
         delta = args.delta
@@ -415,7 +419,6 @@ def _cmd_solve_rfsm(args) -> int:
                 "--epsilon needs certified --a-norm and --a-inv-norm "
                 "(built in only for worked_A)"
             )
-        reference_n = args.reference_n
         rhs = _resolve_rhs(
             args, case, domain, reference_n + operator.band_width(), reference_n
         )
@@ -568,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--a-norm", type=_POSITIVE, help="certified operator norm bound")
     p.add_argument("--a-inv-norm", type=_POSITIVE, help="certified inverse norm bound")
-    p.add_argument("--reference-n", type=int, default=64)
+    p.add_argument("--reference-n", type=int, help="reference window of --epsilon (64)")
     p.set_defaults(func=_cmd_solve_rfsm)
 
     p = sub.add_parser("study", help="convergence study against a reference solve",

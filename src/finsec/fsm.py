@@ -38,7 +38,8 @@ from .linalg import (
 )
 from .operators import AdjacencyGraph, OperatorSpec, SupportedVector
 from .reports import StabilityRecord, StabilityReport
-from .sections import _check_dense_budget, _check_window_budget, assemble, section_triplets
+from .sections import _check_budget, _check_dense_budget, _check_window_budget
+from .sections import assemble, section_triplets
 
 __all__ = [
     "VERDICT_STABLE",
@@ -107,10 +108,20 @@ def section_extremes(
 
 
 def _check_solve_budget(operator: OperatorSpec, domain: StarlikeDomain, n: int) -> None:
-    """Charge fsm_solve's window n: as a window for an adjacency graph, else as a dense block."""
+    """Charge fsm_solve's window n: the swap's arrays for an adjacency graph, else a dense block.
+
+    As measured with tracemalloc, the swap holds per window point its int64
+    row and key (8N + 8 bytes), b, swapped in place (16), and two mask
+    bytes, and per edge end the working arrays of locating it in the window
+    (16N + 12 bytes).  No diagonal table is built.
+    """
     size = lattice_section_size(domain, n)
     if isinstance(operator, AdjacencyGraph):
-        _check_window_budget(operator, size)
+        dim, ends = operator.dimension, len(operator.edge_array)
+        _check_budget(
+            size * (26 + 8 * dim) + ends * (12 + 16 * dim),
+            f"window of {size} points and {ends} edge ends",
+        )
     else:
         _check_dense_budget(size, size)
 
@@ -126,7 +137,7 @@ def fsm_solve(
 
     Checks the memory budget (_check_solve_budget) and the rhs dimension,
     then takes inverse_norm's verdict.  An adjacency section's solve swaps
-    the entries of b along the edges inside the window.
+    the entries of b in place along the edges inside the window.
     """
     _check_solve_budget(operator, domain, n)
     window = lattice_section(domain, n)
@@ -137,7 +148,8 @@ def fsm_solve(
         # as the dense solve does, bar zero real parts that BLAS signs by position.
         ends = window.locate(operator.edge_array).reshape(-1, 2)
         ends = ends[ends[:, 0] >= 0]
-        x = b + 0.0
+        x = b
+        x += 0.0
         x[ends] = x[ends[:, ::-1]]
     else:
         x = np.linalg.solve(assemble(operator, window, window).data, b)

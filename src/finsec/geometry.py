@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -25,7 +25,6 @@ Point = tuple[int, ...]
 
 __all__ = [
     "Point",
-    "Facet",
     "StarlikeDomain",
     "IndexSet",
     "validate_domain",
@@ -78,50 +77,35 @@ def _mixed_radix(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.array(weights, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class Facet:
-    """Half-space {x : normal.x <= offset}, strict inequality when closed=False."""
+FacetRow = tuple[tuple[int, ...], int, bool]
 
-    normal: tuple[Fraction, ...]
-    offset: Fraction
-    closed: bool = True
 
-    def scaled_integer(self) -> tuple[tuple[int, ...], int]:
-        """Equivalent integer form (A, B) with A.x <= n*B describing normal.x <= n*offset."""
-        denoms = [c.denominator for c in self.normal] + [self.offset.denominator]
-        lcm = 1
-        for d in denoms:
-            lcm = lcm * d // gcd(lcm, d)
-        a = tuple(int(c * lcm) for c in self.normal)
-        b = int(self.offset * lcm)
-        common = gcd(abs(b), *(abs(c) for c in a)) if any(a) else 1
-        if common > 1:
-            a = tuple(c // common for c in a)
-            b //= common
-        return a, b
+def _integer_row(normal: Sequence[Fraction], offset: Fraction) -> tuple[tuple[int, ...], int]:
+    """The gcd-reduced integer (A, B) with A.x <= n*B the facet normal.x <= n*offset."""
+    scale = lcm(*(c.denominator for c in normal), offset.denominator)
+    a = [int(c * scale) for c in normal]
+    b = int(offset * scale)
+    common = gcd(b, *a) if any(a) else 1
+    return tuple(c // common for c in a), b // common
 
 
 @dataclass(frozen=True)
 class StarlikeDomain:
     """Bounded convex polytope containing 0 in its interior.
 
-    `vertices` are the vertices of the closure, kept for bounding boxes
-    and provenance.  Scaling by n keeps facet data exact: x is in the
-    n-fold dilation iff normal.x <= n*offset per facet.
+    `facets` are integer rows (A, B, closed): x is in the n-fold dilation
+    iff A.x <= n*B for every row, strictly for an open one.  `vertices`
+    are the vertices of the closure, kept for bounding boxes and provenance.
     """
 
     dimension: int
-    facets: tuple[Facet, ...]
+    facets: tuple[FacetRow, ...]
     vertices: tuple[tuple[Fraction, ...], ...]
     name: str = ""
 
-    @cached_property
-    def _integer_facets(self) -> tuple[tuple[tuple[int, ...], int, bool], ...]:
-        return tuple(f.scaled_integer() + (f.closed,) for f in self.facets)
-
     @property
     def all_closed(self) -> bool:
-        return all(f.closed for f in self.facets)
+        return all(closed for _, _, closed in self.facets)
 
     def contains_array(self, points: np.ndarray, n: int) -> np.ndarray:
         """Boolean mask of the rows of a (k, N) int64 array inside the n-fold dilation."""
@@ -129,7 +113,7 @@ class StarlikeDomain:
         if not len(points):
             return inside
         reach = max(abs(int(points.min())), abs(int(points.max())))
-        for a, b, closed in self._integer_facets:
+        for a, b, closed in self.facets:
             # exact Python integers where a facet product could leave int64
             dtype = np.int64 if reach * sum(abs(c) for c in a) <= _INT64_MAX else object
             s = points.astype(dtype, copy=False) @ np.array(a, dtype=dtype)
@@ -145,7 +129,7 @@ class StarlikeDomain:
         """
         return all(
             (m - n) * b >= max((_dot(a, d) for d in offsets), default=0)
-            for a, b, _ in self._integer_facets
+            for a, b, _ in self.facets
         )
 
     def bounding_box(self, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -235,13 +219,14 @@ class IndexSet:
 # ---------------------------------------------------------------------------
 
 
-def _row_reduce(rows: Sequence[Sequence[Fraction]], ncols: int):
+def _row_reduce(rows: Sequence[Sequence], ncols: int):
     """Reduced row echelon form of a rational matrix over its first ncols columns.
 
-    Returns the reduced rows (copies, with any columns past ncols carried
-    along) and the pivot columns in increasing order.
+    Returns the reduced rows (Fraction copies, with any columns past ncols
+    carried along) and the pivot columns in increasing order.  Integer input
+    is coerced, since its `/` would give floats.
     """
-    rows = [list(r) for r in rows]
+    rows = [[Fraction(v) for v in r] for r in rows]
     pivots: list[int] = []
     for col in range(ncols):
         rank = len(pivots)
@@ -286,9 +271,9 @@ def _null_direction(vectors: Sequence[Sequence[Fraction]], dim: int):
 
 
 def _feasible_vertices(
-    constraints: Sequence[tuple[tuple[Fraction, ...], Fraction]], dim: int
+    constraints: Sequence[tuple[tuple, Fraction]], dim: int
 ) -> list[tuple[Fraction, ...]]:
-    """Vertices of the (assumed bounded) polyhedron {x : a.x <= b for all (a, b)}."""
+    """Exact vertices of the bounded polyhedron {x : a.x <= b for all (a, b)}, as Fractions."""
     seen: set[tuple[Fraction, ...]] = set()
     out: list[tuple[Fraction, ...]] = []
     for combo in itertools.combinations(constraints, dim):
@@ -301,7 +286,7 @@ def _feasible_vertices(
     return out
 
 
-def _is_bounded(normals: Sequence[tuple[Fraction, ...]], dim: int) -> bool:
+def _is_bounded(normals: Sequence[tuple], dim: int) -> bool:
     """True iff the recession cone {x : a.x <= 0 for all a} is trivial."""
     if _rank(normals, dim) < dim:
         return False
@@ -330,18 +315,18 @@ def _ceil_frac(q: Fraction) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _hull_facets_1d(vertices: list[tuple[Fraction, ...]]) -> list[Facet]:
+RationalFacet = tuple[tuple[Fraction, ...], Fraction, bool]
+
+
+def _hull_facets_1d(vertices: list[tuple[Fraction, ...]]) -> list[RationalFacet]:
     xs = [v[0] for v in vertices]
     lo, hi = min(xs), max(xs)
     if lo == hi:
         raise ZeroNotInteriorError("vertex set has empty interior")
-    return [
-        Facet((Fraction(1),), hi),
-        Facet((Fraction(-1),), -lo),
-    ]
+    return [((Fraction(1),), hi, True), ((Fraction(-1),), -lo, True)]
 
 
-def _hull_facets_2d(vertices: list[tuple[Fraction, ...]]) -> list[Facet]:
+def _hull_facets_2d(vertices: list[tuple[Fraction, ...]]) -> list[RationalFacet]:
     # Andrew's monotone chain over exact rational points.
     pts = sorted(set(vertices))
     if len(pts) < 3:
@@ -367,7 +352,7 @@ def _hull_facets_2d(vertices: list[tuple[Fraction, ...]]) -> list[Facet]:
     for p, q in zip(hull, hull[1:] + hull[:1]):
         dx, dy = q[0] - p[0], q[1] - p[1]
         normal = (dy, -dx)  # outward for counter-clockwise orientation
-        facets.append(Facet(normal, _dot(normal, p)))
+        facets.append((normal, _dot(normal, p), True))
     return facets
 
 
@@ -381,7 +366,8 @@ def validate_domain(
 
     Facets are (normal, offset) or (normal, offset, closed) triples with
     rational entries (ints, Fractions or "p/q" strings).  A vertex list is
-    converted to facets via its exact convex hull (dimension <= 2).
+    converted to facets via its exact convex hull (dimension <= 2).  The
+    domain stores each facet once, as its integer row (see _integer_row).
 
     Raises ZeroNotInteriorError when 0 fails some facet strictly and
     UnboundedDomainError when the normals do not positively span.
@@ -407,38 +393,32 @@ def validate_domain(
     else:
         facet_list = []
         for item in facets:
-            if isinstance(item, Facet):
-                facet_list.append(item)
-                continue
             normal, offset, *rest = item
             closed = rest[0] if rest else True
-            facet_list.append(
-                Facet(tuple(_frac(c) for c in normal), _frac(offset), bool(closed))
-            )
+            facet_list.append((tuple(_frac(c) for c in normal), _frac(offset), bool(closed)))
         if not facet_list:
             raise ValueError("empty facet list")
-        dim = dimension or len(facet_list[0].normal)
-        if any(len(f.normal) != dim for f in facet_list):
+        dim = dimension or len(facet_list[0][0])
+        if any(len(normal) != dim for normal, _, _ in facet_list):
             raise ValueError("inconsistent facet dimensions")
 
-    if any(not f.closed for f in facet_list) and dim > 1:
+    if any(not closed for _, _, closed in facet_list) and dim > 1:
         raise OpenFacetError("open facets are supported in dimension 1 only")
 
-    for f in facet_list:
-        if f.offset <= 0:  # normal.0 = 0 must satisfy the facet strictly
+    for normal, offset, _ in facet_list:
+        if offset <= 0:  # normal.0 = 0 must satisfy the facet strictly
             raise ZeroNotInteriorError(
-                f"origin is not interior to facet {f.normal} . x <= {f.offset}"
+                f"origin is not interior to facet {normal} . x <= {offset}"
             )
 
-    normals = [f.normal for f in facet_list]
-    if not _is_bounded(normals, dim):
+    rows = tuple(_integer_row(normal, offset) + (closed,) for normal, offset, closed in facet_list)
+    if not _is_bounded([a for a, _, _ in rows], dim):
         raise UnboundedDomainError("facet normals do not positively span the space")
 
-    closure = [(f.normal, f.offset) for f in facet_list]
-    verts = _feasible_vertices(closure, dim)
+    verts = _feasible_vertices([(a, b) for a, b, _ in rows], dim)
     if not verts:
         raise ZeroNotInteriorError("facets admit no vertex; domain is degenerate")
-    return StarlikeDomain(dim, tuple(facet_list), tuple(sorted(verts)), name=name)
+    return StarlikeDomain(dim, rows, tuple(sorted(verts)), name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +432,7 @@ def _last_coordinate_range(
     """Exact integer range of the last coordinate over the dilation at `prefix`."""
     lo = None
     hi = None
-    for a, b, closed in domain._integer_facets:
+    for a, b, closed in domain.facets:
         s = sum(ai * xi for ai, xi in zip(a, prefix))
         a_last = a[-1]
         bound = n * b - s
@@ -538,11 +518,11 @@ def _box_touches_boundary(domain: StarlikeDomain, n: int, z: Point) -> bool:
     dim = domain.dimension
     inside_all = True
     possibly_meets = True
-    for f in domain.facets:
+    for a, b, _ in domain.facets:
         sup = Fraction(0)
         inf = Fraction(0)
         attained = True
-        for c, zj in zip(f.normal, z):
+        for c, zj in zip(a, z):
             if c > 0:
                 sup += c * (zj + _HALF)
                 inf += c * (zj - _HALF)
@@ -550,7 +530,7 @@ def _box_touches_boundary(domain: StarlikeDomain, n: int, z: Point) -> bool:
             elif c < 0:
                 sup += c * (zj - _HALF)
                 inf += c * (zj + _HALF)
-        bound = n * f.offset
+        bound = n * b
         if not (sup < bound or (sup == bound and not attained)):
             inside_all = False
         if inf > bound:
@@ -560,9 +540,7 @@ def _box_touches_boundary(domain: StarlikeDomain, n: int, z: Point) -> bool:
     if not possibly_meets:
         return False
 
-    constraints: list[tuple[tuple[Fraction, ...], Fraction]] = [
-        (f.normal, n * f.offset) for f in domain.facets
-    ]
+    constraints: list[tuple[tuple, Fraction]] = [(a, n * b) for a, b, _ in domain.facets]
     for j in range(dim):
         e_pos = tuple(Fraction(int(k == j)) for k in range(dim))
         e_neg = tuple(-c for c in e_pos)

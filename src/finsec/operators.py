@@ -460,19 +460,21 @@ BlockPeriodic = SimpleNamespace(from_blocks=_block_periodic)
 Shift = SimpleNamespace(by=_shift_by)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdjacencyGraph(OperatorSpec):
     """Extended adjacency matrix of a graph of pairwise disjoint edges.
 
     Entry a_{ij} is 1 when {i, j} is an edge or when i = j lies on no
     edge, else 0; the operator swaps edge endpoints and fixes the rest.
-    Its diagonals are tables built from the edges.  `coverage_radius`
-    marks how far a truncated edge generator is known to be complete; a
-    column beyond it is refused with GeneratorBoundError.
+    The edges are stored once, as the sorted (2k, N) int64 `edge_array`:
+    rows 2e and 2e + 1 are the lesser and the greater end of edge e.  Its
+    diagonals are tables built from that array when a block needs them.
+    `coverage_radius` marks how far a truncated edge generator is known
+    to be complete; a column beyond it is refused with GeneratorBoundError.
     """
 
     dimension: int
-    edges: tuple[tuple[Point, Point], ...]
+    edge_array: np.ndarray
     coverage_radius: int | None = None
 
     @classmethod
@@ -490,24 +492,18 @@ class AdjacencyGraph(OperatorSpec):
                 )
             normalized.append((min(i, j), max(i, j)))
         normalized.sort()
-        seen: set[Point] = set()
-        for i, j in normalized:
-            if i in seen or j in seen:
-                raise ValueError("edges must be pairwise disjoint doubletons")
-            seen.update((i, j))
-        return cls(dimension, tuple(normalized), coverage_radius)
-
-    @cached_property
-    def edge_array(self) -> np.ndarray:
-        """Edge ends as a (2k, N) int64 array: rows 2e and 2e + 1 are the ends of edge e."""
-        return np.array(self.edges, dtype=np.int64).reshape(-1, self.dimension)
+        ends = np.array(normalized, dtype=np.int64).reshape(-1, dimension)
+        if len(IndexSet.from_array(dimension, ends)) < len(ends):
+            raise ValueError("edges must be pairwise disjoint doubletons")
+        return cls(dimension, ends, coverage_radius)
 
     @cached_property
     def diagonals(self) -> tuple[tuple[Point, CoefficientRule], ...]:
         """Offset 0: 0 at edge ends, else 1; offset d: 1 at row i of each edge {i, i - d}."""
         zero = (0,) * self.dimension
         rows: dict[Point, list[tuple[Point, complex]]] = {zero: []}
-        for i, j in self.edges:
+        ends = list(map(tuple, self.edge_array.tolist()))
+        for i, j in zip(ends[0::2], ends[1::2]):
             rows[zero] += [(i, 0j), (j, 0j)]
             rows.setdefault(_sub(i, j), []).append((i, 1.0 + 0j))
             rows.setdefault(_sub(j, i), []).append((j, 1.0 + 0j))

@@ -101,7 +101,7 @@ def _records_csv(record_type, records) -> str:
     return _csv(names, ([getattr(rec, name) for name in names] for rec in records))
 
 
-def _report_json(report, header: dict, extra: dict | None) -> str:
+def _report_json(report, header: dict, extra: dict | None = None) -> str:
     payload = dict(header, operator=report.operator_id, domain=report.domain_id)
     payload["records"] = [asdict(rec) for rec in report.records]
     return _json({**payload, **(extra or {})})
@@ -124,13 +124,13 @@ def rfsm_report_csv(report: RfsmReport) -> str:
     return _records_csv(RfsmRecord, report.records)
 
 
-def rfsm_report_json(report: RfsmReport, extra: dict | None = None) -> str:
+def rfsm_report_json(report: RfsmReport) -> str:
     header = {
         "kind": "rfsm-study",
         "coupling": report.coupling,
         "reference_n": report.reference_n,
     }
-    return _report_json(report, header, extra)
+    return _report_json(report, header)
 
 
 def _point_key(p) -> str:

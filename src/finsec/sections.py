@@ -25,10 +25,10 @@ __all__ = [
 ]
 
 # Memory budget, in bytes, of one window: the dense block that assemble
-# allocates (fsm_section and rfsm_section check it before building their
-# windows), or the points and triplets of a scanned window
-# (_check_window_budget).  A convergence study runs no more per-n windows at
-# once than it holds dense blocks of the tallest one.
+# allocates and numpy's LAPACK copy of it (_dense_bytes; fsm_section and
+# rfsm_section check it before building their windows), or the points and
+# triplets of a scanned window (_check_window_budget).  A convergence study
+# runs no more per-n windows at once than it holds dense blocks of the tallest one.
 DENSE_BUDGET_BYTES = 2 * 1024**3
 
 
@@ -39,7 +39,6 @@ class SectionMatrix:
     rows: IndexSet
     cols: IndexSet
     data: np.ndarray
-    operator: OperatorSpec
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -90,7 +89,14 @@ def _check_budget(size: int, what: str) -> None:
 
 
 def _dense_bytes(n_rows: int, n_cols: int) -> int:
-    return 16 * n_rows * n_cols  # complex128 entries
+    """Charge of a dense complex block: its entries and numpy's copy of them.
+
+    numpy's svd, solve and lstsq copy the block's 16-byte entries into a
+    LAPACK-order buffer, so the block is counted twice.  LAPACK's workspace,
+    a few KiB per column, is not charged: assemble backs only the block's
+    written pages, and a band writes few of them.
+    """
+    return 32 * n_rows * n_cols
 
 
 def _check_dense_budget(n_rows: int, n_cols: int) -> None:
@@ -127,7 +133,7 @@ def _zero_block(n_rows: int, n_cols: int) -> np.ndarray:
     the written 4 KiB pages and reads the rest from the shared zero page (a
     shared mapping would back those too).
     """
-    size = _dense_bytes(n_rows, n_cols)
+    size = 16 * n_rows * n_cols  # complex128 entries
     if size < _HUGE_PAGE_ARRAY_BYTES:
         return np.zeros((n_rows, n_cols), dtype=complex)
     # Imported here: loading it adds about 0.06 MB to runs that never map a block.
@@ -143,7 +149,7 @@ def assemble(operator: OperatorSpec, rows: IndexSet, cols: IndexSet) -> SectionM
     r_idx, c_idx, values = section_triplets(operator, rows, cols)
     data = _zero_block(len(rows), len(cols))
     data[r_idx, c_idx] = values
-    return SectionMatrix(rows, cols, data, operator)
+    return SectionMatrix(rows, cols, data)
 
 
 def fsm_section(operator: OperatorSpec, domain: StarlikeDomain, n: int) -> SectionMatrix:

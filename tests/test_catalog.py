@@ -64,18 +64,15 @@ def test_geometric_rhs_tail_decays(worked_case):
 
 
 def test_edge_families_first_members():
-    assert build_example("rarosi", 2).operator.edges == (
-        ((-1, 1), (0, 1)),
-        ((1, 4), (2, 4)),
-    )
-    assert build_example("sierror", 2).operator.edges == (
-        ((0, 1), (0, 2)),
-        ((2, 4), (2, 5)),
-    )
-    assert build_example("diamond", 2).operator.edges == (
-        ((1, 1), (2, 0)),
-        ((2, 1), (3, 0)),
-    )
+    # rows 2e and 2e + 1 of edge_array are the lesser and greater end of edge e
+    def edges(case_id):
+        array = build_example(case_id, 2).operator.edge_array
+        assert array.dtype == np.int64 and array.shape == (4, 2)
+        return array.tolist()
+
+    assert edges("rarosi") == [[-1, 1], [0, 1], [1, 4], [2, 4]]
+    assert edges("sierror") == [[0, 1], [0, 2], [2, 4], [2, 5]]
+    assert edges("diamond") == [[1, 1], [2, 0], [2, 1], [3, 0]]
 
 
 def test_expected_outcomes_sierror():

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import finsec
@@ -53,7 +54,7 @@ def test_non_finite_rhs_exits_2(tmp_path, capsys):
 
 
 def test_oversized_dense_window_exits_2(tmp_path, monkeypatch, capsys):
-    # the 9-point window of n = 4 needs 9 * 9 * 16 = 1296 bytes
+    # the 9-point window of n = 4 needs 9 * 9 * 16 bytes, twice: 2592 bytes
     monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", 1000)
     rhs = tmp_path / "rhs.json"
     rhs.write_text(json.dumps({"dimension": 1, "entries": {"1": "1"}}))
@@ -62,22 +63,23 @@ def test_oversized_dense_window_exits_2(tmp_path, monkeypatch, capsys):
     )
     assert code == 2
     assert out == ""
-    assert "9 x 9 needs 1296 bytes" in err and "Traceback" not in err
+    assert "9 x 9 needs 2592 bytes" in err and "Traceback" not in err
 
 
 def test_adjacency_solve_is_charged_as_a_window_not_a_block(tmp_path, monkeypatch, capsys):
     # window n = 40 of blockdiag: 81 points, a 104,976-byte dense block, and
-    # 81 * (48 + 8 + 48 * 3) = 16,200 bytes as a window of 3 stored diagonals
-    monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", 20000)
+    # 81 * (26 + 8) + 80 * (12 + 16) = 4,994 bytes as a swap over 80 edge ends
+    monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", 10000)
     rhs = tmp_path / "rhs.json"
     rhs.write_text(json.dumps({"dimension": 1, "entries": {"1": "1", "-40": "2"}}))
     argv = ["solve-fsm", "--example", "blockdiag", "--rhs", str(rhs), "--n"]
     code, out, err = run_cli([*argv, "40"], capsys)
     assert code == 0, err
     assert out == "point,real,imag\n-39,2,0\n2,1,0\n"
-    code, out, err = run_cli([*argv, "100"], capsys)  # 201 points: 40,200 bytes
+    # 201 points and 200 edge ends: 12,434 bytes, refused once the edges are generated
+    code, out, err = run_cli([*argv, "100"], capsys)
     assert code == 2 and out == ""
-    assert "window of 201 points and 3 stored diagonals needs 40200 bytes" in err
+    assert "window of 201 points and 200 edge ends needs 12434 bytes" in err
 
 
 @pytest.mark.parametrize(
@@ -89,9 +91,10 @@ def test_adjacency_solve_is_charged_as_a_window_not_a_block(tmp_path, monkeypatc
         (["solve-rfsm", "--n", "1000", "--m", "1001"], "dense window 2001 x 2001 needs"),
         (["solve-rfsm", "--epsilon", "1e-2", "--a-norm", "1", "--a-inv-norm", "1",
           "--reference-n", "1000"], "dense window 2001 x 2001 needs"),
-        # fsm_solve's own charge: 10,001 points of 200 bytes as an adjacency window
-        (["solve-fsm", "--n", "5000"],
-         "window of 10001 points and 3 stored diagonals needs 2000200 bytes"),
+        # fsm_solve's own charge on the probe's 2 edges: 40,001 points of 34 bytes
+        # and 4 edge ends of 28
+        (["solve-fsm", "--n", "20000"],
+         "window of 40001 points and 4 edge ends needs 1360146 bytes"),
     ],
     ids=[f"command{i}" for i in range(5)],
 )
@@ -117,7 +120,7 @@ def test_dense_commands_refuse_before_the_generator_is_built(
 def test_the_early_dense_charge_refuses_no_block_that_fits(tmp_path, monkeypatch, capsys):
     # the reference block of blockdiag at reference n = 10 is 23 x 21; the
     # early charge of 21 x 21 stays below it
-    monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", 16 * 23 * 21)
+    monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", sections._dense_bytes(23, 21))
     rhs = tmp_path / "rhs.json"
     rhs.write_text(json.dumps({"dimension": 1, "entries": {"0": "1"}}))
     blockdiag = ["--example", "blockdiag", "--rhs", str(rhs)]
@@ -125,6 +128,58 @@ def test_the_early_dense_charge_refuses_no_block_that_fits(tmp_path, monkeypatch
     assert code == 0, err
     code, _, err = run_cli(["solve-rfsm", *blockdiag, "--n", "10", "--m", "11"], capsys)
     assert code == 0, err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["study", "--nmax", "4", "--reference-n", "10"], ["solve-rfsm", "--n", "10", "--m", "13"]],
+    ids=["study", "solve-rfsm"],
+)
+def test_the_dense_charge_counts_the_lapack_copy(command, monkeypatch, capsys):
+    # the tallest block of both is 27 x 21 (m = 13, n = 10 of worked_A); numpy's
+    # lstsq copies it, so a budget between one and two blocks cannot hold the solve
+    block = 16 * 27 * 21
+    monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", block * 3 // 2)
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("lstsq called on a block the budget cannot hold twice")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(np.linalg, "lstsq", unreached)
+        code, out, err = run_cli([*command, "--example", "worked_A"], capsys)
+    assert code == 2 and out == ""
+    assert "dense window 21 x 21 needs 14112 bytes" in err and "Traceback" not in err
+    monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", 2 * block)
+    code, out, err = run_cli([*command, "--example", "worked_A"], capsys)
+    assert code == 0, err
+
+
+ADJACENCY_COMMANDS = [
+    ["example", "sierror", "--format", "json"],
+    ["scan", "--example", "sierror", "--nmax", "40"],
+    ["solve-fsm", "--example", "blockdiag", "--n", "40", "--rhs", "sz.json", "--format", "csv"],
+]
+
+
+@pytest.mark.parametrize("argv", ADJACENCY_COMMANDS, ids=["example", "scan", "solve-fsm"])
+def test_square_adjacency_commands_build_no_diagonal_table(argv, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT / "tools")  # sz.json
+    expected = run_cli(argv, capsys)
+    assert expected[0] == 0, expected[2]
+
+    def unbuilt(graph):
+        raise AssertionError("an adjacency diagonal table was built")
+
+    monkeypatch.setattr(finsec.AdjacencyGraph, "diagonals", property(unbuilt))
+    assert run_cli(argv, capsys) == expected
+
+
+def test_solve_rfsm_reference_n_defaults_to_64_with_epsilon(capsys):
+    argv = ["solve-rfsm", "--example", "worked_A", "--epsilon", "1e-3", "--format", "json"]
+    default = run_cli(argv, capsys)
+    assert default[0] == 0, default[2]
+    assert run_cli([*argv, "--reference-n", "64"], capsys) == default
+    assert run_cli([*argv, "--reference-n", "8"], capsys) != default
 
 
 @pytest.mark.parametrize(
@@ -946,12 +1001,14 @@ def test_solve_rfsm_unmeetable_delta_exits_3(capsys):
         (["--a-norm", "3", "--m", "6"], "--a-norm is read only without"),
         (["--a-inv-norm", "2", "--n", "4", "--m", "6"], "--a-inv-norm is read only without"),
         (["--a-inv-norm", "2", "--m", "6"], "--a-inv-norm is read only without"),
+        (["--reference-n", "10", "--n", "4", "--m", "6"], "--reference-n is read only without"),
+        (["--reference-n", "64", "--m", "6"], "--reference-n is read only without"),
         (["--delta", "100", "--epsilon", "1e-3"], "--delta is read only with --n and --m"),
         (["--n", "4"], "provide --n and --m, or --epsilon"),
         ([], "provide --n and --m, or --epsilon"),
     ],
     ids=["epsilon-n", "epsilon-m", "a-norm-n", "a-norm-m", "a-inv-norm-n", "a-inv-norm-m",
-         "delta-epsilon", "n-alone", "no-window"],
+         "reference-n-n", "reference-n-m", "delta-epsilon", "n-alone", "no-window"],
 )
 def test_solve_rfsm_refuses_flags_its_mode_does_not_read(argv, message, monkeypatch, capsys):
     def unbuilt(case_id, bound=40):

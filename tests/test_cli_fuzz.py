@@ -204,16 +204,20 @@ def invocations(draw, workdir):
     elif command == "solve-fsm":
         flags += ["--n", str(nmax)]
     elif command == "solve-rfsm":
-        flags += ["--reference-n", str(nmax + pick(draw, range(1, 5), [-1, 0]))]
+        reference = ["--reference-n", str(nmax + pick(draw, range(1, 5), [-1, 0]))]
         window = draw(st.booleans())
         if window:
             flags += ["--n", str(nmax), "--m", str(nmax + pick(draw, range(4), [-2, -1]))]
         else:
             flags += ["--epsilon", pick(draw, ["1e-1", "1e-3", "1e-8"], ["0", "nan"])]
+            flags += reference
         # the flags the mode reads, or about one draw in ten those of both modes
         read = ["--delta"] if window else ["--a-norm", "--a-inv-norm"]
-        for flag in pick(draw, [read], [["--delta", "--a-norm", "--a-inv-norm"]]):
-            if draw(st.booleans()):
+        both = ["--delta", "--a-norm", "--a-inv-norm", "--reference-n"]
+        for flag in pick(draw, [read], [both]):
+            if flag == "--reference-n":
+                flags += reference if window else []
+            elif draw(st.booleans()):
                 flags += [flag, pick(draw, ["1e-3", "1", "3"], ["0", "-1"])]
     else:  # study
         flags += ["--nmin", str(nmin), "--nmax", str(nmax),

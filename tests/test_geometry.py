@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -22,8 +23,17 @@ from finsec import geometry
 from oracles import brute_force_section, in_dilation
 
 
-def facet_triples(domain):
-    return [(f.normal, f.offset, f.closed) for f in domain.facets]
+# Each built-in domain as rational (normal, offset, closed) half-spaces, written
+# out by hand in scales of their own, so the oracle never reads domain.facets.
+BUILTIN_FACETS = {
+    "interval": [(("1/2",), "1/2", True), ((-3,), 3, True)],
+    "interval-halfopen": [((1,), 1, False), ((-1,), 1, True)],
+    "square": [
+        ((2, 0), 2, True), ((-1, 0), 1, True), ((0, "1/3"), "1/3", True), ((0, -1), 1, True)
+    ],
+    "diamond": [((1, 1), 1, True), ((1, -1), 1, True), ((-2, 2), 2, True), ((-1, -1), 1, True)],
+    "triangle": [((0, -1), 2, True), ((4, 2), 4, True), ((-1, "1/2"), 1, True)],
+}
 
 
 def contains(domain, point, n):
@@ -102,7 +112,7 @@ def test_interval_section(interval):
 
 def test_diamond_section_matches_brute_force(diamond_domain):
     got = list(lattice_section(diamond_domain, 2))
-    expected = brute_force_section(facet_triples(diamond_domain), 2, 5)
+    expected = brute_force_section(BUILTIN_FACETS["diamond"], 2, 5)
     assert got == expected
     assert len(got) == 13
 
@@ -118,7 +128,7 @@ def test_halfopen_interval_section():
 def test_sections_match_brute_force(name, n):
     dom = builtin_domain(name)
     radius = dom.enclosing_radius(n) + 1
-    expected = brute_force_section(facet_triples(dom), n, radius)
+    expected = brute_force_section(BUILTIN_FACETS[name], n, radius)
     assert list(lattice_section(dom, n)) == expected
     assert lattice_section_size(dom, n) == len(expected)
 
@@ -321,14 +331,14 @@ def test_contains_array_matches_contains(name):
             dtype=np.int64,
         )
         mask = dom.contains_array(box, n)
-        facets = facet_triples(dom)
+        facets = BUILTIN_FACETS[name]
         assert mask.tolist() == [in_dilation(facets, p, n) for p in box.tolist()]
 
 
 def fraction_row_range(domain, n, prefix):
     """The row range of window n at `prefix` in Fraction arithmetic."""
     lo = hi = None
-    for a, b, closed in domain._integer_facets:
+    for a, b, closed in domain.facets:
         s = sum(ai * xi for ai, xi in zip(a, prefix))
         bound = Fraction(n * b - s)
         if a[-1] == 0:
@@ -381,16 +391,111 @@ def test_section_exceeds_matches_size(name):
 
 def test_contains_array_stays_exact_past_int64_products():
     # 4 * 10**18 * 10 leaves int64, so the facet sums are taken in Python integers
-    dom = validate_domain(
-        facets=[((4 * 10**18, 1), 4 * 10**18 + 1), ((-1, 0), 1), ((0, -1), 1), ((0, 1), 5)]
-    )
+    facets = [((4 * 10**18, 1), 4 * 10**18 + 1, True), ((-1, 0), 1, True), ((0, -1), 1, True),
+              ((0, 1), 5, True)]
+    dom = validate_domain(facets=facets)
     points = np.array(
         [[x, y] for x in range(-10, 11) for y in range(-10, 11)], dtype=np.int64
     )
     for n in (1, 2):
         mask = dom.contains_array(points, n)
-        facets = facet_triples(dom)
         assert mask.tolist() == [in_dilation(facets, p, n) for p in points.tolist()]
+
+
+# ---------------------------------------------------------------------------
+# integer facet rows against the rational input
+# ---------------------------------------------------------------------------
+
+
+def _fraction(numerators, denominators):
+    return st.builds(Fraction, st.integers(*numerators), st.integers(*denominators))
+
+
+@st.composite
+def rational_domains(draw):
+    """(dimension, facet triples as given to validate_domain).
+
+    1-D draws may have open facets; 2-D and 3-D draws are closed.  A box
+    |x_j| <= s_j <= 2, each side in a scale of its own, keeps every draw
+    bounded; up to three more facets of any normal, the zero one included,
+    cut it.  Entries are Fractions, "p/q" strings or ints.
+    """
+    dim = draw(st.sampled_from([1, 2, 3]))
+    facets = []
+    for j in range(dim):
+        for sign in (1, -1):
+            side, scale = draw(_fraction((1, 6), (1, 2))), draw(_fraction((1, 4), (1, 3)))
+            side = min(side, Fraction(2))
+            facets.append(([sign * scale * (k == j) for k in range(dim)], scale * side))
+    for _ in range(draw(st.integers(0, 3))):
+        normal = draw(st.lists(_fraction((-4, 4), (1, 4)), min_size=dim, max_size=dim))
+        facets.append((normal, draw(_fraction((1, 6), (1, 4)))))
+
+    def spelled(q):
+        kind = draw(st.sampled_from(["fraction", "string", "int"]))
+        if kind == "string":
+            return f"{q.numerator}/{q.denominator}"
+        return int(q) if kind == "int" and q.denominator == 1 else q
+
+    triples = [
+        (tuple(spelled(Fraction(c)) for c in normal), spelled(offset),
+         dim > 1 or draw(st.booleans()))
+        for normal, offset in facets
+    ]
+    return dim, draw(st.permutations(triples))
+
+
+@given(rational_domains(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_integer_rows_decide_as_the_rational_facets(drawn, data):
+    dim, triples = drawn
+    domain = validate_domain(facets=triples)
+    exact = [(tuple(map(Fraction, normal)), Fraction(offset), closed)
+             for normal, offset, closed in triples]
+    # one reduced integer row per input facet, in input order
+    assert [closed for _, _, closed in domain.facets] == [closed for *_, closed in exact]
+    for (a, b, _), (normal, offset, _) in zip(domain.facets, exact):
+        assert all(type(c) is int for c in (*a, b))
+        assert b > 0 and math.gcd(b, *a) == 1 or not any(a)
+        assert all(c * offset == q * b for c, q in zip(a, normal))
+    # the closure's vertices: exact, feasible and tight on dim independent facets
+    vertices = geometry._feasible_vertices([(a, b) for a, b, _ in domain.facets], dim)
+    assert sorted(vertices) == list(domain.vertices)
+    rational = geometry._feasible_vertices([(q, o) for q, o, _ in exact], dim)
+    assert sorted(rational) == sorted(vertices)
+    closure = [(normal, offset, True) for normal, offset, _ in exact]
+    for v in vertices:
+        assert all(type(c) is Fraction for c in v)
+        assert in_dilation(closure, v, 1)
+        tight = [q for q, offset, _ in exact if sum(map(operator.mul, q, v)) == offset]
+        assert np.linalg.matrix_rank(np.array(tight, dtype=float).reshape(-1, dim)) == dim
+
+    for n in {1: (1, 2, 5), 2: (1, 3), 3: (1,)}[dim]:
+        radius = 2 * n + 1
+        box = list(itertools.product(range(-radius, radius + 1), repeat=dim))
+        expected = [in_dilation(exact, p, n) for p in box]
+        assert domain.contains_array(np.array(box), n).tolist() == expected
+        window = lattice_section(domain, n)
+        assert window.points == tuple(itertools.compress(box, expected))
+        lo, hi = domain.bounding_box(n)
+        assert lo == tuple(math.ceil(n * min(v[j] for v in vertices)) for j in range(dim))
+        assert hi == tuple(math.floor(n * max(v[j] for v in vertices)) for j in range(dim))
+        assert np.all((window.array >= lo) & (window.array <= hi))
+        # holds_shifts against the same test on the rational facets, and its promise
+        offsets = data.draw(
+            st.lists(st.tuples(*[st.integers(-3, 3)] * dim), max_size=4), label="offsets"
+        )
+        m = n + data.draw(st.integers(0, 6), label="m - n")
+        holds = domain.holds_shifts(n, offsets, m)
+        assert holds == all(
+            (m - n) * offset >= max((sum(map(operator.mul, q, d)) for d in offsets), default=0)
+            for q, offset, _ in exact
+        )
+        if holds:
+            assert all(
+                in_dilation(exact, [p + c for p, c in zip(point, d)], m)
+                for point in window.points[:: max(1, len(window) // 20)] for d in offsets
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +626,9 @@ def test_row_reduce_fixed_systems():
     assert geometry._solve_exact(deficient, [F(1), F(2)]) is None  # consistent
     assert geometry._solve_exact(deficient, [F(1), F(3)]) is None  # inconsistent
     assert geometry._rank([[F(0), F(0)]], 2) == 0
+    # integer rows are reduced in Fractions: a float 1/3 would not equal F(1, 3)
+    assert geometry._solve_exact([[3, 0], [0, 7]], [1, 2]) == (F(1, 3), F(2, 7))
+    assert all(type(c) is F for c in geometry._solve_exact([[3, 1], [1, 2]], [1, 1]))
 
 
 # ---------------------------------------------------------------------------

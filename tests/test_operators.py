@@ -122,6 +122,29 @@ def test_adjacency_swaps_endpoints():
     assert g.apply(e0) == e0
 
 
+def test_adjacency_edges_are_stored_as_one_sorted_array():
+    g = AdjacencyGraph.from_edges(2, [((4, 0), (3, 0)), [(-1, 5), (-1, 2)]])
+    assert g.edge_array.dtype == np.int64
+    assert g.edge_array.tolist() == [[-1, 2], [-1, 5], [3, 0], [4, 0]]
+    assert AdjacencyGraph.from_edges(1, []).edge_array.shape == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "dimension, edges, message",
+    [
+        (1, [(0, 1), (1, 2)], "edges must be pairwise disjoint doubletons"),
+        (1, [(0, 1), (1, 0)], "edges must be pairwise disjoint doubletons"),
+        (2, [((0, 0), (1, 0)), ((2, 2), (0, 0))], "edges must be pairwise disjoint doubletons"),
+        (1, [(0, 1), (3, 3)], r"edge \(3, 3\) is not a doubleton"),
+        (1, [(0, 1), (2, 2**63)], "past int64"),
+        (2, [((0, 0), (1,))], "does not have dimension 2"),
+    ],
+)
+def test_adjacency_edges_are_refused_one_by_one_then_together(dimension, edges, message):
+    with pytest.raises(ValueError, match=message):
+        AdjacencyGraph.from_edges(dimension, edges)
+
+
 def test_identity_applies_as_identity():
     u = SupportedVector.from_entries(1, {0: 2.5, 3: -1j, -4: 0.25})
     assert identity_operator().apply(u) == u

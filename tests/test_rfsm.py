@@ -2,9 +2,12 @@ import concurrent.futures
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,7 +86,7 @@ FIVE_POINT_OFFSETS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
 def width_test(domain, n, width, m):
     """The shortcut's former test: window m holds the max-norm ball expansion of window n."""
     return all(
-        (m - n) * b >= width * sum(abs(c) for c in a) for a, b, _ in domain._integer_facets
+        (m - n) * b >= width * sum(abs(c) for c in a) for a, b, _ in domain.facets
     )
 
 
@@ -692,6 +695,40 @@ def test_free_cores_divides_usable_cores_by_blas_threads(env, cores, want, monke
     assert rfsm._free_cores() == want
 
 
+# Run in a fresh interpreter, whose VmHWM no earlier test has raised: the
+# peak resident memory that one 901 x 801 least-squares window of worked_A
+# adds, from before its block is assembled to after its solve.
+_HWM_RISE = r"""
+import re, sys
+from finsec import build_example, lattice_section, lattice_section_size, rfsm, sections
+
+def hwm():
+    status = open("/proc/self/status").read()
+    return int(re.search(r"VmHWM:\s+(\d+) kB", status).group(1)) * 1024
+
+case = build_example("worked_A")
+rhs = case.rhs(lattice_section(case.domain, 450))
+rfsm._solve_window(case.operator, rhs, case.domain, 3, 2)  # load LAPACK and fill caches
+before = hwm()
+rfsm._solve_window(case.operator, rhs, case.domain, 450, 400)
+rows, cols = (lattice_section_size(case.domain, k) for k in (450, 400))
+print(hwm() - before, 16 * rows * cols, sections._dense_bytes(rows, cols))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_the_dense_charge_covers_a_least_squares_solve():
+    src = str(Path(rfsm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c", _HWM_RISE], env=env, capture_output=True, text=True, check=True
+    )
+    rise, block, charge = map(int, done.stdout.split())
+    # lstsq's LAPACK-order copy and workspace lift the peak past one block,
+    # and the charge of the block and its copy holds it
+    assert block < rise <= charge
+
+
 def test_study_workers_bounded_by_the_dense_budget(monkeypatch):
     created = []
 
@@ -714,8 +751,12 @@ def test_study_workers_bounded_by_the_dense_budget(monkeypatch):
     study(range(2, 4), 11)
     # the reference block (14 x 11 window points) holds one block of the tallest
     # per-n window (13 x 10), not two
-    reference = 16 * lattice_section_size(domain, 14) * lattice_section_size(domain, 11)
-    tallest = 16 * lattice_section_size(domain, 13) * lattice_section_size(domain, 10)
+    reference = sections._dense_bytes(
+        lattice_section_size(domain, 14), lattice_section_size(domain, 11)
+    )
+    tallest = sections._dense_bytes(
+        lattice_section_size(domain, 13), lattice_section_size(domain, 10)
+    )
     assert tallest <= reference < 2 * tallest
     monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", reference)
     report = study(range(2, 11), 11)
@@ -801,8 +842,12 @@ def test_study_budget_holding_only_the_reference_runs_one_window_at_a_time(monke
     case = build_example("worked_A")
     domain = case.domain
     ns = range(2, 11)
-    reference = 16 * lattice_section_size(domain, 14) * lattice_section_size(domain, 11)
-    tallest = 16 * lattice_section_size(domain, 13) * lattice_section_size(domain, 10)
+    reference = sections._dense_bytes(
+        lattice_section_size(domain, 14), lattice_section_size(domain, 11)
+    )
+    tallest = sections._dense_bytes(
+        lattice_section_size(domain, 13), lattice_section_size(domain, 10)
+    )
 
     def study():
         return convergence_study(case.operator, case.rhs, domain, "band", ns, reference_n=11)

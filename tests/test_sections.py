@@ -19,6 +19,7 @@ from finsec import (
     builtin_domain,
     fsm_section,
     lattice_section,
+    lattice_section_size,
     normal_equations_solve,
     overflow_block,
     rfsm_section,
@@ -367,7 +368,7 @@ def test_overflow_rows_are_the_stored_shifts_outside_window_m(interval, square, 
         width, dim = operator.band_width(), operator.dimension
         offsets = [d for d, _ in operator.diagonals]
         ball = list(itertools.product(range(-width, width + 1), repeat=dim))
-        facets = [(f.normal, f.offset, f.closed) for f in dom.facets]
+        facets = dom.facets  # integer rows (A, B, closed) read as half-spaces
         for n, m in ((1, 1), (2, 3), (5, 5), (5, 6)):
             cols = lattice_section(dom, n)
 
@@ -488,7 +489,7 @@ def test_window_budget_refuses_just_over_and_accepts_just_under(square, monkeypa
 
     monkeypatch.setattr(fsm, "lattice_section", counted)
     expected = fsm.section_extremes(FIVE_POINT, square, 1)
-    # 9 points: the charge passes the dense block's 16 * 9 * 9 bytes
+    # 9 points: the charge passes the dense block's 32 * 9 * 9 bytes
     charge = window_charge(FIVE_POINT, 9)
     monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", charge - 1)
     with pytest.raises(ValueError, match=f"window of 9 points .* needs {charge} bytes"):
@@ -514,3 +515,34 @@ def test_window_budget_covers_the_measured_peak(name, n):
         tracemalloc.stop()
     charge = window_charge(operator, len(window))
     assert 0.9 * charge < peak <= charge
+
+
+def swap_charge(graph, n_points):
+    dim = graph.dimension
+    return n_points * (26 + 8 * dim) + len(graph.edge_array) * (12 + 16 * dim)
+
+
+@pytest.mark.parametrize(
+    "case_id, bound, n",
+    [("blockdiag", 10000, 20000), ("blockdiag", 20000, 100), ("sierror", 18, 300)],
+    ids=["edges-fill-the-window", "edges-past-the-window", "few-edges-2d"],
+)
+def test_adjacency_solve_charge_covers_the_measured_peak(case_id, bound, n, monkeypatch):
+    case = build_example(case_id, bound)
+    graph, domain = case.operator, case.domain
+    rhs = SupportedVector.from_entries(domain.dimension, {(0,) * domain.dimension: 1})
+    size = lattice_section_size(domain, n)
+    charge = swap_charge(graph, size)
+    monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", charge - 1)
+    with pytest.raises(ValueError, match=f"window of {size} points and "
+                       f"{len(graph.edge_array)} edge ends needs {charge} bytes"):
+        fsm.fsm_solve(graph, rhs, domain, n)
+    monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", charge)
+    tracemalloc.start()
+    try:
+        fsm.fsm_solve(graph, rhs, domain, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.9 * charge < peak <= charge
+    assert "diagonals" not in vars(graph)  # no diagonal table was built

@@ -30,8 +30,8 @@ from .catalog import (
     minimal_bound,
 )
 from .errors import ConfigError, InsufficientDataError, NoFeasibleMError, NumericError
-from .fsm import _check_solve_budget, classify_subsequences, fsm_solve, stability_scan
-from .geometry import StarlikeDomain, lattice_section, lattice_section_size, validate_domain
+from .fsm import classify_subsequences, fsm_solve, stability_scan
+from .geometry import StarlikeDomain, lattice_section, validate_domain
 from .linalg import NORM_CAP_DEFAULT, TAU_REL_DEFAULT
 from .operators import (
     AdjacencyGraph,
@@ -57,11 +57,12 @@ from .reports import (
 from .rfsm import (
     choose_parameters,
     convergence_study,
+    coupling_row_cutoff,
     reference_tail_bound,
     rfsm_solve,
     rfsm_solve_with_residual,
 )
-from .sections import _check_dense_budget
+from .sections import _check_dense_budget, _check_edge_family_budget, _check_solve_budget
 from .sections import rfsm_section  # noqa: F401  (bench/test_bench.py checks tracing rebinds it)
 
 EXIT_OK = 0
@@ -264,21 +265,20 @@ def load_rhs(source: str) -> SupportedVector:
 def _example_case(case_id: str, omega, n_max: int, charge=None) -> tuple[ExampleCase, int]:
     """A built-in case, edges out to window n_max of `omega` or its own domain, and its bound.
 
-    `charge(operator, domain, n_max)` runs first on the case of bound 1, whose
-    diagonal offsets are any bound's, to refuse a solve before the generator is built.
+    `charge(operator, domain)` runs first on the operator of bound 1, whose
+    diagonal offsets, and so band width, are any bound's, to refuse a solve
+    before the generator is built.  Without it (scan and example, which
+    build no window on an edge family) the generated edges are charged.
     """
     probe = build_example(case_id, 1)
     domain = omega or probe.domain
-    if charge is not None:
-        charge(probe.operator, domain, n_max)
     bound = minimal_bound(case_id, domain.enclosing_radius(n_max))
+    if charge is not None:
+        charge(probe.operator, domain)
+    elif bound > 1:
+        # only edge families take a larger bound, with the probe's edges per unit
+        _check_edge_family_budget(bound * len(probe.operator.edge_array) // 2)
     return (probe if bound == 1 else build_example(case_id, bound)), bound
-
-
-def _check_square_block(operator: OperatorSpec, domain: StarlikeDomain, n: int) -> None:
-    """Charge a square dense block over window n, no larger than any block with its columns."""
-    size = lattice_section_size(domain, n)
-    _check_dense_budget(size, size)
 
 
 def _resolve_case(
@@ -300,13 +300,11 @@ def _resolve_case(
     return operator, load_domain(args.omega), None, Path(args.operator).stem
 
 
-def _resolve_rhs(args, case: ExampleCase | None, domain, m: int, n: int) -> SupportedVector:
-    """--rhs, or the case's right-hand side over window m for an m x n solve."""
+def _resolve_rhs(args, case: ExampleCase | None, domain, m: int) -> SupportedVector:
+    """--rhs, or the case's right-hand side over window m, which its charge has covered."""
     if args.rhs:
         return load_rhs(args.rhs)
     if case is not None and case.rhs is not None:
-        # Refuse an over-budget solve before building its right-hand-side window.
-        _check_dense_budget(lattice_section_size(domain, m), lattice_section_size(domain, n))
         return case.rhs(lattice_section(domain, m))
     raise ValueError("provide --rhs (the selected source has no built-in right-hand side)")
 
@@ -377,8 +375,10 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_solve_fsm(args) -> int:
-    operator, domain, case, _ = _resolve_case(args, args.n, _check_solve_budget)
-    rhs = _resolve_rhs(args, case, domain, args.n, args.n)
+    # the window points alone: the probe's edge ends are not the generated graph's
+    charge = functools.partial(_check_solve_budget, n=args.n, edge_ends=0)
+    operator, domain, case, _ = _resolve_case(args, args.n, charge)
+    rhs = _resolve_rhs(args, case, domain, args.n)
     u = fsm_solve(operator, rhs, domain, args.n, tau_rel=args.tau_rel)
     if args.format == "csv":
         _emit(solution_csv(u), args.out)
@@ -404,14 +404,19 @@ def _explicit_window(args) -> bool:
 def _cmd_solve_rfsm(args) -> int:
     given = _explicit_window(args)
     reference_n = 64 if args.reference_n is None else args.reference_n  # read by --epsilon
-    operator, domain, case, _ = _resolve_case(
-        args, args.n if given else reference_n, _check_square_block
-    )
-    if given:
-        n, m = args.n, args.m
-        delta = args.delta
-        rhs = _resolve_rhs(args, case, domain, m, n)
-    else:
+
+    def window(operator: OperatorSpec) -> tuple[int, int]:
+        """(m, n) of the given solve, or of the reference solve of --epsilon."""
+        return (args.m, args.n) if given else (reference_n + operator.band_width(), reference_n)
+
+    def charge(probe: OperatorSpec, domain: StarlikeDomain) -> None:
+        _check_dense_budget(domain, *window(probe))
+
+    operator, domain, case, _ = _resolve_case(args, args.n if given else reference_n, charge)
+    m, n = window(operator)
+    rhs = _resolve_rhs(args, case, domain, m)
+    delta = args.delta
+    if not given:
         a_norm = args.a_norm or (case.operator_norm if case else None)
         a_inv = args.a_inv_norm or (case.inverse_bound if case else None)
         if a_norm is None or a_inv is None:
@@ -419,12 +424,7 @@ def _cmd_solve_rfsm(args) -> int:
                 "--epsilon needs certified --a-norm and --a-inv-norm "
                 "(built in only for worked_A)"
             )
-        rhs = _resolve_rhs(
-            args, case, domain, reference_n + operator.band_width(), reference_n
-        )
-        u_ref = rfsm_solve(
-            operator, rhs, domain, reference_n + operator.band_width(), reference_n
-        )
+        u_ref = rfsm_solve(operator, rhs, domain, m, n)
         params = choose_parameters(
             operator,
             rhs,
@@ -469,14 +469,23 @@ def _parse_coupling(text: str, nmin: int, nmax: int):
 
 
 def _cmd_study(args) -> int:
-    widest = max(args.nmax, args.reference_n)
-    operator, domain, case, op_id = _resolve_case(args, widest, _check_square_block)
     coupling, explicit = _parse_coupling(args.coupling, args.nmin, args.nmax)
-    # The right-hand side spans the tallest solve: the reference or an explicit row.
-    solves = [(args.reference_n + operator.band_width(), args.reference_n)]
-    if explicit:
-        solves.extend((m, n) for n, m in explicit.items())
-    rhs = _resolve_rhs(args, case, domain, *max(solves))
+    ns = range(args.nmin, args.nmax + 1)
+
+    def solves(operator: OperatorSpec) -> list[tuple[int, int]]:
+        """(m, n) of every window solved: the reference, then each n."""
+        width = operator.band_width()
+        rows = (coupling_row_cutoff(coupling, n, width, explicit) for n in ns)
+        return [(args.reference_n + width, args.reference_n), *zip(rows, ns)]
+
+    def charge(probe: OperatorSpec, domain: StarlikeDomain) -> None:
+        for m, n in solves(probe):
+            _check_dense_budget(domain, m, n)
+
+    widest = max(args.nmax, args.reference_n)
+    operator, domain, case, op_id = _resolve_case(args, widest, charge)
+    # the right-hand side spans every row window solved
+    rhs = _resolve_rhs(args, case, domain, max(m for m, _ in solves(operator)))
     certified = None
     if case is not None and coupling == "band":
         certified = case.band_error_bound
@@ -485,7 +494,7 @@ def _cmd_study(args) -> int:
         rhs,
         domain,
         coupling,
-        range(args.nmin, args.nmax + 1),
+        ns,
         args.reference_n,
         explicit_rows=explicit,
         inverse_bound=args.a_inv_norm

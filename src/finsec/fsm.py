@@ -22,13 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InsufficientDataError, NonFiniteResultError, SingularSectionError
-from .geometry import (
-    IndexSet,
-    StarlikeDomain,
-    _section_exceeds,
-    lattice_section,
-    lattice_section_size,
-)
+from .geometry import IndexSet, StarlikeDomain, _count_section, lattice_section
 from .linalg import (
     NORM_CAP_DEFAULT,
     TAU_REL_DEFAULT,
@@ -38,8 +32,7 @@ from .linalg import (
 )
 from .operators import AdjacencyGraph, OperatorSpec, SupportedVector
 from .reports import StabilityRecord, StabilityReport
-from .sections import _check_budget, _check_dense_budget, _check_window_budget
-from .sections import assemble, section_triplets
+from .sections import _check_solve_budget, _check_window_budget, assemble, section_triplets
 
 __all__ = [
     "VERDICT_STABLE",
@@ -95,9 +88,9 @@ def section_extremes(
         smin = 0.0 if cut_ends else 1.0
         # sigma_max is 0 only when every window point is the end of a cut edge
         all_cut = 0 < cut_ends == np.count_nonzero(inside)
-        smax = 0.0 if all_cut and not _section_exceeds(domain, n, cut_ends) else 1.0
+        smax = 0.0 if all_cut and _count_section(domain, n, cut_ends)[0] <= cut_ends else 1.0
     else:
-        _check_window_budget(operator, lattice_section_size(domain, n))
+        _check_window_budget(operator, domain, n)
         smin, smax = _window_extremes(operator, lattice_section(domain, n), tau_rel)
     if not (math.isfinite(smin) and math.isfinite(smax)):
         raise NonFiniteResultError(
@@ -105,25 +98,6 @@ def section_extremes(
             f"(sigma_min={smin}, sigma_max={smax})"
         )
     return smin, smax
-
-
-def _check_solve_budget(operator: OperatorSpec, domain: StarlikeDomain, n: int) -> None:
-    """Charge fsm_solve's window n: the swap's arrays for an adjacency graph, else a dense block.
-
-    As measured with tracemalloc, the swap holds per window point its int64
-    row and key (8N + 8 bytes), b, swapped in place (16), and two mask
-    bytes, and per edge end the working arrays of locating it in the window
-    (16N + 12 bytes).  No diagonal table is built.
-    """
-    size = lattice_section_size(domain, n)
-    if isinstance(operator, AdjacencyGraph):
-        dim, ends = operator.dimension, len(operator.edge_array)
-        _check_budget(
-            size * (26 + 8 * dim) + ends * (12 + 16 * dim),
-            f"window of {size} points and {ends} edge ends",
-        )
-    else:
-        _check_dense_budget(size, size)
 
 
 def fsm_solve(
@@ -135,7 +109,7 @@ def fsm_solve(
 ) -> SupportedVector:
     """Solve the square truncated system over window n; zero off the window.
 
-    Checks the memory budget (_check_solve_budget) and the rhs dimension,
+    Checks the memory budget (sections._check_solve_budget) and the rhs dimension,
     then takes inverse_norm's verdict.  An adjacency section's solve swaps
     the entries of b in place along the edges inside the window.
     """

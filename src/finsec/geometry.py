@@ -453,50 +453,53 @@ def _last_coordinate_range(
     return lo, hi
 
 
-def _rows(domain: StarlikeDomain, n: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """Each nonempty row of window n, in lexicographic order, as (prefix, lo, hi).
+def _prefixes(lo: Sequence[int], hi: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The box lo..hi lexicographically, lazily: itertools.product copies each range first."""
+    if not lo:
+        return iter([()])
+    return (p + (x,) for p in _prefixes(lo[:-1], hi[:-1]) for x in range(lo[-1], hi[-1] + 1))
+
+
+def _rows(domain: StarlikeDomain, n: int) -> Iterator[tuple[int, ...]]:
+    """Each nonempty row of window n, in lexicographic order, as prefix + (lo, hi).
 
     The row holds the points prefix + (x,) with lo <= x <= hi.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     lo, hi = domain.bounding_box(n)
-    ranges = [range(lo[j], hi[j] + 1) for j in range(domain.dimension - 1)]
-    for prefix in itertools.product(*ranges):
+    for prefix in _prefixes(lo[:-1], hi[:-1]):
         rng = _last_coordinate_range(domain, n, prefix)
         if rng is not None:
-            yield prefix, *rng
+            yield prefix + rng
 
 
 def lattice_section(domain: StarlikeDomain, n: int) -> IndexSet:
     """All lattice points of the n-fold dilation, in lexicographic order."""
-    rows = list(_rows(domain, n))  # never empty: the origin is interior
-    counts = [hi - lo + 1 for _, lo, hi in rows]
-    points = np.empty((sum(counts), domain.dimension), dtype=np.int64)
-    prefixes = np.array([prefix for prefix, _, _ in rows], dtype=np.int64)
-    points[:, :-1] = np.repeat(prefixes.reshape(len(rows), -1), counts, axis=0)
-    points[:, -1] = np.concatenate([np.arange(lo, hi + 1) for _, lo, hi in rows])
+    # one int64 row prefix + (lo, hi) per window row, and no Python object per row;
+    # never empty, since the origin is interior
+    rows = np.fromiter(itertools.chain.from_iterable(_rows(domain, n)), dtype=np.int64)
+    rows = rows.reshape(-1, domain.dimension + 1)
+    counts = rows[:, -1] - rows[:, -2] + 1
+    points = np.repeat(rows[:, :-1], counts, axis=0)  # each point's prefix and row's lo
+    points[:, -1] += np.arange(len(points))
+    points[:, -1] -= np.repeat(np.cumsum(counts) - counts, counts)
     return IndexSet(domain.dimension, points)
 
 
-def _count_section(domain: StarlikeDomain, n: int, limit: int | None) -> int:
-    """Points of window n, counted row by row until the count passes `limit`."""
+def _count_section(domain: StarlikeDomain, n: int, limit: int | None) -> tuple[int, bool]:
+    """Points of window n, and whether all were counted: the walk stops past `limit`."""
     total = 0
-    for _, lo, hi in _rows(domain, n):
-        total += hi - lo + 1
+    for row in _rows(domain, n):
         if limit is not None and total > limit:
-            break
-    return total
+            return total, False
+        total += row[-1] - row[-2] + 1
+    return total, True
 
 
 def lattice_section_size(domain: StarlikeDomain, n: int) -> int:
     """Exact cardinality of lattice_section(domain, n) without materializing it."""
-    return _count_section(domain, n, None)
-
-
-def _section_exceeds(domain: StarlikeDomain, n: int, limit: int) -> bool:
-    """Whether window n holds more than `limit` points; stops counting once it does."""
-    return _count_section(domain, n, limit) > limit
+    return _count_section(domain, n, None)[0]
 
 
 # ---------------------------------------------------------------------------

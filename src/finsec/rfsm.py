@@ -24,7 +24,7 @@ from .errors import (
     SingularGramError,
 )
 from . import sections
-from .geometry import IndexSet, StarlikeDomain, lattice_section, lattice_section_size
+from .geometry import IndexSet, StarlikeDomain, lattice_section
 from .linalg import TAU_REL_DEFAULT, invertible, least_squares, singular_values, spectral_norm
 from .operators import OperatorSpec, SupportedVector, euclidean_norm
 from .reports import RfsmRecord, RfsmReport
@@ -311,6 +311,8 @@ def convergence_study(
     }
     m_ref = reference_n + width
     if not isinstance(rhs, SupportedVector):
+        # an over-budget reference is refused before the right-hand side's window is built
+        sections._check_dense_budget(domain, m_ref, reference_n)
         rhs = rhs(lattice_section(domain, max([m_ref, *couplings.values()])))
     _fill_shared_caches(operator, rhs, domain)
 
@@ -346,9 +348,8 @@ def convergence_study(
         )
 
     def block_bytes(m: int, n: int) -> int:
-        # cut-offs below 1 are refused by their own windows
-        rows, cols = (lattice_section_size(domain, max(1, k)) for k in (m, n))
-        return sections._dense_bytes(rows, cols)
+        # cut-offs below 1 are refused by their own windows, and blocks past the budget by theirs
+        return sections._dense_charge(domain, max(1, m), max(1, n))[0]
 
     # No per-n block is larger than the tallest rows times the widest columns.
     tallest = block_bytes(max(couplings.values()), max(ns))

@@ -6,14 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    IndexSet,
-    StarlikeDomain,
-    _INT64_MAX,
-    lattice_section,
-    lattice_section_size,
-)
-from .operators import OperatorSpec
+from .geometry import IndexSet, StarlikeDomain, _INT64_MAX, _count_section, lattice_section
+from .operators import AdjacencyGraph, OperatorSpec
 
 __all__ = [
     "SectionMatrix",
@@ -25,10 +19,12 @@ __all__ = [
 ]
 
 # Memory budget, in bytes, of one window: the dense block that assemble
-# allocates and numpy's LAPACK copy of it (_dense_bytes; fsm_section and
-# rfsm_section check it before building their windows), or the points and
-# triplets of a scanned window (_check_window_budget).  A convergence study
-# runs no more per-n windows at once than it holds dense blocks of the tallest one.
+# allocates and numpy's LAPACK copy of it (_check_dense_budget), the points
+# and triplets of a scanned window (_check_window_budget), or the arrays of
+# an adjacency swap (_check_solve_budget).  Each charge counts its windows
+# before they are built, walking rows only until the budget is passed.  A
+# convergence study runs no more per-n windows at once than it holds dense
+# blocks of the tallest one.
 DENSE_BUDGET_BYTES = 2 * 1024**3
 
 
@@ -81,10 +77,11 @@ def section_triplets(
     return r_parts, c_parts, np.concatenate(v_parts)
 
 
-def _check_budget(size: int, what: str) -> None:
+def _check_budget(size: int, what: str, exact: bool = True) -> None:
     if size > DENSE_BUDGET_BYTES:
+        at_least = "" if exact else "at least "
         raise ValueError(
-            f"{what} needs {size} bytes, over the {DENSE_BUDGET_BYTES}-byte budget"
+            f"{what} needs {at_least}{size} bytes, over the {DENSE_BUDGET_BYTES}-byte budget"
         )
 
 
@@ -99,12 +96,33 @@ def _dense_bytes(n_rows: int, n_cols: int) -> int:
     return 32 * n_rows * n_cols
 
 
-def _check_dense_budget(n_rows: int, n_cols: int) -> None:
-    _check_budget(_dense_bytes(n_rows, n_cols), f"dense window {n_rows} x {n_cols}")
+def _dense_charge(domain: StarlikeDomain, m: int, n: int) -> tuple[int, str, bool]:
+    """(bytes, name, exact) of the block over rows window m and columns window n.
+
+    Past the budget, a count stops early and the bytes are a lower bound.
+    """
+    cols, cols_exact = _count_section(domain, n, DENSE_BUDGET_BYTES // 32)
+    rows, rows_exact = _count_section(domain, m, DENSE_BUDGET_BYTES // (32 * cols))
+    exact = cols_exact and rows_exact
+    shape = f"{rows} x {cols}" if exact else f"of at least {rows} x {cols} points"
+    return _dense_bytes(rows, cols), f"dense window {shape}", exact
 
 
-def _check_window_budget(operator: OperatorSpec, n_points: int) -> None:
-    """Refuse a square window of n_points whose points and triplets pass the budget.
+def _check_dense_budget(domain: StarlikeDomain, m: int, n: int) -> None:
+    _check_budget(*_dense_charge(domain, m, n))
+
+
+def _check_window(
+    domain: StarlikeDomain, n: int, per_point: int, rest: str, reserved: int = 0
+) -> None:
+    """Refuse window n at per_point bytes a point and the `reserved` bytes named by `rest`."""
+    size, exact = _count_section(domain, n, max(0, DENSE_BUDGET_BYTES - reserved) // per_point)
+    points = f"{size} points" if exact else f"at least {size} points"
+    _check_budget(size * per_point + reserved, f"window of {points}{rest}", exact)
+
+
+def _check_window_budget(operator: OperatorSpec, domain: StarlikeDomain, n: int) -> None:
+    """Refuse a scanned square window n whose points and triplets pass the budget.
 
     Per point, as measured with tracemalloc: the window's int64 row (8 bytes
     per coordinate), its sorted key and one diagonal's working arrays in
@@ -112,11 +130,36 @@ def _check_window_budget(operator: OperatorSpec, n_points: int) -> None:
     (row, column, value) triplet of 32 bytes, whose 16-byte value part is
     held twice while the values are joined.
     """
-    per_point = 48 + 8 * operator.dimension + 48 * len(operator.diagonals)
-    _check_budget(
-        n_points * per_point,
-        f"window of {n_points} points and {len(operator.diagonals)} stored diagonals",
-    )
+    diagonals = len(operator.diagonals)
+    per_point = 48 + 8 * operator.dimension + 48 * diagonals
+    _check_window(domain, n, per_point, f" and {diagonals} stored diagonals")
+
+
+def _check_solve_budget(
+    operator: OperatorSpec, domain: StarlikeDomain, n: int, edge_ends: int | None = None
+) -> None:
+    """Charge a square solve over window n: an adjacency graph's swap, else a dense block.
+
+    As measured with tracemalloc, the swap holds per window point its int64
+    row and key (8N + 8 bytes), b, swapped in place (16), and two mask
+    bytes, and per edge end the working arrays of locating it in the window
+    (16N + 12 bytes).  It counts `edge_ends` ends, the graph's own by default.
+    """
+    if not isinstance(operator, AdjacencyGraph):
+        return _check_dense_budget(domain, n, n)
+    dim = operator.dimension
+    ends = len(operator.edge_array) if edge_ends is None else edge_ends
+    rest = f" and {ends} edge ends" if ends else ""
+    _check_window(domain, n, 26 + 8 * dim, rest, ends * (12 + 16 * dim))
+
+
+def _check_edge_family_budget(edges: int) -> None:
+    """Refuse a built-in edge family of `edges` edges before it is generated.
+
+    As measured with tracemalloc, building one through AdjacencyGraph.from_edges
+    peaks at 326 to 434 bytes per edge: the Python tuples of its ends.
+    """
+    _check_budget(448 * edges, f"edge family of {edges} edges")
 
 
 # numpy asks the kernel for huge pages on every array of this many bytes or more.
@@ -145,7 +188,7 @@ def _zero_block(n_rows: int, n_cols: int) -> np.ndarray:
 
 def assemble(operator: OperatorSpec, rows: IndexSet, cols: IndexSet) -> SectionMatrix:
     """Materialize the block of the operator matrix over rows x cols."""
-    _check_dense_budget(len(rows), len(cols))
+    _check_budget(_dense_bytes(len(rows), len(cols)), f"dense window {len(rows)} x {len(cols)}")
     r_idx, c_idx, values = section_triplets(operator, rows, cols)
     data = _zero_block(len(rows), len(cols))
     data[r_idx, c_idx] = values
@@ -154,8 +197,7 @@ def assemble(operator: OperatorSpec, rows: IndexSet, cols: IndexSet) -> SectionM
 
 def fsm_section(operator: OperatorSpec, domain: StarlikeDomain, n: int) -> SectionMatrix:
     """Square section over the n-th lattice window."""
-    size = lattice_section_size(domain, n)
-    _check_dense_budget(size, size)
+    _check_dense_budget(domain, n, n)
     window = lattice_section(domain, n)
     return assemble(operator, window, window)
 
@@ -168,9 +210,7 @@ def rfsm_section(
         raise ValueError("cut-offs must be >= 1")
     if m < n:
         raise ValueError(f"row cut-off m={m} is below the column cut-off n={n}")
-    _check_dense_budget(
-        lattice_section_size(domain, m), lattice_section_size(domain, n)
-    )
+    _check_dense_budget(domain, m, n)
     return assemble(operator, lattice_section(domain, m), lattice_section(domain, n))
 
 

@@ -4,13 +4,14 @@ import re
 import runpy
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import finsec
-from finsec import catalog, cli, errors, fsm, sections
+from finsec import catalog, cli, errors, fsm, geometry, sections
 from finsec.cli import main, parse_scalar
 
 
@@ -85,16 +86,16 @@ def test_adjacency_solve_is_charged_as_a_window_not_a_block(tmp_path, monkeypatc
 @pytest.mark.parametrize(
     "command, refusal",
     [
-        (["study", "--nmax", "4", "--reference-n", "1000"], "dense window 2001 x 2001 needs"),
+        # the reference block (1000 + 1, 1000), the band width 1 taken from the probe
+        (["study", "--nmax", "4", "--reference-n", "1000"], "dense window 2003 x 2001 needs"),
         (["study", "--nmax", "4", "--reference-n", "1000", "--omega", "interval"],
-         "dense window 2001 x 2001 needs"),
-        (["solve-rfsm", "--n", "1000", "--m", "1001"], "dense window 2001 x 2001 needs"),
+         "dense window 2003 x 2001 needs"),
+        (["solve-rfsm", "--n", "1000", "--m", "1001"], "dense window 2003 x 2001 needs"),
         (["solve-rfsm", "--epsilon", "1e-2", "--a-norm", "1", "--a-inv-norm", "1",
-          "--reference-n", "1000"], "dense window 2001 x 2001 needs"),
-        # fsm_solve's own charge on the probe's 2 edges: 40,001 points of 34 bytes
-        # and 4 edge ends of 28
-        (["solve-fsm", "--n", "20000"],
-         "window of 40001 points and 4 edge ends needs 1360146 bytes"),
+          "--reference-n", "1000"], "dense window 2003 x 2001 needs"),
+        # the swap's charge on the window points alone, 40,001 of 34 bytes; the
+        # generated graph's edge ends are charged by fsm_solve
+        (["solve-fsm", "--n", "20000"], "window of 40001 points needs 1360034 bytes"),
     ],
     ids=[f"command{i}" for i in range(5)],
 )
@@ -118,8 +119,8 @@ def test_dense_commands_refuse_before_the_generator_is_built(
 
 
 def test_the_early_dense_charge_refuses_no_block_that_fits(tmp_path, monkeypatch, capsys):
-    # the reference block of blockdiag at reference n = 10 is 23 x 21; the
-    # early charge of 21 x 21 stays below it
+    # the reference block of blockdiag at reference n = 10 is 23 x 21, and the
+    # early charge is that block: a budget that holds it refuses nothing
     monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", sections._dense_bytes(23, 21))
     rhs = tmp_path / "rhs.json"
     rhs.write_text(json.dumps({"dimension": 1, "entries": {"0": "1"}}))
@@ -148,7 +149,7 @@ def test_the_dense_charge_counts_the_lapack_copy(command, monkeypatch, capsys):
         mp.setattr(np.linalg, "lstsq", unreached)
         code, out, err = run_cli([*command, "--example", "worked_A"], capsys)
     assert code == 2 and out == ""
-    assert "dense window 21 x 21 needs 14112 bytes" in err and "Traceback" not in err
+    assert "dense window 27 x 21 needs 18144 bytes" in err and "Traceback" not in err
     monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", 2 * block)
     code, out, err = run_cli([*command, "--example", "worked_A"], capsys)
     assert code == 0, err
@@ -343,8 +344,65 @@ def test_scanned_window_refused_before_it_is_built(tmp_path, monkeypatch, capsys
     )
     assert code == 2
     assert out == ""
-    assert "window of 100020001 points and 5 stored diagonals" in err
-    assert "over the 1000000-byte budget" in err and "Traceback" not in err
+    # the row walk stops at the first row of 10,001 points that passes the budget
+    assert "window of at least 10001 points and 5 stored diagonals" in err
+    assert "needs at least 3040304 bytes, over the 1000000-byte budget" in err
+    assert "Traceback" not in err
+
+
+BOUNDED_REFUSALS = {
+    "scan": ["scan", "--nmin", "1000000", "--nmax", "1000000"],
+    "solve-fsm": ["solve-fsm", "--rhs", "RHS", "--n", "1000000"],
+    "solve-rfsm-window": ["solve-rfsm", "--rhs", "RHS", "--n", "1000000", "--m", "1000001"],
+    "solve-rfsm-epsilon": ["solve-rfsm", "--rhs", "RHS", "--epsilon", "1e-3", "--a-norm", "9",
+                           "--a-inv-norm", "1", "--reference-n", "1000000"],
+    "study": ["study", "--rhs", "RHS", "--nmax", "3", "--reference-n", "1000000"],
+}
+
+
+@pytest.mark.parametrize("argv", BOUNDED_REFUSALS.values(), ids=BOUNDED_REFUSALS.keys())
+def test_refusals_walk_only_as_far_as_the_budget(argv, tmp_path, monkeypatch, capsys):
+    # window 10**6 of square has 2,000,001 rows; counting them all took seconds
+    rows = []
+    row_range = geometry._last_coordinate_range
+
+    def counted(*args):
+        rows.append(None)
+        return row_range(*args)
+
+    monkeypatch.setattr(geometry, "_last_coordinate_range", counted)
+    op, rhs = tmp_path / "lap.json", tmp_path / "rhs.json"
+    op.write_text(json.dumps(FIVE_POINT))
+    rhs.write_text(json.dumps({"dimension": 2, "entries": {"0;0": "1"}}))
+    argv = [str(rhs) if a == "RHS" else a for a in argv]
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli([*argv, "--operator", str(op), "--omega", "square"], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert "over the 2147483648-byte budget" in err and "Traceback" not in err
+    assert len(rows) <= 10**4
+    assert peak < 10 * 1024**2
+
+
+@pytest.mark.parametrize("command", [["scan", "--nmin", "1000000000"], ["example", "diamond"]])
+def test_edge_family_is_refused_before_it_is_generated(command, monkeypatch, capsys):
+    # diamond's edges must reach the radius of the window: 10**9 of them
+    generate = catalog._edges_diamond
+
+    def probe_only(k_max):
+        assert k_max == 1, "generator built past the budget"
+        return generate(k_max)
+
+    monkeypatch.setattr(catalog, "_edges_diamond", probe_only)
+    argv = [*command, "--nmax", "1000000000"]
+    if command[0] == "scan":
+        argv += ["--example", "diamond"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert "edge family of 1000000000 edges needs 448000000000 bytes" in err
 
 
 PERIODIC_REPEAT = {
@@ -1133,6 +1191,22 @@ def test_study_explicit_coupling(capsys):
     assert code == 0
     got_m = [int(line.split(",")[1]) for line in out.splitlines()[1:]]
     assert got_m == ms
+
+
+def test_study_builds_the_builtin_rhs_over_every_row_window(capsys):
+    # sixfifths rows of n = 56..63 reach windows 68..76, past the reference's 67
+    code, out, err = run_cli(
+        ["study", "--example", "worked_A", "--coupling", "sixfifths", "--nmax", "63",
+         "--reference-n", "64"],
+        capsys,
+    )
+    assert code == 0, err
+    case = finsec.build_example("worked_A")
+    report = finsec.convergence_study(
+        case.operator, case.rhs, case.domain, "sixfifths", range(2, 64), 64,
+        inverse_bound=2.0, operator_id="worked_A", domain_id=case.domain.name,
+    )
+    assert out == finsec.reports.rfsm_report_csv(report)
 
 
 def test_study_bad_coupling_exits_2(capsys):

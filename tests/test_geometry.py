@@ -385,8 +385,12 @@ def test_section_exceeds_matches_size(name):
     dom = builtin_domain(name)
     for n in (1, 2, 6):
         size = lattice_section_size(dom, n)
-        for limit in (0, 1, size - 1, size, size + 1):
-            assert geometry._section_exceeds(dom, n, limit) == (size > limit)
+        assert geometry._count_section(dom, n, None) == (size, True)
+        for limit in (-1, 0, 1, size - 1, size, size + 1):
+            count, complete = geometry._count_section(dom, n, limit)
+            assert (count > limit) == (size > limit)
+            # a walk stopped early has rows left, so it counted fewer points
+            assert count <= size and complete == (count == size)
 
 
 def test_contains_array_stays_exact_past_int64_products():

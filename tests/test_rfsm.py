@@ -729,6 +729,19 @@ def test_the_dense_charge_covers_a_least_squares_solve():
     assert block < rise <= charge
 
 
+def test_study_refuses_the_reference_before_building_a_callable_rhs(monkeypatch):
+    case = build_example("worked_A")
+
+    def never(*args):
+        raise AssertionError("right-hand-side window built for an over-budget reference")
+
+    monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", 10**6)
+    monkeypatch.setattr(rfsm, "lattice_section", never)
+    # the reference block (1000 + 3, 1000) of worked_A
+    with pytest.raises(ValueError, match="dense window 2007 x 2001 needs"):
+        convergence_study(case.operator, case.rhs, case.domain, "band", range(2, 5), 1000)
+
+
 def test_study_workers_bounded_by_the_dense_budget(monkeypatch):
     created = []
 

@@ -24,6 +24,7 @@ from finsec import (
     overflow_block,
     rfsm_section,
     spectral_norm,
+    validate_domain,
 )
 from finsec import fsm, sections
 from finsec.sections import section_triplets
@@ -546,3 +547,37 @@ def test_adjacency_solve_charge_covers_the_measured_peak(case_id, bound, n, monk
         tracemalloc.stop()
     assert 0.9 * charge < peak <= charge
     assert "diagonals" not in vars(graph)  # no diagonal table was built
+
+
+def test_adjacency_solve_charge_covers_a_window_of_short_rows():
+    # 40,004 rows of 7 points: a window built from per-row Python objects
+    # peaked at 1.5 times this charge
+    box = validate_domain(facets=[((1, 0), 20002), ((-1, 0), 20001), ((0, 1), 3), ((0, -1), 3)])
+    edges = [((2 * k - 1, 0), (2 * k, 0)) for k in range(1, 10001)]
+    edges += [((-2 * k, 1), (-2 * k + 1, 1)) for k in range(1, 10001)]
+    graph = AdjacencyGraph.from_edges(2, edges)
+    rhs = SupportedVector.from_entries(2, {(0, 0): 1})
+    charge = swap_charge(graph, lattice_section_size(box, 1))
+    tracemalloc.start()
+    try:
+        fsm.fsm_solve(graph, rhs, box, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= charge
+
+
+@pytest.mark.parametrize("case_id", ["blockdiag", "rarosi", "sierror", "diamond"])
+def test_edge_family_charge_covers_the_generator(case_id, monkeypatch):
+    tracemalloc.start()
+    try:
+        graph = build_example(case_id, 10000).operator
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    edges = len(graph.edge_array) // 2
+    charge = 448 * edges
+    assert 0.7 * charge < peak <= charge
+    monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", charge - 1)
+    with pytest.raises(ValueError, match=f"edge family of {edges} edges needs {charge} bytes"):
+        sections._check_edge_family_budget(edges)

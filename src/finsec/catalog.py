@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .errors import UnknownExampleError
 from .fsm import (
     VERDICT_STABLE,
@@ -32,6 +34,7 @@ from .operators import (
     compose_shift,
 )
 from .reports import StabilityReport
+from .sections import _check_edge_family_budget
 
 __all__ = [
     "EXAMPLE_IDS",
@@ -298,29 +301,29 @@ def _worked_error_bound(n: int) -> float:
     return 49.0 / 2.0 ** (n + 2)
 
 
-def _edges_blockdiag(k_max: int):
-    for k in range(1, k_max + 1):
-        yield ((2 * k - 1,), (2 * k,))
-        yield ((-2 * k,), (-2 * k + 1,))
+def _edges_blockdiag(k_max: int) -> np.ndarray:
+    k = np.arange(1, k_max + 1, dtype=np.int64)  # ((2k - 1,), (2k,)) and ((-2k,), (-2k + 1,))
+    pairs = np.stack([2 * k - 1, 2 * k], axis=1)
+    return np.concatenate([pairs, -pairs[:, ::-1]]).reshape(-1, 2, 1)
 
 
-def _edges_rarosi(k_max: int):
-    for k in range(1, k_max + 1):
-        yield ((k * k - k - 1, k * k), (k * k - k, k * k))
+def _edges_rarosi(k_max: int) -> np.ndarray:
+    k = np.arange(1, k_max + 1, dtype=np.int64)  # ((k^2 - k - 1, k^2), (k^2 - k, k^2))
+    return np.stack([k * k - k - 1, k * k, k * k - k, k * k], axis=1).reshape(-1, 2, 2)
 
 
-def _edges_sierror(k_max: int):
-    for k in range(1, k_max + 1):
-        yield ((k * k - k, k * k), (k * k - k, k * k + 1))
+def _edges_sierror(k_max: int) -> np.ndarray:
+    k = np.arange(1, k_max + 1, dtype=np.int64)  # ((k^2 - k, k^2), (k^2 - k, k^2 + 1))
+    return np.stack([k * k - k, k * k, k * k - k, k * k + 1], axis=1).reshape(-1, 2, 2)
 
 
-def _edges_diamond(k_max: int):
-    for k in range(1, k_max + 1):
-        yield ((k, 1), (k + 1, 0))
+def _edges_diamond(k_max: int) -> np.ndarray:
+    k = np.arange(1, k_max + 1, dtype=np.int64)  # ((k, 1), (k + 1, 0))
+    return np.stack([k, np.ones_like(k), k + 1, np.zeros_like(k)], axis=1).reshape(-1, 2, 2)
 
 
 def build_example(case_id: str, bound: int = 40) -> ExampleCase:
-    """Construct a registry case; `bound` truncates parametric edge families."""
+    """Construct a registry case; `bound` truncates parametric edge families, charged first."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     interval = builtin_domain("interval")
@@ -369,7 +372,7 @@ def build_example(case_id: str, bound: int = 40) -> ExampleCase:
         )
     # the adjacency families: edge generator, coverage radius, domain, checks
     if case_id == "blockdiag":
-        edges, radius, domain = _edges_blockdiag(bound), 2 * bound, interval
+        generate, radius, domain = _edges_blockdiag, 2 * bound, interval
         checks = (
             # odd windows cut the outermost pair
             _scan_verdicts(
@@ -382,7 +385,7 @@ def build_example(case_id: str, bound: int = 40) -> ExampleCase:
             _even_norm_one,
         )
     elif case_id in ("rarosi", "sierror"):
-        edges = (_edges_rarosi if case_id == "rarosi" else _edges_sierror)(bound)
+        generate = _edges_rarosi if case_id == "rarosi" else _edges_sierror
         radius, domain = (bound + 1) ** 2 - 1, builtin_domain("square")
         if case_id == "rarosi":
             checks = (
@@ -416,7 +419,7 @@ def build_example(case_id: str, bound: int = 40) -> ExampleCase:
                 ),
             )
     elif case_id == "diamond":
-        edges, radius, domain = _edges_diamond(bound), bound, builtin_domain("square")
+        generate, radius, domain = _edges_diamond, bound, builtin_domain("square")
         checks = (
             # the box window always separates the edge at k = n
             _criterion_verdicts(
@@ -436,7 +439,9 @@ def build_example(case_id: str, bound: int = 40) -> ExampleCase:
         )
     else:
         raise UnknownExampleError(f"unknown example {case_id!r}; known: {EXAMPLE_IDS}")
-    op = AdjacencyGraph.from_edges(domain.dimension, edges, coverage_radius=radius)
+    # charged before it is generated: blockdiag has two edges per unit of bound, the others one
+    _check_edge_family_budget((2 if case_id == "blockdiag" else 1) * bound, domain.dimension)
+    op = AdjacencyGraph.from_edges(domain.dimension, generate(bound), coverage_radius=radius)
     return ExampleCase(case_id, op, domain, expectations=checks)
 
 

@@ -57,12 +57,11 @@ from .reports import (
 from .rfsm import (
     choose_parameters,
     convergence_study,
-    coupling_row_cutoff,
     reference_tail_bound,
     rfsm_solve,
     rfsm_solve_with_residual,
 )
-from .sections import _check_dense_budget, _check_edge_family_budget, _check_solve_budget
+from .sections import _check_dense_budget, _check_solve_budget
 from .sections import rfsm_section  # noqa: F401  (bench/test_bench.py checks tracing rebinds it)
 
 EXIT_OK = 0
@@ -262,35 +261,19 @@ def load_rhs(source: str) -> SupportedVector:
 # ---------------------------------------------------------------------------
 
 
-def _example_case(case_id: str, omega, n_max: int, charge=None) -> tuple[ExampleCase, int]:
-    """A built-in case, edges out to window n_max of `omega` or its own domain, and its bound.
-
-    `charge(operator, domain)` runs first on the operator of bound 1, whose
-    diagonal offsets, and so band width, are any bound's, to refuse a solve
-    before the generator is built.  Without it (scan and example, which
-    build no window on an edge family) the generated edges are charged.
-    """
+def _example_case(case_id: str, omega, n_max: int) -> tuple[ExampleCase, int]:
+    """A built-in case, edges out to window n_max of `omega` or its own domain, and its bound;
+    the case of bound 1 gives the domain, and build_example charges a larger edge family."""
     probe = build_example(case_id, 1)
-    domain = omega or probe.domain
-    bound = minimal_bound(case_id, domain.enclosing_radius(n_max))
-    if charge is not None:
-        charge(probe.operator, domain)
-    elif bound > 1:
-        # only edge families take a larger bound, with the probe's edges per unit
-        _check_edge_family_budget(bound * len(probe.operator.edge_array) // 2)
+    bound = minimal_bound(case_id, (omega or probe.domain).enclosing_radius(n_max))
     return (probe if bound == 1 else build_example(case_id, bound)), bound
 
 
-def _resolve_case(
-    args, n_max: int, charge=None
-) -> tuple[OperatorSpec, StarlikeDomain, ExampleCase | None, str]:
-    """Operator + domain from --example or --operator/--omega flags.
-
-    n_max is the widest column cut-off solved at; see _example_case for `charge`.
-    """
+def _resolve_case(args, n_max: int) -> tuple[OperatorSpec, StarlikeDomain, ExampleCase | None, str]:
+    """Operator + domain from --example or --operator/--omega flags; n_max is the widest cut-off."""
     if args.example:
         omega = load_domain(args.omega) if args.omega else None
-        case, _ = _example_case(args.example, omega, n_max, charge)
+        case, _ = _example_case(args.example, omega, n_max)
         return case.operator, omega or case.domain, case, args.example
     if not args.operator:
         raise ValueError("provide --example or --operator")
@@ -300,12 +283,13 @@ def _resolve_case(
     return operator, load_domain(args.omega), None, Path(args.operator).stem
 
 
-def _resolve_rhs(args, case: ExampleCase | None, domain, m: int) -> SupportedVector:
-    """--rhs, or the case's right-hand side over window m, which its charge has covered."""
+def _resolve_rhs(args, case: ExampleCase | None, domain, m: int | None):
+    """--rhs, or the case's right-hand side over window m, whose charge the command has taken;
+    with m None, the function of a window that convergence_study takes."""
     if args.rhs:
         return load_rhs(args.rhs)
     if case is not None and case.rhs is not None:
-        return case.rhs(lattice_section(domain, m))
+        return case.rhs if m is None else case.rhs(lattice_section(domain, m))
     raise ValueError("provide --rhs (the selected source has no built-in right-hand side)")
 
 
@@ -375,9 +359,8 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_solve_fsm(args) -> int:
-    # the window points alone: the probe's edge ends are not the generated graph's
-    charge = functools.partial(_check_solve_budget, n=args.n, edge_ends=0)
-    operator, domain, case, _ = _resolve_case(args, args.n, charge)
+    operator, domain, case, _ = _resolve_case(args, args.n)
+    _check_solve_budget(operator, domain, args.n)
     rhs = _resolve_rhs(args, case, domain, args.n)
     u = fsm_solve(operator, rhs, domain, args.n, tau_rel=args.tau_rel)
     if args.format == "csv":
@@ -404,16 +387,10 @@ def _explicit_window(args) -> bool:
 def _cmd_solve_rfsm(args) -> int:
     given = _explicit_window(args)
     reference_n = 64 if args.reference_n is None else args.reference_n  # read by --epsilon
-
-    def window(operator: OperatorSpec) -> tuple[int, int]:
-        """(m, n) of the given solve, or of the reference solve of --epsilon."""
-        return (args.m, args.n) if given else (reference_n + operator.band_width(), reference_n)
-
-    def charge(probe: OperatorSpec, domain: StarlikeDomain) -> None:
-        _check_dense_budget(domain, *window(probe))
-
-    operator, domain, case, _ = _resolve_case(args, args.n if given else reference_n, charge)
-    m, n = window(operator)
+    operator, domain, case, _ = _resolve_case(args, args.n if given else reference_n)
+    # the given solve, or the reference solve of --epsilon
+    m, n = (args.m, args.n) if given else (reference_n + operator.band_width(), reference_n)
+    _check_dense_budget(domain, m, n)
     rhs = _resolve_rhs(args, case, domain, m)
     delta = args.delta
     if not given:
@@ -470,31 +447,16 @@ def _parse_coupling(text: str, nmin: int, nmax: int):
 
 def _cmd_study(args) -> int:
     coupling, explicit = _parse_coupling(args.coupling, args.nmin, args.nmax)
-    ns = range(args.nmin, args.nmax + 1)
-
-    def solves(operator: OperatorSpec) -> list[tuple[int, int]]:
-        """(m, n) of every window solved: the reference, then each n."""
-        width = operator.band_width()
-        rows = (coupling_row_cutoff(coupling, n, width, explicit) for n in ns)
-        return [(args.reference_n + width, args.reference_n), *zip(rows, ns)]
-
-    def charge(probe: OperatorSpec, domain: StarlikeDomain) -> None:
-        for m, n in solves(probe):
-            _check_dense_budget(domain, m, n)
-
-    widest = max(args.nmax, args.reference_n)
-    operator, domain, case, op_id = _resolve_case(args, widest, charge)
-    # the right-hand side spans every row window solved
-    rhs = _resolve_rhs(args, case, domain, max(m for m, _ in solves(operator)))
-    certified = None
-    if case is not None and coupling == "band":
-        certified = case.band_error_bound
+    operator, domain, case, op_id = _resolve_case(args, max(args.nmax, args.reference_n))
+    # convergence_study charges every block before it builds a built-in right-hand side
+    rhs = _resolve_rhs(args, case, domain, None)
+    certified = case.band_error_bound if case is not None and coupling == "band" else None
     report = convergence_study(
         operator,
         rhs,
         domain,
         coupling,
-        ns,
+        range(args.nmin, args.nmax + 1),
         args.reference_n,
         explicit_rows=explicit,
         inverse_bound=args.a_inv_norm

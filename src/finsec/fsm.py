@@ -118,15 +118,15 @@ def fsm_solve(
     b = rhs.to_array(window)
     inverse_norm(operator, domain, n, tau_rel)
     if isinstance(operator, AdjacencyGraph):
-        # No edge is cut, so S is an involution: x = S b.  + 0.0 clears -0.0 parts
-        # as the dense solve does, bar zero real parts that BLAS signs by position.
+        # No edge is cut, so S is an involution: x = S b, swapped in place.
         ends = window.locate(operator.edge_array).reshape(-1, 2)
         ends = ends[ends[:, 0] >= 0]
         x = b
-        x += 0.0
         x[ends] = x[ends[:, ::-1]]
     else:
         x = np.linalg.solve(assemble(operator, window, window).data, b)
+    # clears the -0.0 parts, which BLAS signs by an entry's position in the block
+    x += 0.0
     return SupportedVector.from_array(window, x)
 
 

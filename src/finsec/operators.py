@@ -479,20 +479,38 @@ class AdjacencyGraph(OperatorSpec):
 
     @classmethod
     def from_edges(
-        cls, dimension: int, edges: Iterable, coverage_radius: int | None = None
+        cls, dimension: int, edges, coverage_radius: int | None = None
     ) -> "AdjacencyGraph":
-        normalized = []
-        for e in edges:
-            i, j = (as_point(v, dimension) for v in e)
-            if i == j:
-                raise ValueError(f"edge {e} is not a doubleton")
-            if not _fits_int64(i + j):
-                raise ValueError(
-                    f"edge {e} has a coordinate past int64, where no window reaches"
-                )
-            normalized.append((min(i, j), max(i, j)))
-        normalized.sort()
-        ends = np.array(normalized, dtype=np.int64).reshape(-1, dimension)
+        """Graph of k edges given as a (k, 2, N) integer array or sequence of point pairs.
+
+        Normalised in numpy: each edge's lesser end first, the edges sorted.
+        A pair that is no doubleton, or an edge past int64, is refused by
+        name, then edges that share an end.
+        """
+        try:
+            pairs = np.asarray(edges, dtype=np.int64)
+            if not len(pairs) or (dimension == 1 and pairs.ndim == 2):
+                pairs = pairs.reshape(len(pairs), 2, dimension)  # no edges, or bare integers
+            if pairs.shape[1:] != (2, dimension):
+                raise ValueError(f"edges must be pairs of points of dimension {dimension}")
+        except (OverflowError, TypeError, ValueError):
+            for e in edges:  # name the first edge that is no pair of int64 points
+                i, j = (as_point(v, dimension) for v in e)
+                if not _fits_int64(i + j):
+                    raise ValueError(
+                        f"edge {e} has a coordinate past int64, where no window reaches"
+                    ) from None
+            raise
+        same = np.all(pairs[:, 0] == pairs[:, 1], axis=1)
+        if same.any():
+            raise ValueError(f"edge {edges[same.argmax()]} is not a doubleton")
+        swap = np.zeros(len(pairs), dtype=bool)
+        for c in reversed(range(dimension)):  # the first coordinate where the ends differ
+            lesser, greater = pairs[:, 0, c], pairs[:, 1, c]
+            swap = np.where(lesser != greater, greater < lesser, swap)
+        pairs = np.where(swap[:, None, None], pairs[:, ::-1], pairs)
+        ends = pairs[np.lexsort(pairs[:, 0].T[::-1])].reshape(-1, dimension)
+        del pairs, swap  # freed before the sort of all ends
         if len(IndexSet.from_array(dimension, ends)) < len(ends):
             raise ValueError("edges must be pairwise disjoint doubletons")
         return cls(dimension, ends, coverage_radius)
@@ -511,6 +529,13 @@ class AdjacencyGraph(OperatorSpec):
             (d, TableRule(tuple(sorted(table)), 1.0 + 0j if d == zero else 0j))
             for d, table in sorted(rows.items())
         )
+
+    def band_width(self) -> int:
+        """The longest edge in the max norm, read from the edge array without a diagonal table."""
+        i, j = self.edge_array[0::2], self.edge_array[1::2]
+        # the larger less the smaller coordinate lies below 2^64: exact modulo 2^64
+        gap = np.maximum(i, j).view(np.uint64) - np.minimum(i, j).view(np.uint64)
+        return int(gap.max(initial=0))
 
     def _refuse_past_coverage(self, what: str, needed: int) -> None:
         if self.coverage_radius is not None and needed > self.coverage_radius:

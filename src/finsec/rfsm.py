@@ -281,7 +281,9 @@ def convergence_study(
 
     The reference solution is computed at (reference_n + band width,
     reference_n) and stands in for the exact solution; reference_n must
-    dominate every requested n.  When inverse_bound is given the a-priori
+    dominate every requested n.  Every block is charged against
+    sections.DENSE_BUDGET_BYTES, and refused past it with ValueError, before
+    any window is built.  When inverse_bound is given the a-priori
     norm bound is recorded wherever its hypothesis holds;
     certified_bound(n), when given, fills the certified error column.
 
@@ -310,9 +312,15 @@ def convergence_study(
         n: coupling_row_cutoff(coupling, n, width, explicit_rows) for n in ns
     }
     m_ref = reference_n + width
+
+    def block(m: int, n: int) -> tuple[int, str, bool]:
+        # cut-offs below 1 are refused by their own windows
+        return sections._dense_charge(domain, max(1, m), max(1, n))
+
+    # every block, the reference first, is charged before any window is built
+    for n, m in [(reference_n, m_ref), *couplings.items()]:
+        sections._check_budget(*block(m, n))
     if not isinstance(rhs, SupportedVector):
-        # an over-budget reference is refused before the right-hand side's window is built
-        sections._check_dense_budget(domain, m_ref, reference_n)
         rhs = rhs(lattice_section(domain, max([m_ref, *couplings.values()])))
     _fill_shared_caches(operator, rhs, domain)
 
@@ -347,13 +355,9 @@ def convergence_study(
             certified_bound=certified_bound(n) if certified_bound else None,
         )
 
-    def block_bytes(m: int, n: int) -> int:
-        # cut-offs below 1 are refused by their own windows, and blocks past the budget by theirs
-        return sections._dense_charge(domain, max(1, m), max(1, n))[0]
-
     # No per-n block is larger than the tallest rows times the widest columns.
-    tallest = block_bytes(max(couplings.values()), max(ns))
-    reference = block_bytes(m_ref, reference_n)
+    tallest = block(max(couplings.values()), max(ns))[0]
+    reference = block(m_ref, reference_n)[0]
     # While the reference runs, the other workers hold per-n blocks beside it.
     fits = 1 + (sections.DENSE_BUDGET_BYTES - max(reference, tallest)) // tallest
     workers = min(_free_cores(), len(ns), max(1, fits))

@@ -135,31 +135,31 @@ def _check_window_budget(operator: OperatorSpec, domain: StarlikeDomain, n: int)
     _check_window(domain, n, per_point, f" and {diagonals} stored diagonals")
 
 
-def _check_solve_budget(
-    operator: OperatorSpec, domain: StarlikeDomain, n: int, edge_ends: int | None = None
-) -> None:
+def _check_solve_budget(operator: OperatorSpec, domain: StarlikeDomain, n: int) -> None:
     """Charge a square solve over window n: an adjacency graph's swap, else a dense block.
 
     As measured with tracemalloc, the swap holds per window point its int64
     row and key (8N + 8 bytes), b, swapped in place (16), and two mask
     bytes, and per edge end the working arrays of locating it in the window
-    (16N + 12 bytes).  It counts `edge_ends` ends, the graph's own by default.
+    (16N + 12 bytes).
     """
     if not isinstance(operator, AdjacencyGraph):
         return _check_dense_budget(domain, n, n)
     dim = operator.dimension
-    ends = len(operator.edge_array) if edge_ends is None else edge_ends
+    ends = len(operator.edge_array)
     rest = f" and {ends} edge ends" if ends else ""
     _check_window(domain, n, 26 + 8 * dim, rest, ends * (12 + 16 * dim))
 
 
-def _check_edge_family_budget(edges: int) -> None:
+def _check_edge_family_budget(edges: int, dimension: int) -> None:
     """Refuse a built-in edge family of `edges` edges before it is generated.
 
-    As measured with tracemalloc, building one through AdjacencyGraph.from_edges
-    peaks at 326 to 434 bytes per edge: the Python tuples of its ends.
+    As measured with tracemalloc, generating one as a (k, 2, N) int64 array
+    and normalising it in AdjacencyGraph.from_edges peaks at 19 + 64N bytes
+    per edge: the generated array and its normalised copy (16N each) and
+    the sort of all ends that finds a shared one.
     """
-    _check_budget(448 * edges, f"edge family of {edges} edges")
+    _check_budget((24 + 64 * dimension) * edges, f"edge family of {edges} edges")
 
 
 # numpy asks the kernel for huge pages on every array of this many bytes or more.
@@ -224,8 +224,9 @@ def overflow_block(
     They carry every nonzero entry of the escaping action, and any other
     row would be a zero row, so the block's spectral norm is exactly the
     norm of the complementary truncation.  ValueError when a shift of
-    window n leaves int64.
+    window n leaves int64, or when window n is too wide for even one row.
     """
+    _check_window(domain, n, _dense_bytes(1, 1), " as overflow columns")
     cols = lattice_section(domain, n)
     lo, hi = cols.array.min(axis=0).tolist(), cols.array.max(axis=0).tolist()
     escaping = [np.zeros((0, operator.dimension), dtype=np.int64)]

@@ -75,6 +75,25 @@ def test_edge_families_first_members():
     assert edges("diamond") == [[1, 1], [2, 0], [2, 1], [3, 0]]
 
 
+# each family's k-th edge as Python tuples, as the generators once yielded them
+TUPLE_EDGES = {
+    "blockdiag": lambda k: [((2 * k - 1,), (2 * k,)), ((-2 * k,), (-2 * k + 1,))],
+    "rarosi": lambda k: [((k * k - k - 1, k * k), (k * k - k, k * k))],
+    "sierror": lambda k: [((k * k - k, k * k), (k * k - k, k * k + 1))],
+    "diamond": lambda k: [((k, 1), (k + 1, 0))],
+}
+
+
+@pytest.mark.parametrize("case_id", sorted(TUPLE_EDGES))
+@pytest.mark.parametrize("bound", [1, 2, 37])
+def test_edge_arrays_match_the_sorted_tuple_construction(case_id, bound):
+    pairs = [e for k in range(1, bound + 1) for e in TUPLE_EDGES[case_id](k)]
+    expected = [end for pair in sorted(tuple(sorted(p)) for p in pairs) for end in pair]
+    array = build_example(case_id, bound).operator.edge_array
+    assert array.dtype == np.int64
+    assert array.tolist() == [list(end) for end in expected]
+
+
 def test_expected_outcomes_sierror():
     case = build_example("sierror", 12)
     results = expected_outcomes(case, 100)

@@ -77,45 +77,60 @@ def test_adjacency_solve_is_charged_as_a_window_not_a_block(tmp_path, monkeypatc
     code, out, err = run_cli([*argv, "40"], capsys)
     assert code == 0, err
     assert out == "point,real,imag\n-39,2,0\n2,1,0\n"
-    # 201 points and 200 edge ends: 12,434 bytes, refused once the edges are generated
+    # the 100 edges fit their 8,800-byte family charge; the swap over 201 points
+    # and 200 edge ends, 12,434 bytes, is refused once they are generated
     code, out, err = run_cli([*argv, "100"], capsys)
     assert code == 2 and out == ""
     assert "window of 201 points and 200 edge ends needs 12434 bytes" in err
 
 
+def test_dense_solve_prints_no_negative_zero(tmp_path, capsys):
+    # BLAS signs a zero real part beside -1.5i by the entry's place in the block
+    op, rhs = tmp_path / "id.json", tmp_path / "neg.json"
+    op.write_text(json.dumps({
+        "variant": "band_diagonals", "dimension": 1,
+        "diagonals": [{"offset": [0], "rule": {"kind": "constant", "value": "1"}}],
+    }))
+    rhs.write_text(json.dumps({"dimension": 1, "entries": {k: "0-1.5i" for k in ("-1", "0", "1")}}))
+    argv = ["solve-fsm", "--operator", str(op), "--omega", "interval", "--n", "1"]
+    code, out, err = run_cli([*argv, "--rhs", str(rhs)], capsys)
+    assert code == 0, err
+    assert out == "point,real,imag\n-1,0,-1.5\n0,0,-1.5\n1,0,-1.5\n"
+
+
 @pytest.mark.parametrize(
     "command, refusal",
     [
-        # the reference block (1000 + 1, 1000), the band width 1 taken from the probe
+        # the reference block (1000 + 1, 1000) of the 1000 edges that reach window 1000
         (["study", "--nmax", "4", "--reference-n", "1000"], "dense window 2003 x 2001 needs"),
         (["study", "--nmax", "4", "--reference-n", "1000", "--omega", "interval"],
          "dense window 2003 x 2001 needs"),
         (["solve-rfsm", "--n", "1000", "--m", "1001"], "dense window 2003 x 2001 needs"),
         (["solve-rfsm", "--epsilon", "1e-2", "--a-norm", "1", "--a-inv-norm", "1",
           "--reference-n", "1000"], "dense window 2003 x 2001 needs"),
-        # the swap's charge on the window points alone, 40,001 of 34 bytes; the
-        # generated graph's edge ends are charged by fsm_solve
-        (["solve-fsm", "--n", "20000"], "window of 40001 points needs 1360034 bytes"),
+        # 10,000 edges fit their 880,000-byte family charge, but not the swap over them
+        (["solve-fsm", "--n", "10000"],
+         "window of 20001 points and 20000 edge ends needs 1240034 bytes"),
     ],
     ids=[f"command{i}" for i in range(5)],
 )
 def test_dense_commands_refuse_before_the_generator_is_built(
     command, refusal, tmp_path, monkeypatch, capsys
 ):
-    generate = catalog._edges_blockdiag
-
-    def probe_only(k_max):
-        # the probe case of bound 1 gives the domain; no larger bound is generated
-        assert k_max == 1, "generator built for an over-budget solve"
-        return generate(k_max)
-
-    monkeypatch.setattr(catalog, "_edges_blockdiag", probe_only)
+    # The edge family is charged and generated first, then the command's block or
+    # swap is refused; what it built by then stays within the budget.
     monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", 10**6)
     rhs = tmp_path / "rhs.json"
     rhs.write_text(json.dumps({"dimension": 1, "entries": {"0": "1"}}))
-    code, out, err = run_cli([*command, "--example", "blockdiag", "--rhs", str(rhs)], capsys)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli([*command, "--example", "blockdiag", "--rhs", str(rhs)], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert code == 2 and out == ""
     assert refusal in err and "Traceback" not in err
+    assert peak < 10**6
 
 
 def test_the_early_dense_charge_refuses_no_block_that_fits(tmp_path, monkeypatch, capsys):
@@ -387,9 +402,20 @@ def test_refusals_walk_only_as_far_as_the_budget(argv, tmp_path, monkeypatch, ca
     assert peak < 10 * 1024**2
 
 
-@pytest.mark.parametrize("command", [["scan", "--nmin", "1000000000"], ["example", "diamond"]])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["scan", "--example", "diamond", "--nmin", "1000000000", "--nmax", "1000000000"],
+        ["example", "diamond", "--nmax", "1000000000"],
+        ["solve-fsm", "--example", "diamond", "--n", "1000000000"],
+        ["solve-rfsm", "--example", "diamond", "--n", "1000000000", "--m", "1000000000"],
+        ["study", "--example", "diamond", "--nmax", "4", "--reference-n", "1000000000"],
+    ],
+    ids=[f"command{i}" for i in range(5)],
+)
 def test_edge_family_is_refused_before_it_is_generated(command, monkeypatch, capsys):
-    # diamond's edges must reach the radius of the window: 10**9 of them
+    # diamond's edges must reach the radius of the window: 10**9 of them, at
+    # 24 + 64 * 2 bytes each
     generate = catalog._edges_diamond
 
     def probe_only(k_max):
@@ -397,12 +423,9 @@ def test_edge_family_is_refused_before_it_is_generated(command, monkeypatch, cap
         return generate(k_max)
 
     monkeypatch.setattr(catalog, "_edges_diamond", probe_only)
-    argv = [*command, "--nmax", "1000000000"]
-    if command[0] == "scan":
-        argv += ["--example", "diamond"]
-    code, out, err = run_cli(argv, capsys)
+    code, out, err = run_cli(command, capsys)
     assert code == 2 and out == ""
-    assert "edge family of 1000000000 edges needs 448000000000 bytes" in err
+    assert "edge family of 1000000000 edges needs 152000000000 bytes" in err
 
 
 PERIODIC_REPEAT = {

@@ -14,6 +14,9 @@ except that about one 2-D draw of `scan`, `solve-fsm`, `solve-rfsm` or
 the memory budget, so the draw must be refused (exit 2 or 3) without
 walking the window.  Only a scan of an adjacency operator, which takes
 its verdict from the edges and builds no window, may then succeed.
+About one draw of `solve-fsm`, `solve-rfsm` or `study` in ten instead
+takes the `blockdiag` or `diamond` edges out to a window past 10^6 or
+10^9 under a 10^7-byte budget, which must refuse it (exit 2 or 3).
 """
 
 import contextlib
@@ -24,6 +27,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+from finsec import sections
 from finsec.catalog import EXAMPLE_IDS
 from finsec.cli import main
 
@@ -173,7 +177,8 @@ def write(workdir, name, payload):
 
 @st.composite
 def invocations(draw, workdir):
-    """(argv, format, exit codes): one drawn command line over freshly written configs."""
+    """(argv, format, exit codes, budget): one drawn command line over freshly written
+    configs, and the memory budget to run it under (None: the default)."""
     command = draw(st.sampled_from(["scan", "study", "solve-fsm", "solve-rfsm", "example"]))
     fmt = draw(st.sampled_from(["csv", "json"]))
     nmin = pick(draw, [1, 2, 3], [-1, 0])
@@ -183,7 +188,15 @@ def invocations(draw, workdir):
         flags += ["--tau-rel", pick(draw, ["0", "1e-10", "1e-3"], ["-1", "nan"])]
     if command == "example":
         case = pick(draw, EXAMPLE_IDS, ["nonsense"])
-        return ["example", case, "--nmin", str(nmin), "--nmax", str(nmax), *flags], fmt, (0, 2, 3)
+        argv = ["example", case, "--nmin", str(nmin), "--nmax", str(nmax), *flags]
+        return argv, fmt, (0, 2, 3), None
+    if command != "scan" and pick(draw, [False], [True]):
+        # an edge family out to a window past the budget of 10^7 bytes
+        case = draw(st.sampled_from(["blockdiag", "diamond"]))
+        cut = str(draw(st.sampled_from([10**6, 10**9])))
+        window = {"solve-fsm": ["--n", cut], "solve-rfsm": ["--n", cut, "--m", cut],
+                  "study": ["--nmax", "4", "--reference-n", cut]}[command]
+        return [command, "--example", case, *window, *flags], fmt, (2, 3), 10**7
 
     if draw(st.booleans()):
         case = draw(st.sampled_from(EXAMPLE_IDS))
@@ -243,7 +256,7 @@ def invocations(draw, workdir):
         flags += ["--coupling", coupling]
         if draw(st.booleans()):
             flags += ["--a-inv-norm", pick(draw, ["1", "2", "10"], ["0", "inf"])]
-    return [command, *source, *flags], fmt, codes
+    return [command, *source, *flags], fmt, codes, None
 
 
 def _reject_constant(name):
@@ -262,9 +275,12 @@ def workdir(tmp_path_factory):
 )
 @given(data=st.data())
 def test_cli_exit_code_contract(workdir, data):
-    argv, fmt, codes = data.draw(invocations(workdir), label="argv")
+    argv, fmt, codes, budget = data.draw(invocations(workdir), label="argv")
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        if budget is not None:
+            mp.setattr(sections, "DENSE_BUDGET_BYTES", budget)
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse refusing a flag

@@ -129,6 +129,17 @@ def test_adjacency_edges_are_stored_as_one_sorted_array():
     assert AdjacencyGraph.from_edges(1, []).edge_array.shape == (0, 1)
 
 
+def test_adjacency_band_width_builds_no_diagonal_table():
+    graphs = [build_example(c, 37).operator for c in ("blockdiag", "rarosi", "sierror", "diamond")]
+    # no edges, and ends whose int64 difference would wrap
+    graphs += [AdjacencyGraph.from_edges(1, []), AdjacencyGraph.from_edges(1, [(-(2**63), 2**63 - 1)])]
+    for graph in graphs:
+        width = graph.band_width()
+        assert "diagonals" not in vars(graph)
+        assert width == max(max(map(abs, d)) for d, _ in graph.diagonals)
+    assert width == 2**64 - 1
+
+
 @pytest.mark.parametrize(
     "dimension, edges, message",
     [

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +170,21 @@ def test_overflow_of_a_far_diagonal_is_quick(square):
     # the width-200 ball of window 3 holds 161,201 offsets
     assert time.perf_counter() - start < 1.0
     assert norm == pytest.approx(1.0, abs=1e-12)
+
+
+def test_overflow_block_is_charged_before_its_columns_are_built(square, monkeypatch):
+    # window 1000 of the square holds 2001^2 points, past a 10^6-byte budget as the
+    # columns of even one escaping row: refused after a few rows of the count
+    five_point = BandDiagonals.from_rules(2, {d: 1 for d in FIVE_POINT_OFFSETS})
+    monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", 10**6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="points as overflow columns needs at least"):
+            overflow_norm(five_point, square, 1000, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 1024**2
 
 
 def test_overflow_shifts_past_int64_are_refused(interval, square):

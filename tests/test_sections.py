@@ -576,8 +576,10 @@ def test_edge_family_charge_covers_the_generator(case_id, monkeypatch):
     finally:
         tracemalloc.stop()
     edges = len(graph.edge_array) // 2
-    charge = 448 * edges
+    charge = (24 + 64 * graph.dimension) * edges
     assert 0.7 * charge < peak <= charge
     monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", charge - 1)
     with pytest.raises(ValueError, match=f"edge family of {edges} edges needs {charge} bytes"):
-        sections._check_edge_family_budget(edges)
+        sections._check_edge_family_budget(edges, graph.dimension)
+    with pytest.raises(ValueError, match=f"edge family of {edges} edges needs {charge} bytes"):
+        build_example(case_id, 10000)

@@ -1,10 +1,10 @@
 """Symbolic band operators on integer lattices with exact, lazy entry access.
 
 An operator is a rule for the matrix entry a_{ij} over pairs of lattice
-points, never a stored matrix.  Every operator is a table of diagonals
-a_{ij} = f_{i-j}(i): finitely many offsets i - j, each with a row rule.
-Block-periodic matrices, lattice shifts, shift compositions and adjacency
-graphs are all built as such tables, of constant, periodic or table rules.
+points, never a stored matrix.  A band operator is a table of diagonals
+a_{ij} = f_{i-j}(i), each a constant, periodic or table row rule; block-periodic
+matrices, lattice shifts and shift compositions are built as such tables.  An
+adjacency graph is its edge array alone, read through one swap of edge ends.
 """
 
 from __future__ import annotations
@@ -76,10 +76,6 @@ def _max_norm(p: Point) -> int:
 
 def _add(p: Point, q: Point) -> Point:
     return tuple(a + b for a, b in zip(p, q))
-
-
-def _sub(p: Point, q: Point) -> Point:
-    return tuple(a - b for a, b in zip(p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -355,34 +351,23 @@ class SupportedVector:
 
 
 class OperatorSpec:
-    """Band operator given by its stored diagonals: a_{ij} = f_{i-j}(i).
-
-    `diagonals` holds (offset, rule) pairs with distinct offsets; entries
-    off the stored offsets are zero.  Entry access, the band and the exact
-    product are derived here from the diagonals alone.
-    """
+    """Operator read column by column: entries and exact products come from `_column` alone."""
 
     dimension: int
-    diagonals: tuple[tuple[Point, CoefficientRule], ...]
 
-    @cached_property
-    def _rules(self) -> dict[Point, CoefficientRule]:
-        return dict(self.diagonals)
+    def _column(self, j: Point) -> list[tuple[Point, complex]]:
+        """(row, value) pairs of column j at distinct rows; its other entries are zero."""
+        raise NotImplementedError
 
     def check_columns(self, points) -> None:
-        """Refuse the columns (an array or list of points) the diagonals may not give."""
+        """Refuse the columns (an array or list of points) the operator may not give."""
 
     def entry(self, i, j) -> complex:
         """Matrix entry a_{ij}."""
         i = as_point(i, self.dimension)
         j = as_point(j, self.dimension)
         self.check_columns([j])
-        rule = self._rules.get(_sub(i, j))
-        return rule.value_at(i) if rule is not None else 0j
-
-    def band_width(self) -> int:
-        """Least w with a_{ij} = 0 whenever max-norm of i - j exceeds w."""
-        return max((_max_norm(d) for d, _ in self.diagonals), default=0)
+        return dict(self._column(j)).get(i, 0j)
 
     def apply(self, u: SupportedVector) -> SupportedVector:
         """Exact matrix-vector product on a finitely supported vector."""
@@ -391,9 +376,7 @@ class OperatorSpec:
         self.check_columns(list(u.entries))
         acc: dict[Point, complex] = {}
         for j, val in u.entries.items():
-            for d, rule in self.diagonals:
-                i = _add(j, d)
-                a = rule.value_at(i)
+            for i, a in self._column(j):
                 if a != 0:
                     acc[i] = acc.get(i, 0j) + a * val
         return SupportedVector(self.dimension, {p: v for p, v in acc.items() if v != 0})
@@ -401,10 +384,18 @@ class OperatorSpec:
 
 @dataclass(frozen=True)
 class BandDiagonals(OperatorSpec):
-    """Entries a_{ij} = f_{i-j}(i) for finitely many stored offsets i - j."""
+    """Entries a_{ij} = f_{i-j}(i) on the (offset, rule) pairs of `diagonals`, zero elsewhere."""
 
     dimension: int
     diagonals: tuple[tuple[Point, CoefficientRule], ...]
+
+    def _column(self, j: Point) -> list[tuple[Point, complex]]:
+        """Row j + d of each stored diagonal d, with its rule's value there."""
+        return [(i := _add(j, d), rule.value_at(i)) for d, rule in self.diagonals]
+
+    def band_width(self) -> int:
+        """Least w with a_{ij} = 0 whenever max-norm of i - j exceeds w."""
+        return max((_max_norm(d) for d, _ in self.diagonals), default=0)
 
     @classmethod
     def from_rules(cls, dimension: int, rules: Mapping) -> "BandDiagonals":
@@ -467,8 +458,8 @@ class AdjacencyGraph(OperatorSpec):
     Entry a_{ij} is 1 when {i, j} is an edge or when i = j lies on no
     edge, else 0; the operator swaps edge endpoints and fixes the rest.
     The edges are stored once, as the sorted (2k, N) int64 `edge_array`:
-    rows 2e and 2e + 1 are the lesser and the greater end of edge e.  Its
-    diagonals are tables built from that array when a block needs them.
+    rows 2e and 2e + 1 are the lesser and the greater end of edge e, so
+    the partner of end k is row k ^ 1.
     `coverage_radius` marks how far a truncated edge generator is known
     to be complete; a column beyond it is refused with GeneratorBoundError.
     """
@@ -515,23 +506,22 @@ class AdjacencyGraph(OperatorSpec):
             raise ValueError("edges must be pairwise disjoint doubletons")
         return cls(dimension, ends, coverage_radius)
 
-    @cached_property
-    def diagonals(self) -> tuple[tuple[Point, CoefficientRule], ...]:
-        """Offset 0: 0 at edge ends, else 1; offset d: 1 at row i of each edge {i, i - d}."""
-        zero = (0,) * self.dimension
-        rows: dict[Point, list[tuple[Point, complex]]] = {zero: []}
-        ends = list(map(tuple, self.edge_array.tolist()))
-        for i, j in zip(ends[0::2], ends[1::2]):
-            rows[zero] += [(i, 0j), (j, 0j)]
-            rows.setdefault(_sub(i, j), []).append((i, 1.0 + 0j))
-            rows.setdefault(_sub(j, i), []).append((j, 1.0 + 0j))
-        return tuple(
-            (d, TableRule(tuple(sorted(table)), 1.0 + 0j if d == zero else 0j))
-            for d, table in sorted(rows.items())
-        )
+    def swap(self, points: IndexSet) -> np.ndarray:
+        """points.array with each edge end moved to its partner (end k ^ 1 for end k)."""
+        at = points.locate(self.edge_array)
+        ends = np.flatnonzero(at >= 0)
+        moved = points.array.copy()
+        moved[at[ends]] = self.edge_array[ends ^ 1]
+        return moved
+
+    def _column(self, j: Point) -> list[tuple[Point, complex]]:
+        """Entry 1 at j's partner, or at j itself off every edge; a point past int64 is on none."""
+        ends = np.flatnonzero(np.all(self.edge_array == j, axis=1)) if _fits_int64(j) else ()
+        partner = tuple(self.edge_array[ends[0] ^ 1].tolist()) if len(ends) else j
+        return [(partner, 1.0 + 0j)]
 
     def band_width(self) -> int:
-        """The longest edge in the max norm, read from the edge array without a diagonal table."""
+        """The longest edge in the max norm."""
         i, j = self.edge_array[0::2], self.edge_array[1::2]
         # the larger less the smaller coordinate lies below 2^64: exact modulo 2^64
         gap = np.maximum(i, j).view(np.uint64) - np.minimum(i, j).view(np.uint64)

@@ -26,7 +26,7 @@ from .errors import (
 from . import sections
 from .geometry import IndexSet, StarlikeDomain, lattice_section
 from .linalg import TAU_REL_DEFAULT, invertible, least_squares, singular_values, spectral_norm
-from .operators import OperatorSpec, SupportedVector, euclidean_norm
+from .operators import AdjacencyGraph, OperatorSpec, SupportedVector, euclidean_norm
 from .reports import RfsmRecord, RfsmReport
 from .sections import overflow_block, rfsm_section
 
@@ -85,9 +85,10 @@ def overflow_norm(
     """Exact spectral norm of the action on window-n columns escaping window m.
 
     0 without building the block when window m holds every shift of
-    window n by a stored offset, since then no row escapes.
+    window n by a stored offset of a band operator, since then no row escapes.
     """
-    if domain.holds_shifts(n, [offset for offset, _ in operator.diagonals], m):
+    band = not isinstance(operator, AdjacencyGraph)
+    if band and domain.holds_shifts(n, [offset for offset, _ in operator.diagonals], m):
         return 0.0
     block = overflow_block(operator, domain, m, n)
     return spectral_norm(block.data)
@@ -235,11 +236,11 @@ def _fill_shared_caches(
 ) -> None:
     """Build the cached state that every window reads, before threads share it.
 
-    One value of each diagonal fills the diagonal tables; filling window 1
+    One value of each band diagonal fills its tables; filling window 1
     from the right-hand side builds its support arrays and reads the facet data.
     """
     origin = np.zeros((1, operator.dimension), dtype=np.int64)
-    for _, rule in operator.diagonals:
+    for _, rule in () if isinstance(operator, AdjacencyGraph) else operator.diagonals:
         rule.values_at(origin)
     rhs.to_array(lattice_section(domain, 1))
 

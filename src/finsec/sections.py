@@ -46,13 +46,17 @@ def section_triplets(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nonzero entries of the rows x cols block as COO triplets (r, c, value).
 
-    Offsets are distinct, so each (r, c) appears at most once.  Triplets
-    come diagonal by diagonal, rows ascending within each diagonal, and a
-    rule is evaluated only at rows whose column lies in the block.
+    Each (r, c) appears at most once.  A band operator's come diagonal by
+    diagonal, rows ascending within each diagonal, and a rule is evaluated
+    only at rows whose column lies in the block; a graph's, 1 per column.
     """
     if rows.dimension != operator.dimension or cols.dimension != operator.dimension:
         raise ValueError("index set dimension mismatch")
     operator.check_columns(cols.array)
+    if isinstance(operator, AdjacencyGraph):
+        r = rows.locate(operator.swap(cols))
+        c = np.flatnonzero(r >= 0)
+        return r[c], c, np.ones(len(c), dtype=complex)
     r_parts = [np.zeros(0, dtype=np.intp)]
     c_parts = [np.zeros(0, dtype=np.intp)]
     v_parts = [np.zeros(0, dtype=complex)]
@@ -219,24 +223,28 @@ def overflow_block(
 ) -> SectionMatrix:
     """Rows of the operator's action on window-n columns that escape window m.
 
-    Column j meets row j + d on the stored diagonal d, so the rows are the
-    shifts of window n by the stored offsets that fall outside window m.
-    They carry every nonzero entry of the escaping action, and any other
-    row would be a zero row, so the block's spectral norm is exactly the
-    norm of the complementary truncation.  ValueError when a shift of
-    window n leaves int64, or when window n is too wide for even one row.
+    Column j meets row j + d on a band's stored diagonal d, and only its
+    swap in a graph, so the rows are those images of window n outside
+    window m.  They carry every nonzero entry of the escaping action, and
+    any other row would be a zero row, so the block's spectral norm is
+    exactly the norm of the complementary truncation.  ValueError when a
+    shift of window n leaves int64, or when window n is too wide for even one row.
     """
     _check_window(domain, n, _dense_bytes(1, 1), " as overflow columns")
     cols = lattice_section(domain, n)
-    lo, hi = cols.array.min(axis=0).tolist(), cols.array.max(axis=0).tolist()
     escaping = [np.zeros((0, operator.dimension), dtype=np.int64)]
-    for offset, _ in operator.diagonals:
-        if not all(
-            -_INT64_MAX - 1 <= low + d and high + d <= _INT64_MAX
-            for low, high, d in zip(lo, hi, offset)
-        ):
-            raise ValueError(f"diagonal offset {list(offset)} shifts window {n} past int64")
-        points = cols.array + np.array(offset, dtype=np.int64)
+    if isinstance(operator, AdjacencyGraph):
+        points = operator.swap(cols)
         escaping.append(points[~domain.contains_array(points, m)])
+    else:
+        lo, hi = cols.array.min(axis=0).tolist(), cols.array.max(axis=0).tolist()
+        for offset, _ in operator.diagonals:
+            if not all(
+                -_INT64_MAX - 1 <= low + d and high + d <= _INT64_MAX
+                for low, high, d in zip(lo, hi, offset)
+            ):
+                raise ValueError(f"diagonal offset {list(offset)} shifts window {n} past int64")
+            points = cols.array + np.array(offset, dtype=np.int64)
+            escaping.append(points[~domain.contains_array(points, m)])
     rows = IndexSet.from_array(operator.dimension, np.concatenate(escaping))
     return assemble(operator, rows, cols)

@@ -5,7 +5,8 @@ singular-value oracle runs entirely in exact integer/rational arithmetic
 (characteristic polynomial + Sturm-chain bisection on the Gram matrix),
 and the geometry oracle enumerates bounding boxes directly against the
 facet inequalities.  The identity operator, whose sections are known
-exactly, is built here from one constant diagonal.
+exactly, is built here from one constant diagonal, and the diagonal table
+of an adjacency graph edge by edge, as the reference for its swap.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from finsec import BandDiagonals, ConstantRule
+from finsec import BandDiagonals, ConstantRule, TableRule
 
 
 # ---------------------------------------------------------------------------
@@ -25,6 +26,25 @@ def identity_operator(dimension: int = 1) -> BandDiagonals:
     """The identity on Z^dimension: the constant diagonal 1 at offset zero."""
     zero = (0,) * dimension
     return BandDiagonals.from_rules(dimension, {zero: ConstantRule(1.0 + 0j)})
+
+
+def adjacency_diagonals(graph):
+    """(offset, rule) diagonals of an adjacency graph's matrix, sorted by offset.
+
+    Built edge by edge: offset 0 holds 0 at edge ends and 1 elsewhere, and
+    offset d holds 1 at row i of each edge {i, i - d}.
+    """
+    zero = (0,) * graph.dimension
+    rows = {zero: []}
+    ends = list(map(tuple, graph.edge_array.tolist()))
+    for i, j in zip(ends[0::2], ends[1::2]):
+        rows[zero] += [(i, 0j), (j, 0j)]
+        rows.setdefault(tuple(a - b for a, b in zip(i, j)), []).append((i, 1.0 + 0j))
+        rows.setdefault(tuple(b - a for a, b in zip(i, j)), []).append((j, 1.0 + 0j))
+    return tuple(
+        (d, TableRule(tuple(sorted(table)), 1.0 + 0j if d == zero else 0j))
+        for d, table in sorted(rows.items())
+    )
 
 
 # ---------------------------------------------------------------------------

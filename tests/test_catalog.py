@@ -63,6 +63,13 @@ def test_geometric_rhs_tail_decays(worked_case):
         assert tail >= 2.0**-n * math.sqrt(2.0 / 3.0) * 0.99
 
 
+def test_shifted_geometric_rhs_entries(worked_prime_case):
+    # worked_Aprime's built-in right-hand side is 2^-|i - 1|, centred on i = 1
+    window = lattice_section(worked_prime_case.domain, 6)
+    b = worked_prime_case.rhs(window)
+    assert b.entries == {p: 2.0 ** -abs(p[0] - 1) for p in window.points}
+
+
 def test_edge_families_first_members():
     # rows 2e and 2e + 1 of edge_array are the lesser and greater end of edge e
     def edges(case_id):

@@ -170,26 +170,6 @@ def test_the_dense_charge_counts_the_lapack_copy(command, monkeypatch, capsys):
     assert code == 0, err
 
 
-ADJACENCY_COMMANDS = [
-    ["example", "sierror", "--format", "json"],
-    ["scan", "--example", "sierror", "--nmax", "40"],
-    ["solve-fsm", "--example", "blockdiag", "--n", "40", "--rhs", "sz.json", "--format", "csv"],
-]
-
-
-@pytest.mark.parametrize("argv", ADJACENCY_COMMANDS, ids=["example", "scan", "solve-fsm"])
-def test_square_adjacency_commands_build_no_diagonal_table(argv, monkeypatch, capsys):
-    monkeypatch.chdir(ROOT / "tools")  # sz.json
-    expected = run_cli(argv, capsys)
-    assert expected[0] == 0, expected[2]
-
-    def unbuilt(graph):
-        raise AssertionError("an adjacency diagonal table was built")
-
-    monkeypatch.setattr(finsec.AdjacencyGraph, "diagonals", property(unbuilt))
-    assert run_cli(argv, capsys) == expected
-
-
 def test_solve_rfsm_reference_n_defaults_to_64_with_epsilon(capsys):
     argv = ["solve-rfsm", "--example", "worked_A", "--epsilon", "1e-3", "--format", "json"]
     default = run_cli(argv, capsys)
@@ -682,6 +662,14 @@ def test_scan_classification_and_roundtrip(capsys):
     assert classification["3"]["1"] == "stable-so-far"
     assert classification["3"]["0"] == "contains-singular"
     assert classification["3"]["2"] == "contains-singular"
+    # class 1's inverse norm is 1.8019... at every n, above a cap of 1.5
+    argv = ["scan", "--example", "worked_Aprime", "--nmax", "12", "--modulus", "3",
+            "--norm-cap", "1.5", "--format", "json"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0, err
+    assert json.loads(out)["classification"] == {
+        "3": {"0": "contains-singular", "1": "norm-exceeds-cap", "2": "contains-singular"}
+    }
 
 
 BLOCKDIAG_SCAN_CSV = """\
@@ -1114,7 +1102,7 @@ def test_pinned_and_benchmark_invocations_parse(tmp_path):
     invocations = list(runpy.run_path(ROOT / "tools" / "pinned_outputs.py")["INVOCATIONS"])
     workloads = runpy.run_path(ROOT / "bench" / "workloads.py", run_name="workloads")["WORKLOADS"]
     invocations += [w.prepare(0, False, tmp_path)[0] for w in workloads.values()]
-    assert len(invocations) == 18 + 4
+    assert len(invocations) == 19 + 4
     parser = cli.build_parser()
     for argv in invocations:
         parser.parse_args(argv)

@@ -23,10 +23,11 @@ from finsec import (
     fsm_section,
     fsm_solve,
     inverse_norm,
+    lattice_section,
     stability_scan,
 )
 from finsec import fsm, linalg
-from finsec.fsm import VERDICT_SINGULAR, VERDICT_STABLE, section_extremes
+from finsec.fsm import VERDICT_NORM_CAP, VERDICT_SINGULAR, VERDICT_STABLE, section_extremes
 from finsec.linalg import TAU_REL_DEFAULT, singular_values
 from conftest import random_band_operator
 from oracles import identity_operator, singular_value_extremes
@@ -321,6 +322,31 @@ def test_singular_window_falls_back_to_dense(sparse_everywhere, worked_case, int
     assert sparse_everywhere == [None]
 
 
+@pytest.mark.parametrize("failure", ["arpack-error", "nan"])
+def test_lanczos_failure_falls_back_to_dense(failure, monkeypatch, square):
+    import scipy.sparse.linalg
+
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(failure)
+        if failure == "arpack-error":
+            raise scipy.sparse.linalg.ArpackError(-9999)
+        return np.array([np.nan])
+
+    operator = laplace_operator([4, 4.25, 4.5, 5])
+    n = 11  # 529 points: the sparse route's own size, not a forced one
+    assert len(lattice_section(square, n)) >= fsm.SPARSE_MIN_POINTS
+    expected = dense_extremes(operator, square, n)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
+    got = section_extremes(operator, square, n)
+    assert calls  # Lanczos ran and failed
+    assert [v.hex() for v in got] == [v.hex() for v in expected]
+    assert linalg.invertible(*got, TAU_REL_DEFAULT) == linalg.invertible(
+        *expected, TAU_REL_DEFAULT
+    )
+
+
 def test_near_threshold_window_takes_dense_path(
     sparse_everywhere, factor_dtypes, monkeypatch, interval
 ):
@@ -439,6 +465,8 @@ def test_classify_preconditioned_mod3(worked_prime_case, interval):
     assert verdicts[1] == VERDICT_STABLE
     assert verdicts[0] != VERDICT_STABLE
     assert verdicts[2] != VERDICT_STABLE
+    # class 1's inverse norm is 1.8019... at every n, so a cap of 1.5 trips it
+    assert classify_subsequences(report, 3, norm_cap=1.5)[1] == VERDICT_NORM_CAP
 
 
 def test_classify_identity_all_stable(interval):

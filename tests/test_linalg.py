@@ -41,6 +41,11 @@ def test_least_squares_overdetermined():
 def test_least_squares_zero_matrix_gives_minimum_norm():
     x = least_squares(np.zeros((3, 2)), np.array([1.0, 2.0, 3.0]))
     assert np.array_equal(x, np.zeros(2))
+    # empty blocks: no columns give an empty solution, no rows leave every column zero
+    x = least_squares(np.zeros((3, 0)), np.array([1.0, 2.0, 3.0]))
+    assert x.shape == (0,) and x.dtype == complex
+    x = least_squares(np.zeros((0, 3)), np.zeros(0))
+    assert np.array_equal(x, np.zeros(3)) and x.dtype == complex
 
 
 def test_least_squares_residual_is_locally_optimal():

@@ -22,9 +22,10 @@ from finsec import (
     compose_shift,
     lattice_section,
 )
+from finsec.errors import NonFiniteResultError
 from finsec.operators import euclidean_norm
 from conftest import random_band_operator
-from oracles import identity_operator
+from oracles import adjacency_diagonals, identity_operator
 
 BLOCK_B = ((1, 1, 0), (1, 0, 0), (0, 0, 0))
 BLOCK_C = ((0, 0, 0), (0, 0, 0), (1, 1, 1))
@@ -135,9 +136,33 @@ def test_adjacency_band_width_builds_no_diagonal_table():
     graphs += [AdjacencyGraph.from_edges(1, []), AdjacencyGraph.from_edges(1, [(-(2**63), 2**63 - 1)])]
     for graph in graphs:
         width = graph.band_width()
-        assert "diagonals" not in vars(graph)
-        assert width == max(max(map(abs, d)) for d, _ in graph.diagonals)
+        assert width == max(max(map(abs, d)) for d, _ in adjacency_diagonals(graph))
     assert width == 2**64 - 1
+
+
+def test_adjacency_entries_and_products_match_the_per_edge_table():
+    graphs = [build_example(c, 3).operator for c in ("blockdiag", "rarosi", "sierror", "diamond")]
+    graphs.append(AdjacencyGraph.from_edges(2, [((0, 0), (0, 1)), ((2**40, 2), (-3, -(2**40)))]))
+    for graph in graphs:
+        table = {d: rule for d, rule in adjacency_diagonals(graph)}
+        near = list(itertools.product(range(-3, 4), repeat=graph.dimension))
+        points = near + list(map(tuple, graph.edge_array.tolist()))
+        radius = graph.coverage_radius or 2**63
+        for j in [p for p in points if max(map(abs, p)) <= radius]:
+            column = {}
+            for i in points:
+                rule = table.get(tuple(a - b for a, b in zip(i, j)))
+                expected = rule.value_at(i) if rule is not None else 0j
+                assert graph.entry(i, j) == expected
+                if expected:
+                    column[i] = expected
+            assert graph.apply(SupportedVector.from_entries(graph.dimension, {j: 1})) == (
+                SupportedVector(graph.dimension, column)
+            )
+    # a point past int64 lies on no edge, so it is fixed
+    far = (2**70, 0)
+    assert graphs[-1].entry(far, far) == 1
+    assert graphs[-1].apply(SupportedVector.from_entries(2, {far: 3j})).entries == {far: 3j}
 
 
 @pytest.mark.parametrize(
@@ -426,6 +451,15 @@ def test_norm_outside_matches_the_window_route(name, n, raw, far_at):
     items.insert(min(far_at // 2, len(items)), ((-(2**63) - 1, *pad), -3.0))
     u = SupportedVector.from_entries(dim, dict(items))
     assert u.norm_outside(domain, n) == norm_outside_by_window(u, domain, n)
+
+
+def test_euclidean_norm_refuses_a_square_past_a_double():
+    # 1e200 squared raises OverflowError in Python's float power, not inf
+    with pytest.raises(NonFiniteResultError, match="overflows a double"):
+        euclidean_norm([1e200])
+    with pytest.raises(NonFiniteResultError, match="overflows a double"):
+        euclidean_norm([1e154, 1e154, 1e154])  # finite squares, infinite sum
+    assert euclidean_norm([3e150, 4e150]) == 5e150
 
 
 def from_array_by_loop(index_set, values):

@@ -29,7 +29,7 @@ from finsec import (
 from finsec import fsm, sections
 from finsec.sections import section_triplets
 from conftest import random_band_operator
-from oracles import identity_operator, in_dilation
+from oracles import adjacency_diagonals, identity_operator, in_dilation
 
 BLOCK_B = np.array([[1, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=float)
 
@@ -241,10 +241,15 @@ def test_dense_budget_checked_before_windows_are_built(interval, monkeypatch):
 
 
 def per_cell_triplets(operator, rows, cols):
-    """Reference walk: diagonal by diagonal, rows ascending, one cell at a time."""
+    """Reference walk: diagonal by diagonal, rows ascending, one cell at a time.
+
+    A graph is walked on its per-edge diagonal table, and its triplets are
+    then put in column order, the order of its swap.
+    """
     r_idx, c_idx, values = [], [], []
     positions = {p: k for k, p in enumerate(cols.points)}
-    for offset, rule in operator.diagonals:
+    graph = isinstance(operator, AdjacencyGraph)
+    for offset, rule in adjacency_diagonals(operator) if graph else operator.diagonals:
         for r, i in enumerate(rows.points):
             c = positions.get(tuple(a - b for a, b in zip(i, offset)))
             if c is not None:
@@ -253,10 +258,11 @@ def per_cell_triplets(operator, rows, cols):
                     r_idx.append(r)
                     c_idx.append(c)
                     values.append(value)
+    order = np.argsort(c_idx, kind="stable") if graph else np.arange(len(c_idx))
     return (
-        np.array(r_idx, dtype=np.intp),
-        np.array(c_idx, dtype=np.intp),
-        np.array(values, dtype=complex),
+        np.array(r_idx, dtype=np.intp)[order],
+        np.array(c_idx, dtype=np.intp)[order],
+        np.array(values, dtype=complex)[order],
     )
 
 
@@ -340,17 +346,27 @@ def test_adjacency_rows_past_the_coverage_are_exact(family):
     graph, radius = case.operator, case.operator.coverage_radius
     wide = build_example(family, 40).operator
     domains = [case.domain] + ([builtin_domain("diamond")] if graph.dimension == 2 else [])
+    overflow_rows = 0
     for domain in domains:
         n = max(k for k in range(1, 40) if domain.enclosing_radius(k) <= radius)
         blocks = [
             (rfsm_section(graph, domain, m, n), rfsm_section(wide, domain, m, n))
             for m in (n + 1, n + 3)
         ]
-        blocks.append((overflow_block(graph, domain, n, n), overflow_block(wide, domain, n, n)))
-        for got, expected in blocks:
+        for got, _ in blocks:
             assert np.abs(got.rows.array).max() > radius >= np.abs(got.cols.array).max()
+        # overflow rows are the partners that escape window k: one 1 each, no zero row
+        overflows = [
+            (overflow_block(graph, domain, k, k), overflow_block(wide, domain, k, k))
+            for k in range(1, n + 1)
+        ]
+        for got, _ in overflows:
+            assert np.array_equal(np.count_nonzero(got.data, axis=1), np.ones(got.shape[0]))
+            overflow_rows += got.shape[0]
+        for got, expected in blocks + overflows:
             assert got.rows == expected.rows and got.cols == expected.cols
             assert got.data.tobytes() == expected.data.tobytes()
+    assert overflow_rows > 0
 
 
 def test_overflow_rows_are_the_stored_shifts_outside_window_m(interval, square, worked_case):
@@ -546,7 +562,6 @@ def test_adjacency_solve_charge_covers_the_measured_peak(case_id, bound, n, monk
     finally:
         tracemalloc.stop()
     assert 0.9 * charge < peak <= charge
-    assert "diagonals" not in vars(graph)  # no diagonal table was built
 
 
 def test_adjacency_solve_charge_covers_a_window_of_short_rows():

@@ -4,7 +4,7 @@ The inverse norm of a section is max(1, 1/sigma_min), the operator norm of
 the inverted section extended by the identity off the window.  A square
 adjacency section swaps the ends of each edge inside the window, fixes the
 points on no edge and is zero in the row and column of each end of a cut
-edge, so its verdict, sigma extremes and solve need no block.
+edge, so its verdict, sigma extremes and solve never build the window.
 
 Other square windows of at least SPARSE_MIN_POINTS points take their sigma
 extremes from a sparse LU and Lanczos, never building the dense block.
@@ -110,21 +110,22 @@ def fsm_solve(
     """Solve the square truncated system over window n; zero off the window.
 
     Checks the memory budget (sections._check_solve_budget) and the rhs dimension,
-    then takes inverse_norm's verdict.  An adjacency section's solve swaps
-    the entries of b in place along the edges inside the window.
+    then takes inverse_norm's verdict.  An adjacency section's solve builds
+    no window: it moves each entry of b inside the window to its partner.
     """
     _check_solve_budget(operator, domain, n)
+    if isinstance(operator, AdjacencyGraph):
+        support = rhs.support_in(domain, n)
+        inverse_norm(operator, domain, n, tau_rel)
+        # No edge is cut, so S is an involution and the partners lie in window n too;
+        # + 0.0 clears the -0.0 parts, as on the dense route.
+        x = rhs.to_array(support) + 0.0
+        moved = map(tuple, operator.swap(support).tolist())
+        return SupportedVector(rhs.dimension, dict(zip(moved, x.tolist())))
     window = lattice_section(domain, n)
     b = rhs.to_array(window)
     inverse_norm(operator, domain, n, tau_rel)
-    if isinstance(operator, AdjacencyGraph):
-        # No edge is cut, so S is an involution: x = S b, swapped in place.
-        ends = window.locate(operator.edge_array).reshape(-1, 2)
-        ends = ends[ends[:, 0] >= 0]
-        x = b
-        x[ends] = x[ends[:, ::-1]]
-    else:
-        x = np.linalg.solve(assemble(operator, window, window).data, b)
+    x = np.linalg.solve(assemble(operator, window, window).data, b)
     # clears the -0.0 parts, which BLAS signs by an entry's position in the block
     x += 0.0
     return SupportedVector.from_array(window, x)

@@ -273,12 +273,13 @@ class SupportedVector:
         values = np.array(list(self.entries.values()), dtype=complex)
         return held, points.reshape(-1, self.dimension), values
 
+    def _check_window_dimension(self, dimension: int) -> None:
+        if dimension != self.dimension:
+            raise ValueError(f"a {self.dimension}-D vector cannot fill a {dimension}-D window")
+
     def _positions(self, index_set: IndexSet) -> np.ndarray:
         """Place of each entry in `index_set`, in entry order; -1 where it is absent."""
-        if index_set.dimension != self.dimension:
-            raise ValueError(
-                f"a {self.dimension}-D vector cannot fill a {index_set.dimension}-D window"
-            )
+        self._check_window_dimension(index_set.dimension)
         held, points, _ = self._support
         positions = np.full(len(held), -1, dtype=np.intp)
         positions[held] = index_set.locate(points)
@@ -288,6 +289,12 @@ class SupportedVector:
         inside = (self._positions(index_set) >= 0).tolist()
         kept = itertools.compress(self.entries.items(), inside)
         return SupportedVector(self.dimension, dict(kept))
+
+    def support_in(self, domain: StarlikeDomain, n: int) -> IndexSet:
+        """The points of the entries inside window n; an entry past int64 lies in none."""
+        self._check_window_dimension(domain.dimension)
+        points = self._support[1]
+        return IndexSet.from_array(self.dimension, points[domain.contains_array(points, n)])
 
     def norm_outside(self, domain: StarlikeDomain, n: int) -> float:
         """Norm of the entries outside window n, summed in entry order.

@@ -19,12 +19,12 @@ __all__ = [
 ]
 
 # Memory budget, in bytes, of one window: the dense block that assemble
-# allocates and numpy's LAPACK copy of it (_check_dense_budget), the points
-# and triplets of a scanned window (_check_window_budget), or the arrays of
-# an adjacency swap (_check_solve_budget).  Each charge counts its windows
-# before they are built, walking rows only until the budget is passed.  A
-# convergence study runs no more per-n windows at once than it holds dense
-# blocks of the tallest one.
+# allocates and numpy's LAPACK copy of it (_check_dense_budget), or the
+# points and triplets of a scanned window (_check_window_budget).  An
+# adjacency solve builds no window and is not charged.  Each charge counts
+# its windows before they are built, walking rows only until the budget is
+# passed.  A convergence study runs no more per-n windows at once than it
+# holds dense blocks of the tallest one.
 DENSE_BUDGET_BYTES = 2 * 1024**3
 
 
@@ -116,13 +116,11 @@ def _check_dense_budget(domain: StarlikeDomain, m: int, n: int) -> None:
     _check_budget(*_dense_charge(domain, m, n))
 
 
-def _check_window(
-    domain: StarlikeDomain, n: int, per_point: int, rest: str, reserved: int = 0
-) -> None:
-    """Refuse window n at per_point bytes a point and the `reserved` bytes named by `rest`."""
-    size, exact = _count_section(domain, n, max(0, DENSE_BUDGET_BYTES - reserved) // per_point)
+def _check_window(domain: StarlikeDomain, n: int, per_point: int, rest: str) -> None:
+    """Refuse window n at per_point bytes a point; `rest` ends the refusal's name."""
+    size, exact = _count_section(domain, n, DENSE_BUDGET_BYTES // per_point)
     points = f"{size} points" if exact else f"at least {size} points"
-    _check_budget(size * per_point + reserved, f"window of {points}{rest}", exact)
+    _check_budget(size * per_point, f"window of {points}{rest}", exact)
 
 
 def _check_window_budget(operator: OperatorSpec, domain: StarlikeDomain, n: int) -> None:
@@ -140,19 +138,11 @@ def _check_window_budget(operator: OperatorSpec, domain: StarlikeDomain, n: int)
 
 
 def _check_solve_budget(operator: OperatorSpec, domain: StarlikeDomain, n: int) -> None:
-    """Charge a square solve over window n: an adjacency graph's swap, else a dense block.
-
-    As measured with tracemalloc, the swap holds per window point its int64
-    row and key (8N + 8 bytes), b, swapped in place (16), and two mask
-    bytes, and per edge end the working arrays of locating it in the window
-    (16N + 12 bytes).
-    """
+    """Charge a square solve over window n as a dense block.  An adjacency graph's
+    solve builds no window: about 36 + 16N bytes per edge (tracemalloc), under
+    the 19 + 64N that building the graph peaked at."""
     if not isinstance(operator, AdjacencyGraph):
-        return _check_dense_budget(domain, n, n)
-    dim = operator.dimension
-    ends = len(operator.edge_array)
-    rest = f" and {ends} edge ends" if ends else ""
-    _check_window(domain, n, 26 + 8 * dim, rest, ends * (12 + 16 * dim))
+        _check_dense_budget(domain, n, n)
 
 
 def _check_edge_family_budget(edges: int, dimension: int) -> None:

@@ -5,8 +5,10 @@ singular-value oracle runs entirely in exact integer/rational arithmetic
 (characteristic polynomial + Sturm-chain bisection on the Gram matrix),
 and the geometry oracle enumerates bounding boxes directly against the
 facet inequalities.  The identity operator, whose sections are known
-exactly, is built here from one constant diagonal, and the diagonal table
-of an adjacency graph edge by edge, as the reference for its swap.
+exactly, is built here from one constant diagonal, the diagonal table
+of an adjacency graph edge by edge, as the reference for its swap, and
+the square adjacency solve over its whole window, as the reference for
+the solve that moves only the right-hand side's support.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from finsec import BandDiagonals, ConstantRule, TableRule
+from finsec import BandDiagonals, ConstantRule, SupportedVector, TableRule, lattice_section
+from finsec.fsm import inverse_norm
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +48,22 @@ def adjacency_diagonals(graph):
         (d, TableRule(tuple(sorted(table)), 1.0 + 0j if d == zero else 0j))
         for d, table in sorted(rows.items())
     )
+
+
+def window_swap_solve(graph, rhs, domain, n):
+    """fsm_solve of an adjacency graph by swapping b over the whole window n.
+
+    b is placed in the window, inverse_norm takes the verdict (raising on a
+    singular window), and the entries at the two ends of each edge inside
+    trade places; + 0.0 clears the -0.0 parts.
+    """
+    window = lattice_section(domain, n)
+    b = rhs.to_array(window)
+    inverse_norm(graph, domain, n)
+    ends = window.locate(graph.edge_array).reshape(-1, 2)
+    ends = ends[ends[:, 0] >= 0]
+    b[ends] = b[ends[:, ::-1]]
+    return SupportedVector.from_array(window, b + 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -67,21 +67,43 @@ def test_oversized_dense_window_exits_2(tmp_path, monkeypatch, capsys):
     assert "9 x 9 needs 2592 bytes" in err and "Traceback" not in err
 
 
-def test_adjacency_solve_is_charged_as_a_window_not_a_block(tmp_path, monkeypatch, capsys):
-    # window n = 40 of blockdiag: 81 points, a 104,976-byte dense block, and
-    # 81 * (26 + 8) + 80 * (12 + 16) = 4,994 bytes as a swap over 80 edge ends
+def test_adjacency_solve_is_charged_for_its_edges_not_a_block(tmp_path, monkeypatch, capsys):
+    # window n = 40 of blockdiag is an 81 x 81 dense block of 104,976 bytes, but
+    # the solve moves only b's entries: its 40 edges fit their 3,520-byte charge
     monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", 10000)
     rhs = tmp_path / "rhs.json"
     rhs.write_text(json.dumps({"dimension": 1, "entries": {"1": "1", "-40": "2"}}))
     argv = ["solve-fsm", "--example", "blockdiag", "--rhs", str(rhs), "--n"]
-    code, out, err = run_cli([*argv, "40"], capsys)
-    assert code == 0, err
-    assert out == "point,real,imag\n-39,2,0\n2,1,0\n"
-    # the 100 edges fit their 8,800-byte family charge; the swap over 201 points
-    # and 200 edge ends, 12,434 bytes, is refused once they are generated
-    code, out, err = run_cli([*argv, "100"], capsys)
+    for n in ("40", "100"):  # 100 edges, 8,800 bytes
+        code, out, err = run_cli([*argv, n], capsys)
+        assert code == 0, err
+        assert out == "point,real,imag\n-39,2,0\n2,1,0\n"
+    code, out, err = run_cli([*argv, "200"], capsys)
     assert code == 2 and out == ""
-    assert "window of 201 points and 200 edge ends needs 12434 bytes" in err
+    assert "edge family of 200 edges needs 17600 bytes" in err
+
+
+def test_adjacency_solve_refuses_the_rhs_dimension_then_the_coverage_then_a_singular_window(
+    tmp_path, capsys
+):
+    gen = tmp_path / "gen.json"  # sierror edges, complete up to radius 8
+    gen.write_text(json.dumps({"variant": "adjacency", "generator": "sierror", "bound": 2}))
+    rhs_1d, rhs_2d = tmp_path / "r1.json", tmp_path / "r2.json"
+    rhs_1d.write_text(json.dumps({"dimension": 1, "entries": {"0": "1"}}))
+    rhs_2d.write_text(json.dumps({"dimension": 2, "entries": {"0;1": "1"}}))
+    windows = [
+        (["--example", "sierror", "--n", "5"], 0, ""),
+        (["--example", "sierror", "--n", "4"], 3, "section at n=4 is singular"),
+        (["--operator", str(gen), "--omega", "square", "--n", "9"], 2,
+         "window n=9 needs edges complete up to max-norm radius 9"),
+    ]
+    for window, exit_code, message in windows:
+        code, out, err = run_cli(["solve-fsm", *window, "--rhs", str(rhs_1d)], capsys)
+        assert code == 2 and out == ""
+        assert "a 1-D vector cannot fill a 2-D window" in err and "Traceback" not in err
+        code, out, err = run_cli(["solve-fsm", *window, "--rhs", str(rhs_2d)], capsys)
+        assert code == exit_code, err
+        assert message in err and "Traceback" not in err
 
 
 def test_dense_solve_prints_no_negative_zero(tmp_path, capsys):
@@ -108,17 +130,16 @@ def test_dense_solve_prints_no_negative_zero(tmp_path, capsys):
         (["solve-rfsm", "--n", "1000", "--m", "1001"], "dense window 2003 x 2001 needs"),
         (["solve-rfsm", "--epsilon", "1e-2", "--a-norm", "1", "--a-inv-norm", "1",
           "--reference-n", "1000"], "dense window 2003 x 2001 needs"),
-        # 10,000 edges fit their 880,000-byte family charge, but not the swap over them
-        (["solve-fsm", "--n", "10000"],
-         "window of 20001 points and 20000 edge ends needs 1240034 bytes"),
+        # a square solve builds no window: only its edge family is charged
+        (["solve-fsm", "--n", "20000"], "edge family of 20000 edges needs 1760000 bytes"),
     ],
     ids=[f"command{i}" for i in range(5)],
 )
 def test_dense_commands_refuse_before_the_generator_is_built(
     command, refusal, tmp_path, monkeypatch, capsys
 ):
-    # The edge family is charged and generated first, then the command's block or
-    # swap is refused; what it built by then stays within the budget.
+    # The edge family is charged and generated first, then the command's block is
+    # refused; what it built by then stays within the budget.
     monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", 10**6)
     rhs = tmp_path / "rhs.json"
     rhs.write_text(json.dumps({"dimension": 1, "entries": {"0": "1"}}))
@@ -1102,7 +1123,7 @@ def test_pinned_and_benchmark_invocations_parse(tmp_path):
     invocations = list(runpy.run_path(ROOT / "tools" / "pinned_outputs.py")["INVOCATIONS"])
     workloads = runpy.run_path(ROOT / "bench" / "workloads.py", run_name="workloads")["WORKLOADS"]
     invocations += [w.prepare(0, False, tmp_path)[0] for w in workloads.values()]
-    assert len(invocations) == 19 + 4
+    assert len(invocations) == 20 + 4
     parser = cli.build_parser()
     for argv in invocations:
         parser.parse_args(argv)

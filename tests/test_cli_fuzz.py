@@ -12,8 +12,9 @@ Window cut-offs stay small, so a study starts only its few threads,
 except that about one 2-D draw of `scan`, `solve-fsm`, `solve-rfsm` or
 `study` in ten moves them past 10^6 or 10^9: every such window passes
 the memory budget, so the draw must be refused (exit 2 or 3) without
-walking the window.  Only a scan of an adjacency operator, which takes
-its verdict from the edges and builds no window, may then succeed.
+walking the window.  Only a scan or square solve of an adjacency
+operator, which take their verdict from the edges and build no window,
+may then succeed.
 About one draw of `solve-fsm`, `solve-rfsm` or `study` in ten instead
 takes the `blockdiag` or `diamond` edges out to a window past 10^6 or
 10^9 under a 10^7-byte budget, which must refuse it (exit 2 or 3).
@@ -222,7 +223,7 @@ def invocations(draw, workdir):
         large = pick(draw, [0], [10**6, 10**9])
         nmin, nmax = nmin + large, nmax + large
         if large:
-            codes = (0, 2, 3) if command == "scan" and adjacency else (2, 3)
+            codes = (0, 2, 3) if command in ("scan", "solve-fsm") and adjacency else (2, 3)
 
     if command == "scan":
         flags += ["--nmin", str(nmin), "--nmax", str(nmax)]

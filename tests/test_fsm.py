@@ -27,10 +27,11 @@ from finsec import (
     stability_scan,
 )
 from finsec import fsm, linalg
+from finsec.catalog import minimal_bound
 from finsec.fsm import VERDICT_NORM_CAP, VERDICT_SINGULAR, VERDICT_STABLE, section_extremes
 from finsec.linalg import TAU_REL_DEFAULT, singular_values
 from conftest import random_band_operator
-from oracles import identity_operator, singular_value_extremes
+from oracles import identity_operator, singular_value_extremes, window_swap_solve
 
 D_INT = [[1, 1, 1], [1, 1, 0], [1, 0, 0]]
 
@@ -402,6 +403,42 @@ def test_sparse_solve_refuses_exactly_the_windows_the_sparse_scan_does(
     assert solved == [n % 3 != 2 for n in range(1, 13)]
     assert len(sparse_everywhere) == 2 * 12  # the solves took the scan's route
     assert any(r is not None for r in sparse_everywhere)
+
+
+@pytest.mark.parametrize(
+    "case_id, domain_id",
+    [("blockdiag", None), ("rarosi", None), ("sierror", None), ("diamond", None),
+     ("rarosi", "diamond"), ("sierror", "diamond"), ("diamond", "diamond")],
+)
+def test_adjacency_solve_moves_only_the_support_as_the_window_swap_does(case_id, domain_id):
+    rng = np.random.default_rng(7)
+    probe = build_example(case_id, 1)
+    domain = builtin_domain(domain_id) if domain_id else probe.domain
+    case = build_example(case_id, minimal_bound(case_id, domain.enclosing_radius(11)))
+    past_int64 = (2**63,) * domain.dimension
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("the adjacency solve built a window")
+
+    for n in range(1, 12):
+        # entries inside window n and just outside it, with -0.0 parts
+        points = lattice_section(domain, n + 1).points
+        picked = rng.choice(len(points), size=min(len(points), 6), replace=False)
+        parts = rng.choice(RHS_PARTS, size=(len(picked), 2))
+        entries = {points[k]: complex(*v) for k, v in zip(picked, parts)}
+        rhs = SupportedVector.from_entries(domain.dimension, {**entries, past_int64: 1})
+        try:
+            expected = window_swap_solve(case.operator, rhs, domain, n)
+        except SingularSectionError as exc:
+            expected = str(exc)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fsm, "lattice_section", unreached)
+            try:
+                u = fsm_solve(case.operator, rhs, domain, n)
+            except SingularSectionError as exc:
+                assert str(exc) == expected
+                continue
+        assert _parts_equal(u.entries, expected.entries)
 
 
 # ---------------------------------------------------------------------------

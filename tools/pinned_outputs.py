@@ -48,6 +48,7 @@ INVOCATIONS = (
     ],
     ["solve-fsm", "--example", "blockdiag", "--n", "40", "--rhs", "sz.json", "--format", "csv"],
     ["solve-fsm", "--example", "sierror", "--n", "20", "--rhs", "adj.json", "--format", "json"],
+    ["solve-fsm", "--example", "sierror", "--n", "1000", "--rhs", "adj.json", "--format", "json"],
     [
         "study", "--operator", "matching.json", "--omega", "interval", "--nmax", "20",
         "--reference-n", "60", "--rhs", "sz.json", "--format", "json",

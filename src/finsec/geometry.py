@@ -109,6 +109,8 @@ class StarlikeDomain:
 
     def contains_array(self, points: np.ndarray, n: int) -> np.ndarray:
         """Boolean mask of the rows of a (k, N) int64 array inside the n-fold dilation."""
+        if n < 1:
+            raise ValueError("n must be >= 1")
         inside = np.ones(len(points), dtype=bool)
         if not len(points):
             return inside
@@ -286,8 +288,8 @@ def _feasible_vertices(
     return out
 
 
-def _is_bounded(normals: Sequence[tuple], dim: int) -> bool:
-    """True iff the recession cone {x : a.x <= 0 for all a} is trivial."""
+def _positively_spans(normals: Sequence[tuple], dim: int) -> bool:
+    """True iff the vectors positively span: the cone {x : a.x <= 0 for all a} is trivial."""
     if _rank(normals, dim) < dim:
         return False
     for subset in itertools.combinations(normals, dim - 1):
@@ -315,47 +317,6 @@ def _ceil_frac(q: Fraction) -> int:
 # ---------------------------------------------------------------------------
 
 
-RationalFacet = tuple[tuple[Fraction, ...], Fraction, bool]
-
-
-def _hull_facets_1d(vertices: list[tuple[Fraction, ...]]) -> list[RationalFacet]:
-    xs = [v[0] for v in vertices]
-    lo, hi = min(xs), max(xs)
-    if lo == hi:
-        raise ZeroNotInteriorError("vertex set has empty interior")
-    return [((Fraction(1),), hi, True), ((Fraction(-1),), -lo, True)]
-
-
-def _hull_facets_2d(vertices: list[tuple[Fraction, ...]]) -> list[RationalFacet]:
-    # Andrew's monotone chain over exact rational points.
-    pts = sorted(set(vertices))
-    if len(pts) < 3:
-        raise ZeroNotInteriorError("vertex set has empty interior")
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[tuple[Fraction, ...]] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[tuple[Fraction, ...]] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]  # counter-clockwise
-    if len(hull) < 3:
-        raise ZeroNotInteriorError("vertex set has empty interior")
-    facets = []
-    for p, q in zip(hull, hull[1:] + hull[:1]):
-        dx, dy = q[0] - p[0], q[1] - p[1]
-        normal = (dy, -dx)  # outward for counter-clockwise orientation
-        facets.append((normal, _dot(normal, p), True))
-    return facets
-
-
 def validate_domain(
     facets: Iterable | None = None,
     vertices: Iterable | None = None,
@@ -365,42 +326,44 @@ def validate_domain(
     """Build and validate a domain from facet data or a vertex list.
 
     Facets are (normal, offset) or (normal, offset, closed) triples with
-    rational entries (ints, Fractions or "p/q" strings).  A vertex list is
-    converted to facets via its exact convex hull (dimension <= 2).  The
-    domain stores each facet once, as its integer row (see _integer_row).
+    rational entries (ints, Fractions or "p/q" strings).  A vertex list V,
+    in any dimension, must positively span, which holds exactly when 0 is
+    interior to its convex hull P.  P's facets are then the closed
+    y.x <= 1, one per vertex y of the polar {y : v.y <= 1 for all v in V},
+    which is bounded.  The domain stores each facet once, as its integer
+    row (see _integer_row).
 
-    Raises ZeroNotInteriorError when 0 fails some facet strictly and
-    UnboundedDomainError when the normals do not positively span.
+    Raises ValueError for a dimension below 1, ZeroNotInteriorError when 0
+    is not interior (a vertex list that does not positively span, or a
+    facet offset <= 0) and UnboundedDomainError when the facet normals do
+    not positively span.
     """
     if (facets is None) == (vertices is None):
         raise ValueError("provide exactly one of facets or vertices")
 
-    if vertices is not None:
-        vlist = [tuple(_frac(c) for c in v) for v in vertices]
-        if not vlist:
-            raise ValueError("empty vertex list")
-        dim = dimension or len(vlist[0])
-        if any(len(v) != dim for v in vlist):
-            raise ValueError("inconsistent vertex dimensions")
-        if dim == 1:
-            facet_list = _hull_facets_1d(vlist)
-        elif dim == 2:
-            facet_list = _hull_facets_2d(vlist)
-        else:
-            raise ValueError(
-                "vertex input is supported for dimension <= 2; give facets directly"
-            )
+    kind = "vertex" if facets is None else "facet"
+    if facets is None:
+        vectors = [tuple(_frac(c) for c in v) for v in vertices]
     else:
         facet_list = []
         for item in facets:
             normal, offset, *rest = item
             closed = rest[0] if rest else True
             facet_list.append((tuple(_frac(c) for c in normal), _frac(offset), bool(closed)))
-        if not facet_list:
-            raise ValueError("empty facet list")
-        dim = dimension or len(facet_list[0][0])
-        if any(len(normal) != dim for normal, _, _ in facet_list):
-            raise ValueError("inconsistent facet dimensions")
+        vectors = [normal for normal, _, _ in facet_list]
+    if not vectors:
+        raise ValueError(f"empty {kind} list")
+    dim = dimension or len(vectors[0])
+    if any(len(v) != dim for v in vectors):
+        raise ValueError(f"inconsistent {kind} dimensions")
+    if dim < 1:
+        raise ValueError(f"a domain needs dimension >= 1, got {dim}")
+
+    if facets is None:
+        if not _positively_spans(vectors, dim):
+            raise ZeroNotInteriorError("origin is not interior to the hull of the vertices")
+        one = Fraction(1)
+        facet_list = [(y, one, True) for y in _feasible_vertices([(v, one) for v in vectors], dim)]
 
     if any(not closed for _, _, closed in facet_list) and dim > 1:
         raise OpenFacetError("open facets are supported in dimension 1 only")
@@ -412,7 +375,7 @@ def validate_domain(
             )
 
     rows = tuple(_integer_row(normal, offset) + (closed,) for normal, offset, closed in facet_list)
-    if not _is_bounded([a for a, _, _ in rows], dim):
+    if not _positively_spans([a for a, _, _ in rows], dim):
         raise UnboundedDomainError("facet normals do not positively span the space")
 
     verts = _feasible_vertices([(a, b) for a, b, _ in rows], dim)

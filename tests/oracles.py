@@ -8,7 +8,9 @@ facet inequalities.  The identity operator, whose sections are known
 exactly, is built here from one constant diagonal, the diagonal table
 of an adjacency graph edge by edge, as the reference for its swap, and
 the square adjacency solve over its whole window, as the reference for
-the solve that moves only the right-hand side's support.
+the solve that moves only the right-hand side's support.  The convex
+hulls of 1-D and 2-D point sets, by min/max and by Andrew's monotone
+chain, are the reference for vertex domains built through the polar.
 """
 
 from __future__ import annotations
@@ -89,6 +91,44 @@ def brute_force_section(facets, n, radius):
     dim = len(facets[0][0])
     box = itertools.product(range(-radius, radius + 1), repeat=dim)
     return sorted(p for p in box if in_dilation(facets, p, n))
+
+
+# ---------------------------------------------------------------------------
+# convex hull oracle (1-D and 2-D rational points)
+# ---------------------------------------------------------------------------
+
+
+def hull_facets(points):
+    """Facets (normal, offset) of the convex hull of 1-D or 2-D rational points.
+
+    Each facet is normal.x <= offset with an outward normal; None when the
+    hull has empty interior.
+    """
+    points = [tuple(map(Fraction, p)) for p in points]
+    if len(points[0]) == 1:
+        lo, hi = min(points)[0], max(points)[0]
+        return None if lo == hi else [((Fraction(1),), hi), ((Fraction(-1),), -lo)]
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def chain(pts):
+        out = []
+        for p in pts:
+            while len(out) >= 2 and cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    pts = sorted(set(points))
+    hull = chain(pts) + chain(reversed(pts))  # counter-clockwise
+    if len(hull) < 3:
+        return None
+    facets = []
+    for p, q in zip(hull, hull[1:] + hull[:1]):
+        normal = (q[1] - p[1], p[0] - q[0])  # outward for counter-clockwise order
+        facets.append((normal, normal[0] * p[0] + normal[1] * p[1]))
+    return facets
 
 
 # ---------------------------------------------------------------------------

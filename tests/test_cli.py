@@ -980,6 +980,25 @@ def test_solve_fsm_blockdiag(tmp_path, capsys):
     assert payload["entries"] == {"2": [1.0, 0.0]}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--example", "blockdiag", "--nmin", "0", "--nmax", "3"],
+        ["solve-fsm", "--example", "blockdiag", "--n", "0"],
+        ["solve-fsm", "--example", "blockdiag", "--n", "-3"],
+        ["solve-fsm", "--example", "worked_A", "--n", "0"],
+    ],
+)
+def test_cut_offs_below_1_exit_2_for_every_operator_kind(argv, tmp_path, capsys):
+    rhs = tmp_path / "r1.json"
+    rhs.write_text(json.dumps({"dimension": 1, "entries": {"0": "1"}}))
+    if argv[0] == "solve-fsm":
+        argv = [*argv, "--rhs", str(rhs)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert "n must be >= 1" in err and "Traceback" not in err
+
+
 SOLVE_BLOCKDIAG_CSV = """\
 point,real,imag
 -1,0.25,1
@@ -1123,7 +1142,7 @@ def test_pinned_and_benchmark_invocations_parse(tmp_path):
     invocations = list(runpy.run_path(ROOT / "tools" / "pinned_outputs.py")["INVOCATIONS"])
     workloads = runpy.run_path(ROOT / "bench" / "workloads.py", run_name="workloads")["WORKLOADS"]
     invocations += [w.prepare(0, False, tmp_path)[0] for w in workloads.values()]
-    assert len(invocations) == 20 + 4
+    assert len(invocations) == 21 + 4
     parser = cli.build_parser()
     for argv in invocations:
         parser.parse_args(argv)

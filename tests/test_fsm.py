@@ -466,6 +466,22 @@ def test_criterion_requires_enough_coverage():
         adjacency_section_invertible(case.operator, case.domain, 9)
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_adjacency_cut_offs_below_1_refused_as_band_ones_are(n, square):
+    case = build_example("sierror", 3)
+    rhs = SupportedVector(2, {(0, 0): 1.0})
+    for call in (
+        lambda: inverse_norm(case.operator, square, n),
+        lambda: adjacency_section_invertible(case.operator, square, n),
+        lambda: stability_scan(case.operator, square, [n, 1]),
+        lambda: fsm_solve(case.operator, rhs, square, n),
+        lambda: fsm_solve(case.operator, SupportedVector(2, {}), square, n),
+        lambda: inverse_norm(identity_operator(2), square, n),
+    ):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            call()
+
+
 def test_criterion_agrees_with_numeric_involution(interval):
     # wherever the criterion holds, the section squares to the identity and
     # the inverse norm is exactly 1

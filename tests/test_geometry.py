@@ -20,7 +20,7 @@ from finsec import (
     validate_domain,
 )
 from finsec import geometry
-from oracles import brute_force_section, in_dilation
+from oracles import brute_force_section, hull_facets, in_dilation
 
 
 # Each built-in domain as rational (normal, offset, closed) half-spaces, written
@@ -99,6 +99,103 @@ def test_open_facets_only_in_dimension_one():
 def test_float_domain_data_rejected():
     with pytest.raises(ValueError):
         validate_domain(facets=[((0.3,), 1), ((-1,), 1)])
+
+
+@pytest.mark.parametrize("data", [{"facets": [((), 1)]}, {"vertices": [()]}])
+def test_zero_dimensional_domain_refused_by_name(data):
+    with pytest.raises(ValueError, match="a domain needs dimension >= 1, got 0"):
+        validate_domain(**data)
+
+
+# ---------------------------------------------------------------------------
+# vertex domains through the polar
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def rational_vertex_sets(draw):
+    """1 to 7 rational 1-D or 2-D points, with repeats, midpoints and rays through 0.
+
+    A flat draw puts every point on one line, through 0 or beside it.
+    """
+    dim = draw(st.sampled_from([1, 2]))
+    coordinate = _fraction((-4, 4), (1, 3))
+    point = st.tuples(*[coordinate] * dim)
+    if dim == 2 and draw(st.booleans()):  # flat
+        base, step = draw(point), draw(point)
+        return [
+            tuple(b + t * c for b, c in zip(base, step))
+            for t in draw(st.lists(coordinate, min_size=1, max_size=7))
+        ]
+    points = draw(st.lists(point, min_size=1, max_size=7))
+    for _ in range(draw(st.integers(0, 3))):
+        p, q = draw(st.sampled_from(points)), draw(st.sampled_from(points))
+        points.append(draw(st.sampled_from([
+            p,  # repeated
+            tuple((a + b) / 2 for a, b in zip(p, q)),  # on a segment: interior or collinear
+            tuple(draw(coordinate) * a for a in p),  # on the line through 0 and p
+            (Fraction(0),) * dim,  # 0 inside, on the boundary or a corner
+        ])))
+    return draw(st.permutations(points))
+
+
+@given(rational_vertex_sets())
+@settings(max_examples=300, deadline=None)
+def test_vertex_domains_match_the_monotone_chain(points):
+    facets = hull_facets(points)
+    if facets is None or any(offset <= 0 for _, offset in facets):
+        with pytest.raises(ZeroNotInteriorError):
+            validate_domain(vertices=points)
+        return
+    built, reference = validate_domain(vertices=points), validate_domain(facets=facets)
+    assert len(built.facets) == len(reference.facets)
+    assert set(built.facets) == set(reference.facets)
+    assert built.vertices == reference.vertices
+
+
+SIMPLEX_VERTICES = [("3/2", 0, 0), (0, "2/3", 0), (0, 0, "5/4"), ("-1/2", "-1/3", "-1/2")]
+SOLIDS = {
+    "octahedron": (
+        [tuple(s * (j == k) for k in range(3)) for j in range(3) for s in (1, -1)],
+        [(normal, 1) for normal in itertools.product((1, -1), repeat=3)],
+    ),
+    "cube": (
+        list(itertools.product((1, -1), repeat=3)),
+        [(tuple(s * (j == k) for k in range(3)), 1) for j in range(3) for s in (1, -1)],
+    ),
+    "simplex": (
+        SIMPLEX_VERTICES,
+        [(("2/3", "3/2", "4/5"), 1), (("2/3", "3/2", "-11/3"), 1),
+         (("2/3", "-26/5", "4/5"), 1), (("-19/5", "3/2", "4/5"), 1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SOLIDS)
+def test_solid_from_vertices_equals_its_facet_form(name):
+    vertices, facets = SOLIDS[name]
+    built, reference = validate_domain(vertices=vertices), validate_domain(facets=facets)
+    assert sorted(built.facets) == sorted(reference.facets)
+    assert built.vertices == reference.vertices
+    assert set(built.vertices) == {tuple(map(Fraction, v)) for v in vertices}
+    for n in (1, 2, 3):
+        assert lattice_section(built, n) == lattice_section(reference, n)
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        # 0 on a face of the box [0, 1] x [-1, 1] x [-1, 1], on an edge, at a corner
+        [(x, y, z) for x in (0, 1) for y in (1, -1) for z in (1, -1)],
+        [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (1, -1)],
+        [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)],
+        # flat: the octahedron's square section z = 0
+        [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)],
+    ],
+)
+def test_solid_vertices_without_0_in_the_interior_refused(vertices):
+    with pytest.raises(ZeroNotInteriorError):
+        validate_domain(vertices=vertices)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ Each invocation runs in a fresh interpreter on the ``src`` tree beside this
 script, with BLAS pinned to one thread and this script's directory as its
 working directory, so the input files kept here (``lap5.json``, the
 constant 5-point operator with diagonal 5, ``far.json``, ``adj.json``,
-``sz.json``, whose entries carry signed zeros, and ``matching.json``, a
+``sz.json``, whose entries carry signed zeros, ``matching.json``, a
 fixed random matching of the points -300..299 into 300 edges of 216
-distinct lengths) are named by relative paths.  Its file in OUT_DIR holds the exit code,
+distinct lengths, and ``pent.json``, a pentagon with rational corners
+given by eight points, three of them not vertices) are named by
+relative paths.  Its file in OUT_DIR holds the exit code,
 stdout and stderr.  finsec's outputs are byte-deterministic, so running this on two
 checkouts and comparing with ``diff -r`` shows every output byte a change
 moves; copy the ``.json`` inputs along when the parent lacks them.
@@ -52,6 +54,10 @@ INVOCATIONS = (
     [
         "study", "--operator", "matching.json", "--omega", "interval", "--nmax", "20",
         "--reference-n", "60", "--rhs", "sz.json", "--format", "json",
+    ],
+    [
+        "scan", "--operator", "lap5.json", "--omega", "pent.json", "--nmax", "10",
+        "--format", "json",
     ],
 )
 

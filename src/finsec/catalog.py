@@ -1,9 +1,10 @@
 """Registry of built-in cases: operators, domains, right-hand sides, expectations.
 
-Each case carries check functions over one shared stability scan, so a
-single call can re-verify the documented behavior (which cut-offs are
-singular, which residue classes stay stable, how fast rectangular solves
-converge).
+Each case carries check functions over stability scans, at most one per
+domain in each call, so a single call can re-verify the documented behavior
+(which cut-offs are singular, which residue classes stay stable, how fast
+rectangular solves converge).  An adjacency scan decides each window by the
+exact edge criterion, so the criterion checks read the scan itself.
 """
 
 from __future__ import annotations
@@ -16,14 +17,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import UnknownExampleError
-from .fsm import (
-    VERDICT_STABLE,
-    adjacency_section_invertible,
-    classify_subsequences,
-    stability_scan,
-)
+from .fsm import VERDICT_STABLE, classify_subsequences, stability_scan
 from .geometry import IndexSet, StarlikeDomain, validate_domain
-from .linalg import TAU_REL_DEFAULT
+from .linalg import TAU_REL_DEFAULT, invertible
 from .operators import (
     AdjacencyGraph,
     BandDiagonals,
@@ -33,7 +29,7 @@ from .operators import (
     SupportedVector,
     compose_shift,
 )
-from .reports import StabilityReport
+from .reports import StabilityRecord, StabilityReport
 from .sections import _check_edge_family_budget
 
 __all__ = [
@@ -146,8 +142,9 @@ def minimal_bound(case_id: str, radius: int) -> int:
 
 
 # A check receives the case, the cut-off and a callable returning the stability
-# scan over n = 1..n_max, run at most once per expected_outcomes call.
-ScanFn = Callable[[], StabilityReport]
+# scan over n = 1..n_max of a domain; expected_outcomes runs at most one scan
+# per domain.
+ScanFn = Callable[[StarlikeDomain], StabilityReport]
 Check = Callable[[ExampleCase, int, ScanFn], CheckResult]
 
 
@@ -157,38 +154,19 @@ def _verdict(name: str, bad: list[int], bad_text: str, good_text: str) -> CheckR
 
 def _scan_verdicts(
     name: str,
-    expect: Callable[[ExampleCase, int], bool | None],
-    bad_text: str,
-    good_text: str,
-) -> Check:
-    """Check that the scanned verdict at each n equals expect(case, n); None skips n."""
-
-    def check(case: ExampleCase, n_max: int, scan: ScanFn) -> CheckResult:
-        bad = [
-            rec.n
-            for rec in scan().records
-            if expect(case, rec.n) not in (None, rec.invertible)
-        ]
-        return _verdict(name, bad, bad_text, good_text.format(n_max=n_max))
-
-    return check
-
-
-def _criterion_verdicts(
-    name: str,
-    expect: Callable[[int], bool],
+    expect: Callable[[StabilityRecord], bool | None],
     bad_text: str,
     good_text: str,
     domain: StarlikeDomain | None = None,
 ) -> Check:
-    """Check the edge criterion on `domain` (default: the case's) against expect(n)."""
+    """Check that each record of the scan of `domain` (default: the case's) has the verdict
+    expect(record); None skips the record."""
 
     def check(case: ExampleCase, n_max: int, scan: ScanFn) -> CheckResult:
-        window = case.domain if domain is None else domain
         bad = [
-            n
-            for n in range(1, n_max + 1)
-            if adjacency_section_invertible(case.operator, window, n) != expect(n)
+            rec.n
+            for rec in scan(case.domain if domain is None else domain).records
+            if expect(rec) not in (None, rec.invertible)
         ]
         return _verdict(name, bad, bad_text, good_text.format(n_max=n_max))
 
@@ -199,7 +177,7 @@ def _criterion_verdicts(
 # worked operator has a zero row or column.
 _all_singular = _scan_verdicts(
     "all-sections-singular",
-    lambda case, n: False,
+    lambda rec: False,
     "invertible",
     "all n <= {n_max} singular",
 )
@@ -208,7 +186,7 @@ _all_singular = _scan_verdicts(
 def _even_norm_one(case: ExampleCase, n_max: int, scan: ScanFn) -> CheckResult:
     deviations = [
         abs(rec.inverse_norm - 1.0)
-        for rec in scan().records
+        for rec in scan(case.domain).records
         if rec.n % 2 == 0 and rec.invertible
     ]
     worst = max(deviations, default=0.0)
@@ -220,7 +198,7 @@ def _even_norm_one(case: ExampleCase, n_max: int, scan: ScanFn) -> CheckResult:
 
 
 def _inverse_norm_one(case: ExampleCase, n_max: int, scan: ScanFn) -> CheckResult:
-    records = scan().records
+    records = scan(case.domain).records
     if any(not rec.invertible for rec in records):
         return CheckResult("inverse-norm-one", False, "a section was singular")
     worst = max(abs(rec.inverse_norm - 1.0) for rec in records)
@@ -230,7 +208,7 @@ def _inverse_norm_one(case: ExampleCase, n_max: int, scan: ScanFn) -> CheckResul
 
 
 def _no_stable_residue_mod3(case: ExampleCase, n_max: int, scan: ScanFn) -> CheckResult:
-    verdicts = classify_subsequences(scan(), 3)
+    verdicts = classify_subsequences(scan(case.domain), 3)
     stable = [r for r, v in verdicts.items() if v == VERDICT_STABLE]
     return CheckResult("no-stable-residue-mod-3", not stable, f"verdicts {verdicts}")
 
@@ -259,7 +237,7 @@ def _rfsm_band_error_bound(case: ExampleCase, n_max: int, scan: ScanFn) -> Check
 
 
 def _residue_one_stable(case: ExampleCase, n_max: int, scan: ScanFn) -> CheckResult:
-    ones = [rec for rec in scan().records if rec.n % 3 == 1]
+    ones = [rec for rec in scan(case.domain).records if rec.n % 3 == 1]
     if any(not rec.invertible for rec in ones):
         return CheckResult(
             "residue-one-stable-constant-norm", False, "singular section in class 1"
@@ -358,7 +336,7 @@ def build_example(case_id: str, bound: int = 40) -> ExampleCase:
             # other windows cut a block into a singular corner
             _scan_verdicts(
                 "residues-zero-two-singular",
-                lambda case, n: None if n % 3 == 1 else False,
+                lambda rec: None if rec.n % 3 == 1 else False,
                 "invertible",
                 "classes 0 and 2 mod 3 all singular",
             ),
@@ -377,7 +355,7 @@ def build_example(case_id: str, bound: int = 40) -> ExampleCase:
             # odd windows cut the outermost pair
             _scan_verdicts(
                 "invertible-iff-even",
-                lambda case, n: n % 2 == 0,
+                lambda rec: rec.n % 2 == 0,
                 "parity mismatch",
                 "invertible exactly at even n",
             ),
@@ -390,9 +368,9 @@ def build_example(case_id: str, bound: int = 40) -> ExampleCase:
         if case_id == "rarosi":
             checks = (
                 # both endpoints always fall on the same side
-                _criterion_verdicts(
+                _scan_verdicts(
                     "criterion-true-everywhere",
-                    lambda n: True,
+                    lambda rec: True,
                     "edge separated",
                     "no edge separated for n <= {n_max}",
                 ),
@@ -402,18 +380,17 @@ def build_example(case_id: str, bound: int = 40) -> ExampleCase:
         else:
             checks = (
                 # window n separates the k-th edge exactly when n = k^2
-                _criterion_verdicts(
+                _scan_verdicts(
                     "criterion-false-iff-square",
-                    lambda n: math.isqrt(n) ** 2 != n,
+                    lambda rec: math.isqrt(rec.n) ** 2 != rec.n,
                     "mismatch",
                     "separation happens exactly at squares",
                 ),
-                # the scanned verdict equals the criterion; tests check both against dense SVD
+                # each criterion verdict equals the sigma_min test on its record's own
+                # sigma columns; tests check both against dense SVD
                 _scan_verdicts(
                     "criterion-matches-numeric",
-                    lambda case, n: adjacency_section_invertible(
-                        case.operator, case.domain, n
-                    ),
+                    lambda rec: invertible(rec.sigma_min, rec.sigma_max, TAU_REL_DEFAULT),
                     "disagreement",
                     "criterion agrees with sigma_min test",
                 ),
@@ -422,16 +399,16 @@ def build_example(case_id: str, bound: int = 40) -> ExampleCase:
         generate, radius, domain = _edges_diamond, bound, builtin_domain("square")
         checks = (
             # the box window always separates the edge at k = n
-            _criterion_verdicts(
+            _scan_verdicts(
                 "separated-on-box-domain",
-                lambda n: False,
+                lambda rec: False,
                 "no separation",
                 "every box window separates an edge",
             ),
             # 1-norm windows keep both endpoints together
-            _criterion_verdicts(
+            _scan_verdicts(
                 "stable-on-diamond-domain",
-                lambda n: True,
+                lambda rec: True,
                 "edge separated",
                 "diamond windows never separate",
                 domain=builtin_domain("diamond"),
@@ -451,25 +428,23 @@ def expected_outcomes(
     """Evaluate every expectation of a case up to the given cut-off.
 
     A `report` of the case that covers n = 1..n_max at the default
-    tolerance is reused instead of scanning again.
+    tolerance serves as the scan of its domain; any other domain is scanned
+    once, and a scan refuses the first window past an edge family's coverage.
     """
     if n_max < 9:
         raise ValueError("n_max must be at least 9 to cover residue classes")
-    if isinstance(case.operator, AdjacencyGraph):
-        case.operator.check_coverage(case.domain, n_max)
     if report is not None and (
         report.tau_rel != TAU_REL_DEFAULT
         or [rec.n for rec in report.records] != list(range(1, n_max + 1))
     ):
         report = None  # other cut-offs or another tolerance: scan afresh
-    scan = functools.cache(
-        lambda: report
-        if report is not None
-        else stability_scan(
-            case.operator,
-            case.domain,
-            range(1, n_max + 1),
-            operator_id=case.case_id,
+
+    @functools.cache
+    def scan(domain: StarlikeDomain) -> StabilityReport:
+        if report is not None and domain == case.domain:
+            return report
+        return stability_scan(
+            case.operator, domain, range(1, n_max + 1), operator_id=case.case_id
         )
-    )
+
     return [check(case, n_max, scan) for check in case.expectations]

@@ -261,11 +261,18 @@ def load_rhs(source: str) -> SupportedVector:
 # ---------------------------------------------------------------------------
 
 
+def _domain_for(op: OperatorSpec, dom: StarlikeDomain) -> StarlikeDomain:
+    if op.dimension != dom.dimension:
+        raise ConfigError(f"a {op.dimension}-D operator cannot act on a {dom.dimension}-D domain")
+    return dom
+
+
 def _example_case(case_id: str, omega, n_max: int) -> tuple[ExampleCase, int]:
     """A built-in case, edges out to window n_max of `omega` or its own domain, and its bound;
     the case of bound 1 gives the domain, and build_example charges a larger edge family."""
     probe = build_example(case_id, 1)
-    bound = minimal_bound(case_id, (omega or probe.domain).enclosing_radius(n_max))
+    domain = _domain_for(probe.operator, omega or probe.domain)
+    bound = minimal_bound(case_id, domain.enclosing_radius(n_max))
     return (probe if bound == 1 else build_example(case_id, bound)), bound
 
 
@@ -280,7 +287,7 @@ def _resolve_case(args, n_max: int) -> tuple[OperatorSpec, StarlikeDomain, Examp
     operator = load_operator(args.operator)
     if not args.omega:
         raise ValueError("--omega is required with --operator")
-    return operator, load_domain(args.omega), None, Path(args.operator).stem
+    return operator, _domain_for(operator, load_domain(args.omega)), None, Path(args.operator).stem
 
 
 def _resolve_rhs(args, case: ExampleCase | None, domain, m: int | None):

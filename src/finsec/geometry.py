@@ -111,6 +111,9 @@ class StarlikeDomain:
         """Boolean mask of the rows of a (k, N) int64 array inside the n-fold dilation."""
         if n < 1:
             raise ValueError("n must be >= 1")
+        if points.shape[1] != self.dimension:
+            width = points.shape[1]
+            raise ValueError(f"{width}-D points cannot lie in a {self.dimension}-D domain")
         inside = np.ones(len(points), dtype=bool)
         if not len(points):
             return inside
@@ -134,15 +137,16 @@ class StarlikeDomain:
             for a, b, _ in self.facets
         )
 
+    @cached_property
+    def _vertex_range(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """(min, max) of each coordinate over the vertices."""
+        return tuple((min(c), max(c)) for c in zip(*self.vertices))
+
     def bounding_box(self, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Integer box (lo, hi) containing every lattice point of the n-fold dilation."""
-        lo = []
-        hi = []
-        for j in range(self.dimension):
-            coords = [v[j] for v in self.vertices]
-            lo.append(_ceil_frac(n * min(coords)))
-            hi.append(_floor_frac(n * max(coords)))
-        return tuple(lo), tuple(hi)
+        lo = tuple(_ceil_frac(n * low) for low, _ in self._vertex_range)
+        hi = tuple(_floor_frac(n * high) for _, high in self._vertex_range)
+        return lo, hi
 
     def enclosing_radius(self, n: int) -> int:
         """Max-norm radius of the bounding box of the n-fold dilation."""

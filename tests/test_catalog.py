@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import math
 import pkgutil
@@ -14,7 +13,9 @@ from finsec import (
     builtin_domain,
     expected_outcomes,
     lattice_section,
+    stability_scan,
 )
+from finsec import fsm
 from finsec.catalog import minimal_bound
 from finsec.reports import StabilityRecord, StabilityReport
 
@@ -131,6 +132,30 @@ def test_expected_outcomes_worked_pair(worked_case, worked_prime_case):
     assert all(r.passed for r in expected_outcomes(worked_prime_case, 40))
 
 
+def test_expected_outcomes_scans_each_domain_once(monkeypatch):
+    # a covering report serves the case's domain; another domain is scanned once
+    extremes = fsm.section_extremes
+    calls = []
+
+    def counted(operator, domain, n, *args, **kwargs):
+        calls.append(n)
+        return extremes(operator, domain, n, *args, **kwargs)
+
+    monkeypatch.setattr(fsm, "section_extremes", counted)
+    sierror = build_example("sierror", 12)
+    report = stability_scan(sierror.operator, sierror.domain, range(1, 101))
+    calls.clear()
+    assert all(r.passed for r in expected_outcomes(sierror, 100, report))
+    assert calls == []
+    assert all(r.passed for r in expected_outcomes(sierror, 100))
+    assert calls == list(range(1, 101))
+    diamond = build_example("diamond", 64)
+    report = stability_scan(diamond.operator, diamond.domain, range(1, 61))
+    calls.clear()
+    assert all(r.passed for r in expected_outcomes(diamond, 60, report))
+    assert calls == list(range(1, 61))
+
+
 def test_coverage_guard():
     case = build_example("sierror", 3)  # coverage radius 15
     with pytest.raises(GeneratorBoundError):
@@ -178,20 +203,29 @@ def test_worked_case_certificates(worked_case):
 # ---------------------------------------------------------------------------
 
 
-def run_checks(case, n_max, invertible, inverse_norm=1.0):
-    """Run a case's checks on a fabricated scan with the given verdict per n = 1.."""
-    records = tuple(
-        StabilityRecord(
-            n=n,
-            invertible=inv,
-            inverse_norm=inverse_norm if inv else None,
-            sigma_min=1.0 if inv else 0.0,
-            sigma_max=1.0,
+def run_checks(case, n_max, invertible, inverse_norm=1.0, sigma_min=None):
+    """Run a case's checks on fabricated scans with the given verdict per n = 1..
+
+    A dict of verdicts maps the name of each scanned domain to the verdicts
+    of its scan.  Each record's sigma_min is 1 when invertible and 0 when
+    not, unless `sigma_min` fixes it.
+    """
+
+    def scan(domain):
+        verdicts = invertible[domain.name] if isinstance(invertible, dict) else invertible
+        records = tuple(
+            StabilityRecord(
+                n=n,
+                invertible=inv,
+                inverse_norm=inverse_norm if inv else None,
+                sigma_min=(1.0 if inv else 0.0) if sigma_min is None else sigma_min,
+                sigma_max=1.0,
+            )
+            for n, inv in enumerate(verdicts, start=1)
         )
-        for n, inv in enumerate(invertible, start=1)
-    )
-    report = StabilityReport("fabricated", "fabricated", 1e-10, records)
-    results = [check(case, n_max, lambda: report) for check in case.expectations]
+        return StabilityReport("fabricated", "fabricated", 1e-10, records)
+
+    results = [check(case, n_max, scan) for check in case.expectations]
     return {r.name: (r.passed, r.detail) for r in results}
 
 
@@ -211,16 +245,24 @@ def test_failing_blockdiag_parity_and_norm():
 
 
 def test_failing_rarosi_singular_section():
+    # the criterion reads the scan, so a singular window fails it too
     results = run_checks(build_example("rarosi", 4), 9, [True, False])
-    assert results["inverse-norm-one"] == (False, "a section was singular")
-    assert results["criterion-true-everywhere"] == (
-        True,
-        "no edge separated for n <= 9",
-    )
+    assert results == {
+        "criterion-true-everywhere": (False, "edge separated at n=[2]"),
+        "inverse-norm-one": (False, "a section was singular"),
+    }
 
 
 def test_failing_sierror_disagreement():
+    # every window invertible contradicts the criterion at the squares
     results = run_checks(build_example("sierror", 4), 9, [True] * 9)
+    assert results == {
+        "criterion-false-iff-square": (False, "mismatch at n=[1, 4, 9]"),
+        "criterion-matches-numeric": (True, "criterion agrees with sigma_min test"),
+    }
+    # singular verdicts over sigma_min = 1 contradict the records' own sigma columns
+    squares = [math.isqrt(n) ** 2 != n for n in range(1, 10)]
+    results = run_checks(build_example("sierror", 4), 9, squares, sigma_min=1.0)
     assert results == {
         "criterion-false-iff-square": (True, "separation happens exactly at squares"),
         "criterion-matches-numeric": (False, "disagreement at n=[1, 4, 9]"),
@@ -247,17 +289,16 @@ def test_failing_worked_prime_class_zero():
 
 
 def test_failing_criterion_on_other_domain():
-    # on 1-norm windows the box-domain claim fails at every n
-    case = dataclasses.replace(
-        build_example("diamond", 12), domain=builtin_domain("diamond")
-    )
-    results = run_checks(case, 9, [])
+    # each claim reads the scan of its own domain: the box domain's, where no
+    # window separates here, and the diamond domain's, separated at odd n
+    verdicts = {"square": [True] * 9, "diamond": [n % 2 == 0 for n in range(1, 10)]}
+    results = run_checks(build_example("diamond", 12), 9, verdicts)
     assert results == {
         "separated-on-box-domain": (
             False,
             "no separation at n=[1, 2, 3, 4, 5, 6, 7, 8, 9]",
         ),
-        "stable-on-diamond-domain": (True, "diamond windows never separate"),
+        "stable-on-diamond-domain": (False, "edge separated at n=[1, 3, 5, 7, 9]"),
     }
 
 

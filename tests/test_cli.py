@@ -429,6 +429,62 @@ def test_edge_family_is_refused_before_it_is_generated(command, monkeypatch, cap
     assert "edge family of 1000000000 edges needs 152000000000 bytes" in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["scan", "--example", "diamond", "--nmax", "1000000000"],
+        ["solve-fsm", "--example", "diamond", "--n", "1000000000"],
+        ["solve-rfsm", "--example", "diamond", "--n", "1000000000", "--m", "1000000000"],
+        ["study", "--example", "diamond", "--nmax", "4", "--reference-n", "1000000000"],
+    ],
+    ids=["scan", "solve-fsm", "solve-rfsm", "study"],
+)
+def test_example_on_a_domain_of_another_dimension_is_refused_after_the_probe(
+    command, monkeypatch, capsys
+):
+    generate = catalog._edges_diamond
+
+    def probe_only(k_max):
+        assert k_max == 1, "generator built past the probe"
+        return generate(k_max)
+
+    monkeypatch.setattr(catalog, "_edges_diamond", probe_only)
+    code, out, err = run_cli([*command, "--omega", "interval"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "finsec: invalid configuration: a 2-D operator cannot act on a 1-D domain\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["scan", "--nmax", "3"],
+        ["solve-fsm", "--n", "3", "--rhs", "rhs.json"],
+        ["solve-rfsm", "--n", "3", "--m", "4", "--rhs", "rhs.json"],
+        ["study", "--nmax", "3", "--reference-n", "4", "--rhs", "rhs.json"],
+    ],
+    ids=["scan", "solve-fsm", "solve-rfsm", "study"],
+)
+@pytest.mark.parametrize(
+    "source, omega, message",
+    [
+        (["--example", "worked_A"], "square", "a 1-D operator cannot act on a 2-D domain"),
+        (["--operator", "lap5.json"], "interval", "a 2-D operator cannot act on a 1-D domain"),
+        (["--operator", "shift.json"], "square", "a 1-D operator cannot act on a 2-D domain"),
+    ],
+    ids=["example", "2-D-operator", "1-D-operator"],
+)
+def test_operator_and_domain_of_other_dimensions_are_refused_by_name(
+    command, source, omega, message, tmp_path, capsys
+):
+    (tmp_path / "shift.json").write_text(json.dumps({"variant": "shift", "step": 1}))
+    (tmp_path / "lap5.json").write_text((ROOT / "tools" / "lap5.json").read_text())
+    (tmp_path / "rhs.json").write_text(json.dumps({"entries": {"0": "1"}}))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in [*command, *source]]
+    code, out, err = run_cli([*argv, "--omega", omega], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"finsec: invalid configuration: {message}\n"
+
+
 PERIODIC_REPEAT = {
     "variant": "band_diagonals",
     "diagonals": [
@@ -1142,7 +1198,7 @@ def test_pinned_and_benchmark_invocations_parse(tmp_path):
     invocations = list(runpy.run_path(ROOT / "tools" / "pinned_outputs.py")["INVOCATIONS"])
     workloads = runpy.run_path(ROOT / "bench" / "workloads.py", run_name="workloads")["WORKLOADS"]
     invocations += [w.prepare(0, False, tmp_path)[0] for w in workloads.values()]
-    assert len(invocations) == 21 + 4
+    assert len(invocations) == 22 + 4
     parser = cli.build_parser()
     for argv in invocations:
         parser.parse_args(argv)

@@ -466,6 +466,12 @@ def test_criterion_requires_enough_coverage():
         adjacency_section_invertible(case.operator, case.domain, 9)
 
 
+def test_adjacency_graph_on_a_domain_of_another_dimension_refused_by_name(interval):
+    graph = build_example("sierror", 3).operator
+    with pytest.raises(ValueError, match="^2-D points cannot lie in a 1-D domain$"):
+        fsm.section_extremes(graph, interval, 2)
+
+
 @pytest.mark.parametrize("n", [0, -2])
 def test_adjacency_cut_offs_below_1_refused_as_band_ones_are(n, square):
     case = build_example("sierror", 3)

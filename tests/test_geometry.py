@@ -432,6 +432,14 @@ def test_contains_array_matches_contains(name):
         assert mask.tolist() == [in_dilation(facets, p, n) for p in box.tolist()]
 
 
+def test_contains_array_refuses_points_of_another_width():
+    square = builtin_domain("square")
+    for width in (1, 3):
+        with pytest.raises(ValueError, match=f"^{width}-D points cannot lie in a 2-D domain$"):
+            square.contains_array(np.zeros((4, width), dtype=np.int64), 1)
+    assert square.contains_array(np.zeros((0, 2), dtype=np.int64), 1).tolist() == []
+
+
 def fraction_row_range(domain, n, prefix):
     """The row range of window n at `prefix` in Fraction arithmetic."""
     lo = hi = None

@@ -59,6 +59,8 @@ INVOCATIONS = (
         "scan", "--operator", "lap5.json", "--omega", "pent.json", "--nmax", "10",
         "--format", "json",
     ],
+    # a 2-D operator on a 1-D domain: exit 2 and one line naming both dimensions
+    ["scan", "--example", "diamond", "--omega", "interval", "--nmax", "3"],
 )
 
 RUN_CLI = "import sys; from finsec.cli import main; sys.exit(main(sys.argv[1:]))"

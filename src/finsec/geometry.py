@@ -3,7 +3,10 @@
 Domains are convex polytopes with rational facet data and the origin in
 their interior.  All membership decisions are made in exact rational
 (integer, after clearing denominators) arithmetic, never in floating
-point, so section index sets are reproducible bit-for-bit.  An index set
+point, so section index sets are reproducible bit-for-bit.  One kernel,
+_polytope_vertices, finds every vertex, facet and boundedness answer by
+double description, and None from it means the polyhedron is unbounded
+(its normals do not positively span).  An index set
 stores its points once, as the rows of a sorted (k, N) int64 array, and
 array lookups refuse point sets whose integer keys would leave int64.
 """
@@ -80,13 +83,18 @@ def _mixed_radix(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 FacetRow = tuple[tuple[int, ...], int, bool]
 
 
+def _primitive(v: Sequence) -> tuple[int, ...]:
+    """The gcd-reduced integer vector on the ray through a rational vector."""
+    scale = lcm(*(c.denominator for c in v))
+    v = [int(c * scale) for c in v]
+    common = gcd(*v) or 1
+    return tuple(c // common for c in v)
+
+
 def _integer_row(normal: Sequence[Fraction], offset: Fraction) -> tuple[tuple[int, ...], int]:
     """The gcd-reduced integer (A, B) with A.x <= n*B the facet normal.x <= n*offset."""
-    scale = lcm(*(c.denominator for c in normal), offset.denominator)
-    a = [int(c * scale) for c in normal]
-    b = int(offset * scale)
-    common = gcd(b, *a) if any(a) else 1
-    return tuple(c // common for c in a), b // common
+    *a, b = _primitive((*normal, offset))
+    return tuple(a), b
 
 
 @dataclass(frozen=True)
@@ -250,62 +258,48 @@ def _row_reduce(rows: Sequence[Sequence], ncols: int):
     return rows, pivots
 
 
-def _solve_exact(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    """Solve a square rational system; None if singular."""
-    n = len(rows)
-    reduced, pivots = _row_reduce([list(r) + [b] for r, b in zip(rows, rhs)], n)
-    if len(pivots) < n:
-        return None
-    return tuple(reduced[r][n] for r in range(n))
+def _polytope_vertices(
+    constraints: Sequence[tuple[Sequence, Fraction]], dim: int
+) -> list[tuple[Fraction, ...]] | None:
+    """Exact vertices of the polyhedron {x : a.x <= b for all (a, b)}, as Fractions.
 
-
-def _rank(vectors: Sequence[Sequence[Fraction]], dim: int) -> int:
-    return len(_row_reduce(vectors, dim)[1])
-
-
-def _null_direction(vectors: Sequence[Sequence[Fraction]], dim: int):
-    """A nonzero direction orthogonal to all `vectors`, expected rank dim-1; None otherwise."""
-    rows, pivots = _row_reduce(vectors, dim)
-    if len(pivots) != dim - 1:
-        return None
-    free = next(c for c in range(dim) if c not in pivots)
-    direction = [Fraction(0)] * dim
-    direction[free] = Fraction(1)
-    for r, col in enumerate(pivots):
-        direction[col] = -rows[r][free]
-    return tuple(direction)
-
-
-def _feasible_vertices(
-    constraints: Sequence[tuple[tuple, Fraction]], dim: int
-) -> list[tuple[Fraction, ...]]:
-    """Exact vertices of the bounded polyhedron {x : a.x <= b for all (a, b)}, as Fractions."""
-    seen: set[tuple[Fraction, ...]] = set()
-    out: list[tuple[Fraction, ...]] = []
-    for combo in itertools.combinations(constraints, dim):
-        pt = _solve_exact([c[0] for c in combo], [c[1] for c in combo])
-        if pt is None or pt in seen:
-            continue
-        if all(_dot(a, pt) <= b for a, b in constraints):
-            seen.add(pt)
-            out.append(pt)
-    return out
-
-
-def _positively_spans(normals: Sequence[tuple], dim: int) -> bool:
-    """True iff the vectors positively span: the cone {x : a.x <= 0 for all a} is trivial."""
-    if _rank(normals, dim) < dim:
-        return False
-    for subset in itertools.combinations(normals, dim - 1):
-        direction = _null_direction(subset, dim) if subset else tuple(
-            Fraction(1) if j == 0 else Fraction(0) for j in range(dim)
-        )
-        if direction is None:
-            continue
-        for cand in (direction, tuple(-c for c in direction)):
-            if all(_dot(a, cand) <= 0 for a in normals):
-                return False
-    return True
+    Motzkin's double description (Fukuda and Prodon, LNCS 1120, 1996) of
+    the cone {y = (x, t) : h.y <= 0} of the integer rows h = (a, -b) and
+    h = (0, -1), for t >= 0: the simplicial cone of dim + 1 independent
+    rows, then one cut per further row, which keeps the rays on its
+    feasible side and joins each cut ray to each adjacent kept one.  Rays
+    are primitive integer tuples, and each ray's tight rows an int
+    bitmask; two rays are adjacent when no third is tight on every row
+    both are.  Returns None when the normals a do not positively span, so
+    that the polyhedron, unless empty, does not end in some direction; []
+    for an empty polyhedron otherwise.
+    """
+    rows = [(0,) * dim + (-1,)] + [_primitive((*a, -b)) for a, b in constraints]
+    basis = _row_reduce(list(zip(*rows)), len(rows))[1]
+    if len(basis) <= dim:
+        return None  # the cone holds a line
+    inverse = _row_reduce([[*rows[i], *(int(i == j) for j in basis)] for i in basis], dim + 1)[0]
+    tight = sum(1 << i for i in basis)
+    rays = [  # the columns of -H_B^-1, each tight on all of B but one row
+        (_primitive([-row[dim + 1 + k] for row in inverse]), tight & ~(1 << i))
+        for k, i in enumerate(basis)
+    ]
+    for i in sorted(set(range(len(rows))) - set(basis)):
+        cut = [(sum(x * y for x, y in zip(rows[i], r)), r, z) for r, z in rays]
+        masks = [z for _, z in rays]
+        kept = [(r, z | 1 << i if s == 0 else z) for s, r, z in cut if s <= 0]
+        for sp, p, zp in cut:
+            for sm, m, zm in cut if sp > 0 else ():
+                common = zp & zm
+                if sm < 0 and common.bit_count() >= dim - 1 and (
+                    sum(common & z == common for z in masks) == 2  # no third ray
+                ):
+                    join = [sp * y - sm * x for x, y in zip(p, m)]  # on the cut's hyperplane
+                    kept.append((_primitive(join), common | 1 << i))
+        rays = kept
+    if any(r[-1] == 0 for r, _ in rays):
+        return None  # a ray of the recession cone
+    return [tuple(Fraction(c, r[-1]) for c in r[:-1]) for r, _ in rays]
 
 
 def _floor_frac(q: Fraction) -> int:
@@ -332,10 +326,12 @@ def validate_domain(
     Facets are (normal, offset) or (normal, offset, closed) triples with
     rational entries (ints, Fractions or "p/q" strings).  A vertex list V,
     in any dimension, must positively span, which holds exactly when 0 is
-    interior to its convex hull P.  P's facets are then the closed
-    y.x <= 1, one per vertex y of the polar {y : v.y <= 1 for all v in V},
-    which is bounded.  The domain stores each facet once, as its integer
-    row (see _integer_row).
+    interior to its convex hull P, and exactly when its polar
+    {y : v.y <= 1 for all v in V} is bounded.  P's facets are then the
+    closed y.x <= 1, one per vertex y of the polar, in sorted order.  Both
+    the polar's vertices and the domain's come from _polytope_vertices,
+    whose None means unbounded.  The domain stores each facet once, as its
+    integer row (see _integer_row).
 
     Raises ValueError for a dimension below 1, ZeroNotInteriorError when 0
     is not interior (a vertex list that does not positively span, or a
@@ -357,17 +353,18 @@ def validate_domain(
         vectors = [normal for normal, _, _ in facet_list]
     if not vectors:
         raise ValueError(f"empty {kind} list")
-    dim = dimension or len(vectors[0])
-    if any(len(v) != dim for v in vectors):
-        raise ValueError(f"inconsistent {kind} dimensions")
+    dim = len(vectors[0]) if dimension is None else dimension
     if dim < 1:
         raise ValueError(f"a domain needs dimension >= 1, got {dim}")
+    if any(len(v) != dim for v in vectors):
+        raise ValueError(f"inconsistent {kind} dimensions")
 
     if facets is None:
-        if not _positively_spans(vectors, dim):
-            raise ZeroNotInteriorError("origin is not interior to the hull of the vertices")
         one = Fraction(1)
-        facet_list = [(y, one, True) for y in _feasible_vertices([(v, one) for v in vectors], dim)]
+        polar = _polytope_vertices([(v, one) for v in vectors], dim)
+        if polar is None:
+            raise ZeroNotInteriorError("origin is not interior to the hull of the vertices")
+        facet_list = [(y, one, True) for y in sorted(polar)]
 
     if any(not closed for _, _, closed in facet_list) and dim > 1:
         raise OpenFacetError("open facets are supported in dimension 1 only")
@@ -379,12 +376,9 @@ def validate_domain(
             )
 
     rows = tuple(_integer_row(normal, offset) + (closed,) for normal, offset, closed in facet_list)
-    if not _positively_spans([a for a, _, _ in rows], dim):
+    verts = _polytope_vertices([(a, b) for a, b, _ in rows], dim)
+    if verts is None:
         raise UnboundedDomainError("facet normals do not positively span the space")
-
-    verts = _feasible_vertices([(a, b) for a, b, _ in rows], dim)
-    if not verts:
-        raise ZeroNotInteriorError("facets admit no vertex; domain is degenerate")
     return StarlikeDomain(dim, rows, tuple(sorted(verts)), name=name)
 
 
@@ -510,20 +504,11 @@ def _box_touches_boundary(domain: StarlikeDomain, n: int, z: Point) -> bool:
     if not possibly_meets:
         return False
 
-    constraints: list[tuple[tuple, Fraction]] = [(a, n * b) for a, b, _ in domain.facets]
-    for j in range(dim):
-        e_pos = tuple(Fraction(int(k == j)) for k in range(dim))
-        e_neg = tuple(-c for c in e_pos)
-        constraints.append((e_pos, z[j] + _HALF))
-        constraints.append((e_neg, -(z[j] - _HALF)))
-    verts = _feasible_vertices(constraints, dim)
-    if not verts:
-        return False
-    for j in range(dim):
-        top = z[j] + _HALF
-        if all(v[j] == top for v in verts):
-            return False  # intersection lies entirely in an excluded face
-    return True
+    box = [(tuple(s * (k == j) for k in range(dim)), s * z[j] + _HALF)
+           for j in range(dim) for s in (1, -1)]  # s * x_j <= s * z_j + 1/2
+    verts = _polytope_vertices([(a, n * b) for a, b, _ in domain.facets] + box, dim)
+    # Q is not empty, and not inside an excluded face
+    return bool(verts) and not any(all(v[j] == z[j] + _HALF for v in verts) for j in range(dim))
 
 
 def boundary_layer(domain: StarlikeDomain, n: int) -> IndexSet:

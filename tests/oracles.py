@@ -10,7 +10,9 @@ of an adjacency graph edge by edge, as the reference for its swap, and
 the square adjacency solve over its whole window, as the reference for
 the solve that moves only the right-hand side's support.  The convex
 hulls of 1-D and 2-D point sets, by min/max and by Andrew's monotone
-chain, are the reference for vertex domains built through the polar.
+chain, and the vertices of polytopes in any dimension, by solving every
+dim-subset of their constraints, are the reference for the double
+description behind validate_domain and boundary_layer.
 """
 
 from __future__ import annotations
@@ -18,7 +20,15 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from finsec import BandDiagonals, ConstantRule, SupportedVector, TableRule, lattice_section
+from finsec import (
+    BandDiagonals,
+    ConstantRule,
+    SupportedVector,
+    TableRule,
+    UnboundedDomainError,
+    ZeroNotInteriorError,
+    lattice_section,
+)
 from finsec.fsm import inverse_norm
 
 
@@ -129,6 +139,117 @@ def hull_facets(points):
         normal = (q[1] - p[1], p[0] - q[0])  # outward for counter-clockwise order
         facets.append((normal, normal[0] * p[0] + normal[1] * p[1]))
     return facets
+
+
+# ---------------------------------------------------------------------------
+# polytope oracle: every dim-subset of the constraints, in Fractions
+# ---------------------------------------------------------------------------
+
+
+def row_reduce(vectors, dim):
+    """Reduced row echelon form over the first dim columns, and its pivot columns.
+
+    The Gauss-Jordan loop that geometry._row_reduce replaced; columns past
+    dim are carried along.
+    """
+    rows = [list(v) for v in vectors]
+    pivots = []
+    for col in range(dim):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pv = rows[rank][col]
+        rows[rank] = [v / pv for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[rank])]
+        pivots.append(col)
+    return rows, pivots
+
+
+def _dot(a, x):
+    return sum((Fraction(ai) * xi for ai, xi in zip(a, x)), Fraction(0))
+
+
+def _solve(rows, rhs):
+    """The solution of a square rational system; None if singular."""
+    n = len(rows)
+    augmented = [[*map(Fraction, r), Fraction(b)] for r, b in zip(rows, rhs)]
+    reduced, pivots = row_reduce(augmented, n)
+    return tuple(reduced[r][n] for r in range(n)) if len(pivots) == n else None
+
+
+def _null_direction(vectors, dim):
+    """A nonzero direction orthogonal to `vectors` of rank dim - 1; None otherwise."""
+    rows, pivots = row_reduce([[Fraction(c) for c in v] for v in vectors], dim)
+    if len(pivots) != dim - 1:
+        return None
+    free = next(c for c in range(dim) if c not in pivots)
+    direction = [Fraction(0)] * dim
+    direction[free] = Fraction(1)
+    for r, col in enumerate(pivots):
+        direction[col] = -rows[r][free]
+    return tuple(direction)
+
+
+def feasible_vertices(constraints, dim):
+    """Vertices of the bounded polyhedron {x : a.x <= b for all (a, b)}, as Fractions.
+
+    Each dim-subset of the constraints is solved as equations, and a
+    solution that meets every constraint is a vertex.
+    """
+    found = set()
+    for combo in itertools.combinations(constraints, dim):
+        point = _solve([a for a, _ in combo], [b for _, b in combo])
+        if point is not None and all(_dot(a, point) <= b for a, b in constraints):
+            found.add(point)
+    return sorted(found)
+
+
+def positively_spans(normals, dim):
+    """Whether {x : a.x <= 0 for every normal a} is {0}.
+
+    It is not when the normals have rank below dim, or when a direction
+    orthogonal to some dim - 1 of them, or its negative, meets them all.
+    """
+    if len(row_reduce([[Fraction(c) for c in a] for a in normals], dim)[1]) < dim:
+        return False
+    for subset in itertools.combinations(normals, dim - 1):
+        direction = _null_direction(subset, dim) if subset else (Fraction(1),)
+        for cand in (direction, tuple(-c for c in direction)) if direction else ():
+            if all(_dot(a, cand) <= 0 for a in normals):
+                return False
+    return True
+
+
+def enumerated_domain(facets=None, vertices=None):
+    """(facets, vertices) of the domain validate_domain builds, by enumeration.
+
+    Each facet is given as y with y.x <= 1, sorted; a vertex list's facets
+    come from the vertices y of its polar {y : v.y <= 1}.  Raises
+    ZeroNotInteriorError and UnboundedDomainError with validate_domain's
+    messages.  Facets are (normal, offset, ...) with exact entries; a
+    closed flag is ignored.
+    """
+    if vertices is not None:
+        vertices = [tuple(map(Fraction, v)) for v in vertices]
+        dim = len(vertices[0])
+        if not positively_spans(vertices, dim):
+            raise ZeroNotInteriorError("origin is not interior to the hull of the vertices")
+        polar = feasible_vertices([(v, Fraction(1)) for v in vertices], dim)
+        facets = [(y, Fraction(1)) for y in polar]
+    facets = [(tuple(map(Fraction, normal)), Fraction(offset)) for normal, offset, *_ in facets]
+    dim = len(facets[0][0])
+    for normal, offset in facets:
+        if offset <= 0:
+            raise ZeroNotInteriorError(f"origin is not interior to facet {normal} . x <= {offset}")
+    if not positively_spans([normal for normal, _ in facets], dim):
+        raise UnboundedDomainError("facet normals do not positively span the space")
+    normalized = sorted(tuple(c / offset for c in normal) for normal, offset in facets)
+    return normalized, feasible_vertices(facets, dim)
 
 
 # ---------------------------------------------------------------------------

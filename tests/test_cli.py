@@ -485,6 +485,18 @@ def test_operator_and_domain_of_other_dimensions_are_refused_by_name(
     assert err == f"finsec: invalid configuration: {message}\n"
 
 
+def test_declared_dimension_0_is_refused(tmp_path, capsys):
+    # a declared 0 used to be read as no dimension, and the domain scanned as 2-D
+    omega = tmp_path / "d0.json"
+    omega.write_text(json.dumps({"dimension": 0, "vertices": [[1, 0], [0, 1], [-1, 0], [0, -1]]}))
+    operator = str(ROOT / "tools" / "lap5.json")
+    code, out, err = run_cli(
+        ["scan", "--operator", operator, "--omega", str(omega), "--nmax", "1"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert err == "finsec: invalid configuration: a domain needs dimension >= 1, got 0\n"
+
+
 PERIODIC_REPEAT = {
     "variant": "band_diagonals",
     "diagonals": [
@@ -1198,7 +1210,7 @@ def test_pinned_and_benchmark_invocations_parse(tmp_path):
     invocations = list(runpy.run_path(ROOT / "tools" / "pinned_outputs.py")["INVOCATIONS"])
     workloads = runpy.run_path(ROOT / "bench" / "workloads.py", run_name="workloads")["WORKLOADS"]
     invocations += [w.prepare(0, False, tmp_path)[0] for w in workloads.values()]
-    assert len(invocations) == 22 + 4
+    assert len(invocations) == 23 + 4
     parser = cli.build_parser()
     for argv in invocations:
         parser.parse_args(argv)

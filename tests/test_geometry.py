@@ -20,7 +20,14 @@ from finsec import (
     validate_domain,
 )
 from finsec import geometry
-from oracles import brute_force_section, hull_facets, in_dilation
+from oracles import (
+    brute_force_section,
+    enumerated_domain,
+    feasible_vertices,
+    hull_facets,
+    in_dilation,
+    row_reduce,
+)
 
 
 # Each built-in domain as rational (normal, offset, closed) half-spaces, written
@@ -101,7 +108,15 @@ def test_float_domain_data_rejected():
         validate_domain(facets=[((0.3,), 1), ((-1,), 1)])
 
 
-@pytest.mark.parametrize("data", [{"facets": [((), 1)]}, {"vertices": [()]}])
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"facets": [((), 1)]},
+        {"vertices": [()]},
+        # a declared 0 is read as given, not as "no dimension"
+        {"vertices": [(1, 0), (0, 1), (-1, 0), (0, -1)], "dimension": 0},
+    ],
+)
 def test_zero_dimensional_domain_refused_by_name(data):
     with pytest.raises(ValueError, match="a domain needs dimension >= 1, got 0"):
         validate_domain(**data)
@@ -113,21 +128,26 @@ def test_zero_dimensional_domain_refused_by_name(data):
 
 
 @st.composite
-def rational_vertex_sets(draw):
-    """1 to 7 rational 1-D or 2-D points, with repeats, midpoints and rays through 0.
+def rational_vertex_sets(draw, dims=(1, 2, 3)):
+    """Up to 7 rational points of a dimension in dims, with repeats, midpoints and rays through 0.
 
-    A flat draw puts every point on one line, through 0 or beside it.
+    A flat draw puts every point on one line, or one plane in 3-D, through
+    0 or beside it.  A symmetric draw adds the negative of each point.
     """
-    dim = draw(st.sampled_from([1, 2]))
+    dim = draw(st.sampled_from(dims))
     coordinate = _fraction((-4, 4), (1, 3))
     point = st.tuples(*[coordinate] * dim)
-    if dim == 2 and draw(st.booleans()):  # flat
-        base, step = draw(point), draw(point)
+    if dim > 1 and draw(st.booleans()):  # flat
+        base = draw(point)
+        steps = [draw(point) for _ in range(draw(st.integers(1, dim - 1)))]
+        ts = st.tuples(*[coordinate] * len(steps))
         return [
-            tuple(b + t * c for b, c in zip(base, step))
-            for t in draw(st.lists(coordinate, min_size=1, max_size=7))
+            tuple(b + sum(t * s[j] for t, s in zip(coeffs, steps)) for j, b in enumerate(base))
+            for coeffs in draw(st.lists(ts, min_size=1, max_size=7))
         ]
-    points = draw(st.lists(point, min_size=1, max_size=7))
+    points = draw(st.lists(point, min_size=dim, max_size=7))
+    if draw(st.booleans()):  # symmetric
+        points += [tuple(-c for c in p) for p in points]
     for _ in range(draw(st.integers(0, 3))):
         p, q = draw(st.sampled_from(points)), draw(st.sampled_from(points))
         points.append(draw(st.sampled_from([
@@ -139,7 +159,7 @@ def rational_vertex_sets(draw):
     return draw(st.permutations(points))
 
 
-@given(rational_vertex_sets())
+@given(rational_vertex_sets(dims=(1, 2)))
 @settings(max_examples=300, deadline=None)
 def test_vertex_domains_match_the_monotone_chain(points):
     facets = hull_facets(points)
@@ -196,6 +216,55 @@ def test_solid_from_vertices_equals_its_facet_form(name):
 def test_solid_vertices_without_0_in_the_interior_refused(vertices):
     with pytest.raises(ZeroNotInteriorError):
         validate_domain(vertices=vertices)
+
+
+def test_dense_grid_points_give_the_cube():
+    # the 124 nonzero points of [-2, 2]^3, nearly all on faces, on edges or inside
+    points = [p for p in itertools.product(range(-2, 3), repeat=3) if any(p)]
+    assert len(points) == 124
+    cube = validate_domain(vertices=points)
+    assert sorted(cube.facets) == sorted(
+        (tuple(s * (k == j) for k in range(3)), 2, True) for j in range(3) for s in (1, -1)
+    )
+    assert cube.vertices == tuple(itertools.product((Fraction(-2), Fraction(2)), repeat=3))
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        [(0, 2), (2, -2), (-2, -2)],
+        [(-1, -1), (-1, 1), (1, -1), (1, 1)],
+        [(1, 0), (0, 1), (-1, 0), (0, -1)],
+        SOLIDS["octahedron"][0],
+        SIMPLEX_VERTICES,
+    ],
+    ids=["triangle", "square", "diamond", "octahedron", "simplex"],
+)
+def test_vertex_domains_do_not_depend_on_the_vertex_order(vertices):
+    domain = validate_domain(vertices=vertices)
+    for order in itertools.permutations(vertices):
+        assert validate_domain(vertices=order) == domain
+
+
+def assert_matches_the_enumeration(**data):
+    """validate_domain against the subset enumeration: the same facets and
+    vertices, or the same refusal class and message."""
+    try:
+        facets, vertices = enumerated_domain(**data)
+    except (ZeroNotInteriorError, UnboundedDomainError) as refusal:
+        with pytest.raises(type(refusal)) as raised:
+            validate_domain(**data)
+        assert (type(raised.value), str(raised.value)) == (type(refusal), str(refusal))
+        return
+    domain = validate_domain(**data)
+    assert sorted(tuple(Fraction(c, b) for c in a) for a, b, _ in domain.facets) == facets
+    assert list(domain.vertices) == vertices
+
+
+@given(rational_vertex_sets())
+@settings(max_examples=300, deadline=None)
+def test_vertex_domains_match_the_enumeration(points):
+    assert_matches_the_enumeration(vertices=points)
 
 
 # ---------------------------------------------------------------------------
@@ -521,24 +590,28 @@ def _fraction(numerators, denominators):
 
 
 @st.composite
-def rational_domains(draw):
+def rational_domains(draw, refusable=False):
     """(dimension, facet triples as given to validate_domain).
 
     1-D draws may have open facets; 2-D and 3-D draws are closed.  A box
     |x_j| <= s_j <= 2, each side in a scale of its own, keeps every draw
     bounded; up to three more facets of any normal, the zero one included,
-    cut it.  Entries are Fractions, "p/q" strings or ints.
+    cut it.  Entries are Fractions, "p/q" strings or ints.  A refusable
+    draw may drop sides of the box, so it may be unbounded, and its further
+    facets may have offsets <= 0.
     """
     dim = draw(st.sampled_from([1, 2, 3]))
+    dropped = draw(st.sets(st.integers(0, 2 * dim - 1))) if refusable else set()
     facets = []
     for j in range(dim):
         for sign in (1, -1):
             side, scale = draw(_fraction((1, 6), (1, 2))), draw(_fraction((1, 4), (1, 3)))
             side = min(side, Fraction(2))
-            facets.append(([sign * scale * (k == j) for k in range(dim)], scale * side))
-    for _ in range(draw(st.integers(0, 3))):
+            if 2 * j + (sign < 0) not in dropped:
+                facets.append(([sign * scale * (k == j) for k in range(dim)], scale * side))
+    for _ in range(draw(st.integers(0 if facets else 1, 3))):
         normal = draw(st.lists(_fraction((-4, 4), (1, 4)), min_size=dim, max_size=dim))
-        facets.append((normal, draw(_fraction((1, 6), (1, 4)))))
+        facets.append((normal, draw(_fraction((-1 if refusable else 1, 6), (1, 4)))))
 
     def spelled(q):
         kind = draw(st.sampled_from(["fraction", "string", "int"]))
@@ -565,13 +638,12 @@ def test_integer_rows_decide_as_the_rational_facets(drawn, data):
     assert [closed for _, _, closed in domain.facets] == [closed for *_, closed in exact]
     for (a, b, _), (normal, offset, _) in zip(domain.facets, exact):
         assert all(type(c) is int for c in (*a, b))
-        assert b > 0 and math.gcd(b, *a) == 1 or not any(a)
+        assert b > 0 and math.gcd(b, *a) == 1  # a zero normal too: its row is (0, 1)
         assert all(c * offset == q * b for c, q in zip(a, normal))
     # the closure's vertices: exact, feasible and tight on dim independent facets
-    vertices = geometry._feasible_vertices([(a, b) for a, b, _ in domain.facets], dim)
-    assert sorted(vertices) == list(domain.vertices)
-    rational = geometry._feasible_vertices([(q, o) for q, o, _ in exact], dim)
-    assert sorted(rational) == sorted(vertices)
+    vertices = feasible_vertices([(a, b) for a, b, _ in domain.facets], dim)
+    assert vertices == list(domain.vertices)
+    assert feasible_vertices([(q, o) for q, o, _ in exact], dim) == vertices
     closure = [(normal, offset, True) for normal, offset, _ in exact]
     for v in vertices:
         assert all(type(c) is Fraction for c in v)
@@ -607,65 +679,23 @@ def test_integer_rows_decide_as_the_rational_facets(drawn, data):
             )
 
 
+@given(rational_domains(refusable=True))
+@settings(max_examples=300, deadline=None)
+def test_facet_domains_match_the_enumeration(drawn):
+    assert_matches_the_enumeration(facets=drawn[1])
+
+
 # ---------------------------------------------------------------------------
 # exact row reduction
 # ---------------------------------------------------------------------------
 
-# The three Gauss-Jordan loops that geometry._row_reduce replaced, kept as
-# the reference.
+# The Gauss-Jordan loop behind the three old helpers that geometry._row_reduce
+# replaced (a square solve, a rank and a null direction) is kept as
+# oracles.row_reduce, the reference.
 
 
-def old_solve_exact(rows, rhs):
-    n = len(rows)
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return tuple(aug[r][n] for r in range(n))
-
-
-def old_reduce(vectors, dim):
-    rows = [list(v) for v in vectors]
-    pivots = []
-    rank = 0
-    for col in range(dim):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [v / pv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    return rows, pivots
-
-
-def old_rank(vectors, dim):
-    return len(old_reduce(vectors, dim)[1])
-
-
-def old_null_direction(vectors, dim):
-    rows, pivots = old_reduce(vectors, dim)
-    if len(pivots) != dim - 1:
-        return None
-    free = next(c for c in range(dim) if c not in pivots)
-    direction = [Fraction(0)] * dim
-    direction[free] = Fraction(1)
-    for r, col in enumerate(pivots):
-        direction[col] = -rows[r][free]
-    return tuple(direction)
+def _rank(rows, dim):
+    return len(row_reduce(rows, dim)[1])
 
 
 _RATIONALS = st.builds(
@@ -693,11 +723,11 @@ def rational_systems(draw):
     if kind == "inconsistent":
         rhs = draw(st.lists(_RATIONALS, min_size=k, max_size=k))
         augmented = [row + [b] for row, b in zip(rows, rhs)]
-        assume(old_rank(augmented, dim + 1) > old_rank(rows, dim))
+        assume(_rank(augmented, dim + 1) > _rank(rows, dim))
     else:
         x = draw(st.lists(_RATIONALS, min_size=dim, max_size=dim))
         rhs = [sum((a * xi for a, xi in zip(row, x)), Fraction(0)) for row in rows]
-    assume(kind != "full" or old_rank(rows, dim) == dim)
+    assume(kind != "full" or _rank(rows, dim) == dim)
     return rows, rhs, dim, kind
 
 
@@ -705,39 +735,36 @@ def rational_systems(draw):
 @settings(max_examples=200, deadline=None)
 def test_row_reduce_matches_the_three_old_loops(system):
     rows, rhs, dim, kind = system
-    assert geometry._rank(rows, dim) == old_rank(rows, dim)
-    assert geometry._null_direction(rows, dim) == old_null_direction(rows, dim)
-    square = rows[:dim] if len(rows) >= dim else None
-    if square is not None:
-        got = geometry._solve_exact(square, rhs[:dim])
-        assert got == old_solve_exact(square, rhs[:dim])
-        if old_rank(square, dim) == dim:
-            assert got is not None
-            assert all(
-                sum((a * x for a, x in zip(row, got)), Fraction(0)) == b
-                for row, b in zip(square, rhs)
-            )
-        else:
-            assert got is None  # singular, whether consistent or not
+    augmented = [row + [b] for row, b in zip(rows, rhs)]
+    for matrix in (rows, augmented):  # the rank and null space, and the solve
+        assert geometry._row_reduce(matrix, dim) == row_reduce(matrix, dim)
+    reduced, pivots = geometry._row_reduce(augmented, dim)
+    rank = len(pivots)
+    assert rank == dim if kind == "full" else rank < dim
+    # a zero row of the reduced system keeps a nonzero right-hand side iff it is inconsistent
+    assert any(row[dim] != 0 for row in reduced[rank:]) == (kind == "inconsistent")
     if kind == "full":
-        assert geometry._rank(rows, dim) == dim
+        x = [row[dim] for row in reduced[:dim]]
+        assert all(
+            sum((a * xi for a, xi in zip(row, x)), Fraction(0)) == b for row, b in zip(rows, rhs)
+        )
 
 
 def test_row_reduce_fixed_systems():
     F = Fraction
-    full = [[F(2), F(1)], [F(1), F(3)]]
-    assert geometry._solve_exact(full, [F(3), F(4)]) == (F(1), F(1))
-    assert geometry._rank(full, 2) == 2
-    assert geometry._null_direction(full, 2) is None
-    deficient = [[F(1), F(2)], [F(2), F(4)]]
-    assert geometry._rank(deficient, 2) == 1
-    assert geometry._null_direction(deficient, 2) == (F(-2), F(1))
-    assert geometry._solve_exact(deficient, [F(1), F(2)]) is None  # consistent
-    assert geometry._solve_exact(deficient, [F(1), F(3)]) is None  # inconsistent
-    assert geometry._rank([[F(0), F(0)]], 2) == 0
+    assert geometry._row_reduce([[F(2), F(1), F(3)], [F(1), F(3), F(4)]], 2) == (
+        [[1, 0, 1], [0, 1, 1]], [0, 1]
+    )
+    deficient = [[F(1), F(2), F(1)], [F(2), F(4), F(2)]]  # consistent
+    assert geometry._row_reduce(deficient, 2) == ([[1, 2, 1], [0, 0, 0]], [0])
+    inconsistent = [[F(1), F(2), F(1)], [F(2), F(4), F(3)]]
+    assert geometry._row_reduce(inconsistent, 2) == ([[1, 2, 1], [0, 0, 1]], [0])
+    assert geometry._row_reduce([[F(0), F(0)]], 2) == ([[0, 0]], [])
     # integer rows are reduced in Fractions: a float 1/3 would not equal F(1, 3)
-    assert geometry._solve_exact([[3, 0], [0, 7]], [1, 2]) == (F(1, 3), F(2, 7))
-    assert all(type(c) is F for c in geometry._solve_exact([[3, 1], [1, 2]], [1, 1]))
+    reduced, pivots = geometry._row_reduce([[3, 0, 1], [0, 7, 2]], 2)
+    assert (reduced, pivots) == ([[1, 0, F(1, 3)], [0, 1, F(2, 7)]], [0, 1])
+    reduced, _ = geometry._row_reduce([[3, 1, 1], [1, 2, 1]], 2)
+    assert all(type(c) is F for row in reduced for c in row)
 
 
 # ---------------------------------------------------------------------------
@@ -785,6 +812,46 @@ def test_boundary_layer_matches_point_construction(name):
         layer = boundary_layer(dom, n)
         assert layer.array.dtype == np.int64
         assert layer.points == tuple(expected)
+
+
+HALF_BOXES = {  # [-1/2, 1/2]^N: unit boxes at lattice points meet it in faces of every dimension
+    dim: validate_domain(
+        facets=[(tuple(2 * s * (k == j) for k in range(dim)), 1)
+                for j in range(dim) for s in (1, -1)]
+    )
+    for dim in (2, 3)
+}
+
+
+def _affine_dimension(points):
+    """Dimension of the affine hull of a point list; -1 when it is empty."""
+    if not points:
+        return -1
+    differences = [[a - b for a, b in zip(p, points[0])] for p in points]
+    return len(row_reduce(differences, len(points[0]))[1])
+
+
+def test_box_cuts_match_the_enumeration(monkeypatch):
+    # every constraint set _box_touches_boundary cuts, recorded as boundary_layer builds
+    kernel, cuts = geometry._polytope_vertices, []
+
+    def recorded(constraints, dim):
+        vertices = kernel(constraints, dim)
+        cuts.append((constraints, dim, vertices))
+        return vertices
+
+    monkeypatch.setattr(geometry, "_polytope_vertices", recorded)
+    domains = [builtin_domain(name) for name in ("interval", "square", "diamond", "triangle")]
+    domains += [validate_domain(facets=SOLIDS["simplex"][1]), *HALF_BOXES.values()]
+    for domain in domains:
+        for n in (1,) if domain.dimension == 3 else (1, 2, 3):
+            boundary_layer(domain, n)
+    shapes = set()
+    for constraints, dim, vertices in cuts:
+        assert sorted(vertices) == feasible_vertices(constraints, dim)
+        shapes.add((dim, _affine_dimension(vertices)))
+    # empty cuts, and cuts in a point, a segment and a square, among the full ones
+    assert shapes == {(1, 1)} | {(dim, k) for dim in (2, 3) for k in range(-1, dim + 1)}
 
 
 def test_equality_reads_the_array(square):

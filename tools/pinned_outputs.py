@@ -5,15 +5,18 @@ Usage: python tools/pinned_outputs.py OUT_DIR
 Each invocation runs in a fresh interpreter on the ``src`` tree beside this
 script, with BLAS pinned to one thread and this script's directory as its
 working directory, so the input files kept here (``lap5.json``, the
-constant 5-point operator with diagonal 5, ``far.json``, ``adj.json``,
+constant 5-point operator with diagonal 5, ``lap7.json``, the constant
+7-point 3-D operator with diagonal 7, ``far.json``, ``adj.json``,
 ``sz.json``, whose entries carry signed zeros, ``matching.json``, a
 fixed random matching of the points -300..299 into 300 edges of 216
-distinct lengths, and ``pent.json``, a pentagon with rational corners
-given by eight points, three of them not vertices) are named by
-relative paths.  Its file in OUT_DIR holds the exit code,
-stdout and stderr.  finsec's outputs are byte-deterministic, so running this on two
-checkouts and comparing with ``diff -r`` shows every output byte a change
-moves; copy the ``.json`` inputs along when the parent lacks them.
+distinct lengths, ``pent.json``, a pentagon with rational corners
+given by eight points, three of them not vertices, and ``poly24.json``,
+12 distinct nonzero points p/20 with p drawn from [-20, 20]^3 after
+``random.seed(1)``, and their negatives) are named by relative paths.
+Its file in OUT_DIR holds the exit code, stdout and stderr.  finsec's
+outputs are byte-deterministic, so running this on two checkouts and
+comparing with ``diff -r`` shows every output byte a change moves; copy
+the ``.json`` inputs along when the parent lacks them.
 """
 
 from __future__ import annotations
@@ -57,6 +60,11 @@ INVOCATIONS = (
     ],
     [
         "scan", "--operator", "lap5.json", "--omega", "pent.json", "--nmax", "10",
+        "--format", "json",
+    ],
+    # a 3-D domain from 24 points, 20 of them corners
+    [
+        "scan", "--operator", "lap7.json", "--omega", "poly24.json", "--nmax", "3",
         "--format", "json",
     ],
     # a 2-D operator on a 1-D domain: exit 2 and one line naming both dimensions

@@ -37,7 +37,6 @@ from .geometry import (
     StarlikeDomain,
     boundary_layer,
     lattice_section,
-    lattice_section_size,
     validate_domain,
 )
 from .linalg import (

@@ -2,8 +2,8 @@
 
 Configs are JSON files; exact rationals are "p/q" strings, complex scalars
 are "re" or "re+imi" strings.  Outputs are byte-deterministic for a fixed
-config.  Exit status: 0 success, 2 invalid configuration, 3 numeric
-failure (singular section, infeasible parameters, ...).
+config at a fixed BLAS thread count.  Exit status: 0 success, 2 invalid
+configuration, 3 numeric failure (singular section, infeasible parameters, ...).
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ extremes from a sparse LU and Lanczos, never building the dense block.
 They fall back to the dense SVD whenever the sparse route fails or its
 sigma_min lies within SPARSE_FALLBACK_FACTOR of the invertibility
 threshold, so the verdict never depends on which route ran.  Scans,
-inverse norms and solves (fsm_solve) all take it from section_extremes.
+inverse norms and solves (fsm_solve) all take it from _window_extremes.
 """
 
 from __future__ import annotations
@@ -58,15 +58,24 @@ SPARSE_FALLBACK_FACTOR = 1e3
 
 
 def _window_extremes(
-    operator: OperatorSpec, window: IndexSet, tau_rel: float
-) -> tuple[float, float]:
-    """Sparse extremes for large windows when safely invertible, else dense SVD."""
+    operator: OperatorSpec, window: IndexSet, n: int, tau_rel: float
+) -> tuple[float, float, np.ndarray | None]:
+    """(sigma_min, sigma_max, block) of window n: sparse for large windows when
+    safely invertible, with block None, else the dense SVD of the block."""
+    extremes = block = None
     if len(window) >= SPARSE_MIN_POINTS:
         extremes = sparse_extremes(*section_triplets(operator, window, window), len(window))
-        if extremes is not None and invertible(*extremes, SPARSE_FALLBACK_FACTOR * tau_rel):
-            return extremes
-    sv = singular_values(assemble(operator, window, window).data)
-    return float(sv[-1]), float(sv[0])
+    if extremes is None or not invertible(*extremes, SPARSE_FALLBACK_FACTOR * tau_rel):
+        block = assemble(operator, window, window).data
+        sv = singular_values(block)
+        extremes = float(sv[-1]), float(sv[0])
+    smin, smax = extremes
+    if not (math.isfinite(smin) and math.isfinite(smax)):
+        raise NonFiniteResultError(
+            f"section at n={n} has non-finite singular values "
+            f"(sigma_min={smin}, sigma_max={smax})"
+        )
+    return smin, smax, block
 
 
 def section_extremes(
@@ -81,23 +90,16 @@ def section_extremes(
     triplets would pass the memory budget, and NonFiniteResultError when a
     singular value overflows.
     """
-    if isinstance(operator, AdjacencyGraph):
-        operator.check_coverage(domain, n)
-        inside = domain.contains_array(operator.edge_array, n).reshape(-1, 2)
-        cut_ends = int(np.count_nonzero(inside[:, 0] != inside[:, 1]))
-        smin = 0.0 if cut_ends else 1.0
-        # sigma_max is 0 only when every window point is the end of a cut edge
-        all_cut = 0 < cut_ends == np.count_nonzero(inside)
-        smax = 0.0 if all_cut and _count_section(domain, n, cut_ends)[0] <= cut_ends else 1.0
-    else:
+    if not isinstance(operator, AdjacencyGraph):
         _check_window_budget(operator, domain, n)
-        smin, smax = _window_extremes(operator, lattice_section(domain, n), tau_rel)
-    if not (math.isfinite(smin) and math.isfinite(smax)):
-        raise NonFiniteResultError(
-            f"section at n={n} has non-finite singular values "
-            f"(sigma_min={smin}, sigma_max={smax})"
-        )
-    return smin, smax
+        return _window_extremes(operator, lattice_section(domain, n), n, tau_rel)[:2]
+    operator.check_coverage(domain, n)
+    inside = domain.contains_array(operator.edge_array, n).reshape(-1, 2)
+    cut_ends = int(np.count_nonzero(inside[:, 0] != inside[:, 1]))
+    # sigma_max is 0 only when every window point is the end of a cut edge
+    all_cut = 0 < cut_ends == np.count_nonzero(inside)
+    smax = 0.0 if all_cut and _count_section(domain, n, cut_ends)[0] <= cut_ends else 1.0
+    return 0.0 if cut_ends else 1.0, smax
 
 
 def fsm_solve(
@@ -112,6 +114,7 @@ def fsm_solve(
     Checks the memory budget (sections._check_solve_budget) and the rhs dimension,
     then takes inverse_norm's verdict.  An adjacency section's solve builds
     no window: it moves each entry of b inside the window to its partner.
+    Other solves build window n once and reuse the block of a dense verdict.
     """
     _check_solve_budget(operator, domain, n)
     if isinstance(operator, AdjacencyGraph):
@@ -122,10 +125,12 @@ def fsm_solve(
         x = rhs.to_array(support) + 0.0
         moved = map(tuple, operator.swap(support).tolist())
         return SupportedVector(rhs.dimension, dict(zip(moved, x.tolist())))
+    _check_window_budget(operator, domain, n)
     window = lattice_section(domain, n)
     b = rhs.to_array(window)
-    inverse_norm(operator, domain, n, tau_rel)
-    x = np.linalg.solve(assemble(operator, window, window).data, b)
+    smin, smax, block = _window_extremes(operator, window, n, tau_rel)
+    _inverse_norm(n, smin, smax, tau_rel)
+    x = np.linalg.solve(assemble(operator, window, window).data if block is None else block, b)
     # clears the -0.0 parts, which BLAS signs by an entry's position in the block
     x += 0.0
     return SupportedVector.from_array(window, x)
@@ -138,7 +143,10 @@ def inverse_norm(
     tau_rel: float = TAU_REL_DEFAULT,
 ) -> float:
     """max(1, 1/sigma_min) of the section; raises when the section is singular."""
-    smin, smax = section_extremes(operator, domain, n, tau_rel)
+    return _inverse_norm(n, *section_extremes(operator, domain, n, tau_rel), tau_rel)
+
+
+def _inverse_norm(n: int, smin: float, smax: float, tau_rel: float) -> float:
     if not invertible(smin, smax, tau_rel):
         raise SingularSectionError(
             f"section at n={n} is singular: sigma_min={smin:.6g} is not above "

@@ -4,11 +4,11 @@ Domains are convex polytopes with rational facet data and the origin in
 their interior.  All membership decisions are made in exact rational
 (integer, after clearing denominators) arithmetic, never in floating
 point, so section index sets are reproducible bit-for-bit.  One kernel,
-_polytope_vertices, finds every vertex, facet and boundedness answer by
-double description, and None from it means the polyhedron is unbounded
-(its normals do not positively span).  An index set
-stores its points once, as the rows of a sorted (k, N) int64 array, and
-array lookups refuse point sets whose integer keys would leave int64.
+_polytope_vertices, answers every vertex, facet and boundedness question
+by double description (None: unbounded); window rows are walked through
+the facets of the domain's projections onto its leading coordinates.  An
+index set stores its points once, as the rows of a sorted (k, N) int64
+array, and array lookups refuse point sets whose integer keys would leave int64.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "IndexSet",
     "validate_domain",
     "lattice_section",
-    "lattice_section_size",
     "boundary_layer",
 ]
 
@@ -144,6 +143,12 @@ class StarlikeDomain:
             (m - n) * b >= max((_dot(a, d) for d in offsets), default=0)
             for a, b, _ in self.facets
         )
+
+    @cached_property
+    def _projections(self) -> tuple[tuple[FacetRow, ...], ...]:
+        """Facet rows of the projections onto the first k = 1..N coordinates."""
+        shadows = ({v[:k] for v in self.vertices} for k in range(1, self.dimension))
+        return (*(validate_domain(vertices=s).facets for s in shadows), self.facets)
 
     @cached_property
     def _vertex_range(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -372,7 +377,7 @@ def validate_domain(
     for normal, offset, _ in facet_list:
         if offset <= 0:  # normal.0 = 0 must satisfy the facet strictly
             raise ZeroNotInteriorError(
-                f"origin is not interior to facet {normal} . x <= {offset}"
+                f"origin is not interior to facet [{', '.join(map(str, normal))}] . x <= {offset}"
             )
 
     rows = tuple(_integer_row(normal, offset) + (closed,) for normal, offset, closed in facet_list)
@@ -388,51 +393,43 @@ def validate_domain(
 
 
 def _last_coordinate_range(
-    domain: StarlikeDomain, n: int, prefix: tuple[int, ...]
+    rows: Sequence[FacetRow], n: int, prefix: Point
 ) -> tuple[int, int] | None:
-    """Exact integer range of the last coordinate over the dilation at `prefix`."""
-    lo = None
-    hi = None
-    for a, b, closed in domain.facets:
-        s = sum(ai * xi for ai, xi in zip(a, prefix))
+    """Exact integer range of the last coordinate over the dilation of `rows` at `prefix`.
+
+    A row with last coefficient 0 is skipped: it bounds the projection one
+    level up too, which holds every prefix the walk reaches.
+    """
+    lo = hi = None
+    for a, b, closed in rows:
+        bound = n * b - sum(ai * xi for ai, xi in zip(a, prefix))
         a_last = a[-1]
-        bound = n * b - s
-        if a_last == 0:
-            if s > n * b or (not closed and s == n * b):
-                return None
-        elif a_last > 0:  # x <= bound / a_last, strictly below it when open
+        if a_last > 0:  # x <= bound / a_last, strictly below it when open
             q, r = divmod(bound, a_last)
             cand = q - 1 if not closed and r == 0 else q
             hi = cand if hi is None else min(hi, cand)
-        else:  # x >= bound / a_last, strictly above it when open
+        elif a_last < 0:  # x >= bound / a_last, strictly above it when open
             q, r = divmod(bound, -a_last)
             cand = 1 - q if not closed and r == 0 else -q
             lo = cand if lo is None else max(lo, cand)
     assert lo is not None and hi is not None  # boundedness guarantees both sides
-    if lo > hi:
-        return None
-    return lo, hi
+    return None if lo > hi else (lo, hi)
 
 
-def _prefixes(lo: Sequence[int], hi: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """The box lo..hi lexicographically, lazily: itertools.product copies each range first."""
-    if not lo:
-        return iter([()])
-    return (p + (x,) for p in _prefixes(lo[:-1], hi[:-1]) for x in range(lo[-1], hi[-1] + 1))
+def _rows(domain: StarlikeDomain, n: int, prefix: Point = ()) -> Iterator[Point]:
+    """Each nonempty row of window n under `prefix`, lexicographically, as prefix + (lo, hi).
 
-
-def _rows(domain: StarlikeDomain, n: int) -> Iterator[tuple[int, ...]]:
-    """Each nonempty row of window n, in lexicographic order, as prefix + (lo, hi).
-
-    The row holds the points prefix + (x,) with lo <= x <= hi.
+    The row holds the points prefix + (x,) with lo <= x <= hi.  Coordinate k
+    ranges over the dilated projection onto the first k coordinates.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    lo, hi = domain.bounding_box(n)
-    for prefix in _prefixes(lo[:-1], hi[:-1]):
-        rng = _last_coordinate_range(domain, n, prefix)
-        if rng is not None:
-            yield prefix + rng
+    rng = _last_coordinate_range(domain._projections[len(prefix)], n, prefix)
+    if rng is not None and len(prefix) + 1 == domain.dimension:
+        yield prefix + rng
+    elif rng is not None:
+        for x in range(rng[0], rng[1] + 1):
+            yield from _rows(domain, n, prefix + (x,))
 
 
 def lattice_section(domain: StarlikeDomain, n: int) -> IndexSet:
@@ -456,11 +453,6 @@ def _count_section(domain: StarlikeDomain, n: int, limit: int | None) -> tuple[i
             return total, False
         total += row[-1] - row[-2] + 1
     return total, True
-
-
-def lattice_section_size(domain: StarlikeDomain, n: int) -> int:
-    """Exact cardinality of lattice_section(domain, n) without materializing it."""
-    return _count_section(domain, n, None)[0]
 
 
 # ---------------------------------------------------------------------------

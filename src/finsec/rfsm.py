@@ -236,8 +236,8 @@ def _fill_shared_caches(
 ) -> None:
     """Build the cached state that every window reads, before threads share it.
 
-    One value of each band diagonal fills its tables; filling window 1
-    from the right-hand side builds its support arrays and reads the facet data.
+    One value of each band diagonal fills its tables; filling window 1 from the
+    right-hand side builds its support arrays and the domain's `_projections`.
     """
     origin = np.zeros((1, operator.dimension), dtype=np.int64)
     for _, rule in () if isinstance(operator, AdjacencyGraph) else operator.diagonals:

@@ -3,8 +3,10 @@
 Nothing in here touches LAPACK or the package's numeric kernels: the
 singular-value oracle runs entirely in exact integer/rational arithmetic
 (characteristic polynomial + Sturm-chain bisection on the Gram matrix),
-and the geometry oracle enumerates bounding boxes directly against the
-facet inequalities.  The identity operator, whose sections are known
+and the geometry oracles enumerate bounding boxes directly against the
+facet inequalities: point by point, and row by row over every prefix
+of the box as the reference for the walk through the domain's
+projections.  The identity operator, whose sections are known
 exactly, is built here from one constant diagonal, the diagonal table
 of an adjacency graph edge by edge, as the reference for its swap, and
 the square adjacency solve over its whole window, as the reference for
@@ -101,6 +103,63 @@ def brute_force_section(facets, n, radius):
     dim = len(facets[0][0])
     box = itertools.product(range(-radius, radius + 1), repeat=dim)
     return sorted(p for p in box if in_dilation(facets, p, n))
+
+
+# ---------------------------------------------------------------------------
+# row walk oracle: every prefix of the bounding box
+# ---------------------------------------------------------------------------
+
+
+def box_row_range(domain, n, prefix):
+    """Exact integer range of the last coordinate over window n at any `prefix`.
+
+    Every facet of the domain is read, and one whose last coefficient is 0
+    decides alone whether the prefix has a row at all.
+    """
+    lo = hi = None
+    for a, b, closed in domain.facets:
+        s = sum(ai * xi for ai, xi in zip(a, prefix))
+        bound = n * b - s
+        if a[-1] == 0:
+            if s > n * b or (not closed and s == n * b):
+                return None
+        elif a[-1] > 0:  # x <= bound / a_last, strictly below it when open
+            q, r = divmod(bound, a[-1])
+            cand = q - 1 if not closed and r == 0 else q
+            hi = cand if hi is None else min(hi, cand)
+        else:  # x >= bound / a_last, strictly above it when open
+            q, r = divmod(bound, -a[-1])
+            cand = 1 - q if not closed and r == 0 else -q
+            lo = cand if lo is None else max(lo, cand)
+    return None if lo > hi else (lo, hi)
+
+
+def box_rows(domain, n):
+    """Each nonempty row of window n as prefix + (lo, hi), over every prefix of the box.
+
+    The walk geometry._rows replaced: it tries each prefix of the bounding
+    box, so a domain whose prefix slices are mostly empty costs its box.
+    """
+    lo, hi = domain.bounding_box(n)
+    for prefix in itertools.product(*(range(l, h + 1) for l, h in zip(lo[:-1], hi[:-1]))):
+        rng = box_row_range(domain, n, prefix)
+        if rng is not None:
+            yield prefix + rng
+
+
+def box_section(domain, n):
+    """The points of window n, in lexicographic order, from the box walk's rows."""
+    return [row[:-2] + (x,) for row in box_rows(domain, n) for x in range(row[-2], row[-1] + 1)]
+
+
+def box_count(domain, n, limit):
+    """geometry._count_section over the box walk: (points, complete), stopped past `limit`."""
+    total = 0
+    for row in box_rows(domain, n):
+        if limit is not None and total > limit:
+            return total, False
+        total += row[-1] - row[-2] + 1
+    return total, True
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +304,9 @@ def enumerated_domain(facets=None, vertices=None):
     dim = len(facets[0][0])
     for normal, offset in facets:
         if offset <= 0:
-            raise ZeroNotInteriorError(f"origin is not interior to facet {normal} . x <= {offset}")
+            raise ZeroNotInteriorError(
+                f"origin is not interior to facet [{', '.join(map(str, normal))}] . x <= {offset}"
+            )
     if not positively_spans([normal for normal, _ in facets], dim):
         raise UnboundedDomainError("facet normals do not positively span the space")
     normalized = sorted(tuple(c / offset for c in normal) for normal, offset in facets)

@@ -619,9 +619,9 @@ def test_no_example_reaches_the_sparse_route_at_its_default_nmax(monkeypatch, ca
     window_sizes = []
     window_extremes = fsm._window_extremes
 
-    def recording(operator, window, tau_rel):
+    def recording(operator, window, *args):
         window_sizes.append(len(window))
-        return window_extremes(operator, window, tau_rel)
+        return window_extremes(operator, window, *args)
 
     monkeypatch.setattr(fsm, "_window_extremes", recording)
     for case_id in catalog.EXAMPLE_IDS:
@@ -870,6 +870,22 @@ def test_scan_domain_config_file(tmp_path, capsys):
     )
     assert code == 0
     assert all(r.split(",")[1] == "false" for r in out.splitlines()[1:])
+
+
+@pytest.mark.parametrize(
+    "facet, shown",
+    [(({"normal": ["1", "0"], "offset": "0"}), "[1, 0] . x <= 0"),
+     (({"normal": ["-3/2", "2"], "offset": "-1/3"}), "[-3/2, 2] . x <= -1/3")],
+)
+def test_facet_offset_at_most_0_refused_in_rationals(facet, shown, tmp_path, capsys):
+    omega = tmp_path / "off0.json"
+    box = [{"normal": n, "offset": "1"} for n in (["-1", "0"], ["0", "1"], ["0", "-1"])]
+    omega.write_text(json.dumps({"facets": [facet, *box]}))
+    argv = ["scan", "--operator", str(ROOT / "tools" / "lap5.json"), "--omega", str(omega)]
+    code, out, err = run_cli([*argv, "--nmax", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"finsec: invalid configuration: origin is not interior to facet {shown}\n"
+    assert "Fraction(" not in err
 
 
 def test_all_operator_variants_parse(tmp_path, capsys):
@@ -1210,10 +1226,23 @@ def test_pinned_and_benchmark_invocations_parse(tmp_path):
     invocations = list(runpy.run_path(ROOT / "tools" / "pinned_outputs.py")["INVOCATIONS"])
     workloads = runpy.run_path(ROOT / "bench" / "workloads.py", run_name="workloads")["WORKLOADS"]
     invocations += [w.prepare(0, False, tmp_path)[0] for w in workloads.values()]
-    assert len(invocations) == 23 + 4
+    assert len(invocations) == 24 + 4
     parser = cli.build_parser()
     for argv in invocations:
         parser.parse_args(argv)
+
+
+def test_pinned_outputs_keep_their_bytes(tmp_path):
+    # a change that means to move output bytes updates tools/pinned and says which files
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "pinned_outputs.py"), str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    pinned = ROOT / "tools" / "pinned"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in pinned.iterdir())
+    for path in pinned.iterdir():
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 FLAGS_READ = {

@@ -72,6 +72,34 @@ def test_solve_residual_consistency(worked_prime_case, interval):
         assert resid <= 1e-8 * (1.0 + b.norm())
 
 
+@pytest.mark.parametrize("route", ["dense", "sparse"])
+def test_solve_builds_its_window_and_block_once(route, worked_prime_case, interval, square,
+                                                monkeypatch):
+    # the verdict's dense SVD and the solve share one block; the sparse verdict builds none
+    if route == "dense":
+        operator, domain, n = worked_prime_case.operator, interval, 40
+        b = SupportedVector.from_entries(1, {k: 2.0 ** (-abs(k)) for k in range(-25, 26)})
+    else:
+        operator, domain, n = laplace_operator([4, 4.25, 4.5, 5]), square, 12
+        b = SupportedVector(2, {(0, 0): 1.0, (3, -2): 2.0})
+    window = lattice_section(domain, n)
+    assert (len(window) >= fsm.SPARSE_MIN_POINTS) == (route == "sparse")
+    expected = np.linalg.solve(fsm_section(operator, domain, n).data, b.to_array(window)) + 0.0
+    calls = []
+
+    def counted(name, built):
+        def call(*args):
+            calls.append(name)
+            return built(*args)
+        return call
+
+    for name in ("lattice_section", "assemble"):
+        monkeypatch.setattr(fsm, name, counted(name, getattr(fsm, name)))
+    u = fsm_solve(operator, b, domain, n)
+    assert sorted(calls) == ["assemble", "lattice_section"]
+    assert u == SupportedVector.from_array(window, expected)
+
+
 # ---------------------------------------------------------------------------
 # inverse_norm
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import itertools
+import json
 import math
 import operator
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,11 +18,13 @@ from finsec import (
     boundary_layer,
     builtin_domain,
     lattice_section,
-    lattice_section_size,
     validate_domain,
 )
-from finsec import geometry
+from finsec import geometry, sections
 from oracles import (
+    box_count,
+    box_row_range,
+    box_section,
     brute_force_section,
     enumerated_domain,
     feasible_vertices,
@@ -296,7 +300,7 @@ def test_sections_match_brute_force(name, n):
     radius = dom.enclosing_radius(n) + 1
     expected = brute_force_section(BUILTIN_FACETS[name], n, radius)
     assert list(lattice_section(dom, n)) == expected
-    assert lattice_section_size(dom, n) == len(expected)
+    assert geometry._count_section(dom, n, None) == (len(expected), True)
 
 
 @pytest.mark.parametrize(
@@ -509,10 +513,10 @@ def test_contains_array_refuses_points_of_another_width():
     assert square.contains_array(np.zeros((0, 2), dtype=np.int64), 1).tolist() == []
 
 
-def fraction_row_range(domain, n, prefix):
-    """The row range of window n at `prefix` in Fraction arithmetic."""
+def fraction_row_range(rows, n, prefix):
+    """The range of the last coordinate over the dilation of `rows` at `prefix`, in Fractions."""
     lo = hi = None
-    for a, b, closed in domain.facets:
+    for a, b, closed in rows:
         s = sum(ai * xi for ai, xi in zip(a, prefix))
         bound = Fraction(n * b - s)
         if a[-1] == 0:
@@ -540,25 +544,35 @@ OPEN_FACET_DOMAINS = [
 @pytest.mark.parametrize(
     "domain",
     [builtin_domain(name) for name in ("interval", "interval-halfopen", "square", "diamond", "triangle")]
-    + [validate_domain(facets=facets) for facets in OPEN_FACET_DOMAINS],
+    + [validate_domain(facets=facets) for facets in OPEN_FACET_DOMAINS]
+    + [validate_domain(vertices=SOLIDS[name][0]) for name in ("octahedron", "simplex")],
 )
-def test_integer_row_ranges_match_fractions(domain):
-    for n in (1, 2, 3, 7, 50):
-        lo, hi = domain.bounding_box(n)
-        prefixes = itertools.product(
-            *[range(lo[j] - 1, hi[j] + 2) for j in range(domain.dimension - 1)]
-        )
-        for prefix in prefixes:
-            assert geometry._last_coordinate_range(domain, n, prefix) == (
-                fraction_row_range(domain, n, prefix)
-            )
+def test_integer_row_ranges_match_fractions(domain, monkeypatch):
+    # every range the walk takes, at every level, against Fractions with the zero
+    # branch; at the last level also against the box walk's range from all facets
+    calls = []
+    row_range = geometry._last_coordinate_range
+
+    def recorded(rows, n, prefix):
+        calls.append((rows, n, prefix, row_range(rows, n, prefix)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(geometry, "_last_coordinate_range", recorded)
+    for n in (1, 2, 3, 7, 50 if domain.dimension < 3 else 8):
+        list(geometry._rows(domain, n))
+    assert {len(prefix) for _, _, prefix, _ in calls} == set(range(domain.dimension))
+    for rows, n, prefix, got in calls:
+        assert rows == domain._projections[len(prefix)]
+        assert got == fraction_row_range(rows, n, prefix)
+        if len(prefix) == domain.dimension - 1:
+            assert got == box_row_range(domain, n, prefix)
 
 
 @pytest.mark.parametrize("name", ["interval", "interval-halfopen", "square", "triangle"])
 def test_section_exceeds_matches_size(name):
     dom = builtin_domain(name)
     for n in (1, 2, 6):
-        size = lattice_section_size(dom, n)
+        size = len(lattice_section(dom, n))
         assert geometry._count_section(dom, n, None) == (size, True)
         for limit in (-1, 0, 1, size - 1, size, size + 1):
             count, complete = geometry._count_section(dom, n, limit)
@@ -772,18 +786,6 @@ def test_row_reduce_fixed_systems():
 # ---------------------------------------------------------------------------
 
 
-def section_by_points(domain, n):
-    """The point-by-point construction lattice_section replaced, kept as the reference."""
-    lo, hi = domain.bounding_box(n)
-    ranges = [range(lo[j], hi[j] + 1) for j in range(domain.dimension - 1)]
-    points = []
-    for prefix in itertools.product(*ranges):
-        rng = geometry._last_coordinate_range(domain, n, prefix)
-        if rng is not None:
-            points.extend(prefix + (x,) for x in range(rng[0], rng[1] + 1))
-    return points
-
-
 BUILTIN_NAMES = ["interval", "interval-halfopen", "square", "diamond", "triangle"]
 
 
@@ -791,13 +793,79 @@ BUILTIN_NAMES = ["interval", "interval-halfopen", "square", "diamond", "triangle
 @settings(max_examples=200, deadline=None)
 def test_section_array_matches_point_construction(name, n):
     dom = builtin_domain(name)
-    expected = section_by_points(dom, n)
+    expected = box_section(dom, n)  # the point-by-point construction, over the box walk
     window = lattice_section(dom, n)
     assert window.array.dtype == np.int64
     assert window.array.shape == (len(expected), dom.dimension)
     assert window.array.tolist() == [list(p) for p in expected]
     assert window.points == tuple(expected)
-    assert len(window) == lattice_section_size(dom, n)
+    assert geometry._count_section(dom, n, None) == (len(window), True)
+
+
+# ---------------------------------------------------------------------------
+# the row walk through the projections against the box walk
+# ---------------------------------------------------------------------------
+
+
+def assert_walks_agree(domain, n):
+    expected = box_section(domain, n)
+    window = lattice_section(domain, n)
+    assert window.array.tolist() == [list(p) for p in expected]
+    size = len(expected)
+    for limit in (-1, 0, 1, size - 1, size, size + 1, None):
+        assert geometry._count_section(domain, n, limit) == box_count(domain, n, limit)
+
+
+@given(rational_vertex_sets(), st.integers(min_value=1, max_value=4))
+@settings(max_examples=200, deadline=None)
+def test_projection_walk_matches_the_box_walk(points, n):
+    try:
+        domain = validate_domain(vertices=points)
+    except ZeroNotInteriorError:
+        assume(False)
+    assert_walks_agree(domain, n)
+
+
+POLY24 = json.loads((Path(__file__).parents[1] / "tools" / "poly24.json").read_text())["vertices"]
+FIXED_WALK_DOMAINS = {
+    **{name: validate_domain(vertices=SOLIDS[name][0]) for name in SOLIDS},
+    "poly24": validate_domain(vertices=POLY24),
+    # a simplex whose projections onto the first and onto the last k coordinates differ
+    "4-D": validate_domain(
+        vertices=[("3/2", 0, 0, 0), (0, "2/3", 0, 0), (0, 0, "5/4", 0), (0, 0, 0, "1/2"),
+                  ("-1/2", "-1/3", "-1/2", "-1/3")]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FIXED_WALK_DOMAINS)
+def test_projection_walk_matches_the_box_walk_on_fixed_domains(name):
+    domain = FIXED_WALK_DOMAINS[name]
+    for n in (1, 2, 3, 5, 8):
+        assert_walks_agree(domain, n)
+
+
+def test_octahedron_refusal_walks_only_rows_it_counts(monkeypatch):
+    # The scan's count of window N for lap7.json on |x|+|y|+|z| <= 1: 408 bytes a
+    # point (sections._check_window_budget with 7 diagonals in 3-D).  The box walk
+    # took 399,100 prefixes at N = 10**3 and grew with N; this walk stops at the
+    # first row past the limit, at the same row for every N this large.
+    octahedron = FIXED_WALK_DOMAINS["octahedron"]
+    limit = sections.DENSE_BUDGET_BYTES // (48 + 8 * 3 + 48 * 7)
+    calls = []
+    row_range = geometry._last_coordinate_range
+
+    def counted(*args):
+        calls.append(None)
+        return row_range(*args)
+
+    monkeypatch.setattr(geometry, "_last_coordinate_range", counted)
+    made = []
+    for n in (10**3, 10**5):
+        calls.clear()
+        assert geometry._count_section(octahedron, n, limit) == (5263600, False)
+        made.append(len(calls))
+    assert made[0] == made[1] < 40_000
 
 
 @pytest.mark.parametrize("name", ["interval", "square", "diamond", "triangle"])

@@ -30,7 +30,6 @@ from finsec import (
     choose_parameters,
     convergence_study,
     lattice_section,
-    lattice_section_size,
     normal_equations_solve,
     overflow_block,
     overflow_norm,
@@ -578,12 +577,12 @@ def test_study_records_equal_the_serial_loop(
         explicit_rows=explicit, inverse_bound=inverse_bound, certified_bound=certified,
     )
     # the reference is solved in the pool, first of all windows
-    reference_cols = lattice_section_size(domain, reference_n)
+    reference_cols = len(lattice_section(domain, reference_n))
     assert [cols for cols, _ in calls].count(reference_cols) == 1
     assert not any(in_main for _, in_main in calls)
     if min(cores, len(ns)) == 1:
         assert [cols for cols, _ in calls] == [
-            reference_cols, *(lattice_section_size(domain, n) for n in ns)
+            reference_cols, *(len(lattice_section(domain, n)) for n in ns)
         ]
     want = serial_study_records(
         operator, rhs, domain, coupling, ns, reference_n, explicit, inverse_bound, certified
@@ -716,7 +715,7 @@ def test_free_cores_divides_usable_cores_by_blas_threads(env, cores, want, monke
 # adds, from before its block is assembled to after its solve.
 _HWM_RISE = r"""
 import re, sys
-from finsec import build_example, lattice_section, lattice_section_size, rfsm, sections
+from finsec import build_example, geometry, lattice_section, rfsm, sections
 
 def hwm():
     status = open("/proc/self/status").read()
@@ -727,7 +726,7 @@ rhs = case.rhs(lattice_section(case.domain, 450))
 rfsm._solve_window(case.operator, rhs, case.domain, 3, 2)  # load LAPACK and fill caches
 before = hwm()
 rfsm._solve_window(case.operator, rhs, case.domain, 450, 400)
-rows, cols = (lattice_section_size(case.domain, k) for k in (450, 400))
+rows, cols = (geometry._count_section(case.domain, k, None)[0] for k in (450, 400))
 print(hwm() - before, 16 * rows * cols, sections._dense_bytes(rows, cols))
 """
 
@@ -781,10 +780,10 @@ def test_study_workers_bounded_by_the_dense_budget(monkeypatch):
     # the reference block (14 x 11 window points) holds one block of the tallest
     # per-n window (13 x 10), not two
     reference = sections._dense_bytes(
-        lattice_section_size(domain, 14), lattice_section_size(domain, 11)
+        len(lattice_section(domain, 14)), len(lattice_section(domain, 11))
     )
     tallest = sections._dense_bytes(
-        lattice_section_size(domain, 13), lattice_section_size(domain, 10)
+        len(lattice_section(domain, 13)), len(lattice_section(domain, 10))
     )
     assert tallest <= reference < 2 * tallest
     monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", reference)
@@ -797,8 +796,8 @@ def test_study_workers_bounded_by_the_dense_budget(monkeypatch):
 @pytest.mark.parametrize("cores", [1, 2])
 def test_study_reference_failure_wins_over_a_failing_window(cores, monkeypatch):
     case = build_example("worked_A")
-    reference_cols = lattice_section_size(case.domain, 40)
-    window_cols = lattice_section_size(case.domain, 3)
+    reference_cols = len(lattice_section(case.domain, 40))
+    window_cols = len(lattice_section(case.domain, 3))
     window_failed = threading.Event()
     reference_error = LinAlgError("SVD did not converge in the reference")
     window_error = LinAlgError("SVD did not converge at n=3")
@@ -872,10 +871,10 @@ def test_study_budget_holding_only_the_reference_runs_one_window_at_a_time(monke
     domain = case.domain
     ns = range(2, 11)
     reference = sections._dense_bytes(
-        lattice_section_size(domain, 14), lattice_section_size(domain, 11)
+        len(lattice_section(domain, 14)), len(lattice_section(domain, 11))
     )
     tallest = sections._dense_bytes(
-        lattice_section_size(domain, 13), lattice_section_size(domain, 10)
+        len(lattice_section(domain, 13)), len(lattice_section(domain, 10))
     )
 
     def study():
@@ -886,7 +885,7 @@ def test_study_budget_holding_only_the_reference_runs_one_window_at_a_time(monke
     report = study()
     assert created == [1]
     assert [cols for cols, _ in calls] == [
-        lattice_section_size(domain, 11), *(lattice_section_size(domain, n) for n in ns)
+        len(lattice_section(domain, 11)), *(len(lattice_section(domain, n)) for n in ns)
     ]
     monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", reference + tallest)
     assert study().records == report.records

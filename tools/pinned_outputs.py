@@ -10,13 +10,16 @@ constant 5-point operator with diagonal 5, ``lap7.json``, the constant
 ``sz.json``, whose entries carry signed zeros, ``matching.json``, a
 fixed random matching of the points -300..299 into 300 edges of 216
 distinct lengths, ``pent.json``, a pentagon with rational corners
-given by eight points, three of them not vertices, and ``poly24.json``,
+given by eight points, three of them not vertices, ``poly24.json``,
 12 distinct nonzero points p/20 with p drawn from [-20, 20]^3 after
-``random.seed(1)``, and their negatives) are named by relative paths.
-Its file in OUT_DIR holds the exit code, stdout and stderr.  finsec's
-outputs are byte-deterministic, so running this on two checkouts and
-comparing with ``diff -r`` shows every output byte a change moves; copy
-the ``.json`` inputs along when the parent lacks them.
+``random.seed(1)``, and their negatives, and ``octa.json``, the
+octahedron |x| + |y| + |z| <= 1) are named by relative paths.  Its
+file in OUT_DIR holds the exit code, stdout and stderr.  finsec's
+outputs are byte-deterministic at a fixed BLAS thread count, so running
+this on two checkouts and comparing with ``diff -r`` shows every output
+byte a change moves; copy the ``.json`` inputs along when the parent
+lacks them.  The outputs are kept in ``pinned/`` beside this script, and
+``tests/test_cli.py`` reruns this script and compares them byte for byte.
 """
 
 from __future__ import annotations
@@ -69,6 +72,8 @@ INVOCATIONS = (
     ],
     # a 2-D operator on a 1-D domain: exit 2 and one line naming both dimensions
     ["scan", "--example", "diamond", "--omega", "interval", "--nmax", "3"],
+    # exit 2 at the window budget, after counting the rows up to it
+    ["scan", "--operator", "lap7.json", "--omega", "octa.json", "--nmin", "1000", "--nmax", "1000"],
 )
 
 RUN_CLI = "import sys; from finsec.cli import main; sys.exit(main(sys.argv[1:]))"

@@ -12,16 +12,22 @@ They fall back to the dense SVD whenever the sparse route fails or its
 sigma_min lies within SPARSE_FALLBACK_FACTOR of the invertibility
 threshold, so the verdict never depends on which route ran.  Scans,
 inverse norms and solves (fsm_solve) all take it from _window_extremes.
+
+Scans decide large band windows in forked worker processes (stability_scan),
+with the same report bytes as a serial scan.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from contextlib import closing
 from typing import Iterable
 
 import numpy as np
 
-from .errors import InsufficientDataError, NonFiniteResultError, SingularSectionError
+from . import linalg, sections
+from .errors import InsufficientDataError, NonFiniteResultError, NumericError, SingularSectionError
 from .geometry import IndexSet, StarlikeDomain, _count_section, lattice_section
 from .linalg import (
     NORM_CAP_DEFAULT,
@@ -55,6 +61,10 @@ SPARSE_MIN_POINTS = 512
 # The sparse result is kept only when sigma_min exceeds this multiple of the
 # invertibility threshold; Lanczos error (~1e-15 relative) cannot cross it.
 SPARSE_FALLBACK_FACTOR = 1e3
+# A scan forks workers only when its largest window has this many points.
+# Two workers broke even with a serial scan near 200 points on 1-D windows
+# and near 330 on 2-D ones (2 vCPUs, one BLAS thread).
+POOL_MIN_POINTS = 256
 
 
 def _window_extremes(
@@ -163,15 +173,24 @@ def stability_scan(
     operator_id: str = "",
     domain_id: str = "",
 ) -> StabilityReport:
-    """Record invertibility and inverse norms over increasing window cut-offs."""
+    """Record invertibility and inverse norms over increasing window cut-offs.
+
+    Two or more band windows, the largest of at least POOL_MIN_POINTS points,
+    are decided in forked worker processes when linalg._free_cores() leaves
+    two or more cores: no more workers than windows, nor than the dense
+    budget holds blocks of the largest window.  Each window runs the kernels
+    it would run serially, so the report's bytes do not depend on the worker
+    count.  Windows are read in n order: the first failing one raises its own
+    error and cancels those not yet started; a worker that dies raises
+    NumericError.
+    """
     ns = list(n_values)
     if not ns:
         raise ValueError("empty n list")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n values must be strictly increasing")
     records = []
-    for n in ns:
-        smin, smax = section_extremes(operator, domain, n, tau_rel)
+    for n, (smin, smax) in zip(ns, _scan_extremes(operator, domain, ns, tau_rel)):
         ok = invertible(smin, smax, tau_rel)
         records.append(
             StabilityRecord(
@@ -188,6 +207,57 @@ def stability_scan(
         tau_rel=tau_rel,
         records=tuple(records),
     )
+
+
+def _scan_extremes(
+    operator: OperatorSpec, domain: StarlikeDomain, ns: list[int], tau_rel: float
+) -> list[tuple[float, float]]:
+    """section_extremes of every n in ns, in n order, from forked workers or serially."""
+    cores, workers, points = linalg._free_cores(), 1, 0
+    closed_form = isinstance(operator, AdjacencyGraph)
+    if len(ns) > 1 and cores > 1 and hasattr(os, "fork") and not closed_form:
+        # counted no further than the largest window whose dense block fits twice
+        limit = math.isqrt(sections.DENSE_BUDGET_BYTES // 64)
+        points = _count_section(domain, ns[-1], limit)[0]
+        if points >= POOL_MIN_POINTS:
+            fits = sections.DENSE_BUDGET_BYTES // sections._dense_bytes(points, points)
+            workers = min(cores, len(ns), fits)
+    if workers < 2:
+        return [section_extremes(operator, domain, n, tau_rel) for n in ns]
+    # Imported here so that importing the package does not load them.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing import get_context
+
+    if points >= SPARSE_MIN_POINTS:
+        import scipy.sparse.linalg  # noqa: F401  (imported once, shared by the workers)
+    # fork, not spawn: a spawned worker imports numpy and scipy again (scipy
+    # alone takes about 0.3 s, more than a pool saves here).  The forked
+    # workers inherit the scan's arguments, so each job is one n.  map yields
+    # in submission order; closing it cancels the windows not yet started.
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=get_context("fork"),
+        initializer=_serve,
+        initargs=(operator, domain, tau_rel),
+    ) as pool, closing(pool.map(_window, ns)) as extremes:
+        try:
+            return list(extremes)
+        except BrokenProcessPool:
+            raise NumericError("a scan worker process ended abruptly") from None
+
+
+_scan: tuple = ()  # a worker's (operator, domain, tau_rel)
+
+
+def _serve(operator: OperatorSpec, domain: StarlikeDomain, tau_rel: float) -> None:
+    global _scan
+    _scan = operator, domain, tau_rel
+
+
+def _window(n: int) -> tuple[float, float]:
+    operator, domain, tau_rel = _scan
+    return section_extremes(operator, domain, n, tau_rel)
 
 
 def adjacency_section_invertible(

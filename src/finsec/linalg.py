@@ -6,12 +6,15 @@ symmetric Lanczos when every value is real.  Invertibility is decided by
 the relative spectral test `invertible`, the standard numeric proxy for
 exact invertibility.  Square windows get their sigma extremes from
 fsm.section_extremes, and rfsm.normal_equations_solve tests its Gram
-matrix on `singular_values` before it solves it with numpy.
+matrix on `singular_values` before it solves it with numpy.  `_free_cores`
+sizes both pools that run these kernels side by side: the study's threads
+and the scan's processes.
 """
 
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -125,3 +128,25 @@ def least_squares(matrix, rhs) -> np.ndarray:
         return np.zeros(m.shape[1], dtype=complex)
     x, *_ = np.linalg.lstsq(m, b, rcond=TAU_REL_DEFAULT)
     return x
+
+
+# OpenBLAS reads the first of these when it loads and MKL the second; both
+# fall back to the third and otherwise use every core.  The first one set is
+# taken as the thread count of one BLAS call.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _free_cores() -> int:
+    """Usable cores divided by the threads each BLAS call runs on, at least 1.
+
+    Windows solved (rfsm) or scanned (fsm) side by side only gain when each
+    LAPACK call leaves cores idle; with a multi-threaded BLAS they contend for the same cores
+    and run slower than one after another.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    settings = (os.environ.get(name, "").strip() for name in _BLAS_THREAD_VARIABLES)
+    blas = next((int(v) for v in settings if v.isdigit() and int(v) > 0), cores)
+    return max(1, cores // blas)

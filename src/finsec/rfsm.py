@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import threading
 from contextlib import closing
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from .errors import (
     NonFiniteResultError,
     SingularGramError,
 )
-from . import sections
+from . import linalg, sections
 from .geometry import IndexSet, StarlikeDomain, lattice_section
 from .linalg import TAU_REL_DEFAULT, invertible, least_squares, singular_values, spectral_norm
 from .operators import AdjacencyGraph, OperatorSpec, SupportedVector, euclidean_norm
@@ -361,7 +360,7 @@ def convergence_study(
     reference = block(m_ref, reference_n)[0]
     # While the reference runs, the other workers hold per-n blocks beside it.
     fits = 1 + (sections.DENSE_BUDGET_BYTES - max(reference, tallest)) // tallest
-    workers = min(_free_cores(), len(ns), max(1, fits))
+    workers = min(linalg._free_cores(), len(ns), max(1, fits))
     # Imported here so that importing the package does not load it.
     from concurrent.futures import ThreadPoolExecutor
 
@@ -381,25 +380,3 @@ def convergence_study(
         reference_n=reference_n,
         records=tuple(records),
     )
-
-
-# OpenBLAS reads the first of these when it loads and MKL the second; both
-# fall back to the third and otherwise use every core.  The first one set is
-# taken as the thread count of one BLAS call.
-_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _free_cores() -> int:
-    """Usable cores divided by the threads each BLAS call runs on, at least 1.
-
-    Windows solved side by side only gain when each LAPACK call leaves
-    cores idle; with a multi-threaded BLAS they contend for the same cores
-    and run slower than one after another.
-    """
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    settings = (os.environ.get(name, "").strip() for name in _BLAS_THREAD_VARIABLES)
-    blas = next((int(v) for v in settings if v.isdigit() and int(v) > 0), cores)
-    return max(1, cores // blas)

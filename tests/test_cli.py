@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import finsec
-from finsec import catalog, cli, errors, fsm, geometry, sections
+from finsec import catalog, cli, errors, fsm, geometry, linalg, sections
 from finsec.cli import main, parse_scalar
 
 
@@ -330,8 +330,9 @@ def test_cli_import_does_not_load_scipy():
 
 
 def test_cli_import_does_not_load_the_thread_pool():
-    # concurrent.futures (and logging under it) loads when a study runs, and
-    # mmap when a block past the huge-page cut is built, not at start-up
+    # concurrent.futures (and logging under it) loads when a study runs,
+    # multiprocessing when a scan forks workers, and mmap when a block past
+    # the huge-page cut is built, not at start-up
     src = str(Path(finsec.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     subprocess.run(
@@ -339,11 +340,41 @@ def test_cli_import_does_not_load_the_thread_pool():
             sys.executable,
             "-c",
             "import sys, finsec.cli; "
-            "assert not {'concurrent.futures', 'mmap'} & set(sys.modules)",
+            "assert not {'concurrent.futures', 'mmap', 'multiprocessing'} & set(sys.modules)",
         ],
         env=env,
         check=True,
     )
+
+
+_KILLED_WORKER = r"""
+import os, sys
+from finsec import cli, fsm, linalg
+
+linalg._free_cores = lambda: 2
+fsm.POOL_MIN_POINTS = 0
+extremes = fsm.section_extremes
+
+def dying(operator, domain, n, tau_rel):
+    if n == 5:
+        os._exit(1)
+    return extremes(operator, domain, n, tau_rel)
+
+fsm.section_extremes = dying
+sys.exit(cli.main(["scan", "--example", "worked_Aprime", "--nmax", "12"]))
+"""
+
+
+def test_killed_scan_worker_exits_3_without_a_traceback():
+    src = str(Path(finsec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _KILLED_WORKER],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "finsec: numeric failure: a scan worker process ended abruptly\n"
 
 
 def test_scanned_window_refused_before_it_is_built(tmp_path, monkeypatch, capsys):
@@ -624,6 +655,8 @@ def test_no_example_reaches_the_sparse_route_at_its_default_nmax(monkeypatch, ca
         return window_extremes(operator, window, *args)
 
     monkeypatch.setattr(fsm, "_window_extremes", recording)
+    # one free core: scans run serially, in this process, where the calls are recorded
+    monkeypatch.setattr(linalg, "_free_cores", lambda: 1)
     for case_id in catalog.EXAMPLE_IDS:
         code, _, err = run_cli(["example", case_id, "--format", "json"], capsys)
         assert code == 0, err

@@ -11,6 +11,7 @@ from finsec import (
     BandDiagonals,
     GeneratorBoundError,
     InsufficientDataError,
+    NonFiniteResultError,
     PeriodicRule,
     Shift,
     SingularSectionError,
@@ -30,6 +31,7 @@ from finsec import fsm, linalg
 from finsec.catalog import minimal_bound
 from finsec.fsm import VERDICT_NORM_CAP, VERDICT_SINGULAR, VERDICT_STABLE, section_extremes
 from finsec.linalg import TAU_REL_DEFAULT, singular_values
+from finsec.reports import stability_report_json
 from conftest import random_band_operator
 from oracles import identity_operator, singular_value_extremes, window_swap_solve
 
@@ -158,6 +160,98 @@ def test_scan_requires_increasing_n(interval):
         stability_scan(identity_operator(), interval, [3, 2, 5])
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """Worker counts of the process pools that scans start, in order."""
+    import concurrent.futures
+
+    started = []
+    executor = concurrent.futures.ProcessPoolExecutor
+
+    def recording(workers, **kwargs):
+        started.append(workers)
+        return executor(workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+    return started
+
+
+def scan_with_cores(monkeypatch, cores, *args):
+    """stability_scan with `cores` free cores and no break-even window size."""
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_free_cores", lambda: cores)
+        patch.setattr(fsm, "POOL_MIN_POINTS", 0)
+        return stability_scan(*args)
+
+
+@pytest.mark.parametrize(
+    "case, ns",
+    [
+        ("laplace", range(1, 17)),  # n >= 11 on the sparse route
+        ("worked_Aprime", range(1, 61)),
+        ("laplace-singular", range(1, 13)),  # singular at n = 2 (mod 3)
+    ],
+)
+def test_pooled_scan_records_are_the_serial_bytes(case, ns, pools, monkeypatch, interval, square):
+    operator, domain = {
+        "laplace": (laplace_operator([4, 4.25, 4.5, 5]), square),
+        "worked_Aprime": (build_example("worked_Aprime").operator, interval),
+        "laplace-singular": (laplace_operator([2, 2, 2, 2]), square),
+    }[case]
+    serial = scan_with_cores(monkeypatch, 1, operator, domain, ns)
+    assert pools == []
+    pooled = scan_with_cores(monkeypatch, 2, operator, domain, ns)
+    assert pools == [2]
+    assert stability_report_json(pooled) == stability_report_json(serial)
+
+
+def test_pooled_scan_raises_the_first_failing_windows_error(pools, monkeypatch, interval):
+    # window 5 overflows; every later window is refused at once, so it can fail first
+    k = 5
+    big = TableRule.from_mapping({(k,): 1.7e308}, default=1, dimension=1)
+    operator = BandDiagonals.from_rules(1, {d: big for d in (-1, 0, 1)})
+
+    def budget(operator, domain, n):
+        if n > k:
+            raise ValueError(f"window n={n} is over the budget")
+
+    monkeypatch.setattr(fsm, "_check_window_budget", budget)
+    errors = []
+    for cores in (1, 2):
+        with pytest.raises(NonFiniteResultError) as excinfo:
+            scan_with_cores(monkeypatch, cores, operator, interval, range(1, 3 * k))
+        errors.append(str(excinfo.value))
+    assert pools == [2]
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"section at n={k} has non-finite singular values")
+
+
+@pytest.mark.parametrize(
+    "case, cores, ns",
+    [
+        ("one window", 2, [8]),
+        ("adjacency", 2, range(1, 9)),
+        ("one core", 1, range(1, 9)),
+        ("below break-even", 2, range(1, 8)),  # window 7 has 225 points
+    ],
+)
+def test_scan_starts_no_pool(case, cores, ns, pools, monkeypatch, square):
+    operator = laplace_operator([4, 4, 4, 4])
+    if case == "adjacency":
+        operator = build_example("diamond").operator
+    monkeypatch.setattr(linalg, "_free_cores", lambda: cores)
+    stability_scan(operator, square, ns)
+    assert pools == []
+
+
+def test_scan_past_the_break_even_starts_one_pool(pools, monkeypatch, square):
+    # window 8 has 289 points, past the default break-even
+    assert len(lattice_section(square, 7)) < fsm.POOL_MIN_POINTS <= len(lattice_section(square, 8))
+    monkeypatch.setattr(linalg, "_free_cores", lambda: 2)
+    stability_scan(laplace_operator([4, 4, 4, 4]), square, range(1, 9))
+    assert pools == [2]
+
+
 def test_adjacency_fast_path_matches_dense_section(interval):
     # the closed form from the edge ends inside the window reproduces the
     # dense sigma extremes exactly on windows small enough to materialize
@@ -269,6 +363,8 @@ def sparse_everywhere(monkeypatch):
 
     monkeypatch.setattr(fsm, "SPARSE_MIN_POINTS", 0)
     monkeypatch.setattr(fsm, "sparse_extremes", recording)
+    # one free core: scans run serially, in this process, where the calls are recorded
+    monkeypatch.setattr(linalg, "_free_cores", lambda: 1)
     return results
 
 

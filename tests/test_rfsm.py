@@ -39,7 +39,7 @@ from finsec import (
     solution_bound,
     spectral_norm,
 )
-from finsec import cli, rfsm, sections
+from finsec import cli, linalg, rfsm, sections
 from finsec.errors import NonFiniteResultError
 from finsec.geometry import IndexSet
 from finsec.operators import euclidean_norm
@@ -570,7 +570,7 @@ def test_study_records_equal_the_serial_loop(
     operator, rhs, domain, coupling, ns, reference_n, explicit, inverse_bound,
     certified, cores, monkeypatch,
 ):
-    monkeypatch.setattr(rfsm, "_free_cores", lambda: cores)
+    monkeypatch.setattr(linalg, "_free_cores", lambda: cores)
     calls = recorded_solves(monkeypatch)
     report = convergence_study(
         operator, rhs, domain, coupling, ns, reference_n,
@@ -603,7 +603,7 @@ def test_study_threads_under_a_short_switch_interval(monkeypatch):
     )
     rhs = SupportedVector.from_entries(2, {(0, 0): 1, (2, -1): 0.5 - 1j, (-3, 3): 2})
     square = builtin_domain("square")
-    monkeypatch.setattr(rfsm, "_free_cores", lambda: 8)
+    monkeypatch.setattr(linalg, "_free_cores", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -635,7 +635,7 @@ def test_study_first_failing_n_raises_and_cancels_the_rest(monkeypatch, capsys):
         return real(matrix, rhs)
 
     monkeypatch.setattr(rfsm, "least_squares", failing_at_5)
-    monkeypatch.setattr(rfsm, "_free_cores", lambda: 2)
+    monkeypatch.setattr(linalg, "_free_cores", lambda: 2)
     case = build_example("worked_A")
     with pytest.raises(LinAlgError) as excinfo:
         convergence_study(
@@ -677,7 +677,7 @@ def test_study_failing_record_raises_and_cancels_the_rest(monkeypatch):
         return 1.0
 
     monkeypatch.setattr(rfsm, "least_squares", held)
-    monkeypatch.setattr(rfsm, "_free_cores", lambda: 2)
+    monkeypatch.setattr(linalg, "_free_cores", lambda: 2)
     case = build_example("worked_A")
     with pytest.raises(NonFiniteResultError) as excinfo:
         convergence_study(
@@ -702,12 +702,12 @@ def test_study_failing_record_raises_and_cancels_the_rest(monkeypatch):
     ],
 )
 def test_free_cores_divides_usable_cores_by_blas_threads(env, cores, want, monkeypatch):
-    for name in rfsm._BLAS_THREAD_VARIABLES:
+    for name in linalg._BLAS_THREAD_VARIABLES:
         monkeypatch.delenv(name, raising=False)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    monkeypatch.setattr(rfsm.os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
-    assert rfsm._free_cores() == want
+    monkeypatch.setattr(linalg.os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    assert linalg._free_cores() == want
 
 
 # Run in a fresh interpreter, whose VmHWM no earlier test has raised: the
@@ -766,7 +766,7 @@ def test_study_workers_bounded_by_the_dense_budget(monkeypatch):
             super().__init__(max_workers, *args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
-    monkeypatch.setattr(rfsm, "_free_cores", lambda: 4)
+    monkeypatch.setattr(linalg, "_free_cores", lambda: 4)
     case = build_example("worked_A")
     domain = case.domain
 
@@ -843,7 +843,7 @@ def test_study_reference_failure_wins_over_a_failing_window(cores, monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", NextWindowFirst)
     monkeypatch.setattr(rfsm, "least_squares", failing)
-    monkeypatch.setattr(rfsm, "_free_cores", lambda: cores)
+    monkeypatch.setattr(linalg, "_free_cores", lambda: cores)
     with pytest.raises(LinAlgError) as excinfo:
         convergence_study(
             case.operator, case.rhs, case.domain, "band", range(2, 31), reference_n=40
@@ -865,7 +865,7 @@ def test_study_budget_holding_only_the_reference_runs_one_window_at_a_time(monke
             super().__init__(max_workers, *args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
-    monkeypatch.setattr(rfsm, "_free_cores", lambda: 4)
+    monkeypatch.setattr(linalg, "_free_cores", lambda: 4)
     calls = recorded_solves(monkeypatch)
     case = build_example("worked_A")
     domain = case.domain

@@ -85,7 +85,7 @@ def parse_scalar(value) -> complex:
                 z = complex(Fraction(s))
             else:
                 z = complex(s.replace("i", "j"))
-    except (ValueError, OverflowError):
+    except (ValueError, OverflowError, ZeroDivisionError):
         raise ValueError(f"cannot parse scalar {value!r}") from None
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"scalar {value!r} is not finite")

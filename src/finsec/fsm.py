@@ -19,6 +19,7 @@ with the same report bytes as a serial scan.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from contextlib import closing
@@ -278,20 +279,25 @@ def classify_subsequences(
 
     A class is 'stable-so-far' when every scanned section in it is
     invertible with inverse norm at most norm_cap; the verdict is honest
-    about being finite evidence only.
+    about being finite evidence only.  Only the scanned residues are
+    bucketed, and a refusal names at most the first 10 short classes, so a
+    modulus costs no memory of its own.
     """
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
-    buckets: dict[int, list[StabilityRecord]] = {r: [] for r in range(modulus)}
+    buckets: dict[int, list[StabilityRecord]] = {}
     for rec in report.records:
-        buckets[rec.n % modulus].append(rec)
-    short = [r for r, recs in buckets.items() if len(recs) < 3]
-    if short:
+        buckets.setdefault(rec.n % modulus, []).append(rec)
+    n_short = modulus - sum(len(recs) >= 3 for recs in buckets.values())
+    if n_short:
+        short = (r for r in range(modulus) if len(buckets.get(r, ())) < 3)
+        first = list(itertools.islice(short, 10))
+        count = "" if n_short <= 10 else f" ({n_short} in all, the first 10 shown)"
         raise InsufficientDataError(
-            f"residue classes {short} mod {modulus} scanned fewer than 3 times"
+            f"residue classes {first}{count} mod {modulus} scanned fewer than 3 times"
         )
     verdicts: dict[int, str] = {}
-    for residue, recs in buckets.items():
+    for residue, recs in sorted(buckets.items()):
         if any(not rec.invertible for rec in recs):
             verdicts[residue] = VERDICT_SINGULAR
         elif any(rec.inverse_norm > norm_cap for rec in recs):

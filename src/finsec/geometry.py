@@ -5,10 +5,11 @@ their interior.  All membership decisions are made in exact rational
 (integer, after clearing denominators) arithmetic, never in floating
 point, so section index sets are reproducible bit-for-bit.  One kernel,
 _polytope_vertices, answers every vertex, facet and boundedness question
-by double description (None: unbounded); window rows are walked through
-the facets of the domain's projections onto its leading coordinates.  An
-index set stores its points once, as the rows of a sorted (k, N) int64
-array, and array lookups refuse point sets whose integer keys would leave int64.
+by double description in integers, from the whole space (None: unbounded);
+window rows are walked through the facets of the domain's projections
+onto its leading coordinates.  An index set stores its points once, as the
+rows of a sorted (k, N) int64 array, and array lookups refuse point sets
+whose integer keys would leave int64.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm, prod
+from math import ceil, floor, gcd, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -39,11 +40,14 @@ __all__ = [
 def _frac(value) -> Fraction:
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"domain data must be exact rationals, got float {value!r}")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"domain value {value!r} has a zero denominator") from None
 
 
-def _dot(a: Sequence[Fraction], x: Sequence) -> Fraction:
-    return sum((ai * xi for ai, xi in zip(a, x)), start=Fraction(0))
+def _dot(a: Sequence[int], x: Sequence[int]) -> int:
+    return sum(ai * xi for ai, xi in zip(a, x))
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -136,8 +140,8 @@ class StarlikeDomain:
         """Sufficient test that window m holds every shift of window n by an offset.
 
         Per integer facet A.x <= n*B: A.(p + d) <= n*B + A.d <= m*B for
-        every offset d when (m - n)*B >= max_d A.d, strictly so for an open
-        facet.
+        every offset d when (m - n)*B >= max_d A.d.  The same test suffices
+        for an open facet, since there A.(p + d) < n*B + A.d <= m*B.
         """
         return all(
             (m - n) * b >= max((_dot(a, d) for d in offsets), default=0)
@@ -157,8 +161,8 @@ class StarlikeDomain:
 
     def bounding_box(self, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Integer box (lo, hi) containing every lattice point of the n-fold dilation."""
-        lo = tuple(_ceil_frac(n * low) for low, _ in self._vertex_range)
-        hi = tuple(_floor_frac(n * high) for _, high in self._vertex_range)
+        lo = tuple(ceil(n * low) for low, _ in self._vertex_range)
+        hi = tuple(floor(n * high) for _, high in self._vertex_range)
         return lo, hi
 
     def enclosing_radius(self, n: int) -> int:
@@ -234,33 +238,8 @@ class IndexSet:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra helpers (Fractions throughout)
+# exact polytope kernel (integer rays; Fractions only for the vertices)
 # ---------------------------------------------------------------------------
-
-
-def _row_reduce(rows: Sequence[Sequence], ncols: int):
-    """Reduced row echelon form of a rational matrix over its first ncols columns.
-
-    Returns the reduced rows (Fraction copies, with any columns past ncols
-    carried along) and the pivot columns in increasing order.  Integer input
-    is coerced, since its `/` would give floats.
-    """
-    rows = [[Fraction(v) for v in r] for r in rows]
-    pivots: list[int] = []
-    for col in range(ncols):
-        rank = len(pivots)
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [v / pv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[rank])]
-        pivots.append(col)
-    return rows, pivots
 
 
 def _polytope_vertices(
@@ -269,28 +248,40 @@ def _polytope_vertices(
     """Exact vertices of the polyhedron {x : a.x <= b for all (a, b)}, as Fractions.
 
     Motzkin's double description (Fukuda and Prodon, LNCS 1120, 1996) of
-    the cone {y = (x, t) : h.y <= 0} of the integer rows h = (a, -b) and
-    h = (0, -1), for t >= 0: the simplicial cone of dim + 1 independent
-    rows, then one cut per further row, which keeps the rays on its
-    feasible side and joins each cut ray to each adjacent kept one.  Rays
-    are primitive integer tuples, and each ray's tight rows an int
-    bitmask; two rays are adjacent when no third is tight on every row
-    both are.  Returns None when the normals a do not positively span, so
-    that the polyhedron, unless empty, does not end in some direction; []
-    for an empty polyhedron otherwise.
+    the cone {y = (x, t) : h.y <= 0} of the integer rows h = (0, -1) and
+    h = (a, -b), for t >= 0, from the whole space, the dim + 1 unit lines:
+    a row that meets a line turns it into a ray and moves the rest onto its
+    hyperplane, and each further row cuts the cone, keeping the rays on its
+    feasible side and joining each cut ray to each adjacent kept one.  Rays
+    are primitive integer tuples, and each ray's tight rows an int bitmask;
+    two rays are adjacent when no third is tight on every row both are.
+    Returns None when the normals a do not positively span, so that the
+    polyhedron, unless empty, does not end in some direction; [] for an
+    empty polyhedron otherwise.
     """
     rows = [(0,) * dim + (-1,)] + [_primitive((*a, -b)) for a, b in constraints]
-    basis = _row_reduce(list(zip(*rows)), len(rows))[1]
-    if len(basis) <= dim:
+    lines = [tuple(int(j == k) for j in range(dim + 1)) for k in range(dim + 1)]
+    rays, cuts, tight = [], [], 0
+    for i, h in enumerate(rows):
+        p = next((q for q in lines if _dot(h, q)), None)
+        if p is None:
+            cuts.append((i, h))
+            continue
+        lines.remove(p)
+        if _dot(h, p) > 0:
+            p = tuple(-c for c in p)  # the ray on h's feasible side
+        s = -_dot(h, p)
+
+        def onto(r):  # s * r + (h.r) * p, on h.y = 0
+            return _primitive([s * x + _dot(h, r) * y for x, y in zip(r, p)])
+
+        rays = [(onto(r), z | 1 << i) for r, z in rays] + [(p, tight)]
+        lines = [onto(q) for q in lines]
+        tight |= 1 << i  # each ray is tight on every row that met a line but its own
+    if lines:
         return None  # the cone holds a line
-    inverse = _row_reduce([[*rows[i], *(int(i == j) for j in basis)] for i in basis], dim + 1)[0]
-    tight = sum(1 << i for i in basis)
-    rays = [  # the columns of -H_B^-1, each tight on all of B but one row
-        (_primitive([-row[dim + 1 + k] for row in inverse]), tight & ~(1 << i))
-        for k, i in enumerate(basis)
-    ]
-    for i in sorted(set(range(len(rows))) - set(basis)):
-        cut = [(sum(x * y for x, y in zip(rows[i], r)), r, z) for r, z in rays]
+    for i, h in cuts:
+        cut = [(_dot(h, r), r, z) for r, z in rays]
         masks = [z for _, z in rays]
         kept = [(r, z | 1 << i if s == 0 else z) for s, r, z in cut if s <= 0]
         for sp, p, zp in cut:
@@ -305,14 +296,6 @@ def _polytope_vertices(
     if any(r[-1] == 0 for r, _ in rays):
         return None  # a ray of the recession cone
     return [tuple(Fraction(c, r[-1]) for c in r[:-1]) for r, _ in rays]
-
-
-def _floor_frac(q: Fraction) -> int:
-    return q.numerator // q.denominator
-
-
-def _ceil_frac(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,15 @@ the solve that moves only the right-hand side's support.  The convex
 hulls of 1-D and 2-D point sets, by min/max and by Andrew's monotone
 chain, and the vertices of polytopes in any dimension, by solving every
 dim-subset of their constraints, are the reference for the double
-description behind validate_domain and boundary_layer.
+description behind validate_domain and boundary_layer; the same double
+description seeded from a row basis by Gauss-Jordan is the reference for
+its seed from the whole space.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from finsec import (
@@ -282,6 +285,52 @@ def positively_spans(normals, dim):
             if all(_dot(a, cand) <= 0 for a in normals):
                 return False
     return True
+
+
+def _primitive(v):
+    scale = math.lcm(*(Fraction(c).denominator for c in v))
+    v = [int(c * scale) for c in v]
+    common = math.gcd(*v) or 1
+    return tuple(c // common for c in v)
+
+
+def rref_polytope_vertices(constraints, dim):
+    """The double description kernel seeded from a row basis by Gauss-Jordan.
+
+    The cone {y = (x, t) : h.y <= 0} of the rows h = (0, -1) and h = (a, -b)
+    starts as the simplicial cone of the first dim + 1 independent rows B,
+    the columns of -H_B^-1 from row_reduce, and takes one cut per further
+    row, in index order, as geometry._polytope_vertices does.  The reference
+    for that kernel's seed from the whole space: the same list, in the same
+    order, with None for a cone that holds a line or a recession ray.
+    """
+    rows = [(0,) * dim + (-1,)] + [_primitive((*a, -b)) for a, b in constraints]
+    basis = row_reduce([[Fraction(c) for c in col] for col in zip(*rows)], len(rows))[1]
+    if len(basis) <= dim:
+        return None
+    augmented = [[*map(Fraction, rows[i]), *(Fraction(i == j) for j in basis)] for i in basis]
+    inverse = row_reduce(augmented, dim + 1)[0]
+    tight = sum(1 << i for i in basis)
+    rays = [
+        (_primitive([-row[dim + 1 + k] for row in inverse]), tight & ~(1 << i))
+        for k, i in enumerate(basis)
+    ]
+    for i in sorted(set(range(len(rows))) - set(basis)):
+        cut = [(sum(x * y for x, y in zip(rows[i], r)), r, z) for r, z in rays]
+        masks = [z for _, z in rays]
+        kept = [(r, z | 1 << i if s == 0 else z) for s, r, z in cut if s <= 0]
+        for sp, p, zp in cut:
+            for sm, m, zm in cut if sp > 0 else ():
+                common = zp & zm
+                if sm < 0 and common.bit_count() >= dim - 1 and (
+                    sum(common & z == common for z in masks) == 2
+                ):
+                    join = [sp * y - sm * x for x, y in zip(p, m)]
+                    kept.append((_primitive(join), common | 1 << i))
+        rays = kept
+    if any(r[-1] == 0 for r, _ in rays):
+        return None
+    return [tuple(Fraction(c, r[-1]) for c in r[:-1]) for r, _ in rays]
 
 
 def enumerated_domain(facets=None, vertices=None):

@@ -54,6 +54,43 @@ def test_non_finite_rhs_exits_2(tmp_path, capsys):
     assert "invalid configuration" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        (["solve-fsm", "--example", "blockdiag", "--n", "4", "--rhs"],
+         {"dimension": 1, "entries": {"0": "1/0"}}, "cannot parse scalar '1/0'"),
+        (["scan", "--example", "shift", "--nmax", "3", "--omega"],
+         {"vertices": [["1/0"], ["-1"]]}, "domain value '1/0' has a zero denominator"),
+        (["scan", "--example", "shift", "--nmax", "3", "--omega"],
+         {"facets": [{"normal": ["1"], "offset": "2/0"}, {"normal": ["-1"], "offset": "1"}]},
+         "domain value '2/0' has a zero denominator"),
+    ],
+    ids=["rhs", "vertex", "facet"],
+)
+def test_zero_denominators_refused_by_value(command, config, message, tmp_path, capsys):
+    # both used to print the repr Fraction(1, 0), which names neither the value nor its use
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli([*command, str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"finsec: invalid configuration: {message}\n"
+
+
+def test_a_large_modulus_is_refused_in_bounded_memory(capsys):
+    # a bucket per residue class and all of them listed: 193 MB and a 7.9 MB line
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(
+            ["scan", "--example", "shift", "--nmax", "10", "--modulus", str(10**6)], capsys
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert "(1000000 in all, the first 10 shown) mod 1000000" in err
+    assert len(err.encode()) < 1024 and peak < 2**20
+
+
 def test_oversized_dense_window_exits_2(tmp_path, monkeypatch, capsys):
     # the 9-point window of n = 4 needs 9 * 9 * 16 bytes, twice: 2592 bytes
     monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", 1000)
@@ -1259,7 +1296,7 @@ def test_pinned_and_benchmark_invocations_parse(tmp_path):
     invocations = list(runpy.run_path(ROOT / "tools" / "pinned_outputs.py")["INVOCATIONS"])
     workloads = runpy.run_path(ROOT / "bench" / "workloads.py", run_name="workloads")["WORKLOADS"]
     invocations += [w.prepare(0, False, tmp_path)[0] for w in workloads.values()]
-    assert len(invocations) == 24 + 4
+    assert len(invocations) == 25 + 4
     parser = cli.build_parser()
     for argv in invocations:
         parser.parse_args(argv)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -661,8 +662,22 @@ def test_classify_identity_all_stable(interval):
 
 def test_classify_needs_three_per_class(interval):
     report = stability_scan(identity_operator(), interval, range(1, 6))
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(InsufficientDataError, match=re.escape("classes [0] mod 2 scanned")):
         classify_subsequences(report, 2)
+
+
+@pytest.mark.parametrize(
+    "modulus, named",
+    [(10, "residue classes [0, 1, 2, 3, 4, 5, 6, 7, 8, 9] mod 10"),
+     (11, "residue classes [0, 1, 2, 3, 4, 5, 6, 7, 8, 9] (11 in all, the first 10 shown) mod 11"),
+     (10**6, "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9] (1000000 in all, the first 10 shown) mod 1000000")],
+)
+def test_classify_names_at_most_ten_short_classes(modulus, named, interval):
+    # a class per residue used to be bucketed and listed, whatever the modulus
+    report = stability_scan(identity_operator(), interval, range(1, 10))
+    with pytest.raises(InsufficientDataError) as refused:
+        classify_subsequences(report, modulus)
+    assert named in str(refused.value) and len(str(refused.value)) < 200
 
 
 # ---------------------------------------------------------------------------

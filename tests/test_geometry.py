@@ -31,6 +31,7 @@ from oracles import (
     hull_facets,
     in_dilation,
     row_reduce,
+    rref_polytope_vertices,
 )
 
 
@@ -700,85 +701,75 @@ def test_facet_domains_match_the_enumeration(drawn):
 
 
 # ---------------------------------------------------------------------------
-# exact row reduction
+# the polytope kernel's seed from the whole space against the row basis seed
 # ---------------------------------------------------------------------------
 
-# The Gauss-Jordan loop behind the three old helpers that geometry._row_reduce
-# replaced (a square solve, a rank and a null direction) is kept as
-# oracles.row_reduce, the reference.
+# oracles.rref_polytope_vertices seeds the same double description from the
+# first dim + 1 independent rows by Gauss-Jordan (oracles.row_reduce): the
+# same vertices must come out in the same order, and None and [] alike.
 
-
-def _rank(rows, dim):
-    return len(row_reduce(rows, dim)[1])
-
-
-_RATIONALS = st.builds(
-    Fraction, st.integers(min_value=-4, max_value=4), st.integers(min_value=1, max_value=3)
-)
+_ENTRIES = st.one_of(st.integers(-3, 3), _fraction((-3, 3), (1, 3)))
+_OFFSETS = st.one_of(st.integers(-2, 5), _fraction((-2, 5), (1, 3)))
 
 
 @st.composite
-def rational_systems(draw):
-    """(rows, rhs, dim, kind): a k x dim matrix of rank at most r and a right-hand side.
+def polytope_systems(draw):
+    """(constraints, dim): rows a.x <= b in 1 to 4 dimensions, in any order.
 
-    kind is "full" (rank dim), "deficient" (r < dim, rhs in the column
-    space) or "inconsistent" (r < dim, rhs outside the column space).
+    Entries are ints or Fractions.  A draw may hold the two sides of a box
+    on each coordinate it uses, and up to dim + 3 rows of any normal; the
+    normals may leave some coordinates out, so that the cone holds a line.
+    A row may repeat an earlier one or scale it by a positive factor, and
+    offsets may be negative, so that the polyhedron may be empty.  The list
+    may be empty too.
     """
-    dim = draw(st.integers(min_value=1, max_value=4))
-    kind = draw(st.sampled_from(["full", "deficient", "inconsistent"]))
-    r = dim if kind == "full" else draw(st.integers(min_value=0, max_value=dim - 1))
-    k = draw(st.integers(min_value=max(r, 1), max_value=dim + 2))
-    base = [draw(st.lists(_RATIONALS, min_size=dim, max_size=dim)) for _ in range(r)]
-    mix = [draw(st.lists(_RATIONALS, min_size=r, max_size=r)) for _ in range(k)]
-    rows = [
-        [sum((c * b[j] for c, b in zip(coeffs, base)), Fraction(0)) for j in range(dim)]
-        for coeffs in mix
-    ]
-    if kind == "inconsistent":
-        rhs = draw(st.lists(_RATIONALS, min_size=k, max_size=k))
-        augmented = [row + [b] for row, b in zip(rows, rhs)]
-        assume(_rank(augmented, dim + 1) > _rank(rows, dim))
-    else:
-        x = draw(st.lists(_RATIONALS, min_size=dim, max_size=dim))
-        rhs = [sum((a * xi for a, xi in zip(row, x)), Fraction(0)) for row in rows]
-    assume(kind != "full" or _rank(rows, dim) == dim)
-    return rows, rhs, dim, kind
+    dim = draw(st.integers(1, 4))
+    unused = draw(st.sets(st.integers(0, dim - 1), max_size=dim))
+    constraints = []
+    if draw(st.booleans()):
+        constraints += [
+            (tuple(s * (k == j) for k in range(dim)), draw(_OFFSETS))
+            for j in set(range(dim)) - unused for s in (1, -1)
+        ]
+    for _ in range(draw(st.integers(0, dim + 3))):
+        if constraints and draw(st.booleans()):
+            a, b = draw(st.sampled_from(constraints))
+            c = draw(st.sampled_from([1, 2, Fraction(1, 2)]))
+            constraints.append((tuple(c * x for x in a), c * b))
+        else:
+            a = tuple(0 if j in unused else draw(_ENTRIES) for j in range(dim))
+            constraints.append((a, draw(_OFFSETS)))
+    return draw(st.permutations(constraints)), dim
 
 
-@given(rational_systems())
-@settings(max_examples=200, deadline=None)
-def test_row_reduce_matches_the_three_old_loops(system):
-    rows, rhs, dim, kind = system
-    augmented = [row + [b] for row, b in zip(rows, rhs)]
-    for matrix in (rows, augmented):  # the rank and null space, and the solve
-        assert geometry._row_reduce(matrix, dim) == row_reduce(matrix, dim)
-    reduced, pivots = geometry._row_reduce(augmented, dim)
-    rank = len(pivots)
-    assert rank == dim if kind == "full" else rank < dim
-    # a zero row of the reduced system keeps a nonzero right-hand side iff it is inconsistent
-    assert any(row[dim] != 0 for row in reduced[rank:]) == (kind == "inconsistent")
-    if kind == "full":
-        x = [row[dim] for row in reduced[:dim]]
-        assert all(
-            sum((a * xi for a, xi in zip(row, x)), Fraction(0)) == b for row, b in zip(rows, rhs)
-        )
+@given(polytope_systems())
+@settings(max_examples=400, deadline=None)
+def test_polytope_vertices_match_the_row_basis_seed(system):
+    constraints, dim = system
+    vertices = geometry._polytope_vertices(constraints, dim)
+    assert vertices == rref_polytope_vertices(constraints, dim)
+    assert vertices is None or all(type(c) is Fraction for v in vertices for c in v)
 
 
-def test_row_reduce_fixed_systems():
-    F = Fraction
-    assert geometry._row_reduce([[F(2), F(1), F(3)], [F(1), F(3), F(4)]], 2) == (
-        [[1, 0, 1], [0, 1, 1]], [0, 1]
-    )
-    deficient = [[F(1), F(2), F(1)], [F(2), F(4), F(2)]]  # consistent
-    assert geometry._row_reduce(deficient, 2) == ([[1, 2, 1], [0, 0, 0]], [0])
-    inconsistent = [[F(1), F(2), F(1)], [F(2), F(4), F(3)]]
-    assert geometry._row_reduce(inconsistent, 2) == ([[1, 2, 1], [0, 0, 1]], [0])
-    assert geometry._row_reduce([[F(0), F(0)]], 2) == ([[0, 0]], [])
-    # integer rows are reduced in Fractions: a float 1/3 would not equal F(1, 3)
-    reduced, pivots = geometry._row_reduce([[3, 0, 1], [0, 7, 2]], 2)
-    assert (reduced, pivots) == ([[1, 0, F(1, 3)], [0, 1, F(2, 7)]], [0, 1])
-    reduced, _ = geometry._row_reduce([[3, 1, 1], [1, 2, 1]], 2)
-    assert all(type(c) is F for row in reduced for c in row)
+_LINE = [((1, 0), 1), ((-1, 0), 1)]  # a strip: the line x = 0 stays
+_CUBE = [(tuple(s * (j == k) for k in range(3)), 1) for j in range(3) for s in (1, -1)]
+
+
+@pytest.mark.parametrize(
+    "constraints, dim, expected",
+    [
+        ([], 2, None),
+        (_LINE, 2, None),
+        (_LINE + [((1, 0), -2)], 2, None),  # an empty strip still holds the line
+        ([((1,), 1), ((-1,), -2)], 1, []),  # 2 <= x <= 1
+        ([((2,), 2), ((1,), 1), ((-1,), 1), ((-1,), 1)], 1, [(-1,), (1,)]),
+        (_CUBE + _CUBE[::-1], 3, sorted(itertools.product((1, -1), repeat=3))),
+    ],
+)
+def test_polytope_vertices_fixed_systems(constraints, dim, expected):
+    vertices = geometry._polytope_vertices(constraints, dim)
+    assert vertices == rref_polytope_vertices(constraints, dim)
+    assert (vertices if vertices is None else sorted(vertices)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -826,15 +817,16 @@ def test_projection_walk_matches_the_box_walk(points, n):
     assert_walks_agree(domain, n)
 
 
-POLY24 = json.loads((Path(__file__).parents[1] / "tools" / "poly24.json").read_text())["vertices"]
+TOOLS = Path(__file__).parents[1] / "tools"
+POLY24 = json.loads((TOOLS / "poly24.json").read_text())["vertices"]
+POLY48 = json.loads((TOOLS / "poly48.json").read_text())["vertices"]
+# a simplex whose projections onto the first and onto the last k coordinates differ
+SIMPLEX_4D = [("3/2", 0, 0, 0), (0, "2/3", 0, 0), (0, 0, "5/4", 0), (0, 0, 0, "1/2"),
+              ("-1/2", "-1/3", "-1/2", "-1/3")]
 FIXED_WALK_DOMAINS = {
     **{name: validate_domain(vertices=SOLIDS[name][0]) for name in SOLIDS},
     "poly24": validate_domain(vertices=POLY24),
-    # a simplex whose projections onto the first and onto the last k coordinates differ
-    "4-D": validate_domain(
-        vertices=[("3/2", 0, 0, 0), (0, "2/3", 0, 0), (0, 0, "5/4", 0), (0, 0, 0, "1/2"),
-                  ("-1/2", "-1/3", "-1/2", "-1/3")]
-    ),
+    "4-D": validate_domain(vertices=SIMPLEX_4D),
 }
 
 
@@ -843,6 +835,41 @@ def test_projection_walk_matches_the_box_walk_on_fixed_domains(name):
     domain = FIXED_WALK_DOMAINS[name]
     for n in (1, 2, 3, 5, 8):
         assert_walks_agree(domain, n)
+
+
+@pytest.mark.parametrize(
+    "points, facets, corners",
+    [(POLY24, 36, 20), (POLY48, 44, 24), (SIMPLEX_4D, 5, 5)],
+    ids=["poly24", "poly48", "4-D"],
+)
+def test_polytope_vertices_match_the_row_basis_seed_on_fixed_domains(points, facets, corners):
+    domain = validate_domain(vertices=points)
+    assert (len(domain.facets), len(domain.vertices)) == (facets, corners)
+    polar = [(tuple(map(Fraction, v)), Fraction(1)) for v in points]
+    for constraints in (polar, [(a, b) for a, b, _ in domain.facets]):
+        vertices = geometry._polytope_vertices(constraints, domain.dimension)
+        assert vertices == rref_polytope_vertices(constraints, domain.dimension)
+
+
+_TRIANGLE = [("-3/2", "-1/2"), ("5/2", "-1/2"), (0, "3/2")]
+
+
+@pytest.mark.parametrize(
+    "vertices, n, box",
+    [
+        ([("-5/2",), ("1/2",)], 1, ((-2,), (0,))),
+        ([("-5/2",), ("1/2",)], 3, ((-7,), (1,))),
+        (_TRIANGLE, 1, ((-1, 0), (2, 1))),
+        (_TRIANGLE, 2, ((-3, -1), (5, 3))),
+        (_TRIANGLE, 3, ((-4, -1), (7, 4))),
+    ],
+)
+def test_bounding_box_rounds_negative_and_half_integer_vertices_inward(vertices, n, box):
+    domain = validate_domain(vertices=vertices)
+    lo, hi = domain.bounding_box(n)
+    assert (lo, hi) == box and all(type(c) is int for c in lo + hi)
+    window = lattice_section(domain, n).array
+    assert np.all(window >= box[0]) and np.all(window <= box[1])
 
 
 def test_octahedron_refusal_walks_only_rows_it_counts(monkeypatch):

@@ -12,14 +12,16 @@ fixed random matching of the points -300..299 into 300 edges of 216
 distinct lengths, ``pent.json``, a pentagon with rational corners
 given by eight points, three of them not vertices, ``poly24.json``,
 12 distinct nonzero points p/20 with p drawn from [-20, 20]^3 after
-``random.seed(1)``, and their negatives, and ``octa.json``, the
-octahedron |x| + |y| + |z| <= 1) are named by relative paths.  Its
-file in OUT_DIR holds the exit code, stdout and stderr.  finsec's
-outputs are byte-deterministic at a fixed BLAS thread count, so running
-this on two checkouts and comparing with ``diff -r`` shows every output
-byte a change moves; copy the ``.json`` inputs along when the parent
-lacks them.  The outputs are kept in ``pinned/`` beside this script, and
-``tests/test_cli.py`` reruns this script and compares them byte for byte.
+``random.seed(1)``, and their negatives, ``poly48.json``, the first
+24 such points, poly24's 12 among them, and their negatives, and
+``octa.json``, the octahedron |x| + |y| + |z| <= 1) are named by
+relative paths.  Its file in OUT_DIR holds the exit code, stdout and
+stderr.  finsec's outputs are byte-deterministic at a fixed BLAS thread
+count, so running this on two checkouts and comparing with ``diff -r``
+shows every output byte a change moves; copy the ``.json`` inputs along
+when the parent lacks them.  The outputs are kept in ``pinned/`` beside
+this script, and ``tests/test_cli.py`` reruns this script and compares
+them byte for byte.
 """
 
 from __future__ import annotations
@@ -68,6 +70,11 @@ INVOCATIONS = (
     # a 3-D domain from 24 points, 20 of them corners
     [
         "scan", "--operator", "lap7.json", "--omega", "poly24.json", "--nmax", "3",
+        "--format", "json",
+    ],
+    # a 3-D domain of 44 facets from 48 points, 24 of them corners
+    [
+        "scan", "--operator", "lap7.json", "--omega", "poly48.json", "--nmax", "3",
         "--format", "json",
     ],
     # a 2-D operator on a 1-D domain: exit 2 and one line naming both dimensions

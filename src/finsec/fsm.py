@@ -14,16 +14,19 @@ threshold, so the verdict never depends on which route ran.  Scans,
 inverse norms and solves (fsm_solve) all take it from _window_extremes.
 
 Scans decide large band windows in forked worker processes (stability_scan),
-with the same report bytes as a serial scan.
+with the same report bytes as a serial scan.  A scan that reaches the sparse
+route decides its dense windows in workers forked before scipy loads, while
+it imports scipy for the workers of its sparse windows.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import os
 from contextlib import closing
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -179,11 +182,15 @@ def stability_scan(
     Two or more band windows, the largest of at least POOL_MIN_POINTS points,
     are decided in forked worker processes when linalg._free_cores() leaves
     two or more cores: no more workers than windows, nor than the dense
-    budget holds blocks of the largest window.  Each window runs the kernels
-    it would run serially, so the report's bytes do not depend on the worker
-    count.  Windows are read in n order: the first failing one raises its own
-    error and cancels those not yet started; a worker that dies raises
-    NumericError.
+    budget holds blocks of the largest window.  When the largest window
+    reaches SPARSE_MIN_POINTS points, the smaller windows, a prefix in n, go
+    first to one worker fewer, forked before scipy is imported; the import
+    runs here while they work, and the rest go to a second pool, forked
+    after the first has shut down.  Each window runs the kernels it would
+    run serially, so the report's bytes do not depend on the worker count.
+    Windows are read in n order: the first failing one raises its own error
+    and cancels those not yet started (a failing dense window starts no
+    second pool); a worker that dies raises NumericError.
     """
     ns = list(n_values)
     if not ns:
@@ -225,23 +232,47 @@ def _scan_extremes(
             workers = min(cores, len(ns), fits)
     if workers < 2:
         return [section_extremes(operator, domain, n, tau_rel) for n in ns]
+    args = operator, domain, tau_rel
+    if points < SPARSE_MIN_POINTS:
+        return _pooled_windows(workers, ns, args)
+    # Windows grow with n, so those below SPARSE_MIN_POINTS points form a
+    # prefix.  It runs on the cores but one, in workers forked before scipy
+    # loads, while this process imports it for the sparse suffix's workers.
+    split = bisect.bisect_left(
+        ns, True, hi=len(ns) - 1,
+        key=lambda n: _count_section(domain, n, SPARSE_MIN_POINTS)[0] >= SPARSE_MIN_POINTS,
+    )
+    dense = []
+    if split:
+        dense = _pooled_windows(max(1, workers - 1), ns[:split], args, _import_sparse)
+    else:
+        _import_sparse()
+    return dense + _pooled_windows(workers, ns[split:], args)
+
+
+def _import_sparse() -> None:
+    import scipy.sparse.linalg  # noqa: F401  (imported once, shared by the workers)
+
+
+def _pooled_windows(
+    workers: int, part: list[int], args: tuple, meanwhile: Callable[[], None] = lambda: None
+) -> list[tuple[float, float]]:
+    """_window of every n in part from `workers` forked processes, in n order;
+    `meanwhile` runs here once every window is submitted."""
     # Imported here so that importing the package does not load them.
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
     from multiprocessing import get_context
 
-    if points >= SPARSE_MIN_POINTS:
-        import scipy.sparse.linalg  # noqa: F401  (imported once, shared by the workers)
     # fork, not spawn: a spawned worker imports numpy and scipy again (scipy
     # alone takes about 0.3 s, more than a pool saves here).  The forked
     # workers inherit the scan's arguments, so each job is one n.  map yields
     # in submission order; closing it cancels the windows not yet started.
+    # Leaving the pool joins its threads, so none is alive at the next fork.
     with ProcessPoolExecutor(
-        workers,
-        mp_context=get_context("fork"),
-        initializer=_serve,
-        initargs=(operator, domain, tau_rel),
-    ) as pool, closing(pool.map(_window, ns)) as extremes:
+        workers, mp_context=get_context("fork"), initializer=_serve, initargs=args
+    ) as pool, closing(pool.map(_window, part)) as extremes:
+        meanwhile()
         try:
             return list(extremes)
         except BrokenProcessPool:

@@ -391,27 +391,79 @@ from finsec import cli, fsm, linalg
 linalg._free_cores = lambda: 2
 fsm.POOL_MIN_POINTS = 0
 extremes = fsm.section_extremes
+dies_at = int(sys.argv[1])
 
 def dying(operator, domain, n, tau_rel):
-    if n == 5:
+    if n == dies_at:
         os._exit(1)
     return extremes(operator, domain, n, tau_rel)
 
 fsm.section_extremes = dying
-sys.exit(cli.main(["scan", "--example", "worked_Aprime", "--nmax", "12"]))
+sys.exit(cli.main(sys.argv[2:]))
 """
+
+
+# (n whose worker dies, argv); the CLI's one line is the same in every case
+KILLED_WORKERS = (
+    (5, ["scan", "--example", "worked_Aprime", "--nmax", "12"]),
+    # a 2-D scan's dense prefix (n <= 10) and sparse suffix (625 points at n = 12)
+    (5, ["scan", "--operator", "lap5.json", "--omega", "square", "--nmax", "12"]),
+    (12, ["scan", "--operator", "lap5.json", "--omega", "square", "--nmax", "12"]),
+)
 
 
 def test_killed_scan_worker_exits_3_without_a_traceback():
     src = str(Path(finsec.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for dies_at, argv in KILLED_WORKERS:
+        proc = subprocess.run(
+            [sys.executable, "-c", _KILLED_WORKER, str(dies_at), *argv],
+            cwd=ROOT / "tools", env=env, capture_output=True, text=True, timeout=60,
+        )
+        case = (dies_at, argv)
+        assert proc.returncode == 3, case
+        assert proc.stdout == "", case
+        assert proc.stderr == "finsec: numeric failure: a scan worker process ended abruptly\n", case
+
+
+_SCIPY_IN_WORKERS = r"""
+import json, os, sys
+from finsec import builtin_domain, fsm, linalg
+from finsec.operators import BandDiagonals
+
+linalg._free_cores = lambda: 2
+operator = BandDiagonals.from_rules(
+    2, {(0, 0): 4, **{d: -1 for d in ((1, 0), (-1, 0), (0, 1), (0, -1))}}
+)
+
+def seen(operator, domain, n, tau_rel):
+    return n, os.getpid(), "scipy" in sys.modules
+
+fsm.section_extremes = seen
+square = builtin_domain("square")
+# window 10 has 441 points, window 11 has 529
+small = fsm._scan_extremes(operator, square, list(range(1, 11)), 1e-12)
+small_loaded = "scipy" in sys.modules
+large = fsm._scan_extremes(operator, square, list(range(1, 17)), 1e-12)
+print(json.dumps([os.getpid(), small, small_loaded, large]))
+"""
+
+
+def test_dense_windows_run_in_workers_forked_before_scipy():
+    src = str(Path(finsec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _KILLED_WORKER],
-        env=env, capture_output=True, text=True, timeout=60,
+        [sys.executable, "-c", _SCIPY_IN_WORKERS],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
     )
-    assert proc.returncode == 3
-    assert proc.stdout == ""
-    assert proc.stderr == "finsec: numeric failure: a scan worker process ended abruptly\n"
+    parent, small, small_loaded, large = json.loads(proc.stdout)
+    # a pooled scan of windows below 512 points never loads scipy
+    assert [n for n, _, _ in small] == list(range(1, 11))
+    assert not small_loaded
+    assert not any(loaded for _, _, loaded in small)
+    assert [n for n, _, _ in large] == list(range(1, 17))
+    assert [loaded for _, _, loaded in large] == [False] * 10 + [True] * 6
+    assert parent not in {pid for _, pid, _ in small + large}
 
 
 def test_scanned_window_refused_before_it_is_built(tmp_path, monkeypatch, capsys):
@@ -1296,7 +1348,7 @@ def test_pinned_and_benchmark_invocations_parse(tmp_path):
     invocations = list(runpy.run_path(ROOT / "tools" / "pinned_outputs.py")["INVOCATIONS"])
     workloads = runpy.run_path(ROOT / "bench" / "workloads.py", run_name="workloads")["WORKLOADS"]
     invocations += [w.prepare(0, False, tmp_path)[0] for w in workloads.values()]
-    assert len(invocations) == 25 + 4
+    assert len(invocations) == 26 + 4
     parser = cli.build_parser()
     for argv in invocations:
         parser.parse_args(argv)

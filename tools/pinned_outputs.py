@@ -67,6 +67,8 @@ INVOCATIONS = (
         "scan", "--operator", "lap5.json", "--omega", "pent.json", "--nmax", "10",
         "--format", "json",
     ],
+    # windows reach 512 points at n = 11: the sparse route, after a dense prefix
+    ["scan", "--operator", "lap5.json", "--omega", "square", "--nmax", "12"],
     # a 3-D domain from 24 points, 20 of them corners
     [
         "scan", "--operator", "lap7.json", "--omega", "poly24.json", "--nmax", "3",

@@ -15,8 +15,8 @@ inverse norms and solves (fsm_solve) all take it from _window_extremes.
 
 Scans decide large band windows in forked worker processes (stability_scan),
 with the same report bytes as a serial scan.  A scan that reaches the sparse
-route decides its dense windows in workers forked before scipy loads, while
-it imports scipy for the workers of its sparse windows.
+route decides its first dense windows in workers forked before scipy loads,
+while it imports scipy for the workers of the rest.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import bisect
 import itertools
 import math
 import os
-from contextlib import closing
+import sys
 from typing import Callable, Iterable
 
 import numpy as np
@@ -183,14 +183,16 @@ def stability_scan(
     are decided in forked worker processes when linalg._free_cores() leaves
     two or more cores: no more workers than windows, nor than the dense
     budget holds blocks of the largest window.  When the largest window
-    reaches SPARSE_MIN_POINTS points, the smaller windows, a prefix in n, go
-    first to one worker fewer, forked before scipy is imported; the import
-    runs here while they work, and the rest go to a second pool, forked
-    after the first has shut down.  Each window runs the kernels it would
-    run serially, so the report's bytes do not depend on the worker count.
-    Windows are read in n order: the first failing one raises its own error
-    and cancels those not yet started (a failing dense window starts no
-    second pool); a worker that dies raises NumericError.
+    reaches SPARSE_MIN_POINTS points and scipy is not loaded yet, the smaller
+    windows, a prefix in n, go first to one worker fewer, forked before
+    scipy is imported; the import runs here while they work, and the windows
+    those workers have not begun when it ends go with the rest to a second
+    pool, forked after the first has shut down.  Each window runs the
+    kernels it would run serially, so the report's bytes do not depend on
+    the worker count.  Windows are read in n order: the first failing one
+    raises its own error and cancels those not yet started (a failing
+    window of the first pool starts no second); a worker that dies raises
+    NumericError.
     """
     ns = list(n_values)
     if not ns:
@@ -233,11 +235,12 @@ def _scan_extremes(
     if workers < 2:
         return [section_extremes(operator, domain, n, tau_rel) for n in ns]
     args = operator, domain, tau_rel
-    if points < SPARSE_MIN_POINTS:
+    if points < SPARSE_MIN_POINTS or "scipy.sparse.linalg" in sys.modules:
         return _pooled_windows(workers, ns, args)
     # Windows grow with n, so those below SPARSE_MIN_POINTS points form a
-    # prefix.  It runs on the cores but one, in workers forked before scipy
-    # loads, while this process imports it for the sparse suffix's workers.
+    # prefix.  Workers forked before scipy loads, on the cores but one, take
+    # its windows while this process imports scipy; those they have not
+    # begun when the import ends go with the rest to workers forked after it.
     split = bisect.bisect_left(
         ns, True, hi=len(ns) - 1,
         key=lambda n: _count_section(domain, n, SPARSE_MIN_POINTS)[0] >= SPARSE_MIN_POINTS,
@@ -247,7 +250,7 @@ def _scan_extremes(
         dense = _pooled_windows(max(1, workers - 1), ns[:split], args, _import_sparse)
     else:
         _import_sparse()
-    return dense + _pooled_windows(workers, ns[split:], args)
+    return dense + _pooled_windows(workers, ns[len(dense):], args)
 
 
 def _import_sparse() -> None:
@@ -255,10 +258,11 @@ def _import_sparse() -> None:
 
 
 def _pooled_windows(
-    workers: int, part: list[int], args: tuple, meanwhile: Callable[[], None] = lambda: None
+    workers: int, part: list[int], args: tuple, meanwhile: Callable[[], None] | None = None
 ) -> list[tuple[float, float]]:
-    """_window of every n in part from `workers` forked processes, in n order;
-    `meanwhile` runs here once every window is submitted."""
+    """_window of part's windows, in n order, from `workers` forked processes;
+    with `meanwhile`, which runs here once every window is submitted, only
+    those a worker has begun when it returns, a prefix of part."""
     # Imported here so that importing the package does not load them.
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
@@ -266,17 +270,25 @@ def _pooled_windows(
 
     # fork, not spawn: a spawned worker imports numpy and scipy again (scipy
     # alone takes about 0.3 s, more than a pool saves here).  The forked
-    # workers inherit the scan's arguments, so each job is one n.  map yields
-    # in submission order; closing it cancels the windows not yet started.
-    # Leaving the pool joins its threads, so none is alive at the next fork.
+    # workers inherit the scan's arguments, so each job is one n.  Shutting
+    # the pool down cancels the jobs no worker has begun, a suffix since
+    # workers take them in order, waits for the rest and joins its threads,
+    # so none is alive at the next fork.  The pool cancels them itself: a
+    # job cancelled from here while a dying worker breaks the pool makes its
+    # thread fail (Python 3.11).
     with ProcessPoolExecutor(
         workers, mp_context=get_context("fork"), initializer=_serve, initargs=args
-    ) as pool, closing(pool.map(_window, part)) as extremes:
-        meanwhile()
+    ) as pool:
+        jobs = [pool.submit(_window, n) for n in part]
         try:
-            return list(extremes)
+            if meanwhile:
+                meanwhile()
+                pool.shutdown(cancel_futures=True)
+            return [job.result() for job in jobs if not job.cancelled()]
         except BrokenProcessPool:
             raise NumericError("a scan worker process ended abruptly") from None
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 _scan: tuple = ()  # a worker's (operator, domain, tau_rel)

@@ -412,13 +412,22 @@ KILLED_WORKERS = (
 )
 
 
-def test_killed_scan_worker_exits_3_without_a_traceback():
+def _one_blas_thread_env():
+    """The environment of a fresh interpreter on this src tree with BLAS on one
+    thread, so that the two workers of a scan patched to two cores do not
+    oversubscribe them."""
     src = str(Path(finsec.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.update(dict.fromkeys(linalg._BLAS_THREAD_VARIABLES, "1"))
+    return env
+
+
+def test_killed_scan_worker_exits_3_without_a_traceback():
     for dies_at, argv in KILLED_WORKERS:
         proc = subprocess.run(
             [sys.executable, "-c", _KILLED_WORKER, str(dies_at), *argv],
-            cwd=ROOT / "tools", env=env, capture_output=True, text=True, timeout=60,
+            cwd=ROOT / "tools", env=_one_blas_thread_env(), capture_output=True, text=True,
+            timeout=60,
         )
         case = (dies_at, argv)
         assert proc.returncode == 3, case
@@ -426,44 +435,143 @@ def test_killed_scan_worker_exits_3_without_a_traceback():
         assert proc.stderr == "finsec: numeric failure: a scan worker process ended abruptly\n", case
 
 
-_SCIPY_IN_WORKERS = r"""
-import json, os, sys
+# A pooled scan starts two pools only where scipy is not loaded yet, so these scans run
+# in a fresh interpreter.
+_SCAN_HEAD = r"""
+import concurrent.futures, json, os, sys, time
 from finsec import builtin_domain, fsm, linalg
-from finsec.operators import BandDiagonals
+from finsec.operators import BandDiagonals, TableRule
 
 linalg._free_cores = lambda: 2
-operator = BandDiagonals.from_rules(
-    2, {(0, 0): 4, **{d: -1 for d in ((1, 0), (-1, 0), (0, 1), (0, -1))}}
-)
+pools = []
+executor = concurrent.futures.ProcessPoolExecutor
+
+def recording(workers, **kwargs):
+    pools.append(workers)
+    return executor(workers, **kwargs)
+
+concurrent.futures.ProcessPoolExecutor = recording
+square = builtin_domain("square")
+stencil = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
+extremes, import_sparse = fsm.section_extremes, fsm._import_sparse
+imported = False  # set here once the import ends, seen by workers forked after
+
+def import_taking(seconds, real):
+    def importing():
+        global imported
+        time.sleep(seconds)
+        if real:
+            import_sparse()
+        imported = True
+    fsm._import_sparse = importing
+"""
+
+
+def _fresh_interpreter(script):
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCAN_HEAD + script],
+        env=_one_blas_thread_env(), capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+_SCAN_PHASES = r"""
+operator = BandDiagonals.from_rules(2, {d: 4 if d == (0, 0) else -1 for d in stencil})
+pause = 0.0
 
 def seen(operator, domain, n, tau_rel):
-    return n, os.getpid(), "scipy" in sys.modules
+    if n <= 10:
+        time.sleep(pause)
+    return n, os.getpid(), imported, "scipy" in sys.modules, *extremes(operator, domain, n, tau_rel)
+
+def scan(ns):
+    pools.clear()
+    rows = fsm._scan_extremes(operator, square, ns, 1e-12)
+    return pools[:], rows
 
 fsm.section_extremes = seen
-square = builtin_domain("square")
+out = {"parent": os.getpid()}
 # window 10 has 441 points, window 11 has 529
-small = fsm._scan_extremes(operator, square, list(range(1, 11)), 1e-12)
-small_loaded = "scipy" in sys.modules
-large = fsm._scan_extremes(operator, square, list(range(1, 17)), 1e-12)
-print(json.dumps([os.getpid(), small, small_loaded, large]))
+out["small"] = *scan(list(range(1, 11))), "scipy" in sys.modules
+# an import (0.05 s) that ends before the first dense window does (each sleeps 0.1 s)
+pause = 0.1
+import_taking(0.05, real=False)
+out["handed_on"] = scan(list(range(1, 13)))
+# an import that ends after every dense window
+pause = 0.0
+import_taking(0.5, real=True)
+out["two_phase"] = scan(list(range(1, 17)))
+out["loaded"] = scan(list(range(1, 17)))
+out["serial"] = [extremes(operator, square, n, 1e-12) for n in range(1, 17)]
+print(json.dumps(out))
 """
 
 
 def test_dense_windows_run_in_workers_forked_before_scipy():
-    src = str(Path(finsec.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_IN_WORKERS],
-        env=env, capture_output=True, text=True, timeout=60, check=True,
-    )
-    parent, small, small_loaded, large = json.loads(proc.stdout)
+    out = _fresh_interpreter(_SCAN_PHASES)
+    pools, rows, loaded = out["small"]
     # a pooled scan of windows below 512 points never loads scipy
-    assert [n for n, _, _ in small] == list(range(1, 11))
-    assert not small_loaded
-    assert not any(loaded for _, _, loaded in small)
-    assert [n for n, _, _ in large] == list(range(1, 17))
-    assert [loaded for _, _, loaded in large] == [False] * 10 + [True] * 6
-    assert parent not in {pid for _, pid, _ in small + large}
+    assert pools == [2]
+    assert [n for n, *_ in rows] == list(range(1, 11))
+    assert not loaded
+    assert not any(scipy for *_, scipy, _, _ in rows)
+    # the windows the first pool has not begun when the import ends go to the second
+    pools, rows = out["handed_on"]
+    assert pools == [1, 2]
+    assert [n for n, *_ in rows] == list(range(1, 13))
+    after = [imported for _, _, imported, *_ in rows]
+    assert after == sorted(after)
+    assert after.count(False) < 10
+    # the dense windows run in a worker forked before scipy loads, the sparse ones after
+    pools, rows = out["two_phase"]
+    assert pools == [1, 2]
+    assert [n for n, *_ in rows] == list(range(1, 17))
+    assert [scipy for *_, scipy, _, _ in rows] == [False] * 10 + [True] * 6
+    # with scipy loaded there is nothing to overlap: one pool
+    pools, again = out["loaded"]
+    assert pools == [2]
+    assert all(scipy for *_, scipy, _, _ in again)
+    serial = [list(pair) for pair in out["serial"]]
+    assert [row[-2:] for row in rows] == serial
+    assert [row[-2:] for row in again] == serial
+    assert out["parent"] not in {pid for _, pid, *_ in out["small"][1] + rows + again}
+
+
+_SCAN_ERRORS = r"""
+import_taking(0.3, real=False)
+out = {}
+for k in (5, 12):
+    big = TableRule.from_mapping({(k, 0): 1.7e308}, default=1, dimension=2)
+    operator = BandDiagonals.from_rules(2, {d: big for d in stencil})
+
+    def budget(operator, domain, n, k=k):
+        if n > k:
+            raise ValueError(f"window n={n} is over the budget")
+
+    fsm._check_window_budget = budget
+    errors = []
+    for cores in (2, 1):
+        linalg._free_cores = lambda: cores
+        pools.clear()
+        try:
+            fsm.stability_scan(operator, square, range(1, 17))
+        except Exception as exc:
+            errors.append([type(exc).__name__, str(exc), pools[:]])
+    out[k] = errors
+print(json.dumps(out))
+"""
+
+
+def test_two_pool_scan_raises_the_first_failing_windows_error():
+    # window k overflows; windows past k are refused at once, so they can fail first.
+    # The import takes 0.3 s: window 5 fails in the first pool, window 12 in the second.
+    out = _fresh_interpreter(_SCAN_ERRORS)
+    for k, started in (("5", [1]), ("12", [1, 2])):
+        (kind, pooled, pools), serial = out[k]
+        assert pools == started, k
+        assert [kind, pooled, []] == serial
+        assert kind == "NonFiniteResultError"
+        assert pooled.startswith(f"section at n={k} has non-finite singular values")
 
 
 def test_scanned_window_refused_before_it_is_built(tmp_path, monkeypatch, capsys):

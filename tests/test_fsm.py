@@ -199,47 +199,36 @@ def test_pooled_scan_records_are_the_serial_bytes(case, ns, pools, monkeypatch, 
         "worked_Aprime": (build_example("worked_Aprime").operator, interval),
         "laplace-singular": (laplace_operator([2, 2, 2, 2]), square),
     }[case]
-    # a scan that reaches the sparse route runs its dense prefix on one core, then both
-    started = [2] if case == "worked_Aprime" else [1, 2]
     serial = scan_with_cores(monkeypatch, 1, operator, domain, ns)
     assert pools == []
+    # one pool: worked_Aprime's windows stay below 512 points, and the serial laplace scans
+    # load scipy, so no import is left to overlap; test_cli.py runs the two pools it starts
+    # in a fresh interpreter
     pooled = scan_with_cores(monkeypatch, 2, operator, domain, ns)
-    assert pools == started
+    assert pools == [2]
     assert stability_report_json(pooled) == stability_report_json(serial)
 
 
-def test_pooled_scan_raises_the_first_failing_windows_error(pools, monkeypatch, interval, square):
-    # every window from k on holds an overflowing row; windows past k are refused at once,
-    # so they can fail first.  A 2-D scan's windows reach the sparse route at n = 11: a
-    # failing dense-prefix window starts no second pool.  The sparse-suffix case leaves out
-    # window 11: beside the SVD of window 12's overflowing block, its sparse solve took up
-    # to 29 s on 2 vCPUs with a BLAS thread per core in each worker.
-    cases = [
-        (interval, range(1, 15), (5,), [2]),
-        (square, range(1, 17), (5, 0), [1]),
-        (square, [*range(1, 11), *range(12, 17)], (12, 0), [1, 2]),
-    ]
-    stencil = {1: [(0,), (1,), (-1,)], 2: [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]}
-    for domain, ns, point, started in cases:
-        k = point[0]
-        dimension = len(point)
-        big = TableRule.from_mapping({point: 1.7e308}, default=1, dimension=dimension)
-        operator = BandDiagonals.from_rules(dimension, {d: big for d in stencil[dimension]})
+def test_pooled_scan_raises_the_first_failing_windows_error(pools, monkeypatch, interval):
+    # window 5 overflows; every later window is refused at once, so it can fail first.
+    # The 2-D cases, whose scans run in two pools, run in a fresh interpreter (test_cli.py).
+    k = 5
+    big = TableRule.from_mapping({(k,): 1.7e308}, default=1, dimension=1)
+    operator = BandDiagonals.from_rules(1, {d: big for d in (-1, 0, 1)})
 
-        def budget(operator, domain, n, k=k):
-            if n > k:
-                raise ValueError(f"window n={n} is over the budget")
+    def budget(operator, domain, n):
+        if n > k:
+            raise ValueError(f"window n={n} is over the budget")
 
-        monkeypatch.setattr(fsm, "_check_window_budget", budget)
-        pools.clear()
-        errors = []
-        for cores in (1, 2):
-            with pytest.raises(NonFiniteResultError) as excinfo:
-                scan_with_cores(monkeypatch, cores, operator, domain, ns)
-            errors.append(str(excinfo.value))
-        assert pools == started, point
-        assert errors[0] == errors[1]
-        assert errors[0].startswith(f"section at n={k} has non-finite singular values")
+    monkeypatch.setattr(fsm, "_check_window_budget", budget)
+    errors = []
+    for cores in (1, 2):
+        with pytest.raises(NonFiniteResultError) as excinfo:
+            scan_with_cores(monkeypatch, cores, operator, interval, range(1, 3 * k))
+        errors.append(str(excinfo.value))
+    assert pools == [2]
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"section at n={k} has non-finite singular values")
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@
 Configs are JSON files; exact rationals are "p/q" strings, complex scalars
 are "re" or "re+imi" strings.  Outputs are byte-deterministic for a fixed
 config at a fixed BLAS thread count.  Exit status: 0 success, 2 invalid
-configuration, 3 numeric failure (singular section, infeasible parameters, ...).
+configuration or unwritable output, 3 numeric failure, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ from .sections import rfsm_section  # noqa: F401  (bench/test_bench.py checks tr
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+EXIT_INTERRUPTED = 130
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +301,18 @@ def _resolve_rhs(args, case: ExampleCase | None, domain, m: int | None):
     raise ValueError("provide --rhs (the selected source has no built-in right-hand side)")
 
 
+class _WriteError(Exception):
+    """The report could not be written (exit 2, named apart from configuration errors)."""
+
+
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        if out:
+            Path(out).write_text(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        raise _WriteError(exc) from None
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +581,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except KeyboardInterrupt:  # scan workers ignore it: this process cancels their windows
+        print("finsec: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
+    except _WriteError as exc:
+        print(f"finsec: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (NumericError, LinAlgError) as exc:  # first: LinAlgError is a ValueError
         print(f"finsec: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -297,6 +297,8 @@ _scan: tuple = ()  # a worker's (operator, domain, tau_rel)
 def _serve(operator: OperatorSpec, domain: StarlikeDomain, tau_rel: float) -> None:
     global _scan
     _scan = operator, domain, tau_rel
+    import signal  # here, so that importing the package does not load it
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the scan's process alone takes Ctrl-C
 
 
 def _window(n: int) -> tuple[float, float]:

@@ -229,13 +229,6 @@ class IndexSet:
     def __iter__(self) -> Iterator[Point]:
         return iter(self.points)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IndexSet)
-            and self.dimension == other.dimension
-            and np.array_equal(self.array, other.array)
-        )
-
 
 # ---------------------------------------------------------------------------
 # exact polytope kernel (integer rays; Fractions only for the vertices)

@@ -341,16 +341,6 @@ class SupportedVector:
             return SupportedVector(self.dimension, {})
         return SupportedVector(self.dimension, {p: s * v for p, v in self.entries.items()})
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SupportedVector)
-            and self.dimension == other.dimension
-            and self.entries == other.entries
-        )
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 # ---------------------------------------------------------------------------
 # operators

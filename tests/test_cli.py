@@ -1,9 +1,12 @@
+import ast
 import json
 import os
 import re
 import runpy
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -433,6 +436,48 @@ def test_killed_scan_worker_exits_3_without_a_traceback():
         assert proc.returncode == 3, case
         assert proc.stdout == "", case
         assert proc.stderr == "finsec: numeric failure: a scan worker process ended abruptly\n", case
+
+
+_SLOW_WINDOWS = r"""
+import os, sys, time
+from finsec import cli, fsm, linalg
+
+linalg._free_cores = lambda: 2
+fsm.POOL_MIN_POINTS = 0
+running = sys.argv[1]
+
+def slow(operator, domain, n, tau_rel):
+    open(os.path.join(running, str(os.getpid())), "a").close()
+    time.sleep(0.5)
+    return 1.0, 1.0
+
+fsm.section_extremes = slow
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def test_interrupted_scan_exits_130_with_one_line(tmp_path):
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _SLOW_WINDOWS, str(tmp_path),
+         "scan", "--example", "worked_Aprime", "--nmax", "12"],
+        env=_one_blas_thread_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    try:
+        # both workers have begun a window, so both ignore SIGINT
+        deadline = time.monotonic() + 60
+        while len(list(tmp_path.iterdir())) < 2:
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        os.killpg(proc.pid, signal.SIGINT)  # as Ctrl-C does: to every process of the group
+        out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+    assert proc.returncode == 130
+    assert (out, err) == ("", "finsec: interrupted\n")
+    with pytest.raises(ProcessLookupError):  # no worker outlived the scan
+        os.killpg(proc.pid, 0)
 
 
 # A pooled scan starts two pools only where scipy is not loaded yet, so these scans run
@@ -1073,6 +1118,18 @@ def test_scan_writes_output_file(tmp_path, capsys):
     assert out_path.read_text().splitlines()[0].startswith("n,invertible")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_output_write_failure_exits_2_with_its_own_line(capsys):
+    argv = ["scan", "--example", "shift", "--nmax", "10", "--out", "/dev/full"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == "finsec: cannot write output: [Errno 28] No space left on device\n"
+    # a config that cannot be read is still a configuration error
+    code, _, err = run_cli(["scan", "--operator", "/nonexistent.json", "--omega", "interval",
+                            "--nmax", "10", "--out", "/dev/full"], capsys)
+    assert code == 2 and err.startswith("finsec: invalid configuration: [Errno 2]")
+
+
 def test_scan_rejects_missing_source(capsys):
     code, _, err = run_cli(["scan", "--nmax", "5"], capsys)
     assert code == 2
@@ -1456,23 +1513,118 @@ def test_pinned_and_benchmark_invocations_parse(tmp_path):
     invocations = list(runpy.run_path(ROOT / "tools" / "pinned_outputs.py")["INVOCATIONS"])
     workloads = runpy.run_path(ROOT / "bench" / "workloads.py", run_name="workloads")["WORKLOADS"]
     invocations += [w.prepare(0, False, tmp_path)[0] for w in workloads.values()]
-    assert len(invocations) == 26 + 4
+    assert len(invocations) == 28 + 4
     parser = cli.build_parser()
     for argv in invocations:
         parser.parse_args(argv)
 
 
-def test_pinned_outputs_keep_their_bytes(tmp_path):
+LIBRARY = ROOT / "src" / "finsec"
+
+# Run first in each pinned invocation: the first call of each code object of LIBRARY
+# appends "file:qualified name" to a file named by the process id, at once, since forked
+# scan workers leave by os._exit.  `seen` holds each code object, so that its id is not
+# reused once a module's top-level code is freed.  numpy, which the library imports
+# first, is imported before the hook: traced, its import took most of the hook's cost.
+_REACH_HOOK = """\
+import os, sys, threading
+import numpy
+def _reach(frame, event, arg, seen={{}}):
+    code = frame.f_code
+    if code.co_filename.startswith({library!r}) and seen.get(id(code)) is not code:
+        seen[id(code)] = code
+        with open(os.path.join({records!r}, str(os.getpid())), "a") as f:
+            f.write(os.path.basename(code.co_filename) + ":" + code.co_qualname + "\\n")
+sys.settrace(_reach)
+threading.settrace(_reach)
+"""
+
+
+@pytest.fixture(scope="module")
+def pinned_run(tmp_path_factory):
+    """The pinned invocations run once: their output directory and the set of
+    "file:qualified name" of the library functions they reached."""
+    out, records = tmp_path_factory.mktemp("pinned"), tmp_path_factory.mktemp("reached")
+    hook = _REACH_HOOK.format(library=f"{LIBRARY}{os.sep}", records=str(records))
+    run = runpy.run_path(str(ROOT / "tools" / "pinned_outputs.py"))["main"]
+    assert run([str(out)], prelude=hook) == 0
+    return out, {line for path in records.iterdir() for line in path.read_text().splitlines()}
+
+
+def test_pinned_outputs_keep_their_bytes(pinned_run):
     # a change that means to move output bytes updates tools/pinned and says which files
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "pinned_outputs.py"), str(tmp_path)],
-        capture_output=True, text=True,
-    )
-    assert done.returncode == 0, done.stderr
+    out, _ = pinned_run
     pinned = ROOT / "tools" / "pinned"
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in pinned.iterdir())
-    for path in pinned.iterdir():
-        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in pinned.iterdir())
+    differing = [
+        p.name for p in sorted(pinned.iterdir()) if (out / p.name).read_bytes() != p.read_bytes()
+    ]
+    assert differing == []
+
+
+def _library_functions() -> set[str]:
+    """"file:qualified name" of every def in LIBRARY, nested ones included."""
+    names = set()
+
+    def walk(node, file, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(f"{file}:{prefix}{child.name}")
+                walk(child, file, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, file, f"{prefix}{child.name}.")
+            else:
+                walk(child, file, prefix)
+
+    for path in LIBRARY.glob("*.py"):
+        walk(ast.parse(path.read_text()), path.name, "")
+    return names
+
+
+ACCEPTANCE = "acceptance API: tests/test_acceptance.py imports or calls it"
+PROTOCOL = "rule protocol: an abstract stub, or the scalar path of OperatorSpec.entry/apply"
+PAPER = "paper artefact"
+POOL = "pool internals: unreached with fewer than two usable cores"
+BENCH = "benchmark harness: bench/tracer.py reads it"
+
+# The library functions that no pinned invocation needs to reach, each with its reason.
+UNREACHED = {
+    "fsm.py:adjacency_section_invertible": ACCEPTANCE,
+    "linalg.py:min_singular_value": ACCEPTANCE,
+    "operators.py:OperatorSpec.apply": ACCEPTANCE,
+    "operators.py:SupportedVector.__add__": ACCEPTANCE,
+    "operators.py:SupportedVector.__rmul__": ACCEPTANCE,
+    "operators.py:SupportedVector.__sub__": ACCEPTANCE,
+    "operators.py:SupportedVector.get": ACCEPTANCE,
+    "operators.py:SupportedVector.restrict": ACCEPTANCE,
+    "rfsm.py:normal_equations_solve": ACCEPTANCE,
+    "sections.py:fsm_section": ACCEPTANCE,
+    "operators.py:AdjacencyGraph._column": PROTOCOL,
+    "operators.py:CoefficientRule.is_trivial": PROTOCOL,
+    "operators.py:CoefficientRule.shifted": PROTOCOL,
+    "operators.py:CoefficientRule.value_at": PROTOCOL,
+    "operators.py:CoefficientRule.values_at": PROTOCOL,
+    "operators.py:ConstantRule.value_at": PROTOCOL,
+    "operators.py:OperatorSpec._column": PROTOCOL,
+    "operators.py:TableRule._lookup": PROTOCOL,
+    "operators.py:TableRule.value_at": PROTOCOL,
+    "geometry.py:StarlikeDomain.all_closed": PAPER,
+    "geometry.py:_box_touches_boundary": PAPER,
+    "geometry.py:boundary_layer": PAPER,
+    "fsm.py:_import_sparse": POOL,
+    "fsm.py:_pooled_windows": POOL,
+    "fsm.py:_serve": POOL,
+    "fsm.py:_window": POOL,
+    "sections.py:SectionMatrix.shape": BENCH,
+}
+
+
+def test_every_library_function_is_reached_or_named(pinned_run):
+    # a new def is reached from a pinned invocation, or named in UNREACHED with its reason
+    _, reached = pinned_run
+    functions = _library_functions()
+    assert sorted(functions - reached - UNREACHED.keys()) == [], "reached by no pinned invocation"
+    assert sorted(UNREACHED.keys() - functions) == [], "named in UNREACHED but not defined"
 
 
 FLAGS_READ = {

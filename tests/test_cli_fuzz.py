@@ -18,11 +18,14 @@ may then succeed.
 About one draw of `solve-fsm`, `solve-rfsm` or `study` in ten instead
 takes the `blockdiag` or `diamond` edges out to a window past 10^6 or
 10^9 under a 10^7-byte budget, which must refuse it (exit 2 or 3).
+About one draw in ten, where the platform has /dev/full, writes its report
+there with `--out`: a command that would succeed must then exit 2.
 """
 
 import contextlib
 import io
 import json
+import os
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings
@@ -277,6 +280,8 @@ def workdir(tmp_path_factory):
 @given(data=st.data())
 def test_cli_exit_code_contract(workdir, data):
     argv, fmt, codes, budget = data.draw(invocations(workdir), label="argv")
+    if os.path.exists("/dev/full") and pick(data.draw, [False], [True]):
+        argv, codes = [*argv, "--out", "/dev/full"], tuple(c for c in codes if c != 0)
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):

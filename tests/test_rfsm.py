@@ -208,7 +208,7 @@ def test_overflow_shifts_past_int64_are_refused(interval, square):
 def test_identity_rfsm_keeps_window(interval):
     b = geometric_vector(10)
     u = rfsm_solve(identity_operator(), b, interval, 6, 3)
-    assert u == b.restrict(lattice_section(interval, 3))
+    assert u.entries == b.restrict(lattice_section(interval, 3)).entries
     section = rfsm_section(identity_operator(), interval, 6, 3)
     x = u.to_array(section.cols)
     resid = np.linalg.norm(
@@ -222,7 +222,7 @@ def test_shift_rfsm_recovers_exact_solution(interval):
     b = SupportedVector.from_entries(1, {1: 1})
     for n in (1, 2, 5):
         u = rfsm_solve(Shift.by(1), b, interval, n + 1, n)
-        assert u == SupportedVector.from_entries(1, {0: 1})
+        assert u.entries == {(0,): 1}
 
 
 def test_rfsm_residual_never_beats_zero_vector(interval):
@@ -397,7 +397,7 @@ def test_truncated_reference_solves_inequality(worked_case):
 def test_normal_equations_identity(interval):
     b = geometric_vector(8)
     u = normal_equations_solve(identity_operator(), b, interval, 5, 3)
-    assert u == b.restrict(lattice_section(interval, 3))
+    assert u.entries == b.restrict(lattice_section(interval, 3)).entries
 
 
 def test_normal_equations_match_least_squares(interval):

@@ -363,7 +363,8 @@ def test_adjacency_rows_past_the_coverage_are_exact(family):
             assert np.array_equal(np.count_nonzero(got.data, axis=1), np.ones(got.shape[0]))
             overflow_rows += got.shape[0]
         for got, expected in blocks + overflows:
-            assert got.rows == expected.rows and got.cols == expected.cols
+            assert np.array_equal(got.rows.array, expected.rows.array)
+            assert np.array_equal(got.cols.array, expected.cols.array)
             assert got.data.tobytes() == expected.data.tobytes()
     assert overflow_rows > 0
 
@@ -412,7 +413,7 @@ def test_overflow_rows_of_a_far_diagonal_are_its_shift(square):
     block = overflow_block(operator, square, 10, 10)
     # 21 x 21 shifted columns, against 9,760 rows of the width-40 ball
     assert block.shape == (441, 441)
-    assert block.rows == IndexSet(2, lattice_section(square, 10).array + [40, 0])
+    assert np.array_equal(block.rows.array, lattice_section(square, 10).array + [40, 0])
 
 
 def test_rfsm_section_refuses_fewer_rows_than_columns(interval):

@@ -13,15 +13,17 @@ distinct lengths, ``pent.json``, a pentagon with rational corners
 given by eight points, three of them not vertices, ``poly24.json``,
 12 distinct nonzero points p/20 with p drawn from [-20, 20]^3 after
 ``random.seed(1)``, and their negatives, ``poly48.json``, the first
-24 such points, poly24's 12 among them, and their negatives, and
-``octa.json``, the octahedron |x| + |y| + |z| <= 1) are named by
-relative paths.  Its file in OUT_DIR holds the exit code, stdout and
+24 such points, poly24's 12 among them, and their negatives,
+``octa.json``, the octahedron |x| + |y| + |z| <= 1, and ``table.json``,
+a 1-D operator with a table-rule diagonal, composed with a shift) are
+named by relative paths.  Its file in OUT_DIR holds the exit code, stdout and
 stderr.  finsec's outputs are byte-deterministic at a fixed BLAS thread
 count, so running this on two checkouts and comparing with ``diff -r``
 shows every output byte a change moves; copy the ``.json`` inputs along
 when the parent lacks them.  The outputs are kept in ``pinned/`` beside
 this script, and ``tests/test_cli.py`` reruns this script and compares
-them byte for byte.
+them byte for byte.  It calls ``main`` with a ``prelude``, Python code run
+first in each invocation, that records which library functions run.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ INVOCATIONS = (
     ["solve-fsm", "--example", "blockdiag", "--n", "40", "--rhs", "sz.json", "--format", "csv"],
     ["solve-fsm", "--example", "sierror", "--n", "20", "--rhs", "adj.json", "--format", "json"],
     ["solve-fsm", "--example", "sierror", "--n", "1000", "--rhs", "adj.json", "--format", "json"],
+    # the built-in right-hand side of worked_Aprime
+    ["solve-fsm", "--example", "worked_Aprime", "--n", "10"],
     [
         "study", "--operator", "matching.json", "--omega", "interval", "--nmax", "20",
         "--reference-n", "60", "--rhs", "sz.json", "--format", "json",
@@ -67,6 +71,8 @@ INVOCATIONS = (
         "scan", "--operator", "lap5.json", "--omega", "pent.json", "--nmax", "10",
         "--format", "json",
     ],
+    # a table-rule diagonal, re-indexed by a shift
+    ["scan", "--operator", "table.json", "--omega", "interval", "--nmax", "12"],
     # windows reach 512 points at n = 11: the sparse route, after a dense prefix
     ["scan", "--operator", "lap5.json", "--omega", "square", "--nmax", "12"],
     # a 3-D domain from 24 points, 20 of them corners
@@ -92,7 +98,8 @@ def file_name(argv: list[str]) -> str:
     return re.sub(r"[^A-Za-z0-9.]+", "_", " ".join(argv)).strip("_") + ".txt"
 
 
-def main(args: list[str]) -> int:
+def main(args: list[str], prelude: str = "") -> int:
+    """Run every invocation into OUT_DIR; `prelude`, Python code, runs first in each."""
     if len(args) != 1:
         print("usage: python tools/pinned_outputs.py OUT_DIR", file=sys.stderr)
         return 2
@@ -103,7 +110,7 @@ def main(args: list[str]) -> int:
         env[name] = "1"
     for argv in INVOCATIONS:
         done = subprocess.run(
-            [sys.executable, "-c", RUN_CLI, *argv],
+            [sys.executable, "-c", prelude + RUN_CLI, *argv],
             cwd=TOOLS,
             env=env,
             capture_output=True,

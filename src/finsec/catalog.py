@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from ._value import Value
 from .errors import UnknownExampleError
 from .fsm import VERDICT_STABLE, classify_subsequences, stability_scan
 from .geometry import IndexSet, StarlikeDomain, validate_domain
@@ -87,15 +87,13 @@ BUILTIN_DOMAINS: dict[str, Callable[[], StarlikeDomain]] = {
 }
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Value):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True, eq=False)
-class ExampleCase:
+class ExampleCase(Value, eq=False):
     case_id: str
     operator: OperatorSpec
     domain: StarlikeDomain

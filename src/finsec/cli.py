@@ -9,7 +9,6 @@ configuration or unwritable output, 3 numeric failure, 130 interrupted.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -20,6 +19,7 @@ from pathlib import Path
 
 from numpy.linalg import LinAlgError
 
+from ._value import Value
 from .catalog import (
     EXAMPLE_IDS,
     BUILTIN_DOMAINS,
@@ -111,8 +111,7 @@ _JSON_TYPES = {
 }
 
 
-@dataclasses.dataclass(frozen=True)
-class _Field:
+class _Field(Value):
     """A value of a JSON config with the file and path that name it in errors."""
 
     value: object
@@ -343,7 +342,7 @@ def _cmd_scan(args) -> int:
         classification[str(mod)] = {
             str(res): verdict for res, verdict in verdicts.items()
         }
-    report = dataclasses.replace(report, classification=classification)
+    report = report._replace(classification=classification)
     write = stability_report_csv if args.format == "csv" else stability_report_json
     _emit(write(report), args.out)
     return EXIT_OK

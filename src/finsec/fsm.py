@@ -262,7 +262,8 @@ def _pooled_windows(
 ) -> list[tuple[float, float]]:
     """_window of part's windows, in n order, from `workers` forked processes;
     with `meanwhile`, which runs here once every window is submitted, only
-    those a worker has begun when it returns, a prefix of part."""
+    those a worker has begun when it returns, a prefix of part.  When a fork
+    is refused, this process decides every window of part instead."""
     # Imported here so that importing the package does not load them.
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
@@ -279,7 +280,14 @@ def _pooled_windows(
     with ProcessPoolExecutor(
         workers, mp_context=get_context("fork"), initializer=_serve, initargs=args
     ) as pool:
-        jobs = [pool.submit(_window, n) for n in part]
+        try:  # the first submit forks every worker
+            jobs = [pool.submit(_window, n) for n in part]
+        except OSError:  # a fork refused, for want of processes or memory
+            for worker in pool._processes.values():  # those forked wait for jobs never sent
+                worker.kill()
+                worker.join()
+            operator, domain, tau_rel = args
+            return [section_extremes(operator, domain, n, tau_rel) for n in part]
         try:
             if meanwhile:
                 meanwhile()

@@ -15,7 +15,6 @@ whose integer keys would leave int64.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, floor, gcd, lcm, prod
@@ -23,6 +22,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ._value import Value
 from .errors import OpenFacetError, UnboundedDomainError, ZeroNotInteriorError
 
 Point = tuple[int, ...]
@@ -100,8 +100,7 @@ def _integer_row(normal: Sequence[Fraction], offset: Fraction) -> tuple[tuple[in
     return tuple(a), b
 
 
-@dataclass(frozen=True)
-class StarlikeDomain:
+class StarlikeDomain(Value):
     """Bounded convex polytope containing 0 in its interior.
 
     `facets` are integer rows (A, B, closed): x is in the n-fold dilation
@@ -171,8 +170,7 @@ class StarlikeDomain:
         return max(max(abs(a), abs(b)) for a, b in zip(lo, hi))
 
 
-@dataclass(frozen=True, eq=False)
-class IndexSet:
+class IndexSet(Value, eq=False):
     """Lexicographically sorted, duplicate-free finite subset of the lattice.
 
     The points are stored once, as the rows of the (k, N) int64 `array`;

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import abc
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from math import isfinite, sqrt
 from types import SimpleNamespace
@@ -19,6 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ._value import Value
 from .errors import GeneratorBoundError, NonFiniteResultError
 from .geometry import IndexSet, Point, StarlikeDomain
 
@@ -101,8 +101,7 @@ class CoefficientRule(abc.ABC):
         """Rule i -> self(i - step); re-indexes a diagonal moved by a shift."""
 
 
-@dataclass(frozen=True)
-class ConstantRule(CoefficientRule):
+class ConstantRule(CoefficientRule, Value):
     value: complex
 
     def value_at(self, i: Point) -> complex:
@@ -128,8 +127,7 @@ def _distinct(items: Iterable[tuple[Point, complex]]) -> tuple[tuple[Point, comp
     return tuple(sorted(table.items()))
 
 
-@dataclass(frozen=True)
-class PeriodicRule(CoefficientRule):
+class PeriodicRule(CoefficientRule, Value):
     """Row-periodic coefficients: value depends on i mod period (componentwise)."""
 
     period: tuple[int, ...]
@@ -173,8 +171,7 @@ class PeriodicRule(CoefficientRule):
         )
 
 
-@dataclass(frozen=True)
-class TableRule(CoefficientRule):
+class TableRule(CoefficientRule, Value):
     """Finite table of row coefficients with a default elsewhere."""
 
     table: tuple[tuple[Point, complex], ...]
@@ -236,8 +233,7 @@ class TableRule(CoefficientRule):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class SupportedVector:
+class SupportedVector(Value, eq=False):
     """Finitely supported complex vector over the lattice; absent entries are 0."""
 
     dimension: int
@@ -379,8 +375,7 @@ class OperatorSpec:
         return SupportedVector(self.dimension, {p: v for p, v in acc.items() if v != 0})
 
 
-@dataclass(frozen=True)
-class BandDiagonals(OperatorSpec):
+class BandDiagonals(OperatorSpec, Value):
     """Entries a_{ij} = f_{i-j}(i) on the (offset, rule) pairs of `diagonals`, zero elsewhere."""
 
     dimension: int
@@ -448,8 +443,7 @@ BlockPeriodic = SimpleNamespace(from_blocks=_block_periodic)
 Shift = SimpleNamespace(by=_shift_by)
 
 
-@dataclass(frozen=True, eq=False)
-class AdjacencyGraph(OperatorSpec):
+class AdjacencyGraph(OperatorSpec, Value, eq=False):
     """Extended adjacency matrix of a graph of pairwise disjoint edges.
 
     Entry a_{ij} is 1 when {i, j} is an edge or when i = j lies on no

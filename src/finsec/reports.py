@@ -11,8 +11,8 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
 
+from ._value import Value
 from .errors import NonFiniteResultError
 from .operators import SupportedVector
 
@@ -30,8 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StabilityRecord:
+class StabilityRecord(Value):
     n: int
     invertible: bool
     inverse_norm: float | None
@@ -39,17 +38,19 @@ class StabilityRecord:
     sigma_max: float
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(Value):
     operator_id: str
     domain_id: str
     tau_rel: float
     records: tuple[StabilityRecord, ...]
-    classification: dict = field(default_factory=dict)
+    classification: dict = None  # a fresh dict for each report that names none
+
+    def __post_init__(self):
+        if self.classification is None:
+            self.__dict__["classification"] = {}
 
 
-@dataclass(frozen=True)
-class RfsmRecord:
+class RfsmRecord(Value):
     n: int
     m: int
     residual: float
@@ -59,8 +60,7 @@ class RfsmRecord:
     certified_bound: float | None
 
 
-@dataclass(frozen=True)
-class RfsmReport:
+class RfsmReport(Value):
     operator_id: str
     domain_id: str
     coupling: str
@@ -97,13 +97,12 @@ def _json(payload: dict) -> str:
 
 
 def _records_csv(record_type, records) -> str:
-    names = [f.name for f in fields(record_type)]
-    return _csv(names, ([getattr(rec, name) for name in names] for rec in records))
+    return _csv(record_type._fields, (rec._astuple() for rec in records))
 
 
 def _report_json(report, header: dict, extra: dict | None = None) -> str:
     payload = dict(header, operator=report.operator_id, domain=report.domain_id)
-    payload["records"] = [asdict(rec) for rec in report.records]
+    payload["records"] = [rec._asdict() for rec in report.records]
     return _json({**payload, **(extra or {})})
 
 

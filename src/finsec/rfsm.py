@@ -11,11 +11,11 @@ import itertools
 import math
 import threading
 from contextlib import closing
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
+from ._value import Value
 from .errors import (
     HypothesisViolatedError,
     NoFeasibleMError,
@@ -47,8 +47,7 @@ N_LIMIT = 256
 M_LIMIT = 1024
 
 
-@dataclass(frozen=True)
-class RfsmParameters:
+class RfsmParameters(Value):
     """Chosen precision and cut-offs for one rectangular solve."""
 
     epsilon: float

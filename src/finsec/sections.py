@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._value import Value
 from .geometry import IndexSet, StarlikeDomain, _INT64_MAX, _count_section, lattice_section
 from .operators import AdjacencyGraph, OperatorSpec
 
@@ -28,8 +27,7 @@ __all__ = [
 DENSE_BUDGET_BYTES = 2 * 1024**3
 
 
-@dataclass(frozen=True, eq=False)
-class SectionMatrix:
+class SectionMatrix(Value, eq=False):
     """Dense block data[r, c] = entry(operator, rows[r], cols[c])."""
 
     rows: IndexSet

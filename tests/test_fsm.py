@@ -1,7 +1,9 @@
 import contextlib
 import ctypes
+import errno
 import importlib.util
 import math
+import os
 import re
 from pathlib import Path
 
@@ -32,7 +34,7 @@ from finsec import (
     lattice_section,
     stability_scan,
 )
-from finsec import fsm, linalg
+from finsec import cli, fsm, linalg
 from finsec.catalog import minimal_bound
 from finsec.fsm import VERDICT_NORM_CAP, VERDICT_SINGULAR, VERDICT_STABLE, section_extremes
 from finsec.linalg import TAU_REL_DEFAULT, singular_values
@@ -294,6 +296,32 @@ def test_scan_past_the_break_even_starts_one_pool(pools, monkeypatch, square):
     with one_blas_thread():
         stability_scan(laplace_operator([4, 4, 4, 4]), square, range(1, 9))
     assert pools == [2]
+
+
+@pytest.mark.parametrize("forks", [0, 1])
+def test_pooled_scan_whose_fork_fails_is_decided_serially(forks, pools, monkeypatch, capsys):
+    # a fork refused for want of processes, at the first worker or the second: the
+    # forked one is killed and this process decides the windows, with the serial bytes
+    import scipy.sparse.linalg  # noqa: F401  (loaded, so the scan starts one pool of two)
+
+    real_fork, calls = os.fork, []
+
+    def fork():
+        calls.append(len(calls))
+        if len(calls) > forks:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real_fork()
+
+    tools = Path(__file__).resolve().parents[1] / "tools"
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(linalg, "_free_cores", lambda: 2)
+    monkeypatch.chdir(tools)
+    with one_blas_thread():
+        code = cli.main(["scan", "--operator", "lap5.json", "--omega", "square", "--nmax", "12"])
+    out = capsys.readouterr().out
+    assert (code, pools, len(calls)) == (0, [2], forks + 1)
+    pinned = tools / "pinned" / "scan_operator_lap5.json_omega_square_nmax_12.txt"
+    assert f"exit 0\n--- stdout\n{out}--- stderr\n" in pinned.read_text()
 
 
 def test_adjacency_fast_path_matches_dense_section(interval):

@@ -1,7 +1,5 @@
-import dataclasses
 import json
 import math
-from dataclasses import asdict
 
 import pytest
 
@@ -52,7 +50,7 @@ def test_stability_csv_shape():
 def test_stability_json_roundtrip():
     report = scan_report()
     payload = json.loads(stability_report_json(report))
-    assert payload["records"] == [asdict(rec) for rec in report.records]
+    assert payload["records"] == [rec._asdict() for rec in report.records]
     assert payload["kind"] == "stability"
     assert (payload["operator"], payload["domain"]) == ("blockdiag", "interval")
     assert payload["tau_rel"] == report.tau_rel
@@ -62,7 +60,7 @@ def test_stability_json_roundtrip():
 def test_rfsm_json_roundtrip(worked_case):
     report = study_report(worked_case)
     payload = json.loads(rfsm_report_json(report))
-    assert payload["records"] == [asdict(rec) for rec in report.records]
+    assert payload["records"] == [rec._asdict() for rec in report.records]
     assert payload["kind"] == "rfsm-study"
     assert (payload["operator"], payload["domain"]) == ("worked_A", "interval")
     assert (payload["coupling"], payload["reference_n"]) == ("band", 32)
@@ -92,11 +90,11 @@ def test_reports_are_deterministic(worked_case):
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_non_finite_cells_raise_a_numeric_error(value, worked_case):
     study = study_report(worked_case)
-    last = dataclasses.replace(study.records[-1], error=value)
-    study = dataclasses.replace(study, records=(*study.records[:-1], last))
+    last = study.records[-1]._replace(error=value)
+    study = study._replace(records=(*study.records[:-1], last))
     scan = scan_report()
-    first = dataclasses.replace(scan.records[0], sigma_max=value)
-    scan = dataclasses.replace(scan, records=(first, *scan.records[1:]))
+    first = scan.records[0]._replace(sigma_max=value)
+    scan = scan._replace(records=(first, *scan.records[1:]))
     u = SupportedVector(1, {(0,): complex(1.0, value)})
     writers = [
         lambda: rfsm_report_csv(study),

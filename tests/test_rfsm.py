@@ -1,5 +1,4 @@
 import concurrent.futures
-import dataclasses
 import itertools
 import math
 import os
@@ -589,8 +588,8 @@ def test_study_records_equal_the_serial_loop(
     )
     assert [rec.n for rec in report.records] == list(ns)
     for got, rec in zip(report.records, want, strict=True):
-        for field in dataclasses.fields(RfsmRecord):
-            assert getattr(got, field.name) == getattr(rec, field.name), (got.n, field.name)
+        for field in RfsmRecord._fields:
+            assert getattr(got, field) == getattr(rec, field), (got.n, field)
     assert any(rec.solution_bound is not None for rec in report.records)
 
 

@@ -358,22 +358,34 @@ def test_overflowing_operator_exits_3(tmp_path, capsys):
     assert "numeric failure" in err and "Traceback" not in err
 
 
-def test_cli_import_loads_no_module_that_commands_load_later():
-    # scipy loads in the sparse sigma kernel, concurrent.futures (and logging
-    # under it) when a study runs, multiprocessing when a scan forks workers
-    # and mmap when a block past the huge-page cut is built; the value
-    # classes are plain classes, so dataclasses never loads
+def _loaded_by_cli_import(names):
+    """Which of the modules in names a fresh `import finsec.cli` loads."""
     src = str(Path(finsec.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    late = ["scipy", "concurrent.futures", "mmap", "multiprocessing", "dataclasses"]
-    loaded = subprocess.run(
-        [sys.executable, "-c", f"import sys, finsec.cli; print(sorted({late!r} & sys.modules.keys()))"],
+    return subprocess.run(
+        [sys.executable, "-c", f"import sys, finsec.cli; print(sorted({names!r} & sys.modules.keys()))"],
         env=env,
         check=True,
         capture_output=True,
         text=True,
     ).stdout
-    assert loaded == "[]\n"
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is loaded only by the sparse sigma kernel, never at start-up
+    assert _loaded_by_cli_import(["scipy"]) == "[]\n"
+
+
+def test_cli_import_does_not_load_the_thread_pool():
+    # concurrent.futures (and logging under it) loads when a study runs,
+    # multiprocessing when a scan forks workers, and mmap when a block past
+    # the huge-page cut is built, not at start-up
+    assert _loaded_by_cli_import(["concurrent.futures", "mmap", "multiprocessing"]) == "[]\n"
+
+
+def test_cli_import_does_not_load_dataclasses():
+    # the value classes are plain classes, so dataclasses never loads
+    assert _loaded_by_cli_import(["dataclasses"]) == "[]\n"
 
 
 _KILLED_WORKER = r"""

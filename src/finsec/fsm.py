@@ -14,9 +14,10 @@ threshold, so the verdict never depends on which route ran.  Scans,
 inverse norms and solves (fsm_solve) all take it from _window_extremes.
 
 Scans decide large band windows in forked worker processes (stability_scan),
-with the same report bytes as a serial scan.  A scan that reaches the sparse
-route decides its first dense windows in workers forked before scipy loads,
-while it imports scipy for the workers of the rest.
+with the same report bytes as a serial scan; rfsm.convergence_study solves
+its windows in the same pool.  A scan that reaches the sparse route decides
+its first dense windows in workers forked before scipy loads, while it
+imports scipy for the workers of the rest.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import itertools
 import math
 import os
 import sys
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -232,11 +233,14 @@ def _scan_extremes(
         if points >= POOL_MIN_POINTS:
             fits = sections.DENSE_BUDGET_BYTES // sections._dense_bytes(points, points)
             workers = min(cores, len(ns), fits)
+
+    def job(n: int) -> tuple[float, float]:
+        return section_extremes(operator, domain, n, tau_rel)
+
     if workers < 2:
-        return [section_extremes(operator, domain, n, tau_rel) for n in ns]
-    args = operator, domain, tau_rel
+        return [job(n) for n in ns]
     if points < SPARSE_MIN_POINTS or "scipy.sparse.linalg" in sys.modules:
-        return _pooled_windows(workers, ns, args)
+        return list(_pooled_windows(workers, ns, job))
     # Windows grow with n, so those below SPARSE_MIN_POINTS points form a
     # prefix.  Workers forked before scipy loads, on the cores but one, take
     # its windows while this process imports scipy; those they have not
@@ -247,10 +251,10 @@ def _scan_extremes(
     )
     dense = []
     if split:
-        dense = _pooled_windows(max(1, workers - 1), ns[:split], args, _import_sparse)
+        dense = list(_pooled_windows(max(1, workers - 1), ns[:split], job, _import_sparse))
     else:
         _import_sparse()
-    return dense + _pooled_windows(workers, ns[len(dense):], args)
+    return dense + list(_pooled_windows(workers, ns[len(dense):], job))
 
 
 def _import_sparse() -> None:
@@ -258,12 +262,15 @@ def _import_sparse() -> None:
 
 
 def _pooled_windows(
-    workers: int, part: list[int], args: tuple, meanwhile: Callable[[], None] | None = None
-) -> list[tuple[float, float]]:
-    """_window of part's windows, in n order, from `workers` forked processes;
-    with `meanwhile`, which runs here once every window is submitted, only
-    those a worker has begun when it returns, a prefix of part.  When a fork
-    is refused, this process decides every window of part instead."""
+    workers: int, part: list[int], job: Callable, meanwhile: Callable[[], None] | None = None
+) -> Iterator:
+    """job(n) of part's windows, yielded in n order as they come back from
+    `workers` forked processes; with `meanwhile`, which runs here once every
+    window is submitted, only those sent to a worker when it returns, a
+    prefix of part.  When a fork is refused, this process runs job(n) for
+    every window of part instead.  Closing the generator cancels the windows
+    not yet sent to a worker and waits for the rest.  Scans and studies
+    share it."""
     # Imported here so that importing the package does not load them.
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
@@ -271,14 +278,15 @@ def _pooled_windows(
 
     # fork, not spawn: a spawned worker imports numpy and scipy again (scipy
     # alone takes about 0.3 s, more than a pool saves here).  The forked
-    # workers inherit the scan's arguments, so each job is one n.  Shutting
-    # the pool down cancels the jobs no worker has begun, a suffix since
-    # workers take them in order, waits for the rest and joins its threads,
-    # so none is alive at the next fork.  The pool cancels them itself: a
-    # job cancelled from here while a dying worker breaks the pool makes its
-    # thread fail (Python 3.11).
+    # workers inherit `job` and what it reads, so each job sent is one n.
+    # Shutting the pool down cancels the jobs not yet sent to a worker (it
+    # sends one more than there are workers ahead), a suffix since they are
+    # sent in order, waits for the rest and joins its threads, so none is
+    # alive at the next fork.  The pool cancels them itself: a job cancelled
+    # from here while a dying worker breaks the pool makes its thread fail
+    # (Python 3.11).
     with ProcessPoolExecutor(
-        workers, mp_context=get_context("fork"), initializer=_serve, initargs=args
+        workers, mp_context=get_context("fork"), initializer=_serve, initargs=(job,)
     ) as pool:
         try:  # the first submit forks every worker
             jobs = [pool.submit(_window, n) for n in part]
@@ -286,32 +294,31 @@ def _pooled_windows(
             for worker in pool._processes.values():  # those forked wait for jobs never sent
                 worker.kill()
                 worker.join()
-            operator, domain, tau_rel = args
-            return [section_extremes(operator, domain, n, tau_rel) for n in part]
+            yield from map(job, part)
+            return
         try:
             if meanwhile:
                 meanwhile()
                 pool.shutdown(cancel_futures=True)
-            return [job.result() for job in jobs if not job.cancelled()]
+            yield from (done.result() for done in jobs if not done.cancelled())
         except BrokenProcessPool:
-            raise NumericError("a scan worker process ended abruptly") from None
+            raise NumericError("a worker process ended abruptly") from None
         finally:
             pool.shutdown(cancel_futures=True)
 
 
-_scan: tuple = ()  # a worker's (operator, domain, tau_rel)
+_job: Callable | None = None  # a worker's job, set by _serve
 
 
-def _serve(operator: OperatorSpec, domain: StarlikeDomain, tau_rel: float) -> None:
-    global _scan
-    _scan = operator, domain, tau_rel
+def _serve(job: Callable) -> None:
+    global _job
+    _job = job
     import signal  # here, so that importing the package does not load it
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the scan's process alone takes Ctrl-C
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the calling process alone takes Ctrl-C
 
 
-def _window(n: int) -> tuple[float, float]:
-    operator, domain, tau_rel = _scan
-    return section_extremes(operator, domain, n, tau_rel)
+def _window(n: int):
+    return _job(n)
 
 
 def adjacency_section_invertible(

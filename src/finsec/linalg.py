@@ -7,8 +7,8 @@ the relative spectral test `invertible`, the standard numeric proxy for
 exact invertibility.  Square windows get their sigma extremes from
 fsm.section_extremes, and rfsm.normal_equations_solve tests its Gram
 matrix on `singular_values` before it solves it with numpy.  `_free_cores`
-sizes both pools that run these kernels side by side: the study's threads
-and the scan's processes.
+sizes the pool of forked processes (fsm._pooled_windows) in which scans and
+studies run these kernels side by side.
 """
 
 from __future__ import annotations
@@ -139,9 +139,9 @@ _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_TH
 def _free_cores() -> int:
     """Usable cores divided by the threads each BLAS call runs on, at least 1.
 
-    Windows solved (rfsm) or scanned (fsm) side by side only gain when each
-    LAPACK call leaves cores idle; with a multi-threaded BLAS they contend for the same cores
-    and run slower than one after another.
+    Windows solved (rfsm) or scanned (fsm) in worker processes side by side
+    only gain when each LAPACK call leaves cores idle; with a multi-threaded
+    BLAS they contend for the same cores and run slower than one after another.
     """
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
+import os
 from contextlib import closing
 from typing import Callable, Iterable
 
@@ -22,8 +22,8 @@ from .errors import (
     NonFiniteResultError,
     SingularGramError,
 )
-from . import linalg, sections
-from .geometry import IndexSet, StarlikeDomain, lattice_section
+from . import fsm, linalg, sections
+from .geometry import IndexSet, StarlikeDomain, _count_section, lattice_section
 from .linalg import TAU_REL_DEFAULT, invertible, least_squares, singular_values, spectral_norm
 from .operators import AdjacencyGraph, OperatorSpec, SupportedVector, euclidean_norm
 from .reports import RfsmRecord, RfsmReport
@@ -229,20 +229,6 @@ def normal_equations_solve(
     return SupportedVector.from_array(section.cols, np.linalg.solve(gram, b))
 
 
-def _fill_shared_caches(
-    operator: OperatorSpec, rhs: SupportedVector, domain: StarlikeDomain
-) -> None:
-    """Build the cached state that every window reads, before threads share it.
-
-    One value of each band diagonal fills its tables; filling window 1 from the
-    right-hand side builds its support arrays and the domain's `_projections`.
-    """
-    origin = np.zeros((1, operator.dimension), dtype=np.int64)
-    for _, rule in () if isinstance(operator, AdjacencyGraph) else operator.diagonals:
-        rule.values_at(origin)
-    rhs.to_array(lattice_section(domain, 1))
-
-
 def _difference_norm(x: np.ndarray, positions: np.ndarray, x_ref: np.ndarray) -> float:
     """(u - u_ref).norm() for u = x over a window and u_ref = x_ref over the reference.
 
@@ -286,19 +272,20 @@ def convergence_study(
     norm bound is recorded wherever its hypothesis holds;
     certified_bound(n), when given, fills the certified error column.
 
-    One thread pool maps the window solve over the reference and then the
-    requested n in ascending order.  It has as many workers as the usable
-    cores divided by the threads of one BLAS call (so one under a BLAS that
-    uses every core), no more than there are windows, and no more than the
-    dense budget (sections.DENSE_BUDGET_BYTES) holds: the reference block
-    beside blocks of the tallest window, or blocks of the tallest window
-    alone.  A window returns its solution array, residual and overflow
-    norm; its error is summed once the reference is in, in the order of
+    The reference and then the requested n, in ascending order, are solved
+    in the forked workers of the scan's pool (fsm._pooled_windows) when the
+    reference window has fsm.POOL_MIN_POINTS points and two or more workers
+    are left: as many as linalg._free_cores(), no more than the requested
+    windows, and no more than the dense budget holds, the reference block
+    beside blocks of the tallest window or blocks of the tallest window
+    alone.  Otherwise they are solved here, one after another.  A window
+    returns its solution array, residual and overflow norm, and its record
+    is made here as it comes back, its error summed in the order of
     (u - u_ref).norm().  Each window runs the same LAPACK calls as it would
     alone, so the report does not depend on the worker count.  A failing
-    reference raises its own error, and its worker starts no window after
-    it; then the right-hand side's norm may raise, then the first failing
-    window or record.  The windows not yet started are then cancelled.
+    reference raises its own error; then the right-hand side's norm may
+    raise, then the first failing window or record.  The windows not yet
+    sent to a worker are then cancelled.
     """
     ns = sorted(set(int(n) for n in n_values))
     if not ns:
@@ -321,20 +308,10 @@ def convergence_study(
         sections._check_budget(*block(m, n))
     if not isinstance(rhs, SupportedVector):
         rhs = rhs(lattice_section(domain, max([m_ref, *couplings.values()])))
-    _fill_shared_caches(operator, rhs, domain)
 
-    reference_failed = threading.Event()
-
-    def solve(n: int) -> tuple | None:
+    def solve(n: int) -> tuple:
         if n == reference_n:
-            try:
-                return _solve_window(operator, rhs, domain, m_ref, n)
-            except BaseException:
-                # set before this worker takes a window, so none starts after it
-                reference_failed.set()
-                raise
-        if reference_failed.is_set():
-            return None  # never read: the study raises the reference's error
+            return _solve_window(operator, rhs, domain, m_ref, n)
         m = couplings[n]
         cols, x, residual = _solve_window(operator, rhs, domain, m, n)
         overflow = None if inverse_bound is None else overflow_norm(operator, domain, m, n)
@@ -360,13 +337,12 @@ def convergence_study(
     # While the reference runs, the other workers hold per-n blocks beside it.
     fits = 1 + (sections.DENSE_BUDGET_BYTES - max(reference, tallest)) // tallest
     workers = min(linalg._free_cores(), len(ns), max(1, fits))
-    # Imported here so that importing the package does not load it.
-    from concurrent.futures import ThreadPoolExecutor
-
-    # map yields in submission order; closing it cancels the windows not yet
-    # started, so leaving the pool waits only for those already running.
-    with ThreadPoolExecutor(workers) as pool, closing(
-        pool.map(solve, [reference_n, *ns])
+    ref_points = _count_section(domain, max(1, reference_n), fsm.POOL_MIN_POINTS)[0]
+    pooled = workers > 1 and hasattr(os, "fork") and ref_points >= fsm.POOL_MIN_POINTS
+    order = [reference_n, *ns]
+    # closing the windows cancels those not yet sent to a worker
+    with closing(
+        fsm._pooled_windows(workers, order, solve) if pooled else (solve(n) for n in order)
     ) as windows:
         ref_cols, x_ref, _ = next(windows)
         rhs_norm = rhs.norm()

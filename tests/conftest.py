@@ -57,3 +57,19 @@ def random_band_operator(rng: np.random.Generator, width: int) -> BandDiagonals:
     # keep at least one nonzero diagonal so the operator is not trivial
     rules[0] = int(rng.integers(1, 4))
     return BandDiagonals.from_rules(1, rules)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Worker counts of the process pools that scans and studies start, in order."""
+    import concurrent.futures
+
+    started = []
+    executor = concurrent.futures.ProcessPoolExecutor
+
+    def recording(workers, **kwargs):
+        started.append(workers)
+        return executor(workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+    return started

@@ -377,9 +377,9 @@ def test_cli_import_does_not_load_scipy():
 
 
 def test_cli_import_does_not_load_the_thread_pool():
-    # concurrent.futures (and logging under it) loads when a study runs,
-    # multiprocessing when a scan forks workers, and mmap when a block past
-    # the huge-page cut is built, not at start-up
+    # concurrent.futures (and logging under it) and multiprocessing load when
+    # a scan or study forks workers, and mmap when a block past the huge-page
+    # cut is built, not at start-up
     assert _loaded_by_cli_import(["concurrent.futures", "mmap", "multiprocessing"]) == "[]\n"
 
 
@@ -390,11 +390,11 @@ def test_cli_import_does_not_load_dataclasses():
 
 _KILLED_WORKER = r"""
 import os, sys
-from finsec import cli, fsm, linalg
+from finsec import cli, fsm, linalg, rfsm
 
 linalg._free_cores = lambda: 2
 fsm.POOL_MIN_POINTS = 0
-extremes = fsm.section_extremes
+extremes, solve_window = fsm.section_extremes, rfsm._solve_window
 dies_at = int(sys.argv[1])
 
 def dying(operator, domain, n, tau_rel):
@@ -402,7 +402,12 @@ def dying(operator, domain, n, tau_rel):
         os._exit(1)
     return extremes(operator, domain, n, tau_rel)
 
-fsm.section_extremes = dying
+def dying_solve(operator, rhs, domain, m, n):
+    if n == dies_at:
+        os._exit(1)
+    return solve_window(operator, rhs, domain, m, n)
+
+fsm.section_extremes, rfsm._solve_window = dying, dying_solve
 sys.exit(cli.main(sys.argv[2:]))
 """
 
@@ -413,13 +418,14 @@ KILLED_WORKERS = (
     # a 2-D scan's dense prefix (n <= 10) and sparse suffix (625 points at n = 12)
     (5, ["scan", "--operator", "lap5.json", "--omega", "square", "--nmax", "12"]),
     (12, ["scan", "--operator", "lap5.json", "--omega", "square", "--nmax", "12"]),
+    (5, ["study", "--example", "worked_A", "--nmax", "12", "--reference-n", "24"]),
 )
 
 
 def _one_blas_thread_env():
     """The environment of a fresh interpreter on this src tree with BLAS on one
-    thread, so that the two workers of a scan patched to two cores do not
-    oversubscribe them."""
+    thread, so that the two workers of a scan or study patched to two cores
+    do not oversubscribe them."""
     src = str(Path(finsec.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     env.update(dict.fromkeys(linalg._BLAS_THREAD_VARIABLES, "1"))
@@ -436,49 +442,65 @@ def test_killed_scan_worker_exits_3_without_a_traceback():
         case = (dies_at, argv)
         assert proc.returncode == 3, case
         assert proc.stdout == "", case
-        assert proc.stderr == "finsec: numeric failure: a scan worker process ended abruptly\n", case
+        assert proc.stderr == "finsec: numeric failure: a worker process ended abruptly\n", case
 
 
 _SLOW_WINDOWS = r"""
 import os, sys, time
-from finsec import cli, fsm, linalg
+from finsec import cli, fsm, linalg, rfsm
 
 linalg._free_cores = lambda: 2
 fsm.POOL_MIN_POINTS = 0
 running = sys.argv[1]
+solve_window = rfsm._solve_window
 
-def slow(operator, domain, n, tau_rel):
+def started():
     open(os.path.join(running, str(os.getpid())), "a").close()
     time.sleep(0.5)
+
+def slow(operator, domain, n, tau_rel):
+    started()
     return 1.0, 1.0
 
-fsm.section_extremes = slow
+def slow_solve(*args):
+    started()
+    return solve_window(*args)
+
+fsm.section_extremes, rfsm._solve_window = slow, slow_solve
 sys.exit(cli.main(sys.argv[2:]))
 """
 
 
+INTERRUPTED = (
+    ["scan", "--example", "worked_Aprime", "--nmax", "12"],
+    ["study", "--example", "worked_A", "--nmax", "200", "--reference-n", "400"],
+)
+
+
 def test_interrupted_scan_exits_130_with_one_line(tmp_path):
-    proc = subprocess.Popen(
-        [sys.executable, "-c", _SLOW_WINDOWS, str(tmp_path),
-         "scan", "--example", "worked_Aprime", "--nmax", "12"],
-        env=_one_blas_thread_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        start_new_session=True,
-    )
-    try:
-        # both workers have begun a window, so both ignore SIGINT
-        deadline = time.monotonic() + 60
-        while len(list(tmp_path.iterdir())) < 2:
-            assert proc.poll() is None and time.monotonic() < deadline
-            time.sleep(0.01)
-        os.killpg(proc.pid, signal.SIGINT)  # as Ctrl-C does: to every process of the group
-        out, err = proc.communicate(timeout=60)
-    finally:
-        if proc.poll() is None:
-            os.killpg(proc.pid, signal.SIGKILL)
-    assert proc.returncode == 130
-    assert (out, err) == ("", "finsec: interrupted\n")
-    with pytest.raises(ProcessLookupError):  # no worker outlived the scan
-        os.killpg(proc.pid, 0)
+    for argv in INTERRUPTED:
+        running = tmp_path / argv[0]
+        running.mkdir()
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _SLOW_WINDOWS, str(running), *argv],
+            env=_one_blas_thread_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, start_new_session=True,
+        )
+        try:
+            # both workers have begun a window, so both ignore SIGINT
+            deadline = time.monotonic() + 60
+            while len(list(running.iterdir())) < 2:
+                assert proc.poll() is None and time.monotonic() < deadline, argv
+                time.sleep(0.01)
+            os.killpg(proc.pid, signal.SIGINT)  # as Ctrl-C does: to every process of the group
+            out, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+        assert proc.returncode == 130, argv
+        assert (out, err) == ("", "finsec: interrupted\n"), argv
+        with pytest.raises(ProcessLookupError):  # no worker outlived the command
+            os.killpg(proc.pid, 0)
 
 
 # A pooled scan starts two pools only where scipy is not loaded yet, so these scans run
@@ -1524,11 +1546,11 @@ LIBRARY = ROOT / "src" / "finsec"
 
 # Run first in each pinned invocation: the first call of each code object of LIBRARY
 # appends "file:qualified name" to a file named by the process id, at once, since forked
-# scan workers leave by os._exit.  `seen` holds each code object, so that its id is not
+# workers leave by os._exit.  `seen` holds each code object, so that its id is not
 # reused once a module's top-level code is freed.  numpy, which the library imports
 # first, is imported before the hook: traced, its import took most of the hook's cost.
 _REACH_HOOK = """\
-import os, sys, threading
+import os, sys
 import numpy
 def _reach(frame, event, arg, seen={{}}):
     code = frame.f_code
@@ -1537,7 +1559,6 @@ def _reach(frame, event, arg, seen={{}}):
         with open(os.path.join({records!r}, str(os.getpid())), "a") as f:
             f.write(os.path.basename(code.co_filename) + ":" + code.co_qualname + "\\n")
 sys.settrace(_reach)
-threading.settrace(_reach)
 """
 
 

@@ -8,7 +8,7 @@ choice is well formed except, about one draw in ten, a malformed or
 mismatched value, so most examples reach the solvers and most refusals
 carry a single fault; likewise about one written config in ten has one
 field, or its top level, replaced by a value of another JSON type.
-Window cut-offs stay small, so a study starts only its few threads,
+Window cut-offs stay small, so a scan or study forks few workers if any,
 except that about one 2-D draw of `scan`, `solve-fsm`, `solve-rfsm` or
 `study` in ten moves them past 10^6 or 10^9: every such window passes
 the memory budget, so the draw must be refused (exit 2 or 3) without

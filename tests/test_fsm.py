@@ -167,22 +167,6 @@ def test_scan_requires_increasing_n(interval):
         stability_scan(identity_operator(), interval, [3, 2, 5])
 
 
-@pytest.fixture
-def pools(monkeypatch):
-    """Worker counts of the process pools that scans start, in order."""
-    import concurrent.futures
-
-    started = []
-    executor = concurrent.futures.ProcessPoolExecutor
-
-    def recording(workers, **kwargs):
-        started.append(workers)
-        return executor(workers, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
-    return started
-
-
 def _bundled_openblas():
     """(get, set) of the thread count of numpy's and scipy's bundled OpenBLAS, where found."""
     calls = []
@@ -298,6 +282,19 @@ def test_scan_past_the_break_even_starts_one_pool(pools, monkeypatch, square):
     assert pools == [2]
 
 
+# (argv, its file in tools/pinned): a scan and a study that each start one pool of two
+REFUSED_FORKS = (
+    (
+        ["scan", "--operator", "lap5.json", "--omega", "square", "--nmax", "12"],
+        "scan_operator_lap5.json_omega_square_nmax_12.txt",
+    ),
+    (
+        ["study", "--example", "worked_A", "--nmax", "200", "--reference-n", "400"],
+        "study_example_worked_A_nmax_200_reference_n_400.txt",
+    ),
+)
+
+
 @pytest.mark.parametrize("forks", [0, 1])
 def test_pooled_scan_whose_fork_fails_is_decided_serially(forks, pools, monkeypatch, capsys):
     # a fork refused for want of processes, at the first worker or the second: the
@@ -316,12 +313,15 @@ def test_pooled_scan_whose_fork_fails_is_decided_serially(forks, pools, monkeypa
     monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(linalg, "_free_cores", lambda: 2)
     monkeypatch.chdir(tools)
-    with one_blas_thread():
-        code = cli.main(["scan", "--operator", "lap5.json", "--omega", "square", "--nmax", "12"])
-    out = capsys.readouterr().out
-    assert (code, pools, len(calls)) == (0, [2], forks + 1)
-    pinned = tools / "pinned" / "scan_operator_lap5.json_omega_square_nmax_12.txt"
-    assert f"exit 0\n--- stdout\n{out}--- stderr\n" in pinned.read_text()
+    for argv, name in REFUSED_FORKS:
+        pools.clear()
+        calls.clear()
+        with one_blas_thread():
+            code = cli.main(argv)
+        out = capsys.readouterr().out
+        assert (code, pools, len(calls)) == (0, [2], forks + 1), argv
+        pinned = tools / "pinned" / name
+        assert f"exit 0\n--- stdout\n{out}--- stderr\n" in pinned.read_text(), argv
 
 
 def test_adjacency_fast_path_matches_dense_section(interval):

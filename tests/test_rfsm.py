@@ -1,10 +1,9 @@
-import concurrent.futures
+import concurrent.futures.process
 import itertools
 import math
 import os
 import subprocess
 import sys
-import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -38,7 +37,7 @@ from finsec import (
     solution_bound,
     spectral_norm,
 )
-from finsec import cli, linalg, rfsm, sections
+from finsec import cli, fsm, linalg, rfsm, sections
 from finsec.errors import NonFiniteResultError
 from finsec.geometry import IndexSet
 from finsec.operators import euclidean_norm
@@ -485,7 +484,7 @@ def test_study_rejects_small_reference(worked_case):
 
 
 # ---------------------------------------------------------------------------
-# convergence_study: concurrent per-n windows
+# convergence_study: per-n windows in forked workers
 # ---------------------------------------------------------------------------
 
 
@@ -519,17 +518,58 @@ def serial_study_records(
     return records
 
 
-def recorded_solves(monkeypatch):
-    """Record (columns, ran in the main thread) of every least-squares solve of rfsm."""
+class SharedLog:
+    """Lines appended by this process and by the workers it forks, in the order written."""
+
+    def __init__(self, path):
+        self.path = path
+        path.touch()
+
+    def add(self, *fields):
+        with open(self.path, "a") as log:  # one short write, whole under O_APPEND
+            log.write(" ".join(map(str, fields)) + "\n")
+
+    def read(self) -> list[list[int]]:
+        return [list(map(int, line.split())) for line in self.path.read_text().splitlines()]
+
+
+def recorded_solves(monkeypatch, tmp_path):
+    """Log (columns, ran in a forked worker) of every least-squares solve of rfsm."""
     real = rfsm.least_squares
-    calls = []
+    calls = SharedLog(tmp_path / "solves")
+    parent = os.getpid()
 
     def recording(matrix, rhs):
-        calls.append((matrix.shape[1], threading.current_thread() is threading.main_thread()))
+        calls.add(matrix.shape[1], int(os.getpid() != parent))
         return real(matrix, rhs)
 
     monkeypatch.setattr(rfsm, "least_squares", recording)
     return calls
+
+
+def with_cores(monkeypatch, cores):
+    """`cores` free cores and no break-even window size, so that a study forks
+    workers whenever two windows or more are left to them."""
+    monkeypatch.setattr(linalg, "_free_cores", lambda: cores)
+    monkeypatch.setattr(fsm, "POOL_MIN_POINTS", 0)
+
+
+def wait_for(path, seconds):
+    deadline = time.monotonic() + seconds
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.005)
+
+
+def hold_until(path):
+    """Hold a window until `path` exists, and 0.3 s more: time for the study to
+    cancel the windows no worker has begun."""
+    wait_for(path, 5)
+    time.sleep(0.3)
+
+
+# Windows begun after a failing one: one held by each worker and those in the
+# pool's call queue, which the pool cannot cancel.
+LATER_BOUND = 2 * 2 + concurrent.futures.process.EXTRA_QUEUED_CALLS
 
 
 FIVE_POINT = BandDiagonals.from_rules(
@@ -567,22 +607,28 @@ def study_cases():
 )
 def test_study_records_equal_the_serial_loop(
     operator, rhs, domain, coupling, ns, reference_n, explicit, inverse_bound,
-    certified, cores, monkeypatch,
+    certified, cores, monkeypatch, tmp_path, pools,
 ):
-    monkeypatch.setattr(linalg, "_free_cores", lambda: cores)
-    calls = recorded_solves(monkeypatch)
+    with_cores(monkeypatch, cores)
+    calls = recorded_solves(monkeypatch, tmp_path)
     report = convergence_study(
         operator, rhs, domain, coupling, ns, reference_n,
         explicit_rows=explicit, inverse_bound=inverse_bound, certified_bound=certified,
     )
-    # the reference is solved in the pool, first of all windows
     reference_cols = len(lattice_section(domain, reference_n))
-    assert [cols for cols, _ in calls].count(reference_cols) == 1
-    assert not any(in_main for _, in_main in calls)
-    if min(cores, len(ns)) == 1:
-        assert [cols for cols, _ in calls] == [
-            reference_cols, *(len(lattice_section(domain, n)) for n in ns)
+    solved = calls.read()
+    if cores == 1:
+        # solved here, the reference first
+        assert pools == []
+        assert solved == [
+            [cols, 0]
+            for cols in [reference_cols, *(len(lattice_section(domain, n)) for n in ns)]
         ]
+    else:
+        # solved in forked workers, the reference once
+        assert pools == [min(cores, len(ns))]
+        assert [cols for cols, _ in solved].count(reference_cols) == 1
+        assert all(forked for _, forked in solved) and len(solved) == 1 + len(ns)
     want = serial_study_records(
         operator, rhs, domain, coupling, ns, reference_n, explicit, inverse_bound, certified
     )
@@ -593,90 +639,90 @@ def test_study_records_equal_the_serial_loop(
     assert any(rec.solution_bound is not None for rec in report.records)
 
 
-def test_study_threads_under_a_short_switch_interval(monkeypatch):
-    # Fresh operator and right-hand side, so the workers start from caches that
-    # only the study has filled before its pool; eight workers on fewer cores,
-    # the reference among them.
-    operator = BandDiagonals.from_rules(
-        2, {(0, 0): 5, (1, 0): -1, (-1, 0): -1, (0, 1): -1, (0, -1): 0.5j}
+@pytest.mark.parametrize(
+    "case, cores, ns, reference_n, want",
+    [
+        ("one core", 1, range(2, 11), 128, []),
+        ("one window", 2, [2], 128, []),
+        ("below break-even", 2, range(2, 11), 127, []),  # 255 reference columns
+        ("past break-even", 2, range(2, 11), 128, [2]),  # 257 reference columns
+    ],
+)
+def test_study_forks_only_past_the_scans_break_even(
+    case, cores, ns, reference_n, want, pools, monkeypatch, worked_case
+):
+    assert len(lattice_section(worked_case.domain, 127)) < fsm.POOL_MIN_POINTS
+    assert len(lattice_section(worked_case.domain, 128)) >= fsm.POOL_MIN_POINTS
+    monkeypatch.setattr(linalg, "_free_cores", lambda: cores)
+    report = convergence_study(
+        worked_case.operator, worked_case.rhs, worked_case.domain, "band", ns, reference_n
     )
-    rhs = SupportedVector.from_entries(2, {(0, 0): 1, (2, -1): 0.5 - 1j, (-3, 3): 2})
-    square = builtin_domain("square")
-    monkeypatch.setattr(linalg, "_free_cores", lambda: 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        report = convergence_study(
-            operator, rhs, square, "sixfifths", range(1, 9), 10, inverse_bound=1.0
-        )
-    finally:
-        sys.setswitchinterval(interval)
-    want = serial_study_records(operator, rhs, square, "sixfifths", range(1, 9), 10, None, 1.0)
-    assert list(report.records) == want
+    assert pools == want
+    assert [rec.n for rec in report.records] == list(ns)
 
 
-def test_study_first_failing_n_raises_and_cancels_the_rest(monkeypatch, capsys):
+def test_study_first_failing_n_raises_and_cancels_the_rest(monkeypatch, tmp_path, capsys):
     # window n of worked_A on the interval has 2n + 1 columns
     real = rfsm.least_squares
-    started = []
-    release = threading.Event()
-    raised = LinAlgError("SVD did not converge at n=5")
+    started = SharedLog(tmp_path / "started")
+    failed = tmp_path / "failed"
 
     def failing_at_5(matrix, rhs):
         n = (matrix.shape[1] - 1) // 2
-        started.append(n)
+        started.add(n)
         if n == 5:
-            # hold the windows already running past n = 5 until the rest are cancelled
-            threading.Timer(0.3, release.set).start()
-            raise raised
+            failed.touch()
+            raise LinAlgError("SVD did not converge at n=5")
         if 5 < n < 40:
-            release.wait(5)
+            hold_until(failed)
         return real(matrix, rhs)
 
+    def later():
+        ns = sorted(n for [n] in started.read() if 5 < n < 40)
+        # a prefix of the later windows, the rest cancelled
+        assert ns == list(range(6, 6 + len(ns))) and len(ns) <= LATER_BOUND
+        return ns
+
     monkeypatch.setattr(rfsm, "least_squares", failing_at_5)
-    monkeypatch.setattr(linalg, "_free_cores", lambda: 2)
+    with_cores(monkeypatch, 2)
     case = build_example("worked_A")
-    with pytest.raises(LinAlgError) as excinfo:
+    with pytest.raises(LinAlgError, match="^SVD did not converge at n=5$"):
         convergence_study(
             case.operator, case.rhs, case.domain, "band", range(2, 31), reference_n=40
         )
-    assert excinfo.value is raised
-    later = [n for n in started if 5 < n < 40]
-    # at most one later window per worker started before the others were cancelled
-    assert len(later) <= 2 and max(later, default=5) <= 7
+    later()
 
-    release.clear()
-    started.clear()
+    failed.unlink()
+    started.path.write_text("")
     code = cli.main(["study", "--example", "worked_A", "--nmax", "30", "--reference-n", "40"])
     err = capsys.readouterr().err
     assert code == 3
     assert err == "finsec: numeric failure: SVD did not converge at n=5\n"
-    assert len([n for n in started if 5 < n < 40]) <= 2
+    later()
 
 
-def test_study_failing_record_raises_and_cancels_the_rest(monkeypatch):
-    # the record of n = 5 fails in this thread while later windows hold their workers
+def test_study_failing_record_raises_and_cancels_the_rest(monkeypatch, tmp_path):
+    # the record of n = 5 fails in this process while later windows hold their workers
     real = rfsm.least_squares
-    started = []
-    release = threading.Event()
+    started = SharedLog(tmp_path / "started")
+    failed = tmp_path / "failed"
     raised = NonFiniteResultError("the certified bound overflows a double at n=5")
 
     def held(matrix, rhs):
         n = (matrix.shape[1] - 1) // 2
-        started.append(n)
+        started.add(n)
         if 5 < n < 40:
-            release.wait(5)
+            hold_until(failed)
         return real(matrix, rhs)
 
     def failing_at_5(n):
         if n == 5:
-            # release the held windows once the rest could be cancelled
-            threading.Timer(0.3, release.set).start()
+            failed.touch()  # releases the held windows 0.3 s on
             raise raised
         return 1.0
 
     monkeypatch.setattr(rfsm, "least_squares", held)
-    monkeypatch.setattr(linalg, "_free_cores", lambda: 2)
+    with_cores(monkeypatch, 2)
     case = build_example("worked_A")
     with pytest.raises(NonFiniteResultError) as excinfo:
         convergence_study(
@@ -684,9 +730,9 @@ def test_study_failing_record_raises_and_cancels_the_rest(monkeypatch):
             certified_bound=failing_at_5,
         )
     assert excinfo.value is raised
-    later = [n for n in started if 5 < n < 40]
-    # at most one later window per worker started before the others were cancelled
-    assert len(later) <= 2 and max(later, default=5) <= 7
+    later = sorted(n for [n] in started.read() if 5 < n < 40)
+    # a prefix of the later windows, the rest cancelled
+    assert later == list(range(6, 6 + len(later))) and len(later) <= LATER_BOUND
 
 
 @pytest.mark.parametrize(
@@ -756,16 +802,8 @@ def test_study_refuses_the_reference_before_building_a_callable_rhs(monkeypatch)
         convergence_study(case.operator, case.rhs, case.domain, "band", range(2, 5), 1000)
 
 
-def test_study_workers_bounded_by_the_dense_budget(monkeypatch):
-    created = []
-
-    class Recording(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers=None, *args, **kwargs):
-            created.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
-    monkeypatch.setattr(linalg, "_free_cores", lambda: 4)
+def test_study_workers_bounded_by_the_dense_budget(monkeypatch, pools):
+    with_cores(monkeypatch, 4)
     case = build_example("worked_A")
     domain = case.domain
 
@@ -787,85 +825,50 @@ def test_study_workers_bounded_by_the_dense_budget(monkeypatch):
     assert tallest <= reference < 2 * tallest
     monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", reference)
     report = study(range(2, 11), 11)
-    assert created == [4, 2, 1]
+    # one worker: no pool, the windows solved here
+    assert pools == [4, 2]
     monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", 2**31)
     assert study(range(2, 11), 11).records == report.records
 
 
 @pytest.mark.parametrize("cores", [1, 2])
-def test_study_reference_failure_wins_over_a_failing_window(cores, monkeypatch):
+def test_study_reference_failure_wins_over_a_failing_window(cores, monkeypatch, tmp_path, pools):
     case = build_example("worked_A")
     reference_cols = len(lattice_section(case.domain, 40))
     window_cols = len(lattice_section(case.domain, 3))
-    window_failed = threading.Event()
-    reference_error = LinAlgError("SVD did not converge in the reference")
-    window_error = LinAlgError("SVD did not converge at n=3")
+    window_failed = tmp_path / "window-failed"
+    solved = SharedLog(tmp_path / "solved")
     real = rfsm.least_squares
-    solved = []
 
     def failing(matrix, rhs):
-        solved.append(matrix.shape[1])
+        solved.add(matrix.shape[1])
         if matrix.shape[1] == reference_cols:
-            # beside other workers, fail only once window n = 3 has failed
-            window_failed.wait(5 if cores > 1 else 0)
-            raise reference_error
+            # beside another worker, fail only once window n = 3 has failed
+            wait_for(window_failed, 5 if cores > 1 else 0)
+            raise LinAlgError("SVD did not converge in the reference")
         if matrix.shape[1] == window_cols:
-            window_failed.set()
-            raise window_error
+            window_failed.touch()
+            raise LinAlgError("SVD did not converge at n=3")
         return real(matrix, rhs)
 
-    next_started = threading.Event()
-
-    class NextWindowFirst(concurrent.futures.ThreadPoolExecutor):
-        """Hands the study the reference's outcome only once the next window
-        has started, so a worker that goes on after a failing reference is
-        always seen, never cancelled first."""
-
-        reference = None
-
-        def submit(self, fn, /, *args):
-            if self.reference is None:
-                self.reference = future = super().submit(fn, *args)
-
-                def outcome(timeout=None, result=future.result):
-                    next_started.wait(5)
-                    return result(timeout)
-
-                future.result = outcome
-                return future
-
-            def start(*args):
-                next_started.set()
-                return fn(*args)
-
-            return super().submit(start, *args)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", NextWindowFirst)
     monkeypatch.setattr(rfsm, "least_squares", failing)
-    monkeypatch.setattr(linalg, "_free_cores", lambda: cores)
-    with pytest.raises(LinAlgError) as excinfo:
+    with_cores(monkeypatch, cores)
+    with pytest.raises(LinAlgError, match="^SVD did not converge in the reference$"):
         convergence_study(
             case.operator, case.rhs, case.domain, "band", range(2, 31), reference_n=40
         )
-    assert excinfo.value is reference_error
-    assert next_started.is_set()
-    # one worker runs the reference first, and no window after its failure
-    assert window_failed.is_set() == (cores > 1)
+    assert pools == ([2] if cores > 1 else [])
+    # window n = 3 fails first in the other worker; the reference's error wins
+    assert window_failed.exists() == (cores > 1)
     if cores == 1:
-        assert solved == [reference_cols]
+        assert solved.read() == [[reference_cols]]
 
 
-def test_study_budget_holding_only_the_reference_runs_one_window_at_a_time(monkeypatch):
-    created = []
-
-    class Recording(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers=None, *args, **kwargs):
-            created.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
-    monkeypatch.setattr(linalg, "_free_cores", lambda: 4)
-    calls = recorded_solves(monkeypatch)
+def test_study_budget_holding_only_the_reference_runs_one_window_at_a_time(
+    monkeypatch, tmp_path, pools
+):
+    with_cores(monkeypatch, 4)
+    calls = recorded_solves(monkeypatch, tmp_path)
     case = build_example("worked_A")
     domain = case.domain
     ns = range(2, 11)
@@ -879,16 +882,16 @@ def test_study_budget_holding_only_the_reference_runs_one_window_at_a_time(monke
     def study():
         return convergence_study(case.operator, case.rhs, domain, "band", ns, reference_n=11)
 
-    # one byte short of a per-n block beside the reference block
+    # one byte short of a per-n block beside the reference block: solved here, in order
     monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", reference + tallest - 1)
     report = study()
-    assert created == [1]
-    assert [cols for cols, _ in calls] == [
-        len(lattice_section(domain, 11)), *(len(lattice_section(domain, n)) for n in ns)
+    assert pools == []
+    assert calls.read() == [
+        [cols, 0] for cols in map(len, (lattice_section(domain, n) for n in [11, *ns]))
     ]
     monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", reference + tallest)
     assert study().records == report.records
-    assert created == [1, 2]
+    assert pools == [2]
 
 
 _VALUES = st.one_of(

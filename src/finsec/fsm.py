@@ -13,11 +13,10 @@ sigma_min lies within SPARSE_FALLBACK_FACTOR of the invertibility
 threshold, so the verdict never depends on which route ran.  Scans,
 inverse norms and solves (fsm_solve) all take it from _window_extremes.
 
-Scans decide large band windows in forked worker processes (stability_scan),
-with the same report bytes as a serial scan; rfsm.convergence_study solves
-its windows in the same pool.  A scan that reaches the sparse route decides
-its first dense windows in workers forked before scipy loads, while it
-imports scipy for the workers of the rest.
+Scans (stability_scan) and rfsm.convergence_study run large windows in
+one pool of forked worker processes (_windows), with the serial bytes.  A
+scan that reaches the sparse route decides its first dense windows in
+workers forked before scipy loads, while it imports scipy for the rest.
 """
 
 from __future__ import annotations
@@ -180,19 +179,15 @@ def stability_scan(
 ) -> StabilityReport:
     """Record invertibility and inverse norms over increasing window cut-offs.
 
-    Two or more band windows, the largest of at least POOL_MIN_POINTS points,
-    are decided in forked worker processes when linalg._free_cores() leaves
-    two or more cores: no more workers than windows, nor than the dense
-    budget holds blocks of the largest window.  When the largest window
-    reaches SPARSE_MIN_POINTS points and scipy is not loaded yet, the smaller
-    windows, a prefix in n, go first to one worker fewer, forked before
-    scipy is imported; the import runs here while they work, and the windows
-    those workers have not begun when it ends go with the rest to a second
-    pool, forked after the first has shut down.  Each window runs the
+    Band windows are decided in forked workers under _windows's rule, the
+    dense budget holding a block of the largest window per worker.  When
+    that window reaches SPARSE_MIN_POINTS points and scipy is not loaded
+    yet, the windows below it, a prefix in n, go first to workers forked
+    before scipy is imported, here, while they work.  Each window runs the
     kernels it would run serially, so the report's bytes do not depend on
     the worker count.  Windows are read in n order: the first failing one
-    raises its own error and cancels those not yet started (a failing
-    window of the first pool starts no second); a worker that dies raises
+    raises its own error, and no window begins after it (nor a second pool
+    after a failing window of the first); a worker that dies raises
     NumericError.
     """
     ns = list(n_values)
@@ -224,69 +219,84 @@ def _scan_extremes(
     operator: OperatorSpec, domain: StarlikeDomain, ns: list[int], tau_rel: float
 ) -> list[tuple[float, float]]:
     """section_extremes of every n in ns, in n order, from forked workers or serially."""
-    cores, workers, points = linalg._free_cores(), 1, 0
-    closed_form = isinstance(operator, AdjacencyGraph)
-    if len(ns) > 1 and cores > 1 and hasattr(os, "fork") and not closed_form:
-        # counted no further than the largest window whose dense block fits twice
-        limit = math.isqrt(sections.DENSE_BUDGET_BYTES // 64)
-        points = _count_section(domain, ns[-1], limit)[0]
-        if points >= POOL_MIN_POINTS:
-            fits = sections.DENSE_BUDGET_BYTES // sections._dense_bytes(points, points)
-            workers = min(cores, len(ns), fits)
 
     def job(n: int) -> tuple[float, float]:
         return section_extremes(operator, domain, n, tau_rel)
 
-    if workers < 2:
+    if isinstance(operator, AdjacencyGraph):  # decided in closed form, no window built
         return [job(n) for n in ns]
+    # counted no further than the largest window whose dense block fits twice
+    points = _count_section(domain, ns[-1], math.isqrt(sections.DENSE_BUDGET_BYTES // 64))[0]
+    fits = sections.DENSE_BUDGET_BYTES // sections._dense_bytes(points, points)
     if points < SPARSE_MIN_POINTS or "scipy.sparse.linalg" in sys.modules:
-        return list(_pooled_windows(workers, ns, job))
-    # Windows grow with n, so those below SPARSE_MIN_POINTS points form a
-    # prefix.  Workers forked before scipy loads, on the cores but one, take
-    # its windows while this process imports scipy; those they have not
-    # begun when the import ends go with the rest to workers forked after it.
+        return list(_windows(job, ns, domain, fits))
+    # Windows grow with n, so those below SPARSE_MIN_POINTS points form a prefix.
     split = bisect.bisect_left(
         ns, True, hi=len(ns) - 1,
         key=lambda n: _count_section(domain, n, SPARSE_MIN_POINTS)[0] >= SPARSE_MIN_POINTS,
     )
-    dense = []
-    if split:
-        dense = list(_pooled_windows(max(1, workers - 1), ns[:split], job, _import_sparse))
-    else:
-        _import_sparse()
-    return dense + list(_pooled_windows(workers, ns[len(dense):], job))
+    return list(_windows(job, ns, domain, fits, split, _import_sparse))
 
 
 def _import_sparse() -> None:
     import scipy.sparse.linalg  # noqa: F401  (imported once, shared by the workers)
 
 
+def _windows(
+    job: Callable, ns: list[int], domain: StarlikeDomain, fits: int, split: int = 0,
+    meanwhile: Callable[[], None] | None = None,
+) -> Iterator:
+    """job(n) of every n in ns, in n order; scans and studies both run theirs here.
+
+    They run in forked workers when the last window (a scan's largest, a
+    study's widest per-n window) has POOL_MIN_POINTS points and two or more
+    workers are left, no more than linalg._free_cores(), the windows, or
+    `fits`, the blocks the dense budget holds side by side; else here, one
+    after another.  With `meanwhile`, the first `split` windows go first to
+    one worker fewer, forked before meanwhile runs here; those not begun
+    when it returns go with the rest to workers forked after.
+    """
+    workers = 1
+    if _count_section(domain, ns[-1], POOL_MIN_POINTS)[0] >= POOL_MIN_POINTS:
+        workers = min(linalg._free_cores(), len(ns), fits)
+    if workers < 2 or not hasattr(os, "fork"):
+        return (job(n) for n in ns)
+    if meanwhile is None:
+        return _pooled_windows(workers, ns, job)
+    first = []
+    if split:
+        first = list(_pooled_windows(max(1, workers - 1), ns[:split], job, meanwhile))
+    else:
+        meanwhile()
+    return itertools.chain(first, _pooled_windows(workers, ns[len(first):], job))
+
+
 def _pooled_windows(
     workers: int, part: list[int], job: Callable, meanwhile: Callable[[], None] | None = None
 ) -> Iterator:
-    """job(n) of part's windows, yielded in n order as they come back from
-    `workers` forked processes; with `meanwhile`, which runs here once every
-    window is submitted, only those sent to a worker when it returns, a
-    prefix of part.  When a fork is refused, this process runs job(n) for
-    every window of part instead.  Closing the generator cancels the windows
-    not yet sent to a worker and waits for the rest.  Scans and studies
-    share it."""
+    """job(n) of part's windows, yielded in n order from `workers` forked
+    processes; with `meanwhile`, which runs here once every window is
+    submitted, only those begun when it returns, a prefix of part.  No
+    window begins after one has failed or the generator is closed, which
+    waits for those begun, one a worker at most.  When a fork is refused,
+    this process runs job(n) for every window of part instead."""
     # Imported here so that importing the package does not load them.
+    import mmap
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
     from multiprocessing import get_context
 
     # fork, not spawn: a spawned worker imports numpy and scipy again (scipy
-    # alone takes about 0.3 s, more than a pool saves here).  The forked
-    # workers inherit `job` and what it reads, so each job sent is one n.
-    # Shutting the pool down cancels the jobs not yet sent to a worker (it
-    # sends one more than there are workers ahead), a suffix since they are
-    # sent in order, waits for the rest and joins its threads, so none is
-    # alive at the next fork.  The pool cancels them itself: a job cancelled
-    # from here while a dying worker breaks the pool makes its thread fail
-    # (Python 3.11).
-    with ProcessPoolExecutor(
-        workers, mp_context=get_context("fork"), initializer=_serve, initargs=(job,)
+    # alone takes about 0.3 s, more than a pool saves here).  The workers
+    # inherit `job` and the byte `stop`, shared with this process, so each
+    # job sent is one n.  The pool queues jobs ahead of its workers and
+    # cannot take them back, so a worker skips each job it takes once `stop`
+    # is set.  Shutting the pool down cancels the jobs not queued, waits for
+    # the rest and joins its threads, so none is alive at the next fork.
+    # The pool cancels them itself: a job cancelled from here while a dying
+    # worker breaks the pool makes its thread fail (Python 3.11).
+    with mmap.mmap(-1, 1) as stop, ProcessPoolExecutor(
+        workers, mp_context=get_context("fork"), initializer=_serve, initargs=(job, stop)
     ) as pool:
         try:  # the first submit forks every worker
             jobs = [pool.submit(_window, n) for n in part]
@@ -299,26 +309,38 @@ def _pooled_windows(
         try:
             if meanwhile:
                 meanwhile()
+                stop[0] = 1
                 pool.shutdown(cancel_futures=True)
-            yield from (done.result() for done in jobs if not done.cancelled())
+            for done in jobs:
+                if done.cancelled() or (result := done.result()) is None:
+                    return  # skipped, as are the windows after it
+                yield result
         except BrokenProcessPool:
             raise NumericError("a worker process ended abruptly") from None
         finally:
+            stop[0] = 1
             pool.shutdown(cancel_futures=True)
 
 
-_job: Callable | None = None  # a worker's job, set by _serve
+_worker: tuple = ()  # a worker's job and its byte `stop`, set by _serve
 
 
-def _serve(job: Callable) -> None:
-    global _job
-    _job = job
+def _serve(job: Callable, stop) -> None:
+    global _worker
+    _worker = job, stop
     import signal  # here, so that importing the package does not load it
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the calling process alone takes Ctrl-C
 
 
 def _window(n: int):
-    return _job(n)
+    job, stop = _worker
+    if stop[0]:  # a window failed, or the calling process stopped the pool
+        return None
+    try:
+        return job(n)
+    except BaseException:
+        stop[0] = 1  # workers take windows in n order, so those skipped follow this one
+        raise
 
 
 def adjacency_section_invertible(

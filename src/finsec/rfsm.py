@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from contextlib import closing
 from typing import Callable, Iterable
 
@@ -22,8 +21,8 @@ from .errors import (
     NonFiniteResultError,
     SingularGramError,
 )
-from . import fsm, linalg, sections
-from .geometry import IndexSet, StarlikeDomain, _count_section, lattice_section
+from . import fsm, sections
+from .geometry import IndexSet, StarlikeDomain, lattice_section
 from .linalg import TAU_REL_DEFAULT, invertible, least_squares, singular_values, spectral_norm
 from .operators import AdjacencyGraph, OperatorSpec, SupportedVector, euclidean_norm
 from .reports import RfsmRecord, RfsmReport
@@ -273,19 +272,18 @@ def convergence_study(
     certified_bound(n), when given, fills the certified error column.
 
     The reference and then the requested n, in ascending order, are solved
-    in the forked workers of the scan's pool (fsm._pooled_windows) when the
-    reference window has fsm.POOL_MIN_POINTS points and two or more workers
-    are left: as many as linalg._free_cores(), no more than the requested
-    windows, and no more than the dense budget holds, the reference block
-    beside blocks of the tallest window or blocks of the tallest window
-    alone.  Otherwise they are solved here, one after another.  A window
-    returns its solution array, residual and overflow norm, and its record
-    is made here as it comes back, its error summed in the order of
-    (u - u_ref).norm().  Each window runs the same LAPACK calls as it would
-    alone, so the report does not depend on the worker count.  A failing
-    reference raises its own error; then the right-hand side's norm may
-    raise, then the first failing window or record.  The windows not yet
-    sent to a worker are then cancelled.
+    under fsm._windows's rule, which gates on the widest per-n window: in
+    forked workers, no more than the requested windows, nor than the dense
+    budget holds (the reference block beside blocks of the tallest window,
+    or blocks of the tallest window alone), or else here, one after
+    another.  A window returns its solution array, residual and overflow
+    norm, and its record is made here as it comes back, its error summed in
+    the order of (u - u_ref).norm().  Each window runs the same LAPACK
+    calls as it would alone, so the report does not depend on the worker
+    count.  A failing reference raises its own error, and no window begins
+    after it; then the right-hand side's norm may raise, then the first
+    failing window or record.  The windows not yet started are then
+    cancelled.
     """
     ns = sorted(set(int(n) for n in n_values))
     if not ns:
@@ -335,15 +333,8 @@ def convergence_study(
     tallest = block(max(couplings.values()), max(ns))[0]
     reference = block(m_ref, reference_n)[0]
     # While the reference runs, the other workers hold per-n blocks beside it.
-    fits = 1 + (sections.DENSE_BUDGET_BYTES - max(reference, tallest)) // tallest
-    workers = min(linalg._free_cores(), len(ns), max(1, fits))
-    ref_points = _count_section(domain, max(1, reference_n), fsm.POOL_MIN_POINTS)[0]
-    pooled = workers > 1 and hasattr(os, "fork") and ref_points >= fsm.POOL_MIN_POINTS
-    order = [reference_n, *ns]
-    # closing the windows cancels those not yet sent to a worker
-    with closing(
-        fsm._pooled_windows(workers, order, solve) if pooled else (solve(n) for n in order)
-    ) as windows:
+    fits = min(len(ns), 1 + (sections.DENSE_BUDGET_BYTES - max(reference, tallest)) // tallest)
+    with closing(fsm._windows(solve, [reference_n, *ns], domain, fits)) as windows:
         ref_cols, x_ref, _ = next(windows)
         rhs_norm = rhs.norm()
         # unpacked into record, so a window's arrays are freed once its record is made

@@ -1,4 +1,3 @@
-import concurrent.futures.process
 import itertools
 import math
 import os
@@ -560,16 +559,11 @@ def wait_for(path, seconds):
         time.sleep(0.005)
 
 
-def hold_until(path):
-    """Hold a window until `path` exists, and 0.3 s more: time for the study to
-    cancel the windows no worker has begun."""
+def hold_until(path, seconds=0.3):
+    """Hold a window until `path` exists, and `seconds` more: time for the study
+    to cancel the windows no worker has begun."""
     wait_for(path, 5)
-    time.sleep(0.3)
-
-
-# Windows begun after a failing one: one held by each worker and those in the
-# pool's call queue, which the pool cannot cancel.
-LATER_BOUND = 2 * 2 + concurrent.futures.process.EXTRA_QUEUED_CALLS
+    time.sleep(seconds)
 
 
 FIVE_POINT = BandDiagonals.from_rules(
@@ -640,22 +634,23 @@ def test_study_records_equal_the_serial_loop(
 
 
 @pytest.mark.parametrize(
-    "case, cores, ns, reference_n, want",
+    "case, cores, ns, want",
     [
-        ("one core", 1, range(2, 11), 128, []),
-        ("one window", 2, [2], 128, []),
-        ("below break-even", 2, range(2, 11), 127, []),  # 255 reference columns
-        ("past break-even", 2, range(2, 11), 128, [2]),  # 257 reference columns
+        ("one core", 1, [2, 128], []),
+        ("one window", 2, [128], []),
+        ("below break-even", 2, [2, 127], []),  # 255 columns in the widest window
+        ("past break-even", 2, [2, 128], [2]),  # 257 columns in the widest window
     ],
 )
 def test_study_forks_only_past_the_scans_break_even(
-    case, cores, ns, reference_n, want, pools, monkeypatch, worked_case
+    case, cores, ns, want, pools, monkeypatch, worked_case
 ):
     assert len(lattice_section(worked_case.domain, 127)) < fsm.POOL_MIN_POINTS
     assert len(lattice_section(worked_case.domain, 128)) >= fsm.POOL_MIN_POINTS
     monkeypatch.setattr(linalg, "_free_cores", lambda: cores)
+    # the reference, past break-even in every case, does not decide
     report = convergence_study(
-        worked_case.operator, worked_case.rhs, worked_case.domain, "band", ns, reference_n
+        worked_case.operator, worked_case.rhs, worked_case.domain, "band", ns, 200
     )
     assert pools == want
     assert [rec.n for rec in report.records] == list(ns)
@@ -678,10 +673,9 @@ def test_study_first_failing_n_raises_and_cancels_the_rest(monkeypatch, tmp_path
         return real(matrix, rhs)
 
     def later():
-        ns = sorted(n for [n] in started.read() if 5 < n < 40)
-        # a prefix of the later windows, the rest cancelled
-        assert ns == list(range(6, 6 + len(ns))) and len(ns) <= LATER_BOUND
-        return ns
+        ns = [n for [n] in started.read() if 5 < n < 40]
+        # at most one later window per worker started before the others were cancelled
+        assert len(ns) <= 2 and max(ns, default=5) <= 7
 
     monkeypatch.setattr(rfsm, "least_squares", failing_at_5)
     with_cores(monkeypatch, 2)
@@ -730,9 +724,9 @@ def test_study_failing_record_raises_and_cancels_the_rest(monkeypatch, tmp_path)
             certified_bound=failing_at_5,
         )
     assert excinfo.value is raised
-    later = sorted(n for [n] in started.read() if 5 < n < 40)
-    # a prefix of the later windows, the rest cancelled
-    assert later == list(range(6, 6 + len(later))) and len(later) <= LATER_BOUND
+    later = [n for [n] in started.read() if 5 < n < 40]
+    # at most one later window per worker started before the others were cancelled
+    assert len(later) <= 2 and max(later, default=5) <= 7
 
 
 @pytest.mark.parametrize(
@@ -843,8 +837,11 @@ def test_study_reference_failure_wins_over_a_failing_window(cores, monkeypatch, 
     def failing(matrix, rhs):
         solved.add(matrix.shape[1])
         if matrix.shape[1] == reference_cols:
-            # beside another worker, fail only once window n = 3 has failed
-            wait_for(window_failed, 5 if cores > 1 else 0)
+            # beside another worker, fail only once window n = 3 has failed, and
+            # 0.2 s on: time for a window sent after that failure to start
+            if cores > 1:
+                hold_until(window_failed, 0.2)
+            solved.add(0)  # the reference fails
             raise LinAlgError("SVD did not converge in the reference")
         if matrix.shape[1] == window_cols:
             window_failed.touch()
@@ -860,8 +857,13 @@ def test_study_reference_failure_wins_over_a_failing_window(cores, monkeypatch, 
     assert pools == ([2] if cores > 1 else [])
     # window n = 3 fails first in the other worker; the reference's error wins
     assert window_failed.exists() == (cores > 1)
-    if cores == 1:
-        assert solved.read() == [[reference_cols]]
+    # no window starts after the reference fails
+    want = [[reference_cols], [0]]
+    if cores > 1:
+        want = sorted([[reference_cols], [len(lattice_section(case.domain, 2))], [window_cols]])
+        want.append([0])
+    log = solved.read()
+    assert sorted(log[:-1]) + log[-1:] == want
 
 
 def test_study_budget_holding_only_the_reference_runs_one_window_at_a_time(

@@ -144,15 +144,33 @@ class _Field(Value):
     def get(self, key: str, default) -> "_Field":
         return self[key] if key in self else self._child(key, default)
 
-    def items(self) -> list[tuple[str, "_Field"]]:
-        return [(k, self._child(k, v)) for k, v in self.expect(dict).items()]
-
     def elements(self) -> list["_Field"]:
         return [self._child(i, v) for i, v in enumerate(self.expect(list))]
 
+    def by_point(self, dimension: int) -> dict[tuple[int, ...], "_Field"]:
+        """The values by parsed point key; two keys of one point ("1", "+1") are refused."""
+        keys: dict[tuple[int, ...], str] = {}
+        for key in self.expect(dict):
+            point = _parse_point_key(key, dimension)
+            if point in keys:
+                raise ConfigError(
+                    f"{self.source}: field {self.path!r} gives point {list(point)} "
+                    f"twice, as {keys[point]!r} and {key!r}"
+                )
+            keys[point] = key
+        return {point: self._child(key, self.value[key]) for point, key in keys.items()}
+
 
 def _read_config(source: str) -> _Field:
-    return _Field(json.loads(Path(source).read_text()), source)
+    def unique(pairs: list[tuple[str, object]]) -> dict:
+        """A JSON object, refused when a key repeats, where json.loads would keep the last."""
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            key = next(k for k in obj if sum(k == p for p, _ in pairs) > 1)
+            raise ConfigError(f"{source}: key {key!r} appears twice in one object")
+        return obj
+
+    return _Field(json.loads(Path(source).read_text(), object_pairs_hook=unique), source)
 
 
 def _scalar(field: _Field) -> complex:
@@ -194,15 +212,11 @@ def _parse_rule(rule: _Field, dimension: int):
     if kind == "constant":
         return ConstantRule(_scalar(rule["value"]))
     if kind == "periodic":
-        table = {
-            _parse_point_key(k, dimension): _scalar(v) for k, v in rule["table"].items()
-        }
+        table = {k: _scalar(v) for k, v in rule["table"].by_point(dimension).items()}
         period = [q.expect(int) for q in rule["period"].elements()]
         return PeriodicRule.from_mapping(period, table)
     if kind == "table":
-        entries = {
-            _parse_point_key(k, dimension): _scalar(v) for k, v in rule["entries"].items()
-        }
+        entries = {k: _scalar(v) for k, v in rule["entries"].by_point(dimension).items()}
         return TableRule.from_mapping(entries, _scalar(rule.get("default", 0)), dimension)
     raise ValueError(f"unknown coefficient rule kind {kind!r}")
 
@@ -220,8 +234,8 @@ def parse_operator(config: _Field) -> OperatorSpec:
         return BandDiagonals.from_rules(dim, rules)
     if variant == "block_periodic":
         blocks = {
-            int(t): [[_scalar(v) for v in row.elements()] for row in mat.elements()]
-            for t, mat in config["blocks"].items()
+            t: [[_scalar(v) for v in row.elements()] for row in mat.elements()]
+            for (t,), mat in config["blocks"].by_point(1).items()
         }
         return BlockPeriodic.from_blocks(config["block_size"].expect(int), blocks)
     if variant == "adjacency":
@@ -250,9 +264,7 @@ def load_operator(source: str) -> OperatorSpec:
 def load_rhs(source: str) -> SupportedVector:
     config = _read_config(source)
     dim = config.get("dimension", 1).expect(int)
-    entries = {
-        _parse_point_key(k, dim): _scalar(v) for k, v in config["entries"].items()
-    }
+    entries = {k: _scalar(v) for k, v in config["entries"].by_point(dim).items()}
     return SupportedVector.from_entries(dim, entries)
 
 
@@ -319,16 +331,17 @@ def _emit(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_scan(args) -> int:
-    operator, domain, case, op_id = _resolve_case(args, args.nmax)
-    report = stability_scan(
-        operator,
-        domain,
-        range(args.nmin, args.nmax + 1),
-        tau_rel=args.tau_rel,
-        operator_id=op_id,
-        domain_id=domain.name,
+def _scan(args, operator: OperatorSpec, domain: StarlikeDomain, operator_id: str):
+    """The stability scan over windows --nmin..--nmax that `scan` and `example` report."""
+    ns = range(args.nmin, args.nmax + 1)
+    return stability_scan(
+        operator, domain, ns, tau_rel=args.tau_rel, operator_id=operator_id, domain_id=domain.name
     )
+
+
+def _cmd_scan(args) -> int:
+    operator, domain, _, op_id = _resolve_case(args, args.nmax)
+    report = _scan(args, operator, domain, op_id)
     explicit_moduli = args.modulus is not None
     moduli = args.modulus if explicit_moduli else [1, 2, 3]
     classification = {}
@@ -350,14 +363,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_example(args) -> int:
     case, bound = _example_case(args.case_id, None, args.nmax)
-    report = stability_scan(
-        case.operator,
-        case.domain,
-        range(args.nmin, args.nmax + 1),
-        tau_rel=args.tau_rel,
-        operator_id=case.case_id,
-        domain_id=case.domain.name,
-    )
+    report = _scan(args, case.operator, case.domain, case.case_id)
     if args.format == "csv":
         _emit(stability_report_csv(report), args.out)
         return EXIT_OK

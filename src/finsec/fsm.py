@@ -277,8 +277,9 @@ def _pooled_windows(
     """job(n) of part's windows, yielded in n order from `workers` forked
     processes; with `meanwhile`, which runs here once every window is
     submitted, only those begun when it returns, a prefix of part.  No
-    window begins after one has failed or the generator is closed, which
-    waits for those begun, one a worker at most.  When a fork is refused,
+    window begins in a worker after one has failed or the generator is
+    closed, which waits for those begun, one a worker at most; one that a
+    worker skipped before a later failure runs here.  When a fork is refused,
     this process runs job(n) for every window of part instead."""
     # Imported here so that importing the package does not load them.
     import mmap
@@ -311,9 +312,13 @@ def _pooled_windows(
                 meanwhile()
                 stop[0] = 1
                 pool.shutdown(cancel_futures=True)
-            for done in jobs:
-                if done.cancelled() or (result := done.result()) is None:
-                    return  # skipped, as are the windows after it
+            for n, done in zip(part, jobs):
+                if done.cancelled():
+                    return
+                if (result := done.result()) is None:  # skipped once `stop` was set
+                    if meanwhile:  # here: the next pool takes it and those after
+                        return
+                    result = job(n)  # by a later window that failed, and raises below
                 yield result
         except BrokenProcessPool:
             raise NumericError("a worker process ended abruptly") from None
@@ -339,7 +344,7 @@ def _window(n: int):
     try:
         return job(n)
     except BaseException:
-        stop[0] = 1  # workers take windows in n order, so those skipped follow this one
+        stop[0] = 1  # a window taken before this one but not begun is run by the caller
         raise
 
 

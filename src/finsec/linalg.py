@@ -43,10 +43,7 @@ def as_matrix(data) -> np.ndarray:
 
 def singular_values(matrix) -> np.ndarray:
     """All singular values in descending order (empty for degenerate shapes)."""
-    m = as_matrix(matrix)
-    if m.size == 0:
-        return np.zeros(0)
-    return np.linalg.svd(m, compute_uv=False)
+    return np.linalg.svd(as_matrix(matrix), compute_uv=False)
 
 
 def sparse_extremes(rows, cols, values, size: int) -> tuple[float, float] | None:
@@ -122,10 +119,6 @@ def least_squares(matrix, rhs) -> np.ndarray:
     b = np.asarray(rhs, dtype=complex)
     if b.shape[0] != m.shape[0]:
         raise ValueError("right-hand side length mismatch")
-    if m.shape[1] == 0:
-        return np.zeros(0, dtype=complex)
-    if m.shape[0] == 0:
-        return np.zeros(m.shape[1], dtype=complex)
     x, *_ = np.linalg.lstsq(m, b, rcond=TAU_REL_DEFAULT)
     return x
 

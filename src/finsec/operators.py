@@ -2,16 +2,15 @@
 
 An operator is a rule for the matrix entry a_{ij} over pairs of lattice
 points, never a stored matrix.  A band operator is a table of diagonals
-a_{ij} = f_{i-j}(i), each a constant, periodic or table row rule; block-periodic
+a_{ij} = f_{i-j}(i), each a table rule, periodic or not; block-periodic
 matrices, lattice shifts and shift compositions are built as such tables.  An
 adjacency graph is its edge array alone, read through one swap of edge ends.
 """
 
 from __future__ import annotations
 
-import abc
 import itertools
-from functools import cached_property
+from functools import cached_property, partial
 from math import isfinite, sqrt
 from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
@@ -83,40 +82,6 @@ def _add(p: Point, q: Point) -> Point:
 # ---------------------------------------------------------------------------
 
 
-class CoefficientRule(abc.ABC):
-    """Value of one stored diagonal as a function of the row index."""
-
-    @abc.abstractmethod
-    def value_at(self, i: Point) -> complex: ...
-
-    @abc.abstractmethod
-    def values_at(self, points: np.ndarray) -> np.ndarray:
-        """value_at of each row of a (k, N) int64 array, in row order."""
-
-    @abc.abstractmethod
-    def is_trivial(self) -> bool: ...
-
-    @abc.abstractmethod
-    def shifted(self, step: Point) -> "CoefficientRule":
-        """Rule i -> self(i - step); re-indexes a diagonal moved by a shift."""
-
-
-class ConstantRule(CoefficientRule, Value):
-    value: complex
-
-    def value_at(self, i: Point) -> complex:
-        return self.value
-
-    def values_at(self, points: np.ndarray) -> np.ndarray:
-        return np.full(len(points), self.value, dtype=complex)
-
-    def is_trivial(self) -> bool:
-        return self.value == 0
-
-    def shifted(self, step: Point) -> "ConstantRule":
-        return self
-
-
 def _distinct(items: Iterable[tuple[Point, complex]]) -> tuple[tuple[Point, complex], ...]:
     """(point, value) pairs sorted by point; ValueError when a point repeats."""
     table: dict[Point, complex] = {}
@@ -127,69 +92,41 @@ def _distinct(items: Iterable[tuple[Point, complex]]) -> tuple[tuple[Point, comp
     return tuple(sorted(table.items()))
 
 
-class PeriodicRule(CoefficientRule, Value):
-    """Row-periodic coefficients: value depends on i mod period (componentwise)."""
-
-    period: tuple[int, ...]
-    table: tuple[tuple[Point, complex], ...]
-
-    @classmethod
-    def from_mapping(cls, period: Sequence[int], table: Mapping) -> "PeriodicRule":
-        per = tuple(int(q) for q in period)
-        if any(q < 1 for q in per):
-            raise ValueError("period entries must be >= 1")
-        if not _fits_int64(per):
-            raise ValueError("period entries must fit int64, as lattice coordinates do")
-        items = _distinct(
-            (tuple(k % q for k, q in zip(as_point(key, len(per)), per)), val)
-            for key, val in table.items()
-        )
-        return cls(per, items)
-
-    @cached_property
-    def _lookup(self) -> dict[Point, complex]:
-        return dict(self.table)
-
-    def value_at(self, i: Point) -> complex:
-        residue = tuple(k % q for k, q in zip(i, self.period))
-        return self._lookup.get(residue, 0j)
-
-    def values_at(self, points: np.ndarray) -> np.ndarray:
-        # one pass per stored residue, so memory is bounded by the points for any period
-        residues = points % np.array(self.period, dtype=np.int64)
-        out = np.zeros(len(points), dtype=complex)
-        for residue, value in self._lookup.items():
-            out[np.all(residues == residue, axis=1)] = value
-        return out
-
-    def is_trivial(self) -> bool:
-        return all(v == 0 for _, v in self.table)
-
-    def shifted(self, step: Point) -> "PeriodicRule":
-        return PeriodicRule.from_mapping(
-            self.period, {_add(res, step): v for res, v in self.table}
-        )
+def _residue(i: Point, period: tuple[int, ...] | None) -> Point:
+    return i if period is None else tuple(k % q for k, q in zip(i, period))
 
 
-class TableRule(CoefficientRule, Value):
-    """Finite table of row coefficients with a default elsewhere."""
+class TableRule(Value):
+    """Row coefficients of one diagonal: a finite table with a default elsewhere.
+
+    With `period` set, the table holds residues and row i reads it at
+    i mod period, componentwise.  A constant is an empty table.
+    """
 
     table: tuple[tuple[Point, complex], ...]
     default: complex = 0j
+    period: tuple[int, ...] | None = None
 
     @classmethod
     def from_mapping(
-        cls, table: Mapping, default: complex = 0j, dimension: int = 1
+        cls, table: Mapping, default: complex = 0j, dimension: int = 1,
+        period: Sequence[int] | None = None,
     ) -> "TableRule":
-        items = _distinct((as_point(k, dimension), v) for k, v in table.items())
-        return cls(items, complex(default))
+        if period is not None:
+            period = tuple(int(q) for q in period)
+            if any(q < 1 for q in period):
+                raise ValueError("period entries must be >= 1")
+            if not _fits_int64(period):
+                raise ValueError("period entries must fit int64, as lattice coordinates do")
+        items = _distinct((_residue(as_point(k, dimension), period), v) for k, v in table.items())
+        return cls(items, complex(default), period)
 
     @cached_property
     def _lookup(self) -> dict[Point, complex]:
         return dict(self.table)
 
     def value_at(self, i: Point) -> complex:
-        return self._lookup.get(i, self.default)
+        return self._lookup.get(_residue(i, self.period), self.default)
 
     @cached_property
     def _ranked(self) -> tuple[list[np.ndarray], IndexSet, np.ndarray] | None:
@@ -210,6 +147,14 @@ class TableRule(CoefficientRule, Value):
         return axes, IndexSet(len(axes), ranks), values
 
     def values_at(self, points: np.ndarray) -> np.ndarray:
+        """value_at of each row of a (k, N) int64 array, in row order."""
+        if self.period is not None:
+            # one pass per stored residue, so memory is bounded by the points for any period
+            residues = points % np.array(self.period, dtype=np.int64)
+            out = np.full(len(points), self.default, dtype=complex)
+            for residue, value in self.table:
+                out[np.all(residues == residue, axis=1)] = value
+            return out
         if self._ranked is None:
             return np.full(len(points), self.default, dtype=complex)
         axes, keys, values = self._ranked
@@ -223,9 +168,20 @@ class TableRule(CoefficientRule, Value):
         return self.default == 0 and all(v == 0 for _, v in self.table)
 
     def shifted(self, step: Point) -> "TableRule":
-        return TableRule.from_mapping(
-            {_add(k, step): v for k, v in self.table}, self.default, len(step)
-        )
+        """Rule i -> self(i - step); re-indexes a diagonal moved by a shift."""
+        moved = {_add(k, step): v for k, v in self.table}
+        return TableRule.from_mapping(moved, self.default, len(step), self.period)
+
+
+def _periodic(period: Sequence[int], table: Mapping) -> TableRule:
+    """The rule of row-periodic coefficients, with `table`'s keys taken mod `period`."""
+    return TableRule.from_mapping(table, dimension=len(period), period=period)
+
+
+# Constructors under the names configs and callers use for these rule kinds;
+# a constant is an empty table with its value as the default.
+ConstantRule = partial(TableRule, ())
+PeriodicRule = SimpleNamespace(from_mapping=_periodic)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +335,7 @@ class BandDiagonals(OperatorSpec, Value):
     """Entries a_{ij} = f_{i-j}(i) on the (offset, rule) pairs of `diagonals`, zero elsewhere."""
 
     dimension: int
-    diagonals: tuple[tuple[Point, CoefficientRule], ...]
+    diagonals: tuple[tuple[Point, TableRule], ...]
 
     def _column(self, j: Point) -> list[tuple[Point, complex]]:
         """Row j + d of each stored diagonal d, with its rule's value there."""
@@ -398,7 +354,7 @@ class BandDiagonals(OperatorSpec, Value):
             if point in seen:
                 raise ValueError(f"diagonal offset {point} is given twice")
             seen.add(point)
-            if not isinstance(rule, CoefficientRule):
+            if not isinstance(rule, TableRule):
                 rule = ConstantRule(complex(rule))
             if not rule.is_trivial():
                 items.append((point, rule))

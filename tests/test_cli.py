@@ -839,6 +839,54 @@ def test_inputs_found_by_the_fuzz_exit_cleanly(argv, operator, rhs, code, messag
     assert message in err and "Traceback" not in err
 
 
+SCAN_OPERATOR = ["scan", "--omega", "interval", "--nmax", "3", "--operator"]
+
+
+def _periodic_table(table):
+    rule = {"kind": "periodic", "period": [2], "table": table}
+    return {"variant": "band_diagonals", "diagonals": [{"offset": [0], "rule": rule}]}
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (  # the solve used to take 5, the last value given for point 1
+            ["solve-fsm", "--operator", "op.json", "--omega", "interval", "--n", "2", "--rhs"],
+            {"entries": {"1": "1", "+1": "5"}},
+            "field 'entries' gives point [1] twice, as '1' and '+1'",
+        ),
+        (  # the scan used to read 3 on residue 0
+            SCAN_OPERATOR, _periodic_table({"0": "2", "+0": "3"}),
+            "field 'diagonals[0].rule.table' gives point [0] twice, as '0' and '+0'",
+        ),
+        (
+            SCAN_OPERATOR,
+            {"variant": "band_diagonals", "dimension": 2, "diagonals": [{"offset": [0, 0],
+             "rule": {"kind": "table", "entries": {"1;-1": "2", " 1;-01": "3"}}}]},
+            "field 'diagonals[0].rule.entries' gives point [1, -1] twice, as '1;-1' and ' 1;-01'",
+        ),
+        (
+            SCAN_OPERATOR,
+            {"variant": "block_periodic", "block_size": 1, "blocks": {"0": [["1"]], "00": [["2"]]}},
+            "field 'blocks' gives point [0] twice, as '0' and '00'",
+        ),
+        (  # json.loads keeps the last of two equal keys
+            SCAN_OPERATOR, '{"variant": "shift", "step": 1, "step": 2}',
+            "key 'step' appears twice in one object",
+        ),
+    ],
+    ids=["rhs-entries", "periodic-table", "table-entries", "blocks", "repeated-json-key"],
+)
+def test_a_point_or_key_given_twice_in_a_config_is_refused(argv, config, message, tmp_path, capsys):
+    (tmp_path / "op.json").write_text(json.dumps({"variant": "shift", "step": 0}))
+    path = tmp_path / "config.json"
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run_cli([*argv, str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"finsec: invalid configuration: {path}: {message}\n"
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_study_whose_rhs_norm_overflows_exits_3(fmt, tmp_path, capsys):
     # each square is finite (1.69e308); their sum is not
@@ -1604,7 +1652,7 @@ def _library_functions() -> set[str]:
 
 
 ACCEPTANCE = "acceptance API: tests/test_acceptance.py imports or calls it"
-PROTOCOL = "rule protocol: an abstract stub, or the scalar path of OperatorSpec.entry/apply"
+PROTOCOL = "column protocol: the base stub, or an adjacency column read by entry/apply"
 PAPER = "paper artefact"
 POOL = "pool internals: unreached with fewer than two usable cores"
 BENCH = "benchmark harness: bench/tracer.py reads it"
@@ -1623,14 +1671,7 @@ UNREACHED = {
     "rfsm.py:normal_equations_solve": ACCEPTANCE,
     "sections.py:fsm_section": ACCEPTANCE,
     "operators.py:AdjacencyGraph._column": PROTOCOL,
-    "operators.py:CoefficientRule.is_trivial": PROTOCOL,
-    "operators.py:CoefficientRule.shifted": PROTOCOL,
-    "operators.py:CoefficientRule.value_at": PROTOCOL,
-    "operators.py:CoefficientRule.values_at": PROTOCOL,
-    "operators.py:ConstantRule.value_at": PROTOCOL,
     "operators.py:OperatorSpec._column": PROTOCOL,
-    "operators.py:TableRule._lookup": PROTOCOL,
-    "operators.py:TableRule.value_at": PROTOCOL,
     "geometry.py:StarlikeDomain.all_closed": PAPER,
     "geometry.py:_box_touches_boundary": PAPER,
     "geometry.py:boundary_layer": PAPER,

@@ -7,7 +7,9 @@ stdout under `--format json` and no NaN or infinity in a CSV cell.  Each
 choice is well formed except, about one draw in ten, a malformed or
 mismatched value, so most examples reach the solvers and most refusals
 carry a single fault; likewise about one written config in ten has one
-field, or its top level, replaced by a value of another JSON type.
+field, or its top level, replaced by a value of another JSON type, and
+about one point key in ten is respelled, so that two keys of one
+object may name one point, which must then be refused.
 Window cut-offs stay small, so a scan or study forks few workers if any,
 except that about one 2-D draw of `scan`, `solve-fsm`, `solve-rfsm` or
 `study` in ten moves them past 10^6 or 10^9: every such window passes
@@ -62,8 +64,11 @@ def points(draw, dimension, radius=2):
     return [draw(st.integers(min_value=-radius, max_value=radius)) for _ in range(dimension)]
 
 
-def key(point):
-    return ";".join(map(str, point))
+def key(draw, point):
+    """`point` as a config key; about one draw in ten respells its coordinates, as "+1",
+    "01" and " 1" respell 1, so that two keys of one object may name one point."""
+    spelling = pick(draw, ["{}"], ["{:+d}", "{:03d}", " {}"])
+    return ";".join(spelling.format(c) for c in point)
 
 
 @st.composite
@@ -73,11 +78,11 @@ def rules(draw, dimension):
         return {"kind": kind, "value": scalar(draw)}
     if kind == "periodic":
         period = [pick(draw, [1, 2, 3], [0]) for _ in range(dimension)]
-        table = {key(draw(points(dimension))): scalar(draw)
+        table = {key(draw, draw(points(dimension))): scalar(draw)
                  for _ in range(draw(st.integers(min_value=0, max_value=4)))}
         return {"kind": kind, "period": period, "table": table}
     if kind == "table":
-        entries = {key(draw(points(dimension))): scalar(draw)
+        entries = {key(draw, draw(points(dimension))): scalar(draw)
                    for _ in range(draw(st.integers(min_value=0, max_value=4)))}
         return {"kind": kind, "entries": entries, "default": scalar(draw)}
     return {"kind": kind}
@@ -140,7 +145,7 @@ def domains(draw, dimension):
 @st.composite
 def right_hand_sides(draw, dimension):
     dimension = pick(draw, [dimension], [3 - dimension])
-    entries = {key(draw(points(dimension, 3))): scalar(draw)
+    entries = {key(draw, draw(points(dimension, 3))): scalar(draw)
                for _ in range(draw(st.integers(min_value=0, max_value=4)))}
     return {"dimension": dimension, "entries": entries}
 

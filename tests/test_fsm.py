@@ -5,6 +5,7 @@ import importlib.util
 import math
 import os
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -253,6 +254,28 @@ def test_pooled_scan_raises_the_first_failing_windows_error(pools, monkeypatch, 
     assert pools == [2]
     assert errors[0] == errors[1]
     assert errors[0].startswith(f"section at n={k} has non-finite singular values")
+
+
+_WINDOW = fsm._window
+
+
+def _window_checked_late(n):
+    """fsm._window, but window 4 is checked half a second after a worker takes it."""
+    if n == 4:
+        time.sleep(0.5)
+    return _WINDOW(n)
+
+
+def test_pooled_scan_runs_a_window_skipped_before_a_later_failure(pools, monkeypatch, interval):
+    # window 4 is taken before window 5 fails but reads the stop byte after it: the
+    # scan used to return windows 1..3 as its whole report
+    k = 5
+    big = TableRule.from_mapping({(k,): 1.7e308}, default=1, dimension=1)
+    operator = BandDiagonals.from_rules(1, {d: big for d in (-1, 0, 1)})
+    monkeypatch.setattr(fsm, "_window", _window_checked_late)
+    with pytest.raises(NonFiniteResultError, match=f"section at n={k} has non-finite"):
+        scan_with_cores(monkeypatch, 2, operator, interval, range(1, 2 * k))
+    assert pools == [2]
 
 
 @pytest.mark.parametrize(

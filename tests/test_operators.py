@@ -212,6 +212,19 @@ def test_from_rules_rejects_duplicate_offsets():
         BandDiagonals.from_rules(1, {1: ConstantRule(2), (1,): ConstantRule(3)})
 
 
+def test_constant_and_periodic_rules_are_table_rules():
+    # a constant is an empty table with its value as default
+    assert ConstantRule(2) == TableRule((), 2) and hash(ConstantRule(2)) == hash(TableRule((), 2))
+    assert BandDiagonals.from_rules(1, {0: 2}).diagonals == (((0,), ConstantRule(2)),)
+    # the period is part of a rule: residues read plainly are another rule
+    periodic = PeriodicRule.from_mapping((3, 2), {(0, 1): 1, (2, 0): 5j})
+    assert periodic != TableRule(periodic.table)
+    # a shift by a period, or any shift of a constant, gives an equal rule
+    assert periodic.shifted((3, -2)) == periodic and periodic.shifted((-6, 4)) == periodic
+    assert ConstantRule(2j).shifted((7,)) == ConstantRule(2j)
+    assert ConstantRule(-1).shifted((-4, 9)) == ConstantRule(-1)
+
+
 def test_compose_shift_rejects_adjacency():
     with pytest.raises(ValueError, match="adjacency"):
         compose_shift(build_example("blockdiag", 4).operator, 1)

@@ -52,7 +52,16 @@ def _instances():
 IDENTITY = {"ExampleCase", "IndexSet", "SupportedVector", "AdjacencyGraph", "SectionMatrix"}
 
 
-@pytest.mark.parametrize("value", _instances(), ids=lambda v: type(v).__name__)
+def _kind(value) -> str:
+    """The class name, or for a table rule the constructor of its kind."""
+    if not isinstance(value, TableRule):
+        return type(value).__name__
+    if value.period is not None:
+        return "PeriodicRule"
+    return "TableRule" if value.table else "ConstantRule"
+
+
+@pytest.mark.parametrize("value", _instances(), ids=_kind)
 def test_value_classes_construct_freeze_and_compare(value):
     cls, fields = type(value), type(value)._fields
     positional, keyword = cls(*value._astuple()), cls(**value._asdict())

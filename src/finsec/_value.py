@@ -7,8 +7,8 @@ class Value:
     A subclass gets a constructor over those fields in annotation order,
     positional or keyword, with a field's class attribute as its default;
     equality and hashing over the field values, or identity when it is
-    declared with the class keyword eq=False; and `_fields`, `_asdict` and
-    `_replace`.  Assigning or deleting an attribute raises AttributeError;
+    declared with the class keyword eq=False; and `_fields` and `_asdict`.
+    Assigning or deleting an attribute raises AttributeError;
     `functools.cached_property` still works, as it writes the instance dict.
     """
 
@@ -60,6 +60,3 @@ class Value:
 
     def _asdict(self) -> dict:
         return dict(zip(self._fields, self._astuple()))
-
-    def _replace(self, **changes):
-        return type(self)(**{**self._asdict(), **changes})

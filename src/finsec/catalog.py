@@ -223,7 +223,6 @@ def _rfsm_band_error_bound(case: ExampleCase, n_max: int, scan: ScanFn) -> Check
         reference_n=64,
         inverse_bound=case.inverse_bound,
         certified_bound=case.band_error_bound,
-        operator_id=case.case_id,
     )
     bad = [rec.n for rec in report.records if rec.error > rec.certified_bound]
     return _verdict(
@@ -441,8 +440,6 @@ def expected_outcomes(
     def scan(domain: StarlikeDomain) -> StabilityReport:
         if report is not None and domain == case.domain:
             return report
-        return stability_scan(
-            case.operator, domain, range(1, n_max + 1), operator_id=case.case_id
-        )
+        return stability_scan(case.operator, domain, range(1, n_max + 1))
 
     return [check(case, n_max, scan) for check in case.expectations]

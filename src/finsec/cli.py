@@ -331,17 +331,19 @@ def _emit(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _scan(args, operator: OperatorSpec, domain: StarlikeDomain, operator_id: str):
+def _meta(label: str, domain: StarlikeDomain, **keys) -> dict:
+    """The JSON keys of a report that name its operator, by label, and its domain, with keys."""
+    return {"operator": label, "domain": domain.name or "domain", **keys}
+
+
+def _scan(args, operator: OperatorSpec, domain: StarlikeDomain):
     """The stability scan over windows --nmin..--nmax that `scan` and `example` report."""
-    ns = range(args.nmin, args.nmax + 1)
-    return stability_scan(
-        operator, domain, ns, tau_rel=args.tau_rel, operator_id=operator_id, domain_id=domain.name
-    )
+    return stability_scan(operator, domain, range(args.nmin, args.nmax + 1), tau_rel=args.tau_rel)
 
 
 def _cmd_scan(args) -> int:
     operator, domain, _, op_id = _resolve_case(args, args.nmax)
-    report = _scan(args, operator, domain, op_id)
+    report = _scan(args, operator, domain)
     explicit_moduli = args.modulus is not None
     moduli = args.modulus if explicit_moduli else [1, 2, 3]
     classification = {}
@@ -355,26 +357,26 @@ def _cmd_scan(args) -> int:
         classification[str(mod)] = {
             str(res): verdict for res, verdict in verdicts.items()
         }
-    report = report._replace(classification=classification)
-    write = stability_report_csv if args.format == "csv" else stability_report_json
-    _emit(write(report), args.out)
+    if args.format == "csv":
+        _emit(stability_report_csv(report), args.out)
+    else:
+        meta = _meta(op_id, domain, classification=classification)
+        _emit(stability_report_json(report, meta), args.out)
     return EXIT_OK
 
 
 def _cmd_example(args) -> int:
     case, bound = _example_case(args.case_id, None, args.nmax)
-    report = _scan(args, case.operator, case.domain, case.case_id)
+    report = _scan(args, case.operator, case.domain)
     if args.format == "csv":
         _emit(stability_report_csv(report), args.out)
         return EXIT_OK
     checks = expected_outcomes(case, args.nmax, report)
-    extra = {
-        "bound": bound,
-        "expectations": [
-            {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks
-        ],
-    }
-    _emit(stability_report_json(report, extra=extra), args.out)
+    expectations = [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks]
+    meta = _meta(
+        case.case_id, case.domain, classification={}, bound=bound, expectations=expectations
+    )
+    _emit(stability_report_json(report, meta), args.out)
     return EXIT_OK if all(c.passed for c in checks) else EXIT_NUMERIC
 
 
@@ -482,11 +484,11 @@ def _cmd_study(args) -> int:
         inverse_bound=args.a_inv_norm
         or (case.inverse_bound if case else None),
         certified_bound=certified,
-        operator_id=op_id,
-        domain_id=domain.name,
     )
-    write = rfsm_report_csv if args.format == "csv" else rfsm_report_json
-    _emit(write(report), args.out)
+    if args.format == "csv":
+        _emit(rfsm_report_csv(report), args.out)
+    else:
+        _emit(rfsm_report_json(report, _meta(op_id, domain)), args.out)
     return EXIT_OK
 
 

@@ -174,8 +174,6 @@ def stability_scan(
     domain: StarlikeDomain,
     n_values: Iterable[int],
     tau_rel: float = TAU_REL_DEFAULT,
-    operator_id: str = "",
-    domain_id: str = "",
 ) -> StabilityReport:
     """Record invertibility and inverse norms over increasing window cut-offs.
 
@@ -207,12 +205,7 @@ def stability_scan(
                 sigma_max=smax,
             )
         )
-    return StabilityReport(
-        operator_id=operator_id or type(operator).__name__,
-        domain_id=domain_id or domain.name or "domain",
-        tau_rel=tau_rel,
-        records=tuple(records),
-    )
+    return StabilityReport(tau_rel, tuple(records))
 
 
 def _scan_extremes(

@@ -39,15 +39,8 @@ class StabilityRecord(Value):
 
 
 class StabilityReport(Value):
-    operator_id: str
-    domain_id: str
     tau_rel: float
     records: tuple[StabilityRecord, ...]
-    classification: dict = None  # a fresh dict for each report that names none
-
-    def __post_init__(self):
-        if self.classification is None:
-            self.__dict__["classification"] = {}
 
 
 class RfsmRecord(Value):
@@ -61,8 +54,6 @@ class RfsmRecord(Value):
 
 
 class RfsmReport(Value):
-    operator_id: str
-    domain_id: str
     coupling: str
     reference_n: int
     records: tuple[RfsmRecord, ...]
@@ -100,36 +91,28 @@ def _records_csv(record_type, records) -> str:
     return _csv(record_type._fields, (rec._astuple() for rec in records))
 
 
-def _report_json(report, header: dict, extra: dict | None = None) -> str:
-    payload = dict(header, operator=report.operator_id, domain=report.domain_id)
-    payload["records"] = [rec._asdict() for rec in report.records]
-    return _json({**payload, **(extra or {})})
+def _report_json(header: dict, records, meta: dict) -> str:
+    return _json({**header, "records": [rec._asdict() for rec in records], **meta})
 
 
 def stability_report_csv(report: StabilityReport) -> str:
     return _records_csv(StabilityRecord, report.records)
 
 
-def stability_report_json(report: StabilityReport, extra: dict | None = None) -> str:
-    header = {
-        "kind": "stability",
-        "tau_rel": report.tau_rel,
-        "classification": report.classification,
-    }
-    return _report_json(report, header, extra)
+def stability_report_json(report: StabilityReport, meta: dict) -> str:
+    """The report's tolerance and records, merged with meta."""
+    header = {"kind": "stability", "tau_rel": report.tau_rel}
+    return _report_json(header, report.records, meta)
 
 
 def rfsm_report_csv(report: RfsmReport) -> str:
     return _records_csv(RfsmRecord, report.records)
 
 
-def rfsm_report_json(report: RfsmReport) -> str:
-    header = {
-        "kind": "rfsm-study",
-        "coupling": report.coupling,
-        "reference_n": report.reference_n,
-    }
-    return _report_json(report, header)
+def rfsm_report_json(report: RfsmReport, meta: dict) -> str:
+    """The report's coupling, reference cut-off and records, merged with meta."""
+    header = {"kind": "rfsm-study", "coupling": report.coupling, "reference_n": report.reference_n}
+    return _report_json(header, report.records, meta)
 
 
 def _point_key(p) -> str:

@@ -258,8 +258,6 @@ def convergence_study(
     explicit_rows: dict[int, int] | None = None,
     inverse_bound: float | None = None,
     certified_bound: Callable[[int], float] | None = None,
-    operator_id: str = "",
-    domain_id: str = "",
 ) -> RfsmReport:
     """Run rectangular solves over n_values and compare against a large reference solve.
 
@@ -339,10 +337,4 @@ def convergence_study(
         rhs_norm = rhs.norm()
         # unpacked into record, so a window's arrays are freed once its record is made
         records = [record(n, *next(windows)) for n in ns]
-    return RfsmReport(
-        operator_id=operator_id or type(operator).__name__,
-        domain_id=domain_id or domain.name or "domain",
-        coupling=coupling,
-        reference_n=reference_n,
-        records=tuple(records),
-    )
+    return RfsmReport(coupling, reference_n, tuple(records))

@@ -1,3 +1,8 @@
+import contextlib
+import ctypes
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -73,3 +78,43 @@ def pools(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
     return started
+
+
+def _bundled_openblas():
+    """(get, set) of the thread count of numpy's and scipy's bundled OpenBLAS, where found."""
+    calls = []
+    for package, suffix in (("numpy", "64_"), ("scipy", "")):
+        libs = Path(importlib.util.find_spec(package).origin).parents[1] / f"{package}.libs"
+        for path in libs.glob("libscipy_openblas*.so"):
+            lib = ctypes.CDLL(str(path))
+            try:
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            except AttributeError:  # another build: left as it is
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            calls.append((get, set_))
+    return calls
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Bundled OpenBLAS on one thread, as linalg._free_cores assumes of the workers of a
+    pooled scan or study; a test that patches it leaves BLAS on every core otherwise."""
+    calls = _bundled_openblas()
+    before = [get() for get, _ in calls]
+    try:
+        for _, set_ in calls:
+            set_(1)
+        yield
+    finally:
+        for (_, set_), threads in zip(calls, before):
+            set_(threads)
+
+
+@pytest.fixture
+def one_blas():
+    """One bundled OpenBLAS thread for the whole test, for tests that fork a study pool."""
+    with one_blas_thread():
+        yield

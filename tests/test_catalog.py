@@ -223,7 +223,7 @@ def run_checks(case, n_max, invertible, inverse_norm=1.0, sigma_min=None):
             )
             for n, inv in enumerate(verdicts, start=1)
         )
-        return StabilityReport("fabricated", "fabricated", 1e-10, records)
+        return StabilityReport(1e-10, records)
 
     results = [check(case, n_max, scan) for check in case.expectations]
     return {r.name: (r.passed, r.detail) for r in results}

@@ -1107,6 +1107,19 @@ def test_scan_classification_and_roundtrip(capsys):
     }
 
 
+def test_an_unnamed_domain_is_labelled_domain(capsys, tmp_path):
+    omega = tmp_path / "unnamed.json"
+    omega.write_text(json.dumps({"name": "", "vertices": [[-1], [1]]}))
+    for argv in (
+        ["scan", "--example", "shift", "--omega", str(omega), "--nmax", "3", "--format", "json"],
+        ["study", "--example", "worked_A", "--omega", str(omega), "--nmax", "3",
+         "--reference-n", "6", "--format", "json"],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, err
+        assert json.loads(out)["domain"] == "domain", argv
+
+
 BLOCKDIAG_SCAN_CSV = """\
 n,invertible,inverse_norm,sigma_min,sigma_max
 1,false,,0,1
@@ -1799,7 +1812,7 @@ def test_study_builds_the_builtin_rhs_over_every_row_window(capsys):
     case = finsec.build_example("worked_A")
     report = finsec.convergence_study(
         case.operator, case.rhs, case.domain, "sixfifths", range(2, 64), 64,
-        inverse_bound=2.0, operator_id="worked_A", domain_id=case.domain.name,
+        inverse_bound=2.0,
     )
     assert out == finsec.reports.rfsm_report_csv(report)
 

@@ -1,7 +1,4 @@
-import contextlib
-import ctypes
 import errno
-import importlib.util
 import math
 import os
 import re
@@ -40,7 +37,7 @@ from finsec.catalog import minimal_bound
 from finsec.fsm import VERDICT_NORM_CAP, VERDICT_SINGULAR, VERDICT_STABLE, section_extremes
 from finsec.linalg import TAU_REL_DEFAULT, singular_values
 from finsec.reports import stability_report_json
-from conftest import random_band_operator
+from conftest import one_blas_thread, random_band_operator
 from oracles import identity_operator, singular_value_extremes, window_swap_solve
 
 D_INT = [[1, 1, 1], [1, 1, 0], [1, 0, 0]]
@@ -168,39 +165,6 @@ def test_scan_requires_increasing_n(interval):
         stability_scan(identity_operator(), interval, [3, 2, 5])
 
 
-def _bundled_openblas():
-    """(get, set) of the thread count of numpy's and scipy's bundled OpenBLAS, where found."""
-    calls = []
-    for package, suffix in (("numpy", "64_"), ("scipy", "")):
-        libs = Path(importlib.util.find_spec(package).origin).parents[1] / f"{package}.libs"
-        for path in libs.glob("libscipy_openblas*.so"):
-            lib = ctypes.CDLL(str(path))
-            try:
-                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-                set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
-            except AttributeError:  # another build: left as it is
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            calls.append((get, set_))
-    return calls
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """Bundled OpenBLAS on one thread, as linalg._free_cores assumes of a pooled scan's
-    workers; a test that patches it leaves BLAS on every core otherwise."""
-    calls = _bundled_openblas()
-    before = [get() for get, _ in calls]
-    try:
-        for _, set_ in calls:
-            set_(1)
-        yield
-    finally:
-        for (_, set_), threads in zip(calls, before):
-            set_(threads)
-
-
 def scan_with_cores(monkeypatch, cores, *args):
     """stability_scan with `cores` free cores, one BLAS thread and no break-even window
     size; serial scans take one thread too, since the thread count moves sigma's bytes."""
@@ -231,7 +195,7 @@ def test_pooled_scan_records_are_the_serial_bytes(case, ns, pools, monkeypatch, 
     # in a fresh interpreter
     pooled = scan_with_cores(monkeypatch, 2, operator, domain, ns)
     assert pools == [2]
-    assert stability_report_json(pooled) == stability_report_json(serial)
+    assert stability_report_json(pooled, {}) == stability_report_json(serial, {})
 
 
 def test_pooled_scan_raises_the_first_failing_windows_error(pools, monkeypatch, interval):

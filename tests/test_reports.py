@@ -3,7 +3,16 @@ import math
 
 import pytest
 
-from finsec import SupportedVector, build_example, convergence_study, stability_scan
+from finsec import (
+    RfsmRecord,
+    RfsmReport,
+    StabilityRecord,
+    StabilityReport,
+    SupportedVector,
+    build_example,
+    convergence_study,
+    stability_scan,
+)
 from finsec.errors import NonFiniteResultError
 from finsec.reports import (
     rfsm_report_csv,
@@ -17,10 +26,7 @@ from finsec.reports import (
 
 def scan_report():
     case = build_example("blockdiag", 8)
-    return stability_scan(
-        case.operator, case.domain, range(1, 11), operator_id="blockdiag",
-        domain_id="interval",
-    )
+    return stability_scan(case.operator, case.domain, range(1, 11))
 
 
 def study_report(worked_case):
@@ -33,8 +39,6 @@ def study_report(worked_case):
         reference_n=32,
         inverse_bound=2.0,
         certified_bound=worked_case.band_error_bound,
-        operator_id="worked_A",
-        domain_id="interval",
     )
 
 
@@ -49,21 +53,24 @@ def test_stability_csv_shape():
 
 def test_stability_json_roundtrip():
     report = scan_report()
-    payload = json.loads(stability_report_json(report))
+    meta = {"operator": "blockdiag", "domain": "interval", "classification": {"1": {"0": "x"}}}
+    payload = json.loads(stability_report_json(report, meta))
     assert payload["records"] == [rec._asdict() for rec in report.records]
     assert payload["kind"] == "stability"
     assert (payload["operator"], payload["domain"]) == ("blockdiag", "interval")
     assert payload["tau_rel"] == report.tau_rel
-    assert payload["classification"] == report.classification
+    assert payload["classification"] == meta["classification"]
+    assert set(payload) == {"kind", "tau_rel", "records", *meta}
 
 
 def test_rfsm_json_roundtrip(worked_case):
     report = study_report(worked_case)
-    payload = json.loads(rfsm_report_json(report))
+    payload = json.loads(rfsm_report_json(report, {"operator": "worked_A", "domain": "interval"}))
     assert payload["records"] == [rec._asdict() for rec in report.records]
     assert payload["kind"] == "rfsm-study"
     assert (payload["operator"], payload["domain"]) == ("worked_A", "interval")
     assert (payload["coupling"], payload["reference_n"]) == ("band", 32)
+    assert set(payload) == {"kind", "coupling", "reference_n", "records", "operator", "domain"}
 
 
 def test_rfsm_csv_floats_reparse_exactly(worked_case):
@@ -79,8 +86,8 @@ def test_rfsm_csv_floats_reparse_exactly(worked_case):
 
 
 def test_reports_are_deterministic(worked_case):
-    a = stability_report_json(scan_report())
-    b = stability_report_json(scan_report())
+    a = stability_report_json(scan_report(), {})
+    b = stability_report_json(scan_report(), {})
     assert a == b
     c = rfsm_report_csv(study_report(worked_case))
     d = rfsm_report_csv(study_report(worked_case))
@@ -90,17 +97,17 @@ def test_reports_are_deterministic(worked_case):
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_non_finite_cells_raise_a_numeric_error(value, worked_case):
     study = study_report(worked_case)
-    last = study.records[-1]._replace(error=value)
-    study = study._replace(records=(*study.records[:-1], last))
+    last = RfsmRecord(**{**study.records[-1]._asdict(), "error": value})
+    study = RfsmReport(study.coupling, study.reference_n, (*study.records[:-1], last))
     scan = scan_report()
-    first = scan.records[0]._replace(sigma_max=value)
-    scan = scan._replace(records=(first, *scan.records[1:]))
+    first = StabilityRecord(**{**scan.records[0]._asdict(), "sigma_max": value})
+    scan = StabilityReport(scan.tau_rel, (first, *scan.records[1:]))
     u = SupportedVector(1, {(0,): complex(1.0, value)})
     writers = [
         lambda: rfsm_report_csv(study),
-        lambda: rfsm_report_json(study),
+        lambda: rfsm_report_json(study, {}),
         lambda: stability_report_csv(scan),
-        lambda: stability_report_json(scan),
+        lambda: stability_report_json(scan, {}),
         lambda: solution_csv(u),
         lambda: solution_json(u, {}),
     ]

@@ -546,11 +546,16 @@ def recorded_solves(monkeypatch, tmp_path):
     return calls
 
 
-def with_cores(monkeypatch, cores):
-    """`cores` free cores and no break-even window size, so that a study forks
-    workers whenever two windows or more are left to them."""
-    monkeypatch.setattr(linalg, "_free_cores", lambda: cores)
-    monkeypatch.setattr(fsm, "POOL_MIN_POINTS", 0)
+@pytest.fixture
+def with_cores(monkeypatch, one_blas):
+    """Sets `cores` free cores and no break-even window size, so that a study forks
+    workers whenever two windows or more are left to them, on one BLAS thread each."""
+
+    def set_cores(cores):
+        monkeypatch.setattr(linalg, "_free_cores", lambda: cores)
+        monkeypatch.setattr(fsm, "POOL_MIN_POINTS", 0)
+
+    return set_cores
 
 
 def wait_for(path, seconds):
@@ -601,9 +606,9 @@ def study_cases():
 )
 def test_study_records_equal_the_serial_loop(
     operator, rhs, domain, coupling, ns, reference_n, explicit, inverse_bound,
-    certified, cores, monkeypatch, tmp_path, pools,
+    certified, cores, monkeypatch, tmp_path, pools, with_cores,
 ):
-    with_cores(monkeypatch, cores)
+    with_cores(cores)
     calls = recorded_solves(monkeypatch, tmp_path)
     report = convergence_study(
         operator, rhs, domain, coupling, ns, reference_n,
@@ -642,6 +647,7 @@ def test_study_records_equal_the_serial_loop(
         ("past break-even", 2, [2, 128], [2]),  # 257 columns in the widest window
     ],
 )
+@pytest.mark.usefixtures("one_blas")
 def test_study_forks_only_past_the_scans_break_even(
     case, cores, ns, want, pools, monkeypatch, worked_case
 ):
@@ -656,7 +662,9 @@ def test_study_forks_only_past_the_scans_break_even(
     assert [rec.n for rec in report.records] == list(ns)
 
 
-def test_study_first_failing_n_raises_and_cancels_the_rest(monkeypatch, tmp_path, capsys):
+def test_study_first_failing_n_raises_and_cancels_the_rest(
+    monkeypatch, tmp_path, capsys, with_cores
+):
     # window n of worked_A on the interval has 2n + 1 columns
     real = rfsm.least_squares
     started = SharedLog(tmp_path / "started")
@@ -678,7 +686,7 @@ def test_study_first_failing_n_raises_and_cancels_the_rest(monkeypatch, tmp_path
         assert len(ns) <= 2 and max(ns, default=5) <= 7
 
     monkeypatch.setattr(rfsm, "least_squares", failing_at_5)
-    with_cores(monkeypatch, 2)
+    with_cores(2)
     case = build_example("worked_A")
     with pytest.raises(LinAlgError, match="^SVD did not converge at n=5$"):
         convergence_study(
@@ -695,7 +703,7 @@ def test_study_first_failing_n_raises_and_cancels_the_rest(monkeypatch, tmp_path
     later()
 
 
-def test_study_failing_record_raises_and_cancels_the_rest(monkeypatch, tmp_path):
+def test_study_failing_record_raises_and_cancels_the_rest(monkeypatch, tmp_path, with_cores):
     # the record of n = 5 fails in this process while later windows hold their workers
     real = rfsm.least_squares
     started = SharedLog(tmp_path / "started")
@@ -716,7 +724,7 @@ def test_study_failing_record_raises_and_cancels_the_rest(monkeypatch, tmp_path)
         return 1.0
 
     monkeypatch.setattr(rfsm, "least_squares", held)
-    with_cores(monkeypatch, 2)
+    with_cores(2)
     case = build_example("worked_A")
     with pytest.raises(NonFiniteResultError) as excinfo:
         convergence_study(
@@ -796,8 +804,8 @@ def test_study_refuses_the_reference_before_building_a_callable_rhs(monkeypatch)
         convergence_study(case.operator, case.rhs, case.domain, "band", range(2, 5), 1000)
 
 
-def test_study_workers_bounded_by_the_dense_budget(monkeypatch, pools):
-    with_cores(monkeypatch, 4)
+def test_study_workers_bounded_by_the_dense_budget(monkeypatch, pools, with_cores):
+    with_cores(4)
     case = build_example("worked_A")
     domain = case.domain
 
@@ -826,7 +834,9 @@ def test_study_workers_bounded_by_the_dense_budget(monkeypatch, pools):
 
 
 @pytest.mark.parametrize("cores", [1, 2])
-def test_study_reference_failure_wins_over_a_failing_window(cores, monkeypatch, tmp_path, pools):
+def test_study_reference_failure_wins_over_a_failing_window(
+    cores, monkeypatch, tmp_path, pools, with_cores
+):
     case = build_example("worked_A")
     reference_cols = len(lattice_section(case.domain, 40))
     window_cols = len(lattice_section(case.domain, 3))
@@ -849,7 +859,7 @@ def test_study_reference_failure_wins_over_a_failing_window(cores, monkeypatch, 
         return real(matrix, rhs)
 
     monkeypatch.setattr(rfsm, "least_squares", failing)
-    with_cores(monkeypatch, cores)
+    with_cores(cores)
     with pytest.raises(LinAlgError, match="^SVD did not converge in the reference$"):
         convergence_study(
             case.operator, case.rhs, case.domain, "band", range(2, 31), reference_n=40
@@ -867,9 +877,9 @@ def test_study_reference_failure_wins_over_a_failing_window(cores, monkeypatch, 
 
 
 def test_study_budget_holding_only_the_reference_runs_one_window_at_a_time(
-    monkeypatch, tmp_path, pools
+    monkeypatch, tmp_path, pools, with_cores
 ):
-    with_cores(monkeypatch, 4)
+    with_cores(4)
     calls = recorded_solves(monkeypatch, tmp_path)
     case = build_example("worked_A")
     domain = case.domain

@@ -8,7 +8,6 @@ from finsec import (
     RfsmParameters,
     RfsmRecord,
     RfsmReport,
-    StabilityReport,
     SupportedVector,
     TableRule,
     assemble,
@@ -43,7 +42,7 @@ def _instances():
         report.records[0],
         report,
         record,
-        RfsmReport("worked_A", "interval", "band", 8, (record,)),
+        RfsmReport("band", 8, (record,)),
         RfsmParameters(1e-3, 1e-4, 2, 4),
         assemble(operator, window, window),
     ]
@@ -74,12 +73,5 @@ def test_value_classes_construct_freeze_and_compare(value):
             delattr(value, name)
     if cls.__name__ in IDENTITY:
         assert positional != keyword and hash(positional) != hash(keyword)
-    elif cls is StabilityReport:  # its classification dict has no hash, as before
-        assert positional == keyword
-        with pytest.raises(TypeError):
-            hash(positional)
-        assert StabilityReport("a", "b", 1e-12, ()).classification is not (
-            StabilityReport("a", "b", 1e-12, ()).classification
-        )
     else:
         assert positional == keyword and hash(positional) == hash(keyword)

@@ -3,7 +3,8 @@
 Configs are JSON files; exact rationals are "p/q" strings, complex scalars
 are "re" or "re+imi" strings.  Outputs are byte-deterministic for a fixed
 config at a fixed BLAS thread count.  Exit status: 0 success, 2 invalid
-configuration or unwritable output, 3 numeric failure, 130 interrupted.
+configuration, unwritable output or out of memory, 3 numeric failure,
+130 interrupted.
 """
 
 from __future__ import annotations
@@ -46,14 +47,7 @@ from .operators import (
     as_point,
     compose_shift,
 )
-from .reports import (
-    rfsm_report_csv,
-    rfsm_report_json,
-    solution_csv,
-    solution_json,
-    stability_report_csv,
-    stability_report_json,
-)
+from .reports import write
 from .rfsm import (
     choose_parameters,
     convergence_study,
@@ -357,11 +351,8 @@ def _cmd_scan(args) -> int:
         classification[str(mod)] = {
             str(res): verdict for res, verdict in verdicts.items()
         }
-    if args.format == "csv":
-        _emit(stability_report_csv(report), args.out)
-    else:
-        meta = _meta(op_id, domain, classification=classification)
-        _emit(stability_report_json(report, meta), args.out)
+    meta = _meta(op_id, domain, classification=classification)
+    _emit(write(report, args.format, meta), args.out)
     return EXIT_OK
 
 
@@ -369,14 +360,14 @@ def _cmd_example(args) -> int:
     case, bound = _example_case(args.case_id, None, args.nmax)
     report = _scan(args, case.operator, case.domain)
     if args.format == "csv":
-        _emit(stability_report_csv(report), args.out)
+        _emit(write(report, args.format, {}), args.out)
         return EXIT_OK
     checks = expected_outcomes(case, args.nmax, report)
     expectations = [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks]
     meta = _meta(
         case.case_id, case.domain, classification={}, bound=bound, expectations=expectations
     )
-    _emit(stability_report_json(report, meta), args.out)
+    _emit(write(report, args.format, meta), args.out)
     return EXIT_OK if all(c.passed for c in checks) else EXIT_NUMERIC
 
 
@@ -385,10 +376,7 @@ def _cmd_solve_fsm(args) -> int:
     _check_solve_budget(operator, domain, args.n)
     rhs = _resolve_rhs(args, case, domain, args.n)
     u = fsm_solve(operator, rhs, domain, args.n, tau_rel=args.tau_rel)
-    if args.format == "csv":
-        _emit(solution_csv(u), args.out)
-    else:
-        _emit(solution_json(u, {"n": args.n}), args.out)
+    _emit(write(u, args.format, {"n": args.n}), args.out)
     return EXIT_OK
 
 
@@ -440,13 +428,10 @@ def _cmd_solve_rfsm(args) -> int:
         raise NoFeasibleMError(
             f"least-squares residual {residual:.6g} does not meet delta={delta:.6g}"
         )
-    if args.format == "csv":
-        _emit(solution_csv(u), args.out)
-    else:
-        meta = {"n": n, "m": m, "residual": residual}
-        if delta is not None:
-            meta["delta"] = delta
-        _emit(solution_json(u, meta), args.out)
+    meta = {"n": n, "m": m, "residual": residual}
+    if delta is not None:
+        meta["delta"] = delta
+    _emit(write(u, args.format, meta), args.out)
     return EXIT_OK
 
 
@@ -485,10 +470,7 @@ def _cmd_study(args) -> int:
         or (case.inverse_bound if case else None),
         certified_bound=certified,
     )
-    if args.format == "csv":
-        _emit(rfsm_report_csv(report), args.out)
-    else:
-        _emit(rfsm_report_json(report, _meta(op_id, domain)), args.out)
+    _emit(write(report, args.format, _meta(op_id, domain)), args.out)
     return EXIT_OK
 
 
@@ -593,6 +575,10 @@ def main(argv=None) -> int:
         return EXIT_INTERRUPTED
     except _WriteError as exc:
         print(f"finsec: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # a worker's comes back pickled, and ends here too
+        detail = " ".join(str(exc).split())  # on the one line, whatever the allocator said
+        print("finsec: out of memory" + (f": {detail}" if detail else ""), file=sys.stderr)
         return EXIT_CONFIG
     except (NumericError, LinAlgError) as exc:  # first: LinAlgError is a ValueError
         print(f"finsec: numeric failure: {exc}", file=sys.stderr)

@@ -1,5 +1,6 @@
 """Every CSV and JSON output of the package: scan and study reports, solutions.
 
+One writer, write(result, fmt, meta), picks the format for every result.
 Floats are printed with 17 significant digits so report bytes are
 bit-stable across runs and re-parse to the exact same doubles.  A NaN or
 infinity is never written: it raises NonFiniteResultError in either format.
@@ -21,12 +22,7 @@ __all__ = [
     "StabilityReport",
     "RfsmRecord",
     "RfsmReport",
-    "stability_report_csv",
-    "stability_report_json",
-    "rfsm_report_csv",
-    "rfsm_report_json",
-    "solution_csv",
-    "solution_json",
+    "write",
 ]
 
 
@@ -39,6 +35,8 @@ class StabilityRecord(Value):
 
 
 class StabilityReport(Value):
+    kind = "stability"  # class attributes, not fields: the JSON kind and the CSV row type
+    record = StabilityRecord
     tau_rel: float
     records: tuple[StabilityRecord, ...]
 
@@ -54,6 +52,8 @@ class RfsmRecord(Value):
 
 
 class RfsmReport(Value):
+    kind = "rfsm-study"
+    record = RfsmRecord
     coupling: str
     reference_n: int
     records: tuple[RfsmRecord, ...]
@@ -87,47 +87,25 @@ def _json(payload: dict) -> str:
         raise NonFiniteResultError(_NON_FINITE) from None
 
 
-def _records_csv(record_type, records) -> str:
-    return _csv(record_type._fields, (rec._astuple() for rec in records))
+def write(result: StabilityReport | RfsmReport | SupportedVector, fmt: str, meta: dict) -> str:
+    """The CSV or JSON text of a report or a solution; JSON merges in meta, CSV drops it.
 
-
-def _report_json(header: dict, records, meta: dict) -> str:
-    return _json({**header, "records": [rec._asdict() for rec in records], **meta})
-
-
-def stability_report_csv(report: StabilityReport) -> str:
-    return _records_csv(StabilityRecord, report.records)
-
-
-def stability_report_json(report: StabilityReport, meta: dict) -> str:
-    """The report's tolerance and records, merged with meta."""
-    header = {"kind": "stability", "tau_rel": report.tau_rel}
-    return _report_json(header, report.records, meta)
-
-
-def rfsm_report_csv(report: RfsmReport) -> str:
-    return _records_csv(RfsmRecord, report.records)
-
-
-def rfsm_report_json(report: RfsmReport, meta: dict) -> str:
-    """The report's coupling, reference cut-off and records, merged with meta."""
-    header = {"kind": "rfsm-study", "coupling": report.coupling, "reference_n": report.reference_n}
-    return _report_json(header, report.records, meta)
-
-
-def _point_key(p) -> str:
-    return ";".join(str(c) for c in p)
-
-
-def solution_csv(u: SupportedVector) -> str:
-    """One row per support point: the point as "i;j;...", real and imaginary part."""
-    rows = ((_point_key(p), u.entries[p].real, u.entries[p].imag) for p in u.support())
-    return _csv(["point", "real", "imag"], rows)
-
-
-def solution_json(u: SupportedVector, meta: dict) -> str:
-    """Entries keyed by "i;j;..." as [real, imag] pairs, merged with meta."""
-    entries = {
-        _point_key(p): [u.entries[p].real, u.entries[p].imag] for p in u.support()
-    }
-    return _json({"kind": "solution", "entries": entries, **meta})
+    A solution's CSV has one row per support point, the point as "i;j;...",
+    real and imaginary part; its JSON keys entries by "i;j;..." as [real,
+    imag] pairs.  A report's CSV has one row per record, under the field
+    names of its record type; its JSON holds its kind, its fields and its
+    records.
+    """
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown report format {fmt!r}")
+    if isinstance(result, SupportedVector):
+        values = [(";".join(map(str, p)), result.entries[p]) for p in result.support()]
+        if fmt == "csv":
+            return _csv(["point", "real", "imag"], ((p, z.real, z.imag) for p, z in values))
+        payload = {"kind": "solution", "entries": {p: [z.real, z.imag] for p, z in values}}
+    elif fmt == "csv":
+        return _csv(result.record._fields, (rec._astuple() for rec in result.records))
+    else:
+        payload = {"kind": result.kind, **result._asdict()}
+        payload["records"] = [rec._asdict() for rec in result.records]
+    return _json({**payload, **meta})

@@ -503,6 +503,27 @@ def test_interrupted_scan_exits_130_with_one_line(tmp_path):
             os.killpg(proc.pid, 0)
 
 
+@pytest.mark.parametrize("cores, started", [(1, []), (2, [2])])
+def test_out_of_memory_exits_2_with_one_line(cores, started, pools, monkeypatch, capsys):
+    # a MemoryError of the sparse factor, raised here or pickled back from a worker; the
+    # test process has loaded scipy, so a pooled scan starts one pool
+    import scipy.sparse.linalg
+
+    def splu(matrix):
+        raise MemoryError("Can't expand MemType 1:\n jcol 87931")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+    monkeypatch.setattr(linalg, "_free_cores", lambda: cores)
+    # windows 11 and 12 of the square have 529 and 625 points, past POOL_MIN_POINTS
+    # and on the sparse route
+    argv = ["scan", "--operator", str(ROOT / "tools" / "lap5.json"), "--omega", "square",
+            "--nmin", "11", "--nmax", "12"]
+    code, out, err = run_cli(argv, capsys)
+    assert pools == started
+    assert (code, out) == (2, "")
+    assert err == "finsec: out of memory: Can't expand MemType 1: jcol 87931\n"
+
+
 # A pooled scan starts two pools only where scipy is not loaded yet, so these scans run
 # in a fresh interpreter.
 _SCAN_HEAD = r"""
@@ -1603,6 +1624,18 @@ def test_pinned_and_benchmark_invocations_parse(tmp_path):
         parser.parse_args(argv)
 
 
+@pytest.mark.parametrize("option, code", [("--help", 0), ("-o", 2)])
+def test_pinned_outputs_option_prints_usage_and_runs_nothing(option, code, tmp_path):
+    # an option is never an OUT_DIR: `--help` once ran every invocation into ./--help
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "pinned_outputs.py"), option],
+        cwd=tmp_path, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert proc.stderr == "usage: python tools/pinned_outputs.py OUT_DIR\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 LIBRARY = ROOT / "src" / "finsec"
 
 # Run first in each pinned invocation: the first call of each code object of LIBRARY
@@ -1814,7 +1847,7 @@ def test_study_builds_the_builtin_rhs_over_every_row_window(capsys):
         case.operator, case.rhs, case.domain, "sixfifths", range(2, 64), 64,
         inverse_bound=2.0,
     )
-    assert out == finsec.reports.rfsm_report_csv(report)
+    assert out == finsec.reports.write(report, "csv", {})
 
 
 def test_study_bad_coupling_exits_2(capsys):

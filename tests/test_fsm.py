@@ -36,7 +36,7 @@ from finsec import cli, fsm, linalg
 from finsec.catalog import minimal_bound
 from finsec.fsm import VERDICT_NORM_CAP, VERDICT_SINGULAR, VERDICT_STABLE, section_extremes
 from finsec.linalg import TAU_REL_DEFAULT, singular_values
-from finsec.reports import stability_report_json
+from finsec.reports import write
 from conftest import one_blas_thread, random_band_operator
 from oracles import identity_operator, singular_value_extremes, window_swap_solve
 
@@ -195,7 +195,7 @@ def test_pooled_scan_records_are_the_serial_bytes(case, ns, pools, monkeypatch, 
     # in a fresh interpreter
     pooled = scan_with_cores(monkeypatch, 2, operator, domain, ns)
     assert pools == [2]
-    assert stability_report_json(pooled, {}) == stability_report_json(serial, {})
+    assert write(pooled, "json", {}) == write(serial, "json", {})
 
 
 def test_pooled_scan_raises_the_first_failing_windows_error(pools, monkeypatch, interval):

@@ -14,14 +14,7 @@ from finsec import (
     stability_scan,
 )
 from finsec.errors import NonFiniteResultError
-from finsec.reports import (
-    rfsm_report_csv,
-    rfsm_report_json,
-    solution_csv,
-    solution_json,
-    stability_report_csv,
-    stability_report_json,
-)
+from finsec.reports import write
 
 
 def scan_report():
@@ -43,7 +36,7 @@ def study_report(worked_case):
 
 
 def test_stability_csv_shape():
-    text = stability_report_csv(scan_report())
+    text = write(scan_report(), "csv", {})
     lines = text.splitlines()
     assert lines[0] == "n,invertible,inverse_norm,sigma_min,sigma_max"
     assert len(lines) == 11
@@ -51,10 +44,26 @@ def test_stability_csv_shape():
     assert lines[2].startswith("2,true,1,")
 
 
+def test_empty_report_csv_is_its_record_header():
+    for report, header in [
+        (StabilityReport(1e-12, ()), "n,invertible,inverse_norm,sigma_min,sigma_max\n"),
+        (
+            RfsmReport("band", 32, ()),
+            "n,m,residual,solution_norm,solution_bound,error,certified_bound\n",
+        ),
+    ]:
+        assert write(report, "csv", {}) == header
+
+
+def test_unknown_format_is_refused():
+    with pytest.raises(ValueError, match="unknown report format 'xml'"):
+        write(scan_report(), "xml", {})
+
+
 def test_stability_json_roundtrip():
     report = scan_report()
     meta = {"operator": "blockdiag", "domain": "interval", "classification": {"1": {"0": "x"}}}
-    payload = json.loads(stability_report_json(report, meta))
+    payload = json.loads(write(report, "json", meta))
     assert payload["records"] == [rec._asdict() for rec in report.records]
     assert payload["kind"] == "stability"
     assert (payload["operator"], payload["domain"]) == ("blockdiag", "interval")
@@ -65,7 +74,7 @@ def test_stability_json_roundtrip():
 
 def test_rfsm_json_roundtrip(worked_case):
     report = study_report(worked_case)
-    payload = json.loads(rfsm_report_json(report, {"operator": "worked_A", "domain": "interval"}))
+    payload = json.loads(write(report, "json", {"operator": "worked_A", "domain": "interval"}))
     assert payload["records"] == [rec._asdict() for rec in report.records]
     assert payload["kind"] == "rfsm-study"
     assert (payload["operator"], payload["domain"]) == ("worked_A", "interval")
@@ -75,7 +84,7 @@ def test_rfsm_json_roundtrip(worked_case):
 
 def test_rfsm_csv_floats_reparse_exactly(worked_case):
     report = study_report(worked_case)
-    lines = rfsm_report_csv(report).splitlines()
+    lines = write(report, "csv", {}).splitlines()
     header = lines[0].split(",")
     for line, rec in zip(lines[1:], report.records):
         cells = dict(zip(header, line.split(",")))
@@ -86,11 +95,11 @@ def test_rfsm_csv_floats_reparse_exactly(worked_case):
 
 
 def test_reports_are_deterministic(worked_case):
-    a = stability_report_json(scan_report(), {})
-    b = stability_report_json(scan_report(), {})
+    a = write(scan_report(), "json", {})
+    b = write(scan_report(), "json", {})
     assert a == b
-    c = rfsm_report_csv(study_report(worked_case))
-    d = rfsm_report_csv(study_report(worked_case))
+    c = write(study_report(worked_case), "csv", {})
+    d = write(study_report(worked_case), "csv", {})
     assert c == d
 
 
@@ -104,13 +113,13 @@ def test_non_finite_cells_raise_a_numeric_error(value, worked_case):
     scan = StabilityReport(scan.tau_rel, (first, *scan.records[1:]))
     u = SupportedVector(1, {(0,): complex(1.0, value)})
     writers = [
-        lambda: rfsm_report_csv(study),
-        lambda: rfsm_report_json(study, {}),
-        lambda: stability_report_csv(scan),
-        lambda: stability_report_json(scan, {}),
-        lambda: solution_csv(u),
-        lambda: solution_json(u, {}),
+        lambda: write(study, "csv", {}),
+        lambda: write(study, "json", {}),
+        lambda: write(scan, "csv", {}),
+        lambda: write(scan, "json", {}),
+        lambda: write(u, "csv", {}),
+        lambda: write(u, "json", {}),
     ]
-    for write in writers:
+    for writer in writers:
         with pytest.raises(NonFiniteResultError, match="not a finite double"):
-            write()
+            writer()

@@ -100,9 +100,9 @@ def file_name(argv: list[str]) -> str:
 
 def main(args: list[str], prelude: str = "") -> int:
     """Run every invocation into OUT_DIR; `prelude`, Python code, runs first in each."""
-    if len(args) != 1:
+    if len(args) != 1 or args[0].startswith("-"):  # an option, --help too, is no OUT_DIR
         print("usage: python tools/pinned_outputs.py OUT_DIR", file=sys.stderr)
-        return 2
+        return 0 if args in (["-h"], ["--help"]) else 2
     out_dir = Path(args[0])
     out_dir.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(SRC))

@@ -2,7 +2,8 @@
 
 Configs are JSON files; exact rationals are "p/q" strings, complex scalars
 are "re" or "re+imi" strings.  Outputs are byte-deterministic for a fixed
-config at a fixed BLAS thread count.  Exit status: 0 success, 2 invalid
+config at a fixed BLAS thread count, except the last digits of some sparse
+sigma_min (linalg.sparse_extremes).  Exit status: 0 success, 2 invalid
 configuration, unwritable output or out of memory, 3 numeric failure,
 130 interrupted.
 """
@@ -49,11 +50,11 @@ from .operators import (
 )
 from .reports import write
 from .rfsm import (
+    _solve_window,
     choose_parameters,
     convergence_study,
     reference_tail_bound,
     rfsm_solve,
-    rfsm_solve_with_residual,
 )
 from .sections import _check_dense_budget, _check_solve_budget
 from .sections import rfsm_section  # noqa: F401  (bench/test_bench.py checks tracing rebinds it)
@@ -423,7 +424,7 @@ def _cmd_solve_rfsm(args) -> int:
         )
         n, m, delta = params.n, params.m, params.delta
 
-    u, residual = rfsm_solve_with_residual(operator, rhs, domain, m, n)
+    cols, x, residual = _solve_window(operator, rhs, domain, m, n)
     if delta is not None and residual >= delta:
         raise NoFeasibleMError(
             f"least-squares residual {residual:.6g} does not meet delta={delta:.6g}"
@@ -431,7 +432,7 @@ def _cmd_solve_rfsm(args) -> int:
     meta = {"n": n, "m": m, "residual": residual}
     if delta is not None:
         meta["delta"] = delta
-    _emit(write(u, args.format, meta), args.out)
+    _emit(write(SupportedVector.from_array(cols, x), args.format, meta), args.out)
     return EXIT_OK
 
 

@@ -52,17 +52,26 @@ def sparse_extremes(rows, cols, values, size: int) -> tuple[float, float] | None
     sigma_min is 1/sqrt(lambda_max) of A^-1 A^-H, applied through two solves
     with a sparse LU of A; sigma_max is sqrt(lambda_max) of A^H A.  Both
     eigenvalues come from Lanczos (ARPACK) to machine precision from a fixed
-    start vector, so repeated runs give the same doubles.  A matrix whose
-    values all have zero imaginary part is factored and iterated in float64
-    (a real LU, the symmetric real Lanczos driver); any other in complex128.
-    None means the LU is exactly singular, ARPACK failed, or a result is not
-    finite; the caller then falls back to the dense SVD.
+    start vector, so repeated runs give the same doubles, except that on
+    some windows (worked_Aprime's n = 346 and 373) sigma_min varies in its
+    last bits from call to call under the optimised BLAS kernels.  A matrix
+    whose values all have zero imaginary part is factored and iterated in
+    float64 (a real LU, the symmetric real Lanczos driver); any other in
+    complex128.  None means an entry lies past 2^+-500, the LU is exactly
+    singular, ARPACK failed or printed an error, or a result is not finite;
+    the caller then falls back to the dense SVD.
     """
-    # scipy is imported here so that importing the package does not load it.
+    # scipy and tempfile are imported here so that importing the package does not load them.
+    import tempfile
     from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
     values = np.asarray(values)
+    # SuperLU wrote out of bounds once its elimination overflowed (entries of 1e240 beside
+    # 1e120): entries past 2^+-500, whose products may leave a double's range, go dense.
+    magnitudes = np.abs(values[values != 0])
+    if magnitudes.size and not 2.0**-500 <= magnitudes.min() <= magnitudes.max() <= 2.0**500:
+        return None
     dtype = complex if values.imag.any() else float
     a = csc_matrix(
         (values if dtype is complex else values.real, (rows, cols)),
@@ -80,15 +89,25 @@ def sparse_extremes(rows, cols, values, size: int) -> tuple[float, float] | None
     )
     gram = LinearOperator((size, size), matvec=lambda x: ah @ (a @ x), dtype=dtype)
     v0 = np.random.default_rng(0).standard_normal(size).astype(dtype)
-    try:
-        lam_inv, lam = (
-            eigsh(op, k=1, which="LA", tol=0, v0=v0, return_eigenvectors=False)[0]
-            for op in (inverse_gram, gram)
-        )
-    except ArpackError:
-        return None
+    # LAPACK inside ARPACK prints its error text to file descriptor 1, where the
+    # report goes: the text lands in a temporary file, and any of it declines.
+    # Opened first, the file takes descriptor 1 itself when that is closed.
+    with tempfile.TemporaryFile() as sink:
+        saved = os.dup(1)
+        os.dup2(sink.fileno(), 1)
+        try:
+            lam_inv, lam = (
+                eigsh(op, k=1, which="LA", tol=0, v0=v0, return_eigenvectors=False)[0]
+                for op in (inverse_gram, gram)
+            )
+        except ArpackError:
+            return None
+        finally:
+            os.dup2(saved, 1)
+            os.close(saved)
+        printed = os.fstat(sink.fileno()).st_size
     lam_inv, lam = float(lam_inv.real), float(lam.real)
-    if not (0.0 < lam_inv < math.inf and 0.0 <= lam < math.inf):
+    if printed or not (0.0 < lam_inv < math.inf and 0.0 <= lam < math.inf):
         return None
     return 1.0 / math.sqrt(lam_inv), math.sqrt(lam)
 

@@ -272,26 +272,18 @@ class SupportedVector(Value, eq=False):
         kept = map(tuple, index_set.array[nonzero].tolist())
         return cls(index_set.dimension, dict(zip(kept, values[nonzero].tolist())))
 
-    def __add__(self, other: "SupportedVector") -> "SupportedVector":
+    def __sub__(self, other: "SupportedVector") -> "SupportedVector":
+        """self - other: self's entries in order, less any that cancel, then other's new points."""
         if self.dimension != other.dimension:
             raise ValueError("dimension mismatch")
         out = dict(self.entries)
         for p, v in other.entries.items():
-            w = out.get(p, 0j) + v
+            w = out.get(p, 0j) - v
             if w == 0:
                 out.pop(p, None)
             else:
                 out[p] = w
         return SupportedVector(self.dimension, out)
-
-    def __sub__(self, other: "SupportedVector") -> "SupportedVector":
-        return self + (-1.0) * other
-
-    def __rmul__(self, scalar) -> "SupportedVector":
-        s = complex(scalar)
-        if s == 0:
-            return SupportedVector(self.dimension, {})
-        return SupportedVector(self.dimension, {p: s * v for p, v in self.entries.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ __all__ = [
     "coupling_row_cutoff",
     "overflow_norm",
     "rfsm_solve",
-    "rfsm_solve_with_residual",
     "solution_bound",
     "choose_parameters",
     "normal_equations_solve",
@@ -109,18 +108,6 @@ def _solve_window(
     return section.cols, x, residual
 
 
-def rfsm_solve_with_residual(
-    operator: OperatorSpec,
-    rhs: SupportedVector,
-    domain: StarlikeDomain,
-    m: int,
-    n: int,
-) -> tuple[SupportedVector, float]:
-    """Least-squares solution of the rectangular window system and its residual norm."""
-    cols, x, residual = _solve_window(operator, rhs, domain, m, n)
-    return SupportedVector.from_array(cols, x), residual
-
-
 def rfsm_solve(
     operator: OperatorSpec,
     rhs: SupportedVector,
@@ -129,7 +116,7 @@ def rfsm_solve(
     n: int,
 ) -> SupportedVector:
     """Minimum-norm least-squares solution of the rectangular window system."""
-    return rfsm_solve_with_residual(operator, rhs, domain, m, n)[0]
+    return SupportedVector.from_array(*_solve_window(operator, rhs, domain, m, n)[:2])
 
 
 def solution_bound(

@@ -663,6 +663,95 @@ def test_two_pool_scan_raises_the_first_failing_windows_error():
         assert pooled.startswith(f"section at n={k} has non-finite singular values")
 
 
+_ON_CORES = r"""
+import sys
+from finsec import cli, fsm, linalg
+
+linalg._free_cores = lambda: int(sys.argv[1])
+fsm.POOL_MIN_POINTS = 0
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def _five_point(center: dict, neighbour: dict) -> dict:
+    """A 2-D five-point operator with one rule on its diagonal and one on the other four."""
+    offsets = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    return {"variant": "band_diagonals", "dimension": 2,
+            "diagonals": [{"offset": [0, 0], "rule": center},
+                          *({"offset": list(d), "rule": neighbour} for d in offsets)]}
+
+
+def _table(entry: str, default: str) -> dict:
+    return {"kind": "table", "default": default, "entries": {"3;0": entry}}
+
+
+def _constant(value: str) -> dict:
+    return {"kind": "constant", "value": value}
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def _scan_json(operator: dict, tmp_path, cores: int, env=None) -> str:
+    """stdout of `scan --nmin 11 --nmax 12 --format json` on `square` in a fresh
+    interpreter on `cores` cores, checked for exit 0, empty stderr and strict JSON."""
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps(operator))
+    argv = ["scan", "--operator", str(op), "--omega", "square", "--nmin", "11", "--nmax", "12",
+            "--format", "json"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _ON_CORES, str(cores), *argv],
+        env={**_one_blas_thread_env(), **(env or {})}, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, ""), cores
+    json.loads(proc.stdout, parse_constant=_reject_constant)
+    return proc.stdout
+
+
+# On windows n = 11 and 12 (529 and 625 points) of these, LAPACK inside ARPACK's
+# Lanczos prints "** On entry to DLASCL parameter number  4 had an illegal value".
+# The first three have entries past 2^+-500 and now skip ARPACK; the last does not.
+@pytest.mark.parametrize("operator", [
+    _five_point(_table("1e300", "1"), _table("1e300", "1")),
+    _five_point(_table("1e-200", "1"), _table("1e-200", "1")),
+    _five_point(_table("1e-200", "1e-200"), _table("1e-200", "1e-200")),
+    _five_point(_constant("1"), _constant("1e120")),
+])
+def test_arpack_error_text_stays_off_stdout(tmp_path, operator):
+    # serially, then in a two-worker pool
+    outputs = [_scan_json(operator, tmp_path, cores) for cores in (1, 2)]
+    assert "DLASCL" not in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
+def test_window_whose_sparse_factor_would_overflow_is_scanned_dense(tmp_path):
+    # SuperLU wrote out of bounds factoring window n = 12 of this operator, so the process
+    # died by SIGSEGV; glibc's MALLOC_PERTURB_ made that happen on every run.
+    values = [((0, 0), "1e-300"), ((1, 0), "1e300"), ((-1, 0), "1e150"), ((0, 1), "1e150"),
+              ((0, -1), "1e-300")]
+    operator = {"variant": "band_diagonals", "dimension": 2,
+                "diagonals": [{"offset": list(d), "rule": _constant(v)} for d, v in values]}
+    _scan_json(operator, tmp_path, 1, env={"MALLOC_PERTURB_": "165"})
+
+
+def test_sparse_scan_with_descriptor_1_closed_writes_its_out_file(tmp_path):
+    # the capture of descriptor 1 around ARPACK must not need an open one
+    argv = ["scan", "--operator", "lap5.json", "--omega", "square", "--nmin", "11", "--nmax", "12"]
+    outputs = []
+    for prelude in ("", "import os; os.close(1)\n"):
+        out = tmp_path / f"out{len(outputs)}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-c", prelude + _ON_CORES, "1", *argv, "--out", str(out)],
+            cwd=ROOT / "tools", env=_one_blas_thread_env(), capture_output=True, text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), prelude
+        outputs.append(out.read_text())
+    assert outputs[0] == outputs[1]
+
+
 def test_scanned_window_refused_before_it_is_built(tmp_path, monkeypatch, capsys):
     def never(*args):
         raise AssertionError("lattice_section called for an over-budget window")
@@ -1618,7 +1707,7 @@ def test_pinned_and_benchmark_invocations_parse(tmp_path):
     invocations = list(runpy.run_path(ROOT / "tools" / "pinned_outputs.py")["INVOCATIONS"])
     workloads = runpy.run_path(ROOT / "bench" / "workloads.py", run_name="workloads")["WORKLOADS"]
     invocations += [w.prepare(0, False, tmp_path)[0] for w in workloads.values()]
-    assert len(invocations) == 28 + 4
+    assert len(invocations) == 29 + 4
     parser = cli.build_parser()
     for argv in invocations:
         parser.parse_args(argv)
@@ -1709,8 +1798,6 @@ UNREACHED = {
     "fsm.py:adjacency_section_invertible": ACCEPTANCE,
     "linalg.py:min_singular_value": ACCEPTANCE,
     "operators.py:OperatorSpec.apply": ACCEPTANCE,
-    "operators.py:SupportedVector.__add__": ACCEPTANCE,
-    "operators.py:SupportedVector.__rmul__": ACCEPTANCE,
     "operators.py:SupportedVector.__sub__": ACCEPTANCE,
     "operators.py:SupportedVector.get": ACCEPTANCE,
     "operators.py:SupportedVector.restrict": ACCEPTANCE,

@@ -505,3 +505,32 @@ def test_from_array_matches_entry_loop(dim, parts):
     assert list(got) == list(want)
     assert all(type(v) is complex for v in got.values())
     assert bits(list(got.values())) == bits(list(want.values()))
+
+
+def difference_by_scaled_sum(u, v):
+    """u + (-1) * v the way the vector sum once formed it: v scaled, then added entry by entry."""
+    out = dict(u.entries)
+    for p, w in v.entries.items():
+        s = out.get(p, 0j) + complex(-1.0) * w
+        if s == 0:
+            out.pop(p, None)
+        else:
+            out[p] = s
+    return SupportedVector(u.dimension, out)
+
+
+_ENTRY = st.sampled_from([1.0, -2.5, 0.5 + 1j, -1e-300j, 1e150, 3.0])
+
+
+@given(
+    st.dictionaries(st.integers(-3, 3), _ENTRY, max_size=6),
+    st.dictionaries(st.integers(-3, 3), _ENTRY, max_size=6),
+)
+@settings(max_examples=100, deadline=None)
+def test_difference_keeps_the_entry_order_and_norm_of_the_scaled_sum(a, b):
+    u, v = SupportedVector.from_entries(1, a), SupportedVector.from_entries(1, b)
+    got, want = u - v, difference_by_scaled_sum(u, v)
+    # u's points in order, less any that cancel (u - u cancels all), then v's new points
+    assert list(got.entries) == list(want.entries)
+    assert got.norm() == want.norm()
+    assert (u - u).entries == {}

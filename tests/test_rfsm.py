@@ -40,7 +40,7 @@ from finsec import cli, fsm, linalg, rfsm, sections
 from finsec.errors import NonFiniteResultError
 from finsec.geometry import IndexSet
 from finsec.operators import euclidean_norm
-from finsec.rfsm import coupling_row_cutoff, rfsm_solve_with_residual
+from finsec.rfsm import _solve_window, coupling_row_cutoff
 from conftest import random_band_operator
 from oracles import identity_operator
 
@@ -497,7 +497,8 @@ def serial_study_records(
     records = []
     for n in ns:
         m = coupling_row_cutoff(coupling, n, width, explicit)
-        u, residual = rfsm_solve_with_residual(operator, rhs, domain, m, n)
+        cols, x, residual = _solve_window(operator, rhs, domain, m, n)
+        u = SupportedVector.from_array(cols, x)
         bound = None
         if inverse_bound is not None:
             overflow = overflow_norm(operator, domain, m, n)

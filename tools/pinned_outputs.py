@@ -14,9 +14,12 @@ given by eight points, three of them not vertices, ``poly24.json``,
 12 distinct nonzero points p/20 with p drawn from [-20, 20]^3 after
 ``random.seed(1)``, and their negatives, ``poly48.json``, the first
 24 such points, poly24's 12 among them, and their negatives,
-``octa.json``, the octahedron |x| + |y| + |z| <= 1, and ``table.json``,
-a 1-D operator with a table-rule diagonal, composed with a shift) are
-named by relative paths.  Its file in OUT_DIR holds the exit code, stdout and
+``octa.json``, the octahedron |x| + |y| + |z| <= 1, ``table.json``,
+a 1-D operator with a table-rule diagonal, composed with a shift, and
+``huge.json``, the 2-D five-point operator whose every diagonal is 1 but
+1e300 at the point (3, 0), whose sparse-sized windows of 529 and 625
+points hold an entry past 2^500 and so go to the dense SVD) are named by
+relative paths.  Its file in OUT_DIR holds the exit code, stdout and
 stderr.  finsec's outputs are byte-deterministic at a fixed BLAS thread
 count, so running this on two checkouts and comparing with ``diff -r``
 shows every output byte a change moves; copy the ``.json`` inputs along
@@ -85,6 +88,9 @@ INVOCATIONS = (
         "scan", "--operator", "lap7.json", "--omega", "poly48.json", "--nmax", "3",
         "--format", "json",
     ],
+    # sparse-sized windows with an entry past 2^500: the dense SVD decides
+    ["scan", "--operator", "huge.json", "--omega", "square", "--nmin", "11", "--nmax", "12",
+     "--format", "json"],
     # a 2-D operator on a 1-D domain: exit 2 and one line naming both dimensions
     ["scan", "--example", "diamond", "--omega", "interval", "--nmax", "3"],
     # exit 2 at the window budget, after counting the rows up to it

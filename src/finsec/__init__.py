@@ -47,13 +47,11 @@ from .linalg import (
 from .operators import (
     AdjacencyGraph,
     BandDiagonals,
-    BlockPeriodic,
-    ConstantRule,
     OperatorSpec,
-    PeriodicRule,
     Shift,
     SupportedVector,
     TableRule,
+    block_periodic,
     compose_shift,
 )
 from .reports import RfsmRecord, RfsmReport, StabilityRecord, StabilityReport

@@ -23,13 +23,14 @@ from .linalg import TAU_REL_DEFAULT, invertible
 from .operators import (
     AdjacencyGraph,
     BandDiagonals,
-    BlockPeriodic,
     OperatorSpec,
     Shift,
     SupportedVector,
+    block_periodic,
     compose_shift,
 )
 from .reports import StabilityRecord, StabilityReport
+from .rfsm import convergence_study
 from .sections import _check_edge_family_budget
 
 __all__ = [
@@ -212,8 +213,6 @@ def _no_stable_residue_mod3(case: ExampleCase, n_max: int, scan: ScanFn) -> Chec
 
 
 def _rfsm_band_error_bound(case: ExampleCase, n_max: int, scan: ScanFn) -> CheckResult:
-    from .rfsm import convergence_study  # local import to avoid a cycle
-
     report = convergence_study(
         case.operator,
         case.rhs,
@@ -269,7 +268,7 @@ def _matches_shifted_base(case: ExampleCase, n_max: int, scan: ScanFn) -> CheckR
 
 
 def _worked_base_operator() -> BandDiagonals:
-    return BlockPeriodic.from_blocks(3, {0: BLOCK_B, 1: BLOCK_C})
+    return block_periodic(3, {0: BLOCK_B, 1: BLOCK_C})
 
 
 def _worked_error_bound(n: int) -> float:

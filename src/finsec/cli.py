@@ -38,14 +38,12 @@ from .linalg import NORM_CAP_DEFAULT, TAU_REL_DEFAULT
 from .operators import (
     AdjacencyGraph,
     BandDiagonals,
-    BlockPeriodic,
-    ConstantRule,
     OperatorSpec,
-    PeriodicRule,
     Shift,
     SupportedVector,
     TableRule,
     as_point,
+    block_periodic,
     compose_shift,
 )
 from .reports import write
@@ -205,11 +203,11 @@ def load_domain(source: str) -> StarlikeDomain:
 def _parse_rule(rule: _Field, dimension: int):
     kind = rule["kind"].expect(str)
     if kind == "constant":
-        return ConstantRule(_scalar(rule["value"]))
+        return TableRule((), _scalar(rule["value"]))
     if kind == "periodic":
         table = {k: _scalar(v) for k, v in rule["table"].by_point(dimension).items()}
         period = [q.expect(int) for q in rule["period"].elements()]
-        return PeriodicRule.from_mapping(period, table)
+        return TableRule.from_mapping(table, dimension=len(period), period=period)
     if kind == "table":
         entries = {k: _scalar(v) for k, v in rule["entries"].by_point(dimension).items()}
         return TableRule.from_mapping(entries, _scalar(rule.get("default", 0)), dimension)
@@ -232,7 +230,7 @@ def parse_operator(config: _Field) -> OperatorSpec:
             t: [[_scalar(v) for v in row.elements()] for row in mat.elements()]
             for (t,), mat in config["blocks"].by_point(1).items()
         }
-        return BlockPeriodic.from_blocks(config["block_size"].expect(int), blocks)
+        return block_periodic(config["block_size"].expect(int), blocks)
     if variant == "adjacency":
         dim = config.get("dimension", 1).expect(int)
         if "generator" in config:
@@ -250,10 +248,6 @@ def parse_operator(config: _Field) -> OperatorSpec:
         inner = parse_operator(config["inner"])
         return compose_shift(inner, _point(config["step"], inner.dimension))
     raise ValueError(f"unknown operator variant {variant!r}")
-
-
-def load_operator(source: str) -> OperatorSpec:
-    return parse_operator(_read_config(source))
 
 
 def load_rhs(source: str) -> SupportedVector:
@@ -291,7 +285,7 @@ def _resolve_case(args, n_max: int) -> tuple[OperatorSpec, StarlikeDomain, Examp
         return case.operator, omega or case.domain, case, args.example
     if not args.operator:
         raise ValueError("provide --example or --operator")
-    operator = load_operator(args.operator)
+    operator = parse_operator(_read_config(args.operator))
     if not args.omega:
         raise ValueError("--omega is required with --operator")
     return operator, _domain_for(operator, load_domain(args.omega)), None, Path(args.operator).stem

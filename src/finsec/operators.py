@@ -10,7 +10,7 @@ adjacency graph is its edge array alone, read through one swap of edge ends.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, partial
+from functools import cached_property
 from math import isfinite, sqrt
 from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
@@ -24,14 +24,12 @@ from .geometry import IndexSet, Point, StarlikeDomain
 __all__ = [
     "OperatorSpec",
     "BandDiagonals",
-    "BlockPeriodic",
     "AdjacencyGraph",
     "Shift",
-    "ConstantRule",
-    "PeriodicRule",
     "TableRule",
     "SupportedVector",
     "as_point",
+    "block_periodic",
     "compose_shift",
     "euclidean_norm",
 ]
@@ -171,17 +169,6 @@ class TableRule(Value):
         """Rule i -> self(i - step); re-indexes a diagonal moved by a shift."""
         moved = {_add(k, step): v for k, v in self.table}
         return TableRule.from_mapping(moved, self.default, len(step), self.period)
-
-
-def _periodic(period: Sequence[int], table: Mapping) -> TableRule:
-    """The rule of row-periodic coefficients, with `table`'s keys taken mod `period`."""
-    return TableRule.from_mapping(table, dimension=len(period), period=period)
-
-
-# Constructors under the names configs and callers use for these rule kinds;
-# a constant is an empty table with its value as the default.
-ConstantRule = partial(TableRule, ())
-PeriodicRule = SimpleNamespace(from_mapping=_periodic)
 
 
 # ---------------------------------------------------------------------------
@@ -347,13 +334,13 @@ class BandDiagonals(OperatorSpec, Value):
                 raise ValueError(f"diagonal offset {point} is given twice")
             seen.add(point)
             if not isinstance(rule, TableRule):
-                rule = ConstantRule(complex(rule))
+                rule = TableRule((), complex(rule))
             if not rule.is_trivial():
                 items.append((point, rule))
         return cls(dimension, tuple(sorted(items, key=lambda kv: kv[0])))
 
 
-def _block_periodic(block_size: int, blocks: Mapping[int, Sequence]) -> BandDiagonals:
+def block_periodic(block_size: int, blocks: Mapping[int, Sequence]) -> BandDiagonals:
     """1-D operator assembled from q x q blocks repeating along block diagonals.
 
     Block t (a block-column offset) couples block row s to block column
@@ -375,19 +362,16 @@ def _block_periodic(block_size: int, blocks: Mapping[int, Sequence]) -> BandDiag
             for c, v in enumerate(row):
                 if v != 0:
                     tables.setdefault(r - c - q * int(t), {})[r + start] = v
-    rules = {d: PeriodicRule.from_mapping((q,), table) for d, table in tables.items()}
+    rules = {d: TableRule.from_mapping(table, period=(q,)) for d, table in tables.items()}
     return BandDiagonals.from_rules(1, rules)
 
 
 def _shift_by(step, dimension: int = 1) -> BandDiagonals:
     """Translation by a fixed lattice vector: a_{ij} = 1 iff i - j = step."""
-    return BandDiagonals.from_rules(
-        dimension, {as_point(step, dimension): ConstantRule(1.0 + 0j)}
-    )
+    return BandDiagonals.from_rules(dimension, {as_point(step, dimension): 1})
 
 
-# Factories under the names configs and callers use for these operator kinds.
-BlockPeriodic = SimpleNamespace(from_blocks=_block_periodic)
+# Spelled Shift.by because the acceptance gate, tests/test_acceptance.py, calls it so.
 Shift = SimpleNamespace(by=_shift_by)
 
 

@@ -8,7 +8,6 @@ import pytest
 
 from finsec import (
     BandDiagonals,
-    PeriodicRule,
     TableRule,
     build_example,
     builtin_domain,
@@ -40,6 +39,11 @@ def worked_prime_case():
     return build_example("worked_Aprime")
 
 
+def periodic_rule(period, table) -> TableRule:
+    """The rule of row-periodic coefficients: `table`'s keys read modulo `period`."""
+    return TableRule.from_mapping(table, dimension=len(period), period=period)
+
+
 def random_band_operator(rng: np.random.Generator, width: int) -> BandDiagonals:
     """1-D band operator with random small-integer coefficient rules."""
     rules = {}
@@ -52,7 +56,7 @@ def random_band_operator(rng: np.random.Generator, width: int) -> BandDiagonals:
             table = {
                 (r,): int(rng.integers(-3, 4)) for r in range(period)
             }
-            rules[offset] = PeriodicRule.from_mapping((period,), table)
+            rules[offset] = periodic_rule((period,), table)
         else:
             table = {
                 (int(k),): int(rng.integers(-3, 4))

@@ -27,7 +27,6 @@ from fractions import Fraction
 
 from finsec import (
     BandDiagonals,
-    ConstantRule,
     SupportedVector,
     TableRule,
     UnboundedDomainError,
@@ -45,7 +44,7 @@ from finsec.fsm import inverse_norm
 def identity_operator(dimension: int = 1) -> BandDiagonals:
     """The identity on Z^dimension: the constant diagonal 1 at offset zero."""
     zero = (0,) * dimension
-    return BandDiagonals.from_rules(dimension, {zero: ConstantRule(1.0 + 0j)})
+    return BandDiagonals.from_rules(dimension, {zero: TableRule((), 1.0 + 0j)})
 
 
 def adjacency_diagonals(graph):

@@ -16,6 +16,7 @@ import pytest
 import finsec
 from finsec import catalog, cli, errors, fsm, geometry, linalg, sections
 from finsec.cli import main, parse_scalar
+from finsec.operators import TableRule
 
 
 def run_cli(args, capsys):
@@ -105,6 +106,29 @@ def test_oversized_dense_window_exits_2(tmp_path, monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert "9 x 9 needs 2592 bytes" in err and "Traceback" not in err
+
+
+def test_a_window_declined_by_the_sparse_route_is_charged_as_a_dense_block(
+    one_blas, monkeypatch, capsys
+):
+    # huge.json's entries pass 2^500, so its 529-point window n = 11 skips ARPACK and is
+    # decided by a dense SVD, on one BLAS thread as pinned; assemble charges that block
+    # before it allocates it
+    argv = ["scan", "--operator", str(ROOT / "tools" / "huge.json"), "--omega", "square",
+            "--nmin", "11", "--nmax", "11", "--format", "json"]
+    monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", 4 * 2**20)
+    assert run_cli(argv, capsys) == (2, "", (
+        "finsec: invalid configuration: dense window 529 x 529 needs 8954912 bytes, "
+        "over the 4194304-byte budget\n"
+    ))
+    monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", 8954912)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    pinned = ROOT / "tools" / "pinned" / (
+        "scan_operator_huge.json_omega_square_nmin_11_nmax_12_format_json.txt"
+    )
+    report = pinned.read_text().split("--- stdout\n")[1].split("--- stderr")[0]
+    assert json.loads(out)["records"] == json.loads(report)["records"][:1]
 
 
 def test_adjacency_solve_is_charged_for_its_edges_not_a_block(tmp_path, monkeypatch, capsys):
@@ -1405,6 +1429,51 @@ def test_all_operator_variants_parse(tmp_path, capsys):
     )
     flags = [row.split(",")[1] for row in out.splitlines()[1:]]
     assert flags == ["true", "false", "false"] * 3
+
+
+RULE_KINDS = {
+    "constant": (1, {"kind": "constant", "value": "2-1i"}, TableRule((), 2 - 1j)),
+    "periodic-1d": (
+        1, {"kind": "periodic", "period": [3], "table": {"0": "1", "2": "1/2"}},
+        TableRule.from_mapping({0: 1, 2: 0.5}, dimension=1, period=[3]),
+    ),
+    "periodic-2d": (
+        2, {"kind": "periodic", "period": [2, 3], "table": {"1;2": "4i", "0;0": "-1"}},
+        TableRule.from_mapping({(1, 2): 4j, (0, 0): -1}, dimension=2, period=[2, 3]),
+    ),
+    "table-1d": (
+        1, {"kind": "table", "entries": {"-2": "3", "5": "1"}},
+        TableRule.from_mapping({-2: 3, 5: 1}, 0, 1),
+    ),
+    "table-2d": (
+        2, {"kind": "table", "default": "1", "entries": {"3;0": "5"}},
+        TableRule.from_mapping({(3, 0): 5}, 1, 2),
+    ),
+    # the period's length is the table's dimension, so one of another length is refused
+    "period-1-in-2d": (
+        2, {"kind": "periodic", "period": [2], "table": {"0;0": "1"}},
+        "point (0, 0) does not have dimension 1",
+    ),
+    "period-3-in-2d": (
+        2, {"kind": "periodic", "period": [2, 2, 2], "table": {"0;0": "1"}},
+        "point (0, 0) does not have dimension 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("dim, rule, built", RULE_KINDS.values(), ids=RULE_KINDS.keys())
+def test_each_config_rule_kind_builds_its_table_rule(dim, rule, built, tmp_path, capsys):
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({"variant": "band_diagonals", "dimension": dim,
+                              "diagonals": [{"offset": [0] * dim, "rule": rule}]}))
+    if isinstance(built, str):
+        code, out, err = run_cli(
+            ["scan", "--operator", str(op), "--omega", "square", "--nmax", "2"], capsys
+        )
+        assert (code, out, err) == (2, "", f"finsec: invalid configuration: {built}\n")
+        return
+    ((_, diagonal),) = cli.parse_operator(cli._read_config(str(op))).diagonals
+    assert diagonal == built and hash(diagonal) == hash(built)
 
 
 def test_shift_composed_adjacency_exits_2(tmp_path, capsys):

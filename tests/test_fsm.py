@@ -17,7 +17,6 @@ from finsec import (
     GeneratorBoundError,
     InsufficientDataError,
     NonFiniteResultError,
-    PeriodicRule,
     Shift,
     SingularSectionError,
     SupportedVector,
@@ -37,7 +36,7 @@ from finsec.catalog import minimal_bound
 from finsec.fsm import VERDICT_NORM_CAP, VERDICT_SINGULAR, VERDICT_STABLE, section_extremes
 from finsec.linalg import TAU_REL_DEFAULT, singular_values
 from finsec.reports import write
-from conftest import one_blas_thread, random_band_operator
+from conftest import one_blas_thread, periodic_rule, random_band_operator
 from oracles import identity_operator, singular_value_extremes, window_swap_solve
 
 D_INT = [[1, 1, 1], [1, 1, 0], [1, 0, 0]]
@@ -390,7 +389,7 @@ def test_adjacency_sections_take_no_block_and_match_the_dense_route(case_id, dat
 def laplace_operator(diagonal):
     """5-point operator on Z^2: a period-[2,2] diagonal, -1 on the four neighbours."""
     table = dict(zip([(0, 0), (0, 1), (1, 0), (1, 1)], diagonal))
-    rules = {(0, 0): PeriodicRule.from_mapping((2, 2), table)}
+    rules = {(0, 0): periodic_rule((2, 2), table)}
     rules.update({d: -1 for d in ((1, 0), (-1, 0), (0, 1), (0, -1))})
     return BandDiagonals.from_rules(2, rules)
 
@@ -401,7 +400,7 @@ def complex_band_operator(rng, width):
         k: complex(*rng.normal(size=2)) for k in range(-width, width + 1) if k != 0
     }
     diagonal = {(r,): 2 * width + 1 + complex(*rng.normal(size=2)) for r in range(2)}
-    rules[0] = PeriodicRule.from_mapping((2,), diagonal)
+    rules[0] = periodic_rule((2,), diagonal)
     return BandDiagonals.from_rules(1, rules)
 
 

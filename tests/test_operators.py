@@ -10,10 +10,8 @@ from finsec import (
     BUILTIN_DOMAINS,
     AdjacencyGraph,
     BandDiagonals,
-    ConstantRule,
     GeneratorBoundError,
     IndexSet,
-    PeriodicRule,
     Shift,
     SupportedVector,
     TableRule,
@@ -24,7 +22,7 @@ from finsec import (
 )
 from finsec.errors import NonFiniteResultError
 from finsec.operators import euclidean_norm
-from conftest import random_band_operator
+from conftest import periodic_rule, random_band_operator
 from oracles import adjacency_diagonals, identity_operator
 
 BLOCK_B = ((1, 1, 0), (1, 0, 0), (0, 0, 0))
@@ -209,20 +207,19 @@ def test_from_rules_rejects_duplicate_offsets():
     # 1 and (1,) name the same diagonal; keeping both would make entry()
     # and assemble() disagree with apply(), which sums them
     with pytest.raises(ValueError, match="twice"):
-        BandDiagonals.from_rules(1, {1: ConstantRule(2), (1,): ConstantRule(3)})
+        BandDiagonals.from_rules(1, {1: TableRule((), 2), (1,): TableRule((), 3)})
 
 
 def test_constant_and_periodic_rules_are_table_rules():
     # a constant is an empty table with its value as default
-    assert ConstantRule(2) == TableRule((), 2) and hash(ConstantRule(2)) == hash(TableRule((), 2))
-    assert BandDiagonals.from_rules(1, {0: 2}).diagonals == (((0,), ConstantRule(2)),)
+    assert BandDiagonals.from_rules(1, {0: 2}).diagonals == (((0,), TableRule((), 2)),)
     # the period is part of a rule: residues read plainly are another rule
-    periodic = PeriodicRule.from_mapping((3, 2), {(0, 1): 1, (2, 0): 5j})
+    periodic = periodic_rule((3, 2), {(0, 1): 1, (2, 0): 5j})
     assert periodic != TableRule(periodic.table)
     # a shift by a period, or any shift of a constant, gives an equal rule
     assert periodic.shifted((3, -2)) == periodic and periodic.shifted((-6, 4)) == periodic
-    assert ConstantRule(2j).shifted((7,)) == ConstantRule(2j)
-    assert ConstantRule(-1).shifted((-4, 9)) == ConstantRule(-1)
+    assert TableRule((), 2j).shifted((7,)) == TableRule((), 2j)
+    assert TableRule((), -1).shifted((-4, 9)) == TableRule((), -1)
 
 
 def test_compose_shift_rejects_adjacency():
@@ -317,20 +314,20 @@ def bits(values):
 
 
 def rule_cases():
-    periodic_2d = PeriodicRule.from_mapping(
+    periodic_2d = periodic_rule(
         (2, 3), {(0, 0): 4, (1, 2): -0.0 + 1j, (1, 1): 0.5 - 2j}
     )
     table_2d = TableRule.from_mapping(
         {(0, 0): -2, (1, -1): 0.5 + 1j}, default=-1, dimension=2
     )
     rules = {
-        "constant": (1, ConstantRule(2.5 - 1j)),
-        "constant-negzero": (1, ConstantRule(-0.0)),
-        "periodic": (1, PeriodicRule.from_mapping((3,), {0: 1, 2: -0.0 - 0j})),
+        "constant": (1, TableRule((), 2.5 - 1j)),
+        "constant-negzero": (1, TableRule((), -0.0)),
+        "periodic": (1, periodic_rule((3,), {0: 1, 2: -0.0 - 0j})),
         "table": (1, TableRule.from_mapping({-2: 3, 0: 1j, 5: -0.0}, default=0.25)),
         "periodic-2d": (2, periodic_2d),
         "table-2d": (2, table_2d),
-        "constant-2d": (2, ConstantRule(1)),
+        "constant-2d": (2, TableRule((), 1)),
         # a key past int64 meets no point of an int64 array
         "table-past-int64": (1, TableRule.from_mapping({2**63: 5, 2**63 - 2: 2, -2: 1.5}, -0.5)),
         "table-empty": (1, TableRule.from_mapping({}, default=2 - 1j)),
@@ -368,11 +365,11 @@ def test_values_at_of_random_band_rules():
 
 
 def test_values_at_of_periods_past_any_dense_table():
-    rule = PeriodicRule.from_mapping((2**40, 2**40), {(3, 2**40 - 1): 2j})
+    rule = periodic_rule((2**40, 2**40), {(3, 2**40 - 1): 2j})
     points = np.array([[3, -1], [2**40 + 3, 2**41 - 1], [0, 0]], dtype=np.int64)
     assert bits(rule.values_at(points)) == bits([2j, 2j, 0j])
     with pytest.raises(ValueError, match="fit int64"):
-        PeriodicRule.from_mapping((2**63,), {0: 1})
+        periodic_rule((2**63,), {0: 1})
 
 
 @given(

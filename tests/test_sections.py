@@ -10,7 +10,6 @@ from finsec import (
     BandDiagonals,
     GeneratorBoundError,
     IndexSet,
-    PeriodicRule,
     Shift,
     SupportedVector,
     TableRule,
@@ -27,7 +26,7 @@ from finsec import (
 from finsec import fsm, sections
 from finsec.catalog import minimal_bound
 from finsec.sections import section_triplets
-from conftest import random_band_operator
+from conftest import periodic_rule, random_band_operator
 from oracles import adjacency_diagonals, identity_operator, in_dilation
 
 BLOCK_B = np.array([[1, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=float)
@@ -185,7 +184,7 @@ def test_overflow_blockdiag_odd_cut(interval):
 
 def gapped_operator_2d():
     """A 2-D operator whose stored offsets leave gaps in its band."""
-    alternating = PeriodicRule.from_mapping((2, 1), {(0, 0): 1, (1, 0): 2})
+    alternating = periodic_rule((2, 1), {(0, 0): 1, (1, 0): 2})
     return BandDiagonals.from_rules(
         2, {(0, 0): 3, (2, 0): -1, (0, -3): alternating, (-1, 2): 1j}
     )
@@ -273,7 +272,7 @@ def assert_same_triplets(got, expected):
 
 def laplace_operator_2d():
     table = {(0, 0): 4, (0, 1): 4.5, (1, 0): 5, (1, 1): 4.25}
-    rules = {(0, 0): PeriodicRule.from_mapping((2, 2), table)}
+    rules = {(0, 0): periodic_rule((2, 2), table)}
     rules.update({d: -1 for d in ((1, 0), (-1, 0), (0, 1))})
     rules[(0, -1)] = TableRule.from_mapping(
         {(0, 0): -2, (1, -1): 0.5 + 1j}, default=-1, dimension=2

@@ -3,8 +3,6 @@ import pytest
 from finsec import (
     AdjacencyGraph,
     BandDiagonals,
-    ConstantRule,
-    PeriodicRule,
     RfsmParameters,
     RfsmRecord,
     RfsmReport,
@@ -18,13 +16,14 @@ from finsec import (
 )
 from finsec.catalog import CheckResult
 from finsec.cli import _Field
+from conftest import periodic_rule
 
 
 def _instances():
     """One instance of each value class, built the way the library builds it."""
     domain = builtin_domain("interval")
     window = lattice_section(domain, 3)
-    operator = BandDiagonals.from_rules(1, {0: 3, 1: PeriodicRule.from_mapping((2,), {0: 1})})
+    operator = BandDiagonals.from_rules(1, {0: 3, 1: periodic_rule((2,), {0: 1})})
     report = stability_scan(operator, domain, range(1, 3))
     record = RfsmRecord(2, 4, 1e-12, 1.5, 2.0, None, None)
     return [
@@ -33,7 +32,7 @@ def _instances():
         _Field(3, "op.json", "diagonals[0]"),
         domain,
         window,
-        ConstantRule(2 + 0j),
+        TableRule((), 2 + 0j),
         operator.diagonals[1][1],
         TableRule.from_mapping({0: 1, 2: -1}, default=0.5),
         SupportedVector.from_entries(1, {0: 1, 1: 2j}),
@@ -52,12 +51,12 @@ IDENTITY = {"ExampleCase", "IndexSet", "SupportedVector", "AdjacencyGraph", "Sec
 
 
 def _kind(value) -> str:
-    """The class name, or for a table rule the constructor of its kind."""
+    """The class name, with a constant's or a periodic rule's kind after a table rule's."""
     if not isinstance(value, TableRule):
         return type(value).__name__
     if value.period is not None:
-        return "PeriodicRule"
-    return "TableRule" if value.table else "ConstantRule"
+        return "TableRule-periodic"
+    return "TableRule" if value.table else "TableRule-constant"
 
 
 @pytest.mark.parametrize("value", _instances(), ids=_kind)

@@ -54,7 +54,6 @@ from .rfsm import (
     reference_tail_bound,
     rfsm_solve,
 )
-from .sections import _check_dense_budget, _check_solve_budget
 from .sections import rfsm_section  # noqa: F401  (bench/test_bench.py checks tracing rebinds it)
 
 EXIT_OK = 0
@@ -291,13 +290,13 @@ def _resolve_case(args, n_max: int) -> tuple[OperatorSpec, StarlikeDomain, Examp
     return operator, _domain_for(operator, load_domain(args.omega)), None, Path(args.operator).stem
 
 
-def _resolve_rhs(args, case: ExampleCase | None, domain, m: int | None):
-    """--rhs, or the case's right-hand side over window m, whose charge the command has taken;
-    with m None, the function of a window that convergence_study takes."""
+def _resolve_rhs(args, case: ExampleCase | None):
+    """--rhs, or the case's right-hand side as a function of a window, which the
+    library reads only after charging that window."""
     if args.rhs:
         return load_rhs(args.rhs)
     if case is not None and case.rhs is not None:
-        return case.rhs if m is None else case.rhs(lattice_section(domain, m))
+        return case.rhs
     raise ValueError("provide --rhs (the selected source has no built-in right-hand side)")
 
 
@@ -368,9 +367,7 @@ def _cmd_example(args) -> int:
 
 def _cmd_solve_fsm(args) -> int:
     operator, domain, case, _ = _resolve_case(args, args.n)
-    _check_solve_budget(operator, domain, args.n)
-    rhs = _resolve_rhs(args, case, domain, args.n)
-    u = fsm_solve(operator, rhs, domain, args.n, tau_rel=args.tau_rel)
+    u = fsm_solve(operator, _resolve_rhs(args, case), domain, args.n, tau_rel=args.tau_rel)
     _emit(write(u, args.format, {"n": args.n}), args.out)
     return EXIT_OK
 
@@ -393,11 +390,8 @@ def _cmd_solve_rfsm(args) -> int:
     given = _explicit_window(args)
     reference_n = 64 if args.reference_n is None else args.reference_n  # read by --epsilon
     operator, domain, case, _ = _resolve_case(args, args.n if given else reference_n)
-    # the given solve, or the reference solve of --epsilon
-    m, n = (args.m, args.n) if given else (reference_n + operator.band_width(), reference_n)
-    _check_dense_budget(domain, m, n)
-    rhs = _resolve_rhs(args, case, domain, m)
-    delta = args.delta
+    rhs = _resolve_rhs(args, case)
+    m, n, delta = args.m, args.n, args.delta
     if not given:
         a_norm = args.a_norm or (case.operator_norm if case else None)
         a_inv = args.a_inv_norm or (case.inverse_bound if case else None)
@@ -406,7 +400,10 @@ def _cmd_solve_rfsm(args) -> int:
                 "--epsilon needs certified --a-norm and --a-inv-norm "
                 "(built in only for worked_A)"
             )
+        m, n = reference_n + operator.band_width(), reference_n  # the reference solve
         u_ref = rfsm_solve(operator, rhs, domain, m, n)
+        if not isinstance(rhs, SupportedVector):  # read over the reference rows, now charged
+            rhs = rhs(lattice_section(domain, m))
         params = choose_parameters(
             operator,
             rhs,
@@ -435,7 +432,7 @@ def _parse_coupling(text: str, nmin: int, nmax: int):
         return text, None
     if text.startswith("explicit:"):
         values = [int(v) for v in text.split(":", 1)[1].split(",") if v]
-        ns = list(range(nmin, nmax + 1))
+        ns = range(nmin, nmax + 1)
         if len(values) != len(ns):
             raise ValueError(
                 f"explicit coupling needs {len(ns)} row cut-offs, got {len(values)}"
@@ -450,8 +447,7 @@ def _parse_coupling(text: str, nmin: int, nmax: int):
 def _cmd_study(args) -> int:
     coupling, explicit = _parse_coupling(args.coupling, args.nmin, args.nmax)
     operator, domain, case, op_id = _resolve_case(args, max(args.nmax, args.reference_n))
-    # convergence_study charges every block before it builds a built-in right-hand side
-    rhs = _resolve_rhs(args, case, domain, None)
+    rhs = _resolve_rhs(args, case)
     certified = case.band_error_bound if case is not None and coupling == "band" else None
     report = convergence_study(
         operator,

@@ -26,7 +26,7 @@ import itertools
 import math
 import os
 import sys
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .linalg import (
 )
 from .operators import AdjacencyGraph, OperatorSpec, SupportedVector
 from .reports import StabilityRecord, StabilityReport
-from .sections import _check_solve_budget, _check_window_budget, assemble, section_triplets
+from .sections import _check_dense_budget, _check_window_budget, assemble, section_triplets
 
 __all__ = [
     "VERDICT_STABLE",
@@ -118,19 +118,18 @@ def section_extremes(
 
 def fsm_solve(
     operator: OperatorSpec,
-    rhs: SupportedVector,
+    rhs: SupportedVector | Callable[[IndexSet], SupportedVector],
     domain: StarlikeDomain,
     n: int,
     tau_rel: float = TAU_REL_DEFAULT,
 ) -> SupportedVector:
     """Solve the square truncated system over window n; zero off the window.
 
-    Checks the memory budget (sections._check_solve_budget) and the rhs dimension,
-    then takes inverse_norm's verdict.  An adjacency section's solve builds
-    no window: it moves each entry of b inside the window to its partner.
-    Other solves build window n once and reuse the block of a dense verdict.
+    An adjacency section's solve builds no window and is not charged: it
+    moves each entry of the vector rhs inside the window to its partner.
+    Other solves charge window n, then build it once, read rhs(window) when
+    rhs is a function of the window, and reuse the block of a dense verdict.
     """
-    _check_solve_budget(operator, domain, n)
     if isinstance(operator, AdjacencyGraph):
         support = rhs.support_in(domain, n)
         inverse_norm(operator, domain, n, tau_rel)
@@ -139,9 +138,10 @@ def fsm_solve(
         x = rhs.to_array(support) + 0.0
         moved = map(tuple, operator.swap(support).tolist())
         return SupportedVector(rhs.dimension, dict(zip(moved, x.tolist())))
+    _check_dense_budget(domain, n, n)
     _check_window_budget(operator, domain, n)
     window = lattice_section(domain, n)
-    b = rhs.to_array(window)
+    b = (rhs if isinstance(rhs, SupportedVector) else rhs(window)).to_array(window)
     smin, smax, block = _window_extremes(operator, window, n, tau_rel)
     _inverse_norm(n, smin, smax, tau_rel)
     x = np.linalg.solve(assemble(operator, window, window).data if block is None else block, b)
@@ -177,39 +177,34 @@ def stability_scan(
 ) -> StabilityReport:
     """Record invertibility and inverse norms over increasing window cut-offs.
 
-    Band windows are decided in forked workers under _windows's rule, the
-    dense budget holding a block of the largest window per worker.  When
-    that window reaches SPARSE_MIN_POINTS points and scipy is not loaded
-    yet, the windows below it, a prefix in n, go first to workers forked
-    before scipy is imported, here, while they work.  Each window runs the
-    kernels it would run serially, so the report's bytes do not depend on
-    the worker count.  Windows are read in n order: the first failing one
-    raises its own error, and no window begins after it (nor a second pool
-    after a failing window of the first); a worker that dies raises
-    NumericError.
+    A range of cut-offs is never listed, and a range increases when its
+    first two cut-offs do.  Windows grow with n, so a band operator's first
+    window over the budget (_check_window_budget) is found by bisection and
+    refused before any window runs.  Band windows are decided in forked
+    workers under _windows's rule, the dense budget holding a block of the
+    largest window per worker.  When that window reaches SPARSE_MIN_POINTS
+    points and scipy is not loaded yet, the windows below it, a prefix in
+    n, go first to workers forked before scipy is imported, here, while
+    they work.  Each window runs the kernels it would run serially, so the
+    report's bytes do not depend on the worker count.  Windows are read in
+    n order: the first failing one raises its own error, and no window
+    begins after it (nor a second pool after a failing window of the
+    first); a worker that dies raises NumericError.
     """
-    ns = list(n_values)
+    ns = n_values if isinstance(n_values, range) else list(n_values)
     if not ns:
         raise ValueError("empty n list")
-    if any(b <= a for a, b in zip(ns, ns[1:])):
+    if any(b <= a for a, b in zip(ns, ns[1:2] if isinstance(ns, range) else ns[1:])):
         raise ValueError("n values must be strictly increasing")
     records = []
     for n, (smin, smax) in zip(ns, _scan_extremes(operator, domain, ns, tau_rel)):
         ok = invertible(smin, smax, tau_rel)
-        records.append(
-            StabilityRecord(
-                n=n,
-                invertible=ok,
-                inverse_norm=max(1.0, 1.0 / smin) if ok else None,
-                sigma_min=smin,
-                sigma_max=smax,
-            )
-        )
+        records.append(StabilityRecord(n, ok, max(1.0, 1.0 / smin) if ok else None, smin, smax))
     return StabilityReport(tau_rel, tuple(records))
 
 
 def _scan_extremes(
-    operator: OperatorSpec, domain: StarlikeDomain, ns: list[int], tau_rel: float
+    operator: OperatorSpec, domain: StarlikeDomain, ns: Sequence[int], tau_rel: float
 ) -> list[tuple[float, float]]:
     """section_extremes of every n in ns, in n order, from forked workers or serially."""
 
@@ -218,6 +213,16 @@ def _scan_extremes(
 
     if isinstance(operator, AdjacencyGraph):  # decided in closed form, no window built
         return [job(n) for n in ns]
+
+    def refused(n: int) -> bool:
+        try:
+            _check_window_budget(operator, domain, n)
+        except ValueError:
+            return True
+        return False
+
+    if (first := bisect.bisect_left(ns, True, key=refused)) < len(ns):
+        _check_window_budget(operator, domain, ns[first])
     # counted no further than the largest window whose dense block fits twice
     points = _count_section(domain, ns[-1], math.isqrt(sections.DENSE_BUDGET_BYTES // 64))[0]
     fits = sections.DENSE_BUDGET_BYTES // sections._dense_bytes(points, points)
@@ -236,7 +241,7 @@ def _import_sparse() -> None:
 
 
 def _windows(
-    job: Callable, ns: list[int], domain: StarlikeDomain, fits: int, split: int = 0,
+    job: Callable, ns: Sequence[int], domain: StarlikeDomain, fits: int, split: int = 0,
     meanwhile: Callable[[], None] | None = None,
 ) -> Iterator:
     """job(n) of every n in ns, in n order; scans and studies both run theirs here.
@@ -265,7 +270,7 @@ def _windows(
 
 
 def _pooled_windows(
-    workers: int, part: list[int], job: Callable, meanwhile: Callable[[], None] | None = None
+    workers: int, part: Sequence[int], job: Callable, meanwhile: Callable[[], None] | None = None
 ) -> Iterator:
     """job(n) of part's windows, yielded in n order from `workers` forked
     processes; with `meanwhile`, which runs here once every window is

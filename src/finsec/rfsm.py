@@ -92,14 +92,14 @@ def overflow_norm(
 
 def _solve_window(
     operator: OperatorSpec,
-    rhs: SupportedVector,
+    rhs: SupportedVector | Callable[[IndexSet], SupportedVector],
     domain: StarlikeDomain,
     m: int,
     n: int,
 ) -> tuple[IndexSet, np.ndarray, float]:
     """Columns, least-squares solution and residual norm of the m x n window system."""
     section = rfsm_section(operator, domain, m, n)
-    b = rhs.to_array(section.rows)
+    b = (rhs if isinstance(rhs, SupportedVector) else rhs(section.rows)).to_array(section.rows)
     x = least_squares(section.data, b)
     with np.errstate(over="ignore", invalid="ignore"):
         residual = float(np.linalg.norm(section.data @ x - b))
@@ -110,12 +110,13 @@ def _solve_window(
 
 def rfsm_solve(
     operator: OperatorSpec,
-    rhs: SupportedVector,
+    rhs: SupportedVector | Callable[[IndexSet], SupportedVector],
     domain: StarlikeDomain,
     m: int,
     n: int,
 ) -> SupportedVector:
-    """Minimum-norm least-squares solution of the rectangular window system."""
+    """Minimum-norm least-squares solution of the rectangular window system;
+    a function rhs of the rows window is read after the block is charged."""
     return SupportedVector.from_array(*_solve_window(operator, rhs, domain, m, n)[:2])
 
 
@@ -249,11 +250,13 @@ def convergence_study(
     """Run rectangular solves over n_values and compare against a large reference solve.
 
     The reference solution is computed at (reference_n + band width,
-    reference_n) and stands in for the exact solution; reference_n must
-    dominate every requested n.  Every block is charged against
-    sections.DENSE_BUDGET_BYTES, and refused past it with ValueError, before
-    any window is built.  When inverse_bound is given the a-priori
-    norm bound is recorded wherever its hypothesis holds;
+    reference_n) and stands in for the exact solution.  Every block is
+    charged against sections.DENSE_BUDGET_BYTES, and refused past it with
+    ValueError, before any window is built, the reference block before
+    n_values is read.  Each n >= reference_n is refused as it is read, so
+    no more cut-offs are held than the reference.  A function rhs of a
+    window is then read once, over the tallest rows.  When inverse_bound is
+    given the a-priori norm bound is recorded wherever its hypothesis holds;
     certified_bound(n), when given, fills the certified error column.
 
     The reference and then the requested n, in ascending order, are solved
@@ -270,16 +273,7 @@ def convergence_study(
     failing window or record.  The windows not yet started are then
     cancelled.
     """
-    ns = sorted(set(int(n) for n in n_values))
-    if not ns:
-        raise ValueError("empty n list")
     width = operator.band_width()
-    if reference_n <= max(ns):
-        raise ValueError("reference_n must exceed every requested n")
-
-    couplings = {
-        n: coupling_row_cutoff(coupling, n, width, explicit_rows) for n in ns
-    }
     m_ref = reference_n + width
 
     def block(m: int, n: int) -> tuple[int, str, bool]:
@@ -287,7 +281,17 @@ def convergence_study(
         return sections._dense_charge(domain, max(1, m), max(1, n))
 
     # every block, the reference first, is charged before any window is built
-    for n, m in [(reference_n, m_ref), *couplings.items()]:
+    sections._check_budget(*block(m_ref, reference_n))
+    requested = set()
+    for n in map(int, n_values):
+        if n >= reference_n:
+            raise ValueError("reference_n must exceed every requested n")
+        requested.add(n)
+    if not requested:
+        raise ValueError("empty n list")
+    ns = sorted(requested)
+    couplings = {n: coupling_row_cutoff(coupling, n, width, explicit_rows) for n in ns}
+    for n, m in couplings.items():
         sections._check_budget(*block(m, n))
     if not isinstance(rhs, SupportedVector):
         rhs = rhs(lattice_section(domain, max([m_ref, *couplings.values()])))

@@ -135,14 +135,6 @@ def _check_window_budget(operator: OperatorSpec, domain: StarlikeDomain, n: int)
     _check_window(domain, n, per_point, f" and {diagonals} stored diagonals")
 
 
-def _check_solve_budget(operator: OperatorSpec, domain: StarlikeDomain, n: int) -> None:
-    """Charge a square solve over window n as a dense block.  An adjacency graph's
-    solve builds no window: about 36 + 16N bytes per edge (tracemalloc), under
-    the 19 + 64N that building the graph peaked at."""
-    if not isinstance(operator, AdjacencyGraph):
-        _check_dense_budget(domain, n, n)
-
-
 def _check_edge_family_budget(edges: int, dimension: int) -> None:
     """Refuse a built-in edge family of `edges` edges before it is generated.
 

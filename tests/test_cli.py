@@ -264,6 +264,81 @@ def test_solve_rfsm_reference_n_defaults_to_64_with_epsilon(capsys):
 
 
 @pytest.mark.parametrize(
+    "command, refusal",
+    [
+        (["solve-fsm", "--example", "worked_Aprime", "--n", "10"],
+         "dense window 21 x 21 needs 14112 bytes"),
+        (["solve-rfsm", "--example", "worked_A", "--n", "10", "--m", "13"],
+         "dense window 27 x 21 needs 18144 bytes"),
+        # the reference solve of --epsilon at reference n = 64
+        (["solve-rfsm", "--example", "worked_A", "--epsilon", "1e-3"],
+         "dense window 135 x 129 needs 557280 bytes"),
+    ],
+    ids=["solve-fsm", "solve-rfsm", "epsilon"],
+)
+def test_a_built_in_rhs_is_built_only_for_a_charged_window(
+    command, refusal, monkeypatch, capsys
+):
+    # the library reads a built-in right-hand side from a window it has charged
+    windows = []
+    for name in ("geometric_rhs", "_shifted_geometric_rhs"):
+        rhs = getattr(catalog, name)
+        monkeypatch.setattr(catalog, name, lambda w, rhs=rhs: windows.append(len(w)) or rhs(w))
+    monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", 1000)
+    assert run_cli(command, capsys) == (
+        2, "", f"finsec: invalid configuration: {refusal}, over the 1000-byte budget\n"
+    )
+    assert windows == []
+    monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", 2**31)
+    code, _, err = run_cli(command, capsys)
+    assert code == 0, err
+    assert windows  # the patched right-hand side is the one the command reads
+
+
+# A fresh interpreter that alone has 3 GiB of address space; it prints its own peak
+# resident set (VmHWM, in kB) once the command returns.
+_CAPPED = """\
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+from finsec.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+sys.exit(code)
+"""
+
+_OVER = ", over the 2147483648-byte budget"
+_SCAN_REFUSAL = f"window of 7255013 points and 5 stored diagonals needs 2147483848 bytes{_OVER}"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [
+        # the first window over the budget is n = 3627506
+        (["scan", "--nmax", "10000000"], _SCAN_REFUSAL),
+        (["scan", "--nmax", "100000000"], _SCAN_REFUSAL),
+        (["study", "--nmax", "10000000", "--reference-n", "10000001"],
+         f"dense window 20000009 x 20000003 needs 12800007680000864 bytes{_OVER}"),
+        (["study", "--nmax", "10000000", "--reference-n", "64"],
+         "reference_n must exceed every requested n"),
+        (["study", "--nmax", "10000000", "--reference-n", "10000001", "--coupling", "explicit:1"],
+         "explicit coupling needs 9999999 row cut-offs, got 1"),
+        (["study", "--nmax", "100000000", "--reference-n", "100000001"],
+         f"dense window 200000009 x 200000003 needs 1280000076800000864 bytes{_OVER}"),
+    ],
+    ids=["scan-1e7", "scan-1e8", "study-1e7", "study-reference-64", "study-explicit", "study-1e8"],
+)
+def test_a_scan_or_study_of_a_huge_nmax_is_refused_before_it_lists_its_cut_offs(argv, refusal):
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED, *argv, "--example", "worked_A"],
+        env=_one_blas_thread_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (2, f"finsec: invalid configuration: {refusal}\n")
+    assert int(proc.stdout) < 100 * 1024  # kB
+
+
+@pytest.mark.parametrize(
     "command", [["solve-fsm", "--n"], ["solve-rfsm", "--m", "200001", "--n"]]
 )
 def test_over_budget_window_refused_before_it_is_built(
@@ -657,11 +732,12 @@ for k in (5, 12):
     big = TableRule.from_mapping({(k, 0): 1.7e308}, default=1, dimension=2)
     operator = BandDiagonals.from_rules(2, {d: big for d in stencil})
 
-    def budget(operator, domain, n, k=k):
+    def failing(operator, domain, n, tau_rel, k=k):
         if n > k:
             raise ValueError(f"window n={n} is over the budget")
+        return extremes(operator, domain, n, tau_rel)
 
-    fsm._check_window_budget = budget
+    fsm.section_extremes = failing
     errors = []
     for cores in (2, 1):
         linalg._free_cores = lambda: cores
@@ -1776,7 +1852,7 @@ def test_pinned_and_benchmark_invocations_parse(tmp_path):
     invocations = list(runpy.run_path(ROOT / "tools" / "pinned_outputs.py")["INVOCATIONS"])
     workloads = runpy.run_path(ROOT / "bench" / "workloads.py", run_name="workloads")["WORKLOADS"]
     invocations += [w.prepare(0, False, tmp_path)[0] for w in workloads.values()]
-    assert len(invocations) == 29 + 4
+    assert len(invocations) == 31 + 4
     parser = cli.build_parser()
     for argv in invocations:
         parser.parse_args(argv)
@@ -1792,6 +1868,23 @@ def test_pinned_outputs_option_prints_usage_and_runs_nothing(option, code, tmp_p
     assert (proc.returncode, proc.stdout) == (code, "")
     assert proc.stderr == "usage: python tools/pinned_outputs.py OUT_DIR\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_pinned_invocation_past_its_timeout_is_written_as_exit_timeout(tmp_path, monkeypatch):
+    # a refusal that regressed into a long run then fails the byte comparison, by its file
+    def expired(argv, timeout, **kwargs):
+        assert timeout == 300
+        raise subprocess.TimeoutExpired(argv, timeout)
+
+    argv = ["scan", "--example", "worked_A", "--nmax", "10000000"]
+    write_pins = runpy.run_path(str(ROOT / "tools" / "pinned_outputs.py"))["main"]
+    monkeypatch.setitem(write_pins.__globals__, "INVOCATIONS", (argv,))
+    monkeypatch.setattr(subprocess, "run", expired)
+    assert write_pins([str(tmp_path)]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["scan_example_worked_A_nmax_10000000.txt"]
+    assert (tmp_path / "scan_example_worked_A_nmax_10000000.txt").read_text() == (
+        f"finsec {' '.join(argv)}\nexit timeout\n--- stdout\n--- stderr\n"
+    )
 
 
 LIBRARY = ROOT / "src" / "finsec"

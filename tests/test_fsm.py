@@ -164,6 +164,12 @@ def test_scan_requires_increasing_n(interval):
         stability_scan(identity_operator(), interval, [3, 2, 5])
 
 
+@pytest.mark.parametrize("n_values", [[2, 2], range(5, 1, -1)], ids=str)
+def test_scan_reads_a_range_as_increasing_when_its_first_two_are(n_values, interval):
+    with pytest.raises(ValueError, match="n values must be strictly increasing"):
+        stability_scan(identity_operator(), interval, n_values)
+
+
 def scan_with_cores(monkeypatch, cores, *args):
     """stability_scan with `cores` free cores, one BLAS thread and no break-even window
     size; serial scans take one thread too, since the thread count moves sigma's bytes."""
@@ -197,6 +203,25 @@ def test_pooled_scan_records_are_the_serial_bytes(case, ns, pools, monkeypatch, 
     assert write(pooled, "json", {}) == write(serial, "json", {})
 
 
+@pytest.mark.parametrize("n_values", [range(1, 10**18), list(range(1, 2000))], ids=["range", "list"])
+def test_scan_refuses_its_first_window_over_the_budget_before_any_runs(
+    n_values, interval, monkeypatch
+):
+    # worked_A's window n has 2n + 1 points at 296 bytes each, so n = 1689 is the first
+    # over the budget; windows grow with n, so a bisection finds it, and a range is not listed
+    def unreached(*args):
+        raise AssertionError("a window ran before the scan's refusal")
+
+    monkeypatch.setattr(fsm.sections, "DENSE_BUDGET_BYTES", 296 * 3378)
+    monkeypatch.setattr(fsm, "section_extremes", unreached)
+    with pytest.raises(ValueError) as excinfo:
+        stability_scan(build_example("worked_A").operator, interval, n_values)
+    assert str(excinfo.value) == (
+        "window of 3379 points and 5 stored diagonals needs 1000184 bytes, "
+        "over the 999888-byte budget"
+    )
+
+
 def test_pooled_scan_raises_the_first_failing_windows_error(pools, monkeypatch, interval):
     # window 5 overflows; every later window is refused at once, so it can fail first.
     # The 2-D cases, whose scans run in two pools, run in a fresh interpreter (test_cli.py).
@@ -204,11 +229,15 @@ def test_pooled_scan_raises_the_first_failing_windows_error(pools, monkeypatch, 
     big = TableRule.from_mapping({(k,): 1.7e308}, default=1, dimension=1)
     operator = BandDiagonals.from_rules(1, {d: big for d in (-1, 0, 1)})
 
-    def budget(operator, domain, n):
+    extremes = fsm.section_extremes
+
+    def failing(operator, domain, n, tau_rel):
+        # at window time: the scan's up-front budget bisection must not see it
         if n > k:
             raise ValueError(f"window n={n} is over the budget")
+        return extremes(operator, domain, n, tau_rel)
 
-    monkeypatch.setattr(fsm, "_check_window_budget", budget)
+    monkeypatch.setattr(fsm, "section_extremes", failing)
     errors = []
     for cores in (1, 2):
         with pytest.raises(NonFiniteResultError) as excinfo:

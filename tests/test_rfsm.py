@@ -237,6 +237,21 @@ def test_rfsm_residual_never_beats_zero_vector(interval):
         assert np.linalg.norm(section.data @ x - pb) <= np.linalg.norm(pb) + 1e-12
 
 
+@pytest.mark.parametrize("case_id", ["worked_A", "worked_Aprime"])
+def test_a_built_in_rhs_solves_as_its_vector_over_the_window(case_id):
+    # the solves read a function right-hand side over the window they charged
+    case = build_example(case_id)
+    operator, rhs, domain = case.operator, case.rhs, case.domain
+    for n in (1, 4, 7):
+        m = n + operator.band_width()
+        rows, cols = lattice_section(domain, m), lattice_section(domain, n)
+        solves = [rfsm_solve(operator, b, domain, m, n) for b in (rhs, rhs(rows))]
+        if case_id == "worked_Aprime":  # its windows n = 1 mod 3 are invertible
+            solves += [fsm.fsm_solve(operator, b, domain, n) for b in (rhs, rhs(cols))]
+        entries = [list(u.entries.items()) for u in solves]
+        assert entries[0::2] == entries[1::2]
+
+
 def test_band_completeness_entrywise(interval):
     rng = np.random.default_rng(6)
     for _ in range(6):
@@ -480,6 +495,20 @@ def test_study_rejects_small_reference(worked_case):
             range(2, 11),
             reference_n=10,
         )
+
+
+def test_study_charges_the_reference_before_it_reads_the_cut_offs(worked_case, monkeypatch):
+    def unread():
+        raise AssertionError("cut-offs read before the reference block was charged")
+        yield
+
+    monkeypatch.setattr(sections, "DENSE_BUDGET_BYTES", 10**6)
+    study = (worked_case.operator, worked_case.rhs, worked_case.domain, "band")
+    with pytest.raises(ValueError, match="dense window 1007 x 1001 needs"):
+        convergence_study(*study, unread(), reference_n=500)
+    # the first n at or past the reference is refused as it is read: never the rest
+    with pytest.raises(ValueError, match="reference_n must exceed every requested n"):
+        convergence_study(*study, itertools.count(1), reference_n=10)
 
 
 # ---------------------------------------------------------------------------

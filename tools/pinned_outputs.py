@@ -20,13 +20,15 @@ a 1-D operator with a table-rule diagonal, composed with a shift, and
 1e300 at the point (3, 0), whose sparse-sized windows of 529 and 625
 points hold an entry past 2^500 and so go to the dense SVD) are named by
 relative paths.  Its file in OUT_DIR holds the exit code, stdout and
-stderr.  finsec's outputs are byte-deterministic at a fixed BLAS thread
-count, so running this on two checkouts and comparing with ``diff -r``
-shows every output byte a change moves; copy the ``.json`` inputs along
-when the parent lacks them.  The outputs are kept in ``pinned/`` beside
-this script, and ``tests/test_cli.py`` reruns this script and compares
-them byte for byte.  It calls ``main`` with a ``prelude``, Python code run
-first in each invocation, that records which library functions run.
+stderr; an invocation still running after 300 s is killed, and its file
+says ``exit timeout``.  finsec's outputs are byte-deterministic at a
+fixed BLAS thread count, so running this on two checkouts and comparing
+with ``diff -r`` shows every output byte a change moves; copy the
+``.json`` inputs along when the parent lacks them.  The outputs are
+kept in ``pinned/`` beside this script, and ``tests/test_cli.py`` reruns
+this script and compares them byte for byte.  It calls ``main`` with a
+``prelude``, Python code run first in each invocation, that records which
+library functions run.
 """
 
 from __future__ import annotations
@@ -95,6 +97,10 @@ INVOCATIONS = (
     ["scan", "--example", "diamond", "--omega", "interval", "--nmax", "3"],
     # exit 2 at the window budget, after counting the rows up to it
     ["scan", "--operator", "lap7.json", "--omega", "octa.json", "--nmin", "1000", "--nmax", "1000"],
+    # exit 2 before any window runs: the first window over the budget is n = 3627506
+    ["scan", "--example", "worked_A", "--nmax", "10000000"],
+    # exit 2 at n = 64, before the cut-offs past it are read
+    ["study", "--example", "worked_A", "--nmax", "10000000", "--reference-n", "64"],
 )
 
 RUN_CLI = "import sys; from finsec.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -115,18 +121,22 @@ def main(args: list[str], prelude: str = "") -> int:
     for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
         env[name] = "1"
     for argv in INVOCATIONS:
-        done = subprocess.run(
-            [sys.executable, "-c", prelude + RUN_CLI, *argv],
-            cwd=TOOLS,
-            env=env,
-            capture_output=True,
-            text=True,
-        )
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", prelude + RUN_CLI, *argv],
+                cwd=TOOLS,
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            code, stdout, stderr = done.returncode, done.stdout, done.stderr
+        except subprocess.TimeoutExpired:  # a refusal that regressed into a long run
+            code, stdout, stderr = "timeout", "", ""
         (out_dir / file_name(argv)).write_text(
-            f"finsec {' '.join(argv)}\nexit {done.returncode}\n"
-            f"--- stdout\n{done.stdout}--- stderr\n{done.stderr}"
+            f"finsec {' '.join(argv)}\nexit {code}\n--- stdout\n{stdout}--- stderr\n{stderr}"
         )
-        print(f"exit {done.returncode}: finsec {' '.join(argv)}")
+        print(f"exit {code}: finsec {' '.join(argv)}")
     return 0
 
 
